@@ -179,11 +179,13 @@ def predict_matrix(s: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
 
 def expected_error(head: PromptHead, emb_set: EmbeddingSet, tau: float = DEFAULT_TAU) -> float:
     """Mean negative log-probability of the true class over a set."""
+    from promix.losses import PROB_FLOOR  # imported here: losses imports this module
+
     if len(emb_set) == 0:
         raise ValueError("expected_error of an empty set")
     probs = predict_matrix(similarity_matrix(head, emb_set.vectors), tau)
     py = probs[np.arange(len(emb_set)), emb_set.labels]
-    return float(np.mean(-np.log(np.maximum(py, 1e-300))))
+    return float(np.mean(-np.log(np.maximum(py, PROB_FLOOR))))
 
 
 def save_head(head: PromptHead, tau: float, path) -> None:

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from promix import backend
+from promix._kernels_py import PROB_FLOOR  # the one floor, shared with the kernels
 from promix.head import PredictiveDistribution
-
-PROB_FLOOR = 1e-300
 
 LOSS_KINDS = ("ce", "ce_conf", "fl", "gce", "mae", "ce_mae")
 

@@ -37,6 +37,7 @@ import numpy as np
 from promix import backend
 from promix.embedspace import DomainPartition, EmbeddingSet
 from promix.head import DEFAULT_TAU, PredictiveDistribution, PromptHead, similarity_matrix
+from promix.losses import PROB_FLOOR
 
 PARAMETERIZATIONS = ("one_stage", "two_stage", "direct")
 
@@ -339,7 +340,7 @@ def global_mixture_error(
     logits = np.einsum("k,knc->nc", pi, sims) / tau
     probs = backend.kernels.softmax_rows(logits)
     py = probs[np.arange(len(emb_set)), emb_set.labels]
-    return float(np.mean(-np.log(np.maximum(py, 1e-300))))
+    return float(np.mean(-np.log(np.maximum(py, PROB_FLOOR))))
 
 
 def bound_gap(
@@ -372,7 +373,7 @@ def decompose_error(
     if int(emb_set.labels.max()) >= partition.num_classes:
         raise ValueError("sample label outside the partition")
     probs = mixture_predict_matrix(model, emb_set.vectors)
-    losses = -np.log(np.maximum(probs[np.arange(len(emb_set)), emb_set.labels], 1e-300))
+    losses = -np.log(np.maximum(probs[np.arange(len(emb_set)), emb_set.labels], PROB_FLOOR))
     owners = partition.owner_of()[emb_set.labels]
     parts = []
     total = 0.0
@@ -420,12 +421,3 @@ def ent_loss(h_generalized: float, h_specialized: float, d: float) -> float:
     the generalized one on the out-class set.
     """
     return max(0.0, h_generalized - h_specialized + d)
-
-
-def entropy_directional_derivative(probs: np.ndarray, dz: np.ndarray) -> float:
-    """Derivative of normalized entropy when logits move along ``dz``."""
-    probs = np.asarray(probs, dtype=np.float64)
-    dz = np.asarray(dz, dtype=np.float64)
-    logp = np.log(np.maximum(probs, 1e-300))
-    plogp = probs * logp
-    return float(-(plogp @ dz - plogp.sum() * (probs @ dz)) / np.log(probs.size))

@@ -2,14 +2,23 @@
 
 Prompt tuning runs mini-batch adaptive-moment descent on the shared
 context vectors only, with gradients flowing through the renormalization
-of the effective class embeddings. Weight fitting runs full-batch
-momentum descent on the raw weight parameters (two_stage logits or
-one_stage temperatures): the in-weight against the mixture's
-cross-entropy on its own sub-domain, the out-weight against the
-entropy-margin loss on a surrogate out-class set. Weight traces are
-monotone non-increasing: descent stops at the first epoch that would
-raise the objective, and an immediate ascent retries once at a tenth of
-the learning rate.
+of the effective class embeddings. The context enters only through its
+row mean cbar, so each run computes X·Aᵀ and the anchor norms once; a
+step then costs O(B·C) plus two C×D matrix-vector products
+(A·cbar for the norms, Aᵀr for the gradient) instead of rebuilding the
+C×D effective embeddings.
+
+Weight fitting runs full-batch momentum descent on the raw weight
+parameters (two_stage logits or one_stage temperatures): the in-weight
+against the mixture's cross-entropy on its own sub-domain, the
+out-weight against the entropy-margin loss on a surrogate out-class set.
+Both objectives are evaluated in closed form from arrays computed once
+per fit: the in-weight logits are affine in a scalar coefficient of the
+parameter, and the out-weight logits are a scalar multiple of fixed
+similarities, so each evaluation is one softmax plus O(N·C) work. Weight
+traces are monotone non-increasing: descent stops at the first epoch that
+would raise the objective, and an immediate ascent retries once at a
+tenth of the learning rate.
 
 All loops are deterministic for a fixed seed and configuration.
 """
@@ -24,7 +33,7 @@ import numpy as np
 from promix import backend
 from promix.embedspace import EmbeddingSet
 from promix.head import DEFAULT_TAU, PromptHead, similarity_matrix
-from promix.losses import LossConfig, batch_loss_grad
+from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
 from promix.mixture import MixtureModel, normalized_entropy, sigmoid
 
 
@@ -83,31 +92,91 @@ class HyperParams:
             raise ValueError("context_len must be non-negative")
 
 
-def _batch_context_grad(
+@dataclass(frozen=True)
+class _AnchorSpace:
+    """The context-free part of one tuning run, computed once: the anchors,
+    their squared norms, and the products X·Aᵀ of every training row.
+
+    The norms are stored rather than assumed to be 1, because anchors read
+    from EMB1 files are unit-norm only to within the file tolerance.
+    """
+
+    anchors: np.ndarray
+    anchor_sq: np.ndarray
+    xa: np.ndarray
+
+    @classmethod
+    def of(cls, anchors: np.ndarray, vectors: np.ndarray) -> "_AnchorSpace":
+        return cls(anchors, np.einsum("cd,cd->c", anchors, anchors), vectors @ anchors.T)
+
+
+def _context_sims(
+    space: _AnchorSpace, rows, xb: np.ndarray, cbar: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Similarities of ``xb`` (training rows ``rows``) against the
+    effective embeddings renormalize(a_c + cbar), and the norms ‖a_c + cbar‖.
+
+    sim = (x·a_c + x·cbar) / ‖a_c + cbar‖ with
+    ‖a_c + cbar‖² = ‖a_c‖² + 2 a_c·cbar + ‖cbar‖².
+    """
+    norms = np.sqrt(space.anchor_sq + 2.0 * (space.anchors @ cbar) + cbar @ cbar)
+    return (space.xa[rows] + (xb @ cbar)[:, None]) / norms, norms
+
+
+def _context_grad(
+    space: _AnchorSpace,
+    g: np.ndarray,
+    sims: np.ndarray,
+    norms: np.ndarray,
+    xb: np.ndarray,
+    cbar: np.ndarray,
+    m_rows: int,
+) -> np.ndarray:
+    """Gradient of sum(g * sims) w.r.t. the M context rows.
+
+    With r_c = Σ_b g_bc sims_bc / n_c², the gradient w.r.t. cbar is
+    Xᵀ(g/n)·1 − Aᵀr − cbar Σr; cbar is the row mean, so every context row
+    receives an equal 1/M share of it.
+    """
+    r = np.einsum("bc,bc->c", g, sims) / (norms * norms)
+    d_cbar = xb.T @ (g @ (1.0 / norms)) - space.anchors.T @ r - r.sum() * cbar
+    return np.tile(d_cbar / m_rows, (m_rows, 1))
+
+
+def _context_loss_grad(
     ctx: np.ndarray,
-    anchors: np.ndarray,
+    space: _AnchorSpace,
+    rows,
     xb: np.ndarray,
     yb: np.ndarray,
     loss: LossConfig,
     tau: float,
 ) -> tuple[float, np.ndarray]:
-    """Loss and its gradient w.r.t. the context rows for one batch.
-
-    Chains the similarity-space gradient through the batch similarities,
-    the renormalization of the effective class embeddings, and the
-    context mean (each row receives an equal share).
-    """
-    m_rows = ctx.shape[0]
-    raw = anchors + ctx.mean(axis=0)
-    norms = np.linalg.norm(raw, axis=1)
-    eff = raw / norms[:, None]
-    sims = xb @ eff.T
+    """Loss of one batch and its gradient w.r.t. the context rows."""
+    cbar = ctx.mean(axis=0)
+    sims, norms = _context_sims(space, rows, xb, cbar)
     loss_val, g = batch_loss_grad(sims, yb, tau, loss)
-    d_eff = g.T @ xb
-    radial = np.einsum("cd,cd->c", d_eff, eff)
-    d_raw = (d_eff - radial[:, None] * eff) / norms[:, None]
-    d_ctx_row = d_raw.sum(axis=0) / m_rows
-    return loss_val, np.tile(d_ctx_row, (m_rows, 1))
+    return loss_val, _context_grad(space, g, sims, norms, xb, cbar, ctx.shape[0])
+
+
+def _one_stage_loss_grad(
+    ctx: np.ndarray,
+    log_tau: float,
+    space: _AnchorSpace,
+    rows,
+    xb: np.ndarray,
+    yb: np.ndarray,
+    z0: np.ndarray,
+    loss: LossConfig,
+) -> tuple[float, np.ndarray, float]:
+    """Loss of the logits z0 + s_1 / tau_1 on one batch, and its gradients
+    w.r.t. the context rows and log(tau_1)."""
+    tau_1 = float(np.exp(log_tau))
+    cbar = ctx.mean(axis=0)
+    s1, norms = _context_sims(space, rows, xb, cbar)
+    loss_val, g_z = batch_loss_grad(z0 + s1 / tau_1, yb, 1.0, loss)
+    grad_ctx = _context_grad(space, g_z / tau_1, s1, norms, xb, cbar, ctx.shape[0])
+    return loss_val, grad_ctx, -float(np.einsum("nc,nc->", g_z, s1)) / tau_1
 
 
 def context_gradient(
@@ -116,10 +185,67 @@ def context_gradient(
     """Full-set analytic gradient of the mean loss w.r.t. the context."""
     if head.context_len == 0:
         raise ValueError("head has no context vectors")
-    _, grad = _batch_context_grad(
-        head.context, head.anchors, train_set.vectors, train_set.labels, loss, tau
+    x = train_set.vectors
+    space = _AnchorSpace.of(head.anchors, x)
+    _, grad = _context_loss_grad(
+        head.context, space, slice(None), x, train_set.labels, loss, tau
     )
     return grad
+
+
+def _check_tunable(init: PromptHead, train_set: EmbeddingSet) -> None:
+    if init.frozen or init.context_len == 0:
+        raise ValueError("cannot tune a frozen head (no context vectors)")
+    if len(train_set) == 0:
+        raise ValueError("empty training set")
+    labels = train_set.labels
+    if int(labels.min()) < 0 or int(labels.max()) >= init.num_classes:
+        raise ValueError(
+            f"training label outside the head's class list [0, {init.num_classes})"
+        )
+
+
+def _adam_descent(
+    params: list,
+    batch_grad: Callable[[np.ndarray, list], tuple[float, list]],
+    n: int,
+    opt: OptimizerConfig,
+    epoch_hook: Callable[[int, list], None] | None = None,
+) -> tuple[list, list[float]]:
+    """Mini-batch Adam over a list of parameters.
+
+    ``batch_grad(rows, params)`` returns the batch's mean loss and one
+    gradient per parameter. Returns the final parameters and the
+    per-epoch mean training loss.
+    """
+    rng = np.random.default_rng(opt.seed)
+    moments = [np.zeros_like(p) for p in params]
+    second = [np.zeros_like(p) for p in params]
+    step = 0
+    trace: list[float] = []
+    for epoch in range(opt.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, opt.batch_size):
+            idx = order[start : start + opt.batch_size]
+            loss_val, grads = batch_grad(idx, params)
+            if not np.isfinite(loss_val):
+                raise DivergenceError(
+                    f"non-finite loss at epoch {epoch}, batch offset {start}"
+                )
+            epoch_loss += loss_val * len(idx)
+
+            step += 1
+            for i, grad in enumerate(grads):
+                moments[i] = opt.beta1 * moments[i] + (1.0 - opt.beta1) * grad
+                second[i] = opt.beta2 * second[i] + (1.0 - opt.beta2) * grad * grad
+                m_hat = moments[i] / (1.0 - opt.beta1**step)
+                v_hat = second[i] / (1.0 - opt.beta2**step)
+                params[i] = params[i] - opt.prompt_lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        trace.append(epoch_loss / n)
+        if epoch_hook is not None:
+            epoch_hook(epoch, params)
+    return params, trace
 
 
 def tune_prompt(
@@ -137,48 +263,23 @@ def tune_prompt(
     the head after each epoch (used by the evaluation harnesses to record
     curves).
     """
-    if init.frozen or init.context_len == 0:
-        raise ValueError("cannot tune a frozen head (no context vectors)")
-    if len(train_set) == 0:
-        raise ValueError("empty training set")
-    if int(train_set.labels.max()) >= init.num_classes:
-        raise ValueError("training label outside the head's class list")
-
+    _check_tunable(init, train_set)
     x_all = train_set.vectors
     y_all = train_set.labels
-    n = len(train_set)
-    ctx = init.context.copy()
-    anchors = init.anchors
-    rng = np.random.default_rng(opt.seed)
+    space = _AnchorSpace.of(init.anchors, x_all)
 
-    adam_m = np.zeros_like(ctx)
-    adam_v = np.zeros_like(ctx)
-    step = 0
-    trace: list[float] = []
-    for epoch in range(opt.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, opt.batch_size):
-            idx = order[start : start + opt.batch_size]
-            loss_val, grad = _batch_context_grad(
-                ctx, anchors, x_all[idx], y_all[idx], loss, tau
-            )
-            if not np.isfinite(loss_val):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}"
-                )
-            epoch_loss += loss_val * len(idx)
-            grad = grad + opt.prompt_weight_decay * ctx
+    def batch_grad(idx, params):
+        (ctx,) = params
+        loss_val, grad = _context_loss_grad(ctx, space, idx, x_all[idx], y_all[idx], loss, tau)
+        return loss_val, [grad + opt.prompt_weight_decay * ctx]
 
-            step += 1
-            adam_m = opt.beta1 * adam_m + (1.0 - opt.beta1) * grad
-            adam_v = opt.beta2 * adam_v + (1.0 - opt.beta2) * grad * grad
-            m_hat = adam_m / (1.0 - opt.beta1**step)
-            v_hat = adam_v / (1.0 - opt.beta2**step)
-            ctx = ctx - opt.prompt_lr * m_hat / (np.sqrt(v_hat) + opt.eps)
-        trace.append(epoch_loss / n)
-        if epoch_hook is not None:
-            epoch_hook(epoch, init.with_context(ctx))
+    def head_hook(epoch, params):
+        epoch_hook(epoch, init.with_context(params[0]))
+
+    (ctx,), trace = _adam_descent(
+        [init.context.copy()], batch_grad, len(train_set), opt,
+        head_hook if epoch_hook is not None else None,
+    )
     return init.with_context(ctx), trace
 
 
@@ -208,68 +309,25 @@ def tune_prompt_one_stage(
     context together with log(tau_1). Only meaningful with exactly one
     specialized head. Returns (tuned head, tau_1, per-epoch loss trace).
     """
-    if init.frozen or init.context_len == 0:
-        raise ValueError("cannot tune a frozen head (no context vectors)")
-    if len(train_set) == 0:
-        raise ValueError("empty training set")
+    _check_tunable(init, train_set)
     if generalized.num_classes != init.num_classes:
         raise ValueError("generalized head must share the class list")
 
     x_all = train_set.vectors
     y_all = train_set.labels
-    n = len(train_set)
-    m_rows = init.context_len
-    ctx = init.context.copy()
-    anchors = init.anchors
-    s0_all = x_all @ generalized.effective_embeddings().T
-    log_tau = float(np.log(tau_0))
-    rng = np.random.default_rng(opt.seed)
+    space = _AnchorSpace.of(init.anchors, x_all)
+    z0_all = x_all @ generalized.effective_embeddings().T / tau_0
 
-    adam_m = np.zeros_like(ctx)
-    adam_v = np.zeros_like(ctx)
-    tau_m = 0.0
-    tau_v = 0.0
-    step = 0
-    trace: list[float] = []
-    for epoch in range(opt.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, opt.batch_size):
-            idx = order[start : start + opt.batch_size]
-            xb, yb, s0 = x_all[idx], y_all[idx], s0_all[idx]
-            tau_1 = float(np.exp(log_tau))
+    def batch_grad(idx, params):
+        ctx, log_tau = params
+        loss_val, grad_ctx, grad_tau = _one_stage_loss_grad(
+            ctx, log_tau, space, idx, x_all[idx], y_all[idx], z0_all[idx], loss
+        )
+        return loss_val, [grad_ctx + opt.prompt_weight_decay * ctx, grad_tau]
 
-            raw = anchors + ctx.mean(axis=0)
-            norms = np.linalg.norm(raw, axis=1)
-            eff = raw / norms[:, None]
-            s1 = xb @ eff.T
-            logits = s0 / tau_0 + s1 / tau_1
-            loss_val, g_z = batch_loss_grad(logits, yb, 1.0, loss)
-            if not np.isfinite(loss_val):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}"
-                )
-            epoch_loss += loss_val * len(idx)
-
-            d_eff = (g_z / tau_1).T @ xb
-            radial = np.einsum("cd,cd->c", d_eff, eff)
-            d_raw = (d_eff - radial[:, None] * eff) / norms[:, None]
-            grad_ctx = np.tile(d_raw.sum(axis=0) / m_rows, (m_rows, 1))
-            grad_ctx += opt.prompt_weight_decay * ctx
-            grad_tau = float(np.einsum("nc,nc->", g_z, -s1 / tau_1))
-
-            step += 1
-            adam_m = opt.beta1 * adam_m + (1.0 - opt.beta1) * grad_ctx
-            adam_v = opt.beta2 * adam_v + (1.0 - opt.beta2) * grad_ctx * grad_ctx
-            ctx = ctx - opt.prompt_lr * (adam_m / (1.0 - opt.beta1**step)) / (
-                np.sqrt(adam_v / (1.0 - opt.beta2**step)) + opt.eps
-            )
-            tau_m = opt.beta1 * tau_m + (1.0 - opt.beta1) * grad_tau
-            tau_v = opt.beta2 * tau_v + (1.0 - opt.beta2) * grad_tau * grad_tau
-            log_tau = log_tau - opt.prompt_lr * (tau_m / (1.0 - opt.beta1**step)) / (
-                np.sqrt(tau_v / (1.0 - opt.beta2**step)) + opt.eps
-            )
-        trace.append(epoch_loss / n)
+    (ctx, log_tau), trace = _adam_descent(
+        [init.context.copy(), float(np.log(tau_0))], batch_grad, len(train_set), opt
+    )
     return init.with_context(ctx), float(np.exp(log_tau)), trace
 
 
@@ -327,66 +385,86 @@ def _descend_scalar(
 def _in_objective_factory(
     model: MixtureModel, train_set: EmbeddingSet, prompt: int, classes: np.ndarray | None
 ):
-    """Precompute similarities and return theta -> (mean CE, gradient)."""
-    sims = model.similarity_stack(train_set.vectors)
+    """Precompute the mixture logits in closed form; return
+    theta -> (mean CE, gradient).
+
+    The logits are affine in one coefficient of theta: logits =
+    base + a(theta) vary and d logits / d theta = b(theta) vary, where
+    vary is zero off the head's own classes. two_stage: a = pi,
+    b = pi (1 - pi) with pi = sigmoid(theta). one_stage (theta is
+    log tau_in): a = exp(-theta), b = -exp(-theta).
+
+    With several specialized heads a column's specialized weights can sum
+    above 1; such columns are renormalized by that sum, as in
+    ``class_weight_matrix``, and rebuilt from the same arrays.
+    """
     weights = model.weights
-    partition = model.partition
-    tau = model.tau
     n = len(train_set)
     rows = np.arange(n)
-    owners = partition.owner_of()
-
     if classes is None:
-        classes = np.arange(partition.num_classes, dtype=np.int64)
+        classes = np.arange(model.partition.num_classes, dtype=np.int64)
     else:
         classes = np.asarray(classes, dtype=np.int64)
     label_pos = {int(c): j for j, c in enumerate(classes)}
-    y_local = np.array([label_pos[int(lab)] for lab in train_set.labels], dtype=np.int64)
-    sims_c = sims[:, :, classes]
-    owners_c = owners[classes]
-    owned_c = owners_c == prompt
+    try:
+        y_local = np.array([label_pos[lab] for lab in train_set.labels.tolist()], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(
+            f"training label {exc.args[0]} is not in the candidate class list"
+        ) from None
+    sims = model.similarity_stack(train_set.vectors)[:, :, classes]
+    owners_c = model.partition.owner_of()[classes]
+    owned = owners_c == prompt
+
+    if weights.parameterization == "one_stage":
+        base = sims[0] / weights.tau_0 + np.where(owned, 0.0, sims[1] / weights.tau_out)
+        vary = np.where(owned, sims[1], 0.0)
+        capped, rest, z0_capped = np.zeros(0, dtype=np.int64), np.zeros(0), None
+
+        def coefficients(theta: float) -> tuple[float, float]:
+            scale = float(np.exp(-theta))
+            return scale, -scale
+
+    else:
+        tau = model.tau
+        raw = np.stack(
+            [
+                np.where(owners_c == i, weights.in_weights[i - 1], weights.out_weights[i - 1])
+                for i in range(1, weights.num_specialized + 1)
+            ]
+        )
+        raw[prompt - 1, owned] = 0.0
+        spec = raw.sum(axis=0)
+        # owned columns keep the free form (head 0 takes 1 - spec - pi);
+        # the others are fixed and clamped as in class_weight_matrix
+        w0 = np.where(owned, 1.0 - spec, np.maximum(1.0 - spec, 0.0))
+        denom = np.where(owned, 1.0, np.maximum(spec, 1.0))
+        base = (w0 * sims[0] + np.einsum("kc,knc->nc", raw, sims[1:])) / denom / tau
+        vary = np.where(owned, sims[prompt] - sims[0], 0.0) / tau
+        capped = np.flatnonzero(owned & (spec > 0.0))
+        rest = spec[capped]
+        z0_capped = sims[0][:, capped] / tau
+
+        def coefficients(theta: float) -> tuple[float, float]:
+            pi = float(sigmoid(theta))
+            return pi, pi * (1.0 - pi)
+
+    vary_y = float(vary[rows, y_local].sum())
 
     def evaluate(theta: float) -> tuple[float, float]:
-        if weights.parameterization == "one_stage":
-            # theta is the log-temperature; tau_1 = exp(theta) stays positive
-            tau_in = float(np.exp(theta))
-            w = weights.replace_raw(prompt, tau_in=tau_in)
-            tau_spec = np.where(owned_c, tau_in, w.tau_out)
-            logits = sims_c[0] / w.tau_0 + sims_c[1] / tau_spec[None, :]
-            dz_dtheta = np.where(owned_c, -1.0 / tau_in, 0.0)[None, :] * sims_c[1]
-        else:
-            w = weights.replace_raw(prompt, alpha_in=theta)
-            k = w.num_specialized
-            raw = np.empty((k, len(classes)))
-            for i in range(1, k + 1):
-                raw[i - 1] = np.where(
-                    owners_c == i, w.in_weights[i - 1], w.out_weights[i - 1]
-                )
-            spec_sum = raw.sum(axis=0)
-            w0 = np.maximum(1.0 - spec_sum, 0.0)
-            denom = np.maximum(spec_sum, 1.0)
-            weighted = (w0[None, :] * sims_c[0] + np.einsum("kc,knc->nc", raw, sims_c[1:]))
-            logits = weighted / denom[None, :] / tau
-            pi = w.in_weights[prompt - 1]
-            dpi = pi * (1.0 - pi)
-            # below the simplex cap the head-0 residual absorbs the change;
-            # above it the column is normalized by the specialized sum
-            over = spec_sum > 1.0
-            mean_sim = logits * tau
-            dz_free = sims_c[prompt] - sims_c[0]
-            dz_norm = (sims_c[prompt] - mean_sim) / denom[None, :]
-            dz_dtheta = (
-                np.where(owned_c, dpi, 0.0)[None, :]
-                * np.where(over[None, :], dz_norm, dz_free)
-                / tau
-            )
+        a, b = coefficients(theta)
+        logits = base + a * vary
+        dz, dz_y = vary, vary_y
+        over = rest + a > 1.0
+        if over.any():
+            cols, total = capped[over], rest[over] + a
+            logits[:, cols] = (logits[:, cols] + z0_capped[:, over] * (total - 1.0)) / total
+            dz = vary.copy()
+            dz[:, cols] = (vary[:, cols] + z0_capped[:, over] - logits[:, cols]) / total
+            dz_y = float(dz[rows, y_local].sum())
         probs = backend.kernels.softmax_rows(logits)
-        py = probs[rows, y_local]
-        ce = float(np.mean(-np.log(np.maximum(py, 1e-300))))
-        dce_dz = probs.copy()
-        dce_dz[rows, y_local] -= 1.0
-        grad = float(np.einsum("nc,nc->", dce_dz, dz_dtheta) / n)
-        return ce, grad
+        ce = float(np.mean(-np.log(np.maximum(probs[rows, y_local], PROB_FLOOR))))
+        return ce, b * (float(np.einsum("nc,nc->", probs, dz)) - dz_y) / n
 
     return evaluate
 
@@ -429,6 +507,18 @@ def optimize_in_weight(
     return replace(model, weights=new_weights), trace
 
 
+def _entropy_rows(logits: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row entropies of probs = softmax(logits) as lse - E_p[z], and E_p[z].
+
+    The log-sum-exp is read from the softmax at the row maximum,
+    z_max - log p_max, so no elementwise log is taken.
+    """
+    rows = np.arange(logits.shape[0])
+    top = np.argmax(logits, axis=1)
+    mean_z = np.einsum("nc,nc->n", probs, logits)
+    return logits[rows, top] - np.log(probs[rows, top]) - mean_z, mean_z
+
+
 def _out_objective_factory(
     model: MixtureModel,
     train_vectors: np.ndarray,
@@ -441,40 +531,36 @@ def _out_objective_factory(
 
     Both entropies run over the out-class set only: the generalized head
     at its native temperature, the specialized head with weight-scaled
-    similarities so the weight is the only moving part.
+    similarities so the weight is the only moving part. The specialized
+    logits are z = a(theta) s_i with d z / d theta = c(theta) z, so
+    d H / d theta = -c Var_p(z) / log n. two_stage: a = pi / tau,
+    c = 1 - pi. one_stage (theta is log tau_out): a = exp(-theta), c = -1.
     """
     weights = model.weights
     tau = model.tau
-    n_out = out_anchors.shape[0]
-    log_n = np.log(n_out)
+    log_n = np.log(out_anchors.shape[0])
 
     s0 = train_vectors @ model.heads[0].effective_embeddings(out_anchors).T
     si = train_vectors @ model.heads[prompt].effective_embeddings(out_anchors).T
-    p0 = backend.kernels.softmax_rows(s0 / tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp0 = np.where(p0 > 0, p0 * np.log(np.maximum(p0, 1e-300)), 0.0)
-    h0 = -plogp0.sum(axis=1) / log_n
+    z0 = s0 / tau
+    h0 = _entropy_rows(z0, backend.kernels.softmax_rows(z0))[0] / log_n
+
+    def coefficients(theta: float) -> tuple[float, float]:
+        if weights.parameterization == "one_stage":
+            return float(np.exp(-theta)), -1.0
+        pi = float(sigmoid(theta))
+        return pi / tau, 1.0 - pi
 
     def evaluate(theta: float) -> tuple[float, float]:
-        if weights.parameterization == "one_stage":
-            # theta is the log-temperature of the specialized head
-            tau_out = float(np.exp(theta))
-            logits = si / tau_out
-            dz = -si / tau_out
-        else:
-            pi = float(sigmoid(theta))
-            logits = pi * si / tau
-            dz = (pi * (1.0 - pi)) * si / tau
-        pi_rows = backend.kernels.softmax_rows(logits)
-        logp = np.log(np.maximum(pi_rows, 1e-300))
-        plogp = pi_rows * logp
-        hi = -plogp.sum(axis=1) / log_n
-        active = (h0 - hi + margin) > 0
-        loss = float(ent_weight * np.mean(np.maximum(0.0, h0 - hi + margin)))
-        # dH_i/dtheta per sample, then the hinge gate
-        mean_dz = np.einsum("nc,nc->n", pi_rows, dz)
-        dh = -(np.einsum("nc,nc->n", plogp, dz) - plogp.sum(axis=1) * mean_dz) / log_n
-        grad = float(ent_weight * np.mean(np.where(active, -dh, 0.0)))
+        a, c = coefficients(theta)
+        logits = a * si
+        probs = backend.kernels.softmax_rows(logits)
+        entropy, mean_z = _entropy_rows(logits, probs)
+        gap = h0 - entropy / log_n + margin
+        loss = float(ent_weight * np.mean(np.maximum(0.0, gap)))
+        var_z = np.einsum("nc,nc,nc->n", probs, logits, logits) - mean_z * mean_z
+        # the hinge passes -dH/dtheta = c Var_p(z) / log n where it is active
+        grad = float(ent_weight * np.mean(np.where(gap > 0, c * var_z / log_n, 0.0)))
         return loss, grad
 
     return evaluate
