@@ -1,8 +1,6 @@
-"""Pure-numpy implementations of the hot kernels.
+"""Numpy implementations of the hot kernels, reached through promix.backend.
 
-Same contracts as the compiled module promix._kernels_cy; promix.backend
-picks whichever is available. Shapes: logits/similarities are (B, C)
-float64, labels are (B,) int64.
+Shapes: logits/similarities are (B, C) float64, labels are (B,) int64.
 """
 
 import numpy as np

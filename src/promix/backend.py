@@ -1,45 +1,15 @@
-"""Kernel backend selection: compiled extension with a numpy fallback.
+"""The kernel module callers reach the hot kernels through.
 
-The compiled module is used when importable; set PROMIX_BACKEND=python or
-PROMIX_BACKEND=compiled to force a choice (the latter raises if the
-extension is missing). ``set_backend`` exists for tests and benchmarks.
+Library code calls ``backend.kernels.softmax_rows`` and
+``backend.kernels.prompt_step`` rather than importing them, so the
+benchmark tracer can wrap both in one place; ``active_name`` names the
+kernels in its run stamp.
 """
-
-import os
 
 from promix import _kernels_py
 
-
-def _load(name: str):
-    if name == "python":
-        return _kernels_py
-    if name == "compiled":
-        from promix import _kernels_cy
-
-        return _kernels_cy
-    raise ValueError(f"unknown backend {name!r} (use 'python' or 'compiled')")
-
-
-def _default():
-    forced = os.environ.get("PROMIX_BACKEND")
-    if forced:
-        return _load(forced)
-    try:
-        return _load("compiled")
-    except ImportError:
-        return _kernels_py
-
-
-kernels = _default()
+kernels = _kernels_py
 
 
 def active_name() -> str:
-    return "python" if kernels is _kernels_py else "compiled"
-
-
-def set_backend(name: str) -> str:
-    """Switch the active kernels; returns the previous backend name."""
-    global kernels
-    previous = active_name()
-    kernels = _load(name)
-    return previous
+    return "python"

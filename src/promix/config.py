@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,13 +155,8 @@ def _parse_partition(obj: dict, pointer: str) -> dict:
     kind = _typed(obj, "kind", str, "base_new_even_split", pointer)
     if kind not in ("base_new_even_split", "session_schedule", "explicit"):
         raise ConfigError(f"unknown partition kind {kind!r}", f"{pointer}/kind")
-    return {
-        "kind": kind,
-        "base_size": obj.get("base_size"),
-        "way": obj.get("way"),
-        "sets": obj.get("sets"),
-        "seed": obj.get("seed"),
-    }
+    fields = {key: _typed(obj, key, allowed[key], None, pointer) for key in allowed}
+    return {**fields, "kind": kind}
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -179,6 +175,8 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("seeds must be integers", "/seeds")
     if not seeds_raw:
         raise ConfigError("seeds must be non-empty", "/seeds")
+    if len(set(seeds_raw)) != len(seeds_raw):
+        raise ConfigError("seeds must be distinct", "/seeds")
 
     data = raw.get("data", {"synthetic": {}})
     _require_keys(data, {"synthetic": dict, "files": dict}, "/data")
@@ -258,7 +256,9 @@ def parse_config(raw: dict) -> RunConfig:
     if oc_kind not in STRATEGY_KINDS:
         raise ConfigError(f"unknown out-class kind {oc_kind!r}", "/outclass/kind")
     try:
-        outclass = OutclassStrategy(kind=oc_kind, count=oc_obj.get("count"))
+        outclass = OutclassStrategy(
+            kind=oc_kind, count=_typed(oc_obj, "count", int, None, "/outclass")
+        )
     except ValueError as exc:
         raise ConfigError(str(exc), "/outclass") from exc
 
@@ -277,12 +277,16 @@ def parse_config(raw: dict) -> RunConfig:
     if jobs < 1:
         raise ConfigError("jobs must be at least 1", "/jobs")
 
+    tau = _typed(raw, "tau", float, DEFAULT_TAU, "")
+    if not math.isfinite(tau) or tau <= 0:
+        raise ConfigError(f"tau must be finite and positive, got {tau}", "/tau")
+
     return RunConfig(
         out_dir=_typed(raw, "out_dir", str, "runs/default", ""),
         seed=_typed(raw, "seed", int, 0, ""),
         seeds=tuple(seeds_raw),
         jobs=jobs,
-        tau=_typed(raw, "tau", float, DEFAULT_TAU, ""),
+        tau=tau,
         synthetic=synthetic,
         files=files,
         partition=partition,
@@ -291,7 +295,7 @@ def parse_config(raw: dict) -> RunConfig:
         optimizer=optimizer,
         outclass=outclass,
         pool_size=_typed(oc_obj, "pool_size", int, 64, "/outclass"),
-        pool_file=oc_obj.get("pool_file"),
+        pool_file=_typed(oc_obj, "pool_file", str, None, "/outclass"),
         parameterization=parameterization,
     )
 

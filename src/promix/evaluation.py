@@ -202,6 +202,28 @@ def _domain_for(cfg: HarnessConfig, seed: int):
     return generate_synthetic(replace(cfg.synthetic, seed=seed))
 
 
+def _subset_problem(
+    anchors: np.ndarray,
+    names: tuple[str, ...],
+    train_set: EmbeddingSet,
+    classes: np.ndarray,
+    context_len: int,
+    seed: int,
+) -> tuple[np.ndarray, EmbeddingSet, PromptHead]:
+    """Remap a class subset to local labels 0..k-1; return the sorted
+    classes, the local training set and the initial head on them."""
+    classes = np.sort(np.asarray(classes, dtype=np.int64))
+    sub_train = train_set.with_labels_in(classes)
+    remap = {int(c): j for j, c in enumerate(classes)}
+    local = EmbeddingSet(
+        sub_train.vectors,
+        np.array([remap[int(y)] for y in sub_train.labels], dtype=np.int64),
+        tuple(names[c] for c in classes),
+    )
+    init = PromptHead.with_random_context(anchors[classes], local.class_names, context_len, seed)
+    return classes, local, init
+
+
 def tune_on_subset(
     anchors: np.ndarray,
     names: tuple[str, ...],
@@ -215,15 +237,7 @@ def tune_on_subset(
     epoch_hook: Callable | None = None,
 ) -> PromptHead:
     """Tune a head on a class subset; return the full-class-list head."""
-    classes = np.sort(np.asarray(classes, dtype=np.int64))
-    sub_train = train_set.with_labels_in(classes)
-    remap = {int(c): j for j, c in enumerate(classes)}
-    local = EmbeddingSet(
-        sub_train.vectors,
-        np.array([remap[int(y)] for y in sub_train.labels], dtype=np.int64),
-        tuple(names[c] for c in classes),
-    )
-    init = PromptHead.with_random_context(anchors[classes], local.class_names, context_len, seed)
+    _, local, init = _subset_problem(anchors, names, train_set, classes, context_len, seed)
     tuned, _ = tune_prompt(init, local, loss, opt, tau=tau, epoch_hook=epoch_hook)
     return PromptHead(tuned.context, anchors, names)
 
@@ -323,10 +337,6 @@ def fit_base_new_artifacts(cfg: HarnessConfig, seed: int, domain=None):
         cfg.hyper.context_len, seed, cfg.tau,
     )
     confusion_loss_cfg = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
-    head_conf = tune_on_subset(
-        anchors, names, domain.train, base_classes, confusion_loss_cfg, opt,
-        cfg.hyper.context_len, seed, cfg.tau,
-    )
 
     train_in = domain.train.with_labels_in(base_classes)
     dim = domain.train.dim
@@ -354,6 +364,10 @@ def fit_base_new_artifacts(cfg: HarnessConfig, seed: int, domain=None):
             )
         return domain, partition, t0, head_ce, mix_head, model.weights
 
+    head_conf = tune_on_subset(
+        anchors, names, domain.train, base_classes, confusion_loss_cfg, opt,
+        cfg.hyper.context_len, seed, cfg.tau,
+    )
     model = MixtureModel(
         (t0, head_conf), MixtureWeights.uniform(1), partition, tau=cfg.tau
     )
@@ -376,15 +390,7 @@ def _joint_one_stage_head(
 ) -> tuple[PromptHead, float]:
     """Tune a head jointly with its one-stage temperature on a class
     subset; returns the full-class-list head and the learned tau_1."""
-    classes = np.sort(np.asarray(classes, dtype=np.int64))
-    sub_train = train_set.with_labels_in(classes)
-    remap = {int(c): j for j, c in enumerate(classes)}
-    local = EmbeddingSet(
-        sub_train.vectors,
-        np.array([remap[int(y)] for y in sub_train.labels], dtype=np.int64),
-        tuple(names[c] for c in classes),
-    )
-    init = PromptHead.with_random_context(anchors[classes], local.class_names, context_len, seed)
+    classes, local, init = _subset_problem(anchors, names, train_set, classes, context_len, seed)
     t0_local = PromptHead.frozen_from(anchors[classes], local.class_names)
     tuned, tau_in, _ = tune_prompt_one_stage(init, t0_local, local, loss, opt, tau_0=tau)
     return PromptHead(tuned.context, anchors, names), tau_in

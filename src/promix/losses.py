@@ -12,7 +12,10 @@ the test suite. The remaining losses (focal, generalized CE, MAE) exist
 for the comparison harness.
 
 Gradient conventions: ``s`` is a per-class similarity vector, ``tau`` the
-softmax temperature, and all gradients are with respect to ``s``.
+softmax temperature, and all gradients are with respect to ``s``. Each
+gradient formula lives once, in the batch path; the per-sample gradients
+are its single-row case, and the per-sample loss values are the
+finite-difference oracles the tests check it against.
 """
 
 from __future__ import annotations
@@ -110,51 +113,24 @@ def loss_value(p, y: int, config: LossConfig) -> float:
     return ce_plus_mae_loss(p, y, config.w)
 
 
-def _softmax(s: np.ndarray, tau: float) -> np.ndarray:
-    return backend.kernels.softmax_rows(np.asarray(s, dtype=np.float64)[None, :] / tau)[0]
-
-
 def grad_prompt_loss(s: np.ndarray, y: int, tau: float, w: float) -> np.ndarray:
-    """Exact gradient of prompt_loss(softmax(s / tau), y, w) w.r.t. s.
+    """Exact gradient of prompt_loss(softmax(s / tau), y, w) w.r.t. s, read
+    from the batch kernel ``prompt_step`` on a single row.
 
     d/ds(y)   = -(1/tau) (1 - p(y)) (1 + w p(y))
     d/ds(c!=y) = (1/tau) p(c) (1 + w p(y))
 
     Components sum to zero (softmax shift invariance).
     """
-    p = _softmax(s, tau)
-    py = p[y]
-    coef = (1.0 + w * py) / tau
-    g = p * coef
-    g[y] = -(1.0 - py) * coef
-    return g
+    s = np.asarray(s, dtype=np.float64)
+    return backend.kernels.prompt_step(s[None, :], np.array([y]), tau, w)[1][0]
 
 
 def grad_loss(s: np.ndarray, y: int, tau: float, config: LossConfig) -> np.ndarray:
-    """Analytic gradient of the configured loss w.r.t. similarities."""
-    p = _softmax(s, tau)
-    py = p[y]
-    onehot = np.zeros_like(p)
-    onehot[y] = 1.0
-    if config.kind == "ce":
-        return (p - onehot) / tau
-    if config.kind == "ce_conf":
-        return grad_prompt_loss(s, y, tau, config.w)
-    # dp(y)/ds = p(y) (onehot - p) / tau; remaining kinds chain through it
-    dpy_ds = py * (onehot - p) / tau
-    if config.kind == "fl":
-        if py >= 1.0:
-            return np.zeros_like(p)
-        dl_dpy = config.gamma * (1.0 - py) ** (config.gamma - 1.0) * np.log(
-            max(py, PROB_FLOOR)
-        ) - (1.0 - py) ** config.gamma / max(py, PROB_FLOOR)
-        return dl_dpy * dpy_ds
-    if config.kind == "gce":
-        return -(py ** config.q) * (onehot - p) / tau
-    if config.kind == "mae":
-        return (2.0 / p.size) * -dpy_ds
-    # ce_mae
-    return (p - onehot) / tau + config.w * (2.0 / p.size) * -dpy_ds
+    """Analytic gradient of the configured loss w.r.t. similarities: the
+    single-row case of ``batch_loss_grad``."""
+    s = np.asarray(s, dtype=np.float64)
+    return batch_loss_grad(s[None, :], np.array([y]), tau, config)[1][0]
 
 
 def batch_loss_grad(
@@ -162,8 +138,8 @@ def batch_loss_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean loss and its gradient over a batch of similarity rows.
 
-    The ce/ce_conf path runs on the fused backend kernel; the comparison
-    losses use vectorized numpy. Returns (loss, G) with G = d(loss)/dS.
+    The ce/ce_conf path runs on the fused kernel ``prompt_step``; the
+    comparison losses use vectorized numpy. Returns (loss, G) with G = d(loss)/dS.
     """
     s = np.asarray(s, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -176,6 +152,7 @@ def batch_loss_grad(
     py = p[rows, y]
     onehot = np.zeros_like(p)
     onehot[rows, y] = 1.0
+    # dp(y)/ds = p(y) (onehot - p) / tau; the comparison losses chain through it
     dpy_ds = py[:, None] * (onehot - p) / tau
     if config.kind == "fl":
         log_py = np.log(np.maximum(py, PROB_FLOOR))

@@ -34,7 +34,7 @@ from promix import backend
 from promix.embedspace import EmbeddingSet
 from promix.head import DEFAULT_TAU, PromptHead, similarity_matrix
 from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
-from promix.mixture import MixtureModel, normalized_entropy, sigmoid
+from promix.mixture import MixtureModel, MixtureWeights, normalized_entropy, sigmoid
 
 
 class DivergenceError(RuntimeError):
@@ -382,6 +382,27 @@ def _descend_scalar(
     return theta, trace
 
 
+def _read_raw(weights: MixtureWeights, prompt: int, side: str) -> float:
+    """The raw parameter weight fitting descends for one head's ``side``
+    ("in" or "out") weight: the two_stage logit alpha or the one_stage
+    log tau."""
+    if weights.parameterization == "two_stage":
+        alphas = weights.alphas_in if side == "in" else weights.alphas_out
+        return float(alphas[prompt - 1])
+    if weights.parameterization == "one_stage":
+        return float(np.log(weights.tau_in if side == "in" else weights.tau_out))
+    raise ValueError("direct weights carry no raw parameter to optimize")
+
+
+def _write_raw(
+    weights: MixtureWeights, prompt: int, side: str, theta: float
+) -> MixtureWeights:
+    """Weights with the raw parameter read by ``_read_raw`` set to theta."""
+    if weights.parameterization == "two_stage":
+        return weights.replace_raw(prompt, **{f"alpha_{side}": theta})
+    return weights.replace_raw(prompt, **{f"tau_{side}": float(np.exp(theta))})
+
+
 def _in_objective_factory(
     model: MixtureModel, train_set: EmbeddingSet, prompt: int, classes: np.ndarray | None
 ):
@@ -489,22 +510,12 @@ def optimize_in_weight(
         raise ValueError("empty training set")
     if not np.all(np.isin(train_set.labels, model.partition.subsets[prompt])):
         raise ValueError(f"training labels must lie in sub-domain {prompt}")
-    weights = model.weights
-    if weights.parameterization == "two_stage":
-        theta0 = float(weights.alphas_in[prompt - 1])
-    elif weights.parameterization == "one_stage":
-        theta0 = float(np.log(weights.tau_in))
-    else:
-        raise ValueError("direct weights carry no raw parameter to optimize")
+    theta0 = _read_raw(model.weights, prompt, "in")
     objective = _in_objective_factory(model, train_set, prompt, classes)
     theta, trace = _descend_scalar(
         theta0, objective, opt, epochs or opt.weight_epochs, len(train_set)
     )
-    if weights.parameterization == "two_stage":
-        new_weights = weights.replace_raw(prompt, alpha_in=theta)
-    else:
-        new_weights = weights.replace_raw(prompt, tau_in=float(np.exp(theta)))
-    return replace(model, weights=new_weights), trace
+    return replace(model, weights=_write_raw(model.weights, prompt, "in", theta)), trace
 
 
 def _entropy_rows(logits: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -589,24 +600,14 @@ def optimize_out_weight(
         raise ValueError("out-class sets need at least 2 anchors")
     if len(train_set) == 0:
         raise ValueError("empty training set")
-    weights = model.weights
-    if weights.parameterization == "two_stage":
-        theta0 = float(weights.alphas_out[prompt - 1])
-    elif weights.parameterization == "one_stage":
-        theta0 = float(np.log(weights.tau_out))
-    else:
-        raise ValueError("direct weights carry no raw parameter to optimize")
+    theta0 = _read_raw(model.weights, prompt, "out")
     objective = _out_objective_factory(
         model, train_set.vectors, out_anchors, prompt, margin, ent_weight
     )
     theta, trace = _descend_scalar(
         theta0, objective, opt, epochs or opt.weight_epochs, len(train_set)
     )
-    if weights.parameterization == "two_stage":
-        new_weights = weights.replace_raw(prompt, alpha_out=theta)
-    else:
-        new_weights = weights.replace_raw(prompt, tau_out=float(np.exp(theta)))
-    return replace(model, weights=new_weights), trace
+    return replace(model, weights=_write_raw(model.weights, prompt, "out", theta)), trace
 
 
 def outclass_entropies(

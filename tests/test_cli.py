@@ -135,6 +135,26 @@ class TestPipeline:
         assert main(["gen", "--config", str(path), "--set", "optimizer.turbo=1"]) == 1
         assert "/optimizer/turbo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, pointer",
+        [
+            ("tau=-1", "/tau"),
+            ("tau=0", "/tau"),
+            ("tau=Infinity", "/tau"),
+            ('partition.seed="x"', "/partition/seed"),
+            ('partition.base_size="a"', "/partition/base_size"),
+            ('partition.way=1.5', "/partition/way"),
+            ('partition.sets="0,1"', "/partition/sets"),
+            ('outclass.count="abc"', "/outclass/count"),
+            ("outclass.pool_file=5", "/outclass/pool_file"),
+            ("seeds=[0,0]", "/seeds"),
+        ],
+    )
+    def test_bad_value_exits_one_with_pointer(self, run_config, capsys, override, pointer):
+        path, _ = run_config()
+        assert main(["tune", "--config", str(path), "--set", override]) == 1
+        assert f"{pointer}:" in capsys.readouterr().err
+
     def test_env_seed_override_changes_data(self, run_config):
         path, out = run_config()
         assert main(["gen", "--config", str(path)]) == 0

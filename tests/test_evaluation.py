@@ -7,6 +7,7 @@ keep the harness configs tiny.
 import numpy as np
 import pytest
 
+import promix.evaluation as evaluation
 from promix.embedspace import EmbeddingSet, SyntheticConfig, generate_synthetic, unit_normalize
 from promix.evaluation import (
     EvalReport,
@@ -187,6 +188,29 @@ class TestHarnessSmoke:
         serial = base_to_new_eval(_tiny_harness(seeds=(0, 1)))
         parallel = base_to_new_eval(_tiny_harness(seeds=(0, 1), jobs=2))
         assert serial.per_config == parallel.per_config
+
+    @pytest.mark.parametrize(
+        "parameterization, tunes, joint_tunes",
+        [("two_stage", 2, 0), ("one_stage", 1, 1)],
+    )
+    def test_base_to_new_tunes_only_the_heads_it_scores(
+        self, monkeypatch, parameterization, tunes, joint_tunes
+    ):
+        calls = {"tune_prompt": 0, "tune_prompt_one_stage": 0}
+
+        def counting(name):
+            original = getattr(evaluation, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name, counting(name))
+        base_to_new_eval(_tiny_harness(seeds=(0, 1), parameterization=parameterization))
+        assert calls == {"tune_prompt": 2 * tunes, "tune_prompt_one_stage": 2 * joint_tunes}
 
     def test_fscil_schema(self):
         cfg = _tiny_harness(
