@@ -24,6 +24,7 @@ import numpy as np
 
 from promix.config import ConfigError, RunConfig, load_config
 from promix.embedspace import (
+    SyntheticConfig,
     generate_synthetic,
     partition_classes,
     prototype_set,
@@ -31,23 +32,23 @@ from promix.embedspace import (
     write_embedding_file,
 )
 from promix.evaluation import (
-    CONFIG_NAMES,
-    EvalReport,
+    HarnessConfig,
     accuracy,
     assumption_check,
+    base_new_report,
     base_to_new_csv,
     bound_sweep,
-    fit_weights,
+    fit_base_new_weights,
     fscil_csv,
     fscil_run,
-    initial_weights,
+    outclass_anchors,
     score_base_new_configs,
+    tune_base_new_heads,
     tune_on_subset,
 )
 from promix.head import PromptHead, load_head, save_head
 from promix.losses import LOSS_KINDS
-from promix.mixture import MixtureModel, load_weights, save_weights
-from promix.outclass import generate_outclass, generate_vocab_pool
+from promix.mixture import load_weights, save_weights
 
 
 class ArtifactError(RuntimeError):
@@ -89,8 +90,9 @@ def _domain(cfg: RunConfig, seed: int):
     train = read_embedding_file(files["train"])
     test = read_embedding_file(files["test"])
     anchors = read_embedding_file(files["anchors"])
-    if anchors.class_names != train.class_names:
-        raise ConfigError("anchor file class list differs from the train file", "/data/files")
+    for name, emb in (("test", test), ("anchor", anchors)):
+        if emb.class_names != train.class_names:
+            raise ConfigError(f"{name} file class list differs from the train file", "/data/files")
     if not np.array_equal(np.sort(anchors.labels), np.arange(len(anchors.class_names))):
         raise ConfigError("anchor file must hold exactly one row per class", "/data/files")
     return train, test, anchors.vectors[np.argsort(anchors.labels)]
@@ -117,14 +119,10 @@ def _weight_path(out: Path, seed: int) -> Path:
     return out / "weights" / f"seed{seed}.json"
 
 
-def _out_anchor_source(cfg: RunConfig, dim: int, seed: int, in_class_size: int) -> np.ndarray:
-    if cfg.pool_file is not None:
-        pool = read_embedding_file(cfg.pool_file).vectors
-    else:
-        pool = generate_vocab_pool(dim, cfg.pool_size, seed=seed + 7919)
-    return generate_outclass(
-        cfg.outclass, dim, seed=seed + 104729, vocab_pool=pool, in_class_size=in_class_size
-    )
+def _stage_config(cfg: RunConfig) -> HarnessConfig:
+    """Settings of the base/new harness stages. The stages take their data
+    from ``_domain``, so a files-mode config needs no synthetic source."""
+    return replace(cfg, synthetic=cfg.synthetic or SyntheticConfig()).harness()
 
 
 @click.group()
@@ -169,26 +167,20 @@ def gen(config_path: str, overrides: tuple[str, ...]) -> None:
 @_config_opt
 @_set_opt
 def tune(config_path: str, overrides: tuple[str, ...]) -> None:
-    """Tune the baseline (plain CE) and confusion-aware heads per seed."""
+    """Tune the baseline (plain CE) and mixture heads per seed."""
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
     (out / "heads").mkdir(exist_ok=True)
+    stage = _stage_config(cfg)
     traces = {}
     for seed in sorted(cfg.seeds):
         train, _test, anchors = _domain(cfg, seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
         base_classes = partition.subsets[1]
-        opt = replace(cfg.optimizer, seed=seed)
+        head_ce, mix_head, mix_tau = tune_base_new_heads(stage, train, anchors, partition, seed)
         paths = _head_paths(out, seed)
-        for label, loss in (
-            ("ce", replace(cfg.loss, kind="ce")),
-            ("conf", replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)),
-        ):
-            head = tune_on_subset(
-                anchors, train.class_names, train, base_classes, loss, opt,
-                cfg.hyper.context_len, seed, cfg.tau,
-            )
-            save_head(head, cfg.tau, paths[label])
+        for label, head, tau in (("ce", head_ce, cfg.tau), ("conf", mix_head, mix_tau)):
+            save_head(head, tau, paths[label])
             train_acc = accuracy(head, train.with_labels_in(base_classes), classes=base_classes)
             traces[f"seed{seed}_{label}"] = {"train_accuracy": train_acc}
     _write_manifest(cfg, out, "tune", {"seeds": sorted(cfg.seeds), "metrics": traces})
@@ -203,26 +195,26 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
     (out / "weights").mkdir(exist_ok=True)
+    stage = _stage_config(cfg)
     fitted = {}
     for seed in sorted(cfg.seeds):
-        head_path = _head_paths(out, seed)["conf"]
-        if not head_path.exists():
-            raise ArtifactError(f"missing head checkpoint {head_path}; run `tune` first")
-        head_conf, tau = load_head(head_path)
+        paths = _head_paths(out, seed)
+        for path in paths.values():
+            if not path.exists():
+                raise ArtifactError(f"missing head checkpoint {path}; run `tune` first")
+        _, tau = load_head(paths["ce"])
+        mix_head, mix_tau = load_head(paths["conf"])
         train, _test, anchors = _domain(cfg, seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
-        base_classes = partition.subsets[1]
-        t0 = PromptHead.frozen_from(anchors, train.class_names)
-        model = MixtureModel(
-            (t0, head_conf), initial_weights(cfg.parameterization, 1, tau), partition, tau=tau
+        out_anchors = outclass_anchors(
+            stage, train.dim, seed, len(partition.subsets[1]), cfg.pool_file
         )
-        out_anchors = _out_anchor_source(cfg, train.dim, seed, len(base_classes))
-        model = fit_weights(
-            model, train.with_labels_in(base_classes), out_anchors, cfg.hyper,
-            replace(cfg.optimizer, seed=seed), classes=base_classes,
+        fit = fit_base_new_weights(
+            replace(stage, tau=tau), mix_head, mix_tau, train, anchors, partition,
+            out_anchors, seed,
         )
-        save_weights(model.weights, _weight_path(out, seed))
-        fitted[f"seed{seed}"] = model.weights.to_dict()
+        save_weights(fit, _weight_path(out, seed))
+        fitted[f"seed{seed}"] = fit.to_dict()
     _write_manifest(cfg, out, "weights", {"seeds": sorted(cfg.seeds), "weights": fitted})
     click.echo(f"fitted weights for {len(cfg.seeds)} seeds under {out / 'weights'}")
 
@@ -255,22 +247,12 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
         per_seed.append(
             score_base_new_configs(t0, head_ce, head_conf, fitted, partition, test, tau=tau)
         )
-    per_config = {
-        name: {
-            key: float(np.mean([row[name][key] for row in per_seed]))
-            for key in ("base", "new", "h")
-        }
-        for name in CONFIG_NAMES
-    }
-    report = EvalReport(
-        kind="base_to_new",
-        config_hash=cfg.config_hash(),
-        per_config=per_config,
-        extra={"seeds": sorted(cfg.seeds), "per_seed": per_seed},
-    )
+    report = base_new_report(per_seed, cfg.seeds, cfg.config_hash())
     report.write(out / "report_eval.json")
     (out / "report_eval.csv").write_text(base_to_new_csv(report))
-    _write_manifest(cfg, out, "eval", {"seeds": sorted(cfg.seeds), "per_config": per_config})
+    _write_manifest(
+        cfg, out, "eval", {"seeds": sorted(cfg.seeds), "per_config": report.per_config}
+    )
     click.echo(f"wrote {out / 'report_eval.json'}")
 
 

@@ -156,6 +156,14 @@ def _parse_partition(obj: dict, pointer: str) -> dict:
     if kind not in ("base_new_even_split", "session_schedule", "explicit"):
         raise ConfigError(f"unknown partition kind {kind!r}", f"{pointer}/kind")
     fields = {key: _typed(obj, key, allowed[key], None, pointer) for key in allowed}
+    for i, subset in enumerate(fields["sets"] or []):
+        if not isinstance(subset, list):
+            raise ConfigError("expected list", f"{pointer}/sets/{i}")
+        for j, c in enumerate(subset):
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ConfigError("expected int", f"{pointer}/sets/{i}/{j}")
+    if fields["seed"] is not None and fields["seed"] < 0:
+        raise ConfigError("expected non-negative integer", f"{pointer}/seed")
     return {**fields, "kind": kind}
 
 

@@ -15,6 +15,7 @@ accuracies.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,6 +29,7 @@ from promix.embedspace import (
     SyntheticConfig,
     generate_synthetic,
     partition_classes,
+    read_embedding_file,
 )
 from promix.head import DEFAULT_TAU, PromptHead, predict_matrix, similarity_matrix
 from promix.losses import LossConfig
@@ -253,10 +255,13 @@ def fit_weights(
     in_epochs: int | None = None,
     out_epochs: int | None = None,
 ) -> MixtureModel:
-    """Run both weight stages for one specialized head."""
-    model, _ = optimize_in_weight(
-        model, train_in, prompt=prompt, opt=opt, classes=classes, epochs=in_epochs
-    )
+    """Run the weight stages for one specialized head: the in-weight, then
+    the out-weight. A one_stage in-weight is the head's own temperature,
+    learned together with its context, so only the out-weight is fitted."""
+    if model.weights.parameterization != "one_stage":
+        model, _ = optimize_in_weight(
+            model, train_in, prompt=prompt, opt=opt, classes=classes, epochs=in_epochs
+        )
     if out_anchors.shape[0]:
         model, _ = optimize_out_weight(
             model,
@@ -271,12 +276,19 @@ def fit_weights(
     return model
 
 
-def initial_weights(parameterization: str, k: int, tau: float) -> MixtureWeights:
-    if parameterization == "one_stage":
-        if k != 1:
-            raise ValueError("one_stage weights require exactly one specialized head")
-        return MixtureWeights.one_stage(tau, tau, tau_0=tau)
-    return MixtureWeights.uniform(k)
+def outclass_anchors(
+    cfg: HarnessConfig, dim: int, seed: int, in_class_size: int, pool_file=None
+) -> np.ndarray:
+    """Surrogate out-class anchors for one seed. Random words come from the
+    EMB1 pool in ``pool_file`` when given, else from a generated pool of
+    ``cfg.pool_size`` words (seed + 7919); the draw uses seed + 104729."""
+    if pool_file is not None:
+        pool = read_embedding_file(pool_file).vectors
+    else:
+        pool = generate_vocab_pool(dim, cfg.pool_size, seed=seed + 7919)
+    return generate_outclass(
+        cfg.outclass, dim, seed=seed + 104729, vocab_pool=pool, in_class_size=in_class_size
+    )
 
 
 def score_base_new_configs(
@@ -313,120 +325,105 @@ def score_base_new_configs(
     }
 
 
-def fit_base_new_artifacts(cfg: HarnessConfig, seed: int, domain=None):
-    """Train everything one base/new seed needs: the frozen head, CE- and
-    confusion-tuned heads, the fitted weights, and the partition.
-
-    Under the two_stage parameterization the mixture head is the
-    confusion-tuned head and both weights are fitted afterwards. Under
-    one_stage a separate head is tuned jointly with its temperature (the
-    coupling makes the in-weight part of prompt tuning itself) and only
-    the out-temperature is fitted afterwards.
-    """
-    if domain is None:
-        domain = _domain_for(cfg, seed)
-    names = domain.train.class_names
-    partition = partition_classes(len(names), "base_new_even_split", seed=seed)
-    base_classes = partition.subsets[1]
-    anchors = domain.generalized_prototypes
-    t0 = PromptHead.frozen_from(anchors, names)
-    opt = replace(cfg.optimizer, seed=seed)
-
-    head_ce = tune_on_subset(
-        anchors, names, domain.train, base_classes, replace(cfg.loss, kind="ce"), opt,
-        cfg.hyper.context_len, seed, cfg.tau,
-    )
-    confusion_loss_cfg = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
-
-    train_in = domain.train.with_labels_in(base_classes)
-    dim = domain.train.dim
-    pool = generate_vocab_pool(dim, cfg.pool_size, seed=seed + 7919)
-    out_anchors = generate_outclass(
-        cfg.outclass, dim, seed=seed + 104729,
-        vocab_pool=pool, in_class_size=len(base_classes),
-    )
-
-    if cfg.parameterization == "one_stage":
-        mix_head, tau_in = _joint_one_stage_head(
-            anchors, names, domain.train, base_classes, confusion_loss_cfg, opt,
-            cfg.hyper.context_len, seed, cfg.tau,
-        )
-        model = MixtureModel(
-            (t0, mix_head),
-            MixtureWeights.one_stage(tau_in, cfg.tau, tau_0=cfg.tau),
-            partition,
-            tau=cfg.tau,
-        )
-        if out_anchors.shape[0]:
-            model, _ = optimize_out_weight(
-                model, train_in, out_anchors, margin=cfg.hyper.margin,
-                ent_weight=cfg.hyper.ent_weight, opt=opt,
-            )
-        return domain, partition, t0, head_ce, mix_head, model.weights
-
-    head_conf = tune_on_subset(
-        anchors, names, domain.train, base_classes, confusion_loss_cfg, opt,
-        cfg.hyper.context_len, seed, cfg.tau,
-    )
-    model = MixtureModel(
-        (t0, head_conf), MixtureWeights.uniform(1), partition, tau=cfg.tau
-    )
-    model = fit_weights(
-        model, train_in, out_anchors, cfg.hyper, opt, classes=base_classes
-    )
-    return domain, partition, t0, head_ce, head_conf, model.weights
-
-
-def _joint_one_stage_head(
-    anchors: np.ndarray,
-    names: tuple[str, ...],
+def tune_base_new_heads(
+    cfg: HarnessConfig,
     train_set: EmbeddingSet,
-    classes: np.ndarray,
-    loss: LossConfig,
-    opt: OptimizerConfig,
-    context_len: int,
+    anchors: np.ndarray,
+    partition: DomainPartition,
     seed: int,
-    tau: float,
-) -> tuple[PromptHead, float]:
-    """Tune a head jointly with its one-stage temperature on a class
-    subset; returns the full-class-list head and the learned tau_1."""
-    classes, local, init = _subset_problem(anchors, names, train_set, classes, context_len, seed)
-    t0_local = PromptHead.frozen_from(anchors[classes], local.class_names)
-    tuned, tau_in, _ = tune_prompt_one_stage(init, t0_local, local, loss, opt, tau_0=tau)
-    return PromptHead(tuned.context, anchors, names), tau_in
+) -> tuple[PromptHead, PromptHead, float]:
+    """First base/new stage: tune the plain-CE head and the mixture head on
+    the tuning classes ``partition.subsets[1]``. Returns (CE head, mixture
+    head, the mixture head's temperature).
+
+    Under two_stage the mixture head is the confusion-tuned head at the
+    shared temperature ``cfg.tau``. Under one_stage it is tuned jointly
+    with its own temperature tau_in (the coupling makes the in-weight part
+    of prompt tuning itself), and the learned tau_in is returned.
+    """
+    names = train_set.class_names
+    base_classes = partition.subsets[1]
+    opt = replace(cfg.optimizer, seed=seed)
+    data = (anchors, names, train_set, base_classes)
+    settings = (cfg.hyper.context_len, seed, cfg.tau)
+    head_ce = tune_on_subset(*data, replace(cfg.loss, kind="ce"), opt, *settings)
+    conf_loss = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
+    if cfg.parameterization == "one_stage":
+        classes, local, init = _subset_problem(*data, cfg.hyper.context_len, seed)
+        t0_local = PromptHead.frozen_from(anchors[classes], local.class_names)
+        tuned, tau_in, _ = tune_prompt_one_stage(
+            init, t0_local, local, conf_loss, opt, tau_0=cfg.tau
+        )
+        return head_ce, PromptHead(tuned.context, anchors, names), tau_in
+    return head_ce, tune_on_subset(*data, conf_loss, opt, *settings), cfg.tau
+
+
+def fit_base_new_weights(
+    cfg: HarnessConfig,
+    mix_head: PromptHead,
+    mix_tau: float,
+    train_set: EmbeddingSet,
+    anchors: np.ndarray,
+    partition: DomainPartition,
+    out_anchors: np.ndarray,
+    seed: int,
+) -> MixtureWeights:
+    """Second base/new stage: fit the mixture head's weights against the
+    frozen head on ``anchors``. Under two_stage both weights are fitted,
+    starting from the uniform ensemble. Under one_stage only tau_out is,
+    starting from one_stage(mix_tau, tau, tau_0=tau)."""
+    base_classes = partition.subsets[1]
+    t0 = PromptHead.frozen_from(anchors, train_set.class_names)
+    if cfg.parameterization == "one_stage":
+        start = MixtureWeights.one_stage(mix_tau, cfg.tau, tau_0=cfg.tau)
+    else:
+        start = MixtureWeights.uniform(1)
+    model = fit_weights(
+        MixtureModel((t0, mix_head), start, partition, tau=cfg.tau),
+        train_set.with_labels_in(base_classes), out_anchors, cfg.hyper,
+        replace(cfg.optimizer, seed=seed), classes=base_classes,
+    )
+    return model.weights
 
 
 def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
     """One seed of the four-configuration comparison."""
-    domain, partition, t0, head_ce, head_conf, weights = fit_base_new_artifacts(cfg, seed)
-    results = score_base_new_configs(
-        t0, head_ce, head_conf, weights, partition, domain.test, tau=cfg.tau
+    domain = _domain_for(cfg, seed)
+    train, anchors = domain.train, domain.generalized_prototypes
+    partition = partition_classes(len(train.class_names), "base_new_even_split", seed=seed)
+    head_ce, mix_head, mix_tau = tune_base_new_heads(cfg, train, anchors, partition, seed)
+    out_anchors = outclass_anchors(cfg, train.dim, seed, len(partition.subsets[1]))
+    weights = fit_base_new_weights(
+        cfg, mix_head, mix_tau, train, anchors, partition, out_anchors, seed
     )
-    results["weights"] = weights.to_dict()
-    return results
+    t0 = PromptHead.frozen_from(anchors, train.class_names)
+    return score_base_new_configs(
+        t0, head_ce, mix_head, weights, partition, domain.test, tau=cfg.tau
+    )
 
 
 def _run_seeds(worker: Callable, cfg: HarnessConfig) -> list:
+    """``worker(cfg, seed)`` for every seed in sorted order, on at most
+    min(jobs, seeds, cores) worker processes."""
     seeds = sorted(cfg.seeds)
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, len(seeds), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(worker, cfg, s) for s in seeds]
             return [f.result() for f in futures]
     return [worker(cfg, s) for s in seeds]
 
 
-def base_to_new_eval(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
-    """Four configurations (zero-shot, uniform ensemble, confusion-loss +
-    uniform ensemble, full method) averaged over the configured seeds."""
-    per_seed = _run_seeds(_base_to_new_single, cfg)
-    per_config = {}
-    for name in CONFIG_NAMES:
-        rows = [r[name] for r in per_seed]
-        per_config[name] = {
-            "base": float(np.mean([r["base"] for r in rows])),
-            "new": float(np.mean([r["new"] for r in rows])),
-            "h": float(np.mean([r["h"] for r in rows])),
+def base_new_report(per_seed: list[dict], seeds, config_hash: str = "") -> EvalReport:
+    """Average per-seed four-configuration scores (ordered as the sorted
+    ``seeds``) into the base/new report, with the comparison margins."""
+    per_config = {
+        name: {
+            key: float(np.mean([row[name][key] for row in per_seed]))
+            for key in ("base", "new", "h")
         }
+        for name in CONFIG_NAMES
+    }
     margins = {
         "h_fitted_minus_uniform": per_config["fitted_mixture"]["h"]
         - per_config["uniform_ensemble"]["h"],
@@ -439,14 +436,14 @@ def base_to_new_eval(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
         kind="base_to_new",
         config_hash=config_hash,
         per_config=per_config,
-        extra={
-            "seeds": list(sorted(cfg.seeds)),
-            "margins": margins,
-            "per_seed": [
-                {k: v for k, v in row.items() if k in CONFIG_NAMES} for row in per_seed
-            ],
-        },
+        extra={"seeds": sorted(seeds), "margins": margins, "per_seed": per_seed},
     )
+
+
+def base_to_new_eval(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
+    """Four configurations (zero-shot, uniform ensemble, confusion-loss +
+    uniform ensemble, full method) averaged over the configured seeds."""
+    return base_new_report(_run_seeds(_base_to_new_single, cfg), cfg.seeds, config_hash)
 
 
 def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
@@ -470,7 +467,6 @@ def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
     alphas_out: list[float] = []
     session_acc: list[float] = []
     seen: np.ndarray = np.empty(0, dtype=np.int64)
-    pool = generate_vocab_pool(cfg.synthetic.dim, cfg.pool_size, seed=seed + 7919)
 
     for session in range(1, num_sessions + 1):
         session_classes = partition.subsets[session]
@@ -493,10 +489,7 @@ def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
         model = MixtureModel(tuple(heads), weights, model_partition, tau=cfg.tau)
 
         if session == 1:
-            out_anchors = generate_outclass(
-                cfg.outclass, cfg.synthetic.dim, seed=seed + 104729,
-                vocab_pool=pool, in_class_size=len(session_classes),
-            )
+            out_anchors = outclass_anchors(cfg, cfg.synthetic.dim, seed, len(session_classes))
             weight_epochs = FSCIL_INITIAL_WEIGHT_EPOCHS
         else:
             previous = np.concatenate(

@@ -114,16 +114,15 @@ def loss_value(p, y: int, config: LossConfig) -> float:
 
 
 def grad_prompt_loss(s: np.ndarray, y: int, tau: float, w: float) -> np.ndarray:
-    """Exact gradient of prompt_loss(softmax(s / tau), y, w) w.r.t. s, read
-    from the batch kernel ``prompt_step`` on a single row.
+    """Exact gradient of prompt_loss(softmax(s / tau), y, w) w.r.t. s: the
+    single-row ce_conf case of ``batch_loss_grad``.
 
     d/ds(y)   = -(1/tau) (1 - p(y)) (1 + w p(y))
     d/ds(c!=y) = (1/tau) p(c) (1 + w p(y))
 
     Components sum to zero (softmax shift invariance).
     """
-    s = np.asarray(s, dtype=np.float64)
-    return backend.kernels.prompt_step(s[None, :], np.array([y]), tau, w)[1][0]
+    return grad_loss(s, y, tau, LossConfig("ce_conf", w=w))
 
 
 def grad_loss(s: np.ndarray, y: int, tau: float, config: LossConfig) -> np.ndarray:
@@ -140,9 +139,12 @@ def batch_loss_grad(
 
     The ce/ce_conf path runs on the fused kernel ``prompt_step``; the
     comparison losses use vectorized numpy. Returns (loss, G) with G = d(loss)/dS.
+    Raises ValueError for a label outside [0, C).
     """
     s = np.asarray(s, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if y.size and (y.min() < 0 or y.max() >= s.shape[1]):
+        raise ValueError(f"labels must lie in [0, {s.shape[1]})")
     if config.kind in ("ce", "ce_conf"):
         w = config.w if config.kind == "ce_conf" else 0.0
         return backend.kernels.prompt_step(s, y, tau, w)

@@ -5,8 +5,10 @@ import os
 
 import pytest
 
+from promix import evaluation
 from promix.cli import main
 from promix.config import ConfigError, apply_overrides, load_config, parse_config
+from promix.embedspace import EmbeddingSet, read_embedding_file, write_embedding_file
 
 
 @pytest.fixture
@@ -30,6 +32,18 @@ def run_config(tmp_path):
         return path, tmp_path / "run"
 
     return make
+
+
+def _files_config(path, data_dir, tmp_path):
+    """Copy of the config at ``path`` reading the EMB1 files in ``data_dir``."""
+    cfg = json.loads(path.read_text())
+    cfg["data"] = {
+        "files": {key: str(data_dir / f"{key}.emb") for key in ("train", "test", "anchors")}
+    }
+    cfg["out_dir"] = str(tmp_path / "run_files")
+    path2 = tmp_path / "config_files.json"
+    path2.write_text(json.dumps(cfg))
+    return path2
 
 
 def _tree_bytes(root):
@@ -116,6 +130,24 @@ class TestPipeline:
             assert main([cmd, "--config", str(path)]) == 0
         assert _tree_bytes(out) == snapshot
 
+    @pytest.mark.parametrize("parameterization", ["two_stage", "one_stage"])
+    def test_cli_chain_matches_harness(self, run_config, parameterization):
+        # 20 test samples per class and 10 epochs: at the fixture's own sizes a
+        # one_stage in-weight fitted after tuning scores the same as a jointly
+        # tuned one, so the comparison would not tell the two paths apart
+        overrides = [
+            "seeds=[0,1]", "data.synthetic.test_per_class=20", "optimizer.epochs=10",
+            "optimizer.weight_epochs=10", f'weights.parameterization="{parameterization}"',
+        ]
+        path, out = run_config()
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        for cmd in ("tune", "weights", "eval"):
+            assert main([cmd, "--config", str(path), *sets]) == 0, cmd
+        report = json.loads((out / "report_eval.json").read_text())
+        harness = evaluation.base_to_new_eval(load_config(path, overrides).harness())
+        assert report["per_config"] == harness.per_config
+        assert report["extra"]["per_seed"] == harness.extra["per_seed"]
+
     def test_eval_without_tune_fails_cleanly(self, run_config, capsys):
         path, _ = run_config()
         assert main(["eval", "--config", str(path)]) == 1
@@ -145,6 +177,9 @@ class TestPipeline:
             ('partition.base_size="a"', "/partition/base_size"),
             ('partition.way=1.5', "/partition/way"),
             ('partition.sets="0,1"', "/partition/sets"),
+            ('partition.sets=[["a"]]', "/partition/sets/0/0"),
+            ("partition.sets=[[0],1]", "/partition/sets/1"),
+            ("partition.seed=-1", "/partition/seed"),
             ('outclass.count="abc"', "/outclass/count"),
             ("outclass.pool_file=5", "/outclass/pool_file"),
             ("seeds=[0,0]", "/seeds"),
@@ -208,20 +243,21 @@ class TestPipeline:
         # gen exports the domain, then the pipeline re-ingests it as files
         path, out = run_config()
         assert main(["gen", "--config", str(path)]) == 0
-        cfg = json.loads(path.read_text())
-        cfg["data"] = {
-            "files": {
-                "train": str(out / "data" / "train.emb"),
-                "test": str(out / "data" / "test.emb"),
-                "anchors": str(out / "data" / "anchors.emb"),
-            }
-        }
-        cfg["out_dir"] = str(tmp_path / "run_files")
-        path2 = tmp_path / "config_files.json"
-        path2.write_text(json.dumps(cfg))
+        path2 = _files_config(path, out / "data", tmp_path)
         for cmd in ("tune", "weights", "eval"):
             assert main([cmd, "--config", str(path2)]) == 0, cmd
         assert (tmp_path / "run_files" / "report_eval.json").exists()
+
+    def test_test_file_with_other_classes_exits_one(self, run_config, tmp_path, capsys):
+        path, out = run_config()
+        assert main(["gen", "--config", str(path)]) == 0
+        test = read_embedding_file(out / "data" / "test.emb")
+        renamed = EmbeddingSet(test.vectors, test.labels, tuple(f"x{n}" for n in test.class_names))
+        write_embedding_file(renamed, out / "data" / "test.emb")
+        path2 = _files_config(path, out / "data", tmp_path)
+        assert main(["tune", "--config", str(path2)]) == 1
+        err = capsys.readouterr().err
+        assert "/data/files:" in err and "test file class list" in err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

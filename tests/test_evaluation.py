@@ -4,6 +4,8 @@ The heavyweight directional checks live in test_acceptance; these tests
 keep the harness configs tiny.
 """
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,40 @@ class TestHarnessSmoke:
         serial = base_to_new_eval(_tiny_harness(seeds=(0, 1)))
         parallel = base_to_new_eval(_tiny_harness(seeds=(0, 1), jobs=2))
         assert serial.per_config == parallel.per_config
+
+    @pytest.mark.parametrize(
+        "jobs, seeds, cores, started",
+        [
+            (8, (0, 1, 2), 2, [2]),
+            (8, (0, 1), 4, [2]),
+            (2, (0, 1, 2), 4, [2]),
+            (3, (0, 1, 2), None, []),
+            (1, (0, 1, 2), 4, []),
+        ],
+    )
+    def test_workers_clamped_to_seeds_and_cores(self, monkeypatch, jobs, seeds, cores, started):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cores)
+        cfg = _tiny_harness(seeds=seeds, jobs=jobs)
+        assert evaluation._run_seeds(lambda _cfg, s: 10 * s, cfg) == [10 * s for s in sorted(seeds)]
+        assert pools == started
 
     @pytest.mark.parametrize(
         "parameterization, tunes, joint_tunes",

@@ -196,6 +196,13 @@ class TestBatchLossGrad:
         denom = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(grad - fd)) / denom < 1e-6
 
+    @pytest.mark.parametrize("kind", ["ce", "ce_conf", "fl", "gce", "mae", "ce_mae"])
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_class_range_rejected(self, kind, label):
+        s = np.zeros((2, 3))
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            batch_loss_grad(s, np.array([0, label]), 1.0, LossConfig(kind))
+
 
 class TestLossConfig:
     def test_validation(self):
