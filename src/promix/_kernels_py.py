@@ -8,12 +8,19 @@ import numpy as np
 PROB_FLOOR = 1e-300
 
 
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for overflow safety."""
+def softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max-subtraction for overflow safety.
+
+    The result is written into ``out`` when given (a float64 array of z's
+    shape, which may be ``z`` itself), else into one new array; ``exp``
+    and the row division run in place, so the values are the same bits
+    either way.
+    """
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    out = np.subtract(z, z.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def prompt_step(s: np.ndarray, y: np.ndarray, tau: float, w: float):

@@ -24,6 +24,7 @@ import numpy as np
 
 from promix.config import ConfigError, RunConfig, load_config
 from promix.embedspace import (
+    EmbeddingFileError,
     SyntheticConfig,
     generate_synthetic,
     partition_classes,
@@ -81,15 +82,24 @@ def _write_manifest(cfg: RunConfig, out: Path, command: str, payload: dict) -> N
     _write_json(out / f"manifest_{command}.json", manifest)
 
 
+def _read_config_file(path: str, pointer: str):
+    """Read an EMB1 file named by the config entry at ``pointer``; a
+    missing, unreadable or malformed file is an error in that entry."""
+    try:
+        return read_embedding_file(path)
+    except (OSError, EmbeddingFileError) as exc:
+        raise ConfigError(f"cannot read EMB1 file: {exc}", pointer) from exc
+
+
 def _domain(cfg: RunConfig, seed: int):
     """(train, test, anchors) for one seed from the configured source."""
     if cfg.synthetic is not None:
         dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
         return dom.train, dom.test, dom.generalized_prototypes
-    files = cfg.files
-    train = read_embedding_file(files["train"])
-    test = read_embedding_file(files["test"])
-    anchors = read_embedding_file(files["anchors"])
+    train, test, anchors = (
+        _read_config_file(cfg.files[key], f"/data/files/{key}")
+        for key in ("train", "test", "anchors")
+    )
     for name, emb in (("test", test), ("anchor", anchors)):
         if emb.class_names != train.class_names:
             raise ConfigError(f"{name} file class list differs from the train file", "/data/files")
@@ -98,16 +108,34 @@ def _domain(cfg: RunConfig, seed: int):
     return train, test, anchors.vectors[np.argsort(anchors.labels)]
 
 
+def _check_pool_file(cfg: RunConfig, dim: int) -> None:
+    """The configured out-class pool file, if any, must be a readable EMB1
+    file of the data's dimension."""
+    if cfg.pool_file is None:
+        return
+    pool = _read_config_file(cfg.pool_file, "/outclass/pool_file")
+    if pool.dim != dim:
+        raise ConfigError(
+            f"pool dimension {pool.dim} differs from the data dimension {dim}",
+            "/outclass/pool_file",
+        )
+
+
 def _partition_for(cfg: RunConfig, n_classes: int, seed: int):
     spec = cfg.partition or {"kind": "base_new_even_split"}
-    return partition_classes(
-        n_classes,
-        spec["kind"],
-        seed=spec.get("seed") if spec.get("seed") is not None else seed,
-        base_size=spec.get("base_size"),
-        way=spec.get("way"),
-        sets=spec.get("sets"),
-    )
+    try:
+        return partition_classes(
+            n_classes,
+            spec["kind"],
+            seed=spec.get("seed") if spec.get("seed") is not None else seed,
+            base_size=spec.get("base_size"),
+            way=spec.get("way"),
+            sets=spec.get("sets"),
+        )
+    except ValueError as exc:
+        raise ConfigError(
+            str(exc), "/partition/sets" if spec["kind"] == "explicit" else "/partition"
+        ) from exc
 
 
 def _head_paths(out: Path, seed: int) -> dict[str, Path]:
@@ -176,6 +204,7 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     for seed in sorted(cfg.seeds):
         train, _test, anchors = _domain(cfg, seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
+        _check_pool_file(cfg, train.dim)
         base_classes = partition.subsets[1]
         head_ce, mix_head, mix_tau = tune_base_new_heads(stage, train, anchors, partition, seed)
         paths = _head_paths(out, seed)
@@ -206,6 +235,7 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
         mix_head, mix_tau = load_head(paths["conf"])
         train, _test, anchors = _domain(cfg, seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
+        _check_pool_file(cfg, train.dim)
         out_anchors = outclass_anchors(
             stage, train.dim, seed, len(partition.subsets[1]), cfg.pool_file
         )

@@ -281,6 +281,10 @@ def parse_config(raw: dict) -> RunConfig:
 
     partition = _parse_partition(raw.get("partition", {}), "/partition")
 
+    pool_size = _typed(oc_obj, "pool_size", int, 64, "/outclass")
+    if pool_size < 1:
+        raise ConfigError("pool_size must be at least 1", "/outclass/pool_size")
+
     jobs = _typed(raw, "jobs", int, 1, "")
     if jobs < 1:
         raise ConfigError("jobs must be at least 1", "/jobs")
@@ -302,7 +306,7 @@ def parse_config(raw: dict) -> RunConfig:
         loss=loss,
         optimizer=optimizer,
         outclass=outclass,
-        pool_size=_typed(oc_obj, "pool_size", int, 64, "/outclass"),
+        pool_size=pool_size,
         pool_file=_typed(oc_obj, "pool_file", str, None, "/outclass"),
         parameterization=parameterization,
     )

@@ -438,7 +438,10 @@ def read_embedding_file(path, check_norms: bool = True) -> EmbeddingSet:
         offset += 2
         if offset + length > len(data):
             raise TruncatedFileError(f"{path}: class-name block truncated")
-        names.append(data[offset : offset + length].decode("utf-8"))
+        try:
+            names.append(data[offset : offset + length].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise BadHeaderError(f"{path}: class name is not UTF-8") from exc
         offset += length
     record = 4 + 4 * dim
     if offset + count * record != len(data):

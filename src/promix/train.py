@@ -15,10 +15,16 @@ out-weight against the entropy-margin loss on a surrogate out-class set.
 Both objectives are evaluated in closed form from arrays computed once
 per fit: the in-weight logits are affine in a scalar coefficient of the
 parameter, and the out-weight logits are a scalar multiple of fixed
-similarities, so each evaluation is one softmax plus O(N·C) work. Weight
-traces are monotone non-increasing: descent stops at the first epoch that
-would raise the objective, and an immediate ascent retries once at a
-tenth of the learning rate.
+similarities, so each evaluation is one softmax plus O(N·C) work. Each
+fit allocates its N×C work buffers once (one for the in-weight, logits and
+probabilities for the out-weight), and every evaluation writes its logits
+and softmax into them in place. Weight traces are monotone non-increasing:
+descent stops at the first epoch that would raise the objective, and an
+immediate ascent retries once at a tenth of the learning rate. A step
+that leaves the parameter and its momentum buffer bitwise unchanged is an
+exact fixed point, so the descent fills in the remaining epochs without
+evaluating them (an out-weight hinge inactive at a zero start costs one
+evaluation); the result is the same as running them.
 
 All loops are deterministic for a fixed seed and configuration.
 """
@@ -331,6 +337,11 @@ def tune_prompt_one_stage(
     return init.with_context(ctx), float(np.exp(log_tau)), trace
 
 
+def _bits(*values: float) -> bytes:
+    """The float64 bit patterns of ``values`` (so -0.0 differs from 0.0)."""
+    return np.array(values, dtype=np.float64).tobytes()
+
+
 def _descend_scalar(
     theta0: float,
     objective_grad: Callable[[float], tuple[float, float]],
@@ -351,6 +362,12 @@ def _descend_scalar(
     first epoch that would raise the objective and returns the iterate
     before it. An ascent on the very first epoch means the step size is
     too large; that case retries once at a tenth of the learning rate.
+
+    A step that leaves (theta, momentum buffer) bitwise unchanged is an
+    exact fixed point: the objective at theta is already known, and every
+    later step repeats it. The loop then applies the end-of-epoch rule
+    once, fills the trace for the remaining epochs and returns, with the
+    same result as running them.
     """
     steps_per_epoch = max(1, -(-n_samples // opt.batch_size))
 
@@ -359,17 +376,25 @@ def _descend_scalar(
         buf = 0.0
         value, grad = objective_grad(theta)
         trace = [value]
-        for _ in range(epochs):
+        for epoch in range(epochs):
             previous_theta = theta
             for _ in range(steps_per_epoch):
-                buf = opt.weight_momentum * buf + grad + opt.weight_weight_decay * theta
-                theta = theta - lr * buf
-                value, grad = objective_grad(theta)
+                step_buf = opt.weight_momentum * buf + grad + opt.weight_weight_decay * theta
+                step_theta = theta - lr * step_buf
+                stalled = _bits(step_theta, step_buf) == _bits(theta, buf)
+                if not stalled:
+                    theta, buf = step_theta, step_buf
+                    value, grad = objective_grad(theta)
                 if not np.isfinite(value):
                     raise DivergenceError("non-finite weight objective")
+                if stalled:
+                    break
             if value > trace[-1] + 1e-9:
                 return previous_theta, trace
             trace.append(value)
+            if stalled:
+                trace.extend([value] * (epochs - 1 - epoch))
+                break
         return theta, trace
 
     theta, trace = run(opt.weight_lr)
@@ -471,10 +496,11 @@ def _in_objective_factory(
             return pi, pi * (1.0 - pi)
 
     vary_y = float(vary[rows, y_local].sum())
+    logits = np.empty_like(base)  # work buffer: logits, then probabilities in place
 
     def evaluate(theta: float) -> tuple[float, float]:
         a, b = coefficients(theta)
-        logits = base + a * vary
+        np.add(np.multiply(vary, a, out=logits), base, out=logits)
         dz, dz_y = vary, vary_y
         over = rest + a > 1.0
         if over.any():
@@ -483,7 +509,7 @@ def _in_objective_factory(
             dz = vary.copy()
             dz[:, cols] = (vary[:, cols] + z0_capped[:, over] - logits[:, cols]) / total
             dz_y = float(dz[rows, y_local].sum())
-        probs = backend.kernels.softmax_rows(logits)
+        probs = backend.kernels.softmax_rows(logits, out=logits)
         ce = float(np.mean(-np.log(np.maximum(probs[rows, y_local], PROB_FLOOR))))
         return ce, b * (float(np.einsum("nc,nc->", probs, dz)) - dz_y) / n
 
@@ -518,14 +544,16 @@ def optimize_in_weight(
     return replace(model, weights=_write_raw(model.weights, prompt, "in", theta)), trace
 
 
-def _entropy_rows(logits: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _entropy_rows(
+    logits: np.ndarray, probs: np.ndarray, top: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Row entropies of probs = softmax(logits) as lse - E_p[z], and E_p[z].
 
-    The log-sum-exp is read from the softmax at the row maximum,
-    z_max - log p_max, so no elementwise log is taken.
+    ``top`` holds each row's argmax. The log-sum-exp is read from the
+    softmax at the row maximum, z_max - log p_max, so no elementwise log
+    is taken.
     """
     rows = np.arange(logits.shape[0])
-    top = np.argmax(logits, axis=1)
     mean_z = np.einsum("nc,nc->n", probs, logits)
     return logits[rows, top] - np.log(probs[rows, top]) - mean_z, mean_z
 
@@ -546,6 +574,7 @@ def _out_objective_factory(
     logits are z = a(theta) s_i with d z / d theta = c(theta) z, so
     d H / d theta = -c Var_p(z) / log n. two_stage: a = pi / tau,
     c = 1 - pi. one_stage (theta is log tau_out): a = exp(-theta), c = -1.
+    Since a > 0, the row argmax of z is that of s_i and is found once.
     """
     weights = model.weights
     tau = model.tau
@@ -554,7 +583,9 @@ def _out_objective_factory(
     s0 = train_vectors @ model.heads[0].effective_embeddings(out_anchors).T
     si = train_vectors @ model.heads[prompt].effective_embeddings(out_anchors).T
     z0 = s0 / tau
-    h0 = _entropy_rows(z0, backend.kernels.softmax_rows(z0))[0] / log_n
+    h0 = _entropy_rows(z0, backend.kernels.softmax_rows(z0), np.argmax(z0, axis=1))[0] / log_n
+    top = np.argmax(si, axis=1)
+    logits, probs = np.empty_like(si), np.empty_like(si)  # work buffers
 
     def coefficients(theta: float) -> tuple[float, float]:
         if weights.parameterization == "one_stage":
@@ -564,9 +595,9 @@ def _out_objective_factory(
 
     def evaluate(theta: float) -> tuple[float, float]:
         a, c = coefficients(theta)
-        logits = a * si
-        probs = backend.kernels.softmax_rows(logits)
-        entropy, mean_z = _entropy_rows(logits, probs)
+        np.multiply(si, a, out=logits)
+        backend.kernels.softmax_rows(logits, out=probs)
+        entropy, mean_z = _entropy_rows(logits, probs, top)
         gap = h0 - entropy / log_n + margin
         loss = float(ent_weight * np.mean(np.maximum(0.0, gap)))
         var_z = np.einsum("nc,nc,nc->n", probs, logits, logits) - mean_z * mean_z

@@ -3,12 +3,18 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from promix import evaluation
 from promix.cli import main
 from promix.config import ConfigError, apply_overrides, load_config, parse_config
-from promix.embedspace import EmbeddingSet, read_embedding_file, write_embedding_file
+from promix.embedspace import (
+    EmbeddingSet,
+    read_embedding_file,
+    unit_normalize,
+    write_embedding_file,
+)
 
 
 @pytest.fixture
@@ -182,6 +188,10 @@ class TestPipeline:
             ("partition.seed=-1", "/partition/seed"),
             ('outclass.count="abc"', "/outclass/count"),
             ("outclass.pool_file=5", "/outclass/pool_file"),
+            ("outclass.pool_size=0", "/outclass/pool_size"),
+            ('outclass.pool_file="/nonexistent/pool.emb"', "/outclass/pool_file"),
+            ('partition={"kind": "explicit", "sets": [[0, 1], [2, 99]]}', "/partition/sets"),
+            ('partition={"kind": "explicit", "sets": [[0, 1], [2, 3]]}', "/partition/sets"),
             ("seeds=[0,0]", "/seeds"),
         ],
     )
@@ -258,6 +268,42 @@ class TestPipeline:
         assert main(["tune", "--config", str(path2)]) == 1
         err = capsys.readouterr().err
         assert "/data/files:" in err and "test file class list" in err
+
+    @pytest.mark.parametrize(
+        "key, damage", [("train", "truncate"), ("anchors", "remove"), ("test", "bad_magic")]
+    )
+    def test_broken_data_file_exits_one(self, run_config, tmp_path, capsys, key, damage):
+        path, out = run_config()
+        assert main(["gen", "--config", str(path)]) == 0
+        target = out / "data" / f"{key}.emb"
+        if damage == "truncate":
+            target.write_bytes(target.read_bytes()[:-5])
+        elif damage == "remove":
+            target.unlink()
+        else:
+            target.write_bytes(b"XXXX" + target.read_bytes()[4:])
+        path2 = _files_config(path, out / "data", tmp_path)
+        assert main(["tune", "--config", str(path2)]) == 1
+        assert f"/data/files/{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["tune", "weights"])
+    @pytest.mark.parametrize("pool", ["missing", "wrong_dim", "truncated"])
+    def test_bad_pool_file_exits_one(self, run_config, tmp_path, capsys, stage, pool):
+        path, out = run_config()
+        pool_path = tmp_path / "pool.emb"
+        if pool != "missing":
+            rng = np.random.default_rng(0)
+            dim = 8 if pool == "wrong_dim" else 16
+            words = EmbeddingSet(unit_normalize(rng.standard_normal((40, dim))),
+                                 np.zeros(40, dtype=np.int64), ("word",))
+            write_embedding_file(words, pool_path)
+            if pool == "truncated":
+                pool_path.write_bytes(pool_path.read_bytes()[:-5])
+        if stage == "weights":
+            assert main(["tune", "--config", str(path)]) == 0
+        override = ["--set", f'outclass.pool_file="{pool_path}"']
+        assert main([stage, "--config", str(path), *override]) == 1
+        assert "/outclass/pool_file:" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -1,13 +1,17 @@
 """Embedding model, synthetic generation, partitions, and file format."""
 
 import fractions
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from promix.embedspace import (
     BadMagicError,
     DomainPartition,
+    EmbeddingFileError,
     EmbeddingSet,
     NonFiniteError,
     NormError,
@@ -233,6 +237,67 @@ class TestEmbeddingFile:
         back = read_embedding_file(path)
         assert len(back) == 3
         assert list(back.labels) == [0, 1, 2]
+
+
+@st.composite
+def _embedding_sets(draw, min_size=0):
+    """Small unit-norm sets with arbitrary (UTF-8 encodable) class names."""
+    names = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4))
+    n = draw(st.integers(min_size, 6))
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = unit_normalize(rng.standard_normal((n, dim)) + 1e-3)
+    labels = rng.integers(0, len(names), n)
+    return EmbeddingSet(vectors, labels, tuple(names))
+
+
+_file_settings = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestEmbeddingFileProperties:
+    """EMB1 under generated sets: exact round trip, and every damaged file
+    rejected with a format error."""
+
+    @_file_settings
+    @given(emb=_embedding_sets())
+    def test_quantized_round_trip_is_exact(self, tmp_path, emb):
+        path = tmp_path / "q.emb"
+        q = emb.quantized()
+        write_embedding_file(q, path)
+        back = read_embedding_file(path)
+        assert np.array_equal(back.vectors, q.vectors)
+        assert np.array_equal(back.labels, q.labels)
+        assert back.class_names == q.class_names
+
+    @_file_settings
+    @given(emb=_embedding_sets())
+    def test_truncation_at_every_offset_is_rejected(self, tmp_path, emb):
+        path = tmp_path / "t.emb"
+        write_embedding_file(emb, path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises((TruncatedFileError, BadMagicError)):
+                read_embedding_file(path)
+
+    @_file_settings
+    @given(emb=_embedding_sets(min_size=1))
+    def test_every_flipped_header_bit_is_rejected(self, tmp_path, emb):
+        # fields: magic, dim, count, classes (four little-endian u32 words); a
+        # non-empty set, since an empty one reads back under any dimension
+        path = tmp_path / "h.emb"
+        write_embedding_file(emb, path)
+        data = path.read_bytes()
+        for field in range(4):
+            (word,) = struct.unpack_from("<I", data, 4 * field)
+            for bit in range(32):
+                flipped = bytearray(data)
+                struct.pack_into("<I", flipped, 4 * field, word ^ (1 << bit))
+                path.write_bytes(bytes(flipped))
+                with pytest.raises(EmbeddingFileError):
+                    read_embedding_file(path)
 
 
 class TestDomainPartitionType:

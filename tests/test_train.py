@@ -15,12 +15,14 @@ from promix.head import PromptHead, similarity_matrix
 from promix.losses import LossConfig, batch_loss_grad
 from promix.mixture import MixtureModel, MixtureWeights, mixture_scaled_logits
 from promix.train import (
+    DivergenceError,
     HyperParams,
     OptimizerConfig,
     _AnchorSpace,
     _context_loss_grad,
     _in_objective_factory,
     _one_stage_loss_grad,
+    _descend_scalar,
     _out_objective_factory,
     context_gradient,
     context_loss_value,
@@ -405,7 +407,7 @@ class TestInObjectiveClosedForm:
         calls = []
         softmax = backend.kernels.softmax_rows
         monkeypatch.setattr(backend.kernels, "softmax_rows",
-                            lambda z: calls.append(1) or softmax(z))
+                            lambda z, **kwargs: calls.append(1) or softmax(z, **kwargs))
         in_objective = _in_objective_factory(model, train_in, 1, None)
         assert not calls
         in_objective(0.4)
@@ -484,3 +486,117 @@ class TestOptimizeOutWeight:
                 model, train_in, out, margin=0.3, opt=OptimizerConfig(seed=seed)
             )
             assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+
+def _descend_scalar_reference(theta0, objective_grad, opt, epochs, n_samples):
+    """The weight descent loop without the fixed-point exit: every step
+    evaluates the objective."""
+    steps_per_epoch = max(1, -(-n_samples // opt.batch_size))
+
+    def run(lr):
+        theta = theta0
+        buf = 0.0
+        value, grad = objective_grad(theta)
+        trace = [value]
+        for _ in range(epochs):
+            previous_theta = theta
+            for _ in range(steps_per_epoch):
+                buf = opt.weight_momentum * buf + grad + opt.weight_weight_decay * theta
+                theta = theta - lr * buf
+                value, grad = objective_grad(theta)
+                if not np.isfinite(value):
+                    raise DivergenceError("non-finite weight objective")
+            if value > trace[-1] + 1e-9:
+                return previous_theta, trace
+            trace.append(value)
+        return theta, trace
+
+    theta, trace = run(opt.weight_lr)
+    if len(trace) == 1 and epochs > 0:
+        theta, trace = run(opt.weight_lr * 0.1)
+        if len(trace) == 1:
+            raise DivergenceError("weight objective rises immediately even after lr backoff")
+    return theta, trace
+
+
+class _Counted:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, theta):
+        self.calls += 1
+        return self.fn(theta)
+
+
+class TestFixedPointExit:
+    """``_descend_scalar`` against the loop without the exit: the same
+    (theta, trace), and fewer objective evaluations only once a step
+    leaves (theta, momentum buffer) bitwise unchanged."""
+
+    EPOCHS, N = 5, 64  # two steps per epoch at the default batch size
+
+    def _both(self, objective, theta0, opt):
+        new, old = _Counted(objective), _Counted(objective)
+        result = _descend_scalar(theta0, new, opt, self.EPOCHS, self.N)
+        expected = _descend_scalar_reference(theta0, old, opt, self.EPOCHS, self.N)
+        assert result[0] == expected[0]
+        assert np.signbit(result[0]) == np.signbit(expected[0])
+        assert result[1] == expected[1]
+        return new.calls, old.calls
+
+    def test_flat_objective_at_zero_stops_after_one_evaluation(self):
+        calls, reference_calls = self._both(lambda t: (0.0, 0.0), 0.0, OptimizerConfig())
+        assert (calls, reference_calls) == (1, 1 + self.EPOCHS * 2)
+
+    def test_weight_decay_keeps_a_zero_gradient_moving(self):
+        theta, trace = _descend_scalar(0.7, lambda t: (0.0, 0.0), OptimizerConfig(),
+                                       self.EPOCHS, self.N)
+        assert theta < 0.7 and trace == [0.0] * (self.EPOCHS + 1)
+        calls, reference_calls = self._both(lambda t: (0.0, 0.0), 0.7, OptimizerConfig())
+        assert calls == reference_calls == 1 + self.EPOCHS * 2
+
+    def test_quadratic_descends_as_before(self):
+        def quadratic(t):
+            return (t - 1.0) ** 2, 2.0 * (t - 1.0)
+
+        opt = OptimizerConfig(weight_lr=0.01)
+        calls, reference_calls = self._both(quadratic, 0.0, opt)
+        assert calls == reference_calls == 1 + self.EPOCHS * 2
+        theta, trace = _descend_scalar(0.0, quadratic, opt, self.EPOCHS, self.N)
+        assert 0.0 < theta < 1.0 and len(trace) == self.EPOCHS + 1 and trace[-1] < trace[0]
+
+    def test_exact_landing_on_the_minimum_stops_early(self):
+        # plain gradient steps of size 1/2 on theta^2 reach 0 exactly in one
+        # step; the buffer reaches 0 on the next, and the third repeats it
+        opt = OptimizerConfig(weight_lr=0.5, weight_momentum=0.0, weight_weight_decay=0.0)
+        calls, reference_calls = self._both(lambda t: (t * t, 2.0 * t), 3.0, opt)
+        assert (calls, reference_calls) == (3, 1 + self.EPOCHS * 2)
+
+    def test_non_finite_objective_at_a_fixed_point_still_raises(self):
+        with pytest.raises(DivergenceError, match="non-finite"):
+            _descend_scalar(0.0, lambda t: (np.inf, 0.0), OptimizerConfig(), 2, 32)
+
+    def test_inactive_hinge_out_weight_fit_is_one_evaluation(self, monkeypatch):
+        # identical heads and margin 0: the specialized head at half weight is
+        # flatter than the generalized one, so the hinge is inactive at the
+        # uniform start, where the gradient and the weight decay are both 0
+        dom = _toy_domain(seed=19)
+        names = dom.train.class_names
+        t0 = PromptHead.frozen_from(dom.generalized_prototypes, names)
+        part = partition_classes(6, "explicit", sets=[[4, 5], [0, 1, 2, 3]])
+        model = MixtureModel((t0, t0), MixtureWeights.two_stage([0.0], [0.0]), part, tau=0.01)
+        out = _unit_rows(np.random.default_rng(19), 8, 16)
+        counted = []
+
+        def factory(*args):
+            counted.append(_Counted(_out_objective_factory(*args)))
+            return counted[-1]
+
+        monkeypatch.setattr("promix.train._out_objective_factory", factory)
+        fitted, trace = optimize_out_weight(
+            model, dom.train.with_labels_in([0, 1, 2, 3]), out, margin=0.0,
+            opt=OptimizerConfig(seed=0), epochs=4,
+        )
+        assert fitted.weights.alphas_out[0] == 0.0
+        assert trace == [0.0] * 5
+        assert counted[0].calls == 1
