@@ -91,11 +91,15 @@ def _read_config_file(path: str, pointer: str):
         raise ConfigError(f"cannot read EMB1 file: {exc}", pointer) from exc
 
 
-def _domain(cfg: RunConfig, seed: int):
-    """(train, test, anchors) for one seed from the configured source."""
+def _domain_source(cfg: RunConfig):
+    """(dim, seed -> (train, test, anchors)) for the configured source.
+    Data files are read here, once; a synthetic domain is made per seed."""
     if cfg.synthetic is not None:
-        dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
-        return dom.train, dom.test, dom.generalized_prototypes
+        def generate(seed: int):
+            dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
+            return dom.train, dom.test, dom.generalized_prototypes
+
+        return cfg.synthetic.dim, generate
     train, test, anchors = (
         _read_config_file(cfg.files[key], f"/data/files/{key}")
         for key in ("train", "test", "anchors")
@@ -105,20 +109,22 @@ def _domain(cfg: RunConfig, seed: int):
             raise ConfigError(f"{name} file class list differs from the train file", "/data/files")
     if not np.array_equal(np.sort(anchors.labels), np.arange(len(anchors.class_names))):
         raise ConfigError("anchor file must hold exactly one row per class", "/data/files")
-    return train, test, anchors.vectors[np.argsort(anchors.labels)]
+    data = (train, test, anchors.vectors[np.argsort(anchors.labels)])
+    return train.dim, lambda _seed: data
 
 
-def _check_pool_file(cfg: RunConfig, dim: int) -> None:
-    """The configured out-class pool file, if any, must be a readable EMB1
-    file of the data's dimension."""
+def _check_pool_file(cfg: RunConfig, dim: int) -> np.ndarray | None:
+    """Word vectors of the configured out-class pool file, if any, which
+    must be a readable EMB1 file of the data's dimension."""
     if cfg.pool_file is None:
-        return
+        return None
     pool = _read_config_file(cfg.pool_file, "/outclass/pool_file")
     if pool.dim != dim:
         raise ConfigError(
             f"pool dimension {pool.dim} differs from the data dimension {dim}",
             "/outclass/pool_file",
         )
+    return pool.vectors
 
 
 def _partition_for(cfg: RunConfig, n_classes: int, seed: int):
@@ -149,7 +155,7 @@ def _weight_path(out: Path, seed: int) -> Path:
 
 def _stage_config(cfg: RunConfig) -> HarnessConfig:
     """Settings of the base/new harness stages. The stages take their data
-    from ``_domain``, so a files-mode config needs no synthetic source."""
+    from ``_domain_source``, so a files-mode config needs no synthetic source."""
     return replace(cfg, synthetic=cfg.synthetic or SyntheticConfig()).harness()
 
 
@@ -200,11 +206,12 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     out = _out_dir(cfg)
     (out / "heads").mkdir(exist_ok=True)
     stage = _stage_config(cfg)
+    dim, domain = _domain_source(cfg)
+    _check_pool_file(cfg, dim)
     traces = {}
     for seed in sorted(cfg.seeds):
-        train, _test, anchors = _domain(cfg, seed)
+        train, _test, anchors = domain(seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
-        _check_pool_file(cfg, train.dim)
         base_classes = partition.subsets[1]
         head_ce, mix_head, mix_tau = tune_base_new_heads(stage, train, anchors, partition, seed)
         paths = _head_paths(out, seed)
@@ -225,6 +232,8 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
     out = _out_dir(cfg)
     (out / "weights").mkdir(exist_ok=True)
     stage = _stage_config(cfg)
+    dim, domain = _domain_source(cfg)
+    pool = _check_pool_file(cfg, dim)
     fitted = {}
     for seed in sorted(cfg.seeds):
         paths = _head_paths(out, seed)
@@ -233,12 +242,9 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
                 raise ArtifactError(f"missing head checkpoint {path}; run `tune` first")
         _, tau = load_head(paths["ce"])
         mix_head, mix_tau = load_head(paths["conf"])
-        train, _test, anchors = _domain(cfg, seed)
+        train, _test, anchors = domain(seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
-        _check_pool_file(cfg, train.dim)
-        out_anchors = outclass_anchors(
-            stage, train.dim, seed, len(partition.subsets[1]), cfg.pool_file
-        )
+        out_anchors = outclass_anchors(stage, dim, seed, len(partition.subsets[1]), pool)
         fit = fit_base_new_weights(
             replace(stage, tau=tau), mix_head, mix_tau, train, anchors, partition,
             out_anchors, seed,
@@ -256,6 +262,7 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     """Score the four comparison configurations from saved artifacts."""
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
+    _, domain = _domain_source(cfg)
     per_seed = []
     for seed in sorted(cfg.seeds):
         paths = _head_paths(out, seed)
@@ -266,7 +273,7 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
         head_ce, tau = load_head(paths["ce"])
         head_conf, _ = load_head(paths["conf"])
         fitted = load_weights(wpath)
-        train, test, anchors = _domain(cfg, seed)
+        train, test, anchors = domain(seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
         if len(partition.subsets[0]) == 0 or len(partition.subsets[1]) == 0:
             raise ConfigError(
@@ -355,11 +362,12 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     """Compare tuning-domain accuracy across the loss zoo."""
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
+    _, domain = _domain_source(cfg)
     rows = {}
     for kind in LOSS_KINDS:
         accs = []
         for seed in sorted(cfg.seeds):
-            train, test, anchors = _domain(cfg, seed)
+            train, test, anchors = domain(seed)
             partition = _partition_for(cfg, len(train.class_names), seed)
             base_classes = partition.subsets[1]
             loss = replace(cfg.loss, kind=kind)

@@ -14,6 +14,7 @@ accuracies.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -27,9 +28,9 @@ from promix.embedspace import (
     DomainPartition,
     EmbeddingSet,
     SyntheticConfig,
+    SyntheticDomain,
     generate_synthetic,
     partition_classes,
-    read_embedding_file,
 )
 from promix.head import DEFAULT_TAU, PromptHead, predict_matrix, similarity_matrix
 from promix.losses import LossConfig
@@ -82,25 +83,29 @@ def accuracy(
     model_or_head: MixtureModel | PromptHead,
     emb_set: EmbeddingSet,
     classes: Sequence[int] | None = None,
-    tau: float = DEFAULT_TAU,
 ) -> float:
     """Percentage of samples whose argmax prediction matches the label.
 
-    ``classes`` restricts the candidate list; ties break toward the
-    lowest class index. Labels stay global either way.
+    ``classes`` restricts the candidates, and only their columns are
+    scored; ties break toward the lowest class index. Labels stay global.
     """
-    if len(emb_set) == 0:
-        raise ValueError("accuracy of an empty set")
     idx = None if classes is None else np.sort(np.asarray(list(classes), dtype=np.int64))
     if isinstance(model_or_head, MixtureModel):
         logits = mixture_scaled_logits(model_or_head, emb_set.vectors, classes=idx)
     else:
-        logits = similarity_matrix(model_or_head, emb_set.vectors)
-        if idx is not None:
-            logits = logits[:, idx]
-    local_pred = np.argmax(logits, axis=1)
-    pred = local_pred if idx is None else idx[local_pred]
-    return float(np.mean(pred == emb_set.labels) * 100.0)
+        head = model_or_head if idx is None else model_or_head.restrict(idx)
+        logits = similarity_matrix(head, emb_set.vectors)
+    return _percent_correct(logits, emb_set.labels, idx)
+
+
+def _percent_correct(logits: np.ndarray, labels: np.ndarray, classes=None) -> float:
+    """Percent of rows whose argmax, mapped through sorted ``classes``, is the label."""
+    if len(labels) == 0:
+        raise ValueError("accuracy of an empty set")
+    pred = np.argmax(logits, axis=1)
+    if classes is not None:
+        pred = classes[pred]
+    return float(np.mean(pred == labels) * 100.0)
 
 
 def classify_samples(
@@ -277,14 +282,12 @@ def fit_weights(
 
 
 def outclass_anchors(
-    cfg: HarnessConfig, dim: int, seed: int, in_class_size: int, pool_file=None
+    cfg: HarnessConfig, dim: int, seed: int, in_class_size: int, pool: np.ndarray | None = None
 ) -> np.ndarray:
     """Surrogate out-class anchors for one seed. Random words come from the
-    EMB1 pool in ``pool_file`` when given, else from a generated pool of
+    word vectors ``pool`` when given, else from a generated pool of
     ``cfg.pool_size`` words (seed + 7919); the draw uses seed + 104729."""
-    if pool_file is not None:
-        pool = read_embedding_file(pool_file).vectors
-    else:
+    if pool is None:
         pool = generate_vocab_pool(dim, cfg.pool_size, seed=seed + 7919)
     return generate_outclass(
         cfg.outclass, dim, seed=seed + 104729, vocab_pool=pool, in_class_size=in_class_size
@@ -304,25 +307,25 @@ def score_base_new_configs(
 
     Accuracy is measured independently on the two splits (candidates
     restricted to the split's classes) and combined by the harmonic mean.
+    Each head is scored once per split, on the split's classes only.
     """
-    base_classes, new_classes = partition.subsets[1], partition.subsets[0]
-    test_base = test_set.with_labels_in(base_classes)
-    test_new = test_set.with_labels_in(new_classes)
-
-    def scores(model_or_head) -> dict:
-        b = accuracy(model_or_head, test_base, classes=base_classes, tau=tau)
-        n = accuracy(model_or_head, test_new, classes=new_classes, tau=tau)
-        return {"base": b, "new": n, "h": harmonic_mean(b, n)}
-
     uniform = MixtureWeights.uniform(1)
-    return {
-        "zero_shot": scores(t0),
-        "uniform_ensemble": scores(MixtureModel((t0, head_ce), uniform, partition, tau=tau)),
-        "conf_uniform": scores(MixtureModel((t0, head_conf), uniform, partition, tau=tau)),
-        "fitted_mixture": scores(
-            MixtureModel((t0, head_conf), fitted_weights, partition, tau=tau)
-        ),
-    }
+    heads = {"t0": t0, "ce": head_ce, "conf": head_conf}
+    # configuration -> (head mixed with t0, its weights); zero-shot is t0 alone
+    configs = {"zero_shot": ("t0", None), "uniform_ensemble": ("ce", uniform),
+               "conf_uniform": ("conf", uniform), "fitted_mixture": ("conf", fitted_weights)}
+    rows: dict[str, dict] = {name: {} for name in configs}
+    for split, classes in (("base", partition.subsets[1]), ("new", partition.subsets[0])):
+        idx = np.sort(np.asarray(classes, dtype=np.int64))
+        subset = test_set.with_labels_in(idx)
+        sims = {key: similarity_matrix(h.restrict(idx), subset.vectors) for key, h in heads.items()}
+        for name, (key, weights) in configs.items():
+            logits = sims[key]
+            if weights is not None:
+                model = MixtureModel((t0, heads[key]), weights, partition, tau=tau)
+                logits = mixture_scaled_logits(model, subset.vectors, idx, (sims["t0"], logits))
+            rows[name][split] = _percent_correct(logits, subset.labels, idx)
+    return {name: {**r, "h": harmonic_mean(r["base"], r["new"])} for name, r in rows.items()}
 
 
 def tune_base_new_heads(
@@ -508,11 +511,11 @@ def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
         alphas_out = list(model.weights.alphas_out)
 
         test_seen = domain.test.with_labels_in(seen)
-        session_acc.append(accuracy(model, test_seen, classes=seen, tau=cfg.tau))
+        session_acc.append(accuracy(model, test_seen, classes=seen))
 
     test_first = domain.test.with_labels_in(partition.subsets[1])
-    final_first = accuracy(model, test_first, classes=seen, tau=cfg.tau)
-    zero_first = accuracy(t0, test_first, classes=seen, tau=cfg.tau)
+    final_first = accuracy(model, test_first, classes=seen)
+    zero_first = accuracy(t0, test_first, classes=seen)
     return {
         "session_acc": session_acc,
         "final_first_session_acc": final_first,
@@ -549,8 +552,7 @@ def fscil_run(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     )
 
 
-def _assumption_single(cfg: HarnessConfig, split_seed: int) -> dict:
-    domain = _domain_for(cfg, cfg.seeds[0] if cfg.seeds else 0)
+def _assumption_single(domain: SyntheticDomain, cfg: HarnessConfig, split_seed: int) -> dict:
     names = domain.train.class_names
     partition = partition_classes(len(names), "base_new_even_split", seed=split_seed)
     in_classes, out_classes = partition.subsets[1], partition.subsets[0]
@@ -565,8 +567,8 @@ def _assumption_single(cfg: HarnessConfig, split_seed: int) -> dict:
     test_in = domain.test.with_labels_in(in_classes)
     test_out = domain.test.with_labels_in(out_classes)
     return {
-        "in_gap": accuracy(tuned, test_in, tau=cfg.tau) - accuracy(t0, test_in, tau=cfg.tau),
-        "out_gap": accuracy(t0, test_out, tau=cfg.tau) - accuracy(tuned, test_out, tau=cfg.tau),
+        "in_gap": accuracy(tuned, test_in) - accuracy(t0, test_in),
+        "out_gap": accuracy(t0, test_out) - accuracy(tuned, test_out),
     }
 
 
@@ -574,15 +576,17 @@ def assumption_check(
     cfg: HarnessConfig, splits: int = 10, config_hash: str = ""
 ) -> EvalReport:
     """Specialized-vs-generalized accuracy gaps over seeded 50/50 class
-    splits, with one-sided paired t-tests in both directions.
+    splits of one domain (generated from the first configured seed), with
+    one-sided paired t-tests in both directions.
 
     The assumption is declared validated when both tests reach p < 0.05.
     Zero-variance gap lists are reported as degenerate, not significant.
     """
     if splits < 2:
         raise ValueError("need at least 2 splits")
+    domain = _domain_for(cfg, cfg.seeds[0] if cfg.seeds else 0)
     split_cfg = replace(cfg, seeds=tuple(range(splits)))
-    rows = _run_seeds(_assumption_single, split_cfg)
+    rows = _run_seeds(functools.partial(_assumption_single, domain), split_cfg)
     in_gaps = [r["in_gap"] for r in rows]
     out_gaps = [r["out_gap"] for r in rows]
 
@@ -623,20 +627,17 @@ def _confusing_single(cfg: HarnessConfig, seed: int) -> dict:
         curves: dict[str, list[float]] = {"easy": [], "confusing": [], "all": []}
 
         def hook(_epoch: int, head: PromptHead) -> None:
-            for key in ("easy", "confusing"):
-                if masks[key].any():
-                    curves[key].append(
-                        accuracy(head, domain.test.subset(masks[key]), tau=cfg.tau)
-                    )
-                else:
-                    curves[key].append(0.0)
-            curves["all"].append(accuracy(head, domain.test, tau=cfg.tau))
+            sims = similarity_matrix(head, domain.test.vectors)
+            hits = np.argmax(sims, axis=1) == domain.test.labels
+            for key, curve in curves.items():
+                hit = hits if key == "all" else hits[masks[key]]
+                curve.append(float(np.mean(hit) * 100.0) if hit.size else 0.0)
 
         tune_on_subset(
             anchors, names, domain.train, all_classes, loss_cfg, opt,
             cfg.hyper.context_len, seed, cfg.tau, epoch_hook=hook,
         )
-        return {k: v for k, v in curves.items()}
+        return curves
 
     ce_curves = run(replace(cfg.loss, kind="ce"))
     conf_curves = run(replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight))

@@ -158,12 +158,7 @@ def similarity_matrix(head: PromptHead, vectors: np.ndarray) -> np.ndarray:
 
 def predict(s: np.ndarray, tau: float = DEFAULT_TAU) -> PredictiveDistribution:
     """Temperature softmax of a similarity vector (max-subtracted)."""
-    s = np.asarray(s, dtype=np.float64)
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("non-finite similarity")
-    probs = backend.kernels.softmax_rows(s[None, :] / tau)[0]
+    probs = predict_matrix(np.asarray(s, dtype=np.float64)[None, :], tau)[0]
     return PredictiveDistribution(probs, tau)
 
 

@@ -17,7 +17,9 @@ are supported:
     tau_0). Algebraically identical to a matched two_stage configuration.
 
 ``direct`` stores plain weight values and exists for uniform ensembles
-and tests.
+and tests. All three reduce to one (K+1, C) matrix of per-class logit
+scales, so the mixture logits are sum_k scale[k, c] s_k(c), summed head
+by head over the candidate classes only.
 
 This module also houses the ensemble error bound (the mixture's expected
 error never exceeds the weight-averaged error of its members), the
@@ -207,9 +209,7 @@ def load_weights(path) -> MixtureWeights:
     return MixtureWeights.from_dict(json.loads(Path(path).read_text()))
 
 
-def class_weight_matrix(
-    weights: MixtureWeights, partition: DomainPartition, num_classes: int | None = None
-) -> np.ndarray:
+def class_weight_matrix(weights: MixtureWeights, partition: DomainPartition) -> np.ndarray:
     """(K+1, C) effective weights: row i, column l is head i's weight on
     class l.
 
@@ -226,23 +226,14 @@ def class_weight_matrix(
         raise ValueError(
             f"partition has {partition.num_specialized} specialized subsets, weights have {k}"
         )
-    c = partition.num_classes if num_classes is None else num_classes
     owners = partition.owner_of()
-    w = np.zeros((k + 1, c))
+    w = np.zeros((k + 1, partition.num_classes))
     for i in range(1, k + 1):
         w[i] = np.where(owners == i, weights.in_weights[i - 1], weights.out_weights[i - 1])
     specialized = w[1:].sum(axis=0)
     w[0] = np.maximum(1.0 - specialized, 0.0)
     w /= np.maximum(specialized, 1.0)[None, :]
     return w
-
-
-def effective_weight(
-    weights: MixtureWeights, prompt: int, class_index: int, partition: DomainPartition
-) -> float:
-    """Weight of one head on one class (see class_weight_matrix)."""
-    w = class_weight_matrix(weights, partition)
-    return float(w[prompt, class_index])
 
 
 @dataclass(frozen=True)
@@ -280,34 +271,44 @@ class MixtureModel:
         return np.stack([similarity_matrix(h, vectors) for h in self.heads])
 
 
+def class_scale_matrix(model: MixtureModel, weight_rows: np.ndarray | None = None) -> np.ndarray:
+    """(K+1, C) per-class logit scales: the mixture logit of class c is
+    sum_k scale[k, c] s_k(c). one_stage: 1/tau_0, and 1/tau_in or 1/tau_out
+    by class owner. Otherwise the per-class weights over tau, from
+    ``class_weight_matrix`` or ``weight_rows`` (off-simplex probes)."""
+    w = model.weights
+    if w.parameterization == "one_stage":
+        tau_spec = np.where(model.partition.owner_of() == 1, w.tau_in, w.tau_out)
+        return np.stack([np.full(model.num_classes, 1.0 / w.tau_0), 1.0 / tau_spec])
+    if weight_rows is None:
+        weight_rows = class_weight_matrix(w, model.partition)
+    return weight_rows / model.tau
+
+
 def mixture_scaled_logits(
     model: MixtureModel,
     vectors: np.ndarray,
     classes: np.ndarray | None = None,
-    sims: np.ndarray | None = None,
+    sims: Sequence[np.ndarray] | None = None,
     weight_rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Final pre-softmax logits of the mixture for a batch, (N, C').
 
-    ``classes`` restricts the candidate class list (class-incremental
-    evaluation only ranks classes seen so far). ``sims`` supplies a
-    precomputed similarity stack; ``weight_rows`` overrides the per-class
-    weight matrix, which the weight-gradient oracles use to probe
-    off-simplex perturbations.
+    ``classes`` restricts the candidates (class-incremental evaluation
+    only ranks classes seen so far), and each head is scored on those
+    columns only. ``sims`` supplies every head's (N, C') similarities on
+    the candidates; ``weight_rows`` is passed to ``class_scale_matrix``.
     """
-    if sims is None:
-        sims = model.similarity_stack(np.asarray(vectors, dtype=np.float64))
-    if model.weights.parameterization == "one_stage":
-        w = model.weights
-        owners = model.partition.owner_of()
-        tau_spec = np.where(owners == 1, w.tau_in, w.tau_out)
-        logits = sims[0] / w.tau_0 + sims[1] / tau_spec[None, :]
-    else:
-        if weight_rows is None:
-            weight_rows = class_weight_matrix(model.weights, model.partition)
-        logits = np.einsum("kc,knc->nc", weight_rows, sims) / model.tau
+    scale = class_scale_matrix(model, weight_rows)
     if classes is not None:
-        logits = logits[:, np.asarray(classes, dtype=np.int64)]
+        scale = scale[:, np.asarray(classes, dtype=np.int64)]
+    if sims is None:
+        heads = model.heads if classes is None else [h.restrict(classes) for h in model.heads]
+        sims = (similarity_matrix(h, vectors) for h in heads)
+    sims = iter(sims)
+    logits = scale[0] * next(sims)
+    for k, s_k in enumerate(sims, start=1):
+        logits += scale[k] * s_k
     return logits
 
 
@@ -316,17 +317,12 @@ def mixture_predict(model: MixtureModel, x: np.ndarray) -> PredictiveDistributio
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.heads[0].dim,):
         raise ValueError("dimension mismatch between embedding and model")
-    logits = mixture_scaled_logits(model, x[None, :])
-    probs = backend.kernels.softmax_rows(logits)[0]
-    return PredictiveDistribution(probs, model.tau)
+    return PredictiveDistribution(mixture_predict_matrix(model, x[None, :])[0], model.tau)
 
 
-def mixture_predict_matrix(
-    model: MixtureModel, vectors: np.ndarray, classes: np.ndarray | None = None
-) -> np.ndarray:
-    """Row-wise mixture probabilities for a batch, optionally restricted."""
-    logits = mixture_scaled_logits(model, vectors, classes=classes)
-    return backend.kernels.softmax_rows(logits)
+def mixture_predict_matrix(model: MixtureModel, vectors: np.ndarray) -> np.ndarray:
+    """Row-wise mixture probabilities for a batch."""
+    return backend.kernels.softmax_rows(mixture_scaled_logits(model, vectors))
 
 
 def global_mixture_error(
@@ -397,10 +393,9 @@ def mixture_ce_grad_wrt_weight(
     """
     if model.weights.parameterization == "one_stage":
         raise ValueError("global weight gradient requires a weighted-similarity mixture")
-    x = np.asarray(x, dtype=np.float64)
-    sims = model.similarity_stack(x[None, :])
-    probs = backend.kernels.softmax_rows(mixture_scaled_logits(model, x[None, :], sims=sims))[0]
-    s_i = sims[prompt, 0]
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    probs = mixture_predict_matrix(model, x)[0]
+    s_i = similarity_matrix(model.heads[prompt], x)[0]
     return float(-(s_i[y] - probs @ s_i) / model.tau)
 
 

@@ -258,6 +258,39 @@ class TestPipeline:
             assert main([cmd, "--config", str(path2)]) == 0, cmd
         assert (tmp_path / "run_files" / "report_eval.json").exists()
 
+    @pytest.mark.parametrize("with_pool", [False, True])
+    def test_each_data_file_read_once_per_command(
+        self, run_config, tmp_path, monkeypatch, with_pool
+    ):
+        import promix.cli
+
+        path, out = run_config()
+        assert main(["gen", "--config", str(path)]) == 0
+        path2 = _files_config(path, out / "data", tmp_path)
+        overrides = ["--set", "seeds=[0,1,2]"]
+        if with_pool:
+            rng = np.random.default_rng(0)
+            words = EmbeddingSet(unit_normalize(rng.standard_normal((40, 16))),
+                                 np.zeros(40, dtype=np.int64), ("word",))
+            write_embedding_file(words, tmp_path / "pool.emb")
+            overrides += ["--set", f'outclass.pool_file="{tmp_path / "pool.emb"}"']
+        reads = []
+        original = promix.cli.read_embedding_file
+
+        def counted(file_path, *args, **kwargs):
+            reads.append(os.path.basename(file_path))
+            return original(file_path, *args, **kwargs)
+
+        monkeypatch.setattr(promix.cli, "read_embedding_file", counted)
+        data = ["anchors.emb", "test.emb", "train.emb"]
+        pool = ["pool.emb"] if with_pool else []
+        for cmd, expected in (
+            ("tune", data + pool), ("weights", data + pool), ("eval", data), ("losses", data)
+        ):
+            reads.clear()
+            assert main([cmd, "--config", str(path2), *overrides]) == 0, cmd
+            assert sorted(reads) == sorted(expected), cmd
+
     def test_test_file_with_other_classes_exits_one(self, run_config, tmp_path, capsys):
         path, out = run_config()
         assert main(["gen", "--config", str(path)]) == 0

@@ -5,6 +5,7 @@ keep the harness configs tiny.
 """
 
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +27,11 @@ from promix.evaluation import (
     fscil_csv,
     fscil_run,
     harmonic_mean,
+    score_base_new_configs,
 )
+from promix.embedspace import partition_classes
 from promix.head import PromptHead
+from promix.mixture import MixtureModel, MixtureWeights
 from promix.train import OptimizerConfig
 
 
@@ -287,3 +291,112 @@ class TestHarnessSmoke:
         assert result["all_non_negative"]
         assert result["identical_heads_gap"] == 0.0
         assert result["min_gap"] >= -1e-12
+
+
+def _counting_similarity(monkeypatch):
+    """Count ``similarity_matrix`` calls made from evaluation and mixture."""
+    import promix.mixture
+
+    calls = []
+    original = evaluation.similarity_matrix
+
+    def counted(head, vectors):
+        calls.append(head.num_classes)
+        return original(head, vectors)
+
+    monkeypatch.setattr(evaluation, "similarity_matrix", counted)
+    monkeypatch.setattr(promix.mixture, "similarity_matrix", counted)
+    return calls
+
+
+class TestSharedScoring:
+    @pytest.mark.parametrize(
+        "fitted",
+        [MixtureWeights.two_stage([0.9], [-0.7]), MixtureWeights.one_stage(0.006, 0.02, 0.01)],
+    )
+    def test_base_new_scores_match_per_configuration_accuracy(self, monkeypatch, fitted):
+        dom = generate_synthetic(SyntheticConfig(dim=16, num_classes=10, shots=2,
+                                                 test_per_class=8, confusion_pairs=3, seed=4))
+        names, anchors = dom.test.class_names, dom.generalized_prototypes
+        partition = partition_classes(10, "base_new_even_split", seed=4)
+        t0 = PromptHead.frozen_from(anchors, names)
+        head_ce = PromptHead.with_random_context(anchors, names, 2, seed=1, init_std=0.4)
+        head_conf = PromptHead.with_random_context(anchors, names, 2, seed=2, init_std=0.4)
+        tau = 0.01
+        expected = {}
+        for name, model in (
+            ("zero_shot", t0),
+            ("uniform_ensemble", MixtureModel((t0, head_ce), MixtureWeights.uniform(1),
+                                              partition, tau=tau)),
+            ("conf_uniform", MixtureModel((t0, head_conf), MixtureWeights.uniform(1),
+                                          partition, tau=tau)),
+            ("fitted_mixture", MixtureModel((t0, head_conf), fitted, partition, tau=tau)),
+        ):
+            b = accuracy(model, dom.test.with_labels_in(partition.subsets[1]),
+                         classes=partition.subsets[1])
+            n = accuracy(model, dom.test.with_labels_in(partition.subsets[0]),
+                         classes=partition.subsets[0])
+            expected[name] = {"base": b, "new": n, "h": harmonic_mean(b, n)}
+        calls = _counting_similarity(monkeypatch)
+        got = score_base_new_configs(t0, head_ce, head_conf, fitted, partition, dom.test, tau)
+        assert got == expected
+        # three heads, two splits, each head on its split's 5 classes only
+        assert calls == [5] * 6
+
+    def test_confusing_curves_match_per_subset_accuracy(self, monkeypatch):
+        # seed 3 at tau 0.05 gives both easy and confusing samples
+        cfg = _tiny_harness(optimizer=OptimizerConfig(epochs=3), seeds=(3,), tau=0.05)
+        dom = generate_synthetic(replace(cfg.synthetic, seed=3))
+        t0 = PromptHead.frozen_from(dom.generalized_prototypes, dom.test.class_names)
+        categories = classify_samples(t0, dom.test, gap_threshold=0.2, tau=cfg.tau)
+        assert (categories == "easy").any() and (categories == "confusing").any()
+        calls = _counting_similarity(monkeypatch)
+        hook_calls, expected = [], []
+        tune = evaluation.tune_on_subset
+
+        def tune_recording(*args, epoch_hook, **kwargs):
+            def hook(epoch, head):
+                before = len(calls)
+                epoch_hook(epoch, head)
+                hook_calls.append(len(calls) - before)
+                expected.append({
+                    key: accuracy(head, dom.test.subset(categories == key))
+                    for key in ("easy", "confusing")
+                } | {"all": accuracy(head, dom.test)})
+
+            return tune(*args, epoch_hook=hook, **kwargs)
+
+        monkeypatch.setattr(evaluation, "tune_on_subset", tune_recording)
+        run = confusing_gain(cfg).extra["curves"][0]
+        epochs = len(run["ce"]["all"])
+        assert epochs >= 2 and hook_calls == [1] * (2 * epochs)
+        for i, loss in enumerate(("ce", "conf")):
+            for epoch in range(epochs):
+                row = expected[i * epochs + epoch]
+                assert {k: run[loss][k][epoch] for k in row} == row
+
+
+class TestAssumptionDomain:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_domain_from_the_configured_seed(self, monkeypatch, jobs):
+        seeds = []
+        original = evaluation._domain_for
+
+        def recording(cfg, seed):
+            seeds.append(seed)
+            return original(cfg, seed)
+
+        monkeypatch.setattr(evaluation, "_domain_for", recording)
+        cfg = _tiny_harness(seeds=(5,), jobs=jobs)
+        rep = assumption_check(cfg, splits=2)
+        assert seeds == [5]
+        domain = generate_synthetic(replace(cfg.synthetic, seed=5))
+        in_classes = partition_classes(8, "base_new_even_split", seed=0).subsets[1]
+        test_in = domain.test.with_labels_in(in_classes)
+        t0 = PromptHead.frozen_from(domain.generalized_prototypes, domain.test.class_names)
+        tuned = evaluation.tune_on_subset(
+            domain.generalized_prototypes, domain.train.class_names, domain.train, in_classes,
+            replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight),
+            replace(cfg.optimizer, seed=0), cfg.hyper.context_len, 0, cfg.tau,
+        )
+        assert rep.extra["in_gaps"][0] == accuracy(tuned, test_in) - accuracy(t0, test_in)

@@ -4,6 +4,7 @@ decomposition, weight gradients, and entropy machinery."""
 import numpy as np
 import pytest
 
+import promix.mixture
 from promix.embedspace import (
     DomainPartition,
     EmbeddingSet,
@@ -15,9 +16,9 @@ from promix.mixture import (
     MixtureModel,
     MixtureWeights,
     bound_gap,
+    class_scale_matrix,
     class_weight_matrix,
     decompose_error,
-    effective_weight,
     ent_loss,
     load_weights,
     matched_two_stage,
@@ -49,11 +50,11 @@ def _data(rng, n, classes, dim):
 class TestEffectiveWeight:
     def test_k1_in_domain(self):
         part = partition_classes(4, "explicit", sets=[[0, 1], [2, 3]])
-        w = MixtureWeights.direct([0.5], [0.3])
-        assert effective_weight(w, 1, 2, part) == pytest.approx(0.5)
-        assert effective_weight(w, 0, 2, part) == pytest.approx(0.5)
-        assert effective_weight(w, 1, 0, part) == pytest.approx(0.3)
-        assert effective_weight(w, 0, 0, part) == pytest.approx(0.7)
+        w = class_weight_matrix(MixtureWeights.direct([0.5], [0.3]), part)
+        assert w[1, 2] == pytest.approx(0.5)
+        assert w[0, 2] == pytest.approx(0.5)
+        assert w[1, 0] == pytest.approx(0.3)
+        assert w[0, 0] == pytest.approx(0.7)
 
     def test_k2_columns_always_simplex(self):
         rng = np.random.default_rng(0)
@@ -132,6 +133,86 @@ class TestMixturePredict:
         full = mixture_scaled_logits(model, x)
         restricted = mixture_scaled_logits(model, x, classes=subset)
         np.testing.assert_array_equal(restricted, full[:, subset])
+
+
+def _parent_logits(model, x, classes):
+    """Reference: the mixture logits written one formula per
+    parameterization, over every column, then sliced to ``classes``."""
+    sims = np.stack([similarity_matrix(h, x) for h in model.heads])
+    w = model.weights
+    if w.parameterization == "one_stage":
+        tau_spec = np.where(model.partition.owner_of() == 1, w.tau_in, w.tau_out)
+        logits = sims[0] / w.tau_0 + sims[1] / tau_spec[None, :]
+    else:
+        rows = class_weight_matrix(w, model.partition)
+        logits = np.einsum("kc,knc->nc", rows, sims) / model.tau
+    return logits[:, classes]
+
+
+class TestOneFormula:
+    """Sum_k scale[k, idx] s_k on the candidate columns against the
+    per-parameterization formula over all columns."""
+
+    @staticmethod
+    def _model(weights, sets, seed):
+        rng = np.random.default_rng(seed)
+        c = sum(len(s) for s in sets)
+        names = tuple(f"c{i}" for i in range(c))
+        anchors = _unit_rows(rng, c, 8)
+        heads = tuple(
+            PromptHead.with_random_context(anchors, names, 2, seed=seed + i, init_std=0.3)
+            for i in range(len(sets))
+        )
+        part = partition_classes(c, "explicit", sets=sets)
+        return MixtureModel(heads, weights, part, tau=0.03), _unit_rows(rng, 7, 8)
+
+    @pytest.mark.parametrize(
+        "weights, sets",
+        [
+            (MixtureWeights.two_stage([0.8], [-1.1]), [[0, 2, 4], [1, 3, 5]]),
+            # in/out weights near 0.9 push every column's specialized sum above 1
+            (MixtureWeights.two_stage([2.2, 2.5], [2.0, 1.9]), [[0, 1], [2, 3], [4, 5]]),
+            (MixtureWeights.one_stage(0.004, 0.03, tau_0=0.01), [[0, 2, 4], [1, 3, 5]]),
+            (MixtureWeights.direct([0.35], [0.6]), [[0, 2, 4], [1, 3, 5]]),
+        ],
+    )
+    def test_matches_the_per_parameterization_formula(self, monkeypatch, weights, sets):
+        model, x = self._model(weights, sets, seed=len(sets))
+        if len(sets) == 3:
+            # capped columns leave the generalized head nothing
+            assert np.all(class_weight_matrix(weights, model.partition)[0] == 0.0)
+        widths = []
+
+        def recording(head, vectors):
+            widths.append(head.num_classes)
+            return similarity_matrix(head, vectors)
+
+        monkeypatch.setattr(promix.mixture, "similarity_matrix", recording)
+        for classes in (np.array([1, 4, 5]), np.arange(6)):
+            widths.clear()
+            got = mixture_scaled_logits(model, x, classes=classes)
+            np.testing.assert_allclose(got, _parent_logits(model, x, classes), rtol=1e-12)
+            # every head is scored once, on the candidate columns only
+            assert widths == [len(classes)] * len(model.heads)
+
+    def test_one_stage_rows_are_inverse_temperatures(self):
+        model, _ = self._model(
+            MixtureWeights.one_stage(0.004, 0.03, tau_0=0.01), [[0, 2, 4], [1, 3, 5]], seed=9
+        )
+        scale = class_scale_matrix(model)
+        np.testing.assert_allclose(scale[0], 1 / 0.01)
+        np.testing.assert_allclose(scale[1], np.where(np.arange(6) % 2 == 1, 1 / 0.004, 1 / 0.03))
+
+    def test_precomputed_sims_on_candidate_columns(self):
+        model, x = self._model(
+            MixtureWeights.two_stage([0.8], [-1.1]), [[0, 2, 4], [1, 3, 5]], seed=3
+        )
+        idx = np.array([0, 3, 5])
+        sims = [similarity_matrix(h.restrict(idx), x) for h in model.heads]
+        np.testing.assert_array_equal(
+            mixture_scaled_logits(model, x, classes=idx, sims=sims),
+            mixture_scaled_logits(model, x, classes=idx),
+        )
 
 
 class TestBoundGap:
