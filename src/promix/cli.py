@@ -25,7 +25,6 @@ import numpy as np
 from promix.config import ConfigError, RunConfig, load_config
 from promix.embedspace import (
     EmbeddingFileError,
-    SyntheticConfig,
     generate_synthetic,
     partition_classes,
     prototype_set,
@@ -33,7 +32,6 @@ from promix.embedspace import (
     write_embedding_file,
 )
 from promix.evaluation import (
-    HarnessConfig,
     accuracy,
     assumption_check,
     base_new_report,
@@ -61,10 +59,18 @@ def _effective_config(path: str, overrides: tuple[str, ...]) -> RunConfig:
     env_seed = os.environ.get("PROMIX_SEED")
     if env_seed is not None:
         try:
-            cfg = replace(cfg, seed=int(env_seed))
-        except ValueError as exc:
-            raise ConfigError(f"PROMIX_SEED must be an integer, got {env_seed!r}") from exc
+            seed = int(env_seed)
+        except ValueError:
+            seed = -1
+        if seed < 0:
+            raise ConfigError(f"PROMIX_SEED must be a non-negative integer, got {env_seed!r}")
+        cfg = replace(cfg, seed=seed)
     return cfg
+
+
+def _require_synthetic(cfg: RunConfig, command: str) -> None:
+    if cfg.files is not None:
+        raise ConfigError(f"{command} requires a synthetic data source", "/data")
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -87,14 +93,14 @@ def _read_config_file(path: str, pointer: str):
     missing, unreadable or malformed file is an error in that entry."""
     try:
         return read_embedding_file(path)
-    except (OSError, EmbeddingFileError) as exc:
+    except (OSError, ValueError, EmbeddingFileError) as exc:
         raise ConfigError(f"cannot read EMB1 file: {exc}", pointer) from exc
 
 
 def _domain_source(cfg: RunConfig):
     """(dim, seed -> (train, test, anchors)) for the configured source.
     Data files are read here, once; a synthetic domain is made per seed."""
-    if cfg.synthetic is not None:
+    if cfg.files is None:
         def generate(seed: int):
             dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
             return dom.train, dom.test, dom.generalized_prototypes
@@ -153,12 +159,6 @@ def _weight_path(out: Path, seed: int) -> Path:
     return out / "weights" / f"seed{seed}.json"
 
 
-def _stage_config(cfg: RunConfig) -> HarnessConfig:
-    """Settings of the base/new harness stages. The stages take their data
-    from ``_domain_source``, so a files-mode config needs no synthetic source."""
-    return replace(cfg, synthetic=cfg.synthetic or SyntheticConfig()).harness()
-
-
 @click.group()
 def cli() -> None:
     """Confusion-aware prompt tuning and prompt mixtures over embeddings."""
@@ -179,8 +179,7 @@ _set_opt = click.option(
 def gen(config_path: str, overrides: tuple[str, ...]) -> None:
     """Write the synthetic domain as embedding files."""
     cfg = _effective_config(config_path, overrides)
-    if cfg.synthetic is None:
-        raise ConfigError("gen requires a synthetic data source", "/data")
+    _require_synthetic(cfg, "gen")
     out = _out_dir(cfg)
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
@@ -205,7 +204,6 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
     (out / "heads").mkdir(exist_ok=True)
-    stage = _stage_config(cfg)
     dim, domain = _domain_source(cfg)
     _check_pool_file(cfg, dim)
     traces = {}
@@ -213,7 +211,7 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
         train, _test, anchors = domain(seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
         base_classes = partition.subsets[1]
-        head_ce, mix_head, mix_tau = tune_base_new_heads(stage, train, anchors, partition, seed)
+        head_ce, mix_head, mix_tau = tune_base_new_heads(cfg, train, anchors, partition, seed)
         paths = _head_paths(out, seed)
         for label, head, tau in (("ce", head_ce, cfg.tau), ("conf", mix_head, mix_tau)):
             save_head(head, tau, paths[label])
@@ -231,7 +229,6 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
     (out / "weights").mkdir(exist_ok=True)
-    stage = _stage_config(cfg)
     dim, domain = _domain_source(cfg)
     pool = _check_pool_file(cfg, dim)
     fitted = {}
@@ -244,9 +241,9 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
         mix_head, mix_tau = load_head(paths["conf"])
         train, _test, anchors = domain(seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
-        out_anchors = outclass_anchors(stage, dim, seed, len(partition.subsets[1]), pool)
+        out_anchors = outclass_anchors(cfg, dim, seed, len(partition.subsets[1]), pool)
         fit = fit_base_new_weights(
-            replace(stage, tau=tau), mix_head, mix_tau, train, anchors, partition,
+            replace(cfg, tau=tau), mix_head, mix_tau, train, anchors, partition,
             out_anchors, seed,
         )
         save_weights(fit, _weight_path(out, seed))
@@ -300,10 +297,9 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
 def fscil(config_path: str, overrides: tuple[str, ...], jobs: int | None) -> None:
     """Run the class-incremental session benchmark."""
     cfg = _effective_config(config_path, overrides)
+    _require_synthetic(cfg, "fscil")
     out = _out_dir(cfg)
-    harness = cfg.harness()
-    if jobs is not None:
-        harness = replace(harness, jobs=jobs)
+    harness = cfg if jobs is None else replace(cfg, jobs=jobs)
     spec = cfg.partition or {}
     if spec.get("kind") == "session_schedule":
         harness = replace(
@@ -327,10 +323,9 @@ def fscil(config_path: str, overrides: tuple[str, ...], jobs: int | None) -> Non
 def assume(config_path: str, overrides: tuple[str, ...], splits: int, jobs: int | None) -> None:
     """Validate the specialization assumption with paired t-tests."""
     cfg = _effective_config(config_path, overrides)
+    _require_synthetic(cfg, "assume")
     out = _out_dir(cfg)
-    harness = cfg.harness()
-    if jobs is not None:
-        harness = replace(harness, jobs=jobs)
+    harness = cfg if jobs is None else replace(cfg, jobs=jobs)
     report = assumption_check(harness, splits=splits, config_hash=cfg.config_hash())
     report.write(out / "report_assume.json")
     _write_manifest(cfg, out, "assume", {"t_tests": report.t_tests})
@@ -363,22 +358,19 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
     _, domain = _domain_source(cfg)
-    rows = {}
-    for kind in LOSS_KINDS:
-        accs = []
-        for seed in sorted(cfg.seeds):
-            train, test, anchors = domain(seed)
-            partition = _partition_for(cfg, len(train.class_names), seed)
-            base_classes = partition.subsets[1]
-            loss = replace(cfg.loss, kind=kind)
+    accs = {kind: [] for kind in LOSS_KINDS}
+    for seed in sorted(cfg.seeds):
+        train, test, anchors = domain(seed)
+        partition = _partition_for(cfg, len(train.class_names), seed)
+        base_classes = partition.subsets[1]
+        base_test = test.with_labels_in(base_classes)
+        for kind in LOSS_KINDS:
             head = tune_on_subset(
-                anchors, train.class_names, train, base_classes, loss,
+                anchors, train.class_names, train, base_classes, replace(cfg.loss, kind=kind),
                 replace(cfg.optimizer, seed=seed), cfg.hyper.context_len, seed, cfg.tau,
             )
-            accs.append(
-                accuracy(head, test.with_labels_in(base_classes), classes=base_classes)
-            )
-        rows[kind] = {"base_accuracy": float(np.mean(accs))}
+            accs[kind].append(accuracy(head, base_test, classes=base_classes))
+    rows = {kind: {"base_accuracy": float(np.mean(accs[kind]))} for kind in LOSS_KINDS}
     payload = {"config_hash": cfg.config_hash(), "losses": rows, "seeds": sorted(cfg.seeds)}
     _write_json(out / "report_losses.json", payload)
     csv = "loss,base_accuracy\n" + "".join(

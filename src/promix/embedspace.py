@@ -309,18 +309,6 @@ class SyntheticConfig:
         if not 0 <= self.confusion_pairs <= self.num_classes // 2:
             raise ValueError("confusion_pairs must be at most num_classes/2")
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "num_classes": self.num_classes,
-            "shots": self.shots,
-            "test_per_class": self.test_per_class,
-            "intra_noise": self.intra_noise,
-            "proto_noise": self.proto_noise,
-            "confusion_pairs": self.confusion_pairs,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class SyntheticDomain:
@@ -391,6 +379,11 @@ def prototype_set(prototypes: np.ndarray, class_names: Sequence[str]) -> Embeddi
     return EmbeddingSet(protos, np.arange(protos.shape[0], dtype=np.int64), tuple(class_names))
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    """One EMB1 sample: a u32 label followed by ``dim`` float32 values."""
+    return np.dtype([("label", "<u4"), ("vec", "<f4", (dim,))])
+
+
 def write_embedding_file(emb_set: EmbeddingSet, path) -> None:
     """Serialize a set in the EMB1 layout (float32 payload)."""
     vectors32 = emb_set.vectors.astype("<f4")
@@ -405,11 +398,12 @@ def write_embedding_file(emb_set: EmbeddingSet, path) -> None:
         if len(raw) > 0xFFFF:
             raise ValueError(f"class name too long: {name!r}")
         parts.append(struct.pack("<H", len(raw)) + raw)
-    for i in range(len(emb_set)):
-        parts.append(struct.pack("<I", int(emb_set.labels[i])))
-        parts.append(vectors32[i].tobytes())
+    records = np.empty(len(emb_set), dtype=_record_dtype(emb_set.dim))
+    records["label"] = emb_set.labels
+    records["vec"] = vectors32
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
+        records.tofile(fh)
 
 
 def read_embedding_file(path, check_norms: bool = True) -> EmbeddingSet:
@@ -429,6 +423,10 @@ def read_embedding_file(path, check_norms: bool = True) -> EmbeddingSet:
     dim, count, n_classes = struct.unpack_from("<III", data, 4)
     if dim == 0:
         raise BadHeaderError(f"{path}: zero dimension")
+    try:
+        record = _record_dtype(dim)
+    except ValueError as exc:
+        raise BadHeaderError(f"{path}: dimension {dim} too large for a sample record") from exc
     offset = 16
     names = []
     for _ in range(n_classes):
@@ -443,20 +441,13 @@ def read_embedding_file(path, check_norms: bool = True) -> EmbeddingSet:
         except UnicodeDecodeError as exc:
             raise BadHeaderError(f"{path}: class name is not UTF-8") from exc
         offset += length
-    record = 4 + 4 * dim
-    if offset + count * record != len(data):
+    if offset + count * record.itemsize != len(data):
         raise TruncatedFileError(
-            f"{path}: expected {count} samples of {record} bytes after names"
+            f"{path}: expected {count} samples of {record.itemsize} bytes after names"
         )
-    labels = np.empty(count, dtype=np.int64)
-    vectors = np.empty((count, dim), dtype=np.float64)
-    for i in range(count):
-        (label,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        row = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-        offset += 4 * dim
-        labels[i] = label
-        vectors[i] = row
+    records = np.frombuffer(data, dtype=record, count=count, offset=offset)
+    labels = records["label"].astype(np.int64)
+    vectors = records["vec"].astype(np.float64)
     if not np.all(np.isfinite(vectors)):
         raise NonFiniteError(f"{path}: non-finite embedding values")
     if count and check_norms:

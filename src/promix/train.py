@@ -71,10 +71,13 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.prompt_lr < 0 or self.weight_lr < 0:
-            raise ValueError("learning rates must be non-negative")
-        if not 0 <= self.weight_momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
+        rates = (self.prompt_lr, self.weight_lr, self.prompt_weight_decay, self.weight_weight_decay)
+        if min(rates) < 0:
+            raise ValueError("learning rates and weight decays must be non-negative")
+        if not all(0 <= b < 1 for b in (self.weight_momentum, self.beta1, self.beta2)):
+            raise ValueError("momentum, beta1 and beta2 must lie in [0, 1)")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
         if self.epochs < 1 or self.weight_epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
 
@@ -94,8 +97,8 @@ class HyperParams:
             raise ValueError("hyperparameters must be non-negative")
         if self.margin > 1:
             raise ValueError("margin must lie in [0, 1]")
-        if self.context_len < 0:
-            raise ValueError("context_len must be non-negative")
+        if self.context_len < 1:
+            raise ValueError("context_len must be at least 1: a tuned head needs context")
 
 
 @dataclass(frozen=True)

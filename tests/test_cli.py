@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from promix import evaluation
 from promix.cli import main
@@ -112,6 +114,31 @@ class TestConfigParsing:
         b = parse_config({"optimizer": {"epochs": 3}})
         assert a.config_hash() != b.config_hash()
 
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ({}, "153cb42f3c9b70c3"),
+            ({"optimizer": {"epochs": 3}}, "0a7ac6b134539ea2"),
+            ({"data": {"files": {"train": "a", "test": "b", "anchors": "c"}}}, "5f03a165b7523653"),
+            ({"outclass": {"kind": "mixed", "count": 5, "pool_file": "p"}}, "b8422ea40fc978ca"),
+            (
+                {"partition": {"kind": "session_schedule", "base_size": 4, "way": 2}},
+                "ec0cbf806e6eb099",
+            ),
+            (
+                {
+                    "hyper": {"margin": 0.1}, "loss": {"kind": "gce", "q": 0.5},
+                    "weights": {"parameterization": "one_stage"}, "tau": 0.05, "jobs": 2,
+                    "seeds": [3, 1],
+                },
+                "c6f53a28e2f3f746",
+            ),
+        ],
+    )
+    def test_config_hash_is_pinned(self, raw, expected):
+        # reports and manifests of earlier runs carry these hashes
+        assert parse_config(raw).config_hash() == expected
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
@@ -150,7 +177,7 @@ class TestPipeline:
         for cmd in ("tune", "weights", "eval"):
             assert main([cmd, "--config", str(path), *sets]) == 0, cmd
         report = json.loads((out / "report_eval.json").read_text())
-        harness = evaluation.base_to_new_eval(load_config(path, overrides).harness())
+        harness = evaluation.base_to_new_eval(load_config(path, overrides))
         assert report["per_config"] == harness.per_config
         assert report["extra"]["per_seed"] == harness.extra["per_seed"]
 
@@ -167,6 +194,19 @@ class TestPipeline:
     def test_unknown_command_exits_one(self, run_config):
         path, _ = run_config()
         assert main(["transmogrify", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "content", ["directory", b"\xff{}", '{"seed": 1' + "0" * 5000 + "}"],
+        ids=["directory", "not_utf8", "int_of_5001_digits"],
+    )
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        if content == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        assert main(["tune", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: /: ")
 
     def test_unknown_config_key_exits_one(self, run_config, capsys):
         path, _ = run_config()
@@ -193,6 +233,28 @@ class TestPipeline:
             ('partition={"kind": "explicit", "sets": [[0, 1], [2, 99]]}', "/partition/sets"),
             ('partition={"kind": "explicit", "sets": [[0, 1], [2, 3]]}', "/partition/sets"),
             ("seeds=[0,0]", "/seeds"),
+            ("seeds=[-1]", "/seeds/0"),
+            ("seed=-1", "/seed"),
+            ("loss=5", "/loss"),
+            ("optimizer=null", "/optimizer"),
+            ("data=3", "/data"),
+            ("outclass=true", "/outclass"),
+            ("weights=1", "/weights"),
+            ("partition=2", "/partition"),
+            ("data.synthetic=1", "/data/synthetic"),
+            ("hyper=[]", "/hyper"),
+            ("hyper=[1]", "/hyper"),
+            ('data={"files": {"train": null, "test": "b", "anchors": "c"}}', "/data/files/train"),
+            ('data={"files": {"train": "a", "test": "b", "anchors": []}}', "/data/files/anchors"),
+            ('outclass.pool_file="a\\u0000b"', "/outclass/pool_file"),
+            ("hyper.margin=NaN", "/hyper/margin"),
+            pytest.param("tau=1" + "0" * 400, "/tau", id="tau=10**400"),
+            ("optimizer.prompt_lr=NaN", "/optimizer/prompt_lr"),
+            ("data.synthetic.intra_noise=Infinity", "/data/synthetic/intra_noise"),
+            ("optimizer.beta2=1", "/optimizer"),
+            ("optimizer.eps=-1", "/optimizer"),
+            ("optimizer.weight_weight_decay=-5", "/optimizer"),
+            ("hyper.context_len=0", "/hyper"),
         ],
     )
     def test_bad_value_exits_one_with_pointer(self, run_config, capsys, override, pointer):
@@ -211,6 +273,19 @@ class TestPipeline:
             del os.environ["PROMIX_SEED"]
         assert (out / "data" / "train.emb").read_bytes() != base
 
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_env_seed_exits_one(self, run_config, capsys, monkeypatch, value):
+        monkeypatch.setenv("PROMIX_SEED", value)
+        path, _ = run_config()
+        assert main(["gen", "--config", str(path)]) == 1
+        assert "PROMIX_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen", "fscil", "assume"])
+    def test_synthetic_only_command_rejects_files(self, run_config, capsys, command):
+        path, _ = run_config(data={"files": {"train": "a", "test": "b", "anchors": "c"}})
+        assert main([command, "--config", str(path)]) == 1
+        assert "/data:" in capsys.readouterr().err
+
     def test_bound_command(self, run_config):
         path, out = run_config()
         assert main(["bound", "--config", str(path), "--trials", "50"]) == 0
@@ -218,9 +293,20 @@ class TestPipeline:
         assert report["min_gap"] >= -1e-12
         assert report["trials"] == 50
 
-    def test_losses_command(self, run_config):
+    def test_losses_command(self, run_config, monkeypatch):
+        import promix.cli
+
+        generated = []
+        original = promix.cli.generate_synthetic
+
+        def counted(config):
+            generated.append(config.seed)
+            return original(config)
+
+        monkeypatch.setattr(promix.cli, "generate_synthetic", counted)
         path, out = run_config()
-        assert main(["losses", "--config", str(path)]) == 0
+        assert main(["losses", "--config", str(path), "--set", "seeds=[0,1]"]) == 0
+        assert generated == [0, 1]
         report = json.loads((out / "report_losses.json").read_text())
         assert set(report["losses"]) == {"ce", "ce_conf", "fl", "gce", "mae", "ce_mae"}
         csv = (out / "report_losses.csv").read_text()
@@ -340,3 +426,70 @@ class TestPipeline:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+def _json_paths(node, prefix=()):
+    """Every path into a JSON tree: object members and list items."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _json_paths(value, prefix + (key,))
+
+
+def _at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+_WRONG_TYPES = ["x", None, True, [], {}, 1.5, 7]
+_OUT_OF_RANGE = [-1, 0, -0.5, 2, float("nan"), float("inf"), float("-inf")]
+_NOT_OBJECTS = ["", "[]", "5", "null", '"x"', "{", '{"seeds": [0,', "{} {}", "1" * 5000]
+_BAD_SET_PATHS = [
+    "=1", "..=1", "optimizer", "seeds.0=1", "data.synthetic.dim.x=1", "frobnitz.x=1",
+    "out_dir.x=1", "loss.kind.x.y=1",
+]
+
+
+class TestConfigBoundaryFuzz:
+    """Mutated fixture configs through ``tune``: each either runs or exits 1
+    with the JSON pointer of what it rejects, never a runtime failure."""
+
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_config_exits_zero_or_one_with_pointer(
+        self, run_config, tmp_path, monkeypatch, capsys, data
+    ):
+        monkeypatch.chdir(tmp_path)  # a dropped out_dir writes to the default
+        path, _ = run_config(optimizer={"epochs": 1, "weight_epochs": 1})
+        raw = json.loads(path.read_text())
+        paths = list(_json_paths(raw))
+        args = []
+        kind = data.draw(st.sampled_from(["drop", "type", "range", "unknown", "json", "set"]))
+        if kind in ("drop", "type"):
+            where = data.draw(st.sampled_from(paths))
+            parent = _at(raw, where[:-1])
+            if kind == "drop":
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = data.draw(st.sampled_from(_WRONG_TYPES))
+        elif kind == "range":
+            numbers = [p for p in paths if isinstance(_at(raw, p), (int, float))]
+            where = data.draw(st.sampled_from(numbers))
+            _at(raw, where[:-1])[where[-1]] = data.draw(st.sampled_from(_OUT_OF_RANGE))
+        elif kind == "unknown":
+            objects = [()] + [p for p in paths if isinstance(_at(raw, p), dict)]
+            _at(raw, data.draw(st.sampled_from(objects)))["frobnitz"] = 1
+        elif kind == "set":
+            args = ["--set", data.draw(st.sampled_from(_BAD_SET_PATHS))]
+        if kind == "json":
+            path.write_text(data.draw(st.sampled_from(_NOT_OBJECTS)))
+            args = data.draw(st.sampled_from([[], ["--set", "optimizer.epochs=1"]]))
+        else:
+            path.write_text(json.dumps(raw))
+        code = main(["tune", "--config", str(path), *args])
+        err = capsys.readouterr().err
+        assert code == 0 or code == 1 and err.startswith("error: /"), (kind, code, err)

@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from promix.embedspace import (
+    MAGIC,
+    BadHeaderError,
     BadMagicError,
     DomainPartition,
     EmbeddingFileError,
@@ -226,6 +228,14 @@ class TestEmbeddingFile:
         path = tmp_path / "norm.emb"
         write_embedding_file(bad, path)
         with pytest.raises(NormError):
+            read_embedding_file(path)
+
+    @pytest.mark.parametrize("dim", [2**31, 2**32 - 1])
+    def test_dimension_beyond_a_sample_record_is_a_bad_header(self, tmp_path, dim):
+        # an empty set under a dimension no sample record can hold
+        path = tmp_path / "wide.emb"
+        path.write_bytes(MAGIC + struct.pack("<IIIH", dim, 0, 1, 1) + b"a")
+        with pytest.raises(BadHeaderError):
             read_embedding_file(path)
 
     def test_prototype_file_layout(self, tmp_path):
