@@ -29,6 +29,7 @@ from promix.embedspace import (
     partition_classes,
     prototype_set,
     read_embedding_file,
+    read_embedding_header,
     write_embedding_file,
 )
 from promix.evaluation import (
@@ -88,34 +89,39 @@ def _write_manifest(cfg: RunConfig, out: Path, command: str, payload: dict) -> N
     _write_json(out / f"manifest_{command}.json", manifest)
 
 
-def _read_config_file(path: str, pointer: str):
-    """Read an EMB1 file named by the config entry at ``pointer``; a
-    missing, unreadable or malformed file is an error in that entry."""
+def _read_config_file(read, path: str, pointer: str):
+    """Apply an EMB1 reader to the file named by the config entry at
+    ``pointer``; a missing, unreadable or malformed file is an error in
+    that entry."""
     try:
-        return read_embedding_file(path)
+        return read(path)
     except (OSError, ValueError, EmbeddingFileError) as exc:
         raise ConfigError(f"cannot read EMB1 file: {exc}", pointer) from exc
 
 
-def _domain_source(cfg: RunConfig):
+def _domain_source(cfg: RunConfig, test: bool = True):
     """(dim, seed -> (train, test, anchors)) for the configured source.
-    Data files are read here, once; a synthetic domain is made per seed."""
+    Data files are read here, once; a synthetic domain is made per seed.
+    With ``test=False`` only the test file's header is read, for its class
+    list and size checks, and the test set of a files source is None."""
     if cfg.files is None:
         def generate(seed: int):
             dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
             return dom.train, dom.test, dom.generalized_prototypes
 
         return cfg.synthetic.dim, generate
-    train, test, anchors = (
-        _read_config_file(cfg.files[key], f"/data/files/{key}")
+    readers = {"train": read_embedding_file, "anchors": read_embedding_file,
+               "test": read_embedding_file if test else read_embedding_header}
+    train, test_data, anchors = (
+        _read_config_file(readers[key], cfg.files[key], f"/data/files/{key}")
         for key in ("train", "test", "anchors")
     )
-    for name, emb in (("test", test), ("anchor", anchors)):
+    for name, emb in (("test", test_data), ("anchor", anchors)):
         if emb.class_names != train.class_names:
             raise ConfigError(f"{name} file class list differs from the train file", "/data/files")
     if not np.array_equal(np.sort(anchors.labels), np.arange(len(anchors.class_names))):
         raise ConfigError("anchor file must hold exactly one row per class", "/data/files")
-    data = (train, test, anchors.vectors[np.argsort(anchors.labels)])
+    data = (train, test_data if test else None, anchors.vectors[np.argsort(anchors.labels)])
     return train.dim, lambda _seed: data
 
 
@@ -124,7 +130,7 @@ def _check_pool_file(cfg: RunConfig, dim: int) -> np.ndarray | None:
     must be a readable EMB1 file of the data's dimension."""
     if cfg.pool_file is None:
         return None
-    pool = _read_config_file(cfg.pool_file, "/outclass/pool_file")
+    pool = _read_config_file(read_embedding_file, cfg.pool_file, "/outclass/pool_file")
     if pool.dim != dim:
         raise ConfigError(
             f"pool dimension {pool.dim} differs from the data dimension {dim}",
@@ -204,7 +210,7 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
     (out / "heads").mkdir(exist_ok=True)
-    dim, domain = _domain_source(cfg)
+    dim, domain = _domain_source(cfg, test=False)
     _check_pool_file(cfg, dim)
     traces = {}
     for seed in sorted(cfg.seeds):
@@ -229,7 +235,7 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
     (out / "weights").mkdir(exist_ok=True)
-    dim, domain = _domain_source(cfg)
+    dim, domain = _domain_source(cfg, test=False)
     pool = _check_pool_file(cfg, dim)
     fitted = {}
     for seed in sorted(cfg.seeds):
@@ -293,7 +299,7 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
 @cli.command()
 @_config_opt
 @_set_opt
-@click.option("--jobs", type=int, default=None, help="Parallel seed workers.")
+@click.option("--jobs", type=click.IntRange(min=1), default=None, help="Parallel seed workers.")
 def fscil(config_path: str, overrides: tuple[str, ...], jobs: int | None) -> None:
     """Run the class-incremental session benchmark."""
     cfg = _effective_config(config_path, overrides)
@@ -318,8 +324,8 @@ def fscil(config_path: str, overrides: tuple[str, ...], jobs: int | None) -> Non
 @cli.command()
 @_config_opt
 @_set_opt
-@click.option("--splits", type=int, default=10, show_default=True)
-@click.option("--jobs", type=int, default=None, help="Parallel split workers.")
+@click.option("--splits", type=click.IntRange(min=2), default=10, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=None, help="Parallel split workers.")
 def assume(config_path: str, overrides: tuple[str, ...], splits: int, jobs: int | None) -> None:
     """Validate the specialization assumption with paired t-tests."""
     cfg = _effective_config(config_path, overrides)
@@ -336,7 +342,7 @@ def assume(config_path: str, overrides: tuple[str, ...], splits: int, jobs: int 
 @cli.command()
 @_config_opt
 @_set_opt
-@click.option("--trials", type=int, default=1000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
 def bound(config_path: str, overrides: tuple[str, ...], trials: int) -> None:
     """Sweep random ensembles against the mixture error bound."""
     cfg = _effective_config(config_path, overrides)

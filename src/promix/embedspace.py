@@ -19,10 +19,18 @@ values verbatim (promoted to float64) so that read -> write reproduces a
 file byte for byte; vectors whose norm deviates from 1 by more than
 NORM_TOLERANCE are rejected. Use :meth:`EmbeddingSet.renormalized` when
 strict unit norms are needed after ingesting external data.
+
+``read_embedding_header`` reads the header alone: the dimension, the
+sample count and the class names, after the format checks and a check that
+the file holds exactly ``count`` samples. ``read_embedding_file`` and
+``write_embedding_file`` move the samples CHUNK_ROWS at a time through one
+reused record buffer, so a read holds only its float64 result and a write
+makes no full-size copy.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -32,6 +40,8 @@ import numpy as np
 UNIT_ATOL = 1e-9
 NORM_TOLERANCE = 1e-6
 MAGIC = b"EMB1"
+# samples per read or write step of an EMB1 payload
+CHUNK_ROWS = 8192
 
 
 class EmbeddingFileError(Exception):
@@ -362,9 +372,11 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDomain:
     names = tuple(f"class_{i:03d}" for i in range(n))
 
     def draw_split(per_class: int) -> EmbeddingSet:
-        vecs = np.concatenate(
-            [_noisy_copies(rng, protos[c], per_class, config.intra_noise) for c in range(n)]
-        )
+        vecs = np.empty((n * per_class, d))
+        for c in range(n):
+            vecs[c * per_class : (c + 1) * per_class] = _noisy_copies(
+                rng, protos[c], per_class, config.intra_noise
+            )
         labels = np.repeat(np.arange(n, dtype=np.int64), per_class)
         return EmbeddingSet(vecs, labels, names)
 
@@ -384,10 +396,26 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("label", "<u4"), ("vec", "<f4", (dim,))])
 
 
+def _record_chunks(emb_set: EmbeddingSet):
+    """The set as EMB1 records, CHUNK_ROWS at a time, cast into one reused
+    buffer (each chunk is overwritten by the next)."""
+    n = len(emb_set)
+    buf = np.empty(min(n, CHUNK_ROWS), dtype=_record_dtype(emb_set.dim))
+    for start in range(0, n, CHUNK_ROWS):
+        rows = buf[: min(CHUNK_ROWS, n - start)]
+        rows["label"] = emb_set.labels[start : start + len(rows)]
+        rows["vec"] = emb_set.vectors[start : start + len(rows)]
+        yield rows
+
+
 def write_embedding_file(emb_set: EmbeddingSet, path) -> None:
-    """Serialize a set in the EMB1 layout (float32 payload)."""
-    vectors32 = emb_set.vectors.astype("<f4")
-    if not np.all(np.isfinite(vectors32)):
+    """Serialize a set in the EMB1 layout (float32 payload).
+
+    The payload is cast and written one chunk at a time. The float32
+    values are checked before the file is opened, so a ``NonFiniteError``
+    leaves any existing file as it was.
+    """
+    if not all(np.isfinite(rows["vec"]).all() for rows in _record_chunks(emb_set)):
         raise NonFiniteError("set contains non-finite values")
     parts = [
         MAGIC,
@@ -398,12 +426,64 @@ def write_embedding_file(emb_set: EmbeddingSet, path) -> None:
         if len(raw) > 0xFFFF:
             raise ValueError(f"class name too long: {name!r}")
         parts.append(struct.pack("<H", len(raw)) + raw)
-    records = np.empty(len(emb_set), dtype=_record_dtype(emb_set.dim))
-    records["label"] = emb_set.labels
-    records["vec"] = vectors32
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
-        records.tofile(fh)
+        for rows in _record_chunks(emb_set):
+            rows.tofile(fh)
+
+
+class EmbeddingHeader(NamedTuple):
+    """What an EMB1 header declares about the samples that follow it."""
+
+    dim: int
+    count: int
+    class_names: tuple[str, ...]
+
+
+def _read_header(fh, path) -> EmbeddingHeader:
+    """Parse the header at the start of ``fh``, leaving ``fh`` at the first
+    sample, and check that the file size matches ``count`` records."""
+    head = fh.read(16)
+    if len(head) < 4 or head[:4] != MAGIC:
+        raise BadMagicError(f"{path}: not an EMB1 file")
+    if len(head) < 16:
+        raise TruncatedFileError(f"{path}: header truncated")
+    dim, count, n_classes = struct.unpack_from("<III", head, 4)
+    if dim == 0:
+        raise BadHeaderError(f"{path}: zero dimension")
+    try:
+        record = _record_dtype(dim)
+    except ValueError as exc:
+        raise BadHeaderError(f"{path}: dimension {dim} too large for a sample record") from exc
+    names = []
+    for _ in range(n_classes):
+        raw = fh.read(2)
+        if len(raw) < 2:
+            raise TruncatedFileError(f"{path}: class-name block truncated")
+        (length,) = struct.unpack("<H", raw)
+        raw = fh.read(length)
+        if len(raw) < length:
+            raise TruncatedFileError(f"{path}: class-name block truncated")
+        try:
+            names.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise BadHeaderError(f"{path}: class name is not UTF-8") from exc
+    if fh.tell() + count * record.itemsize != os.fstat(fh.fileno()).st_size:
+        raise TruncatedFileError(
+            f"{path}: expected {count} samples of {record.itemsize} bytes after names"
+        )
+    return EmbeddingHeader(dim, count, tuple(names))
+
+
+def read_embedding_header(path) -> EmbeddingHeader:
+    """Read and check an EMB1 header without reading any sample.
+
+    Runs every check of :func:`read_embedding_file` that needs no sample
+    values: magic, dimension, UTF-8 class names, and a file size equal to
+    the header's ``count`` records.
+    """
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
 
 
 def read_embedding_file(path, check_norms: bool = True) -> EmbeddingSet:
@@ -413,50 +493,33 @@ def read_embedding_file(path, check_norms: bool = True) -> EmbeddingSet:
     the result back yields a byte-identical file. ``check_norms=False``
     skips the unit-norm validation; head checkpoints use the same layout
     for context vectors, which are unconstrained.
+
+    Samples are read CHUNK_ROWS at a time through one record buffer into
+    the preallocated outputs. A non-finite value anywhere wins over a norm
+    deviation, which wins over a label beyond the class count.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not an EMB1 file")
-    if len(data) < 16:
-        raise TruncatedFileError(f"{path}: header truncated")
-    dim, count, n_classes = struct.unpack_from("<III", data, 4)
-    if dim == 0:
-        raise BadHeaderError(f"{path}: zero dimension")
-    try:
-        record = _record_dtype(dim)
-    except ValueError as exc:
-        raise BadHeaderError(f"{path}: dimension {dim} too large for a sample record") from exc
-    offset = 16
-    names = []
-    for _ in range(n_classes):
-        if offset + 2 > len(data):
-            raise TruncatedFileError(f"{path}: class-name block truncated")
-        (length,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        if offset + length > len(data):
-            raise TruncatedFileError(f"{path}: class-name block truncated")
-        try:
-            names.append(data[offset : offset + length].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise BadHeaderError(f"{path}: class name is not UTF-8") from exc
-        offset += length
-    if offset + count * record.itemsize != len(data):
-        raise TruncatedFileError(
-            f"{path}: expected {count} samples of {record.itemsize} bytes after names"
-        )
-    records = np.frombuffer(data, dtype=record, count=count, offset=offset)
-    labels = records["label"].astype(np.int64)
-    vectors = records["vec"].astype(np.float64)
-    if not np.all(np.isfinite(vectors)):
-        raise NonFiniteError(f"{path}: non-finite embedding values")
-    if count and check_norms:
-        norms = np.linalg.norm(vectors, axis=1)
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > NORM_TOLERANCE:
-            raise NormError(
-                f"{path}: vector norm off by {worst:.3e} (> {NORM_TOLERANCE:.0e})"
-            )
-    if np.any(labels >= max(n_classes, 1)) and count:
+        dim, count, names = _read_header(fh, path)
+        vectors = np.empty((count, dim), dtype=np.float64)
+        labels = np.empty(count, dtype=np.int64)
+        buf = np.empty(min(count, CHUNK_ROWS), dtype=_record_dtype(dim))
+        worst = 0.0
+        label_over = False
+        for start in range(0, count, CHUNK_ROWS):
+            rows = buf[: min(CHUNK_ROWS, count - start)]
+            if fh.readinto(rows.view(np.uint8)) != rows.nbytes:
+                raise TruncatedFileError(f"{path}: payload ended early")
+            if not np.isfinite(rows["vec"]).all():
+                raise NonFiniteError(f"{path}: non-finite embedding values")
+            out = vectors[start : start + len(rows)]
+            out[...] = rows["vec"]
+            labels[start : start + len(rows)] = rows["label"]
+            if check_norms:
+                norms = np.linalg.norm(out, axis=1)
+                worst = max(worst, float(np.max(np.abs(norms - 1.0))))
+            label_over = label_over or bool(np.any(rows["label"] >= max(len(names), 1)))
+    if worst > NORM_TOLERANCE:
+        raise NormError(f"{path}: vector norm off by {worst:.3e} (> {NORM_TOLERANCE:.0e})")
+    if label_over:
         raise BadHeaderError(f"{path}: sample label exceeds class count")
-    return EmbeddingSet(vectors, labels, tuple(names))
+    return EmbeddingSet(vectors, labels, names)

@@ -314,18 +314,38 @@ def score_base_new_configs(
     # configuration -> (head mixed with t0, its weights); zero-shot is t0 alone
     configs = {"zero_shot": ("t0", None), "uniform_ensemble": ("ce", uniform),
                "conf_uniform": ("conf", uniform), "fitted_mixture": ("conf", fitted_weights)}
-    rows: dict[str, dict] = {name: {} for name in configs}
-    for split, classes in (("base", partition.subsets[1]), ("new", partition.subsets[0])):
-        idx = np.sort(np.asarray(classes, dtype=np.int64))
-        subset = test_set.with_labels_in(idx)
-        sims = {key: similarity_matrix(h.restrict(idx), subset.vectors) for key, h in heads.items()}
-        for name, (key, weights) in configs.items():
-            logits = sims[key]
-            if weights is not None:
-                model = MixtureModel((t0, heads[key]), weights, partition, tau=tau)
-                logits = mixture_scaled_logits(model, subset.vectors, idx, (sims["t0"], logits))
-            rows[name][split] = _percent_correct(logits, subset.labels, idx)
-    return {name: {**r, "h": harmonic_mean(r["base"], r["new"])} for name, r in rows.items()}
+    base, new = (
+        _score_split(heads, configs, partition, test_set, classes, tau)
+        for classes in (partition.subsets[1], partition.subsets[0])
+    )
+    return {
+        name: {"base": base[name], "new": new[name], "h": harmonic_mean(base[name], new[name])}
+        for name in configs
+    }
+
+
+def _score_split(
+    heads: dict[str, PromptHead],
+    configs: dict[str, tuple],
+    partition: DomainPartition,
+    test_set: EmbeddingSet,
+    classes: np.ndarray,
+    tau: float,
+) -> dict[str, float]:
+    """Percent correct of each configuration on the test rows of one split.
+    The split's rows and similarities are freed on return, so two splits'
+    arrays are never alive at once."""
+    idx = np.sort(np.asarray(classes, dtype=np.int64))
+    subset = test_set.with_labels_in(idx)
+    sims = {key: similarity_matrix(h.restrict(idx), subset.vectors) for key, h in heads.items()}
+    scores = {}
+    for name, (key, weights) in configs.items():
+        logits = sims[key]
+        if weights is not None:
+            model = MixtureModel((heads["t0"], heads[key]), weights, partition, tau=tau)
+            logits = mixture_scaled_logits(model, subset.vectors, idx, (sims["t0"], logits))
+        scores[name] = _percent_correct(logits, subset.labels, idx)
+    return scores
 
 
 def tune_base_new_heads(

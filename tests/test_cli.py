@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -360,22 +361,49 @@ class TestPipeline:
                                  np.zeros(40, dtype=np.int64), ("word",))
             write_embedding_file(words, tmp_path / "pool.emb")
             overrides += ["--set", f'outclass.pool_file="{tmp_path / "pool.emb"}"']
-        reads = []
-        original = promix.cli.read_embedding_file
+        reads = {"read_embedding_file": [], "read_embedding_header": []}
 
-        def counted(file_path, *args, **kwargs):
-            reads.append(os.path.basename(file_path))
-            return original(file_path, *args, **kwargs)
+        def counting(name):
+            original = getattr(promix.cli, name)
 
-        monkeypatch.setattr(promix.cli, "read_embedding_file", counted)
+            def counted(file_path, *args, **kwargs):
+                reads[name].append(os.path.basename(file_path))
+                return original(file_path, *args, **kwargs)
+
+            return counted
+
+        for name in reads:
+            monkeypatch.setattr(promix.cli, name, counting(name))
         data = ["anchors.emb", "test.emb", "train.emb"]
         pool = ["pool.emb"] if with_pool else []
-        for cmd, expected in (
-            ("tune", data + pool), ("weights", data + pool), ("eval", data), ("losses", data)
+        # tune and weights check only the test file's header
+        for cmd, whole, header in (
+            ("tune", ["anchors.emb", "train.emb"] + pool, ["test.emb"]),
+            ("weights", ["anchors.emb", "train.emb"] + pool, ["test.emb"]),
+            ("eval", data, []),
+            ("losses", data, []),
         ):
-            reads.clear()
+            for log in reads.values():
+                log.clear()
             assert main([cmd, "--config", str(path2), *overrides]) == 0, cmd
-            assert sorted(reads) == sorted(expected), cmd
+            assert sorted(reads["read_embedding_file"]) == sorted(whole), cmd
+            assert reads["read_embedding_header"] == header, cmd
+
+    @pytest.mark.parametrize("damage", ["nan", "off_norm"])
+    def test_bad_test_vectors_surface_at_eval(self, run_config, tmp_path, capsys, damage):
+        path, out = run_config()
+        assert main(["gen", "--config", str(path)]) == 0
+        test_path = out / "data" / "test.emb"
+        data = bytearray(test_path.read_bytes())
+        # the first float32 of the last sample (16 values after its u32 label)
+        struct.pack_into("<f", data, len(data) - 16 * 4, np.nan if damage == "nan" else 2.0)
+        test_path.write_bytes(bytes(data))
+        path2 = _files_config(path, out / "data", tmp_path)
+        assert main(["tune", "--config", str(path2)]) == 0
+        assert main(["weights", "--config", str(path2)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(path2)]) == 1
+        assert "/data/files/test:" in capsys.readouterr().err
 
     def test_test_file_with_other_classes_exits_one(self, run_config, tmp_path, capsys):
         path, out = run_config()
@@ -389,7 +417,9 @@ class TestPipeline:
         assert "/data/files:" in err and "test file class list" in err
 
     @pytest.mark.parametrize(
-        "key, damage", [("train", "truncate"), ("anchors", "remove"), ("test", "bad_magic")]
+        "key, damage",
+        [("train", "truncate"), ("anchors", "remove"), ("test", "bad_magic"),
+         ("test", "truncate")],
     )
     def test_broken_data_file_exits_one(self, run_config, tmp_path, capsys, key, damage):
         path, out = run_config()
@@ -423,6 +453,21 @@ class TestPipeline:
         override = ["--set", f'outclass.pool_file="{pool_path}"']
         assert main([stage, "--config", str(path), *override]) == 1
         assert "/outclass/pool_file:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["bound", "--trials", "0"], "--trials"),
+            (["bound", "--trials", "-3"], "--trials"),
+            (["assume", "--jobs", "-1", "--splits", "2"], "--jobs"),
+            (["assume", "--splits", "1"], "--splits"),
+            (["fscil", "--jobs", "0"], "--jobs"),
+        ],
+    )
+    def test_bad_flag_exits_one_naming_it(self, run_config, capsys, args, flag):
+        path, _ = run_config()
+        assert main([*args, "--config", str(path)]) == 1
+        assert f"'{flag}'" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

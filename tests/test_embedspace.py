@@ -2,13 +2,16 @@
 
 import fractions
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from promix import embedspace
 from promix.embedspace import (
+    CHUNK_ROWS,
     MAGIC,
     BadHeaderError,
     BadMagicError,
@@ -24,6 +27,7 @@ from promix.embedspace import (
     partition_classes,
     prototype_set,
     read_embedding_file,
+    read_embedding_header,
     unit_normalize,
     write_embedding_file,
 )
@@ -249,6 +253,137 @@ class TestEmbeddingFile:
         assert list(back.labels) == [0, 1, 2]
 
 
+def _unchecked_set(vectors, labels, class_names):
+    """An EmbeddingSet built without validation, to reach the writer's checks."""
+    bad = EmbeddingSet.__new__(EmbeddingSet)
+    object.__setattr__(bad, "vectors", vectors)
+    object.__setattr__(bad, "labels", labels)
+    object.__setattr__(bad, "class_names", class_names)
+    return bad
+
+
+def _poke(path, row, *, value=None, label=None):
+    """Overwrite sample ``row``'s first float32 value or its label in place."""
+    dim, count, _ = read_embedding_header(path)
+    record = 4 + 4 * dim
+    data = bytearray(path.read_bytes())
+    at = len(data) - count * record + row * record
+    if value is not None:
+        struct.pack_into("<f", data, at + 4, value)
+    if label is not None:
+        struct.pack_into("<I", data, at, label)
+    path.write_bytes(bytes(data))
+
+
+class TestChunkedEmbeddingFile:
+    """Samples are read and written CHUNK_ROWS at a time; results and error
+    classes must not depend on where the chunk boundaries fall."""
+
+    @pytest.mark.parametrize(
+        "count", [0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3]
+    )
+    def test_round_trip_is_exact_at_chunk_boundaries(self, tmp_path, count):
+        s = _random_set(np.random.default_rng(count), n=count, d=3, c=5).quantized()
+        path, copy = tmp_path / "a.emb", tmp_path / "b.emb"
+        write_embedding_file(s, path)
+        back = read_embedding_file(path)
+        assert np.array_equal(back.vectors, s.vectors)
+        assert np.array_equal(back.labels, s.labels)
+        assert back.class_names == s.class_names
+        write_embedding_file(back, copy)
+        assert copy.read_bytes() == path.read_bytes()
+
+    def test_header_reader_reads_no_sample(self, tmp_path):
+        s = _random_set(np.random.default_rng(5), n=7, d=4, c=3)
+        path = tmp_path / "h.emb"
+        write_embedding_file(s, path)
+        _poke(path, 0, value=np.nan)
+        assert read_embedding_header(path) == (4, 7, s.class_names)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(TruncatedFileError):
+            read_embedding_header(path)
+
+    def test_non_finite_in_a_later_chunk_wins_over_an_earlier_norm_error(self, tmp_path):
+        s = _random_set(np.random.default_rng(6), n=2 * CHUNK_ROWS + 3, d=2, c=3)
+        path = tmp_path / "nan.emb"
+        write_embedding_file(s, path)
+        _poke(path, 0, value=3.0)
+        _poke(path, CHUNK_ROWS + 1, value=np.nan)
+        with pytest.raises(NonFiniteError):
+            read_embedding_file(path)
+
+    def test_norm_error_in_a_later_chunk_wins_over_an_earlier_label_error(self, tmp_path):
+        s = _random_set(np.random.default_rng(7), n=2 * CHUNK_ROWS + 3, d=2, c=3)
+        path = tmp_path / "norm.emb"
+        write_embedding_file(s, path)
+        _poke(path, 1, label=3)
+        _poke(path, 2 * CHUNK_ROWS + 2, value=3.0)
+        with pytest.raises(NormError, match="off by"):
+            read_embedding_file(path)
+        _poke(path, 2 * CHUNK_ROWS + 2, value=float(s.vectors[2 * CHUNK_ROWS + 2, 0]))
+        with pytest.raises(BadHeaderError, match="label"):
+            read_embedding_file(path)
+
+    def test_non_finite_in_the_last_chunk_of_a_write_creates_no_file(self, tmp_path):
+        s = _random_set(np.random.default_rng(8), n=2 * CHUNK_ROWS + 3, d=2, c=3)
+        vecs = s.vectors.copy()
+        vecs[-1, 1] = np.inf
+        path = tmp_path / "inf.emb"
+        with pytest.raises(NonFiniteError):
+            write_embedding_file(_unchecked_set(vecs, s.labels, s.class_names), path)
+        assert not path.exists()
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+class TestEmbeddingMemory:
+    """Traced allocations (numpy reports its buffers to tracemalloc): EMB1
+    I/O holds one copy of the data plus chunk-sized buffers, and generation
+    builds each split in place."""
+
+    DIM = 16
+    COUNT = 4 * CHUNK_ROWS + 5
+    # float64 rows of one chunk
+    CHUNK_BYTES = CHUNK_ROWS * DIM * 8
+
+    def _written(self, tmp_path):
+        s = _random_set(np.random.default_rng(9), n=self.COUNT, d=self.DIM, c=4)
+        path = tmp_path / "big.emb"
+        write_embedding_file(s, path)
+        return s, path
+
+    def test_read_holds_its_output_and_chunk_buffers(self, tmp_path):
+        _, path = self._written(tmp_path)
+        peak, back = _traced_peak(read_embedding_file, path)
+        assert peak < back.vectors.nbytes + back.labels.nbytes + 2 * self.CHUNK_BYTES
+
+    def test_write_holds_chunk_buffers(self, tmp_path):
+        s, _ = self._written(tmp_path)
+        peak, _ = _traced_peak(write_embedding_file, s, tmp_path / "again.emb")
+        assert peak < 2 * self.CHUNK_BYTES
+
+    def test_generation_fills_each_split_in_place(self):
+        config = SyntheticConfig(dim=32, num_classes=20, shots=4, test_per_class=500, seed=0)
+        peak, dom = _traced_peak(generate_synthetic, config)
+        output = sum(
+            a.nbytes
+            for a in (dom.train.vectors, dom.train.labels, dom.test.vectors, dom.test.labels,
+                      dom.generalized_prototypes, dom.true_prototypes)
+        )
+        # a class's noisy copies: the draw, its scaled sum and the normalized rows
+        one_class = 3 * config.test_per_class * config.dim * 8
+        assert peak < 1.1 * output + one_class
+
+
 @st.composite
 def _embedding_sets(draw, min_size=0):
     """Small unit-norm sets with arbitrary (UTF-8 encodable) class names."""
@@ -268,7 +403,12 @@ _file_settings = settings(
 
 class TestEmbeddingFileProperties:
     """EMB1 under generated sets: exact round trip, and every damaged file
-    rejected with a format error."""
+    rejected with a format error. A two-row chunk makes most generated
+    files span several chunks."""
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        monkeypatch.setattr(embedspace, "CHUNK_ROWS", 2)
 
     @_file_settings
     @given(emb=_embedding_sets())
