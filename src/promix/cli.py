@@ -26,23 +26,28 @@ from promix.config import ConfigError, RunConfig, load_config
 from promix.embedspace import (
     EmbeddingFileError,
     generate_synthetic,
+    iter_embedding_chunks,
     partition_classes,
     prototype_set,
     read_embedding_file,
     read_embedding_header,
+    synthetic_parts,
+    write_embedding_blocks,
     write_embedding_file,
 )
 from promix.evaluation import (
+    SplitAccuracy,
     accuracy,
     assumption_check,
+    base_new_accuracy,
     base_new_report,
+    base_new_scores,
     base_to_new_csv,
     bound_sweep,
     fit_base_new_weights,
     fscil_csv,
     fscil_run,
     outclass_anchors,
-    score_base_new_configs,
     tune_base_new_heads,
     tune_on_subset,
 )
@@ -99,30 +104,71 @@ def _read_config_file(read, path: str, pointer: str):
         raise ConfigError(f"cannot read EMB1 file: {exc}", pointer) from exc
 
 
+def _config_file_chunks(path: str, pointer: str):
+    """The chunks of the EMB1 file named by the config entry at ``pointer``,
+    streamed once iteration starts; a read error is an error in that
+    entry."""
+    try:
+        yield from iter_embedding_chunks(path)
+    except (OSError, ValueError, EmbeddingFileError) as exc:
+        raise ConfigError(f"cannot read EMB1 file: {exc}", pointer) from exc
+
+
+def _generated_test(config):
+    """The test split of ``generate_synthetic(config)`` as chunks, generated
+    when iteration starts."""
+    yield from generate_synthetic(config).test.chunks()
+
+
 def _domain_source(cfg: RunConfig, test: bool = True):
-    """(dim, seed -> (train, test, anchors)) for the configured source.
-    Data files are read here, once; a synthetic domain is made per seed.
-    With ``test=False`` only the test file's header is read, for its class
-    list and size checks, and the test set of a files source is None."""
+    """(dim, seed -> (train, anchors, test)) for the configured source.
+
+    ``test`` is the test split as an iterable of (vectors, labels) chunks,
+    read or drawn only while it is iterated, once. Data files are read
+    here, once, except the test file: only its header is read here, for
+    its class list and size checks, and one stream of its samples is
+    shared by every seed. A synthetic domain is made per seed without its
+    test split. With ``test=False`` the split is drawn class block by class
+    block as it is iterated; otherwise ``generate_synthetic`` generates it
+    whole when iteration starts.
+    """
     if cfg.files is None:
         def generate(seed: int):
-            dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
-            return dom.train, dom.test, dom.generalized_prototypes
+            config = replace(cfg.synthetic, seed=seed)
+            parts = synthetic_parts(config)
+            split = _generated_test(config) if test else parts.test_blocks
+            return parts.train, parts.generalized_prototypes, split
 
         return cfg.synthetic.dim, generate
-    readers = {"train": read_embedding_file, "anchors": read_embedding_file,
-               "test": read_embedding_file if test else read_embedding_header}
-    train, test_data, anchors = (
+    readers = {"train": read_embedding_file, "test": read_embedding_header,
+               "anchors": read_embedding_file}
+    train, test_header, anchors = (
         _read_config_file(readers[key], cfg.files[key], f"/data/files/{key}")
         for key in ("train", "test", "anchors")
     )
-    for name, emb in (("test", test_data), ("anchor", anchors)):
+    for name, emb in (("test", test_header), ("anchor", anchors)):
         if emb.class_names != train.class_names:
             raise ConfigError(f"{name} file class list differs from the train file", "/data/files")
     if not np.array_equal(np.sort(anchors.labels), np.arange(len(anchors.class_names))):
         raise ConfigError("anchor file must hold exactly one row per class", "/data/files")
-    data = (train, test_data if test else None, anchors.vectors[np.argsort(anchors.labels)])
+    data = (
+        train,
+        anchors.vectors[np.argsort(anchors.labels)],
+        _config_file_chunks(cfg.files["test"], "/data/files/test"),
+    )
     return train.dim, lambda _seed: data
+
+
+def _score_test(feeds: list[tuple[object, SplitAccuracy]]) -> None:
+    """Iterate each distinct test split of the (test split, accumulator)
+    pairs once, adding every chunk to each accumulator it feeds."""
+    passes: dict[object, list[SplitAccuracy]] = {}
+    for test, acc in feeds:
+        passes.setdefault(test, []).append(acc)
+    for test, accumulators in passes.items():
+        for vectors, labels in test:
+            for acc in accumulators:
+                acc.add(vectors, labels)
 
 
 def _check_pool_file(cfg: RunConfig, dim: int) -> np.ndarray | None:
@@ -189,10 +235,14 @@ def gen(config_path: str, overrides: tuple[str, ...]) -> None:
     out = _out_dir(cfg)
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
-    dom = generate_synthetic(replace(cfg.synthetic, seed=cfg.seed))
+    synthetic = replace(cfg.synthetic, seed=cfg.seed)
+    dom = synthetic_parts(synthetic)
     names = dom.train.class_names
     write_embedding_file(dom.train, data_dir / "train.emb")
-    write_embedding_file(dom.test, data_dir / "test.emb")
+    write_embedding_blocks(
+        synthetic.dim, synthetic.num_classes * synthetic.test_per_class, names,
+        dom.test_blocks, data_dir / "test.emb",
+    )
     write_embedding_file(prototype_set(dom.generalized_prototypes, names), data_dir / "anchors.emb")
     write_embedding_file(prototype_set(dom.true_prototypes, names), data_dir / "true_prototypes.emb")
     _write_manifest(
@@ -214,7 +264,7 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     _check_pool_file(cfg, dim)
     traces = {}
     for seed in sorted(cfg.seeds):
-        train, _test, anchors = domain(seed)
+        train, anchors, _test = domain(seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
         base_classes = partition.subsets[1]
         head_ce, mix_head, mix_tau = tune_base_new_heads(cfg, train, anchors, partition, seed)
@@ -245,7 +295,7 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
                 raise ArtifactError(f"missing head checkpoint {path}; run `tune` first")
         _, tau = load_head(paths["ce"])
         mix_head, mix_tau = load_head(paths["conf"])
-        train, _test, anchors = domain(seed)
+        train, anchors, _test = domain(seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
         out_anchors = outclass_anchors(cfg, dim, seed, len(partition.subsets[1]), pool)
         fit = fit_base_new_weights(
@@ -265,8 +315,8 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     """Score the four comparison configurations from saved artifacts."""
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
-    _, domain = _domain_source(cfg)
-    per_seed = []
+    _, domain = _domain_source(cfg, test=False)
+    feeds = []
     for seed in sorted(cfg.seeds):
         paths = _head_paths(out, seed)
         wpath = _weight_path(out, seed)
@@ -276,7 +326,7 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
         head_ce, tau = load_head(paths["ce"])
         head_conf, _ = load_head(paths["conf"])
         fitted = load_weights(wpath)
-        train, test, anchors = domain(seed)
+        train, anchors, test = domain(seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
         if len(partition.subsets[0]) == 0 or len(partition.subsets[1]) == 0:
             raise ConfigError(
@@ -284,9 +334,9 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
                 "/partition",
             )
         t0 = PromptHead.frozen_from(anchors, train.class_names)
-        per_seed.append(
-            score_base_new_configs(t0, head_ce, head_conf, fitted, partition, test, tau=tau)
-        )
+        feeds.append((test, base_new_accuracy(t0, head_ce, head_conf, fitted, partition, tau=tau)))
+    _score_test(feeds)
+    per_seed = [base_new_scores(acc) for _, acc in feeds]
     report = base_new_report(per_seed, cfg.seeds, cfg.config_hash())
     report.write(out / "report_eval.json")
     (out / "report_eval.csv").write_text(base_to_new_csv(report))
@@ -364,18 +414,22 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
     _, domain = _domain_source(cfg)
-    accs = {kind: [] for kind in LOSS_KINDS}
+    scorers = {kind: ((kind,), None) for kind in LOSS_KINDS}
+    feeds = []
     for seed in sorted(cfg.seeds):
-        train, test, anchors = domain(seed)
+        train, anchors, test = domain(seed)
         partition = _partition_for(cfg, len(train.class_names), seed)
         base_classes = partition.subsets[1]
-        base_test = test.with_labels_in(base_classes)
-        for kind in LOSS_KINDS:
-            head = tune_on_subset(
+        heads = {
+            kind: tune_on_subset(
                 anchors, train.class_names, train, base_classes, replace(cfg.loss, kind=kind),
                 replace(cfg.optimizer, seed=seed), cfg.hyper.context_len, seed, cfg.tau,
             )
-            accs[kind].append(accuracy(head, base_test, classes=base_classes))
+            for kind in LOSS_KINDS
+        }
+        feeds.append((test, SplitAccuracy(heads, scorers, {"base": base_classes})))
+    _score_test(feeds)
+    accs = {kind: [acc.percents()["base"][kind] for _, acc in feeds] for kind in LOSS_KINDS}
     rows = {kind: {"base_accuracy": float(np.mean(accs[kind]))} for kind in LOSS_KINDS}
     payload = {"config_hash": cfg.config_hash(), "losses": rows, "seeds": sorted(cfg.seeds)}
     _write_json(out / "report_losses.json", payload)

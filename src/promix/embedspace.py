@@ -22,18 +22,27 @@ strict unit norms are needed after ingesting external data.
 
 ``read_embedding_header`` reads the header alone: the dimension, the
 sample count and the class names, after the format checks and a check that
-the file holds exactly ``count`` samples. ``read_embedding_file`` and
-``write_embedding_file`` move the samples CHUNK_ROWS at a time through one
-reused record buffer, so a read holds only its float64 result and a write
-makes no full-size copy.
+the file holds exactly ``count`` samples. Samples move CHUNK_ROWS at a time
+through one reused record buffer. ``iter_embedding_chunks`` streams a file
+as (vectors, labels) chunks that the next chunk overwrites, and
+``read_embedding_file`` fills its float64 result through the same reader.
+``write_embedding_blocks`` writes samples given as blocks of any size, so a
+split can be written while it is drawn; ``write_embedding_file`` writes a
+set through it. A write goes to a temporary file renamed into place, so a
+failed write leaves any existing file as it was.
+
+``synthetic_parts`` makes a synthetic domain with its test split left
+undrawn, to be drawn class block by class block; ``generate_synthetic``
+stacks those blocks into the test set.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +50,7 @@ UNIT_ATOL = 1e-9
 NORM_TOLERANCE = 1e-6
 MAGIC = b"EMB1"
 # samples per read or write step of an EMB1 payload
-CHUNK_ROWS = 8192
+CHUNK_ROWS = 1024
 
 
 class EmbeddingFileError(Exception):
@@ -153,6 +162,12 @@ class EmbeddingSet:
     def subset(self, mask: np.ndarray) -> "EmbeddingSet":
         """Rows selected by a boolean mask or index array, order preserved."""
         return EmbeddingSet(self.vectors[mask], self.labels[mask], self.class_names)
+
+    def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The samples in order as (vectors, labels) views of at most
+        CHUNK_ROWS rows."""
+        for start in range(0, len(self), CHUNK_ROWS):
+            yield self.vectors[start : start + CHUNK_ROWS], self.labels[start : start + CHUNK_ROWS]
 
     def with_labels_in(self, classes: Sequence[int]) -> "EmbeddingSet":
         """Samples whose label lies in ``classes`` (global labels kept)."""
@@ -338,7 +353,35 @@ def _noisy_copies(rng: np.random.Generator, base: np.ndarray, count: int, sigma:
     return unit_normalize(base[None, :] + sigma * rng.standard_normal((count, base.size)))
 
 
-def generate_synthetic(config: SyntheticConfig) -> SyntheticDomain:
+def _class_blocks(rng: np.random.Generator, protos: np.ndarray, per_class: int, sigma: float):
+    """Each class's samples in class order, drawn as one (vectors, labels) block."""
+    for c in range(protos.shape[0]):
+        yield _noisy_copies(rng, protos[c], per_class, sigma), np.full(per_class, c, dtype=np.int64)
+
+
+def _stacked(blocks, count: int, dim: int, names: tuple[str, ...]) -> EmbeddingSet:
+    """The set of ``count`` samples given as blocks, filled in place."""
+    vecs = np.empty((count, dim))
+    labels = np.empty(count, dtype=np.int64)
+    at = 0
+    for block_vecs, block_labels in blocks:
+        vecs[at : at + len(block_labels)] = block_vecs
+        labels[at : at + len(block_labels)] = block_labels
+        at += len(block_labels)
+    return EmbeddingSet(vecs, labels, names)
+
+
+class SyntheticParts(NamedTuple):
+    """A synthetic domain whose test split is drawn only while
+    ``test_blocks`` is iterated, one (vectors, labels) block per class."""
+
+    train: EmbeddingSet
+    generalized_prototypes: np.ndarray
+    true_prototypes: np.ndarray
+    test_blocks: Iterator[tuple[np.ndarray, np.ndarray]]
+
+
+def synthetic_parts(config: SyntheticConfig) -> SyntheticParts:
     """Deterministically generate a labeled embedding domain.
 
     Class prototypes are uniform on the unit sphere except for the
@@ -347,6 +390,10 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDomain:
     renormalized Gaussian perturbations of the true prototypes; the
     generalized anchors are perturbations controlled by ``proto_noise``.
     Identical seeds give bit-identical output.
+
+    The test split is drawn last, from the same generator, so it can be
+    left undrawn without changing anything else. ``test_blocks`` can be
+    iterated once.
     """
     rng = np.random.default_rng(config.seed)
     d, n = config.dim, config.num_classes
@@ -370,19 +417,24 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDomain:
     anchors.setflags(write=False)
 
     names = tuple(f"class_{i:03d}" for i in range(n))
+    train = _stacked(
+        _class_blocks(rng, protos, config.shots, config.intra_noise), n * config.shots, d, names
+    )
+    test_blocks = _class_blocks(rng, protos, config.test_per_class, config.intra_noise)
+    return SyntheticParts(train, anchors, protos, test_blocks)
 
-    def draw_split(per_class: int) -> EmbeddingSet:
-        vecs = np.empty((n * per_class, d))
-        for c in range(n):
-            vecs[c * per_class : (c + 1) * per_class] = _noisy_copies(
-                rng, protos[c], per_class, config.intra_noise
-            )
-        labels = np.repeat(np.arange(n, dtype=np.int64), per_class)
-        return EmbeddingSet(vecs, labels, names)
 
-    train = draw_split(config.shots)
-    test = draw_split(config.test_per_class)
-    return SyntheticDomain(train, test, anchors, protos, config)
+def generate_synthetic(config: SyntheticConfig) -> SyntheticDomain:
+    """The domain of :func:`synthetic_parts` with its test split drawn and
+    stacked into one set."""
+    parts = synthetic_parts(config)
+    test = _stacked(
+        parts.test_blocks, config.num_classes * config.test_per_class, config.dim,
+        parts.train.class_names,
+    )
+    return SyntheticDomain(
+        parts.train, test, parts.generalized_prototypes, parts.true_prototypes, config
+    )
 
 
 def prototype_set(prototypes: np.ndarray, class_names: Sequence[str]) -> EmbeddingSet:
@@ -396,40 +448,62 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("label", "<u4"), ("vec", "<f4", (dim,))])
 
 
-def _record_chunks(emb_set: EmbeddingSet):
-    """The set as EMB1 records, CHUNK_ROWS at a time, cast into one reused
-    buffer (each chunk is overwritten by the next)."""
-    n = len(emb_set)
-    buf = np.empty(min(n, CHUNK_ROWS), dtype=_record_dtype(emb_set.dim))
-    for start in range(0, n, CHUNK_ROWS):
-        rows = buf[: min(CHUNK_ROWS, n - start)]
-        rows["label"] = emb_set.labels[start : start + len(rows)]
-        rows["vec"] = emb_set.vectors[start : start + len(rows)]
-        yield rows
+def write_embedding_blocks(
+    dim: int,
+    count: int,
+    class_names: Sequence[str],
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    path,
+) -> None:
+    """Serialize ``count`` samples, given in order as (vectors, labels)
+    blocks of any size, in the EMB1 layout (float32 payload).
 
-
-def write_embedding_file(emb_set: EmbeddingSet, path) -> None:
-    """Serialize a set in the EMB1 layout (float32 payload).
-
-    The payload is cast and written one chunk at a time. The float32
-    values are checked before the file is opened, so a ``NonFiniteError``
-    leaves any existing file as it was.
+    Each block is cast CHUNK_ROWS rows at a time into one reused record
+    buffer and written. The file is written beside ``path`` under a
+    temporary name and renamed over ``path`` once complete. On any error,
+    such as a ``NonFiniteError`` or blocks holding other than ``count``
+    samples, the temporary file is removed and ``path`` is left as it was.
     """
-    if not all(np.isfinite(rows["vec"]).all() for rows in _record_chunks(emb_set)):
-        raise NonFiniteError("set contains non-finite values")
-    parts = [
-        MAGIC,
-        struct.pack("<III", emb_set.dim, len(emb_set), len(emb_set.class_names)),
-    ]
-    for name in emb_set.class_names:
+    parts = [MAGIC, struct.pack("<III", dim, count, len(class_names))]
+    for name in class_names:
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise ValueError(f"class name too long: {name!r}")
         parts.append(struct.pack("<H", len(raw)) + raw)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-        for rows in _record_chunks(emb_set):
-            rows.tofile(fh)
+    buf = np.empty(min(count, CHUNK_ROWS), dtype=_record_dtype(dim))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+            written = 0
+            for vectors, labels in blocks:
+                if written + len(labels) > count:
+                    raise ValueError(f"blocks hold more than the {count} samples declared")
+                for start in range(0, len(labels), CHUNK_ROWS):
+                    rows = buf[: min(CHUNK_ROWS, len(labels) - start)]
+                    rows["label"] = labels[start : start + len(rows)]
+                    rows["vec"] = vectors[start : start + len(rows)]
+                    if not np.isfinite(rows["vec"]).all():
+                        raise NonFiniteError("set contains non-finite values")
+                    rows.tofile(fh)
+                written += len(labels)
+            if written != count:
+                raise ValueError(f"blocks hold {written} samples, {count} declared")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def write_embedding_file(emb_set: EmbeddingSet, path) -> None:
+    """Serialize a set in the EMB1 layout (float32 payload) through
+    :func:`write_embedding_blocks`, so a failed write leaves any existing
+    file as it was."""
+    write_embedding_blocks(
+        emb_set.dim, len(emb_set), emb_set.class_names,
+        [(emb_set.vectors, emb_set.labels)], path,
+    )
 
 
 class EmbeddingHeader(NamedTuple):
@@ -486,6 +560,60 @@ def read_embedding_header(path) -> EmbeddingHeader:
         return _read_header(fh, path)
 
 
+def _read_samples(fh, path, header: EmbeddingHeader, check_norms: bool, vectors, labels):
+    """Read the samples after the header into ``vectors`` and ``labels``,
+    yielding each chunk as (vectors, labels) views once it is checked.
+
+    The outputs hold either every sample, filled in place, or one chunk,
+    overwritten by the next. A non-finite value stops the read at once;
+    after the last chunk, a norm deviation wins over a label beyond the
+    class count.
+    """
+    dim, count, names = header
+    buf = np.empty(min(count, CHUNK_ROWS), dtype=_record_dtype(dim))
+    reuse = len(labels) < count
+    worst = 0.0
+    label_over = False
+    for start in range(0, count, CHUNK_ROWS):
+        rows = buf[: min(CHUNK_ROWS, count - start)]
+        if fh.readinto(rows.view(np.uint8)) != rows.nbytes:
+            raise TruncatedFileError(f"{path}: payload ended early")
+        if not np.isfinite(rows["vec"]).all():
+            raise NonFiniteError(f"{path}: non-finite embedding values")
+        at = 0 if reuse else start
+        out = vectors[at : at + len(rows)]
+        out[...] = rows["vec"]
+        labels[at : at + len(rows)] = rows["label"]
+        if check_norms:
+            norms = np.linalg.norm(out, axis=1)
+            worst = max(worst, float(np.max(np.abs(norms - 1.0))))
+        label_over = label_over or bool(np.any(rows["label"] >= max(len(names), 1)))
+        yield out, labels[at : at + len(rows)]
+    if worst > NORM_TOLERANCE:
+        raise NormError(f"{path}: vector norm off by {worst:.3e} (> {NORM_TOLERANCE:.0e})")
+    if label_over:
+        raise BadHeaderError(f"{path}: sample label exceeds class count")
+
+
+def iter_embedding_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream an EMB1 file's samples as float64 (vectors, labels) chunks of
+    at most CHUNK_ROWS rows.
+
+    Each chunk is a view of two buffers that the next chunk overwrites, so
+    a consumer must be done with it before asking for the next. The checks
+    of :func:`read_embedding_file` run in the same order: a
+    ``NonFiniteError`` before the chunk holding the value is yielded, and
+    after the last chunk a ``NormError``, then a ``BadHeaderError`` for a
+    label beyond the class count. The file is opened when iteration starts.
+    """
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        rows = min(header.count, CHUNK_ROWS)
+        yield from _read_samples(
+            fh, path, header, True, np.empty((rows, header.dim)), np.empty(rows, dtype=np.int64)
+        )
+
+
 def read_embedding_file(path, check_norms: bool = True) -> EmbeddingSet:
     """Parse an EMB1 file, validating format, finiteness, and norms.
 
@@ -499,27 +627,9 @@ def read_embedding_file(path, check_norms: bool = True) -> EmbeddingSet:
     deviation, which wins over a label beyond the class count.
     """
     with open(path, "rb") as fh:
-        dim, count, names = _read_header(fh, path)
-        vectors = np.empty((count, dim), dtype=np.float64)
-        labels = np.empty(count, dtype=np.int64)
-        buf = np.empty(min(count, CHUNK_ROWS), dtype=_record_dtype(dim))
-        worst = 0.0
-        label_over = False
-        for start in range(0, count, CHUNK_ROWS):
-            rows = buf[: min(CHUNK_ROWS, count - start)]
-            if fh.readinto(rows.view(np.uint8)) != rows.nbytes:
-                raise TruncatedFileError(f"{path}: payload ended early")
-            if not np.isfinite(rows["vec"]).all():
-                raise NonFiniteError(f"{path}: non-finite embedding values")
-            out = vectors[start : start + len(rows)]
-            out[...] = rows["vec"]
-            labels[start : start + len(rows)] = rows["label"]
-            if check_norms:
-                norms = np.linalg.norm(out, axis=1)
-                worst = max(worst, float(np.max(np.abs(norms - 1.0))))
-            label_over = label_over or bool(np.any(rows["label"] >= max(len(names), 1)))
-    if worst > NORM_TOLERANCE:
-        raise NormError(f"{path}: vector norm off by {worst:.3e} (> {NORM_TOLERANCE:.0e})")
-    if label_over:
-        raise BadHeaderError(f"{path}: sample label exceeds class count")
-    return EmbeddingSet(vectors, labels, names)
+        header = _read_header(fh, path)
+        vectors = np.empty((header.count, header.dim), dtype=np.float64)
+        labels = np.empty(header.count, dtype=np.int64)
+        for _ in _read_samples(fh, path, header, check_norms, vectors, labels):
+            pass
+    return EmbeddingSet(vectors, labels, header.class_names)

@@ -95,17 +95,23 @@ def accuracy(
     else:
         head = model_or_head if idx is None else model_or_head.restrict(idx)
         logits = similarity_matrix(head, emb_set.vectors)
-    return _percent_correct(logits, emb_set.labels, idx)
+    return _percent(_count_correct(logits, emb_set.labels, idx), len(emb_set))
 
 
-def _percent_correct(logits: np.ndarray, labels: np.ndarray, classes=None) -> float:
-    """Percent of rows whose argmax, mapped through sorted ``classes``, is the label."""
-    if len(labels) == 0:
-        raise ValueError("accuracy of an empty set")
+def _count_correct(logits: np.ndarray, labels: np.ndarray, classes=None) -> int:
+    """Rows whose argmax, mapped through sorted ``classes``, is the label."""
     pred = np.argmax(logits, axis=1)
     if classes is not None:
         pred = classes[pred]
-    return float(np.mean(pred == labels) * 100.0)
+    return int(np.count_nonzero(pred == labels))
+
+
+def _percent(correct: int, total: int) -> float:
+    """Percent correct; the exact count makes it the same float as the mean
+    of the per-row hits times 100."""
+    if total == 0:
+        raise ValueError("accuracy of an empty set")
+    return correct / total * 100.0
 
 
 def classify_samples(
@@ -294,6 +300,94 @@ def outclass_anchors(
     )
 
 
+class SplitAccuracy:
+    """Percent correct of named scorers on the test rows of class splits,
+    counted chunk by chunk so that no split's rows are ever held whole.
+
+    ``heads`` maps a key to a head; each is scored once per chunk and
+    split, on the split's classes only. ``scorers`` maps a name to (head
+    keys, model): with ``model`` None the first key's head scores alone,
+    otherwise ``model`` mixes the keyed heads' similarities. ``splits``
+    maps a split name to its classes.
+    """
+
+    def __init__(
+        self,
+        heads: dict[str, PromptHead],
+        scorers: dict[str, tuple[tuple[str, ...], MixtureModel | None]],
+        splits: dict[str, Sequence[int]],
+    ):
+        self._splits = {
+            name: np.sort(np.asarray(list(classes), dtype=np.int64))
+            for name, classes in splits.items()
+        }
+        self._heads = {
+            name: {key: h.restrict(idx) for key, h in heads.items()}
+            for name, idx in self._splits.items()
+        }
+        self._scorers = scorers
+        self._correct = {name: dict.fromkeys(scorers, 0) for name in self._splits}
+        self._total = dict.fromkeys(self._splits, 0)
+
+    def add(self, vectors: np.ndarray, labels: np.ndarray) -> None:
+        """Count one chunk of test rows; the chunk is not kept."""
+        for name, idx in self._splits.items():
+            mask = np.isin(labels, idx)
+            if not mask.any():
+                continue
+            rows, row_labels = vectors[mask], labels[mask]
+            sims = {key: similarity_matrix(h, rows) for key, h in self._heads[name].items()}
+            for scorer, (keys, model) in self._scorers.items():
+                logits = sims[keys[0]]
+                if model is not None:
+                    logits = mixture_scaled_logits(model, rows, idx, [sims[k] for k in keys])
+                self._correct[name][scorer] += _count_correct(logits, row_labels, idx)
+            self._total[name] += len(row_labels)
+
+    def percents(self) -> dict[str, dict[str, float]]:
+        """Split name -> scorer name -> percent correct over every row added."""
+        return {
+            name: {
+                scorer: _percent(correct, self._total[name]) for scorer, correct in counts.items()
+            }
+            for name, counts in self._correct.items()
+        }
+
+
+def base_new_accuracy(
+    t0: PromptHead,
+    head_ce: PromptHead,
+    head_conf: PromptHead,
+    fitted_weights: MixtureWeights,
+    partition: DomainPartition,
+    tau: float = DEFAULT_TAU,
+) -> SplitAccuracy:
+    """The accumulator of the four comparison configurations, on the base
+    (``partition.subsets[1]``) and new (``partition.subsets[0]``) splits."""
+    uniform = MixtureWeights.uniform(1)
+    heads = {"t0": t0, "ce": head_ce, "conf": head_conf}
+
+    def mixed(key: str, weights: MixtureWeights):
+        return ("t0", key), MixtureModel((t0, heads[key]), weights, partition, tau=tau)
+
+    scorers = {"zero_shot": (("t0",), None), "uniform_ensemble": mixed("ce", uniform),
+               "conf_uniform": mixed("conf", uniform),
+               "fitted_mixture": mixed("conf", fitted_weights)}
+    splits = {"base": partition.subsets[1], "new": partition.subsets[0]}
+    return SplitAccuracy(heads, scorers, splits)
+
+
+def base_new_scores(acc: SplitAccuracy) -> dict:
+    """Base, new and harmonic-mean accuracy per configuration of an
+    accumulator made by :func:`base_new_accuracy`."""
+    split = acc.percents()
+    base, new = split["base"], split["new"]
+    return {
+        name: {"base": base[name], "new": new[name], "h": harmonic_mean(base[name], new[name])}
+        for name in CONFIG_NAMES
+    }
+
+
 def score_base_new_configs(
     t0: PromptHead,
     head_ce: PromptHead,
@@ -307,45 +401,13 @@ def score_base_new_configs(
 
     Accuracy is measured independently on the two splits (candidates
     restricted to the split's classes) and combined by the harmonic mean.
-    Each head is scored once per split, on the split's classes only.
+    The set is fed CHUNK_ROWS rows at a time, as views, to the accumulator
+    of :func:`base_new_accuracy`, which the CLI feeds from a file stream.
     """
-    uniform = MixtureWeights.uniform(1)
-    heads = {"t0": t0, "ce": head_ce, "conf": head_conf}
-    # configuration -> (head mixed with t0, its weights); zero-shot is t0 alone
-    configs = {"zero_shot": ("t0", None), "uniform_ensemble": ("ce", uniform),
-               "conf_uniform": ("conf", uniform), "fitted_mixture": ("conf", fitted_weights)}
-    base, new = (
-        _score_split(heads, configs, partition, test_set, classes, tau)
-        for classes in (partition.subsets[1], partition.subsets[0])
-    )
-    return {
-        name: {"base": base[name], "new": new[name], "h": harmonic_mean(base[name], new[name])}
-        for name in configs
-    }
-
-
-def _score_split(
-    heads: dict[str, PromptHead],
-    configs: dict[str, tuple],
-    partition: DomainPartition,
-    test_set: EmbeddingSet,
-    classes: np.ndarray,
-    tau: float,
-) -> dict[str, float]:
-    """Percent correct of each configuration on the test rows of one split.
-    The split's rows and similarities are freed on return, so two splits'
-    arrays are never alive at once."""
-    idx = np.sort(np.asarray(classes, dtype=np.int64))
-    subset = test_set.with_labels_in(idx)
-    sims = {key: similarity_matrix(h.restrict(idx), subset.vectors) for key, h in heads.items()}
-    scores = {}
-    for name, (key, weights) in configs.items():
-        logits = sims[key]
-        if weights is not None:
-            model = MixtureModel((heads["t0"], heads[key]), weights, partition, tau=tau)
-            logits = mixture_scaled_logits(model, subset.vectors, idx, (sims["t0"], logits))
-        scores[name] = _percent_correct(logits, subset.labels, idx)
-    return scores
+    acc = base_new_accuracy(t0, head_ce, head_conf, fitted_weights, partition, tau)
+    for vectors, labels in test_set.chunks():
+        acc.add(vectors, labels)
+    return base_new_scores(acc)
 
 
 def tune_base_new_heads(

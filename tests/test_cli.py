@@ -3,13 +3,15 @@
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from promix import evaluation
+from conftest import _traced_peak
+from promix import embedspace, evaluation
 from promix.cli import main
 from promix.config import ConfigError, apply_overrides, load_config, parse_config
 from promix.embedspace import (
@@ -18,6 +20,8 @@ from promix.embedspace import (
     unit_normalize,
     write_embedding_file,
 )
+from promix.head import PromptHead, load_head
+from promix.mixture import load_weights
 
 
 @pytest.fixture
@@ -361,7 +365,8 @@ class TestPipeline:
                                  np.zeros(40, dtype=np.int64), ("word",))
             write_embedding_file(words, tmp_path / "pool.emb")
             overrides += ["--set", f'outclass.pool_file="{tmp_path / "pool.emb"}"']
-        reads = {"read_embedding_file": [], "read_embedding_header": []}
+        reads = {"read_embedding_file": [], "read_embedding_header": [],
+                 "iter_embedding_chunks": []}
 
         def counting(name):
             original = getattr(promix.cli, name)
@@ -374,20 +379,21 @@ class TestPipeline:
 
         for name in reads:
             monkeypatch.setattr(promix.cli, name, counting(name))
-        data = ["anchors.emb", "test.emb", "train.emb"]
         pool = ["pool.emb"] if with_pool else []
-        # tune and weights check only the test file's header
-        for cmd, whole, header in (
-            ("tune", ["anchors.emb", "train.emb"] + pool, ["test.emb"]),
-            ("weights", ["anchors.emb", "train.emb"] + pool, ["test.emb"]),
-            ("eval", data, []),
-            ("losses", data, []),
+        # every command checks the test file's header; eval and losses then
+        # stream its samples once, for all three seeds
+        for cmd, whole, streamed in (
+            ("tune", ["anchors.emb", "train.emb"] + pool, []),
+            ("weights", ["anchors.emb", "train.emb"] + pool, []),
+            ("eval", ["anchors.emb", "train.emb"], ["test.emb"]),
+            ("losses", ["anchors.emb", "train.emb"], ["test.emb"]),
         ):
             for log in reads.values():
                 log.clear()
             assert main([cmd, "--config", str(path2), *overrides]) == 0, cmd
             assert sorted(reads["read_embedding_file"]) == sorted(whole), cmd
-            assert reads["read_embedding_header"] == header, cmd
+            assert reads["read_embedding_header"] == ["test.emb"], cmd
+            assert reads["iter_embedding_chunks"] == streamed, cmd
 
     @pytest.mark.parametrize("damage", ["nan", "off_norm"])
     def test_bad_test_vectors_surface_at_eval(self, run_config, tmp_path, capsys, damage):
@@ -471,6 +477,127 @@ class TestPipeline:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+def _files_pipeline(run_config, tmp_path, **extra):
+    """gen from the fixture config, then tune and weights from its files;
+    returns the files config and its run directory."""
+    path, out = run_config(**extra)
+    assert main(["gen", "--config", str(path)]) == 0
+    path2 = _files_config(path, out / "data", tmp_path)
+    for cmd in ("tune", "weights"):
+        assert main([cmd, "--config", str(path2)]) == 0, cmd
+    return path2, tmp_path / "run_files"
+
+
+class TestStreamedEval:
+    """eval scores test.emb as a stream of CHUNK_ROWS-row chunks."""
+
+    @pytest.mark.parametrize("chunk_rows", [2, 7])
+    @pytest.mark.parametrize("parameterization", ["two_stage", "one_stage"])
+    def test_streamed_reports_equal_in_memory_scores(
+        self, run_config, tmp_path, monkeypatch, chunk_rows, parameterization
+    ):
+        path2, out = _files_pipeline(
+            run_config, tmp_path, seeds=[0, 1, 2],
+            weights={"parameterization": parameterization},
+        )
+        cfg = load_config(path2)
+        test = read_embedding_file(cfg.files["test"])
+        anchors = read_embedding_file(cfg.files["anchors"])
+        per_seed = []
+        for seed in cfg.seeds:
+            head_ce, tau = load_head(out / "heads" / f"seed{seed}_ce.json")
+            head_conf, _ = load_head(out / "heads" / f"seed{seed}_conf.json")
+            fitted = load_weights(out / "weights" / f"seed{seed}.json")
+            partition = embedspace.partition_classes(len(test.class_names), seed=seed)
+            t0 = PromptHead.frozen_from(anchors.vectors[np.argsort(anchors.labels)],
+                                        test.class_names)
+            per_seed.append(evaluation.score_base_new_configs(
+                t0, head_ce, head_conf, fitted, partition, test, tau=tau))
+        expected = evaluation.base_new_report(per_seed, cfg.seeds, cfg.config_hash())
+        assert len(test) > 4 * chunk_rows
+        monkeypatch.setattr(embedspace, "CHUNK_ROWS", chunk_rows)
+        assert main(["eval", "--config", str(path2)]) == 0
+        assert (out / "report_eval.json").read_text() == expected.to_json()
+
+    @pytest.mark.parametrize("damage", ["nan", "off_norm"])
+    def test_bad_last_chunk_fails_eval_before_any_report(
+        self, run_config, tmp_path, capsys, monkeypatch, damage
+    ):
+        path2, out = _files_pipeline(run_config, tmp_path)
+        monkeypatch.setattr(embedspace, "CHUNK_ROWS", 7)
+        test_path = Path(load_config(path2).files["test"])
+        good = test_path.read_bytes()
+        bad = bytearray(good)
+        # the first float32 of the last sample, in the last of several chunks
+        struct.pack_into("<f", bad, len(bad) - 16 * 4, np.nan if damage == "nan" else 2.0)
+        test_path.write_bytes(bytes(bad))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(path2)]) == 1
+        assert "/data/files/test:" in capsys.readouterr().err
+        assert not (out / "report_eval.json").exists()
+        assert not (out / "manifest_eval.json").exists()
+        test_path.write_bytes(good)
+        assert main(["eval", "--config", str(path2)]) == 0
+        before = _tree_bytes(out)
+        test_path.write_bytes(bytes(bad))
+        assert main(["eval", "--config", str(path2)]) == 1
+        assert _tree_bytes(out) == before
+
+
+class TestCommandMemory:
+    """Traced allocations of whole commands: no stage holds the test split.
+    The bounds are in units of one float64 chunk, CHUNK_ROWS x dim x 8
+    bytes, whatever the number of test rows."""
+
+    DIM = 128
+
+    def _config(self, tmp_path, **synthetic):
+        cfg = {
+            "out_dir": str(tmp_path / "run"), "seed": 0, "seeds": [0],
+            "data": {"synthetic": {"dim": self.DIM, "num_classes": 16, "shots": 4,
+                                   "confusion_pairs": 2, **synthetic}},
+            "optimizer": {"epochs": 2, "weight_epochs": 2},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    @property
+    def chunk_bytes(self):
+        return embedspace.CHUNK_ROWS * self.DIM * 8
+
+    def test_gen_writes_the_test_split_class_by_class(self, tmp_path):
+        # 4 chunks of test rows in 16 class blocks
+        path = self._config(tmp_path, test_per_class=embedspace.CHUNK_ROWS // 4)
+        peak, code = _traced_peak(main, ["gen", "--config", str(path)])
+        assert code == 0
+        assert peak < 3 * self.chunk_bytes
+
+    def test_synthetic_tune_draws_no_test_split(self, tmp_path):
+        path = self._config(tmp_path, test_per_class=embedspace.CHUNK_ROWS // 2)
+        peak, code = _traced_peak(main, ["tune", "--config", str(path)])
+        assert code == 0
+        assert peak < 2 * self.chunk_bytes
+
+    def test_eval_streams_the_test_file(self, tmp_path):
+        path = self._config(tmp_path, test_per_class=1)
+        assert main(["gen", "--config", str(path)]) == 0
+        data = tmp_path / "run" / "data"
+        names = read_embedding_file(data / "train.emb").class_names
+        rng = np.random.default_rng(0)
+        count = 4 * embedspace.CHUNK_ROWS + 5
+        test = EmbeddingSet(unit_normalize(rng.standard_normal((count, self.DIM))),
+                            rng.integers(0, len(names), count), names)
+        write_embedding_file(test, data / "test.emb")
+        del test
+        files = _files_config(path, data, tmp_path)
+        for cmd in ("tune", "weights"):
+            assert main([cmd, "--config", str(files)]) == 0, cmd
+        peak, code = _traced_peak(main, ["eval", "--config", str(files)])
+        assert code == 0
+        assert peak < 4 * self.chunk_bytes
 
 
 def _json_paths(node, prefix=()):

@@ -2,13 +2,13 @@
 
 import fractions
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import _traced_peak
 from promix import embedspace
 from promix.embedspace import (
     CHUNK_ROWS,
@@ -24,11 +24,14 @@ from promix.embedspace import (
     TruncatedFileError,
     cosine_similarity,
     generate_synthetic,
+    iter_embedding_chunks,
     partition_classes,
     prototype_set,
     read_embedding_file,
     read_embedding_header,
+    synthetic_parts,
     unit_normalize,
+    write_embedding_blocks,
     write_embedding_file,
 )
 
@@ -104,6 +107,19 @@ class TestGenerateSynthetic:
         for arr in (dom.train.vectors, dom.test.vectors,
                     dom.generalized_prototypes, dom.true_prototypes):
             np.testing.assert_allclose(np.linalg.norm(arr, axis=1), 1.0, atol=1e-9)
+
+    def test_parts_draw_the_test_split_as_class_blocks_last(self):
+        cfg = SyntheticConfig(dim=6, num_classes=5, shots=3, test_per_class=4,
+                              confusion_pairs=1, seed=7)
+        dom, parts = generate_synthetic(cfg), synthetic_parts(cfg)
+        assert np.array_equal(parts.train.vectors, dom.train.vectors)
+        assert np.array_equal(parts.train.labels, dom.train.labels)
+        assert np.array_equal(parts.generalized_prototypes, dom.generalized_prototypes)
+        assert np.array_equal(parts.true_prototypes, dom.true_prototypes)
+        blocks = list(parts.test_blocks)
+        assert [set(labels.tolist()) for _, labels in blocks] == [{c} for c in range(5)]
+        assert np.array_equal(np.concatenate([v for v, _ in blocks]), dom.test.vectors)
+        assert np.array_equal(np.concatenate([l for _, l in blocks]), dom.test.labels)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -279,8 +295,12 @@ class TestChunkedEmbeddingFile:
     """Samples are read and written CHUNK_ROWS at a time; results and error
     classes must not depend on where the chunk boundaries fall."""
 
+    # 8191..16387 sit next to multiples of 8192, which is a multiple of any
+    # power-of-two CHUNK_ROWS up to 8192; the relative counts follow CHUNK_ROWS
     @pytest.mark.parametrize(
-        "count", [0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3]
+        "count",
+        [0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3,
+         8191, 8192, 8193, 16387],
     )
     def test_round_trip_is_exact_at_chunk_boundaries(self, tmp_path, count):
         s = _random_set(np.random.default_rng(count), n=count, d=3, c=5).quantized()
@@ -334,15 +354,72 @@ class TestChunkedEmbeddingFile:
         assert not path.exists()
 
 
-def _traced_peak(fn, *args):
-    """Peak bytes traced while ``fn(*args)`` runs, and its result."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak, result
+class TestEmbeddingStream:
+    """iter_embedding_chunks and write_embedding_blocks: a file moves as
+    chunks or blocks; bytes, values and errors match the whole-set calls."""
+
+    @pytest.mark.parametrize("count", [0, CHUNK_ROWS, 2 * CHUNK_ROWS + 3])
+    def test_chunks_concatenate_to_the_read_set(self, tmp_path, count):
+        s = _random_set(np.random.default_rng(count), n=count, d=3, c=5)
+        path = tmp_path / "s.emb"
+        write_embedding_file(s, path)
+        chunks = [(v.copy(), l.copy()) for v, l in iter_embedding_chunks(path)]
+        assert all(0 < len(l) <= CHUNK_ROWS for _, l in chunks)
+        assert len(chunks) == -(-count // CHUNK_ROWS)
+        whole = read_embedding_file(path)
+        vectors = np.concatenate([v for v, _ in chunks]) if chunks else np.empty((0, 3))
+        labels = np.concatenate([l for _, l in chunks]) if chunks else np.empty(0)
+        assert np.array_equal(vectors, whole.vectors)
+        assert np.array_equal(labels, whole.labels)
+
+    def test_stream_checks_values_in_the_read_order(self, tmp_path):
+        s = _random_set(np.random.default_rng(10), n=2 * CHUNK_ROWS + 3, d=2, c=3)
+        path = tmp_path / "bad.emb"
+        write_embedding_file(s, path)
+        _poke(path, 0, value=3.0)
+        _poke(path, 1, label=3)
+        seen = []
+        # a norm deviation surfaces after the last chunk, ahead of the label
+        with pytest.raises(NormError, match="off by"):
+            for _, labels in iter_embedding_chunks(path):
+                seen.append(len(labels))
+        assert sum(seen) == len(s)
+        _poke(path, 0, value=float(s.vectors[0, 0]))
+        with pytest.raises(BadHeaderError, match="label"):
+            list(iter_embedding_chunks(path))
+        _poke(path, 2 * CHUNK_ROWS + 2, value=np.nan)
+        seen.clear()
+        # a non-finite value stops the stream before its chunk is yielded
+        with pytest.raises(NonFiniteError):
+            for _, labels in iter_embedding_chunks(path):
+                seen.append(len(labels))
+        assert seen == [CHUNK_ROWS, CHUNK_ROWS]
+
+    def test_blocks_of_any_size_write_the_set_bytes(self, tmp_path):
+        s = _random_set(np.random.default_rng(11), n=2 * CHUNK_ROWS + 3, d=4, c=3)
+        write_embedding_file(s, tmp_path / "whole.emb")
+        cuts = [0, 1, CHUNK_ROWS + 2, len(s)]
+        blocks = [(s.vectors[a:b], s.labels[a:b]) for a, b in zip(cuts, cuts[1:])]
+        write_embedding_blocks(s.dim, len(s), s.class_names, blocks, tmp_path / "blocks.emb")
+        assert (tmp_path / "blocks.emb").read_bytes() == (tmp_path / "whole.emb").read_bytes()
+
+    @pytest.mark.parametrize("fault", ["non_finite", "too_few", "too_many"])
+    def test_failed_write_leaves_the_existing_file(self, tmp_path, fault):
+        s = _random_set(np.random.default_rng(12), n=2 * CHUNK_ROWS + 3, d=2, c=3)
+        path = tmp_path / "kept.emb"
+        write_embedding_file(s, path)
+        before = path.read_bytes()
+        vecs = s.vectors.copy()
+        if fault == "non_finite":
+            vecs[-1, 1] = np.inf
+            with pytest.raises(NonFiniteError):
+                write_embedding_file(_unchecked_set(vecs, s.labels, s.class_names), path)
+        else:
+            count = len(s) + (1 if fault == "too_few" else -1)
+            with pytest.raises(ValueError, match="declared"):
+                write_embedding_blocks(2, count, s.class_names, [(vecs, s.labels)], path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.emb"]
 
 
 class TestEmbeddingMemory:
@@ -370,6 +447,11 @@ class TestEmbeddingMemory:
         s, _ = self._written(tmp_path)
         peak, _ = _traced_peak(write_embedding_file, s, tmp_path / "again.emb")
         assert peak < 2 * self.CHUNK_BYTES
+
+    def test_stream_holds_chunk_buffers(self, tmp_path):
+        _, path = self._written(tmp_path)
+        peak, _ = _traced_peak(lambda: sum(len(l) for _, l in iter_embedding_chunks(path)))
+        assert peak < 3 * self.CHUNK_BYTES
 
     def test_generation_fills_each_split_in_place(self):
         config = SyntheticConfig(dim=32, num_classes=20, shots=4, test_per_class=500, seed=0)
