@@ -25,7 +25,6 @@ import numpy as np
 from promix.config import ConfigError, RunConfig, load_config
 from promix.embedspace import (
     EmbeddingFileError,
-    generate_synthetic,
     iter_embedding_chunks,
     partition_classes,
     prototype_set,
@@ -114,30 +113,20 @@ def _config_file_chunks(path: str, pointer: str):
         raise ConfigError(f"cannot read EMB1 file: {exc}", pointer) from exc
 
 
-def _generated_test(config):
-    """The test split of ``generate_synthetic(config)`` as chunks, generated
-    when iteration starts."""
-    yield from generate_synthetic(config).test.chunks()
-
-
-def _domain_source(cfg: RunConfig, test: bool = True):
+def _domain_source(cfg: RunConfig):
     """(dim, seed -> (train, anchors, test)) for the configured source.
 
-    ``test`` is the test split as an iterable of (vectors, labels) chunks,
-    read or drawn only while it is iterated, once. Data files are read
-    here, once, except the test file: only its header is read here, for
-    its class list and size checks, and one stream of its samples is
-    shared by every seed. A synthetic domain is made per seed without its
-    test split. With ``test=False`` the split is drawn class block by class
-    block as it is iterated; otherwise ``generate_synthetic`` generates it
-    whole when iteration starts.
+    ``test`` is the test split as (vectors, labels) chunks of CHUNK_ROWS
+    rows, read or drawn only while it is iterated, once. Data files are read
+    here, once, except the test file: only its header is read here, for its
+    class list and size checks, and one stream of its samples is shared by
+    every seed. A synthetic domain is made per seed, its test split drawn
+    class by class as it is iterated.
     """
     if cfg.files is None:
         def generate(seed: int):
-            config = replace(cfg.synthetic, seed=seed)
-            parts = synthetic_parts(config)
-            split = _generated_test(config) if test else parts.test_blocks
-            return parts.train, parts.generalized_prototypes, split
+            parts = synthetic_parts(replace(cfg.synthetic, seed=seed))
+            return parts.train, parts.generalized_prototypes, parts.test_chunks()
 
         return cfg.synthetic.dim, generate
     readers = {"train": read_embedding_file, "test": read_embedding_header,
@@ -260,7 +249,7 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
     (out / "heads").mkdir(exist_ok=True)
-    dim, domain = _domain_source(cfg, test=False)
+    dim, domain = _domain_source(cfg)
     _check_pool_file(cfg, dim)
     traces = {}
     for seed in sorted(cfg.seeds):
@@ -285,7 +274,7 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
     (out / "weights").mkdir(exist_ok=True)
-    dim, domain = _domain_source(cfg, test=False)
+    dim, domain = _domain_source(cfg)
     pool = _check_pool_file(cfg, dim)
     fitted = {}
     for seed in sorted(cfg.seeds):
@@ -315,7 +304,7 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     """Score the four comparison configurations from saved artifacts."""
     cfg = _effective_config(config_path, overrides)
     out = _out_dir(cfg)
-    _, domain = _domain_source(cfg, test=False)
+    _, domain = _domain_source(cfg)
     feeds = []
     for seed in sorted(cfg.seeds):
         paths = _head_paths(out, seed)

@@ -31,9 +31,9 @@ split can be written while it is drawn; ``write_embedding_file`` writes a
 set through it. A write goes to a temporary file renamed into place, so a
 failed write leaves any existing file as it was.
 
-``synthetic_parts`` makes a synthetic domain with its test split left
-undrawn, to be drawn class block by class block; ``generate_synthetic``
-stacks those blocks into the test set.
+``synthetic_parts`` leaves a synthetic domain's test split undrawn, to be
+drawn class block by class block as it is streamed in chunks;
+``generate_synthetic`` stacks the blocks into the test set.
 """
 
 from __future__ import annotations
@@ -379,6 +379,25 @@ class SyntheticParts(NamedTuple):
     generalized_prototypes: np.ndarray
     true_prototypes: np.ndarray
     test_blocks: Iterator[tuple[np.ndarray, np.ndarray]]
+
+    def test_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The test split as the chunks :meth:`EmbeddingSet.chunks` gives on it
+        stacked, each a view of two buffers that the next chunk overwrites. A
+        class block is drawn only once the chunks before it are consumed."""
+        vectors = np.empty((CHUNK_ROWS, self.train.dim))
+        labels = np.empty(CHUNK_ROWS, dtype=np.int64)
+        filled = 0
+        for block_vectors, block_labels in self.test_blocks:
+            # cut where the block fills the current chunk, then every CHUNK_ROWS
+            cuts = range(CHUNK_ROWS - filled, len(block_labels), CHUNK_ROWS)
+            for v, y in zip(np.split(block_vectors, cuts), np.split(block_labels, cuts)):
+                vectors[filled : filled + len(y)], labels[filled : filled + len(y)] = v, y
+                filled += len(y)
+                if filled == CHUNK_ROWS:
+                    yield vectors, labels
+                    filled = 0
+        if filled:
+            yield vectors[:filled], labels[:filled]
 
 
 def synthetic_parts(config: SyntheticConfig) -> SyntheticParts:

@@ -31,6 +31,7 @@ from promix.embedspace import (
     SyntheticDomain,
     generate_synthetic,
     partition_classes,
+    synthetic_parts,
 )
 from promix.head import DEFAULT_TAU, PromptHead, predict_matrix, similarity_matrix
 from promix.losses import LossConfig
@@ -402,7 +403,7 @@ def score_base_new_configs(
     Accuracy is measured independently on the two splits (candidates
     restricted to the split's classes) and combined by the harmonic mean.
     The set is fed CHUNK_ROWS rows at a time, as views, to the accumulator
-    of :func:`base_new_accuracy`, which the CLI feeds from a file stream.
+    of :func:`base_new_accuracy`, which the CLI and the harness feed from streams.
     """
     acc = base_new_accuracy(t0, head_ce, head_conf, fitted_weights, partition, tau)
     for vectors, labels in test_set.chunks():
@@ -472,9 +473,9 @@ def fit_base_new_weights(
 
 
 def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
-    """One seed of the four-configuration comparison."""
-    domain = _domain_for(cfg, seed)
-    train, anchors = domain.train, domain.generalized_prototypes
+    """One seed of the four-configuration comparison, its test split streamed."""
+    parts = synthetic_parts(replace(cfg.synthetic, seed=seed))
+    train, anchors = parts.train, parts.generalized_prototypes
     partition = partition_classes(len(train.class_names), "base_new_even_split", seed=seed)
     head_ce, mix_head, mix_tau = tune_base_new_heads(cfg, train, anchors, partition, seed)
     out_anchors = outclass_anchors(cfg, train.dim, seed, len(partition.subsets[1]))
@@ -482,9 +483,10 @@ def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
         cfg, mix_head, mix_tau, train, anchors, partition, out_anchors, seed
     )
     t0 = PromptHead.frozen_from(anchors, train.class_names)
-    return score_base_new_configs(
-        t0, head_ce, mix_head, weights, partition, domain.test, tau=cfg.tau
-    )
+    acc = base_new_accuracy(t0, head_ce, mix_head, weights, partition, tau=cfg.tau)
+    for vectors, labels in parts.test_chunks():
+        acc.add(vectors, labels)
+    return base_new_scores(acc)
 
 
 def _run_seeds(worker: Callable, cfg: HarnessConfig) -> list:

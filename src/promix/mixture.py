@@ -266,10 +266,6 @@ class MixtureModel:
     def num_classes(self) -> int:
         return self.heads[0].num_classes
 
-    def similarity_stack(self, vectors: np.ndarray) -> np.ndarray:
-        """(K+1, N, C) similarities of every head on a batch."""
-        return np.stack([similarity_matrix(h, vectors) for h in self.heads])
-
 
 def class_scale_matrix(model: MixtureModel, weight_rows: np.ndarray | None = None) -> np.ndarray:
     """(K+1, C) per-class logit scales: the mixture logit of class c is

@@ -12,19 +12,20 @@ Weight fitting runs full-batch momentum descent on the raw weight
 parameters (two_stage logits or one_stage temperatures): the in-weight
 against the mixture's cross-entropy on its own sub-domain, the
 out-weight against the entropy-margin loss on a surrogate out-class set.
-Both objectives are evaluated in closed form from arrays computed once
-per fit: the in-weight logits are affine in a scalar coefficient of the
-parameter, and the out-weight logits are a scalar multiple of fixed
-similarities, so each evaluation is one softmax plus O(N·C) work. Each
-fit allocates its N×C work buffers once (one for the in-weight, logits and
-probabilities for the out-weight), and every evaluation writes its logits
-and softmax into them in place. Weight traces are monotone non-increasing:
-descent stops at the first epoch that would raise the objective, and an
-immediate ascent retries once at a tenth of the learning rate. A step
-that leaves the parameter and its momentum buffer bitwise unchanged is an
-exact fixed point, so the descent fills in the remaining epochs without
-evaluating them (an out-weight hinge inactive at a zero start costs one
-evaluation); the result is the same as running them.
+Both objectives are evaluated in closed form from arrays computed once per
+fit, the in-weight ones on the candidate columns only: the in-weight logits
+are affine in a scalar coefficient of the parameter, and the out-weight
+logits are a scalar multiple of fixed similarities, so each evaluation is
+one softmax plus O(N·C) work. Each fit holds N×C work buffers (one for the
+in-weight; the generalized head's out-class logits and softmax for the
+out-weight), and every evaluation writes its logits and softmax into them
+in place. Weight traces are monotone non-increasing: descent stops at the
+first epoch that would raise the objective, and an immediate ascent retries
+once at a tenth of the learning rate. A step that leaves the parameter and
+its momentum buffer bitwise unchanged is an exact fixed point, so the
+descent fills in the remaining epochs without evaluating them (an
+out-weight hinge inactive at a zero start costs one evaluation); the result
+is the same as running them.
 
 All loops are deterministic for a fixed seed and configuration.
 """
@@ -441,7 +442,8 @@ def _in_objective_factory(
     base + a(theta) vary and d logits / d theta = b(theta) vary, where
     vary is zero off the head's own classes. two_stage: a = pi,
     b = pi (1 - pi) with pi = sigmoid(theta). one_stage (theta is
-    log tau_in): a = exp(-theta), b = -exp(-theta).
+    log tau_in): a = exp(-theta), b = -exp(-theta). Both are built from a
+    (K+1, N, |classes|) stack of candidate-column similarities, then freed.
 
     With several specialized heads a column's specialized weights can sum
     above 1; such columns are renormalized by that sum, as in
@@ -461,7 +463,8 @@ def _in_objective_factory(
         raise ValueError(
             f"training label {exc.args[0]} is not in the candidate class list"
         ) from None
-    sims = model.similarity_stack(train_set.vectors)[:, :, classes]
+    x = train_set.vectors
+    sims = np.stack([similarity_matrix(h.restrict(classes), x) for h in model.heads])
     owners_c = model.partition.owner_of()[classes]
     owned = owners_c == prompt
 
@@ -498,6 +501,7 @@ def _in_objective_factory(
             pi = float(sigmoid(theta))
             return pi, pi * (1.0 - pi)
 
+    del sims
     vary_y = float(vary[rows, y_local].sum())
     logits = np.empty_like(base)  # work buffer: logits, then probabilities in place
 
@@ -583,12 +587,12 @@ def _out_objective_factory(
     tau = model.tau
     log_n = np.log(out_anchors.shape[0])
 
-    s0 = train_vectors @ model.heads[0].effective_embeddings(out_anchors).T
     si = train_vectors @ model.heads[prompt].effective_embeddings(out_anchors).T
-    z0 = s0 / tau
-    h0 = _entropy_rows(z0, backend.kernels.softmax_rows(z0), np.argmax(z0, axis=1))[0] / log_n
     top = np.argmax(si, axis=1)
-    logits, probs = np.empty_like(si), np.empty_like(si)  # work buffers
+    logits = train_vectors @ model.heads[0].effective_embeddings(out_anchors).T
+    logits /= tau
+    probs = backend.kernels.softmax_rows(logits, out=np.empty_like(logits))
+    h0 = _entropy_rows(logits, probs, np.argmax(logits, axis=1))[0] / log_n
 
     def coefficients(theta: float) -> tuple[float, float]:
         if weights.parameterization == "one_stage":

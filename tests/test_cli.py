@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from promix.cli import main
 from promix.config import ConfigError, apply_overrides, load_config, parse_config
 from promix.embedspace import (
     EmbeddingSet,
+    generate_synthetic,
     read_embedding_file,
     unit_normalize,
     write_embedding_file,
@@ -156,6 +158,14 @@ class TestPipeline:
         first = _tree_bytes(out)
         assert main(["gen", "--config", str(path)]) == 0
         assert _tree_bytes(out) == first
+
+    def test_gen_writes_the_generated_test_split(self, run_config, tmp_path):
+        path, out = run_config()
+        assert main(["gen", "--config", str(path)]) == 0
+        cfg = load_config(path)
+        domain = generate_synthetic(replace(cfg.synthetic, seed=cfg.seed))
+        write_embedding_file(domain.test, tmp_path / "want.emb")
+        assert (out / "data" / "test.emb").read_bytes() == (tmp_path / "want.emb").read_bytes()
 
     def test_full_pipeline_and_rerun_byte_identity(self, run_config):
         path, out = run_config()
@@ -302,13 +312,15 @@ class TestPipeline:
         import promix.cli
 
         generated = []
-        original = promix.cli.generate_synthetic
+        original = promix.cli.synthetic_parts
 
         def counted(config):
             generated.append(config.seed)
             return original(config)
 
-        monkeypatch.setattr(promix.cli, "generate_synthetic", counted)
+        monkeypatch.setattr(promix.cli, "synthetic_parts", counted)
+        # generate_synthetic would draw a domain through the module's own name
+        monkeypatch.setattr(promix.embedspace, "synthetic_parts", counted)
         path, out = run_config()
         assert main(["losses", "--config", str(path), "--set", "seeds=[0,1]"]) == 0
         assert generated == [0, 1]

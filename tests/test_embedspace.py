@@ -1,6 +1,7 @@
 """Embedding model, synthetic generation, partitions, and file format."""
 
 import fractions
+import itertools
 import struct
 
 import numpy as np
@@ -120,6 +121,23 @@ class TestGenerateSynthetic:
         assert [set(labels.tolist()) for _, labels in blocks] == [{c} for c in range(5)]
         assert np.array_equal(np.concatenate([v for v, _ in blocks]), dom.test.vectors)
         assert np.array_equal(np.concatenate([l for _, l in blocks]), dom.test.labels)
+
+    @pytest.mark.parametrize("rows", [2, 7])
+    @pytest.mark.parametrize("per_class", [3, 17])
+    def test_test_chunks_are_the_stacked_split_chunks(self, monkeypatch, rows, per_class):
+        # per_class divides neither chunk size and neither divides it, so
+        # chunks both straddle class blocks and cut through them
+        monkeypatch.setattr(embedspace, "CHUNK_ROWS", rows)
+        cfg = SyntheticConfig(dim=6, num_classes=5, shots=3, test_per_class=per_class,
+                              confusion_pairs=1, seed=7)
+        stream = synthetic_parts(cfg).test_chunks()
+        pairs = itertools.zip_longest(stream, generate_synthetic(cfg).test.chunks())
+        count = 0
+        for (vectors, labels), (want_vectors, want_labels) in pairs:
+            assert vectors.tobytes() == want_vectors.tobytes()
+            assert labels.tobytes() == want_labels.tobytes()
+            count += 1
+        assert count == -(-5 * per_class // rows)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

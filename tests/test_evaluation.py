@@ -10,7 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import _traced_peak
 import promix.evaluation as evaluation
+from promix import embedspace
 from promix.embedspace import EmbeddingSet, SyntheticConfig, generate_synthetic, unit_normalize
 from promix.evaluation import (
     EvalReport,
@@ -374,6 +376,50 @@ class TestSharedScoring:
             for epoch in range(epochs):
                 row = expected[i * epochs + epoch]
                 assert {k: run[loss][k][epoch] for k in row} == row
+
+
+class TestStreamedBaseNew:
+    """The base/new harness scores its test split as a stream of chunks
+    drawn class block by class block, never holding the split."""
+
+    @pytest.mark.parametrize("parameterization", ["two_stage", "one_stage"])
+    def test_harness_scores_the_generated_test_split(self, monkeypatch, parameterization):
+        monkeypatch.setattr(embedspace, "CHUNK_ROWS", 7)  # 48 test rows in 7 chunks
+        cfg = _tiny_harness(seeds=(0, 1), parameterization=parameterization)
+        per_seed = base_to_new_eval(cfg).extra["per_seed"]
+        for seed, row in zip(cfg.seeds, per_seed):
+            dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
+            train, anchors = dom.train, dom.generalized_prototypes
+            partition = partition_classes(8, "base_new_even_split", seed=seed)
+            head_ce, mix_head, mix_tau = evaluation.tune_base_new_heads(
+                cfg, train, anchors, partition, seed
+            )
+            out = evaluation.outclass_anchors(cfg, train.dim, seed, len(partition.subsets[1]))
+            weights = evaluation.fit_base_new_weights(
+                cfg, mix_head, mix_tau, train, anchors, partition, out, seed
+            )
+            t0 = PromptHead.frozen_from(anchors, train.class_names)
+            assert row == score_base_new_configs(
+                t0, head_ce, mix_head, weights, partition, dom.test, cfg.tau
+            )
+
+    def test_peak_is_set_by_chunks_not_by_the_test_split(self):
+        dim = 128
+        chunk = embedspace.CHUNK_ROWS * dim * 8
+        synthetic = SyntheticConfig(dim=dim, num_classes=16, shots=4, test_per_class=1,
+                                    confusion_pairs=2, seed=0)
+        cfg = _tiny_harness(synthetic=synthetic, pool_size=16,
+                            optimizer=OptimizerConfig(epochs=2, weight_epochs=2))
+        base_to_new_eval(cfg)  # lazy imports allocate on a first call
+        # the same train split and anchors with next to no test rows
+        without_test, _ = _traced_peak(base_to_new_eval, cfg)
+        # a test split of 8 chunks
+        big = replace(synthetic, test_per_class=embedspace.CHUNK_ROWS // 2)
+        peak, _ = _traced_peak(base_to_new_eval, replace(cfg, synthetic=big))
+        # beyond the chunk buffer, which both runs hold: a class block as it
+        # is drawn (up to three half-chunk arrays), the block before it and
+        # one split's rows of a chunk, never the 8 chunks of the split
+        assert peak < without_test + 3 * chunk
 
 
 class TestAssumptionDomain:

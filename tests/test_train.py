@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import _traced_peak
 from promix import backend
 from promix.embedspace import (
     EmbeddingSet,
@@ -12,8 +13,8 @@ from promix.embedspace import (
     unit_normalize,
 )
 from promix.head import PromptHead, similarity_matrix
-from promix.losses import LossConfig, batch_loss_grad
-from promix.mixture import MixtureModel, MixtureWeights, mixture_scaled_logits
+from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
+from promix.mixture import MixtureModel, MixtureWeights, mixture_scaled_logits, sigmoid
 from promix.train import (
     DivergenceError,
     HyperParams,
@@ -24,6 +25,7 @@ from promix.train import (
     _one_stage_loss_grad,
     _descend_scalar,
     _out_objective_factory,
+    _read_raw,
     context_gradient,
     context_loss_value,
     optimize_in_weight,
@@ -418,6 +420,138 @@ class TestInObjectiveClosedForm:
         assert len(calls) == 3
 
 
+def _full_stack_in_objective(model, train_set, prompt, classes):
+    """The in-weight objective as it was built before the stack was
+    restricted to the candidate columns: every head's similarities on all
+    C classes, then a column gather. The oracle for the candidate-column
+    build."""
+    weights = model.weights
+    n = len(train_set)
+    rows = np.arange(n)
+    classes = np.asarray(classes, dtype=np.int64)
+    label_pos = {int(c): j for j, c in enumerate(classes)}
+    y_local = np.array([label_pos[lab] for lab in train_set.labels.tolist()], dtype=np.int64)
+    full = np.stack([similarity_matrix(h, train_set.vectors) for h in model.heads])
+    sims = full[:, :, classes]
+    owners_c = model.partition.owner_of()[classes]
+    owned = owners_c == prompt
+    if weights.parameterization == "one_stage":
+        base = sims[0] / weights.tau_0 + np.where(owned, 0.0, sims[1] / weights.tau_out)
+        vary = np.where(owned, sims[1], 0.0)
+        capped, rest, z0_capped = np.zeros(0, dtype=np.int64), np.zeros(0), None
+
+        def coefficients(theta):
+            scale = float(np.exp(-theta))
+            return scale, -scale
+
+    else:
+        tau = model.tau
+        raw = np.stack(
+            [
+                np.where(owners_c == i, weights.in_weights[i - 1], weights.out_weights[i - 1])
+                for i in range(1, weights.num_specialized + 1)
+            ]
+        )
+        raw[prompt - 1, owned] = 0.0
+        spec = raw.sum(axis=0)
+        w0 = np.where(owned, 1.0 - spec, np.maximum(1.0 - spec, 0.0))
+        denom = np.where(owned, 1.0, np.maximum(spec, 1.0))
+        base = (w0 * sims[0] + np.einsum("kc,knc->nc", raw, sims[1:])) / denom / tau
+        vary = np.where(owned, sims[prompt] - sims[0], 0.0) / tau
+        capped = np.flatnonzero(owned & (spec > 0.0))
+        rest = spec[capped]
+        z0_capped = sims[0][:, capped] / tau
+
+        def coefficients(theta):
+            pi = float(sigmoid(theta))
+            return pi, pi * (1.0 - pi)
+
+    vary_y = float(vary[rows, y_local].sum())
+    logits = np.empty_like(base)
+
+    def evaluate(theta):
+        a, b = coefficients(theta)
+        np.add(np.multiply(vary, a, out=logits), base, out=logits)
+        dz, dz_y = vary, vary_y
+        over = rest + a > 1.0
+        if over.any():
+            cols, total = capped[over], rest[over] + a
+            logits[:, cols] = (logits[:, cols] + z0_capped[:, over] * (total - 1.0)) / total
+            dz = vary.copy()
+            dz[:, cols] = (vary[:, cols] + z0_capped[:, over] - logits[:, cols]) / total
+            dz_y = float(dz[rows, y_local].sum())
+        probs = backend.kernels.softmax_rows(logits, out=logits)
+        ce = float(np.mean(-np.log(np.maximum(probs[rows, y_local], PROB_FLOOR))))
+        return ce, b * (float(np.einsum("nc,nc->", probs, dz)) - dz_y) / n
+
+    return evaluate
+
+
+def _one_stage_fixture(seed=42):
+    _, model, train_in = _mixture_fixture(seed=seed)
+    weights = MixtureWeights.one_stage(0.02, 0.015)
+    return MixtureModel(model.heads, weights, model.partition, tau=0.01), train_in
+
+
+class TestInObjectiveCandidateColumns:
+    """The in-weight objective built on the candidate columns only, against
+    the full-stack build, with ``classes`` a strict subset of the columns."""
+
+    CASES = {
+        "two_stage_k1": (lambda: _mixture_fixture(seed=41)[1:], [0, 1, 2, 3, 5],
+                         (-2.0, 0.0, 1.3)),
+        # pi_1 = 0.018 (under the simplex cap), 0.5 and 0.88 (over it)
+        "two_stage_k2_over_cap": (_stacked_fixture, [0, 1, 2, 3, 5], (-4.0, 0.0, 2.0)),
+        "one_stage": (_one_stage_fixture, [0, 1, 2, 3, 4],
+                      (np.log(0.005), np.log(0.01), np.log(0.04))),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_objective_and_gradient_match_the_full_stack(self, case):
+        fixture, classes, thetas = self.CASES[case]
+        model, train_in = fixture()
+        classes = np.array(classes)
+        objective = _in_objective_factory(model, train_in, 1, classes)
+        oracle = _full_stack_in_objective(model, train_in, 1, classes)
+        for theta in thetas:
+            (value, grad), (want_value, want_grad) = objective(theta), oracle(theta)
+            assert value == pytest.approx(want_value, rel=1e-12)
+            assert grad == pytest.approx(want_grad, rel=1e-12)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_fitted_weight_matches_the_full_stack_descent(self, case):
+        fixture, classes, _ = self.CASES[case]
+        model, train_in = fixture()
+        classes = np.array(classes)
+        opt = OptimizerConfig(seed=0, weight_epochs=20)
+        fitted, _ = optimize_in_weight(model, train_in, opt=opt, classes=classes)
+        want, _ = _descend_scalar(
+            _read_raw(model.weights, 1, "in"),
+            _full_stack_in_objective(model, train_in, 1, classes), opt, 20, len(train_in),
+        )
+        assert _read_raw(fitted.weights, 1, "in") == pytest.approx(want, rel=1e-9)
+
+    def test_memory_scales_with_the_candidate_columns(self):
+        # C = 400 classes of dimension 8, so the N x |classes| arrays dominate
+        dom = _toy_domain(seed=45, dim=8, num_classes=400, shots=4, test_per_class=1,
+                          confusion_pairs=0)
+        names, anchors = dom.train.class_names, dom.generalized_prototypes
+        part = partition_classes(400, "base_new_even_split", seed=0)
+        heads = (PromptHead.frozen_from(anchors, names),
+                 PromptHead.with_random_context(anchors, names, 2, seed=1))
+        model = MixtureModel(heads, MixtureWeights.uniform(1), part)
+        train_in = dom.train.with_labels_in(part.subsets[1])
+        classes = part.subsets[1]
+        opt = OptimizerConfig(seed=0, weight_epochs=2)
+        optimize_in_weight(model, train_in, opt=opt, classes=classes)  # lazy set-up off the trace
+        peak, _ = _traced_peak(optimize_in_weight, model, train_in, 1, opt, classes)
+        unit = len(train_in) * len(classes) * 8
+        # the (K+1)-head stack while it is assembled, then base, vary and
+        # their temporaries: 5 units; the full-class build held 2 (K+1) N C,
+        # 8 units of N x |classes|
+        assert peak < 6 * unit
+
+
 class TestOptimizeOutWeight:
     def _out_setup(self, seed=0):
         dom, model, train_in = _mixture_fixture(seed=seed)
@@ -469,6 +603,33 @@ class TestOptimizeOutWeight:
         from promix.mixture import ent_loss
 
         assert ent_loss(h0, hi, d=0.2) == 0.0
+
+    @pytest.mark.parametrize("weights", [MixtureWeights.two_stage([0.0], [0.4]),
+                                         MixtureWeights.one_stage(0.01, 0.02)])
+    def test_reused_buffers_keep_the_objective_bits(self, weights):
+        _, model, train_in, out = self._out_setup(19)
+        model = MixtureModel(model.heads, weights, model.partition, tau=0.01)
+        x, log_n = train_in.vectors, np.log(out.shape[0])
+        # the objective computed from fresh arrays, as before the buffers
+        # were reused
+        z0 = (x @ model.heads[0].effective_embeddings(out).T) / model.tau
+        p0 = backend.kernels.softmax_rows(z0)
+        rows, top0 = np.arange(len(x)), np.argmax(z0, axis=1)
+        h0 = (z0[rows, top0] - np.log(p0[rows, top0]) - np.einsum("nc,nc->n", p0, z0)) / log_n
+        si = x @ model.heads[1].effective_embeddings(out).T
+        objective = _out_objective_factory(model, x, out, 1, 0.3, 8.0)
+        for theta in (-1.0, 0.2, 1.5):
+            a, c = ((float(np.exp(-theta)), -1.0) if weights.parameterization == "one_stage"
+                    else (float(sigmoid(theta)) / model.tau, 1.0 - float(sigmoid(theta))))
+            z = si * a
+            p = backend.kernels.softmax_rows(z)
+            top = np.argmax(si, axis=1)
+            mean_z = np.einsum("nc,nc->n", p, z)
+            gap = h0 - (z[rows, top] - np.log(p[rows, top]) - mean_z) / log_n + 0.3
+            var_z = np.einsum("nc,nc,nc->n", p, z, z) - mean_z * mean_z
+            want = (float(8.0 * np.mean(np.maximum(0.0, gap))),
+                    float(8.0 * np.mean(np.where(gap > 0, c * var_z / log_n, 0.0))))
+            assert objective(theta) == want
 
     def test_gradient_matches_finite_difference(self):
         _, model, train_in, out = self._out_setup(18)
