@@ -36,7 +36,6 @@ from promix.embedspace import (
 )
 from promix.evaluation import (
     SplitAccuracy,
-    accuracy,
     assumption_check,
     base_new_accuracy,
     base_new_report,
@@ -148,9 +147,11 @@ def _domain_source(cfg: RunConfig):
     return train.dim, lambda _seed: data
 
 
-def _score_test(feeds: list[tuple[object, SplitAccuracy]]) -> None:
+def _score_test(feeds: list[tuple[object, SplitAccuracy]]) -> list[dict]:
     """Iterate each distinct test split of the (test split, accumulator)
-    pairs once, adding every chunk to each accumulator it feeds."""
+    pairs once, adding every chunk to each accumulator it feeds; return their
+    percents. A split without rows is the test file's fault (a synthetic
+    test split has rows of every class)."""
     passes: dict[object, list[SplitAccuracy]] = {}
     for test, acc in feeds:
         passes.setdefault(test, []).append(acc)
@@ -158,6 +159,10 @@ def _score_test(feeds: list[tuple[object, SplitAccuracy]]) -> None:
         for vectors, labels in test:
             for acc in accumulators:
                 acc.add(vectors, labels)
+    try:
+        return [acc.percents() for _, acc in feeds]
+    except ValueError as exc:
+        raise ConfigError(str(exc), "/data/files/test") from exc
 
 
 def _check_pool_file(cfg: RunConfig, dim: int) -> np.ndarray | None:
@@ -189,6 +194,15 @@ def _partition_for(cfg: RunConfig, n_classes: int, seed: int):
         raise ConfigError(
             str(exc), "/partition/sets" if spec["kind"] == "explicit" else "/partition"
         ) from exc
+
+
+def _tuning_partition(cfg: RunConfig, train, seed: int):
+    """The seed's partition, whose base split must have training rows."""
+    partition = _partition_for(cfg, len(train.class_names), seed)
+    if not np.isin(train.labels, partition.subsets[1]).any():
+        pointer = "/data/files/train" if cfg.files and len(partition.subsets[1]) else "/partition"
+        raise ConfigError("the training set has no rows of the base split", pointer)
+    return partition
 
 
 def _head_paths(out: Path, seed: int) -> dict[str, Path]:
@@ -254,14 +268,16 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     traces = {}
     for seed in sorted(cfg.seeds):
         train, anchors, _test = domain(seed)
-        partition = _partition_for(cfg, len(train.class_names), seed)
-        base_classes = partition.subsets[1]
+        partition = _tuning_partition(cfg, train, seed)
         head_ce, mix_head, mix_tau = tune_base_new_heads(cfg, train, anchors, partition, seed)
+        heads = {"ce": head_ce, "conf": mix_head}
+        train_acc = SplitAccuracy(
+            heads, {label: ((label,), None) for label in heads}, {"base": partition.subsets[1]}
+        ).score(train.chunks())["base"]
         paths = _head_paths(out, seed)
-        for label, head, tau in (("ce", head_ce, cfg.tau), ("conf", mix_head, mix_tau)):
-            save_head(head, tau, paths[label])
-            train_acc = accuracy(head, train.with_labels_in(base_classes), classes=base_classes)
-            traces[f"seed{seed}_{label}"] = {"train_accuracy": train_acc}
+        for label, tau in (("ce", cfg.tau), ("conf", mix_tau)):
+            save_head(heads[label], tau, paths[label])
+            traces[f"seed{seed}_{label}"] = {"train_accuracy": train_acc[label]}
     _write_manifest(cfg, out, "tune", {"seeds": sorted(cfg.seeds), "metrics": traces})
     click.echo(f"tuned {2 * len(cfg.seeds)} heads under {out / 'heads'}")
 
@@ -285,7 +301,7 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
         _, tau = load_head(paths["ce"])
         mix_head, mix_tau = load_head(paths["conf"])
         train, anchors, _test = domain(seed)
-        partition = _partition_for(cfg, len(train.class_names), seed)
+        partition = _tuning_partition(cfg, train, seed)
         out_anchors = outclass_anchors(cfg, dim, seed, len(partition.subsets[1]), pool)
         fit = fit_base_new_weights(
             replace(cfg, tau=tau), mix_head, mix_tau, train, anchors, partition,
@@ -324,8 +340,7 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
             )
         t0 = PromptHead.frozen_from(anchors, train.class_names)
         feeds.append((test, base_new_accuracy(t0, head_ce, head_conf, fitted, partition, tau=tau)))
-    _score_test(feeds)
-    per_seed = [base_new_scores(acc) for _, acc in feeds]
+    per_seed = [base_new_scores(split) for split in _score_test(feeds)]
     report = base_new_report(per_seed, cfg.seeds, cfg.config_hash())
     report.write(out / "report_eval.json")
     (out / "report_eval.csv").write_text(base_to_new_csv(report))
@@ -407,7 +422,7 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     feeds = []
     for seed in sorted(cfg.seeds):
         train, anchors, test = domain(seed)
-        partition = _partition_for(cfg, len(train.class_names), seed)
+        partition = _tuning_partition(cfg, train, seed)
         base_classes = partition.subsets[1]
         heads = {
             kind: tune_on_subset(
@@ -417,8 +432,8 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
             for kind in LOSS_KINDS
         }
         feeds.append((test, SplitAccuracy(heads, scorers, {"base": base_classes})))
-    _score_test(feeds)
-    accs = {kind: [acc.percents()["base"][kind] for _, acc in feeds] for kind in LOSS_KINDS}
+    splits = _score_test(feeds)
+    accs = {kind: [split["base"][kind] for split in splits] for kind in LOSS_KINDS}
     rows = {kind: {"base_accuracy": float(np.mean(accs[kind]))} for kind in LOSS_KINDS}
     payload = {"config_hash": cfg.config_hash(), "losses": rows, "seeds": sorted(cfg.seeds)}
     _write_json(out / "report_losses.json", payload)

@@ -7,6 +7,10 @@ ensemble-bound sweep, and the confusing-sample analysis. All harnesses
 are deterministic per seed; multi-seed fan-out may run in parallel, with
 reduction order fixed by sorting on the seed.
 
+Every accuracy is counted chunk by chunk by :class:`SplitAccuracy`, on the
+``candidates`` every split ranks; a head used by several scorers is scored
+once per chunk and shared, any other only while its own scorer runs.
+
 Aggregation convention: the harmonic mean is computed per seed (or per
 dataset) and then averaged; it is not the harmonic mean of averaged
 accuracies.
@@ -85,34 +89,18 @@ def accuracy(
     emb_set: EmbeddingSet,
     classes: Sequence[int] | None = None,
 ) -> float:
-    """Percentage of samples whose argmax prediction matches the label.
+    """Percentage of samples whose argmax prediction matches the label,
+    counted chunk by chunk by a one-split :class:`SplitAccuracy`.
 
     ``classes`` restricts the candidates, and only their columns are
-    scored; ties break toward the lowest class index. Labels stay global.
+    scored; a sample whose label is not a candidate counts as wrong, and
+    ties break toward the lowest class index. Labels stay global.
     """
-    idx = None if classes is None else np.sort(np.asarray(list(classes), dtype=np.int64))
-    if isinstance(model_or_head, MixtureModel):
-        logits = mixture_scaled_logits(model_or_head, emb_set.vectors, classes=idx)
-    else:
-        head = model_or_head if idx is None else model_or_head.restrict(idx)
-        logits = similarity_matrix(head, emb_set.vectors)
-    return _percent(_count_correct(logits, emb_set.labels, idx), len(emb_set))
-
-
-def _count_correct(logits: np.ndarray, labels: np.ndarray, classes=None) -> int:
-    """Rows whose argmax, mapped through sorted ``classes``, is the label."""
-    pred = np.argmax(logits, axis=1)
-    if classes is not None:
-        pred = classes[pred]
-    return int(np.count_nonzero(pred == labels))
-
-
-def _percent(correct: int, total: int) -> float:
-    """Percent correct; the exact count makes it the same float as the mean
-    of the per-row hits times 100."""
-    if total == 0:
-        raise ValueError("accuracy of an empty set")
-    return correct / total * 100.0
+    model = model_or_head if isinstance(model_or_head, MixtureModel) else None
+    heads = {str(k): h for k, h in enumerate([model_or_head] if model is None else model.heads)}
+    every_class = {"all": range(len(emb_set.class_names))}
+    acc = SplitAccuracy(heads, {"all": (tuple(heads), model)}, every_class, candidates=classes)
+    return acc.score(emb_set.chunks())["all"]["all"]
 
 
 def classify_samples(
@@ -305,11 +293,19 @@ class SplitAccuracy:
     """Percent correct of named scorers on the test rows of class splits,
     counted chunk by chunk so that no split's rows are ever held whole.
 
-    ``heads`` maps a key to a head; each is scored once per chunk and
-    split, on the split's classes only. ``scorers`` maps a name to (head
-    keys, model): with ``model`` None the first key's head scores alone,
-    otherwise ``model`` mixes the keyed heads' similarities. ``splits``
-    maps a split name to its classes.
+    ``splits`` maps a split name to the classes whose rows it counts.
+    ``candidates`` is the one class list that every split ranks, so a row
+    whose label is not a candidate counts as wrong; with None each split
+    ranks its own classes. ``heads`` maps a key to a head, scored on the
+    ranked columns only. ``scorers`` maps a name to (head keys, model):
+    with ``model`` None the first key's head scores alone, otherwise
+    ``model`` mixes the keyed heads' similarities.
+
+    A head keyed by more than one scorer is scored once per chunk and
+    split and shared between them. Any other head is scored only when its
+    scorer runs and is dropped once summed into the mixture, so a chunk
+    holds the shared heads' similarities and about three more blocks of
+    rows x ranked columns, however many heads a mixture has.
     """
 
     def __init__(
@@ -317,15 +313,19 @@ class SplitAccuracy:
         heads: dict[str, PromptHead],
         scorers: dict[str, tuple[tuple[str, ...], MixtureModel | None]],
         splits: dict[str, Sequence[int]],
+        candidates: Sequence[int] | None = None,
     ):
-        self._splits = {
-            name: np.sort(np.asarray(list(classes), dtype=np.int64))
-            for name, classes in splits.items()
+        self._splits = {name: _sorted_classes(classes) for name, classes in splits.items()}
+        ranked = None if candidates is None else _sorted_classes(candidates)
+        self._ranked = {
+            name: idx if ranked is None else ranked for name, idx in self._splits.items()
         }
         self._heads = {
             name: {key: h.restrict(idx) for key, h in heads.items()}
-            for name, idx in self._splits.items()
+            for name, idx in self._ranked.items()
         }
+        uses = [key for keys, _ in scorers.values() for key in set(keys)]
+        self._shared = tuple(key for key in heads if uses.count(key) > 1)
         self._scorers = scorers
         self._correct = {name: dict.fromkeys(scorers, 0) for name in self._splits}
         self._total = dict.fromkeys(self._splits, 0)
@@ -337,22 +337,38 @@ class SplitAccuracy:
             if not mask.any():
                 continue
             rows, row_labels = vectors[mask], labels[mask]
-            sims = {key: similarity_matrix(h, rows) for key, h in self._heads[name].items()}
+            heads, ranked = self._heads[name], self._ranked[name]
+            held = {key: similarity_matrix(heads[key], rows) for key in self._shared}
             for scorer, (keys, model) in self._scorers.items():
-                logits = sims[keys[0]]
-                if model is not None:
-                    logits = mixture_scaled_logits(model, rows, idx, [sims[k] for k in keys])
-                self._correct[name][scorer] += _count_correct(logits, row_labels, idx)
+                sims = (held[k] if k in held else similarity_matrix(heads[k], rows) for k in keys)
+                if model is None:
+                    logits = next(sims)
+                else:
+                    logits = mixture_scaled_logits(model, rows, ranked, sims)
+                pred = ranked[np.argmax(logits, axis=1)]
+                self._correct[name][scorer] += int(np.count_nonzero(pred == row_labels))
             self._total[name] += len(row_labels)
 
     def percents(self) -> dict[str, dict[str, float]]:
-        """Split name -> scorer name -> percent correct over every row added."""
+        """Split name -> scorer name -> percent correct over every row added,
+        from exact counts; a split with no rows is an error."""
+        for name, total in self._total.items():
+            if total == 0:
+                raise ValueError(f"accuracy of an empty set: no rows of the {name} split")
         return {
-            name: {
-                scorer: _percent(correct, self._total[name]) for scorer, correct in counts.items()
-            }
+            name: {scorer: n / self._total[name] * 100.0 for scorer, n in counts.items()}
             for name, counts in self._correct.items()
         }
+
+    def score(self, chunks) -> dict[str, dict[str, float]]:
+        """Add every (vectors, labels) chunk of ``chunks``; return :meth:`percents`."""
+        for vectors, labels in chunks:
+            self.add(vectors, labels)
+        return self.percents()
+
+
+def _sorted_classes(classes: Sequence[int]) -> np.ndarray:
+    return np.sort(np.asarray(list(classes), dtype=np.int64))
 
 
 def base_new_accuracy(
@@ -378,37 +394,14 @@ def base_new_accuracy(
     return SplitAccuracy(heads, scorers, splits)
 
 
-def base_new_scores(acc: SplitAccuracy) -> dict:
-    """Base, new and harmonic-mean accuracy per configuration of an
-    accumulator made by :func:`base_new_accuracy`."""
-    split = acc.percents()
+def base_new_scores(split: dict[str, dict[str, float]]) -> dict:
+    """Base, new and harmonic-mean accuracy per configuration, from the
+    percents of an accumulator made by :func:`base_new_accuracy`."""
     base, new = split["base"], split["new"]
     return {
         name: {"base": base[name], "new": new[name], "h": harmonic_mean(base[name], new[name])}
         for name in CONFIG_NAMES
     }
-
-
-def score_base_new_configs(
-    t0: PromptHead,
-    head_ce: PromptHead,
-    head_conf: PromptHead,
-    fitted_weights: MixtureWeights,
-    partition: DomainPartition,
-    test_set: EmbeddingSet,
-    tau: float = DEFAULT_TAU,
-) -> dict:
-    """Score the four comparison configurations on a base/new split.
-
-    Accuracy is measured independently on the two splits (candidates
-    restricted to the split's classes) and combined by the harmonic mean.
-    The set is fed CHUNK_ROWS rows at a time, as views, to the accumulator
-    of :func:`base_new_accuracy`, which the CLI and the harness feed from streams.
-    """
-    acc = base_new_accuracy(t0, head_ce, head_conf, fitted_weights, partition, tau)
-    for vectors, labels in test_set.chunks():
-        acc.add(vectors, labels)
-    return base_new_scores(acc)
 
 
 def tune_base_new_heads(
@@ -484,9 +477,7 @@ def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
     )
     t0 = PromptHead.frozen_from(anchors, train.class_names)
     acc = base_new_accuracy(t0, head_ce, mix_head, weights, partition, tau=cfg.tau)
-    for vectors, labels in parts.test_chunks():
-        acc.add(vectors, labels)
-    return base_new_scores(acc)
+    return base_new_scores(acc.score(parts.test_chunks()))
 
 
 def _run_seeds(worker: Callable, cfg: HarnessConfig) -> list:
@@ -594,16 +585,18 @@ def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
         alphas_in = list(model.weights.alphas_in)
         alphas_out = list(model.weights.alphas_out)
 
-        test_seen = domain.test.with_labels_in(seen)
-        session_acc.append(accuracy(model, test_seen, classes=seen))
+        keyed = {str(k): h for k, h in enumerate(model.heads)}
+        scorers = {"mixture": (tuple(keyed), model), "t0": (("0",), None)}
+        splits = {"seen": seen}
+        if session == num_sessions:
+            splits["first"] = partition.subsets[1]
+        split = SplitAccuracy(keyed, scorers, splits, candidates=seen).score(domain.test.chunks())
+        session_acc.append(split["seen"]["mixture"])
 
-    test_first = domain.test.with_labels_in(partition.subsets[1])
-    final_first = accuracy(model, test_first, classes=seen)
-    zero_first = accuracy(t0, test_first, classes=seen)
     return {
         "session_acc": session_acc,
-        "final_first_session_acc": final_first,
-        "zero_shot_first_session_acc": zero_first,
+        "final_first_session_acc": split["first"]["mixture"],
+        "zero_shot_first_session_acc": split["first"]["t0"],
     }
 
 
@@ -648,11 +641,14 @@ def _assumption_single(domain: SyntheticDomain, cfg: HarnessConfig, split_seed: 
         replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight),
         opt, cfg.hyper.context_len, split_seed, cfg.tau,
     )
-    test_in = domain.test.with_labels_in(in_classes)
-    test_out = domain.test.with_labels_in(out_classes)
+    heads = {"t0": t0, "tuned": tuned}
+    split = SplitAccuracy(
+        heads, {key: ((key,), None) for key in heads}, {"in": in_classes, "out": out_classes},
+        candidates=range(len(names)),
+    ).score(domain.test.chunks())
     return {
-        "in_gap": accuracy(tuned, test_in) - accuracy(t0, test_in),
-        "out_gap": accuracy(t0, test_out) - accuracy(tuned, test_out),
+        "in_gap": split["in"]["tuned"] - split["in"]["t0"],
+        "out_gap": split["out"]["t0"] - split["out"]["tuned"],
     }
 
 

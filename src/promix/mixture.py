@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -142,29 +142,25 @@ class MixtureWeights:
             tau_0=tau_0,
         )
 
-    def replace_raw(
-        self,
-        prompt: int,
-        alpha_in: float | None = None,
-        alpha_out: float | None = None,
-        tau_in: float | None = None,
-        tau_out: float | None = None,
-    ) -> "MixtureWeights":
-        """New weights with one raw parameter of head ``prompt`` replaced."""
+    def raw(self, prompt: int, side: str) -> float:
+        """The raw parameter weight fitting descends for head ``prompt``'s
+        ``side`` ("in" or "out") weight: the two_stage logit alpha or the
+        one_stage log tau."""
         if self.parameterization == "two_stage":
-            a_in = self.alphas_in.copy()
-            a_out = self.alphas_out.copy()
-            if alpha_in is not None:
-                a_in[prompt - 1] = alpha_in
-            if alpha_out is not None:
-                a_out[prompt - 1] = alpha_out
-            return MixtureWeights.two_stage(a_in, a_out, tau_0=self.tau_0)
+            return float((self.alphas_in if side == "in" else self.alphas_out)[prompt - 1])
         if self.parameterization == "one_stage":
-            return MixtureWeights.one_stage(
-                self.tau_in if tau_in is None else tau_in,
-                self.tau_out if tau_out is None else tau_out,
-                tau_0=self.tau_0,
-            )
+            return float(np.log(self.tau_in if side == "in" else self.tau_out))
+        raise ValueError("direct weights carry no raw parameter to optimize")
+
+    def with_raw(self, prompt: int, side: str, theta: float) -> "MixtureWeights":
+        """New weights with the raw parameter read by :meth:`raw` set to theta."""
+        if self.parameterization == "two_stage":
+            alphas = {"in": self.alphas_in.copy(), "out": self.alphas_out.copy()}
+            alphas[side][prompt - 1] = theta
+            return MixtureWeights.two_stage(alphas["in"], alphas["out"], tau_0=self.tau_0)
+        if self.parameterization == "one_stage":
+            taus = {"in": self.tau_in, "out": self.tau_out, side: float(np.exp(theta))}
+            return MixtureWeights.one_stage(taus["in"], taus["out"], tau_0=self.tau_0)
         raise ValueError("direct weights carry no raw parameters")
 
     def to_dict(self) -> dict:
@@ -285,15 +281,15 @@ def mixture_scaled_logits(
     model: MixtureModel,
     vectors: np.ndarray,
     classes: np.ndarray | None = None,
-    sims: Sequence[np.ndarray] | None = None,
+    sims: Iterable[np.ndarray] | None = None,
     weight_rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Final pre-softmax logits of the mixture for a batch, (N, C').
 
     ``classes`` restricts the candidates (class-incremental evaluation
     only ranks classes seen so far), and each head is scored on those
-    columns only. ``sims`` supplies every head's (N, C') similarities on
-    the candidates; ``weight_rows`` is passed to ``class_scale_matrix``.
+    columns only. ``sims`` yields each head's (N, C') similarities on the
+    candidates in turn; ``weight_rows`` is passed to ``class_scale_matrix``.
     """
     scale = class_scale_matrix(model, weight_rows)
     if classes is not None:

@@ -41,7 +41,7 @@ from promix import backend
 from promix.embedspace import EmbeddingSet
 from promix.head import DEFAULT_TAU, PromptHead, similarity_matrix
 from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
-from promix.mixture import MixtureModel, MixtureWeights, normalized_entropy, sigmoid
+from promix.mixture import MixtureModel, normalized_entropy, sigmoid
 
 
 class DivergenceError(RuntimeError):
@@ -411,27 +411,6 @@ def _descend_scalar(
     return theta, trace
 
 
-def _read_raw(weights: MixtureWeights, prompt: int, side: str) -> float:
-    """The raw parameter weight fitting descends for one head's ``side``
-    ("in" or "out") weight: the two_stage logit alpha or the one_stage
-    log tau."""
-    if weights.parameterization == "two_stage":
-        alphas = weights.alphas_in if side == "in" else weights.alphas_out
-        return float(alphas[prompt - 1])
-    if weights.parameterization == "one_stage":
-        return float(np.log(weights.tau_in if side == "in" else weights.tau_out))
-    raise ValueError("direct weights carry no raw parameter to optimize")
-
-
-def _write_raw(
-    weights: MixtureWeights, prompt: int, side: str, theta: float
-) -> MixtureWeights:
-    """Weights with the raw parameter read by ``_read_raw`` set to theta."""
-    if weights.parameterization == "two_stage":
-        return weights.replace_raw(prompt, **{f"alpha_{side}": theta})
-    return weights.replace_raw(prompt, **{f"tau_{side}": float(np.exp(theta))})
-
-
 def _in_objective_factory(
     model: MixtureModel, train_set: EmbeddingSet, prompt: int, classes: np.ndarray | None
 ):
@@ -443,7 +422,8 @@ def _in_objective_factory(
     vary is zero off the head's own classes. two_stage: a = pi,
     b = pi (1 - pi) with pi = sigmoid(theta). one_stage (theta is
     log tau_in): a = exp(-theta), b = -exp(-theta). Both are built from a
-    (K+1, N, |classes|) stack of candidate-column similarities, then freed.
+    (K+1, N, |classes|) stack of candidate-column similarities, filled head
+    by head and freed once they exist.
 
     With several specialized heads a column's specialized weights can sum
     above 1; such columns are renormalized by that sum, as in
@@ -464,12 +444,18 @@ def _in_objective_factory(
             f"training label {exc.args[0]} is not in the candidate class list"
         ) from None
     x = train_set.vectors
-    sims = np.stack([similarity_matrix(h.restrict(classes), x) for h in model.heads])
+    sims = np.empty((len(model.heads), n, len(classes)))
+    for k, h in enumerate(model.heads):
+        sims[k] = similarity_matrix(h.restrict(classes), x)
     owners_c = model.partition.owner_of()[classes]
     owned = owners_c == prompt
 
+    # base and vary are built in place with the operations of their one-line
+    # forms, so the bits stay and at most two arrays beside the stack are alive
     if weights.parameterization == "one_stage":
-        base = sims[0] / weights.tau_0 + np.where(owned, 0.0, sims[1] / weights.tau_out)
+        base = sims[1] / weights.tau_out
+        base[:, owned] = 0.0
+        base += sims[0] / weights.tau_0
         vary = np.where(owned, sims[1], 0.0)
         capped, rest, z0_capped = np.zeros(0, dtype=np.int64), np.zeros(0), None
 
@@ -491,8 +477,13 @@ def _in_objective_factory(
         # the others are fixed and clamped as in class_weight_matrix
         w0 = np.where(owned, 1.0 - spec, np.maximum(1.0 - spec, 0.0))
         denom = np.where(owned, 1.0, np.maximum(spec, 1.0))
-        base = (w0 * sims[0] + np.einsum("kc,knc->nc", raw, sims[1:])) / denom / tau
-        vary = np.where(owned, sims[prompt] - sims[0], 0.0) / tau
+        base = w0 * sims[0]
+        base += np.einsum("kc,knc->nc", raw, sims[1:])
+        base /= denom
+        base /= tau
+        vary = np.subtract(sims[prompt], sims[0])
+        vary[:, ~owned] = 0.0
+        vary /= tau
         capped = np.flatnonzero(owned & (spec > 0.0))
         rest = spec[capped]
         z0_capped = sims[0][:, capped] / tau
@@ -543,12 +534,12 @@ def optimize_in_weight(
         raise ValueError("empty training set")
     if not np.all(np.isin(train_set.labels, model.partition.subsets[prompt])):
         raise ValueError(f"training labels must lie in sub-domain {prompt}")
-    theta0 = _read_raw(model.weights, prompt, "in")
+    theta0 = model.weights.raw(prompt, "in")
     objective = _in_objective_factory(model, train_set, prompt, classes)
     theta, trace = _descend_scalar(
         theta0, objective, opt, epochs or opt.weight_epochs, len(train_set)
     )
-    return replace(model, weights=_write_raw(model.weights, prompt, "in", theta)), trace
+    return replace(model, weights=model.weights.with_raw(prompt, "in", theta)), trace
 
 
 def _entropy_rows(
@@ -638,14 +629,14 @@ def optimize_out_weight(
         raise ValueError("out-class sets need at least 2 anchors")
     if len(train_set) == 0:
         raise ValueError("empty training set")
-    theta0 = _read_raw(model.weights, prompt, "out")
+    theta0 = model.weights.raw(prompt, "out")
     objective = _out_objective_factory(
         model, train_set.vectors, out_anchors, prompt, margin, ent_weight
     )
     theta, trace = _descend_scalar(
         theta0, objective, opt, epochs or opt.weight_epochs, len(train_set)
     )
-    return replace(model, weights=_write_raw(model.weights, prompt, "out", theta)), trace
+    return replace(model, weights=model.weights.with_raw(prompt, "out", theta)), trace
 
 
 def outclass_entropies(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import _traced_peak
+from conftest import _traced_peak, _whole_set_base_new_scores
 from promix import embedspace, evaluation
 from promix.cli import main
 from promix.config import ConfigError, apply_overrides, load_config, parse_config
@@ -525,8 +525,8 @@ class TestStreamedEval:
             partition = embedspace.partition_classes(len(test.class_names), seed=seed)
             t0 = PromptHead.frozen_from(anchors.vectors[np.argsort(anchors.labels)],
                                         test.class_names)
-            per_seed.append(evaluation.score_base_new_configs(
-                t0, head_ce, head_conf, fitted, partition, test, tau=tau))
+            per_seed.append(_whole_set_base_new_scores(
+                t0, head_ce, head_conf, fitted, partition, test, tau))
         expected = evaluation.base_new_report(per_seed, cfg.seeds, cfg.config_hash())
         assert len(test) > 4 * chunk_rows
         monkeypatch.setattr(embedspace, "CHUNK_ROWS", chunk_rows)
@@ -556,6 +556,34 @@ class TestStreamedEval:
         test_path.write_bytes(bytes(bad))
         assert main(["eval", "--config", str(path2)]) == 1
         assert _tree_bytes(out) == before
+
+
+class TestEmptySplits:
+    """A data file without rows of a split fails at its entry, naming the split."""
+
+    @staticmethod
+    def _keep_only(path, classes):
+        write_embedding_file(read_embedding_file(path).with_labels_in(classes), path)
+
+    def test_eval_names_the_test_file(self, run_config, tmp_path, capsys):
+        path2, out = _files_pipeline(run_config, tmp_path)
+        base = embedspace.partition_classes(8, seed=0).subsets[1]
+        self._keep_only(load_config(path2).files["test"], base)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(path2)]) == 1
+        err = capsys.readouterr().err
+        assert "/data/files/test:" in err and "new split" in err
+        assert not (out / "report_eval.json").exists()
+
+    @pytest.mark.parametrize("command", ["tune", "weights", "losses"])
+    def test_training_commands_name_the_train_file(self, run_config, tmp_path, capsys, command):
+        path2, _ = _files_pipeline(run_config, tmp_path)
+        new = embedspace.partition_classes(8, seed=0).subsets[0]
+        self._keep_only(load_config(path2).files["train"], new)
+        capsys.readouterr()
+        assert main([command, "--config", str(path2)]) == 1
+        err = capsys.readouterr().err
+        assert "/data/files/train:" in err and "base split" in err
 
 
 class TestCommandMemory:

@@ -10,16 +10,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import _traced_peak
+from conftest import _traced_peak, _whole_set_accuracy, _whole_set_base_new_scores
 import promix.evaluation as evaluation
 from promix import embedspace
 from promix.embedspace import EmbeddingSet, SyntheticConfig, generate_synthetic, unit_normalize
 from promix.evaluation import (
     EvalReport,
     HarnessConfig,
+    SplitAccuracy,
     accuracy,
     aggregate_harmonic,
     assumption_check,
+    base_new_accuracy,
+    base_new_scores,
     base_to_new_csv,
     base_to_new_eval,
     bound_sweep,
@@ -29,7 +32,6 @@ from promix.evaluation import (
     fscil_csv,
     fscil_run,
     harmonic_mean,
-    score_base_new_configs,
 )
 from promix.embedspace import partition_classes
 from promix.head import PromptHead
@@ -77,6 +79,14 @@ class TestAccuracy:
         data = EmbeddingSet(x[None, :], np.array([1]), tuple("abcd"))
         assert accuracy(head, data) == 0.0  # class 0 wins unrestricted
         assert accuracy(head, data, classes=[1, 2]) == 100.0
+
+    def test_label_outside_the_candidates_counts_as_wrong(self):
+        head = PromptHead.frozen_from(np.eye(4), tuple("abcd"))
+        data = EmbeddingSet(np.eye(4), np.arange(4), tuple("abcd"))
+        assert accuracy(head, data, classes=[0, 1, 2]) == 75.0
+        model = MixtureModel((head, head), MixtureWeights.uniform(1),
+                             partition_classes(4, "explicit", sets=[[0, 1], [2, 3]]))
+        assert accuracy(model, data, classes=[1, 2, 3]) == 75.0
 
     def test_empty_set_rejected(self):
         head = PromptHead.frozen_from(np.eye(2), ("a", "b"))
@@ -325,23 +335,12 @@ class TestSharedScoring:
         head_ce = PromptHead.with_random_context(anchors, names, 2, seed=1, init_std=0.4)
         head_conf = PromptHead.with_random_context(anchors, names, 2, seed=2, init_std=0.4)
         tau = 0.01
-        expected = {}
-        for name, model in (
-            ("zero_shot", t0),
-            ("uniform_ensemble", MixtureModel((t0, head_ce), MixtureWeights.uniform(1),
-                                              partition, tau=tau)),
-            ("conf_uniform", MixtureModel((t0, head_conf), MixtureWeights.uniform(1),
-                                          partition, tau=tau)),
-            ("fitted_mixture", MixtureModel((t0, head_conf), fitted, partition, tau=tau)),
-        ):
-            b = accuracy(model, dom.test.with_labels_in(partition.subsets[1]),
-                         classes=partition.subsets[1])
-            n = accuracy(model, dom.test.with_labels_in(partition.subsets[0]),
-                         classes=partition.subsets[0])
-            expected[name] = {"base": b, "new": n, "h": harmonic_mean(b, n)}
+        expected = _whole_set_base_new_scores(
+            t0, head_ce, head_conf, fitted, partition, dom.test, tau
+        )
         calls = _counting_similarity(monkeypatch)
-        got = score_base_new_configs(t0, head_ce, head_conf, fitted, partition, dom.test, tau)
-        assert got == expected
+        acc = base_new_accuracy(t0, head_ce, head_conf, fitted, partition, tau)
+        assert base_new_scores(acc.score(dom.test.chunks())) == expected
         # three heads, two splits, each head on its split's 5 classes only
         assert calls == [5] * 6
 
@@ -378,6 +377,65 @@ class TestSharedScoring:
                 assert {k: run[loss][k][epoch] for k in row} == row
 
 
+def _random_heads(anchors, names, count):
+    """The frozen head on ``anchors`` and ``count`` heads with random contexts."""
+    return (PromptHead.frozen_from(anchors, names),) + tuple(
+        PromptHead.with_random_context(anchors, names, 2, seed=k, init_std=0.4)
+        for k in range(1, count + 1)
+    )
+
+
+class TestSplitAccuracyCandidates:
+    """One candidate list for every split: rows and ranked classes differ."""
+
+    def test_heads_and_mixtures_match_the_whole_set_oracle(self, monkeypatch):
+        monkeypatch.setattr(embedspace, "CHUNK_ROWS", 7)  # 80 test rows in 12 chunks
+        dom = generate_synthetic(SyntheticConfig(dim=16, num_classes=10, shots=2,
+                                                 test_per_class=8, confusion_pairs=3, seed=6))
+        names = dom.test.class_names
+        heads = _random_heads(dom.generalized_prototypes, names, 2)
+        partition = partition_classes(10, "explicit", sets=[[0, 1, 8, 9], [2, 3, 4], [5, 6, 7]])
+        model = MixtureModel(heads, MixtureWeights.two_stage([0.8, -0.3], [-1.1, 0.4]),
+                             partition, tau=0.05)
+        keyed = {str(k): h for k, h in enumerate(heads)}
+        # head 0 and head 2 are shared with the mixture; head 1 is not
+        scorers = {"mixture": (("0", "1", "2"), model), "t0": (("0",), None),
+                   "h2": (("2",), None)}
+        # labels 8 and 9 have rows in the splits but are not candidates
+        splits = {"low": [0, 1, 2, 8], "high": [3, 4, 5, 6, 7, 9]}
+        candidates = [0, 1, 2, 3, 4, 5, 6, 7]
+        acc = SplitAccuracy(keyed, scorers, splits, candidates=candidates)
+        got = acc.score(dom.test.chunks())
+        scored = {"mixture": model, "t0": heads[0], "h2": heads[2]}
+        for split, classes in splits.items():
+            rows = dom.test.with_labels_in(classes)
+            want = {name: _whole_set_accuracy(m, rows, candidates) for name, m in scored.items()}
+            assert got[split] == want
+            outside = np.isin(rows.labels, [8, 9]).mean() * 100.0
+            assert all(value <= 100.0 - outside for value in got[split].values())
+
+    def test_a_mixture_chunk_holds_three_blocks_not_every_head(self):
+        classes, rows, dim = 400, 256, 8
+        rng = np.random.default_rng(0)
+        names = tuple(f"c{j}" for j in range(classes))
+        heads = _random_heads(unit_normalize(rng.standard_normal((classes, dim))), names, 8)
+        partition = partition_classes(
+            classes, "explicit", sets=[s.tolist() for s in np.array_split(np.arange(classes), 9)]
+        )
+        model = MixtureModel(heads, MixtureWeights.two_stage(np.zeros(8), np.zeros(8)), partition)
+        keyed = {str(k): h for k, h in enumerate(heads)}
+        acc = SplitAccuracy(keyed, {"mixture": (tuple(keyed), model)}, {"all": range(classes)})
+        vectors = unit_normalize(rng.standard_normal((rows, dim)))
+        labels = rng.integers(0, classes, size=rows)
+        acc.add(vectors, labels)  # lazy set-up off the trace
+        peak, _ = _traced_peak(acc.add, vectors, labels)
+        block = rows * classes * 8
+        # the running logits, one head's similarities and their scaled
+        # product (measured 3.14 blocks with the chunk- and class-length
+        # arrays); holding every head's similarities takes 11
+        assert peak < 3.5 * block
+
+
 class TestStreamedBaseNew:
     """The base/new harness scores its test split as a stream of chunks
     drawn class block by class block, never holding the split."""
@@ -399,7 +457,7 @@ class TestStreamedBaseNew:
                 cfg, mix_head, mix_tau, train, anchors, partition, out, seed
             )
             t0 = PromptHead.frozen_from(anchors, train.class_names)
-            assert row == score_base_new_configs(
+            assert row == _whole_set_base_new_scores(
                 t0, head_ce, mix_head, weights, partition, dom.test, cfg.tau
             )
 
@@ -445,4 +503,6 @@ class TestAssumptionDomain:
             replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight),
             replace(cfg.optimizer, seed=0), cfg.hyper.context_len, 0, cfg.tau,
         )
-        assert rep.extra["in_gaps"][0] == accuracy(tuned, test_in) - accuracy(t0, test_in)
+        assert rep.extra["in_gaps"][0] == (
+            _whole_set_accuracy(tuned, test_in) - _whole_set_accuracy(t0, test_in)
+        )
