@@ -1,6 +1,7 @@
 """Numpy implementations of the hot kernels, reached through promix.backend.
 
-Shapes: logits/similarities are (B, C) float64, labels are (B,) int64.
+Shapes: logits/similarities are (B, C) float64, labels are (B,) int64;
+``prompt_step`` also takes R such batches stacked along a leading run axis.
 """
 
 import numpy as np
@@ -9,7 +10,7 @@ PROB_FLOOR = 1e-300
 
 
 def softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for overflow safety.
+    """Row-wise softmax over the last axis, max-subtracted for overflow safety.
 
     The result is written into ``out`` when given (a float64 array of z's
     shape, which may be ``z`` itself), else into one new array; ``exp``
@@ -17,25 +18,33 @@ def softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     either way.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.subtract(z, z.max(axis=1, keepdims=True), out=out)
+    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
+    out /= out.sum(axis=-1, keepdims=True)
     return out
 
 
-def prompt_step(s: np.ndarray, y: np.ndarray, tau: float, w: float):
+def prompt_step(s: np.ndarray, y: np.ndarray, tau: float, w):
     """Fused batch loss and gradient of CE + w * (1 - p(y)) over similarities.
 
-    Returns (mean loss, G) with G = d(mean loss)/ds, shape (B, C).
+    Returns (mean loss, G) with G = d(mean loss)/ds, shape (B, C). A stack
+    of R batches, s (R, B, C) and y (R, B) with w a scalar or one weight per
+    run, gives the (R,) per-run mean losses, each bitwise its batch's alone.
     """
     s = np.asarray(s, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    b = s.shape[0]
-    p = softmax_rows(s / tau)
-    rows = np.arange(b)
-    py = p[rows, y]
+    stacked = s.ndim == 3
+    s, y = (s, y) if stacked else (s[None], y[None])
+    runs, b = y.shape
+    w = np.asarray(w, dtype=np.float64)[..., None]
+    z = s / tau
+    p = softmax_rows(z, out=z)
+    at_y = (np.arange(runs)[:, None], np.arange(b), y)
+    py = p[at_y]
     losses = -np.log(np.maximum(py, PROB_FLOOR)) + w * (1.0 - py)
     coef = (1.0 + w * py) / (tau * b)
-    g = p * coef[:, None]
-    g[rows, y] = -(1.0 - py) * coef
-    return float(losses.mean()), g
+    g = p  # p is not read again, so the gradient takes its place
+    g *= coef[..., None]
+    g[at_y] = -(1.0 - py) * coef
+    loss = np.add.reduce(losses, axis=1) / b  # the mean, without its wrapper
+    return (loss, g) if stacked else (float(loss[0]), g[0])

@@ -46,12 +46,13 @@ from promix.evaluation import (
     fscil_csv,
     fscil_run,
     outclass_anchors,
+    subset_run,
     tune_base_new_heads,
-    tune_on_subset,
 )
 from promix.head import PromptHead, load_head, save_head
 from promix.losses import LOSS_KINDS
 from promix.mixture import load_weights, save_weights
+from promix.train import tune_prompts
 
 
 class ArtifactError(RuntimeError):
@@ -265,11 +266,13 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     (out / "heads").mkdir(exist_ok=True)
     dim, domain = _domain_source(cfg)
     _check_pool_file(cfg, dim)
-    traces = {}
+    metrics = {}
     for seed in sorted(cfg.seeds):
         train, anchors, _test = domain(seed)
         partition = _tuning_partition(cfg, train, seed)
-        head_ce, mix_head, mix_tau = tune_base_new_heads(cfg, train, anchors, partition, seed)
+        head_ce, mix_head, mix_tau, traces = tune_base_new_heads(
+            cfg, train, anchors, partition, seed
+        )
         heads = {"ce": head_ce, "conf": mix_head}
         train_acc = SplitAccuracy(
             heads, {label: ((label,), None) for label in heads}, {"base": partition.subsets[1]}
@@ -277,8 +280,9 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
         paths = _head_paths(out, seed)
         for label, tau in (("ce", cfg.tau), ("conf", mix_tau)):
             save_head(heads[label], tau, paths[label])
-            traces[f"seed{seed}_{label}"] = {"train_accuracy": train_acc[label]}
-    _write_manifest(cfg, out, "tune", {"seeds": sorted(cfg.seeds), "metrics": traces})
+            metrics[f"seed{seed}_{label}"] = {"train_accuracy": train_acc[label],
+                                              "loss_trace": traces[label]}
+    _write_manifest(cfg, out, "tune", {"seeds": sorted(cfg.seeds), "metrics": metrics})
     click.echo(f"tuned {2 * len(cfg.seeds)} heads under {out / 'heads'}")
 
 
@@ -424,13 +428,13 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
         train, anchors, test = domain(seed)
         partition = _tuning_partition(cfg, train, seed)
         base_classes = partition.subsets[1]
-        heads = {
-            kind: tune_on_subset(
-                anchors, train.class_names, train, base_classes, replace(cfg.loss, kind=kind),
-                replace(cfg.optimizer, seed=seed), cfg.hyper.context_len, seed, cfg.tau,
-            )
+        tuned = tune_prompts([
+            subset_run(anchors, train.class_names, train, base_classes,
+                       replace(cfg.loss, kind=kind), replace(cfg.optimizer, seed=seed),
+                       cfg.hyper.context_len, seed, cfg.tau)
             for kind in LOSS_KINDS
-        }
+        ])
+        heads = {kind: head for kind, (head, _) in zip(LOSS_KINDS, tuned)}
         feeds.append((test, SplitAccuracy(heads, scorers, {"base": base_classes})))
     splits = _score_test(feeds)
     accs = {kind: [split["base"][kind] for split in splits] for kind in LOSS_KINDS}

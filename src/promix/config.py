@@ -121,6 +121,9 @@ def _parse_partition(obj: dict, pointer: str) -> dict:
         for j, c in enumerate(subset):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ConfigError("expected int", f"{pointer}/sets/{i}/{j}")
+    if kind == "explicit" and spec["sets"] is not None and len(spec["sets"]) < 2:
+        raise ConfigError("explicit partition needs two sets or more: Y_0, then the tuned Y_1",
+                          f"{pointer}/sets")
     if spec["seed"] is not None:
         _non_negative(spec["seed"], f"{pointer}/seed")
     return {**spec, "kind": kind}

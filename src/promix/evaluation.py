@@ -7,6 +7,13 @@ ensemble-bound sweep, and the confusing-sample analysis. All harnesses
 are deterministic per seed; multi-seed fan-out may run in parallel, with
 reduction order fixed by sorting on the seed.
 
+``tune_prompts`` tunes in lockstep the splits of the assumption check, each
+seed's CE/CoA twins of the confusing-sample analysis, and each seed's
+incremental sessions of equal row counts (tuned before the weights, which
+they do not depend on); base/new tunes each head alone. ``jobs`` fans the
+seeds out, or the assumption check's splits as one lockstep group per
+worker; results do not depend on it.
+
 Every accuracy is counted chunk by chunk by :class:`SplitAccuracy`, on the
 ``candidates`` every split ranks; a head used by several scorers is scored
 once per chunk and shared, any other only while its own scorer runs.
@@ -43,12 +50,15 @@ from promix.mixture import MixtureModel, MixtureWeights, bound_gap, mixture_scal
 from promix.outclass import OutclassStrategy, generate_outclass, generate_vocab_pool
 from promix.stats import TTestResult, t_test_paired_one_sided
 from promix.train import (
+    LOCKSTEP_RUNS,
     HyperParams,
     OptimizerConfig,
+    TuneRun,
     optimize_in_weight,
     optimize_out_weight,
     tune_prompt,
     tune_prompt_one_stage,
+    tune_prompts,
 )
 
 CONFIG_NAMES = ("zero_shot", "uniform_ensemble", "conf_uniform", "fitted_mixture")
@@ -204,29 +214,7 @@ def _domain_for(cfg: HarnessConfig, seed: int):
     return generate_synthetic(replace(cfg.synthetic, seed=seed))
 
 
-def _subset_problem(
-    anchors: np.ndarray,
-    names: tuple[str, ...],
-    train_set: EmbeddingSet,
-    classes: np.ndarray,
-    context_len: int,
-    seed: int,
-) -> tuple[np.ndarray, EmbeddingSet, PromptHead]:
-    """Remap a class subset to local labels 0..k-1; return the sorted
-    classes, the local training set and the initial head on them."""
-    classes = np.sort(np.asarray(classes, dtype=np.int64))
-    sub_train = train_set.with_labels_in(classes)
-    remap = {int(c): j for j, c in enumerate(classes)}
-    local = EmbeddingSet(
-        sub_train.vectors,
-        np.array([remap[int(y)] for y in sub_train.labels], dtype=np.int64),
-        tuple(names[c] for c in classes),
-    )
-    init = PromptHead.with_random_context(anchors[classes], local.class_names, context_len, seed)
-    return classes, local, init
-
-
-def tune_on_subset(
+def subset_run(
     anchors: np.ndarray,
     names: tuple[str, ...],
     train_set: EmbeddingSet,
@@ -236,12 +224,11 @@ def tune_on_subset(
     context_len: int,
     seed: int,
     tau: float,
-    epoch_hook: Callable | None = None,
-) -> PromptHead:
-    """Tune a head on a class subset; return the full-class-list head."""
-    _, local, init = _subset_problem(anchors, names, train_set, classes, context_len, seed)
-    tuned, _ = tune_prompt(init, local, loss, opt, tau=tau, epoch_hook=epoch_hook)
-    return PromptHead(tuned.context, anchors, names)
+) -> TuneRun:
+    """A tuning run on a class subset: a fresh head on ``anchors`` (context
+    drawn from ``seed``) trained on the columns and rows of ``classes``."""
+    init = PromptHead.with_random_context(anchors, names, context_len, seed)
+    return TuneRun(init, train_set, loss, opt, tau, classes=classes)
 
 
 def fit_weights(
@@ -410,10 +397,11 @@ def tune_base_new_heads(
     anchors: np.ndarray,
     partition: DomainPartition,
     seed: int,
-) -> tuple[PromptHead, PromptHead, float]:
+) -> tuple[PromptHead, PromptHead, float, dict[str, list[float]]]:
     """First base/new stage: tune the plain-CE head and the mixture head on
-    the tuning classes ``partition.subsets[1]``. Returns (CE head, mixture
-    head, the mixture head's temperature).
+    the tuning classes ``partition.subsets[1]``, each alone through
+    :func:`tune_prompt`. Returns (CE head, mixture head, the mixture head's
+    temperature, the per-epoch loss trace of each keyed "ce" / "conf").
 
     Under two_stage the mixture head is the confusion-tuned head at the
     shared temperature ``cfg.tau``. Under one_stage it is tuned jointly
@@ -421,20 +409,24 @@ def tune_base_new_heads(
     of prompt tuning itself), and the learned tau_in is returned.
     """
     names = train_set.class_names
-    base_classes = partition.subsets[1]
     opt = replace(cfg.optimizer, seed=seed)
-    data = (anchors, names, train_set, base_classes)
-    settings = (cfg.hyper.context_len, seed, cfg.tau)
-    head_ce = tune_on_subset(*data, replace(cfg.loss, kind="ce"), opt, *settings)
+    ce_loss = replace(cfg.loss, kind="ce")
     conf_loss = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
+    run = subset_run(anchors, names, train_set, partition.subsets[1], ce_loss, opt,
+                     cfg.hyper.context_len, seed, cfg.tau)
+    init, rows, labels = run.local()
+    local = EmbeddingSet(train_set.vectors[rows], labels, init.class_names)
+    head_ce, trace_ce = tune_prompt(init, local, ce_loss, opt, tau=cfg.tau)
     if cfg.parameterization == "one_stage":
-        classes, local, init = _subset_problem(*data, cfg.hyper.context_len, seed)
-        t0_local = PromptHead.frozen_from(anchors[classes], local.class_names)
-        tuned, tau_in, _ = tune_prompt_one_stage(
+        t0_local = PromptHead.frozen_from(init.anchors, init.class_names)
+        mix_head, mix_tau, trace_conf = tune_prompt_one_stage(
             init, t0_local, local, conf_loss, opt, tau_0=cfg.tau
         )
-        return head_ce, PromptHead(tuned.context, anchors, names), tau_in
-    return head_ce, tune_on_subset(*data, conf_loss, opt, *settings), cfg.tau
+    else:
+        mix_head, trace_conf = tune_prompt(init, local, conf_loss, opt, tau=cfg.tau)
+        mix_tau = cfg.tau
+    heads = (run.init.with_context(h.context) for h in (head_ce, mix_head))
+    return *heads, mix_tau, {"ce": trace_ce, "conf": trace_conf}
 
 
 def fit_base_new_weights(
@@ -470,7 +462,7 @@ def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
     parts = synthetic_parts(replace(cfg.synthetic, seed=seed))
     train, anchors = parts.train, parts.generalized_prototypes
     partition = partition_classes(len(train.class_names), "base_new_even_split", seed=seed)
-    head_ce, mix_head, mix_tau = tune_base_new_heads(cfg, train, anchors, partition, seed)
+    head_ce, mix_head, mix_tau, _ = tune_base_new_heads(cfg, train, anchors, partition, seed)
     out_anchors = outclass_anchors(cfg, train.dim, seed, len(partition.subsets[1]))
     weights = fit_base_new_weights(
         cfg, mix_head, mix_tau, train, anchors, partition, out_anchors, seed
@@ -480,16 +472,16 @@ def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
     return base_new_scores(acc.score(parts.test_chunks()))
 
 
-def _run_seeds(worker: Callable, cfg: HarnessConfig) -> list:
-    """``worker(cfg, seed)`` for every seed in sorted order, on at most
-    min(jobs, seeds, cores) worker processes."""
-    seeds = sorted(cfg.seeds)
-    workers = min(cfg.jobs, len(seeds), os.cpu_count() or 1)
+def _run_seeds(worker: Callable, cfg: HarnessConfig, items: Sequence | None = None) -> list:
+    """``worker(cfg, item)`` for every item (by default the sorted seeds) in
+    order, on at most min(jobs, items, cores) worker processes."""
+    items = sorted(cfg.seeds) if items is None else items
+    workers = min(cfg.jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker, cfg, s) for s in seeds]
+            futures = [pool.submit(worker, cfg, item) for item in items]
             return [f.result() for f in futures]
-    return [worker(cfg, s) for s in seeds]
+    return [worker(cfg, item) for item in items]
 
 
 def base_new_report(per_seed: list[dict], seeds, config_hash: str = "") -> EvalReport:
@@ -540,6 +532,15 @@ def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
     opt = replace(cfg.optimizer, seed=seed)
     num_sessions = len(partition.subsets) - 1
 
+    conf_loss = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
+    # each session head is tuned independently of earlier weights, so every
+    # head is tuned first, sessions of equal row counts in lockstep
+    tuned = tune_prompts([
+        subset_run(anchors, names, domain.train, partition.subsets[session], conf_loss, opt,
+                   FSCIL_CONTEXT_LEN, seed * 1000 + session, cfg.tau)
+        for session in range(1, num_sessions + 1)
+    ])
+
     heads: list[PromptHead] = [t0]
     alphas_in: list[float] = []
     alphas_out: list[float] = []
@@ -549,12 +550,7 @@ def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
     for session in range(1, num_sessions + 1):
         session_classes = partition.subsets[session]
         seen = np.sort(np.concatenate([seen, session_classes]))
-        head = tune_on_subset(
-            anchors, names, domain.train, session_classes,
-            replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight),
-            opt, FSCIL_CONTEXT_LEN, seed * 1000 + session, cfg.tau,
-        )
-        heads.append(head)
+        heads.append(tuned[session - 1][0])
         alphas_in.append(0.0)
         alphas_out.append(0.0)
 
@@ -629,27 +625,33 @@ def fscil_run(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     )
 
 
-def _assumption_single(domain: SyntheticDomain, cfg: HarnessConfig, split_seed: int) -> dict:
+def _assumption_group(
+    domain: SyntheticDomain, cfg: HarnessConfig, split_seeds: Sequence[int]
+) -> list[dict]:
+    """Accuracy gaps of the splits ``split_seeds``, their heads tuned in lockstep."""
     names = domain.train.class_names
-    partition = partition_classes(len(names), "base_new_even_split", seed=split_seed)
-    in_classes, out_classes = partition.subsets[1], partition.subsets[0]
     anchors = domain.generalized_prototypes
     t0 = PromptHead.frozen_from(anchors, names)
-    opt = replace(cfg.optimizer, seed=split_seed)
-    tuned = tune_on_subset(
-        anchors, names, domain.train, in_classes,
-        replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight),
-        opt, cfg.hyper.context_len, split_seed, cfg.tau,
-    )
-    heads = {"t0": t0, "tuned": tuned}
-    split = SplitAccuracy(
-        heads, {key: ((key,), None) for key in heads}, {"in": in_classes, "out": out_classes},
-        candidates=range(len(names)),
-    ).score(domain.test.chunks())
-    return {
-        "in_gap": split["in"]["tuned"] - split["in"]["t0"],
-        "out_gap": split["out"]["t0"] - split["out"]["tuned"],
-    }
+    conf_loss = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
+    partitions = [partition_classes(len(names), seed=s) for s in split_seeds]
+    tuned = tune_prompts([
+        subset_run(anchors, names, domain.train, partition.subsets[1], conf_loss,
+                   replace(cfg.optimizer, seed=s), cfg.hyper.context_len, s, cfg.tau)
+        for partition, s in zip(partitions, split_seeds)
+    ])
+    rows = []
+    for partition, (head, _) in zip(partitions, tuned):
+        heads = {"t0": t0, "tuned": head}
+        split = SplitAccuracy(
+            heads, {key: ((key,), None) for key in heads},
+            {"in": partition.subsets[1], "out": partition.subsets[0]},
+            candidates=range(len(names)),
+        ).score(domain.test.chunks())
+        rows.append({
+            "in_gap": split["in"]["tuned"] - split["in"]["t0"],
+            "out_gap": split["out"]["t0"] - split["out"]["tuned"],
+        })
+    return rows
 
 
 def assumption_check(
@@ -665,8 +667,11 @@ def assumption_check(
     if splits < 2:
         raise ValueError("need at least 2 splits")
     domain = _domain_for(cfg, cfg.seeds[0] if cfg.seeds else 0)
-    split_cfg = replace(cfg, seeds=tuple(range(splits)))
-    rows = _run_seeds(functools.partial(_assumption_single, domain), split_cfg)
+    # as many lockstep groups as workers, and none above LOCKSTEP_RUNS splits
+    count = max(-(-splits // LOCKSTEP_RUNS), min(cfg.jobs, splits, os.cpu_count() or 1))
+    groups = [g.tolist() for g in np.array_split(np.arange(splits), count)]
+    worker = functools.partial(_assumption_group, domain)
+    rows = [row for group in _run_seeds(worker, cfg, groups) for row in group]
     in_gaps = [r["in_gap"] for r in rows]
     out_gaps = [r["out_gap"] for r in rows]
 
@@ -696,36 +701,32 @@ def assumption_check(
 def _confusing_single(cfg: HarnessConfig, seed: int) -> dict:
     domain = _domain_for(cfg, seed)
     names = domain.train.class_names
-    all_classes = np.arange(len(names), dtype=np.int64)
     anchors = domain.generalized_prototypes
     t0 = PromptHead.frozen_from(anchors, names)
     categories = classify_samples(t0, domain.test, gap_threshold=0.2, tau=cfg.tau)
     masks = {name: categories == name for name in ("easy", "confusing", "hard")}
     opt = replace(cfg.optimizer, seed=seed)
+    curves = {loss: {"easy": [], "confusing": [], "all": []} for loss in ("ce", "conf")}
 
-    def run(loss_cfg: LossConfig) -> dict:
-        curves: dict[str, list[float]] = {"easy": [], "confusing": [], "all": []}
-
-        def hook(_epoch: int, head: PromptHead) -> None:
+    def hook(curve: dict[str, list[float]]) -> Callable[[int, PromptHead], None]:
+        def record(_epoch: int, head: PromptHead) -> None:
             sims = similarity_matrix(head, domain.test.vectors)
             hits = np.argmax(sims, axis=1) == domain.test.labels
-            for key, curve in curves.items():
+            for key, values in curve.items():
                 hit = hits if key == "all" else hits[masks[key]]
-                curve.append(float(np.mean(hit) * 100.0) if hit.size else 0.0)
+                values.append(float(np.mean(hit) * 100.0) if hit.size else 0.0)
 
-        tune_on_subset(
-            anchors, names, domain.train, all_classes, loss_cfg, opt,
-            cfg.hyper.context_len, seed, cfg.tau, epoch_hook=hook,
-        )
-        return curves
+        return record
 
-    ce_curves = run(replace(cfg.loss, kind="ce"))
-    conf_curves = run(replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight))
-    return {
-        "counts": {k: int(m.sum()) for k, m in masks.items()},
-        "ce": ce_curves,
-        "conf": conf_curves,
-    }
+    # the twins share rows, batch order and init, so one X·Aᵀ
+    init = PromptHead.with_random_context(anchors, names, cfg.hyper.context_len, seed)
+    losses = {"ce": replace(cfg.loss, kind="ce"),
+              "conf": replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)}
+    tune_prompts([
+        TuneRun(init, domain.train, losses[key], opt, cfg.tau, epoch_hook=hook(curves[key]))
+        for key in ("ce", "conf")
+    ])
+    return {"counts": {k: int(m.sum()) for k, m in masks.items()}, **curves}
 
 
 def confusing_gain(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:

@@ -51,6 +51,11 @@ class LossConfig:
         if not 0 < self.q <= 1:
             raise ValueError("q must lie in (0, 1]")
 
+    @property
+    def fused_w(self) -> float | None:
+        """w of the fused ce/ce_conf kernel (0 for CE); None for other kinds."""
+        return {"ce": 0.0, "ce_conf": self.w}.get(self.kind)
+
 
 def _probs(p) -> np.ndarray:
     if isinstance(p, PredictiveDistribution):
@@ -145,9 +150,8 @@ def batch_loss_grad(
     y = np.asarray(y, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= s.shape[1]):
         raise ValueError(f"labels must lie in [0, {s.shape[1]})")
-    if config.kind in ("ce", "ce_conf"):
-        w = config.w if config.kind == "ce_conf" else 0.0
-        return backend.kernels.prompt_step(s, y, tau, w)
+    if config.fused_w is not None:
+        return backend.kernels.prompt_step(s, y, tau, config.fused_w)
     b = s.shape[0]
     p = backend.kernels.softmax_rows(s / tau)
     rows = np.arange(b)

@@ -8,6 +8,10 @@ step then costs O(B·C) plus two C×D matrix-vector products
 (A·cbar for the norms, Aᵀr for the gradient) instead of rebuilding the
 C×D effective embeddings.
 
+The one tuning loop steps R independent runs of equal length at once,
+stacked on a leading axis, each bitwise as if alone; ``tune_prompt`` and
+``tune_prompt_one_stage`` are its one-run callers.
+
 Weight fitting runs full-batch momentum descent on the raw weight
 parameters (two_stage logits or one_stage temperatures): the in-weight
 against the mixture's cross-entropy on its own sub-domain, the
@@ -33,7 +37,7 @@ All loops are deterministic for a fixed seed and configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,13 +106,41 @@ class HyperParams:
             raise ValueError("context_len must be at least 1: a tuned head needs context")
 
 
+LOCKSTEP_RUNS = 16  # the most runs one loop steps, so memory stays bounded
+
+
+@dataclass(frozen=True)
+class TuneRun:
+    """One run of :func:`tune_prompts`. With ``classes`` (indices into the
+    head's class list) it trains those columns on the rows they label,
+    gathered batch by batch from ``train_set``; with None, every column on
+    every row."""
+
+    init: PromptHead
+    train_set: EmbeddingSet
+    loss: LossConfig
+    opt: OptimizerConfig
+    tau: float = DEFAULT_TAU
+    classes: np.ndarray | None = None
+    epoch_hook: Callable[[int, PromptHead], None] | None = None
+
+    def local(self) -> tuple[PromptHead, np.ndarray, np.ndarray]:
+        """The head on the trained columns (increasing), the training rows,
+        and their labels as column indices."""
+        labels = self.train_set.labels
+        if self.classes is None:
+            return self.init, np.arange(len(labels)), labels
+        classes = np.unique(self.classes)
+        rows = np.flatnonzero(np.isin(labels, classes))
+        return self.init.restrict(classes), rows, np.searchsorted(classes, labels[rows])
+
+
 @dataclass(frozen=True)
 class _AnchorSpace:
-    """The context-free part of one tuning run, computed once: the anchors,
-    their squared norms, and the products X·Aᵀ of every training row.
-
-    The norms are stored rather than assumed to be 1, because anchors read
-    from EMB1 files are unit-norm only to within the file tolerance.
+    """The context-free part of R lockstep runs, computed once: the anchors
+    (S, C, D), their squared norms, and each run's products X·Aᵀ (S, n, C);
+    S is R, or 1 for runs that share them. The norms are stored rather than
+    assumed to be 1: EMB1 anchors are unit-norm only to the file tolerance.
     """
 
     anchors: np.ndarray
@@ -116,21 +148,32 @@ class _AnchorSpace:
     xa: np.ndarray
 
     @classmethod
-    def of(cls, anchors: np.ndarray, vectors: np.ndarray) -> "_AnchorSpace":
-        return cls(anchors, np.einsum("cd,cd->c", anchors, anchors), vectors @ anchors.T)
+    def of(cls, anchors: np.ndarray, vectors: np.ndarray, rows: np.ndarray) -> "_AnchorSpace":
+        """Run s trains on ``vectors[rows[s]]``; its block of X·Aᵀ is the
+        single-run product, filled in place."""
+        xa = np.empty((len(anchors), rows.shape[1], anchors.shape[1]))
+        for s, a in enumerate(anchors):
+            np.matmul(vectors[rows[s]], a.T, out=xa[s])
+        return cls(anchors, np.einsum("scd,scd->sc", anchors, anchors), xa)
 
 
 def _context_sims(
-    space: _AnchorSpace, rows, xb: np.ndarray, cbar: np.ndarray
+    space: _AnchorSpace, xa_b: np.ndarray, xb: np.ndarray, cbar: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Similarities of ``xb`` (training rows ``rows``) against the
-    effective embeddings renormalize(a_c + cbar), and the norms ‖a_c + cbar‖.
+    """Similarities (R, B, C) of the batch rows ``xb``, whose X·Aᵀ rows are
+    ``xa_b`` (overwritten with them), against the effective embeddings
+    renormalize(a_c + cbar), and the norms ‖a_c + cbar‖.
 
     sim = (x·a_c + x·cbar) / ‖a_c + cbar‖ with
-    ‖a_c + cbar‖² = ‖a_c‖² + 2 a_c·cbar + ‖cbar‖².
+    ‖a_c + cbar‖² = ‖a_c‖² + 2 a_c·cbar + ‖cbar‖². Stacked matmul runs each
+    run's product with the single-run kernel, so the bits are the same.
     """
-    norms = np.sqrt(space.anchor_sq + 2.0 * (space.anchors @ cbar) + cbar @ cbar)
-    return (space.xa[rows] + (xb @ cbar)[:, None]) / norms, norms
+    col = cbar[:, :, None]
+    sq = (cbar[:, None, :] @ col)[:, :, 0]
+    norms = np.sqrt(space.anchor_sq + 2.0 * (space.anchors @ col)[:, :, 0] + sq)
+    xa_b += xb @ col
+    xa_b /= norms[:, None, :]
+    return xa_b, norms
 
 
 def _context_grad(
@@ -142,51 +185,67 @@ def _context_grad(
     cbar: np.ndarray,
     m_rows: int,
 ) -> np.ndarray:
-    """Gradient of sum(g * sims) w.r.t. the M context rows.
+    """Gradient of sum(g * sims) w.r.t. each context row, (R, 1, D).
 
     With r_c = Σ_b g_bc sims_bc / n_c², the gradient w.r.t. cbar is
     Xᵀ(g/n)·1 − Aᵀr − cbar Σr; cbar is the row mean, so every context row
     receives an equal 1/M share of it.
     """
-    r = np.einsum("bc,bc->c", g, sims) / (norms * norms)
-    d_cbar = xb.T @ (g @ (1.0 / norms)) - space.anchors.T @ r - r.sum() * cbar
-    return np.tile(d_cbar / m_rows, (m_rows, 1))
+    r = np.einsum("rbc,rbc->rc", g, sims) / (norms * norms)
+    d_cbar = (
+        xb.transpose(0, 2, 1) @ (g @ (1.0 / norms)[:, :, None])
+        - space.anchors.transpose(0, 2, 1) @ r[:, :, None]
+    )[:, :, 0] - r.sum(axis=1)[:, None] * cbar
+    return (d_cbar / m_rows)[:, None, :]
+
+
+def _runs_loss_grad(losses: Sequence[LossConfig]) -> Callable:
+    """(sims (R, B, C), labels, tau) -> per-run mean losses and their
+    gradients: one fused ``prompt_step`` with a per-run w for ce/ce_conf,
+    else the one run's ``batch_loss_grad``."""
+    w = [loss.fused_w for loss in losses]
+    if None not in w:
+        return lambda sims, yb, tau: backend.kernels.prompt_step(sims, yb, tau, np.array(w))
+    (loss,) = losses
+    return lambda sims, yb, tau: tuple(
+        np.asarray(a)[None] for a in batch_loss_grad(sims[0], yb[0], tau, loss)
+    )
 
 
 def _context_loss_grad(
     ctx: np.ndarray,
     space: _AnchorSpace,
-    rows,
+    xa_b: np.ndarray,
     xb: np.ndarray,
     yb: np.ndarray,
-    loss: LossConfig,
+    loss_grad: Callable,
     tau: float,
-) -> tuple[float, np.ndarray]:
-    """Loss of one batch and its gradient w.r.t. the context rows."""
-    cbar = ctx.mean(axis=0)
-    sims, norms = _context_sims(space, rows, xb, cbar)
-    loss_val, g = batch_loss_grad(sims, yb, tau, loss)
-    return loss_val, _context_grad(space, g, sims, norms, xb, cbar, ctx.shape[0])
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's batch loss and its gradient w.r.t. the context rows."""
+    cbar = np.add.reduce(ctx, axis=1) / ctx.shape[1]  # ctx.mean(axis=1) without its wrapper
+    sims, norms = _context_sims(space, xa_b, xb, cbar)
+    loss_vals, g = loss_grad(sims, yb, tau)
+    return loss_vals, _context_grad(space, g, sims, norms, xb, cbar, ctx.shape[1])
 
 
 def _one_stage_loss_grad(
     ctx: np.ndarray,
-    log_tau: float,
+    log_tau: np.ndarray,
     space: _AnchorSpace,
-    rows,
+    xa_b: np.ndarray,
     xb: np.ndarray,
     yb: np.ndarray,
     z0: np.ndarray,
-    loss: LossConfig,
-) -> tuple[float, np.ndarray, float]:
-    """Loss of the logits z0 + s_1 / tau_1 on one batch, and its gradients
-    w.r.t. the context rows and log(tau_1)."""
-    tau_1 = float(np.exp(log_tau))
-    cbar = ctx.mean(axis=0)
-    s1, norms = _context_sims(space, rows, xb, cbar)
-    loss_val, g_z = batch_loss_grad(z0 + s1 / tau_1, yb, 1.0, loss)
-    grad_ctx = _context_grad(space, g_z / tau_1, s1, norms, xb, cbar, ctx.shape[0])
-    return loss_val, grad_ctx, -float(np.einsum("nc,nc->", g_z, s1)) / tau_1
+    loss_grad: Callable,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each run's loss of the logits z0 + s_1 / tau_1 on one batch, and its
+    gradients w.r.t. the context rows and log(tau_1)."""
+    tau_1 = np.exp(log_tau)[:, None, None]
+    cbar = np.add.reduce(ctx, axis=1) / ctx.shape[1]
+    s1, norms = _context_sims(space, xa_b, xb, cbar)
+    loss_vals, g_z = loss_grad(z0 + s1 / tau_1, yb, 1.0)
+    grad_ctx = _context_grad(space, g_z / tau_1, s1, norms, xb, cbar, ctx.shape[1])
+    return loss_vals, grad_ctx, -np.einsum("rbc,rbc->r", g_z, s1) / tau_1[:, 0, 0]
 
 
 def context_gradient(
@@ -195,67 +254,135 @@ def context_gradient(
     """Full-set analytic gradient of the mean loss w.r.t. the context."""
     if head.context_len == 0:
         raise ValueError("head has no context vectors")
-    x = train_set.vectors
-    space = _AnchorSpace.of(head.anchors, x)
+    x, y = train_set.vectors, train_set.labels
+    space = _AnchorSpace.of(head.anchors[None], x, np.arange(len(x))[None])
     _, grad = _context_loss_grad(
-        head.context, space, slice(None), x, train_set.labels, loss, tau
+        head.context[None], space, space.xa, x[None], y[None], _runs_loss_grad([loss]), tau
     )
-    return grad
+    return np.broadcast_to(grad[0], head.context.shape).copy()
 
 
-def _check_tunable(init: PromptHead, train_set: EmbeddingSet) -> None:
+def _check_tunable(init: PromptHead, n_rows: int) -> None:
     if init.frozen or init.context_len == 0:
         raise ValueError("cannot tune a frozen head (no context vectors)")
-    if len(train_set) == 0:
+    if n_rows == 0:
         raise ValueError("empty training set")
-    labels = train_set.labels
-    if int(labels.min()) < 0 or int(labels.max()) >= init.num_classes:
-        raise ValueError(
-            f"training label outside the head's class list [0, {init.num_classes})"
-        )
 
 
 def _adam_descent(
-    params: list,
-    batch_grad: Callable[[np.ndarray, list], tuple[float, list]],
-    n: int,
+    params: list[np.ndarray],
+    batch_grad: Callable[[np.ndarray, np.ndarray, list], tuple[np.ndarray, list]],
+    labels: np.ndarray,
+    num_classes: int,
     opt: OptimizerConfig,
+    seeds: Sequence[int],
+    ids: Sequence[int],
     epoch_hook: Callable[[int, list], None] | None = None,
-) -> tuple[list, list[float]]:
-    """Mini-batch Adam over a list of parameters.
-
-    ``batch_grad(rows, params)`` returns the batch's mean loss and one
-    gradient per parameter. Returns the final parameters and the
-    per-epoch mean training loss.
-    """
-    rng = np.random.default_rng(opt.seed)
+) -> tuple[list[np.ndarray], list[list[float]]]:
+    """Mini-batch Adam over the runs stacked on each parameter's leading
+    axis. Run r draws its batch order from ``seeds[r]``; ``batch_grad(idx,
+    yb, params)`` takes every run's batch rows and labels (R, B) and returns
+    the per-run mean losses and one gradient per parameter. Each update is
+    elementwise, so a run's result is bitwise that of the run alone. Returns
+    the parameters and each run's per-epoch mean loss. A label outside
+    [0, num_classes) or a non-finite loss raises naming the run, ``ids[r]``,
+    and the batch offset."""
+    runs, n = labels.shape
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    run_axis = np.arange(runs)[:, None]
+    outside = (labels < 0) | (labels >= num_classes)
+    any_outside = outside.any()
     moments = [np.zeros_like(p) for p in params]
     second = [np.zeros_like(p) for p in params]
     step = 0
-    trace: list[float] = []
+    trace = np.empty((opt.epochs, runs))
     for epoch in range(opt.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        epoch_loss = np.zeros(runs)
         for start in range(0, n, opt.batch_size):
-            idx = order[start : start + opt.batch_size]
-            loss_val, grads = batch_grad(idx, params)
-            if not np.isfinite(loss_val):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}"
-                )
-            epoch_loss += loss_val * len(idx)
+            idx = order[:, start : start + opt.batch_size]
+            where = f"at epoch {epoch}, batch offset {start}"
+            if any_outside and outside[run_axis, idx].any():
+                run = ids[np.flatnonzero(outside[run_axis, idx].any(axis=1))[0]]
+                raise ValueError(f"run {run}: training label outside the head's class "
+                                 f"list [0, {num_classes}) {where}")
+            loss_vals, grads = batch_grad(idx, labels[run_axis, idx], params)
+            if not np.isfinite(loss_vals).all():
+                run = ids[np.flatnonzero(~np.isfinite(loss_vals))[0]]
+                raise DivergenceError(f"run {run}: non-finite loss {where}")
+            epoch_loss += loss_vals * idx.shape[1]
 
             step += 1
-            for i, grad in enumerate(grads):
-                moments[i] = opt.beta1 * moments[i] + (1.0 - opt.beta1) * grad
-                second[i] = opt.beta2 * second[i] + (1.0 - opt.beta2) * grad * grad
-                m_hat = moments[i] / (1.0 - opt.beta1**step)
-                v_hat = second[i] / (1.0 - opt.beta2**step)
-                params[i] = params[i] - opt.prompt_lr * m_hat / (np.sqrt(v_hat) + opt.eps)
-        trace.append(epoch_loss / n)
+            for p, m, v, grad in zip(params, moments, second, grads):
+                # the out-of-place update's operations in order, so the bits
+                # stay, with no temporary outliving its statement
+                m *= opt.beta1
+                m += (1.0 - opt.beta1) * grad
+                v *= opt.beta2
+                v += (1.0 - opt.beta2) * grad * grad
+                p -= (opt.prompt_lr * (m / (1.0 - opt.beta1**step))
+                      / (np.sqrt(v / (1.0 - opt.beta2**step)) + opt.eps))
+        trace[epoch] = epoch_loss / n
         if epoch_hook is not None:
             epoch_hook(epoch, params)
-    return params, trace
+    return params, trace.T.tolist()
+
+
+def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, list[float]]]:
+    """Tune independent runs; return each one's (tuned head, per-epoch mean
+    training loss), bitwise what :func:`tune_prompt` gives it alone. Runs on
+    one training set with equal row counts, trained shapes, optimizers (seed
+    apart) and temperatures step in lockstep, at most ``LOCKSTEP_RUNS`` at a
+    time; a loss other than ce/ce_conf runs alone."""
+    groups: dict[tuple, list[int]] = {}
+    for i, run in enumerate(runs):
+        head, rows, _ = run.local()
+        _check_tunable(run.init, len(rows))
+        alone = i if run.loss.fused_w is None else None
+        key = (id(run.train_set), len(rows), head.anchors.shape, head.context.shape,
+               replace(run.opt, seed=0), run.tau, alone)
+        groups.setdefault(key, []).append(i)
+    results: list = [None] * len(runs)
+    for members in groups.values():
+        for start in range(0, len(members), LOCKSTEP_RUNS):
+            ids = members[start : start + LOCKSTEP_RUNS]
+            for i, result in zip(ids, _tune_group([runs[i] for i in ids], ids)):
+                results[i] = result
+    return results
+
+
+def _tune_group(runs: list[TuneRun], ids: list[int]) -> list[tuple[PromptHead, list[float]]]:
+    """One Adam loop over runs of equal steps. Runs on the same anchors and
+    classes (twins differing in loss or seed) share one X·Aᵀ."""
+    first = runs[0]
+    shared = all(r.init.anchors is first.init.anchors and r.classes is first.classes for r in runs)
+    heads, rows, labels = zip(*(run.local() for run in (runs[:1] if shared else runs)))
+    x = first.train_set.vectors
+    space = _AnchorSpace.of(np.stack([h.anchors for h in heads]), x, np.stack(rows))
+    del heads  # the space holds their anchors
+    stack = (len(runs), len(rows[0]))
+    rows, labels = np.broadcast_to(np.stack(rows), stack), np.broadcast_to(np.stack(labels), stack)
+    xa = np.broadcast_to(space.xa, stack + space.xa.shape[2:])
+    run_axis = np.arange(len(runs))[:, None]
+    loss_grad = _runs_loss_grad([run.loss for run in runs])
+
+    def batch_grad(idx, yb, params):
+        (ctx,) = params
+        loss_vals, grad = _context_loss_grad(
+            ctx, space, xa[run_axis, idx], x[rows[run_axis, idx]], yb, loss_grad, first.tau
+        )
+        return loss_vals, [grad + first.opt.prompt_weight_decay * ctx]
+
+    def head_hook(epoch, params):
+        for run, ctx in zip(runs, params[0]):
+            if run.epoch_hook is not None:
+                run.epoch_hook(epoch, run.init.with_context(ctx.copy()))
+
+    (ctx,), traces = _adam_descent(
+        [np.stack([run.init.context for run in runs])], batch_grad, labels,
+        space.anchors.shape[1], first.opt, [run.opt.seed for run in runs], ids, head_hook,
+    )
+    return [(run.init.with_context(c.copy()), t) for run, c, t in zip(runs, ctx, traces)]
 
 
 def tune_prompt(
@@ -268,29 +395,11 @@ def tune_prompt(
 ) -> tuple[PromptHead, list[float]]:
     """Mini-batch descent on the context vectors; anchors stay frozen.
 
-    Labels must index the head's class list directly. Returns the tuned
-    head and the per-epoch mean training loss. ``epoch_hook`` receives
-    the head after each epoch (used by the evaluation harnesses to record
-    curves).
+    The one-run case of :func:`tune_prompts`. Labels must index the head's
+    class list directly. Returns the tuned head and the per-epoch mean
+    training loss. ``epoch_hook`` receives the head after each epoch.
     """
-    _check_tunable(init, train_set)
-    x_all = train_set.vectors
-    y_all = train_set.labels
-    space = _AnchorSpace.of(init.anchors, x_all)
-
-    def batch_grad(idx, params):
-        (ctx,) = params
-        loss_val, grad = _context_loss_grad(ctx, space, idx, x_all[idx], y_all[idx], loss, tau)
-        return loss_val, [grad + opt.prompt_weight_decay * ctx]
-
-    def head_hook(epoch, params):
-        epoch_hook(epoch, init.with_context(params[0]))
-
-    (ctx,), trace = _adam_descent(
-        [init.context.copy()], batch_grad, len(train_set), opt,
-        head_hook if epoch_hook is not None else None,
-    )
-    return init.with_context(ctx), trace
+    return tune_prompts([TuneRun(init, train_set, loss, opt, tau, epoch_hook=epoch_hook)])[0]
 
 
 def context_loss_value(
@@ -315,30 +424,32 @@ def tune_prompt_one_stage(
 
     The single-temperature coupling ties the specialized head's mixing
     weight to its own temperature tau_1: training logits are
-    s_0 / tau_0 + s_1 / tau_1, and one adaptive-moment loop updates the
-    context together with log(tau_1). Only meaningful with exactly one
-    specialized head. Returns (tuned head, tau_1, per-epoch loss trace).
+    s_0 / tau_0 + s_1 / tau_1, and the tuning loop updates the context
+    together with log(tau_1), as a one-run stack. Only meaningful with
+    exactly one specialized head. Returns (tuned head, tau_1, per-epoch
+    loss trace).
     """
-    _check_tunable(init, train_set)
+    _check_tunable(init, len(train_set))
     if generalized.num_classes != init.num_classes:
         raise ValueError("generalized head must share the class list")
 
-    x_all = train_set.vectors
-    y_all = train_set.labels
-    space = _AnchorSpace.of(init.anchors, x_all)
-    z0_all = x_all @ generalized.effective_embeddings().T / tau_0
+    x = train_set.vectors
+    space = _AnchorSpace.of(init.anchors[None], x, np.arange(len(x))[None])
+    z0 = x @ generalized.effective_embeddings().T / tau_0
+    loss_grad = _runs_loss_grad([loss])
 
-    def batch_grad(idx, params):
+    def batch_grad(idx, yb, params):
         ctx, log_tau = params
-        loss_val, grad_ctx, grad_tau = _one_stage_loss_grad(
-            ctx, log_tau, space, idx, x_all[idx], y_all[idx], z0_all[idx], loss
+        loss_vals, grad_ctx, grad_tau = _one_stage_loss_grad(
+            ctx, log_tau, space, space.xa[0][idx], x[idx], yb, z0[idx], loss_grad
         )
-        return loss_val, [grad_ctx + opt.prompt_weight_decay * ctx, grad_tau]
+        return loss_vals, [grad_ctx + opt.prompt_weight_decay * ctx, grad_tau]
 
-    (ctx, log_tau), trace = _adam_descent(
-        [init.context.copy(), float(np.log(tau_0))], batch_grad, len(train_set), opt
+    (ctx, log_tau), (trace,) = _adam_descent(
+        [init.context[None].copy(), np.array([np.log(tau_0)])], batch_grad,
+        train_set.labels[None], init.num_classes, opt, [opt.seed], [0],
     )
-    return init.with_context(ctx), float(np.exp(log_tau)), trace
+    return init.with_context(ctx[0]), float(np.exp(log_tau[0])), trace
 
 
 def _bits(*values: float) -> bytes:

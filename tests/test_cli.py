@@ -179,6 +179,22 @@ class TestPipeline:
         assert _tree_bytes(out) == snapshot
 
     @pytest.mark.parametrize("parameterization", ["two_stage", "one_stage"])
+    def test_tune_manifest_records_each_heads_loss_trace(self, run_config, parameterization):
+        path, out = run_config(weights={"parameterization": parameterization})
+        assert main(["tune", "--config", str(path), "--set", "seeds=[0,1]"]) == 0
+        metrics = json.loads((out / "manifest_tune.json").read_text())["metrics"]
+        cfg = load_config(path, ["seeds=[0,1]"])
+        for seed in (0, 1):
+            domain = generate_synthetic(replace(cfg.synthetic, seed=seed))
+            partition = embedspace.partition_classes(8, seed=seed)
+            *_, traces = evaluation.tune_base_new_heads(
+                cfg, domain.train, domain.generalized_prototypes, partition, seed
+            )
+            for label in ("ce", "conf"):
+                recorded = metrics[f"seed{seed}_{label}"]["loss_trace"]
+                assert recorded == traces[label] and len(recorded) == cfg.optimizer.epochs
+
+    @pytest.mark.parametrize("parameterization", ["two_stage", "one_stage"])
     def test_cli_chain_matches_harness(self, run_config, parameterization):
         # 20 test samples per class and 10 epochs: at the fixture's own sizes a
         # one_stage in-weight fitted after tuning scores the same as a jointly
@@ -247,6 +263,8 @@ class TestPipeline:
             ('outclass.pool_file="/nonexistent/pool.emb"', "/outclass/pool_file"),
             ('partition={"kind": "explicit", "sets": [[0, 1], [2, 99]]}', "/partition/sets"),
             ('partition={"kind": "explicit", "sets": [[0, 1], [2, 3]]}', "/partition/sets"),
+            ('partition={"kind": "explicit", "sets": [[0, 1, 2, 3, 4, 5, 6, 7]]}',
+             "/partition/sets"),
             ("seeds=[0,0]", "/seeds"),
             ("seeds=[-1]", "/seeds/0"),
             ("seed=-1", "/seed"),

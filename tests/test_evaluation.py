@@ -352,28 +352,34 @@ class TestSharedScoring:
         categories = classify_samples(t0, dom.test, gap_threshold=0.2, tau=cfg.tau)
         assert (categories == "easy").any() and (categories == "confusing").any()
         calls = _counting_similarity(monkeypatch)
-        hook_calls, expected = [], []
-        tune = evaluation.tune_on_subset
+        hook_calls, expected = [], {"ce": [], "conf": []}
+        tune = evaluation.tune_prompts
 
-        def tune_recording(*args, epoch_hook, **kwargs):
-            def hook(epoch, head):
-                before = len(calls)
-                epoch_hook(epoch, head)
-                hook_calls.append(len(calls) - before)
-                expected.append({
-                    key: accuracy(head, dom.test.subset(categories == key))
-                    for key in ("easy", "confusing")
-                } | {"all": accuracy(head, dom.test)})
+        def tune_recording(runs):
+            # the twins run in lockstep: ce first, each with its own hook
+            assert [run.loss.kind for run in runs] == ["ce", "ce_conf"]
 
-            return tune(*args, epoch_hook=hook, **kwargs)
+            def recording(run, rows):
+                def hook(epoch, head):
+                    before = len(calls)
+                    run.epoch_hook(epoch, head)
+                    hook_calls.append(len(calls) - before)
+                    rows.append({
+                        key: accuracy(head, dom.test.subset(categories == key))
+                        for key in ("easy", "confusing")
+                    } | {"all": accuracy(head, dom.test)})
 
-        monkeypatch.setattr(evaluation, "tune_on_subset", tune_recording)
+                return replace(run, epoch_hook=hook)
+
+            return tune([recording(run, expected[k]) for run, k in zip(runs, ("ce", "conf"))])
+
+        monkeypatch.setattr(evaluation, "tune_prompts", tune_recording)
         run = confusing_gain(cfg).extra["curves"][0]
         epochs = len(run["ce"]["all"])
         assert epochs >= 2 and hook_calls == [1] * (2 * epochs)
-        for i, loss in enumerate(("ce", "conf")):
-            for epoch in range(epochs):
-                row = expected[i * epochs + epoch]
+        for loss in ("ce", "conf"):
+            assert len(expected[loss]) == epochs
+            for epoch, row in enumerate(expected[loss]):
                 assert {k: run[loss][k][epoch] for k in row} == row
 
 
@@ -449,7 +455,7 @@ class TestStreamedBaseNew:
             dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
             train, anchors = dom.train, dom.generalized_prototypes
             partition = partition_classes(8, "base_new_even_split", seed=seed)
-            head_ce, mix_head, mix_tau = evaluation.tune_base_new_heads(
+            head_ce, mix_head, mix_tau, _ = evaluation.tune_base_new_heads(
                 cfg, train, anchors, partition, seed
             )
             out = evaluation.outclass_anchors(cfg, train.dim, seed, len(partition.subsets[1]))
@@ -498,11 +504,80 @@ class TestAssumptionDomain:
         in_classes = partition_classes(8, "base_new_even_split", seed=0).subsets[1]
         test_in = domain.test.with_labels_in(in_classes)
         t0 = PromptHead.frozen_from(domain.generalized_prototypes, domain.test.class_names)
-        tuned = evaluation.tune_on_subset(
+        ((tuned, _),) = evaluation.tune_prompts([evaluation.subset_run(
             domain.generalized_prototypes, domain.train.class_names, domain.train, in_classes,
             replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight),
             replace(cfg.optimizer, seed=0), cfg.hyper.context_len, 0, cfg.tau,
-        )
+        )])
         assert rep.extra["in_gaps"][0] == (
             _whole_set_accuracy(tuned, test_in) - _whole_set_accuracy(t0, test_in)
         )
+
+
+def _fscil_tiny(**kw):
+    """4 base classes, then three 2-way sessions of 6 training rows each."""
+    synthetic = SyntheticConfig(dim=16, num_classes=10, shots=3, test_per_class=4,
+                                intra_noise=0.08, proto_noise=0.15, confusion_pairs=2, seed=0)
+    return _tiny_harness(synthetic=synthetic, fscil_base_size=4, fscil_way=2, **kw)
+
+
+def _counting_tune_prompts(monkeypatch) -> list[int]:
+    """Record the number of runs of each ``tune_prompts`` call."""
+    sizes = []
+    tune = evaluation.tune_prompts
+
+    def counted(runs):
+        sizes.append(len(runs))
+        return tune(runs)
+
+    monkeypatch.setattr(evaluation, "tune_prompts", counted)
+    return sizes
+
+
+class TestLockstepHarnesses:
+    def test_assumption_jobs_match_serial(self):
+        serial = assumption_check(_tiny_harness(), splits=4)
+        assert assumption_check(_tiny_harness(jobs=2), splits=4).to_json() == serial.to_json()
+
+    def test_fscil_jobs_match_serial(self):
+        serial = fscil_run(_fscil_tiny(seeds=(0, 1)))
+        assert fscil_run(_fscil_tiny(seeds=(0, 1), jobs=2)).to_json() == serial.to_json()
+
+    def test_fscil_sessions_of_equal_rows_step_together(self, monkeypatch):
+        import promix.train as train
+
+        stacked = fscil_run(_fscil_tiny())
+        sizes = []
+        descent = train._adam_descent
+
+        def recording(params, batch_grad, labels, *args, **kwargs):
+            sizes.append(labels.shape[0])
+            return descent(params, batch_grad, labels, *args, **kwargs)
+
+        monkeypatch.setattr(train, "_adam_descent", recording)
+        assert fscil_run(_fscil_tiny()).to_json() == stacked.to_json()
+        assert sizes == [1, 3]  # the base session alone, the three 2-way sessions together
+        monkeypatch.setattr(train, "LOCKSTEP_RUNS", 1)
+        assert fscil_run(_fscil_tiny()).to_json() == stacked.to_json()
+        assert sizes[2:] == [1, 1, 1, 1]
+
+    def test_assumption_groups_are_capped(self, monkeypatch):
+        import promix.train as train
+
+        whole = assumption_check(_tiny_harness(), splits=5)
+        sizes = _counting_tune_prompts(monkeypatch)
+        monkeypatch.setattr(train, "LOCKSTEP_RUNS", 2)
+        monkeypatch.setattr(evaluation, "LOCKSTEP_RUNS", 2)
+        assert assumption_check(_tiny_harness(), splits=5).to_json() == whole.to_json()
+        assert sizes == [2, 2, 1]
+
+    def test_assumption_peak_stays_within_fscils_at_desk_scale(self):
+        # one seed each: fscil's peak is one seed's, and assume tunes its 10
+        # splits of one domain in one lockstep group
+        base = HarnessConfig(seeds=(0,))
+        assume_cfg = replace(base, synthetic=evaluation.assumption_default_synthetic())
+        fscil_cfg = replace(base, synthetic=evaluation.fscil_default_synthetic())
+        assumption_check(_tiny_harness(), splits=2)  # lazy imports allocate on a first call
+        assume_peak, _ = _traced_peak(assumption_check, assume_cfg, 10)
+        fscil_peak, _ = _traced_peak(fscil_run, fscil_cfg)
+        assert assume_peak <= fscil_peak

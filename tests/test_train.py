@@ -23,6 +23,7 @@ from promix.train import (
     _context_loss_grad,
     _in_objective_factory,
     _one_stage_loss_grad,
+    _runs_loss_grad,
     _descend_scalar,
     _out_objective_factory,
     context_gradient,
@@ -206,9 +207,14 @@ class TestMeanContextStep:
         x = _unit_rows(rng, n, d)
         y = rng.integers(0, c, n)
         loss = LossConfig(kind)
-        space = _AnchorSpace.of(head.anchors, x)
+        space = _AnchorSpace.of(head.anchors[None], x, np.arange(n)[None])
         rows = rng.permutation(n)[:17]
-        value, grad = _context_loss_grad(head.context, space, rows, x[rows], y[rows], loss, 0.05)
+        # a one-run stack; the gradient is one row shared by the M context rows
+        values, grad = _context_loss_grad(
+            head.context[None], space, space.xa[:, rows], x[rows][None], y[rows][None],
+            _runs_loss_grad([loss]), 0.05,
+        )
+        value, grad = values[0], np.broadcast_to(grad[0], head.context.shape)
         ref_value, ref_grad = _full_matrix_context_grad(
             head.context, head.anchors, x[rows], y[rows], loss, 0.05
         )
@@ -236,10 +242,12 @@ class TestOneStageJointGradient:
             s1 = similarity_matrix(head.with_context(ctx), x)
             return batch_loss_grad(z0 + s1 / np.exp(lt), y, 1.0, loss)[0]
 
-        space = _AnchorSpace.of(head.anchors, x)
+        space = _AnchorSpace.of(head.anchors[None], x, np.arange(n)[None])
         _, g_ctx, g_tau = _one_stage_loss_grad(
-            head.context, log_tau, space, slice(None), x, y, z0, loss
+            head.context[None], np.array([log_tau]), space, space.xa, x[None], y[None], z0[None],
+            _runs_loss_grad([loss]),
         )
+        g_ctx, g_tau = np.broadcast_to(g_ctx[0], head.context.shape), g_tau[0]
         fd = np.zeros_like(g_ctx)
         for i in range(m):
             for j in range(d):
