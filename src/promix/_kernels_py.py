@@ -9,18 +9,26 @@ import numpy as np
 PROB_FLOOR = 1e-300
 
 
-def softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def softmax_rows(
+    z: np.ndarray, out: np.ndarray | None = None, sums: np.ndarray | None = None
+) -> np.ndarray:
     """Row-wise softmax over the last axis, max-subtracted for overflow safety.
 
     The result is written into ``out`` when given (a float64 array of z's
     shape, which may be ``z`` itself), else into one new array; ``exp``
     and the row division run in place, so the values are the same bits
-    either way.
+    either way. With ``sums`` (float64, z's row shape) the division is
+    skipped: the result is exp(z - row max) and ``sums`` gets its row sums.
     """
     z = np.asarray(z, dtype=np.float64)
+    if sums is not None and sums.shape != z.shape[:-1]:
+        raise ValueError(f"sums has shape {sums.shape}, z has {z.shape[:-1]} rows")
     out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    if sums is None:
+        out /= out.sum(axis=-1, keepdims=True)
+    else:
+        np.sum(out, axis=-1, out=sums)
     return out
 
 

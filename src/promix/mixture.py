@@ -163,6 +163,16 @@ class MixtureWeights:
             return MixtureWeights.one_stage(taus["in"], taus["out"], tau_0=self.tau_0)
         raise ValueError("direct weights carry no raw parameters")
 
+    def coefficient(self, theta: float, tau: float = 1.0) -> tuple[float, float]:
+        """(a, d log a / d theta), a the factor raw parameter theta puts on its
+        head's similarities: sigmoid(theta) / tau, or exp(-theta) under one_stage."""
+        if self.parameterization == "two_stage":
+            pi = float(sigmoid(theta))
+            return pi / tau, 1.0 - pi
+        if self.parameterization == "one_stage":
+            return float(np.exp(-theta)), -1.0
+        raise ValueError("direct weights carry no raw parameters")
+
     def to_dict(self) -> dict:
         raw: dict = {}
         if self.parameterization == "two_stage":

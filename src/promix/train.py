@@ -20,16 +20,15 @@ Both objectives are evaluated in closed form from arrays computed once per
 fit, the in-weight ones on the candidate columns only: the in-weight logits
 are affine in a scalar coefficient of the parameter, and the out-weight
 logits are a scalar multiple of fixed similarities, so each evaluation is
-one softmax plus O(N·C) work. Each fit holds N×C work buffers (one for the
-in-weight; the generalized head's out-class logits and softmax for the
-out-weight), and every evaluation writes its logits and softmax into them
-in place. Weight traces are monotone non-increasing: descent stops at the
-first epoch that would raise the objective, and an immediate ascent retries
-once at a tenth of the learning rate. A step that leaves the parameter and
-its momentum buffer bitwise unchanged is an exact fixed point, so the
-descent fills in the remaining epochs without evaluating them (an
-out-weight hinge inactive at a zero start costs one evaluation); the result
-is the same as running them.
+O(N·C) work with no N×C temporaries: the in-weight walks the rows in
+cache-sized blocks through one block buffer, and the out-weight writes into
+the generalized head's out-class logits and softmax. Weight traces are
+monotone non-increasing: descent stops at the first epoch that would raise
+the objective, and an immediate ascent retries once at a tenth of the
+learning rate. A step that leaves the parameter and its momentum buffer
+bitwise unchanged is an exact fixed point, so the descent fills in the
+remaining epochs without evaluating them (an out-weight hinge inactive at a
+zero start costs one evaluation); the result is the same as running them.
 
 All loops are deterministic for a fixed seed and configuration.
 """
@@ -45,7 +44,7 @@ from promix import backend
 from promix.embedspace import EmbeddingSet
 from promix.head import DEFAULT_TAU, PromptHead, similarity_matrix
 from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
-from promix.mixture import MixtureModel, normalized_entropy, sigmoid
+from promix.mixture import MixtureModel
 
 
 class DivergenceError(RuntimeError):
@@ -107,6 +106,7 @@ class HyperParams:
 
 
 LOCKSTEP_RUNS = 16  # the most runs one loop steps, so memory stays bounded
+BLOCK_ELEMS = 1 << 16  # in-weight rows x candidates per block: 512 KiB, so it stays in cache
 
 
 @dataclass(frozen=True)
@@ -528,32 +528,30 @@ def _in_objective_factory(
     """Precompute the mixture logits in closed form; return
     theta -> (mean CE, gradient).
 
-    The logits are affine in one coefficient of theta: logits =
-    base + a(theta) vary and d logits / d theta = b(theta) vary, where
-    vary is zero off the head's own classes. two_stage: a = pi,
-    b = pi (1 - pi) with pi = sigmoid(theta). one_stage (theta is
-    log tau_in): a = exp(-theta), b = -exp(-theta). Both are built from a
-    (K+1, N, |classes|) stack of candidate-column similarities, filled head
-    by head and freed once they exist.
+    The logits are affine in the coefficient (a, c) =
+    ``MixtureWeights.coefficient(theta)``: logits = base + a vary and
+    d logits / d theta = a c vary, where vary is zero off the head's own
+    classes (two_stage builds base and vary over tau, so a = pi). Both are
+    built from a (K+1, N, |classes|) stack of candidate-column
+    similarities, filled head by head and freed once they exist.
 
     With several specialized heads a column's specialized weights can sum
     above 1; such columns are renormalized by that sum, as in
     ``class_weight_matrix``, and rebuilt from the same arrays.
+
+    An evaluation walks the rows in blocks of ``BLOCK_ELEMS`` elements
+    through one reused buffer; the kernel leaves e = exp(z - row max) and its
+    row sums S: a row's CE is -log(e_y / S), its slope along dz sum e dz / S - dz_y.
     """
     weights = model.weights
     n = len(train_set)
-    rows = np.arange(n)
-    if classes is None:
-        classes = np.arange(model.partition.num_classes, dtype=np.int64)
-    else:
-        classes = np.asarray(classes, dtype=np.int64)
-    label_pos = {int(c): j for j, c in enumerate(classes)}
-    try:
-        y_local = np.array([label_pos[lab] for lab in train_set.labels.tolist()], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(
-            f"training label {exc.args[0]} is not in the candidate class list"
-        ) from None
+    classes = np.asarray(np.arange(model.num_classes) if classes is None else classes, np.int64)
+    label_pos = np.full(model.num_classes, -1)
+    label_pos[classes] = np.arange(len(classes))
+    y_local = label_pos[train_set.labels]
+    if (y_local < 0).any():
+        bad = train_set.labels[y_local < 0][0]
+        raise ValueError(f"training label {bad} is not in the candidate class list")
     x = train_set.vectors
     sims = np.empty((len(model.heads), n, len(classes)))
     for k, h in enumerate(model.heads):
@@ -569,19 +567,10 @@ def _in_objective_factory(
         base += sims[0] / weights.tau_0
         vary = np.where(owned, sims[1], 0.0)
         capped, rest, z0_capped = np.zeros(0, dtype=np.int64), np.zeros(0), None
-
-        def coefficients(theta: float) -> tuple[float, float]:
-            scale = float(np.exp(-theta))
-            return scale, -scale
-
     else:
         tau = model.tau
-        raw = np.stack(
-            [
-                np.where(owners_c == i, weights.in_weights[i - 1], weights.out_weights[i - 1])
-                for i in range(1, weights.num_specialized + 1)
-            ]
-        )
+        own = owners_c == np.arange(1, weights.num_specialized + 1)[:, None]
+        raw = np.where(own, weights.in_weights[:, None], weights.out_weights[:, None])
         raw[prompt - 1, owned] = 0.0
         spec = raw.sum(axis=0)
         # owned columns keep the free form (head 0 takes 1 - spec - pi);
@@ -599,28 +588,31 @@ def _in_objective_factory(
         rest = spec[capped]
         z0_capped = sims[0][:, capped] / tau
 
-        def coefficients(theta: float) -> tuple[float, float]:
-            pi = float(sigmoid(theta))
-            return pi, pi * (1.0 - pi)
-
     del sims
-    vary_y = float(vary[rows, y_local].sum())
-    logits = np.empty_like(base)  # work buffer: logits, then probabilities in place
+    step = max(1, BLOCK_ELEMS // len(classes))
+    z_buf, sums = np.empty((min(step, n), len(classes))), np.empty(min(step, n))
+    p_y, g_rows = np.empty(n), np.empty(n)  # per-row label probability and gradient
+    blocks = [(slice(lo, lo + m), np.arange(m), y_local[lo : lo + m], z_buf[:m], sums[:m])
+              for lo, m in ((lo, min(step, n - lo)) for lo in range(0, n, step))]
 
     def evaluate(theta: float) -> tuple[float, float]:
-        a, b = coefficients(theta)
-        np.add(np.multiply(vary, a, out=logits), base, out=logits)
-        dz, dz_y = vary, vary_y
+        a, c = weights.coefficient(theta)
         over = rest + a > 1.0
-        if over.any():
-            cols, total = capped[over], rest[over] + a
-            logits[:, cols] = (logits[:, cols] + z0_capped[:, over] * (total - 1.0)) / total
-            dz = vary.copy()
-            dz[:, cols] = (vary[:, cols] + z0_capped[:, over] - logits[:, cols]) / total
-            dz_y = float(dz[rows, y_local].sum())
-        probs = backend.kernels.softmax_rows(logits, out=logits)
-        ce = float(np.mean(-np.log(np.maximum(probs[rows, y_local], PROB_FLOOR))))
-        return ce, b * (float(np.einsum("nc,nc->", probs, dz)) - dz_y) / n
+        cols, total = capped[over], rest[over] + a
+        for b, r, y, z, s in blocks:
+            dz = vary[b]
+            np.add(np.multiply(dz, a, out=z), base[b], out=z)
+            if len(cols):
+                z0 = z0_capped[b, over]
+                z[:, cols] = (z[:, cols] + z0 * (total - 1.0)) / total
+                dz = dz.copy()
+                dz[:, cols] = (vary[b, cols] + z0 - z[:, cols]) / total
+            e = backend.kernels.softmax_rows(z, out=z, sums=s)
+            np.divide(e[r, y], s, out=p_y[b])
+            g_rows[b] = np.einsum("nc,nc->n", e, dz) / s - dz[r, y]
+        # np.mean's bits, without its wrapper
+        ce = float(np.add.reduce(-np.log(np.maximum(p_y, PROB_FLOOR))) / n)
+        return ce, a * c * float(np.add.reduce(g_rows)) / n
 
     return evaluate
 
@@ -680,12 +672,11 @@ def _out_objective_factory(
     Both entropies run over the out-class set only: the generalized head
     at its native temperature, the specialized head with weight-scaled
     similarities so the weight is the only moving part. The specialized
-    logits are z = a(theta) s_i with d z / d theta = c(theta) z, so
-    d H / d theta = -c Var_p(z) / log n. two_stage: a = pi / tau,
-    c = 1 - pi. one_stage (theta is log tau_out): a = exp(-theta), c = -1.
-    Since a > 0, the row argmax of z is that of s_i and is found once.
+    logits are z = a s_i with d z / d theta = c z for (a, c) =
+    ``MixtureWeights.coefficient(theta, tau)``, so
+    d H / d theta = -c Var_p(z) / log n. Since a > 0, the row argmax of z
+    is that of s_i and is found once.
     """
-    weights = model.weights
     tau = model.tau
     log_n = np.log(out_anchors.shape[0])
 
@@ -696,14 +687,8 @@ def _out_objective_factory(
     probs = backend.kernels.softmax_rows(logits, out=np.empty_like(logits))
     h0 = _entropy_rows(logits, probs, np.argmax(logits, axis=1))[0] / log_n
 
-    def coefficients(theta: float) -> tuple[float, float]:
-        if weights.parameterization == "one_stage":
-            return float(np.exp(-theta)), -1.0
-        pi = float(sigmoid(theta))
-        return pi / tau, 1.0 - pi
-
     def evaluate(theta: float) -> tuple[float, float]:
-        a, c = coefficients(theta)
+        a, c = model.weights.coefficient(theta, tau)
         np.multiply(si, a, out=logits)
         backend.kernels.softmax_rows(logits, out=probs)
         entropy, mean_z = _entropy_rows(logits, probs, top)
@@ -754,16 +739,13 @@ def outclass_entropies(
     model: MixtureModel, x: np.ndarray, out_anchors: np.ndarray, prompt: int
 ) -> tuple[float, float]:
     """(H_generalized, H_specialized) for one embedding on the out-class
-    set, matching the optimization objective's reading."""
-    x = np.asarray(x, dtype=np.float64)
-    tau = model.tau
-    s0 = model.heads[0].effective_embeddings(out_anchors) @ x
-    si = model.heads[prompt].effective_embeddings(out_anchors) @ x
+    set, read from the out-weight objective's own entropy formula."""
     w = model.weights
-    if w.parameterization == "one_stage":
-        logits_i = si / w.tau_out
-    else:
-        logits_i = w.out_weights[prompt - 1] * si / tau
-    p0 = backend.kernels.softmax_rows(s0[None, :] / tau)[0]
-    pi = backend.kernels.softmax_rows(logits_i[None, :])[0]
-    return normalized_entropy(p0), normalized_entropy(pi)
+    scale = (1.0 / w.tau_out if w.parameterization == "one_stage"
+             else w.out_weights[prompt - 1] / model.tau)
+    x, entropies = np.asarray(x, dtype=np.float64)[None, :], []
+    for head, a in ((model.heads[0], 1.0 / model.tau), (model.heads[prompt], scale)):
+        z = x @ head.effective_embeddings(out_anchors).T * a
+        h = _entropy_rows(z, backend.kernels.softmax_rows(z), np.argmax(z, axis=1))[0]
+        entropies.append(float(h[0] / np.log(out_anchors.shape[0])))
+    return entropies[0], entropies[1]

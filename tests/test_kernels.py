@@ -1,7 +1,8 @@
 """The numpy kernels on their own: normalization, overflow safety, and the
-in-place forms of the softmax."""
+in-place and row-sum forms of the softmax."""
 
 import numpy as np
+import pytest
 
 from promix import _kernels_py
 
@@ -56,4 +57,29 @@ class TestSoftmaxRows:
         before = z.copy()
         probs = _kernels_py.softmax_rows(z)
         assert probs is not z
+        assert np.array_equal(z, before)
+
+
+class TestSoftmaxRowSums:
+    """The ``sums`` mode: exp(z - row max) left in place, its row sums
+    written out, and no division."""
+
+    def test_leaves_the_exponentials_and_their_row_sums(self):
+        z = _logits_with_extremes()
+        shifted = z - z.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        for source, out in ((z, np.full_like(z, np.nan)), (z.copy(),) * 2):
+            sums = np.full(z.shape[0], np.nan)
+            assert _kernels_py.softmax_rows(source, out=out, sums=sums) is out
+            assert np.array_equal(out, e)
+            assert np.array_equal(sums, e.sum(axis=1, keepdims=True)[:, 0])
+            # dividing by the sums gives the normalized path's bits
+            assert np.array_equal(out / sums[:, None], _kernels_py.softmax_rows(z))
+
+    @pytest.mark.parametrize("shape", [(63,), (65,), (64, 1), ()])
+    def test_sums_not_one_per_row_raise(self, shape):
+        z = _logits_with_extremes()
+        before = z.copy()
+        with pytest.raises(ValueError, match="sums"):
+            _kernels_py.softmax_rows(z, out=z, sums=np.empty(shape))
         assert np.array_equal(z, before)

@@ -429,9 +429,10 @@ class TestInObjectiveClosedForm:
 
 def _full_stack_in_objective(model, train_set, prompt, classes):
     """The in-weight objective as it was built before the stack was
-    restricted to the candidate columns: every head's similarities on all
-    C classes, then a column gather. The oracle for the candidate-column
-    build."""
+    restricted to the candidate columns (every head's similarities on all
+    C classes, then a column gather) and evaluated before the rows went
+    to blocks (one N x C logit buffer, normalized by the softmax). The
+    oracle for the candidate-column build and for the block evaluation."""
     weights = model.weights
     n = len(train_set)
     rows = np.arange(n)
@@ -558,6 +559,95 @@ class TestInObjectiveCandidateColumns:
         # length N or |classes|; the out-of-place build held 5, the
         # full-class build 8
         assert peak < 4.25 * unit
+
+
+WIDE_PARTITION = partition_classes(1000, "base_new_even_split", seed=0)
+
+
+def _wide_fixture():
+    """K=1 base/new model at C=1000 (D=8): 2000 rows on the 500 base
+    classes, so the objective spans 16 row blocks of 131 rows and the last
+    one is ragged."""
+    dom = _toy_domain(seed=46, dim=8, num_classes=1000, shots=4, test_per_class=1,
+                      confusion_pairs=0)
+    names, anchors = dom.train.class_names, dom.generalized_prototypes
+    heads = (PromptHead.frozen_from(anchors, names),
+             PromptHead.with_random_context(anchors, names, 2, seed=1))
+    model = MixtureModel(heads, MixtureWeights.two_stage([0.4], [-0.3]), WIDE_PARTITION)
+    return model, dom.train.with_labels_in(WIDE_PARTITION.subsets[1])
+
+
+def _counting_softmax(monkeypatch):
+    calls = []
+    softmax = backend.kernels.softmax_rows
+    monkeypatch.setattr(backend.kernels, "softmax_rows",
+                        lambda z, **kwargs: calls.append(len(z)) or softmax(z, **kwargs))
+    return calls
+
+
+class TestInObjectiveBlocks:
+    """The in-weight objective evaluated row block by row block in the
+    log-sum-exp form, against the unblocked, normalizing oracle (the
+    one-block cases are ``TestInObjectiveCandidateColumns``')."""
+
+    @staticmethod
+    def _check(model, train_in, classes, thetas, monkeypatch):
+        """Compare at each theta; return the kernel calls' row counts of
+        the last one: the objective's blocks, then the oracle's one call."""
+        calls = _counting_softmax(monkeypatch)
+        objective = _in_objective_factory(model, train_in, 1, classes)
+        oracle = _full_stack_in_objective(model, train_in, 1, classes)
+        for theta in thetas:
+            calls.clear()
+            (value, grad), (want_value, want_grad) = objective(theta), oracle(theta)
+            assert value == pytest.approx(want_value, rel=1e-12)
+            assert grad == pytest.approx(want_grad, rel=1e-12)
+        return calls
+
+    @pytest.mark.parametrize("case", list(TestInObjectiveCandidateColumns.CASES))
+    def test_ragged_small_blocks_match_the_unblocked_oracle(self, case, monkeypatch):
+        fixture, classes, thetas = TestInObjectiveCandidateColumns.CASES[case]
+        model, train_in = fixture()
+        n = len(train_in)
+        assert n > 14 and n % 7  # blocks of 7 rows: at least three, the last one short
+        monkeypatch.setattr("promix.train.BLOCK_ELEMS", 7 * len(classes))
+        calls = self._check(model, train_in, np.array(classes), thetas, monkeypatch)
+        assert calls == [7] * (n // 7) + [n % 7, n]
+
+    def test_wide_objective_matches_the_unblocked_oracle(self, monkeypatch):
+        model, train_in = _wide_fixture()
+        classes = WIDE_PARTITION.subsets[1]
+        calls = self._check(model, train_in, classes, (-1.5, 0.0, 2.5), monkeypatch)
+        # 16 blocks of 65536 // 500 = 131 rows, the last of 2000 - 15 * 131
+        assert calls == [131] * 15 + [35, 2000]
+
+    def test_underflowed_label_contributes_the_floor(self):
+        _, model, _ = _mixture_fixture(seed=47)
+        model = MixtureModel(model.heads, model.weights, model.partition, tau=1e-6)
+        # the anchor of class 0 labelled class 3: exp of the label's logit
+        # gap underflows to 0, so the row's probability is floored
+        x = model.heads[0].anchors[:1]
+        row = EmbeddingSet(x, np.array([3]), model.heads[0].class_names)
+        probs = backend.kernels.softmax_rows(mixture_scaled_logits(model, x))
+        assert probs[0, 3] == 0.0
+        value, grad = _in_objective_factory(model, row, 1, None)(0.3)
+        assert value == -np.log(PROB_FLOOR)
+        assert np.isfinite(grad)
+
+    def test_desk_size_objective_is_one_kernel_call(self, monkeypatch):
+        # a desk-size base/new objective (C=32: 256 rows on 16 candidates)
+        # is one block, so the traced weight fit counts one call per
+        # evaluation; the tests above count one call per block
+        dom = generate_synthetic(SyntheticConfig())
+        names, anchors = dom.train.class_names, dom.generalized_prototypes
+        part = partition_classes(32, "base_new_even_split", seed=0)
+        heads = (PromptHead.frozen_from(anchors, names),
+                 PromptHead.with_random_context(anchors, names, 2, seed=1))
+        model = MixtureModel(heads, MixtureWeights.uniform(1), part)
+        train_in = dom.train.with_labels_in(part.subsets[1])
+        calls = _counting_softmax(monkeypatch)
+        _in_objective_factory(model, train_in, 1, part.subsets[1])(0.2)
+        assert calls == [len(train_in)]
 
 
 class TestOptimizeOutWeight:
