@@ -197,13 +197,15 @@ def _partition_for(cfg: RunConfig, n_classes: int, seed: int):
         ) from exc
 
 
-def _tuning_partition(cfg: RunConfig, train, seed: int):
-    """The seed's partition, whose base split must have training rows."""
+def _tuning_split(cfg: RunConfig, train, seed: int):
+    """The seed's partition and its base split: the training rows of the
+    tuning classes, which must not be empty, global labels kept."""
     partition = _partition_for(cfg, len(train.class_names), seed)
-    if not np.isin(train.labels, partition.subsets[1]).any():
+    base = train.with_labels_in(partition.subsets[1])
+    if not len(base):
         pointer = "/data/files/train" if cfg.files and len(partition.subsets[1]) else "/partition"
         raise ConfigError("the training set has no rows of the base split", pointer)
-    return partition
+    return partition, base
 
 
 def _head_paths(out: Path, seed: int) -> dict[str, Path]:
@@ -269,14 +271,14 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     metrics = {}
     for seed in sorted(cfg.seeds):
         train, anchors, _test = domain(seed)
-        partition = _tuning_partition(cfg, train, seed)
+        partition, base = _tuning_split(cfg, train, seed)
         head_ce, mix_head, mix_tau, traces = tune_base_new_heads(
-            cfg, train, anchors, partition, seed
+            cfg, base, anchors, partition, seed
         )
         heads = {"ce": head_ce, "conf": mix_head}
         train_acc = SplitAccuracy(
             heads, {label: ((label,), None) for label in heads}, {"base": partition.subsets[1]}
-        ).score(train.chunks())["base"]
+        ).score(base.chunks())["base"]
         paths = _head_paths(out, seed)
         for label, tau in (("ce", cfg.tau), ("conf", mix_tau)):
             save_head(heads[label], tau, paths[label])
@@ -305,10 +307,10 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
         _, tau = load_head(paths["ce"])
         mix_head, mix_tau = load_head(paths["conf"])
         train, anchors, _test = domain(seed)
-        partition = _tuning_partition(cfg, train, seed)
+        partition, base = _tuning_split(cfg, train, seed)
         out_anchors = outclass_anchors(cfg, dim, seed, len(partition.subsets[1]), pool)
         fit = fit_base_new_weights(
-            replace(cfg, tau=tau), mix_head, mix_tau, train, anchors, partition,
+            replace(cfg, tau=tau), mix_head, mix_tau, base, anchors, partition,
             out_anchors, seed,
         )
         save_weights(fit, _weight_path(out, seed))
@@ -426,10 +428,10 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     feeds = []
     for seed in sorted(cfg.seeds):
         train, anchors, test = domain(seed)
-        partition = _tuning_partition(cfg, train, seed)
+        partition, base = _tuning_split(cfg, train, seed)
         base_classes = partition.subsets[1]
         tuned = tune_prompts([
-            subset_run(anchors, train.class_names, train, base_classes,
+            subset_run(anchors, train.class_names, base, base_classes,
                        replace(cfg.loss, kind=kind), replace(cfg.optimizer, seed=seed),
                        cfg.hyper.context_len, seed, cfg.tau)
             for kind in LOSS_KINDS

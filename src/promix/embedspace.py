@@ -383,21 +383,26 @@ class SyntheticParts(NamedTuple):
     def test_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The test split as the chunks :meth:`EmbeddingSet.chunks` gives on it
         stacked, each a view of two buffers that the next chunk overwrites. A
-        class block is drawn only once the chunks before it are consumed."""
-        vectors = np.empty((CHUNK_ROWS, self.train.dim))
-        labels = np.empty(CHUNK_ROWS, dtype=np.int64)
-        filled = 0
-        for block_vectors, block_labels in self.test_blocks:
-            # cut where the block fills the current chunk, then every CHUNK_ROWS
-            cuts = range(CHUNK_ROWS - filled, len(block_labels), CHUNK_ROWS)
-            for v, y in zip(np.split(block_vectors, cuts), np.split(block_labels, cuts)):
-                vectors[filled : filled + len(y)], labels[filled : filled + len(y)] = v, y
-                filled += len(y)
-                if filled == CHUNK_ROWS:
-                    yield vectors, labels
-                    filled = 0
-        if filled:
-            yield vectors[:filled], labels[:filled]
+        class block is drawn only once the chunks before it are consumed. The
+        stream does not hold these parts, so the train split can go first."""
+        return _block_chunks(self.test_blocks, self.train.dim)
+
+
+def _block_chunks(blocks, dim: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    vectors = np.empty((CHUNK_ROWS, dim))
+    labels = np.empty(CHUNK_ROWS, dtype=np.int64)
+    filled = 0
+    for block_vectors, block_labels in blocks:
+        # cut where the block fills the current chunk, then every CHUNK_ROWS
+        cuts = range(CHUNK_ROWS - filled, len(block_labels), CHUNK_ROWS)
+        for v, y in zip(np.split(block_vectors, cuts), np.split(block_labels, cuts)):
+            vectors[filled : filled + len(y)], labels[filled : filled + len(y)] = v, y
+            filled += len(y)
+            if filled == CHUNK_ROWS:
+                yield vectors, labels
+                filled = 0
+    if filled:
+        yield vectors[:filled], labels[:filled]
 
 
 def synthetic_parts(config: SyntheticConfig) -> SyntheticParts:

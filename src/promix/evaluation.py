@@ -308,7 +308,7 @@ class SplitAccuracy:
             name: idx if ranked is None else ranked for name, idx in self._splits.items()
         }
         self._heads = {
-            name: {key: h.restrict(idx) for key, h in heads.items()}
+            name: {key: _frozen_on(h, idx) for key, h in heads.items()}
             for name, idx in self._ranked.items()
         }
         uses = [key for keys, _ in scorers.values() for key in set(keys)]
@@ -358,6 +358,13 @@ def _sorted_classes(classes: Sequence[int]) -> np.ndarray:
     return np.sort(np.asarray(list(classes), dtype=np.int64))
 
 
+def _frozen_on(head: PromptHead, idx: np.ndarray) -> PromptHead:
+    """The head's effective embeddings of the classes ``idx`` as a frozen
+    head: they are normalized once, and its similarities are rows @ them.T."""
+    restricted = head.restrict(idx)
+    return PromptHead.frozen_from(restricted.effective_embeddings(), restricted.class_names)
+
+
 def base_new_accuracy(
     t0: PromptHead,
     head_ce: PromptHead,
@@ -393,29 +400,31 @@ def base_new_scores(split: dict[str, dict[str, float]]) -> dict:
 
 def tune_base_new_heads(
     cfg: HarnessConfig,
-    train_set: EmbeddingSet,
+    base_set: EmbeddingSet,
     anchors: np.ndarray,
     partition: DomainPartition,
     seed: int,
 ) -> tuple[PromptHead, PromptHead, float, dict[str, list[float]]]:
     """First base/new stage: tune the plain-CE head and the mixture head on
     the tuning classes ``partition.subsets[1]``, each alone through
-    :func:`tune_prompt`. Returns (CE head, mixture head, the mixture head's
-    temperature, the per-epoch loss trace of each keyed "ce" / "conf").
+    :func:`tune_prompt`, on ``base_set``: their training rows, global labels
+    kept, viewed without a copy. Returns (CE head, mixture head, the mixture
+    head's temperature, the per-epoch loss trace of each keyed "ce" / "conf").
 
     Under two_stage the mixture head is the confusion-tuned head at the
     shared temperature ``cfg.tau``. Under one_stage it is tuned jointly
     with its own temperature tau_in (the coupling makes the in-weight part
     of prompt tuning itself), and the learned tau_in is returned.
     """
-    names = train_set.class_names
     opt = replace(cfg.optimizer, seed=seed)
     ce_loss = replace(cfg.loss, kind="ce")
     conf_loss = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
-    run = subset_run(anchors, names, train_set, partition.subsets[1], ce_loss, opt,
-                     cfg.hyper.context_len, seed, cfg.tau)
+    run = subset_run(anchors, base_set.class_names, base_set, partition.subsets[1], ce_loss,
+                     opt, cfg.hyper.context_len, seed, cfg.tau)
     init, rows, labels = run.local()
-    local = EmbeddingSet(train_set.vectors[rows], labels, init.class_names)
+    if len(rows) != len(base_set):
+        raise ValueError("the base split holds rows of classes outside partition.subsets[1]")
+    local = EmbeddingSet(base_set.vectors, labels, init.class_names)
     head_ce, trace_ce = tune_prompt(init, local, ce_loss, opt, tau=cfg.tau)
     if cfg.parameterization == "one_stage":
         t0_local = PromptHead.frozen_from(init.anchors, init.class_names)
@@ -433,43 +442,47 @@ def fit_base_new_weights(
     cfg: HarnessConfig,
     mix_head: PromptHead,
     mix_tau: float,
-    train_set: EmbeddingSet,
+    base_set: EmbeddingSet,
     anchors: np.ndarray,
     partition: DomainPartition,
     out_anchors: np.ndarray,
     seed: int,
 ) -> MixtureWeights:
     """Second base/new stage: fit the mixture head's weights against the
-    frozen head on ``anchors``. Under two_stage both weights are fitted,
-    starting from the uniform ensemble. Under one_stage only tau_out is,
-    starting from one_stage(mix_tau, tau, tau_0=tau)."""
-    base_classes = partition.subsets[1]
-    t0 = PromptHead.frozen_from(anchors, train_set.class_names)
+    frozen head on ``anchors``, on the base split ``base_set`` that tuning
+    used. Under two_stage both weights are fitted, starting from the
+    uniform ensemble. Under one_stage only tau_out is, starting from
+    one_stage(mix_tau, tau, tau_0=tau)."""
+    t0 = PromptHead.frozen_from(anchors, base_set.class_names)
     if cfg.parameterization == "one_stage":
         start = MixtureWeights.one_stage(mix_tau, cfg.tau, tau_0=cfg.tau)
     else:
         start = MixtureWeights.uniform(1)
     model = fit_weights(
-        MixtureModel((t0, mix_head), start, partition, tau=cfg.tau),
-        train_set.with_labels_in(base_classes), out_anchors, cfg.hyper,
-        replace(cfg.optimizer, seed=seed), classes=base_classes,
+        MixtureModel((t0, mix_head), start, partition, tau=cfg.tau), base_set, out_anchors,
+        cfg.hyper, replace(cfg.optimizer, seed=seed), classes=partition.subsets[1],
     )
     return model.weights
 
 
 def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
-    """One seed of the four-configuration comparison, its test split streamed."""
+    """One seed of the four-configuration comparison on its base split, the
+    test split streamed; the full train split is freed before tuning."""
     parts = synthetic_parts(replace(cfg.synthetic, seed=seed))
-    train, anchors = parts.train, parts.generalized_prototypes
-    partition = partition_classes(len(train.class_names), "base_new_even_split", seed=seed)
-    head_ce, mix_head, mix_tau, _ = tune_base_new_heads(cfg, train, anchors, partition, seed)
-    out_anchors = outclass_anchors(cfg, train.dim, seed, len(partition.subsets[1]))
+    anchors, names = parts.generalized_prototypes, parts.train.class_names
+    partition = partition_classes(len(names), "base_new_even_split", seed=seed)
+    base = parts.train.with_labels_in(partition.subsets[1])
+    test = parts.test_chunks()
+    del parts  # the stream does not hold the full train split, so it goes here
+    head_ce, mix_head, mix_tau, _ = tune_base_new_heads(cfg, base, anchors, partition, seed)
+    out_anchors = outclass_anchors(cfg, base.dim, seed, len(partition.subsets[1]))
     weights = fit_base_new_weights(
-        cfg, mix_head, mix_tau, train, anchors, partition, out_anchors, seed
+        cfg, mix_head, mix_tau, base, anchors, partition, out_anchors, seed
     )
-    t0 = PromptHead.frozen_from(anchors, train.class_names)
+    del base
+    t0 = PromptHead.frozen_from(anchors, names)
     acc = base_new_accuracy(t0, head_ce, mix_head, weights, partition, tau=cfg.tau)
-    return base_new_scores(acc.score(parts.test_chunks()))
+    return base_new_scores(acc.score(test))
 
 
 def _run_seeds(worker: Callable, cfg: HarnessConfig, items: Sequence | None = None) -> list:

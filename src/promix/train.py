@@ -35,6 +35,7 @@ All loops are deterministic for a fixed seed and configuration.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -452,11 +453,6 @@ def tune_prompt_one_stage(
     return init.with_context(ctx[0]), float(np.exp(log_tau[0])), trace
 
 
-def _bits(*values: float) -> bytes:
-    """The float64 bit patterns of ``values`` (so -0.0 differs from 0.0)."""
-    return np.array(values, dtype=np.float64).tobytes()
-
-
 def _descend_scalar(
     theta0: float,
     objective_grad: Callable[[float], tuple[float, float]],
@@ -496,7 +492,8 @@ def _descend_scalar(
             for _ in range(steps_per_epoch):
                 step_buf = opt.weight_momentum * buf + grad + opt.weight_weight_decay * theta
                 step_theta = theta - lr * step_buf
-                stalled = _bits(step_theta, step_buf) == _bits(theta, buf)
+                # bit patterns, so -0.0 differs from 0.0 and NaN payloads count
+                stalled = struct.pack("<2d", step_theta, step_buf) == struct.pack("<2d", theta, buf)
                 if not stalled:
                     theta, buf = step_theta, step_buf
                     value, grad = objective_grad(theta)
@@ -532,8 +529,9 @@ def _in_objective_factory(
     ``MixtureWeights.coefficient(theta)``: logits = base + a vary and
     d logits / d theta = a c vary, where vary is zero off the head's own
     classes (two_stage builds base and vary over tau, so a = pi). Both are
-    built from a (K+1, N, |classes|) stack of candidate-column
-    similarities, filled head by head and freed once they exist.
+    built in a (K+1, N, |classes|) stack of candidate-column similarities,
+    filled head by head: row block by row block, base overwrites slot 0 and
+    vary slot 1, so nothing N x |classes| is allocated beside the stack.
 
     With several specialized heads a column's specialized weights can sum
     above 1; such columns are renormalized by that sum, as in
@@ -555,18 +553,23 @@ def _in_objective_factory(
     x = train_set.vectors
     sims = np.empty((len(model.heads), n, len(classes)))
     for k, h in enumerate(model.heads):
-        sims[k] = similarity_matrix(h.restrict(classes), x)
+        np.matmul(x, h.restrict(classes).effective_embeddings().T, out=sims[k])
     owners_c = model.partition.owner_of()[classes]
     owned = owners_c == prompt
+    step = max(1, BLOCK_ELEMS // len(classes))
+    spans = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
-    # base and vary are built in place with the operations of their one-line
-    # forms, so the bits stay and at most two arrays beside the stack are alive
+    # each block's base and vary take the operations of their one-line forms,
+    # so the bits stay, and then overwrite the block's slots 0 and 1
+    base, vary = sims[0], sims[1]
     if weights.parameterization == "one_stage":
-        base = sims[1] / weights.tau_out
-        base[:, owned] = 0.0
-        base += sims[0] / weights.tau_0
-        vary = np.where(owned, sims[1], 0.0)
         capped, rest, z0_capped = np.zeros(0, dtype=np.int64), np.zeros(0), None
+        for b in spans:
+            s0, s1 = sims[0, b], sims[1, b]
+            base_b = s1 / weights.tau_out
+            base_b[:, owned] = 0.0
+            base_b += s0 / weights.tau_0
+            base[b], vary[b] = base_b, np.where(owned, s1, 0.0)
     else:
         tau = model.tau
         own = owners_c == np.arange(1, weights.num_specialized + 1)[:, None]
@@ -577,23 +580,25 @@ def _in_objective_factory(
         # the others are fixed and clamped as in class_weight_matrix
         w0 = np.where(owned, 1.0 - spec, np.maximum(1.0 - spec, 0.0))
         denom = np.where(owned, 1.0, np.maximum(spec, 1.0))
-        base = w0 * sims[0]
-        base += np.einsum("kc,knc->nc", raw, sims[1:])
-        base /= denom
-        base /= tau
-        vary = np.subtract(sims[prompt], sims[0])
-        vary[:, ~owned] = 0.0
-        vary /= tau
         capped = np.flatnonzero(owned & (spec > 0.0))
         rest = spec[capped]
-        z0_capped = sims[0][:, capped] / tau
+        z0_capped = np.empty((n, len(capped)))
+        for b in spans:
+            block = sims[:, b]
+            z0_capped[b] = block[0][:, capped] / tau
+            base_b = w0 * block[0]
+            base_b += np.einsum("kc,knc->nc", raw, block[1:])
+            base_b /= denom
+            base_b /= tau
+            vary_b = np.subtract(block[prompt], block[0])
+            vary_b[:, ~owned] = 0.0
+            vary_b /= tau
+            base[b], vary[b] = base_b, vary_b
 
-    del sims
-    step = max(1, BLOCK_ELEMS // len(classes))
     z_buf, sums = np.empty((min(step, n), len(classes))), np.empty(min(step, n))
     p_y, g_rows = np.empty(n), np.empty(n)  # per-row label probability and gradient
-    blocks = [(slice(lo, lo + m), np.arange(m), y_local[lo : lo + m], z_buf[:m], sums[:m])
-              for lo, m in ((lo, min(step, n - lo)) for lo in range(0, n, step))]
+    blocks = [(b, np.arange(m), y_local[b], z_buf[:m], sums[:m])
+              for b, m in ((b, b.stop - b.start) for b in spans)]
 
     def evaluate(theta: float) -> tuple[float, float]:
         a, c = weights.coefficient(theta)

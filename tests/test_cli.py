@@ -187,8 +187,9 @@ class TestPipeline:
         for seed in (0, 1):
             domain = generate_synthetic(replace(cfg.synthetic, seed=seed))
             partition = embedspace.partition_classes(8, seed=seed)
+            base = domain.train.with_labels_in(partition.subsets[1])
             *_, traces = evaluation.tune_base_new_heads(
-                cfg, domain.train, domain.generalized_prototypes, partition, seed
+                cfg, base, domain.generalized_prototypes, partition, seed
             )
             for label in ("ce", "conf"):
                 recorded = metrics[f"seed{seed}_{label}"]["loss_trace"]

@@ -3,6 +3,7 @@
 import fractions
 import itertools
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -138,6 +139,21 @@ class TestGenerateSynthetic:
             assert labels.tobytes() == want_labels.tobytes()
             count += 1
         assert count == -(-5 * per_class // rows)
+
+    def test_test_chunks_outlive_the_train_split(self, monkeypatch):
+        monkeypatch.setattr(embedspace, "CHUNK_ROWS", 7)
+        cfg = SyntheticConfig(dim=6, num_classes=5, shots=3, test_per_class=4,
+                              confusion_pairs=1, seed=7)
+        parts = synthetic_parts(cfg)
+        train = weakref.ref(parts.train)
+        base = parts.train.with_labels_in([1, 3])
+        stream = parts.test_chunks()
+        del parts
+        assert train() is None and len(base) == 6
+        pairs = itertools.zip_longest(stream, generate_synthetic(cfg).test.chunks())
+        for (vectors, labels), (want_vectors, want_labels) in pairs:
+            assert vectors.tobytes() == want_vectors.tobytes()
+            assert labels.tobytes() == want_labels.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ The heavyweight directional checks live in test_acceptance; these tests
 keep the harness configs tiny.
 """
 
+import struct
+import weakref
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -36,7 +38,7 @@ from promix.evaluation import (
 from promix.embedspace import partition_classes
 from promix.head import PromptHead
 from promix.mixture import MixtureModel, MixtureWeights
-from promix.train import OptimizerConfig
+from promix.train import HyperParams, OptimizerConfig, tune_prompt, tune_prompt_one_stage
 
 
 def _tiny_harness(**kw):
@@ -455,12 +457,13 @@ class TestStreamedBaseNew:
             dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
             train, anchors = dom.train, dom.generalized_prototypes
             partition = partition_classes(8, "base_new_even_split", seed=seed)
+            base = train.with_labels_in(partition.subsets[1])
             head_ce, mix_head, mix_tau, _ = evaluation.tune_base_new_heads(
-                cfg, train, anchors, partition, seed
+                cfg, base, anchors, partition, seed
             )
             out = evaluation.outclass_anchors(cfg, train.dim, seed, len(partition.subsets[1]))
             weights = evaluation.fit_base_new_weights(
-                cfg, mix_head, mix_tau, train, anchors, partition, out, seed
+                cfg, mix_head, mix_tau, base, anchors, partition, out, seed
             )
             t0 = PromptHead.frozen_from(anchors, train.class_names)
             assert row == _whole_set_base_new_scores(
@@ -484,6 +487,112 @@ class TestStreamedBaseNew:
         # is drawn (up to three half-chunk arrays), the block before it and
         # one split's rows of a chunk, never the 8 chunks of the split
         assert peak < without_test + 3 * chunk
+
+    def test_train_split_is_freed_before_tuning(self, monkeypatch):
+        cfg = _tiny_harness(seeds=(0, 1))
+        want = base_to_new_eval(cfg)
+        trains, alive = [], []
+        make, tune = evaluation.synthetic_parts, evaluation.tune_base_new_heads
+
+        def parts(config):
+            made = make(config)
+            trains.append(weakref.ref(made.train))
+            return made
+
+        def tuning(*args):
+            alive.append(trains[-1]() is not None)
+            return tune(*args)
+
+        monkeypatch.setattr(evaluation, "synthetic_parts", parts)
+        monkeypatch.setattr(evaluation, "tune_base_new_heads", tuning)
+        assert base_to_new_eval(cfg) == want
+        assert alive == [False, False]
+
+    @pytest.mark.parametrize("parameterization", ["two_stage", "one_stage"])
+    def test_peak_holds_one_copy_of_the_base_rows(self, parameterization):
+        # a train split of 1024 rows of dimension 512 outweighs everything else
+        synthetic = SyntheticConfig(dim=512, num_classes=16, shots=64, test_per_class=1,
+                                    confusion_pairs=2, seed=0)
+        cfg = _tiny_harness(synthetic=synthetic, pool_size=16, parameterization=parameterization,
+                            hyper=HyperParams(context_len=2),
+                            optimizer=OptimizerConfig(epochs=2, weight_epochs=2))
+        base_to_new_eval(cfg)  # lazy imports allocate on a first call
+        peak, _ = _traced_peak(base_to_new_eval, cfg)
+        unit = 8 * 64 * 512 * 8  # the base split's vectors
+        # the full split (2 units) while the base split is copied out of it
+        # (measured 3.07 units); the full split kept beside the copies that
+        # tuning and the weight stage gathered reached 4.26
+        assert peak < 3.5 * unit
+
+
+def _full_split_base_new(cfg, train, anchors, partition, out_anchors, seed):
+    """The two base/new stages called on the full train split: tuning gathers
+    a copy of the base rows, and the weight stage filters another. The
+    oracle of the stages on the base split."""
+    names = train.class_names
+    opt = replace(cfg.optimizer, seed=seed)
+    ce_loss = replace(cfg.loss, kind="ce")
+    conf_loss = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
+    run = evaluation.subset_run(anchors, names, train, partition.subsets[1], ce_loss, opt,
+                                cfg.hyper.context_len, seed, cfg.tau)
+    init, rows, labels = run.local()
+    local = EmbeddingSet(train.vectors[rows], labels, init.class_names)
+    head_ce, trace_ce = tune_prompt(init, local, ce_loss, opt, tau=cfg.tau)
+    if cfg.parameterization == "one_stage":
+        t0_local = PromptHead.frozen_from(init.anchors, init.class_names)
+        mix_head, mix_tau, trace_conf = tune_prompt_one_stage(
+            init, t0_local, local, conf_loss, opt, tau_0=cfg.tau
+        )
+        start = MixtureWeights.one_stage(mix_tau, cfg.tau, tau_0=cfg.tau)
+    else:
+        mix_head, trace_conf = tune_prompt(init, local, conf_loss, opt, tau=cfg.tau)
+        mix_tau, start = cfg.tau, MixtureWeights.uniform(1)
+    head_ce, mix_head = (run.init.with_context(h.context) for h in (head_ce, mix_head))
+    t0 = PromptHead.frozen_from(anchors, names)
+    model = evaluation.fit_weights(
+        MixtureModel((t0, mix_head), start, partition, tau=cfg.tau),
+        train.with_labels_in(partition.subsets[1]), out_anchors, cfg.hyper, opt,
+        classes=partition.subsets[1],
+    )
+    return head_ce, mix_head, mix_tau, {"ce": trace_ce, "conf": trace_conf}, model.weights
+
+
+class TestBaseSplit:
+    """The base/new stages on the base split give the bits of the same
+    stages on the full train split."""
+
+    @pytest.mark.parametrize("parameterization", ["two_stage", "one_stage"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stages_match_the_full_split_calls(self, parameterization, seed):
+        cfg = _tiny_harness(parameterization=parameterization,
+                            optimizer=OptimizerConfig(epochs=8, weight_epochs=20))
+        dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
+        train, anchors = dom.train, dom.generalized_prototypes
+        partition = partition_classes(8, "base_new_even_split", seed=seed)
+        base = train.with_labels_in(partition.subsets[1])
+        assert 0 < len(base) < len(train)
+        out = evaluation.outclass_anchors(cfg, train.dim, seed, len(partition.subsets[1]))
+        head_ce, mix_head, mix_tau, traces = evaluation.tune_base_new_heads(
+            cfg, base, anchors, partition, seed
+        )
+        weights = evaluation.fit_base_new_weights(
+            cfg, mix_head, mix_tau, base, anchors, partition, out, seed
+        )
+        want = _full_split_base_new(cfg, train, anchors, partition, out, seed)
+        assert head_ce.context.tobytes() == want[0].context.tobytes()
+        assert mix_head.context.tobytes() == want[1].context.tobytes()
+        assert struct.pack("<d", mix_tau) == struct.pack("<d", want[2])
+        assert traces == want[3]
+        assert weights.to_dict() == want[4].to_dict()
+
+    def test_rows_outside_the_tuning_classes_are_rejected(self):
+        cfg = _tiny_harness()
+        dom = generate_synthetic(cfg.synthetic)
+        partition = partition_classes(8, "base_new_even_split", seed=0)
+        with pytest.raises(ValueError, match="outside partition.subsets"):
+            evaluation.tune_base_new_heads(
+                cfg, dom.train, dom.generalized_prototypes, partition, 0
+            )
 
 
 class TestAssumptionDomain:

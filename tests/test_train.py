@@ -1,5 +1,7 @@
 """Tuning and weight-optimization loops: determinism, descent, gradients."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from promix.head import PromptHead, similarity_matrix
 from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
 from promix.mixture import MixtureModel, MixtureWeights, mixture_scaled_logits, sigmoid
 from promix.train import (
+    BLOCK_ELEMS,
     DivergenceError,
     HyperParams,
     OptimizerConfig,
@@ -501,6 +504,19 @@ def _one_stage_fixture(seed=42):
     return MixtureModel(model.heads, weights, model.partition, tau=0.01), train_in
 
 
+def _candidate_columns_fixture(shots):
+    """K=1 base/new model on C = 400 classes of dimension 8, so the
+    N x |classes| arrays dominate: 200 * ``shots`` rows on 200 candidates."""
+    dom = _toy_domain(seed=45, dim=8, num_classes=400, shots=shots, test_per_class=1,
+                      confusion_pairs=0)
+    names, anchors = dom.train.class_names, dom.generalized_prototypes
+    part = partition_classes(400, "base_new_even_split", seed=0)
+    heads = (PromptHead.frozen_from(anchors, names),
+             PromptHead.with_random_context(anchors, names, 2, seed=1))
+    model = MixtureModel(heads, MixtureWeights.uniform(1), part)
+    return model, dom.train.with_labels_in(part.subsets[1]), part.subsets[1]
+
+
 class TestInObjectiveCandidateColumns:
     """The in-weight objective built on the candidate columns only, against
     the full-stack build, with ``classes`` a strict subset of the columns."""
@@ -540,25 +556,16 @@ class TestInObjectiveCandidateColumns:
         assert fitted.weights.raw(1, "in") == pytest.approx(want, rel=1e-9)
 
     def test_memory_scales_with_the_candidate_columns(self):
-        # C = 400 classes of dimension 8, so the N x |classes| arrays dominate
-        dom = _toy_domain(seed=45, dim=8, num_classes=400, shots=4, test_per_class=1,
-                          confusion_pairs=0)
-        names, anchors = dom.train.class_names, dom.generalized_prototypes
-        part = partition_classes(400, "base_new_even_split", seed=0)
-        heads = (PromptHead.frozen_from(anchors, names),
-                 PromptHead.with_random_context(anchors, names, 2, seed=1))
-        model = MixtureModel(heads, MixtureWeights.uniform(1), part)
-        train_in = dom.train.with_labels_in(part.subsets[1])
-        classes = part.subsets[1]
+        model, train_in, classes = _candidate_columns_fixture(shots=4)
         opt = OptimizerConfig(seed=0, weight_epochs=2)
         optimize_in_weight(model, train_in, opt=opt, classes=classes)  # lazy set-up off the trace
         peak, _ = _traced_peak(optimize_in_weight, model, train_in, 1, opt, classes)
         unit = len(train_in) * len(classes) * 8
-        # the (K+1)-head stack, base and one temporary or vary: 4 units of
-        # N x |classes| (measured 4.03), plus a quarter unit for the arrays of
-        # length N or |classes|; the out-of-place build held 5, the
-        # full-class build 8
-        assert peak < 4.25 * unit
+        # the two-slot stack and the block temporaries of three row blocks
+        # (measured 3.29 units of N x |classes|); building base and vary
+        # beside the stack held 4, the out-of-place build 5, the full-class
+        # build 8
+        assert peak < 3.5 * unit
 
 
 WIDE_PARTITION = partition_classes(1000, "base_new_even_split", seed=0)
@@ -620,6 +627,29 @@ class TestInObjectiveBlocks:
         calls = self._check(model, train_in, classes, (-1.5, 0.0, 2.5), monkeypatch)
         # 16 blocks of 65536 // 500 = 131 rows, the last of 2000 - 15 * 131
         assert calls == [131] * 15 + [35, 2000]
+
+    @pytest.mark.parametrize("case", list(TestInObjectiveCandidateColumns.CASES))
+    def test_block_build_keeps_the_one_block_bits(self, case, monkeypatch):
+        fixture, classes, thetas = TestInObjectiveCandidateColumns.CASES[case]
+        model, train_in = fixture()
+        classes = np.array(classes)
+        monkeypatch.setattr("promix.train.BLOCK_ELEMS", 7 * len(classes))
+        blocked = _in_objective_factory(model, train_in, 1, classes)
+        monkeypatch.setattr("promix.train.BLOCK_ELEMS", len(train_in) * len(classes))
+        whole = _in_objective_factory(model, train_in, 1, classes)
+        for theta in thetas:
+            assert struct.pack("<2d", *blocked(theta)) == struct.pack("<2d", *whole(theta))
+
+    def test_base_and_vary_are_built_in_the_stack(self):
+        model, train_in, classes = _candidate_columns_fixture(shots=20)
+        assert len(train_in) // (BLOCK_ELEMS // len(classes)) >= 8  # 4000 rows in 13 blocks
+        _in_objective_factory(model, train_in, 1, classes)  # lazy set-up off the trace
+        peak, _ = _traced_peak(_in_objective_factory, model, train_in, 1, classes)
+        unit = len(train_in) * len(classes) * 8
+        # the two-slot stack that base and vary overwrite, plus block
+        # temporaries and arrays of length N (measured 2.26 units of
+        # N x |classes|); building them beside the stack held 4
+        assert peak < 2.5 * unit
 
     def test_underflowed_label_contributes_the_floor(self):
         _, model, _ = _mixture_fixture(seed=47)
