@@ -121,11 +121,13 @@ def _domain_source(cfg: RunConfig):
     here, once, except the test file: only its header is read here, for its
     class list and size checks, and one stream of its samples is shared by
     every seed. A synthetic domain is made per seed, its test split drawn
-    class by class as it is iterated.
+    class by class as it is iterated, and ``train`` holds the rows of the
+    seed's base split only: the tuning classes, which is all that is read of it.
     """
     if cfg.files is None:
         def generate(seed: int):
-            parts = synthetic_parts(replace(cfg.synthetic, seed=seed))
+            partition = _partition_for(cfg, cfg.synthetic.num_classes, seed)
+            parts = synthetic_parts(replace(cfg.synthetic, seed=seed), partition.subsets[1])
             return parts.train, parts.generalized_prototypes, parts.test_chunks()
 
         return cfg.synthetic.dim, generate

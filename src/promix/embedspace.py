@@ -170,8 +170,10 @@ class EmbeddingSet:
             yield self.vectors[start : start + CHUNK_ROWS], self.labels[start : start + CHUNK_ROWS]
 
     def with_labels_in(self, classes: Sequence[int]) -> "EmbeddingSet":
-        """Samples whose label lies in ``classes`` (global labels kept)."""
-        return self.subset(np.isin(self.labels, np.asarray(list(classes), dtype=np.int64)))
+        """Samples whose label lies in ``classes`` (global labels kept); the
+        set itself when it holds no other samples."""
+        mask = np.isin(self.labels, np.asarray(list(classes), dtype=np.int64))
+        return self if mask.all() else self.subset(mask)
 
     def renormalized(self) -> "EmbeddingSet":
         """Copy with every vector scaled to exact unit norm (float64)."""
@@ -405,7 +407,7 @@ def _block_chunks(blocks, dim: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield vectors[:filled], labels[:filled]
 
 
-def synthetic_parts(config: SyntheticConfig) -> SyntheticParts:
+def synthetic_parts(config: SyntheticConfig, classes: Sequence[int] | None = None) -> SyntheticParts:
     """Deterministically generate a labeled embedding domain.
 
     Class prototypes are uniform on the unit sphere except for the
@@ -417,7 +419,9 @@ def synthetic_parts(config: SyntheticConfig) -> SyntheticParts:
 
     The test split is drawn last, from the same generator, so it can be
     left undrawn without changing anything else. ``test_blocks`` can be
-    iterated once.
+    iterated once. ``train`` holds the rows of ``classes`` only (default:
+    all), bitwise ``with_labels_in(classes)`` of the full split: every class
+    block is still drawn in order, and the others are dropped as they come.
     """
     rng = np.random.default_rng(config.seed)
     d, n = config.dim, config.num_classes
@@ -441,9 +445,11 @@ def synthetic_parts(config: SyntheticConfig) -> SyntheticParts:
     anchors.setflags(write=False)
 
     names = tuple(f"class_{i:03d}" for i in range(n))
-    train = _stacked(
-        _class_blocks(rng, protos, config.shots, config.intra_noise), n * config.shots, d, names
-    )
+    keep = np.zeros(n, dtype=bool)
+    keep[np.arange(n) if classes is None else np.asarray(list(classes), dtype=np.int64)] = True
+    blocks = _class_blocks(rng, protos, config.shots, config.intra_noise)
+    kept = (block for block, k in zip(blocks, keep) if k)
+    train = _stacked(kept, int(keep.sum()) * config.shots, d, names)
     test_blocks = _class_blocks(rng, protos, config.test_per_class, config.intra_noise)
     return SyntheticParts(train, anchors, protos, test_blocks)
 

@@ -7,12 +7,12 @@ ensemble-bound sweep, and the confusing-sample analysis. All harnesses
 are deterministic per seed; multi-seed fan-out may run in parallel, with
 reduction order fixed by sorting on the seed.
 
-``tune_prompts`` tunes in lockstep the splits of the assumption check, each
-seed's CE/CoA twins of the confusing-sample analysis, and each seed's
-incremental sessions of equal row counts (tuned before the weights, which
-they do not depend on); base/new tunes each head alone. ``jobs`` fans the
-seeds out, or the assumption check's splits as one lockstep group per
-worker; results do not depend on it.
+``tune_prompts`` tunes in lockstep the splits of the assumption check, all
+seeds' CE/CoA twins of the confusing-sample analysis (in one process), and
+each seed's incremental sessions of equal row counts (tuned before the
+weights, which they do not depend on); base/new tunes each head alone.
+``jobs`` fans the seeds out, or the assumption check's splits as one
+lockstep group per worker; results do not depend on it.
 
 Every accuracy is counted chunk by chunk by :class:`SplitAccuracy`, on the
 ``candidates`` every split ranks; a head used by several scorers is scored
@@ -50,6 +50,7 @@ from promix.mixture import MixtureModel, MixtureWeights, bound_gap, mixture_scal
 from promix.outclass import OutclassStrategy, generate_outclass, generate_vocab_pool
 from promix.stats import TTestResult, t_test_paired_one_sided
 from promix.train import (
+    BLOCK_ELEMS,
     LOCKSTEP_RUNS,
     HyperParams,
     OptimizerConfig,
@@ -67,6 +68,7 @@ FSCIL_CONTEXT_LEN = 2
 FSCIL_MARGIN = 0.1
 FSCIL_INITIAL_WEIGHT_EPOCHS = 2
 FSCIL_LATER_WEIGHT_EPOCHS = 100
+SCORE_BLOCK_ROWS = 256  # the fewest rows a scoring block takes: smaller gemms run slower
 
 
 def fscil_default_synthetic() -> SyntheticConfig:
@@ -290,8 +292,8 @@ class SplitAccuracy:
 
     A head keyed by more than one scorer is scored once per chunk and
     split and shared between them. Any other head is scored only when its
-    scorer runs and is dropped once summed into the mixture, so a chunk
-    holds the shared heads' similarities and about three more blocks of
+    scorer runs and is dropped once summed into the mixture, so a block of
+    rows holds the shared heads' similarities and about three more arrays of
     rows x ranked columns, however many heads a mixture has.
     """
 
@@ -318,23 +320,29 @@ class SplitAccuracy:
         self._total = dict.fromkeys(self._splits, 0)
 
     def add(self, vectors: np.ndarray, labels: np.ndarray) -> None:
-        """Count one chunk of test rows; the chunk is not kept."""
+        """Count one chunk of test rows; the chunk is not kept. A split's rows are
+        scored in blocks of max(SCORE_BLOCK_ROWS, BLOCK_ELEMS // ranked) rows."""
         for name, idx in self._splits.items():
             mask = np.isin(labels, idx)
             if not mask.any():
                 continue
             rows, row_labels = vectors[mask], labels[mask]
-            heads, ranked = self._heads[name], self._ranked[name]
-            held = {key: similarity_matrix(heads[key], rows) for key in self._shared}
-            for scorer, (keys, model) in self._scorers.items():
-                sims = (held[k] if k in held else similarity_matrix(heads[k], rows) for k in keys)
-                if model is None:
-                    logits = next(sims)
-                else:
-                    logits = mixture_scaled_logits(model, rows, ranked, sims)
-                pred = ranked[np.argmax(logits, axis=1)]
-                self._correct[name][scorer] += int(np.count_nonzero(pred == row_labels))
+            step = max(SCORE_BLOCK_ROWS, BLOCK_ELEMS // len(self._ranked[name]))
+            for lo in range(0, len(rows), step):
+                self._add_block(name, rows[lo : lo + step], row_labels[lo : lo + step])
             self._total[name] += len(row_labels)
+
+    def _add_block(self, name: str, rows: np.ndarray, row_labels: np.ndarray) -> None:
+        heads, ranked = self._heads[name], self._ranked[name]
+        held = {key: similarity_matrix(heads[key], rows) for key in self._shared}
+        for scorer, (keys, model) in self._scorers.items():
+            sims = (held[k] if k in held else similarity_matrix(heads[k], rows) for k in keys)
+            if model is None:
+                logits = next(sims)
+            else:
+                logits = mixture_scaled_logits(model, rows, ranked, sims)
+            pred = ranked[np.argmax(logits, axis=1)]
+            self._correct[name][scorer] += int(np.count_nonzero(pred == row_labels))
 
     def percents(self) -> dict[str, dict[str, float]]:
         """Split name -> scorer name -> percent correct over every row added,
@@ -466,14 +474,13 @@ def fit_base_new_weights(
 
 
 def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
-    """One seed of the four-configuration comparison on its base split, the
-    test split streamed; the full train split is freed before tuning."""
-    parts = synthetic_parts(replace(cfg.synthetic, seed=seed))
-    anchors, names = parts.generalized_prototypes, parts.train.class_names
-    partition = partition_classes(len(names), "base_new_even_split", seed=seed)
-    base = parts.train.with_labels_in(partition.subsets[1])
+    """One seed of the four-configuration comparison: only the base split's
+    train rows are drawn, and the test split is streamed."""
+    partition = partition_classes(cfg.synthetic.num_classes, "base_new_even_split", seed=seed)
+    parts = synthetic_parts(replace(cfg.synthetic, seed=seed), partition.subsets[1])
+    base, anchors, names = parts.train, parts.generalized_prototypes, parts.train.class_names
     test = parts.test_chunks()
-    del parts  # the stream does not hold the full train split, so it goes here
+    del parts  # the stream does not hold the parts, so the true prototypes go here
     head_ce, mix_head, mix_tau, _ = tune_base_new_heads(cfg, base, anchors, partition, seed)
     out_anchors = outclass_anchors(cfg, base.dim, seed, len(partition.subsets[1]))
     weights = fit_base_new_weights(
@@ -711,51 +718,59 @@ def assumption_check(
     )
 
 
-def _confusing_single(cfg: HarnessConfig, seed: int) -> dict:
+def _confusing_runs(cfg: HarnessConfig, seed: int) -> tuple[list[TuneRun], dict]:
+    """One seed's CE/CoA twins, drawn without the test split. Each keeps its
+    head's context mean, all a classifier reads of it, at every epoch."""
+    parts = synthetic_parts(replace(cfg.synthetic, seed=seed))
+    anchors, names = parts.generalized_prototypes, parts.train.class_names
+    # the twins share rows, batch order and init
+    init = PromptHead.with_random_context(anchors, names, cfg.hyper.context_len, seed)
+    losses = {"ce": replace(cfg.loss, kind="ce"),
+              "conf": replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)}
+    means: dict[str, list[np.ndarray]] = {key: [] for key in losses}
+    runs = [TuneRun(init, parts.train, loss, replace(cfg.optimizer, seed=seed), cfg.tau,
+                    epoch_hook=lambda _, head, kept=means[key]: kept.append(head.context.mean(0)))
+            for key, loss in losses.items()]
+    return runs, means
+
+
+def _confusing_curves(cfg: HarnessConfig, seed: int, init: PromptHead, means: dict) -> dict:
+    """The seed's category counts and, per loss, each epoch's accuracy on the
+    easy/confusing/all test subsets, of ``init`` with the kept mean as its one
+    context row: the tuned head's similarities."""
     domain = _domain_for(cfg, seed)
-    names = domain.train.class_names
-    anchors = domain.generalized_prototypes
-    t0 = PromptHead.frozen_from(anchors, names)
+    t0 = PromptHead.frozen_from(domain.generalized_prototypes, domain.test.class_names)
     categories = classify_samples(t0, domain.test, gap_threshold=0.2, tau=cfg.tau)
     masks = {name: categories == name for name in ("easy", "confusing", "hard")}
-    opt = replace(cfg.optimizer, seed=seed)
-    curves = {loss: {"easy": [], "confusing": [], "all": []} for loss in ("ce", "conf")}
-
-    def hook(curve: dict[str, list[float]]) -> Callable[[int, PromptHead], None]:
-        def record(_epoch: int, head: PromptHead) -> None:
-            sims = similarity_matrix(head, domain.test.vectors)
+    curves = {loss: {"easy": [], "confusing": [], "all": []} for loss in means}
+    for loss, curve in curves.items():
+        for cbar in means[loss]:
+            sims = similarity_matrix(init.with_context(cbar[None]), domain.test.vectors)
             hits = np.argmax(sims, axis=1) == domain.test.labels
             for key, values in curve.items():
                 hit = hits if key == "all" else hits[masks[key]]
                 values.append(float(np.mean(hit) * 100.0) if hit.size else 0.0)
-
-        return record
-
-    # the twins share rows, batch order and init, so one X·Aᵀ
-    init = PromptHead.with_random_context(anchors, names, cfg.hyper.context_len, seed)
-    losses = {"ce": replace(cfg.loss, kind="ce"),
-              "conf": replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)}
-    tune_prompts([
-        TuneRun(init, domain.train, losses[key], opt, cfg.tau, epoch_hook=hook(curves[key]))
-        for key in ("ce", "conf")
-    ])
     return {"counts": {k: int(m.sum()) for k, m in masks.items()}, **curves}
 
 
 def confusing_gain(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     """Twin tuning runs (plain CE vs CE plus the confusion term) on
     identical seeds and data, scored on the easy/confusing/all subsets of
-    the baseline head's predictions."""
-    runs = _run_seeds(_confusing_single, cfg)
+    the baseline head's predictions. Every seed's twins step in lockstep in
+    one :func:`tune_prompts` call; each test split is drawn afterwards."""
+    seeds = sorted(cfg.seeds)
+    twins, means = zip(*(_confusing_runs(cfg, seed) for seed in seeds))
+    tune_prompts([run for pair in twins for run in pair])
+    per_seed = [_confusing_curves(cfg, s, t[0].init, m) for s, t, m in zip(seeds, twins, means)]
     deltas = {}
     finals = {}
     for key in ("easy", "confusing", "all"):
-        ce = float(np.mean([r["ce"][key][-1] for r in runs]))
-        conf = float(np.mean([r["conf"][key][-1] for r in runs]))
+        ce = float(np.mean([r["ce"][key][-1] for r in per_seed]))
+        conf = float(np.mean([r["conf"][key][-1] for r in per_seed]))
         finals[key] = {"ce": ce, "conf": conf}
         deltas[key] = conf - ce
     counts = {
-        k: int(np.sum([r["counts"][k] for r in runs])) for k in ("easy", "confusing", "hard")
+        k: int(np.sum([r["counts"][k] for r in per_seed])) for k in ("easy", "confusing", "hard")
     }
     return EvalReport(
         kind="confusing_gain",
@@ -765,7 +780,7 @@ def confusing_gain(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
             "deltas": deltas,
             "finals": finals,
             "seeds": list(sorted(cfg.seeds)),
-            "curves": runs,
+            "curves": per_seed,
         },
     )
 

@@ -20,12 +20,11 @@ Both objectives are evaluated in closed form from arrays computed once per
 fit, the in-weight ones on the candidate columns only: the in-weight logits
 are affine in a scalar coefficient of the parameter, and the out-weight
 logits are a scalar multiple of fixed similarities, so each evaluation is
-O(N·C) work with no N×C temporaries: the in-weight walks the rows in
-cache-sized blocks through one block buffer, and the out-weight writes into
-the generalized head's out-class logits and softmax. Weight traces are
-monotone non-increasing: descent stops at the first epoch that would raise
-the objective, and an immediate ascent retries once at a tenth of the
-learning rate. A step that leaves the parameter and its momentum buffer
+O(N·C) work with no N×C temporaries: both walk the rows in cache-sized
+blocks through reused block buffers. Weight traces are monotone
+non-increasing: descent stops at the first epoch that would raise the
+objective, and an immediate ascent retries once at a tenth of the learning
+rate. A step that leaves the parameter and its momentum buffer
 bitwise unchanged is an exact fixed point, so the descent fills in the
 remaining epochs without evaluating them (an out-weight hinge inactive at a
 zero start costs one evaluation); the result is the same as running them.
@@ -107,7 +106,7 @@ class HyperParams:
 
 
 LOCKSTEP_RUNS = 16  # the most runs one loop steps, so memory stays bounded
-BLOCK_ELEMS = 1 << 16  # in-weight rows x candidates per block: 512 KiB, so it stays in cache
+BLOCK_ELEMS = 1 << 16  # weight-objective rows x columns per block: 512 KiB, so it stays in cache
 
 
 @dataclass(frozen=True)
@@ -331,17 +330,17 @@ def _adam_descent(
 
 def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, list[float]]]:
     """Tune independent runs; return each one's (tuned head, per-epoch mean
-    training loss), bitwise what :func:`tune_prompt` gives it alone. Runs on
-    one training set with equal row counts, trained shapes, optimizers (seed
-    apart) and temperatures step in lockstep, at most ``LOCKSTEP_RUNS`` at a
-    time; a loss other than ce/ce_conf runs alone."""
+    training loss), bitwise what :func:`tune_prompt` gives it alone. Runs
+    with equal row counts, trained shapes, optimizers (seed apart) and
+    temperatures step in lockstep, on one training set or several, at most
+    ``LOCKSTEP_RUNS`` at a time; a loss other than ce/ce_conf runs alone."""
     groups: dict[tuple, list[int]] = {}
     for i, run in enumerate(runs):
         head, rows, _ = run.local()
         _check_tunable(run.init, len(rows))
         alone = i if run.loss.fused_w is None else None
-        key = (id(run.train_set), len(rows), head.anchors.shape, head.context.shape,
-               replace(run.opt, seed=0), run.tau, alone)
+        key = (len(rows), head.anchors.shape, head.context.shape, replace(run.opt, seed=0),
+               run.tau, alone)
         groups.setdefault(key, []).append(i)
     results: list = [None] * len(runs)
     for members in groups.values():
@@ -353,12 +352,18 @@ def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, list[float]]
 
 
 def _tune_group(runs: list[TuneRun], ids: list[int]) -> list[tuple[PromptHead, list[float]]]:
-    """One Adam loop over runs of equal steps. Runs on the same anchors and
-    classes (twins differing in loss or seed) share one X·Aᵀ."""
+    """One Adam loop over runs of equal steps. Runs on the same rows, anchors
+    and classes (twins differing in loss or seed) share one X·Aᵀ; runs on
+    several training sets read their rows gathered into one (R·n, D) matrix."""
     first = runs[0]
-    shared = all(r.init.anchors is first.init.anchors and r.classes is first.classes for r in runs)
+    one_set = all(r.train_set is first.train_set for r in runs)
+    shared = one_set and all(r.init.anchors is first.init.anchors and r.classes is first.classes
+                             for r in runs)
     heads, rows, labels = zip(*(run.local() for run in (runs[:1] if shared else runs)))
     x = first.train_set.vectors
+    if not one_set:
+        x = np.concatenate([run.train_set.vectors[r] for run, r in zip(runs, rows)])
+        rows = np.arange(len(x)).reshape(len(runs), -1)
     space = _AnchorSpace.of(np.stack([h.anchors for h in heads]), x, np.stack(rows))
     del heads  # the space holds their anchors
     stack = (len(runs), len(rows[0]))
@@ -681,25 +686,37 @@ def _out_objective_factory(
     ``MixtureWeights.coefficient(theta, tau)``, so
     d H / d theta = -c Var_p(z) / log n. Since a > 0, the row argmax of z
     is that of s_i and is found once.
+
+    ``si``, first the generalized head's similarities, is the one N x n_out array:
+    the rest walks ``BLOCK_ELEMS`` blocks through one logits/probs buffer pair.
     """
     tau = model.tau
-    log_n = np.log(out_anchors.shape[0])
+    n, log_n = len(train_vectors), np.log(out_anchors.shape[0])
+    step = max(1, BLOCK_ELEMS // out_anchors.shape[0])
+    logits_buf, probs_buf = (np.empty((min(step, n), out_anchors.shape[0])) for _ in range(2))
+    blocks = [(slice(lo, min(lo + step, n)), logits_buf[: min(step, n - lo)],
+               probs_buf[: min(step, n - lo)]) for lo in range(0, n, step)]
 
-    si = train_vectors @ model.heads[prompt].effective_embeddings(out_anchors).T
+    si = np.empty((n, out_anchors.shape[0]))
+    np.matmul(train_vectors, model.heads[0].effective_embeddings(out_anchors).T, out=si)
+    h0 = np.empty(n)
+    for b, logits, probs in blocks:
+        np.divide(si[b], tau, out=logits)
+        backend.kernels.softmax_rows(logits, out=probs)
+        h0[b] = _entropy_rows(logits, probs, np.argmax(logits, axis=1))[0] / log_n
+    np.matmul(train_vectors, model.heads[prompt].effective_embeddings(out_anchors).T, out=si)
     top = np.argmax(si, axis=1)
-    logits = train_vectors @ model.heads[0].effective_embeddings(out_anchors).T
-    logits /= tau
-    probs = backend.kernels.softmax_rows(logits, out=np.empty_like(logits))
-    h0 = _entropy_rows(logits, probs, np.argmax(logits, axis=1))[0] / log_n
+    entropy, mean_z, var_z = np.empty(n), np.empty(n), np.empty(n)
 
     def evaluate(theta: float) -> tuple[float, float]:
         a, c = model.weights.coefficient(theta, tau)
-        np.multiply(si, a, out=logits)
-        backend.kernels.softmax_rows(logits, out=probs)
-        entropy, mean_z = _entropy_rows(logits, probs, top)
+        for b, logits, probs in blocks:
+            np.multiply(si[b], a, out=logits)
+            backend.kernels.softmax_rows(logits, out=probs)
+            entropy[b], mean_z[b] = _entropy_rows(logits, probs, top[b])
+            var_z[b] = np.einsum("nc,nc,nc->n", probs, logits, logits) - mean_z[b] * mean_z[b]
         gap = h0 - entropy / log_n + margin
         loss = float(ent_weight * np.mean(np.maximum(0.0, gap)))
-        var_z = np.einsum("nc,nc,nc->n", probs, logits, logits) - mean_z * mean_z
         # the hinge passes -dH/dtheta = c Var_p(z) / log n where it is active
         grad = float(ent_weight * np.mean(np.where(gap > 0, c * var_z / log_n, 0.0)))
         return loss, grad

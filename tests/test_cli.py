@@ -333,9 +333,9 @@ class TestPipeline:
         generated = []
         original = promix.cli.synthetic_parts
 
-        def counted(config):
+        def counted(config, classes=None):
             generated.append(config.seed)
-            return original(config)
+            return original(config, classes)
 
         monkeypatch.setattr(promix.cli, "synthetic_parts", counted)
         # generate_synthetic would draw a domain through the module's own name

@@ -155,6 +155,22 @@ class TestGenerateSynthetic:
             assert vectors.tobytes() == want_vectors.tobytes()
             assert labels.tobytes() == want_labels.tobytes()
 
+    @pytest.mark.parametrize("classes", [[1, 3], [4, 0, 2], [], range(5)])
+    def test_parts_keep_the_train_rows_of_the_given_classes(self, classes):
+        cfg = SyntheticConfig(dim=6, num_classes=5, shots=3, test_per_class=4,
+                              confusion_pairs=1, seed=7)
+        dom, parts = generate_synthetic(cfg), synthetic_parts(cfg, classes)
+        want = dom.train.with_labels_in(classes)
+        assert parts.train.vectors.tobytes() == want.vectors.tobytes()
+        assert parts.train.labels.tobytes() == want.labels.tobytes()
+        assert parts.train.class_names == dom.train.class_names
+        assert parts.train.with_labels_in(classes) is parts.train  # nothing to drop, no copy
+        assert parts.generalized_prototypes.tobytes() == dom.generalized_prototypes.tobytes()
+        pairs = itertools.zip_longest(parts.test_chunks(), dom.test.chunks())
+        for (vectors, labels), (want_vectors, want_labels) in pairs:
+            assert vectors.tobytes() == want_vectors.tobytes()
+            assert labels.tobytes() == want_labels.tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SyntheticConfig(num_classes=0)

@@ -737,27 +737,13 @@ class TestOptimizeOutWeight:
     def test_reused_buffers_keep_the_objective_bits(self, weights):
         _, model, train_in, out = self._out_setup(19)
         model = MixtureModel(model.heads, weights, model.partition, tau=0.01)
-        x, log_n = train_in.vectors, np.log(out.shape[0])
-        # the objective computed from fresh arrays, as before the buffers
+        x = train_in.vectors
+        # the objective computed from whole arrays, as before the buffers
         # were reused
-        z0 = (x @ model.heads[0].effective_embeddings(out).T) / model.tau
-        p0 = backend.kernels.softmax_rows(z0)
-        rows, top0 = np.arange(len(x)), np.argmax(z0, axis=1)
-        h0 = (z0[rows, top0] - np.log(p0[rows, top0]) - np.einsum("nc,nc->n", p0, z0)) / log_n
-        si = x @ model.heads[1].effective_embeddings(out).T
+        whole = _whole_array_out_objective(model, x, out, 1, 0.3, 8.0)
         objective = _out_objective_factory(model, x, out, 1, 0.3, 8.0)
         for theta in (-1.0, 0.2, 1.5):
-            a, c = ((float(np.exp(-theta)), -1.0) if weights.parameterization == "one_stage"
-                    else (float(sigmoid(theta)) / model.tau, 1.0 - float(sigmoid(theta))))
-            z = si * a
-            p = backend.kernels.softmax_rows(z)
-            top = np.argmax(si, axis=1)
-            mean_z = np.einsum("nc,nc->n", p, z)
-            gap = h0 - (z[rows, top] - np.log(p[rows, top]) - mean_z) / log_n + 0.3
-            var_z = np.einsum("nc,nc,nc->n", p, z, z) - mean_z * mean_z
-            want = (float(8.0 * np.mean(np.maximum(0.0, gap))),
-                    float(8.0 * np.mean(np.where(gap > 0, c * var_z / log_n, 0.0))))
-            assert objective(theta) == want
+            assert objective(theta) == whole(theta)
 
     def test_gradient_matches_finite_difference(self):
         _, model, train_in, out = self._out_setup(18)
@@ -775,6 +761,86 @@ class TestOptimizeOutWeight:
                 model, train_in, out, margin=0.3, opt=OptimizerConfig(seed=seed)
             )
             assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+
+def _whole_array_out_objective(model, x, out_anchors, prompt, margin, ent_weight):
+    """The out-weight objective on whole N x n_out arrays, ``si``, ``logits``
+    and ``probs`` held for the fit: the oracle of the row-blocked factory."""
+    tau, log_n = model.tau, np.log(out_anchors.shape[0])
+    si = x @ model.heads[prompt].effective_embeddings(out_anchors).T
+    top = np.argmax(si, axis=1)
+    logits = x @ model.heads[0].effective_embeddings(out_anchors).T
+    logits /= tau
+    probs = backend.kernels.softmax_rows(logits, out=np.empty_like(logits))
+    rows = np.arange(len(x))
+
+    def entropy_rows(top_rows):
+        mean_z = np.einsum("nc,nc->n", probs, logits)
+        return logits[rows, top_rows] - np.log(probs[rows, top_rows]) - mean_z, mean_z
+
+    h0 = entropy_rows(np.argmax(logits, axis=1))[0] / log_n
+
+    def evaluate(theta):
+        # (a, c) of the two parameterizations written out, not read from
+        # MixtureWeights.coefficient
+        a, c = ((float(np.exp(-theta)), -1.0) if model.weights.parameterization == "one_stage"
+                else (float(sigmoid(theta)) / tau, 1.0 - float(sigmoid(theta))))
+        np.multiply(si, a, out=logits)
+        backend.kernels.softmax_rows(logits, out=probs)
+        entropy, mean_z = entropy_rows(top)
+        gap = h0 - entropy / log_n + margin
+        loss = float(ent_weight * np.mean(np.maximum(0.0, gap)))
+        var_z = np.einsum("nc,nc,nc->n", probs, logits, logits) - mean_z * mean_z
+        grad = float(ent_weight * np.mean(np.where(gap > 0, c * var_z / log_n, 0.0)))
+        return loss, grad
+
+    return evaluate
+
+
+class TestOutObjectiveBlocks:
+    """The out-weight objective walks row blocks through one reused pair of
+    logits/probs buffers, keeping only ``si`` whole."""
+
+    @pytest.mark.parametrize("weights, thetas", [
+        (MixtureWeights.two_stage([0.0], [0.4]), (-1.0, 0.2, 1.5, 4.0)),
+        (MixtureWeights.one_stage(0.01, 0.02), (-5.0, -3.9, -3.0, -1.0)),  # theta = log tau_out
+    ])
+    def test_ragged_small_blocks_keep_the_whole_array_bits(self, weights, thetas, monkeypatch):
+        dom, model, train_in = _mixture_fixture(seed=21)
+        names = dom.train.class_names
+        tuned = PromptHead.with_random_context(dom.true_prototypes, names, 2, seed=3, init_std=0.3)
+        model = MixtureModel((model.heads[0], tuned), weights, model.partition, tau=0.01)
+        x, out = train_in.vectors, _unit_rows(np.random.default_rng(121), 8, 16)
+        assert len(x) > 14 and len(x) % 7  # blocks of 7 rows: at least three, the last short
+        calls = _counting_softmax(monkeypatch)
+        monkeypatch.setattr("promix.train.BLOCK_ELEMS", 7 * len(out))
+        blocked = _out_objective_factory(model, x, out, 1, 0.3, 8.0)
+        assert calls == [7] * (len(x) // 7) + [len(x) % 7]  # h0, block by block
+        whole = _whole_array_out_objective(model, x, out, 1, 0.3, 8.0)
+        active = 0
+        for theta in thetas:
+            got = blocked(theta)
+            assert struct.pack("<2d", *got) == struct.pack("<2d", *whole(theta))
+            active += got[0] > 0.0 and got[1] != 0.0
+        assert active >= 2  # the hinge is not flat at every theta
+
+    def test_peak_holds_one_rows_by_out_classes_array(self):
+        rng = np.random.default_rng(7)
+        names = tuple(f"c{j}" for j in range(4))
+        anchors = _unit_rows(rng, 4, 32)
+        heads = (PromptHead.frozen_from(anchors, names),
+                 PromptHead.with_random_context(anchors, names, 2, seed=1, init_std=0.4))
+        part = partition_classes(4, "explicit", sets=[[2, 3], [0, 1]])
+        model = MixtureModel(heads, MixtureWeights.two_stage([0.0], [0.0]), part, tau=0.01)
+        train_in = EmbeddingSet(_unit_rows(rng, 1600, 32), np.arange(1600) % 2, names)
+        out, opt = _unit_rows(rng, 200, 32), OptimizerConfig(weight_epochs=3)
+        optimize_out_weight(model, train_in, out, opt=opt)  # lazy set-up off the trace
+        peak, _ = _traced_peak(optimize_out_weight, model, train_in, out, 1, 0.2, 8.0, opt)
+        unit = 1600 * 200 * 8
+        # si, one pair of 327-row logits/probs buffers and arrays of length
+        # N (measured 1.46 units of N x n_out); holding si, logits and probs
+        # whole took 3.04
+        assert peak < 2 * unit
 
 
 def _descend_scalar_reference(theta0, objective_grad, opt, epochs, n_samples):
