@@ -9,6 +9,11 @@ import numpy as np
 PROB_FLOOR = 1e-300
 
 
+def label_nll(p_y):
+    """The label cross-entropy -log max(p_y, PROB_FLOOR), finite at p_y = 0."""
+    return -np.log(np.maximum(p_y, PROB_FLOOR))
+
+
 def softmax_rows(
     z: np.ndarray, out: np.ndarray | None = None, sums: np.ndarray | None = None
 ) -> np.ndarray:
@@ -49,7 +54,7 @@ def prompt_step(s: np.ndarray, y: np.ndarray, tau: float, w):
     p = softmax_rows(z, out=z)
     at_y = (np.arange(runs)[:, None], np.arange(b), y)
     py = p[at_y]
-    losses = -np.log(np.maximum(py, PROB_FLOOR)) + w * (1.0 - py)
+    losses = label_nll(py) + w * (1.0 - py)
     coef = (1.0 + w * py) / (tau * b)
     g = p  # p is not read again, so the gradient takes its place
     g *= coef[..., None]

@@ -18,9 +18,9 @@ Every accuracy is counted chunk by chunk by :class:`SplitAccuracy`, on the
 ``candidates`` every split ranks; a head used by several scorers is scored
 once per chunk and shared, any other only while its own scorer runs.
 
-Aggregation convention: the harmonic mean is computed per seed (or per
-dataset) and then averaged; it is not the harmonic mean of averaged
-accuracies.
+Aggregation convention: ``base_new_report`` averages each configuration's
+per-seed harmonic means; its H is not the harmonic mean of the averaged
+base and new accuracies.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from promix.embedspace import (
     generate_synthetic,
     partition_classes,
     synthetic_parts,
+    unit_normalize,
 )
 from promix.head import DEFAULT_TAU, PromptHead, predict_matrix, similarity_matrix
 from promix.losses import LossConfig
@@ -804,15 +805,9 @@ def bound_sweep(
         n = int(rng.integers(4, 17))
         tau = float(tau_choices[rng.integers(0, len(tau_choices))])
         names = tuple(f"c{j}" for j in range(c))
-        heads = [
-            PromptHead.frozen_from(
-                _random_unit(rng, c, d), names
-            )
-            for _ in range(k + 1)
-        ]
-        emb = EmbeddingSet(
-            _random_unit(rng, n, d), rng.integers(0, c, size=n).astype(np.int64), names
-        )
+        heads = [PromptHead.frozen_from(_random_unit(rng, c, d), names) for _ in range(k + 1)]
+        emb = EmbeddingSet(_random_unit(rng, n, d), rng.integers(0, c, size=n).astype(np.int64),
+                           names)
         pi = rng.exponential(size=k + 1)
         pi = pi / pi.sum()
         gaps.append(bound_gap(heads, emb, pi, tau))
@@ -834,22 +829,7 @@ def bound_sweep(
 
 
 def _random_unit(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
-    from promix.embedspace import unit_normalize
-
     return unit_normalize(rng.standard_normal((rows, dim)))
-
-
-def aggregate_harmonic(per_dataset: Sequence[tuple[float, float]]) -> dict:
-    """Multi-dataset aggregation: mean Base, mean New, and the mean of the
-    per-dataset harmonic means (not the harmonic mean of the averages)."""
-    bases = [b for b, _ in per_dataset]
-    news = [n for _, n in per_dataset]
-    hs = [harmonic_mean(b, n) for b, n in per_dataset]
-    return {
-        "base": float(np.mean(bases)),
-        "new": float(np.mean(news)),
-        "h": float(np.mean(hs)),
-    }
 
 
 def base_to_new_csv(report: EvalReport) -> str:
@@ -868,13 +848,3 @@ def fscil_csv(report: EvalReport) -> str:
     values += [f"{report.mean_acc:.4f}", f"{report.pd:.4f}"]
     return ",".join(header) + "\n" + ",".join(values) + "\n"
 
-
-def curves_csv(report: EvalReport) -> str:
-    """Per-epoch plot data for the confusing-sample comparison."""
-    lines = ["seed,loss,subset,epoch,accuracy"]
-    for seed, run in zip(report.extra["seeds"], report.extra["curves"]):
-        for loss_name in ("ce", "conf"):
-            for subset, curve in run[loss_name].items():
-                for epoch, value in enumerate(curve):
-                    lines.append(f"{seed},{loss_name},{subset},{epoch},{value:.4f}")
-    return "\n".join(lines) + "\n"

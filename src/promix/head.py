@@ -11,15 +11,18 @@ generalized zero-shot model.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from promix import backend
+from promix._kernels_py import label_nll
 from promix.embedspace import (
     NORM_TOLERANCE,
+    EmbeddingFileError,
     EmbeddingSet,
     check_unit,
     read_embedding_file,
@@ -174,13 +177,10 @@ def predict_matrix(s: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
 
 def expected_error(head: PromptHead, emb_set: EmbeddingSet, tau: float = DEFAULT_TAU) -> float:
     """Mean negative log-probability of the true class over a set."""
-    from promix.losses import PROB_FLOOR  # imported here: losses imports this module
-
     if len(emb_set) == 0:
         raise ValueError("expected_error of an empty set")
     probs = predict_matrix(similarity_matrix(head, emb_set.vectors), tau)
-    py = probs[np.arange(len(emb_set)), emb_set.labels]
-    return float(np.mean(-np.log(np.maximum(py, PROB_FLOOR))))
+    return float(np.mean(label_nll(probs[np.arange(len(emb_set)), emb_set.labels])))
 
 
 def save_head(head: PromptHead, tau: float, path) -> None:
@@ -211,17 +211,56 @@ def save_head(head: PromptHead, tau: float, path) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+class CheckpointError(ValueError):
+    """A malformed checkpoint: the message names the file and the JSON pointer."""
+
+
+def is_finite(value) -> bool:
+    """A finite JSON number (a boolean is not one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def checkpoint_reader(path) -> Callable:
+    """entry(pointer, ok, expected): the value at that JSON pointer of
+    checkpoint ``path``. Raises CheckpointError if the file is not JSON, or
+    the entry is missing or fails ``ok``."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: /: not a JSON checkpoint ({exc})") from exc
+
+    def entry(pointer: str, ok: Callable[[object], bool], expected: str):
+        value = payload
+        for key in pointer.split("/")[1:]:
+            if isinstance(value, list) and key.isdigit() and int(key) < len(value):
+                value = value[int(key)]
+            elif not isinstance(value, dict) or key not in value:
+                raise CheckpointError(f"{path}: {pointer}: missing entry")
+            else:
+                value = value[key]
+        if not ok(value):
+            raise CheckpointError(f"{path}: {pointer}: expected {expected}")
+        return value
+
+    return entry
+
+
 def load_head(path) -> tuple[PromptHead, float]:
-    """Read a head checkpoint written by :func:`save_head`."""
+    """Read a head checkpoint written by :func:`save_head`; a malformed
+    manifest entry or data file raises CheckpointError."""
     path = Path(path)
-    manifest = json.loads(path.read_text())
-    block = read_embedding_file(path.parent / manifest["data_file"], check_norms=False)
-    m = int(manifest["context_len"])
-    context = block.vectors[:m]
-    anchors = block.vectors[m:]
-    if anchors.shape[0] != len(manifest["class_names"]):
-        raise ValueError(f"{path}: anchor count does not match class list")
-    head = PromptHead(
-        context, anchors, tuple(manifest["class_names"]), frozen=bool(manifest["frozen"])
-    )
-    return head, float(manifest["tau"])
+    entry = checkpoint_reader(path)
+    names = entry("/class_names", lambda v: isinstance(v, list)
+                  and all(isinstance(n, str) for n in v), "a list of class names")
+    m = entry("/context_len", lambda v: type(v) is int and v >= 0, "a non-negative integer")
+    tau = entry("/tau", lambda v: is_finite(v) and v > 0, "a positive finite number")
+    frozen = entry("/frozen", lambda v: isinstance(v, bool), "true or false")
+    data_file = path.parent / entry("/data_file", lambda v: isinstance(v, str), "a file name")
+    try:
+        block = read_embedding_file(data_file, check_norms=False)
+    except (OSError, EmbeddingFileError) as exc:
+        raise CheckpointError(f"{path}: /data_file: {exc}") from exc
+    if block.vectors.shape[0] != m + len(names):
+        raise CheckpointError(f"{path}: /class_names: anchor count does not match class list")
+    head = PromptHead(block.vectors[:m], block.vectors[m:], tuple(names), frozen=frozen)
+    return head, float(tau)

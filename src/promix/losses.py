@@ -13,9 +13,10 @@ for the comparison harness.
 
 Gradient conventions: ``s`` is a per-class similarity vector, ``tau`` the
 softmax temperature, and all gradients are with respect to ``s``. Each
-gradient formula lives once, in the batch path; the per-sample gradients
-are its single-row case, and the per-sample loss values are the
-finite-difference oracles the tests check it against.
+gradient formula lives once, in the batch path, and ``grad_prompt_loss``
+is its single-row ce_conf case. The per-sample values of the comparison
+losses live in the tests, as the finite-difference oracles the batch path
+is checked against; the floored cross-entropy is ``label_nll``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from promix import backend
-from promix._kernels_py import PROB_FLOOR  # the one floor, shared with the kernels
+from promix._kernels_py import PROB_FLOOR, label_nll  # the one floored CE, shared with the kernels
 from promix.head import PredictiveDistribution
 
 LOSS_KINDS = ("ce", "ce_conf", "fl", "gce", "mae", "ce_mae")
@@ -65,7 +66,7 @@ def _probs(p) -> np.ndarray:
 
 def ce_loss(p, y: int) -> float:
     """Cross-entropy -log p(y), floored so adversarial inputs stay finite."""
-    return float(-np.log(max(float(_probs(p)[y]), PROB_FLOOR)))
+    return float(label_nll(_probs(p)[y]))
 
 
 def confusion_loss(p, y: int) -> float:
@@ -78,46 +79,6 @@ def prompt_loss(p, y: int, w: float) -> float:
     return ce_loss(p, y) + w * confusion_loss(p, y)
 
 
-def focal_loss(p, y: int, gamma: float) -> float:
-    """-(1 - p(y))^gamma * log p(y); gamma = 0 reduces to cross-entropy."""
-    py = float(_probs(p)[y])
-    return float(-((1.0 - py) ** gamma) * np.log(max(py, PROB_FLOOR)))
-
-
-def gce_loss(p, y: int, q: float) -> float:
-    """(1 - p(y)^q) / q; q = 1 is exactly confusion_loss, q -> 0 approaches CE."""
-    py = float(_probs(p)[y])
-    return float((1.0 - py**q) / q)
-
-
-def mae_loss(p, y: int) -> float:
-    """Mean absolute error against the one-hot target: 2(1 - p(y)) / |Y|."""
-    probs = _probs(p)
-    onehot = np.zeros_like(probs)
-    onehot[y] = 1.0
-    return float(np.abs(onehot - probs).mean())
-
-
-def ce_plus_mae_loss(p, y: int, w: float) -> float:
-    """Cross-entropy plus w-weighted MAE."""
-    return ce_loss(p, y) + w * mae_loss(p, y)
-
-
-def loss_value(p, y: int, config: LossConfig) -> float:
-    """Evaluate the configured loss on one distribution."""
-    if config.kind == "ce":
-        return ce_loss(p, y)
-    if config.kind == "ce_conf":
-        return prompt_loss(p, y, config.w)
-    if config.kind == "fl":
-        return focal_loss(p, y, config.gamma)
-    if config.kind == "gce":
-        return gce_loss(p, y, config.q)
-    if config.kind == "mae":
-        return mae_loss(p, y)
-    return ce_plus_mae_loss(p, y, config.w)
-
-
 def grad_prompt_loss(s: np.ndarray, y: int, tau: float, w: float) -> np.ndarray:
     """Exact gradient of prompt_loss(softmax(s / tau), y, w) w.r.t. s: the
     single-row ce_conf case of ``batch_loss_grad``.
@@ -127,14 +88,8 @@ def grad_prompt_loss(s: np.ndarray, y: int, tau: float, w: float) -> np.ndarray:
 
     Components sum to zero (softmax shift invariance).
     """
-    return grad_loss(s, y, tau, LossConfig("ce_conf", w=w))
-
-
-def grad_loss(s: np.ndarray, y: int, tau: float, config: LossConfig) -> np.ndarray:
-    """Analytic gradient of the configured loss w.r.t. similarities: the
-    single-row case of ``batch_loss_grad``."""
     s = np.asarray(s, dtype=np.float64)
-    return batch_loss_grad(s[None, :], np.array([y]), tau, config)[1][0]
+    return batch_loss_grad(s[None, :], np.array([y]), tau, LossConfig("ce_conf", w=w))[1][0]
 
 
 def batch_loss_grad(
@@ -161,7 +116,7 @@ def batch_loss_grad(
     # dp(y)/ds = p(y) (onehot - p) / tau; the comparison losses chain through it
     dpy_ds = py[:, None] * (onehot - p) / tau
     if config.kind == "fl":
-        log_py = np.log(np.maximum(py, PROB_FLOOR))
+        log_py = -label_nll(py)
         loss = float(np.mean(-((1.0 - py) ** config.gamma) * log_py))
         dl_dpy = np.where(
             py >= 1.0,
@@ -177,8 +132,6 @@ def batch_loss_grad(
         loss = float(np.mean(2.0 * (1.0 - py) / p.shape[1]))
         g = (2.0 / p.shape[1]) * -dpy_ds
     else:  # ce_mae
-        loss = float(
-            np.mean(-np.log(np.maximum(py, PROB_FLOOR)) + config.w * 2.0 * (1.0 - py) / p.shape[1])
-        )
+        loss = float(np.mean(label_nll(py) + config.w * 2.0 * (1.0 - py) / p.shape[1]))
         g = (p - onehot) / tau + config.w * (2.0 / p.shape[1]) * -dpy_ds
     return loss, g / b

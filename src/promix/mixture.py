@@ -23,8 +23,8 @@ by head over the candidate classes only.
 
 This module also houses the ensemble error bound (the mixture's expected
 error never exceeds the weight-averaged error of its members), the
-sub-domain error decomposition, the mixture-CE weight gradient, and the
-entropy-margin loss used to optimize out-of-domain weights.
+sub-domain error decomposition, and the entropy-margin loss used to
+optimize out-of-domain weights.
 """
 
 from __future__ import annotations
@@ -37,9 +37,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from promix import backend
+from promix._kernels_py import label_nll
 from promix.embedspace import DomainPartition, EmbeddingSet
-from promix.head import DEFAULT_TAU, PredictiveDistribution, PromptHead, similarity_matrix
-from promix.losses import PROB_FLOOR
+from promix.head import (
+    DEFAULT_TAU,
+    CheckpointError,
+    PredictiveDistribution,
+    PromptHead,
+    checkpoint_reader,
+    is_finite,
+    predict_matrix,
+    similarity_matrix,
+)
 
 PARAMETERIZATIONS = ("one_stage", "two_stage", "direct")
 
@@ -60,12 +69,6 @@ def two_stage_params(alphas: Sequence[float]) -> np.ndarray:
     """Global simplex weights: softmax of (0, alpha_1, ..., alpha_K)."""
     logits = np.concatenate([[0.0], np.asarray(alphas, dtype=np.float64)])
     return backend.kernels.softmax_rows(logits[None, :])[0]
-
-
-def matched_two_stage(tau_1: float, tau_0: float = DEFAULT_TAU) -> tuple[float, float]:
-    """(alpha_1, effective tau) reproducing a one-stage configuration."""
-    pi_1, tau_eff = one_stage_params(tau_1, tau_0)
-    return float(np.log(tau_0 / tau_1)), tau_eff
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class MixtureWeights:
         if inw.shape != outw.shape or inw.ndim != 1:
             raise ValueError("in/out weights must be 1-d arrays of equal length")
         for arr in (inw, outw):
-            if np.any(arr < 0) or np.any(arr > 1):
+            if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails both comparisons
                 raise ValueError("weights must lie in [0, 1]")
         if self.parameterization == "one_stage" and inw.shape[0] != 1:
             raise ValueError("one_stage is only defined for a single specialized head")
@@ -189,30 +192,35 @@ class MixtureWeights:
             "raw": raw,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MixtureWeights":
-        kind = payload["parameterization"]
-        tau_0 = float(payload.get("tau_0", DEFAULT_TAU))
-        if kind == "two_stage":
-            return cls.two_stage(
-                payload["raw"]["alphas_in"], payload["raw"]["alphas_out"], tau_0=tau_0
-            )
-        if kind == "one_stage":
-            return cls.one_stage(
-                float(payload["raw"]["tau_in"]), float(payload["raw"]["tau_out"]), tau_0=tau_0
-            )
-        prompts = payload["prompts"]
-        return cls.direct(
-            [p["pi_in"] for p in prompts], [p["pi_out"] for p in prompts]
-        )
-
 
 def save_weights(weights: MixtureWeights, path) -> None:
     Path(path).write_text(json.dumps(weights.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_weights(path) -> MixtureWeights:
-    return MixtureWeights.from_dict(json.loads(Path(path).read_text()))
+    """Read weights written by :func:`save_weights`; a missing or malformed
+    entry raises CheckpointError naming the file and its JSON pointer."""
+    entry = checkpoint_reader(path)
+    kind = entry("/parameterization", lambda v: v in PARAMETERIZATIONS,
+                 " or ".join(PARAMETERIZATIONS))
+
+    def numbers(pointer: str, ok=is_finite, expected: str = "a finite number") -> list:
+        count = len(entry(pointer.split("/*")[0], lambda v: isinstance(v, list), "a list"))
+        return [entry(pointer.replace("*", str(i)), ok, expected) for i in range(count)]
+
+    if kind == "direct":
+        unit = (lambda v: is_finite(v) and 0 <= v <= 1), "a weight in [0, 1]"
+        return MixtureWeights.direct(*(numbers(f"/prompts/*/{side}", *unit)
+                                       for side in ("pi_in", "pi_out")))
+    positive = (lambda v: is_finite(v) and v > 0), "a positive finite number"
+    tau_0 = float(entry("/tau_0", *positive))
+    if kind == "one_stage":
+        taus = (float(entry(f"/raw/{key}", *positive)) for key in ("tau_in", "tau_out"))
+        return MixtureWeights.one_stage(*taus, tau_0=tau_0)
+    alphas_in, alphas_out = numbers("/raw/alphas_in/*"), numbers("/raw/alphas_out/*")
+    if len(alphas_in) != len(alphas_out):
+        raise CheckpointError(f"{path}: /raw/alphas_out: expected one logit per alphas_in entry")
+    return MixtureWeights.two_stage(alphas_in, alphas_out, tau_0=tau_0)
 
 
 def class_weight_matrix(weights: MixtureWeights, partition: DomainPartition) -> np.ndarray:
@@ -265,8 +273,8 @@ class MixtureModel:
                 raise ValueError("heads must share class list and dimension")
         if self.partition.num_classes != len(names):
             raise ValueError("partition does not cover the heads' class list")
-        if self.tau <= 0:
-            raise ValueError("temperature must be positive")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("temperature must be positive and finite")
 
     @property
     def num_classes(self) -> int:
@@ -327,34 +335,26 @@ def mixture_predict_matrix(model: MixtureModel, vectors: np.ndarray) -> np.ndarr
     return backend.kernels.softmax_rows(mixture_scaled_logits(model, vectors))
 
 
-def global_mixture_error(
-    heads: Sequence[PromptHead], emb_set: EmbeddingSet, pi: np.ndarray, tau: float
-) -> float:
-    """Expected error of the global-weight mixture softmax(sum pi_i s_i / tau)."""
-    if len(emb_set) == 0:
-        raise ValueError("empty set")
-    pi = np.asarray(pi, dtype=np.float64)
-    sims = np.stack([similarity_matrix(h, emb_set.vectors) for h in heads])
-    logits = np.einsum("k,knc->nc", pi, sims) / tau
-    probs = backend.kernels.softmax_rows(logits)
-    py = probs[np.arange(len(emb_set)), emb_set.labels]
-    return float(np.mean(-np.log(np.maximum(py, PROB_FLOOR))))
-
-
 def bound_gap(
     heads: Sequence[PromptHead], emb_set: EmbeddingSet, pi: np.ndarray, tau: float = DEFAULT_TAU
 ) -> float:
     """Weighted member error minus mixture error; non-negative by the
-    ensemble bound (Jensen on log-sum-exp), up to float round-off."""
-    from promix.head import expected_error
-
+    ensemble bound (Jensen on log-sum-exp), up to float round-off. Each
+    head's similarities s_i feed its member softmax(s_i / tau) and the
+    mixture softmax(sum pi_i s_i / tau)."""
     pi = np.asarray(pi, dtype=np.float64)
     if len(pi) != len(heads):
         raise ValueError("one weight per head required")
-    if np.any(pi < 0) or abs(float(pi.sum()) - 1.0) > 1e-9:
+    if not (np.all(pi >= 0) and abs(float(pi.sum()) - 1.0) <= 1e-9):  # NaN fails both
         raise ValueError("weights must be a simplex point")
-    members = sum(p * expected_error(h, emb_set, tau) for p, h in zip(pi, heads))
-    return float(members - global_mixture_error(heads, emb_set, pi, tau))
+    if len(emb_set) == 0:
+        raise ValueError("bound_gap of an empty set")
+    sims = np.stack([similarity_matrix(h, emb_set.vectors) for h in heads])
+    at_y = (np.arange(len(emb_set)), emb_set.labels)
+    members = sum(p * float(np.mean(label_nll(predict_matrix(s, tau)[at_y])))
+                  for p, s in zip(pi, sims))
+    probs = backend.kernels.softmax_rows(np.einsum("k,knc->nc", pi, sims) / tau)
+    return float(members - float(np.mean(label_nll(probs[at_y]))))
 
 
 def decompose_error(
@@ -371,7 +371,7 @@ def decompose_error(
     if int(emb_set.labels.max()) >= partition.num_classes:
         raise ValueError("sample label outside the partition")
     probs = mixture_predict_matrix(model, emb_set.vectors)
-    losses = -np.log(np.maximum(probs[np.arange(len(emb_set)), emb_set.labels], PROB_FLOOR))
+    losses = label_nll(probs[np.arange(len(emb_set)), emb_set.labels])
     owners = partition.owner_of()[emb_set.labels]
     parts = []
     total = 0.0
@@ -382,23 +382,6 @@ def decompose_error(
         parts.append((lam, err))
         total += lam * err
     return parts, total
-
-
-def mixture_ce_grad_wrt_weight(
-    model: MixtureModel, x: np.ndarray, y: int, prompt: int
-) -> float:
-    """d(-log mixture_prob(y)) / d(global weight of head ``prompt``).
-
-    Equals -(s_i(y) - sum_l p(l) s_i(l)) / tau: negative when the head
-    rates the true class above the mixture's importance-weighted average,
-    so descent raises that head's weight.
-    """
-    if model.weights.parameterization == "one_stage":
-        raise ValueError("global weight gradient requires a weighted-similarity mixture")
-    x = np.asarray(x, dtype=np.float64)[None, :]
-    probs = mixture_predict_matrix(model, x)[0]
-    s_i = similarity_matrix(model.heads[prompt], x)[0]
-    return float(-(s_i[y] - probs @ s_i) / model.tau)
 
 
 def normalized_entropy(probs: np.ndarray) -> float:

@@ -10,7 +10,9 @@ C×D effective embeddings.
 
 The one tuning loop steps R independent runs of equal length at once,
 stacked on a leading axis, each bitwise as if alone; ``tune_prompt`` and
-``tune_prompt_one_stage`` are its one-run callers.
+``tune_prompt_one_stage`` are its one-run callers. Given each run's fixed
+generalized logits z0, the loop is one_stage: it also steps each run's
+log(tau_1) beside its context.
 
 Weight fitting runs full-batch momentum descent on the raw weight
 parameters (two_stage logits or one_stage temperatures): the in-weight
@@ -41,9 +43,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from promix import backend
+from promix._kernels_py import label_nll
 from promix.embedspace import EmbeddingSet
-from promix.head import DEFAULT_TAU, PromptHead, similarity_matrix
-from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
+from promix.head import DEFAULT_TAU, PromptHead
+from promix.losses import LossConfig, batch_loss_grad
 from promix.mixture import MixtureModel
 
 
@@ -220,46 +223,21 @@ def _context_loss_grad(
     yb: np.ndarray,
     loss_grad: Callable,
     tau: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each run's batch loss and its gradient w.r.t. the context rows."""
+    z0_b: np.ndarray | None = None,
+    log_tau: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
+    """Each run's batch loss and its gradient w.r.t. the context rows. Given
+    one_stage's fixed batch logits ``z0_b`` and log(tau_1), the loss reads
+    z0_b + s / tau_1 at temperature 1, and the log(tau_1) gradient comes third."""
     cbar = np.add.reduce(ctx, axis=1) / ctx.shape[1]  # ctx.mean(axis=1) without its wrapper
     sims, norms = _context_sims(space, xa_b, xb, cbar)
-    loss_vals, g = loss_grad(sims, yb, tau)
-    return loss_vals, _context_grad(space, g, sims, norms, xb, cbar, ctx.shape[1])
-
-
-def _one_stage_loss_grad(
-    ctx: np.ndarray,
-    log_tau: np.ndarray,
-    space: _AnchorSpace,
-    xa_b: np.ndarray,
-    xb: np.ndarray,
-    yb: np.ndarray,
-    z0: np.ndarray,
-    loss_grad: Callable,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each run's loss of the logits z0 + s_1 / tau_1 on one batch, and its
-    gradients w.r.t. the context rows and log(tau_1)."""
+    if z0_b is None:
+        loss_vals, g = loss_grad(sims, yb, tau)
+        return loss_vals, _context_grad(space, g, sims, norms, xb, cbar, ctx.shape[1])
     tau_1 = np.exp(log_tau)[:, None, None]
-    cbar = np.add.reduce(ctx, axis=1) / ctx.shape[1]
-    s1, norms = _context_sims(space, xa_b, xb, cbar)
-    loss_vals, g_z = loss_grad(z0 + s1 / tau_1, yb, 1.0)
-    grad_ctx = _context_grad(space, g_z / tau_1, s1, norms, xb, cbar, ctx.shape[1])
-    return loss_vals, grad_ctx, -np.einsum("rbc,rbc->r", g_z, s1) / tau_1[:, 0, 0]
-
-
-def context_gradient(
-    head: PromptHead, train_set: EmbeddingSet, loss: LossConfig, tau: float = DEFAULT_TAU
-) -> np.ndarray:
-    """Full-set analytic gradient of the mean loss w.r.t. the context."""
-    if head.context_len == 0:
-        raise ValueError("head has no context vectors")
-    x, y = train_set.vectors, train_set.labels
-    space = _AnchorSpace.of(head.anchors[None], x, np.arange(len(x))[None])
-    _, grad = _context_loss_grad(
-        head.context[None], space, space.xa, x[None], y[None], _runs_loss_grad([loss]), tau
-    )
-    return np.broadcast_to(grad[0], head.context.shape).copy()
+    loss_vals, g_z = loss_grad(z0_b + sims / tau_1, yb, 1.0)
+    grad_ctx = _context_grad(space, g_z / tau_1, sims, norms, xb, cbar, ctx.shape[1])
+    return loss_vals, grad_ctx, -np.einsum("rbc,rbc->r", g_z, sims) / tau_1[:, 0, 0]
 
 
 def _check_tunable(init: PromptHead, n_rows: int) -> None:
@@ -346,15 +324,20 @@ def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, list[float]]
     for members in groups.values():
         for start in range(0, len(members), LOCKSTEP_RUNS):
             ids = members[start : start + LOCKSTEP_RUNS]
-            for i, result in zip(ids, _tune_group([runs[i] for i in ids], ids)):
-                results[i] = result
+            for i, (head, _, trace) in zip(ids, _tune_group([runs[i] for i in ids], ids)):
+                results[i] = head, trace
     return results
 
 
-def _tune_group(runs: list[TuneRun], ids: list[int]) -> list[tuple[PromptHead, list[float]]]:
-    """One Adam loop over runs of equal steps. Runs on the same rows, anchors
-    and classes (twins differing in loss or seed) share one X·Aᵀ; runs on
-    several training sets read their rows gathered into one (R·n, D) matrix."""
+def _tune_group(
+    runs: list[TuneRun], ids: list[int], z0: np.ndarray | None = None
+) -> list[tuple[PromptHead, float, list[float]]]:
+    """One Adam loop over runs of equal steps; returns each run's (tuned head,
+    temperature, per-epoch loss trace). Runs on the same rows, anchors and
+    classes (twins differing in loss or seed) share one X·Aᵀ; runs on
+    several training sets read their rows gathered into one (R·n, D) matrix.
+    ``z0`` (R, n, C), each run's fixed logits on its rows and columns, makes
+    the runs one_stage: log(tau_1) steps too, from log(run.tau)."""
     first = runs[0]
     one_set = all(r.train_set is first.train_set for r in runs)
     shared = one_set and all(r.init.anchors is first.init.anchors and r.classes is first.classes
@@ -371,24 +354,30 @@ def _tune_group(runs: list[TuneRun], ids: list[int]) -> list[tuple[PromptHead, l
     xa = np.broadcast_to(space.xa, stack + space.xa.shape[2:])
     run_axis = np.arange(len(runs))[:, None]
     loss_grad = _runs_loss_grad([run.loss for run in runs])
+    params = [np.stack([run.init.context for run in runs])]
+    if z0 is not None:
+        params.append(np.array([np.log(run.tau) for run in runs]))
 
     def batch_grad(idx, yb, params):
-        (ctx,) = params
-        loss_vals, grad = _context_loss_grad(
-            ctx, space, xa[run_axis, idx], x[rows[run_axis, idx]], yb, loss_grad, first.tau
+        at, ctx = (run_axis, idx), params[0]
+        loss_vals, grad, *grad_tau = _context_loss_grad(
+            ctx, space, xa[at], x[rows[at]], yb, loss_grad, first.tau,
+            None if z0 is None else z0[at], *params[1:],
         )
-        return loss_vals, [grad + first.opt.prompt_weight_decay * ctx]
+        return loss_vals, [grad + first.opt.prompt_weight_decay * ctx, *grad_tau]
 
     def head_hook(epoch, params):
         for run, ctx in zip(runs, params[0]):
             if run.epoch_hook is not None:
                 run.epoch_hook(epoch, run.init.with_context(ctx.copy()))
 
-    (ctx,), traces = _adam_descent(
-        [np.stack([run.init.context for run in runs])], batch_grad, labels,
-        space.anchors.shape[1], first.opt, [run.opt.seed for run in runs], ids, head_hook,
+    params, traces = _adam_descent(
+        params, batch_grad, labels, space.anchors.shape[1], first.opt,
+        [run.opt.seed for run in runs], ids, head_hook,
     )
-    return [(run.init.with_context(c.copy()), t) for run, c, t in zip(runs, ctx, traces)]
+    taus = np.exp(params[1]) if z0 is not None else [run.tau for run in runs]
+    return [(run.init.with_context(c.copy()), float(t), trace)
+            for run, c, t, trace in zip(runs, params[0], taus, traces)]
 
 
 def tune_prompt(
@@ -408,16 +397,6 @@ def tune_prompt(
     return tune_prompts([TuneRun(init, train_set, loss, opt, tau, epoch_hook=epoch_hook)])[0]
 
 
-def context_loss_value(
-    head: PromptHead, train_set: EmbeddingSet, loss: LossConfig, tau: float
-) -> float:
-    """Full-set mean loss of a head; the finite-difference oracle target
-    for the context gradient."""
-    sims = similarity_matrix(head, train_set.vectors)
-    value, _ = batch_loss_grad(sims, train_set.labels, tau, loss)
-    return value
-
-
 def tune_prompt_one_stage(
     init: PromptHead,
     generalized: PromptHead,
@@ -430,32 +409,16 @@ def tune_prompt_one_stage(
 
     The single-temperature coupling ties the specialized head's mixing
     weight to its own temperature tau_1: training logits are
-    s_0 / tau_0 + s_1 / tau_1, and the tuning loop updates the context
-    together with log(tau_1), as a one-run stack. Only meaningful with
+    s_0 / tau_0 + s_1 / tau_1, and the one tuning loop updates the context
+    together with log(tau_1), as its one-run case. Only meaningful with
     exactly one specialized head. Returns (tuned head, tau_1, per-epoch
     loss trace).
     """
     _check_tunable(init, len(train_set))
     if generalized.num_classes != init.num_classes:
         raise ValueError("generalized head must share the class list")
-
-    x = train_set.vectors
-    space = _AnchorSpace.of(init.anchors[None], x, np.arange(len(x))[None])
-    z0 = x @ generalized.effective_embeddings().T / tau_0
-    loss_grad = _runs_loss_grad([loss])
-
-    def batch_grad(idx, yb, params):
-        ctx, log_tau = params
-        loss_vals, grad_ctx, grad_tau = _one_stage_loss_grad(
-            ctx, log_tau, space, space.xa[0][idx], x[idx], yb, z0[idx], loss_grad
-        )
-        return loss_vals, [grad_ctx + opt.prompt_weight_decay * ctx, grad_tau]
-
-    (ctx, log_tau), (trace,) = _adam_descent(
-        [init.context[None].copy(), np.array([np.log(tau_0)])], batch_grad,
-        train_set.labels[None], init.num_classes, opt, [opt.seed], [0],
-    )
-    return init.with_context(ctx[0]), float(np.exp(log_tau[0])), trace
+    z0 = train_set.vectors @ generalized.effective_embeddings().T / tau_0
+    return _tune_group([TuneRun(init, train_set, loss, opt, tau_0)], [0], z0[None])[0]
 
 
 def _descend_scalar(
@@ -621,7 +584,7 @@ def _in_objective_factory(
             np.divide(e[r, y], s, out=p_y[b])
             g_rows[b] = np.einsum("nc,nc->n", e, dz) / s - dz[r, y]
         # np.mean's bits, without its wrapper
-        ce = float(np.add.reduce(-np.log(np.maximum(p_y, PROB_FLOOR))) / n)
+        ce = float(np.add.reduce(label_nll(p_y)) / n)
         return ce, a * c * float(np.add.reduce(g_rows)) / n
 
     return evaluate
@@ -756,18 +719,3 @@ def optimize_out_weight(
     )
     return replace(model, weights=model.weights.with_raw(prompt, "out", theta)), trace
 
-
-def outclass_entropies(
-    model: MixtureModel, x: np.ndarray, out_anchors: np.ndarray, prompt: int
-) -> tuple[float, float]:
-    """(H_generalized, H_specialized) for one embedding on the out-class
-    set, read from the out-weight objective's own entropy formula."""
-    w = model.weights
-    scale = (1.0 / w.tau_out if w.parameterization == "one_stage"
-             else w.out_weights[prompt - 1] / model.tau)
-    x, entropies = np.asarray(x, dtype=np.float64)[None, :], []
-    for head, a in ((model.heads[0], 1.0 / model.tau), (model.heads[prompt], scale)):
-        z = x @ head.effective_embeddings(out_anchors).T * a
-        h = _entropy_rows(z, backend.kernels.softmax_rows(z), np.argmax(z, axis=1))[0]
-        entropies.append(float(h[0] / np.log(out_anchors.shape[0])))
-    return entropies[0], entropies[1]

@@ -1,12 +1,31 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules, and the oracles the library is
+checked against: per-sample loss values, the full-set context gradient and
+loss, the out-class entropies, the two-pass ensemble bound, the matched
+two_stage configuration and the mixture-CE weight gradient."""
 
 import tracemalloc
 
 import numpy as np
 
+from promix import backend
 from promix.evaluation import harmonic_mean
-from promix.head import similarity_matrix
-from promix.mixture import MixtureModel, MixtureWeights, mixture_scaled_logits
+from promix.head import expected_error, similarity_matrix
+from promix.losses import (
+    PROB_FLOOR,
+    LossConfig,
+    _probs,
+    batch_loss_grad,
+    ce_loss,
+    prompt_loss,
+)
+from promix.mixture import (
+    MixtureModel,
+    MixtureWeights,
+    mixture_predict_matrix,
+    mixture_scaled_logits,
+    one_stage_params,
+)
+from promix.train import _AnchorSpace, _context_loss_grad, _entropy_rows, _runs_loss_grad
 
 
 def _traced_peak(fn, *args):
@@ -54,3 +73,135 @@ def _whole_set_base_new_scores(t0, head_ce, head_conf, fitted, partition, test_s
         )
         scores[name] = {"base": base, "new": new, "h": harmonic_mean(base, new)}
     return scores
+
+
+# ---- per-sample loss values: the finite-difference oracles of batch_loss_grad
+
+
+def focal_loss(p, y: int, gamma: float) -> float:
+    """-(1 - p(y))^gamma * log p(y); gamma = 0 reduces to cross-entropy."""
+    py = float(_probs(p)[y])
+    return float(-((1.0 - py) ** gamma) * np.log(max(py, PROB_FLOOR)))
+
+
+def gce_loss(p, y: int, q: float) -> float:
+    """(1 - p(y)^q) / q; q = 1 is exactly confusion_loss, q -> 0 approaches CE."""
+    py = float(_probs(p)[y])
+    return float((1.0 - py**q) / q)
+
+
+def mae_loss(p, y: int) -> float:
+    """Mean absolute error against the one-hot target: 2(1 - p(y)) / |Y|."""
+    probs = _probs(p)
+    onehot = np.zeros_like(probs)
+    onehot[y] = 1.0
+    return float(np.abs(onehot - probs).mean())
+
+
+def ce_plus_mae_loss(p, y: int, w: float) -> float:
+    """Cross-entropy plus w-weighted MAE."""
+    return ce_loss(p, y) + w * mae_loss(p, y)
+
+
+def loss_value(p, y: int, config: LossConfig) -> float:
+    """Evaluate the configured loss on one distribution."""
+    if config.kind == "ce":
+        return ce_loss(p, y)
+    if config.kind == "ce_conf":
+        return prompt_loss(p, y, config.w)
+    if config.kind == "fl":
+        return focal_loss(p, y, config.gamma)
+    if config.kind == "gce":
+        return gce_loss(p, y, config.q)
+    if config.kind == "mae":
+        return mae_loss(p, y)
+    return ce_plus_mae_loss(p, y, config.w)
+
+
+def grad_loss(s: np.ndarray, y: int, tau: float, config: LossConfig) -> np.ndarray:
+    """Analytic gradient of the configured loss w.r.t. similarities: the
+    single-row case of ``batch_loss_grad``."""
+    s = np.asarray(s, dtype=np.float64)
+    return batch_loss_grad(s[None, :], np.array([y]), tau, config)[1][0]
+
+
+# ---- tuning and weight-fitting oracles
+
+
+def context_gradient(head, train_set, loss: LossConfig, tau: float) -> np.ndarray:
+    """Full-set analytic gradient of the mean loss w.r.t. the context, from
+    the tuning loop's own one-run step."""
+    if head.context_len == 0:
+        raise ValueError("head has no context vectors")
+    x, y = train_set.vectors, train_set.labels
+    space = _AnchorSpace.of(head.anchors[None], x, np.arange(len(x))[None])
+    _, grad = _context_loss_grad(
+        head.context[None], space, space.xa, x[None], y[None], _runs_loss_grad([loss]), tau
+    )
+    return np.broadcast_to(grad[0], head.context.shape).copy()
+
+
+def context_loss_value(head, train_set, loss: LossConfig, tau: float) -> float:
+    """Full-set mean loss of a head; the finite-difference oracle target
+    for the context gradient."""
+    sims = similarity_matrix(head, train_set.vectors)
+    value, _ = batch_loss_grad(sims, train_set.labels, tau, loss)
+    return value
+
+
+def outclass_entropies(model, x, out_anchors, prompt: int) -> tuple[float, float]:
+    """(H_generalized, H_specialized) for one embedding on the out-class
+    set, read from the out-weight objective's own entropy formula."""
+    w = model.weights
+    scale = (1.0 / w.tau_out if w.parameterization == "one_stage"
+             else w.out_weights[prompt - 1] / model.tau)
+    x, entropies = np.asarray(x, dtype=np.float64)[None, :], []
+    for head, a in ((model.heads[0], 1.0 / model.tau), (model.heads[prompt], scale)):
+        z = x @ head.effective_embeddings(out_anchors).T * a
+        h = _entropy_rows(z, backend.kernels.softmax_rows(z), np.argmax(z, axis=1))[0]
+        entropies.append(float(h[0] / np.log(out_anchors.shape[0])))
+    return entropies[0], entropies[1]
+
+
+# ---- mixture oracles
+
+
+def global_mixture_error(heads, emb_set, pi, tau: float) -> float:
+    """Expected error of the global-weight mixture softmax(sum pi_i s_i / tau)."""
+    if len(emb_set) == 0:
+        raise ValueError("empty set")
+    pi = np.asarray(pi, dtype=np.float64)
+    sims = np.stack([similarity_matrix(h, emb_set.vectors) for h in heads])
+    logits = np.einsum("k,knc->nc", pi, sims) / tau
+    probs = backend.kernels.softmax_rows(logits)
+    py = probs[np.arange(len(emb_set)), emb_set.labels]
+    return float(np.mean(-np.log(np.maximum(py, PROB_FLOOR))))
+
+
+def two_pass_bound_gap(heads, emb_set, pi, tau: float) -> float:
+    """The ensemble bound gap with each head scored twice: its member error
+    by ``expected_error``, then the mixture by ``global_mixture_error``."""
+    pi = np.asarray(pi, dtype=np.float64)
+    members = sum(p * expected_error(h, emb_set, tau) for p, h in zip(pi, heads))
+    return float(members - global_mixture_error(heads, emb_set, pi, tau))
+
+
+def matched_two_stage(tau_1: float, tau_0: float) -> tuple[float, float]:
+    """(alpha_1, effective tau) reproducing a one-stage configuration."""
+    _, tau_eff = one_stage_params(tau_1, tau_0)
+    return float(np.log(tau_0 / tau_1)), tau_eff
+
+
+def mixture_ce_grad_wrt_weight(model, x, y: int, prompt: int) -> float:
+    """d(-log mixture_prob(y)) / d(global weight of head ``prompt``).
+
+    Equals -(s_i(y) - sum_l p(l) s_i(l)) / tau: negative when the head
+    rates the true class above the mixture's importance-weighted average,
+    so descent raises that head's weight.
+    """
+    if model.weights.parameterization == "one_stage":
+        raise ValueError("global weight gradient requires a weighted-similarity mixture")
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    probs = mixture_predict_matrix(model, x)[0]
+    s_i = similarity_matrix(model.heads[prompt], x)[0]
+    return float(-(s_i[y] - probs @ s_i) / model.tau)

@@ -16,6 +16,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import (
+    ce_plus_mae_loss,
+    context_gradient,
+    context_loss_value,
+    focal_loss,
+    gce_loss,
+    matched_two_stage,
+    mixture_ce_grad_wrt_weight,
+)
 from promix.cli import main as cli_main
 from promix.embedspace import (
     DomainPartition,
@@ -40,10 +49,7 @@ from promix.head import PromptHead, predict
 from promix.losses import (
     LossConfig,
     ce_loss,
-    ce_plus_mae_loss,
     confusion_loss,
-    focal_loss,
-    gce_loss,
     grad_prompt_loss,
     prompt_loss,
 )
@@ -51,18 +57,12 @@ from promix.mixture import (
     MixtureModel,
     MixtureWeights,
     class_weight_matrix,
-    matched_two_stage,
-    mixture_ce_grad_wrt_weight,
     mixture_predict,
     mixture_predict_matrix,
     mixture_scaled_logits,
 )
 from promix.stats import student_t_cdf, t_test_paired_one_sided
-from promix.train import (
-    _out_objective_factory,
-    context_gradient,
-    context_loss_value,
-)
+from promix.train import _out_objective_factory
 
 GRID_TAUS = (1.0, 0.1, 0.01)
 GRID_WEIGHTS = (0.0, 1.0, 5.0, 7.0)

@@ -521,6 +521,46 @@ def _files_pipeline(run_config, tmp_path, **extra):
     return path2, tmp_path / "run_files"
 
 
+def _damage_json(path, damage):
+    payload = json.loads(path.read_text())
+    damage(payload)
+    path.write_text(json.dumps(payload))
+
+
+class TestBadCheckpoints:
+    """A malformed checkpoint fails eval with exit 1, naming the file and the
+    JSON pointer of the bad entry, before any report is written."""
+
+    @pytest.mark.parametrize(
+        "parameterization, name, damage, pointer",
+        [
+            ("two_stage", "weights/seed0.json", lambda d: d.pop("raw"), "/raw/alphas_in"),
+            ("two_stage", "weights/seed0.json",
+             lambda d: d["raw"]["alphas_in"].__setitem__(0, float("nan")), "/raw/alphas_in/0"),
+            ("one_stage", "weights/seed0.json",
+             lambda d: d["raw"].__setitem__("tau_in", float("nan")), "/raw/tau_in"),
+            ("two_stage", "heads/seed0_ce.json", lambda d: d.pop("class_names"), "/class_names"),
+            ("two_stage", "heads/seed0_ce.json",
+             lambda d: d.__setitem__("tau", float("nan")), "/tau"),
+            ("one_stage", "heads/seed0_conf.json",
+             lambda d: d.__setitem__("data_file", "gone.emb"), "/data_file"),
+        ],
+        ids=["no_raw", "nan_alpha", "nan_tau_in", "no_class_names", "nan_head_tau",
+             "missing_data_file"],
+    )
+    def test_eval_exits_one_at_the_bad_entry(
+        self, run_config, capsys, parameterization, name, damage, pointer
+    ):
+        path, out = run_config(weights={"parameterization": parameterization})
+        for cmd in ("tune", "weights"):
+            assert main([cmd, "--config", str(path)]) == 0, cmd
+        _damage_json(out / name, damage)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(path)]) == 1
+        assert f"{out / name}: {pointer}: " in capsys.readouterr().err
+        assert not (out / "report_eval.json").exists()
+
+
 class TestStreamedEval:
     """eval scores test.emb as a stream of CHUNK_ROWS-row chunks."""
 

@@ -17,20 +17,20 @@ import promix.evaluation as evaluation
 from promix import embedspace
 from promix.embedspace import EmbeddingSet, SyntheticConfig, generate_synthetic, unit_normalize
 from promix.evaluation import (
+    CONFIG_NAMES,
     EvalReport,
     HarnessConfig,
     SplitAccuracy,
     accuracy,
-    aggregate_harmonic,
     assumption_check,
     base_new_accuracy,
+    base_new_report,
     base_new_scores,
     base_to_new_csv,
     base_to_new_eval,
     bound_sweep,
     classify_samples,
     confusing_gain,
-    curves_csv,
     fscil_csv,
     fscil_run,
     harmonic_mean,
@@ -118,11 +118,14 @@ class TestHarmonicMean:
 
     def test_aggregate_uses_mean_of_per_dataset_h(self):
         rows = [(95.0, 40.0), (60.0, 80.0)]
-        agg = aggregate_harmonic(rows)
+        per_seed = [{name: {"base": b, "new": n, "h": harmonic_mean(b, n)} for name in CONFIG_NAMES}
+                    for b, n in rows]
+        report = base_new_report(per_seed, seeds=(0, 1))
         expected_h = np.mean([harmonic_mean(*r) for r in rows])
-        assert agg["h"] == pytest.approx(expected_h)
-        h_of_means = harmonic_mean(agg["base"], agg["new"])
-        assert abs(agg["h"] - h_of_means) > 0.5  # the two conventions differ
+        for agg in report.per_config.values():
+            assert agg["h"] == pytest.approx(expected_h)
+            h_of_means = harmonic_mean(agg["base"], agg["new"])
+            assert abs(agg["h"] - h_of_means) > 0.5  # the two conventions differ
 
 
 class TestClassifySamples:
@@ -294,8 +297,6 @@ class TestHarnessSmoke:
         rep = confusing_gain(_tiny_harness())
         assert set(rep.extra["deltas"]) == {"easy", "confusing", "all"}
         assert set(rep.category_counts) == {"easy", "confusing", "hard"}
-        csv = curves_csv(rep)
-        assert csv.splitlines()[0] == "seed,loss,subset,epoch,accuracy"
         # twin runs with identical seeds: the w=0 run must match itself
         again = confusing_gain(_tiny_harness())
         assert rep.extra["finals"] == again.extra["finals"]

@@ -1,5 +1,7 @@
 """Prompt-head similarities, predictions, expected error, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,26 @@ class TestCheckpoint:
             similarity_matrix(back, x[None, :]), similarity_matrix(small_head, x[None, :]),
             atol=1e-6,
         )
+
+    @pytest.mark.parametrize(
+        "damage, pointer",
+        [
+            (lambda m: m.pop("class_names"), "/class_names"),
+            (lambda m: m.__setitem__("class_names", "c0"), "/class_names"),
+            (lambda m: m.__setitem__("context_len", -1), "/context_len"),
+            (lambda m: m.__setitem__("tau", float("nan")), "/tau"),
+            (lambda m: m.__setitem__("tau", 0.0), "/tau"),
+            (lambda m: m.__setitem__("frozen", "no"), "/frozen"),
+            (lambda m: m.__setitem__("data_file", "absent.emb"), "/data_file"),
+        ],
+        ids=["no_class_names", "names_not_list", "negative_context", "nan_tau", "zero_tau",
+             "frozen_not_bool", "missing_data_file"],
+    )
+    def test_bad_entry_names_file_and_pointer(self, small_head, tmp_path, damage, pointer):
+        path = tmp_path / "head.json"
+        save_head(small_head, 0.01, path)
+        manifest = json.loads(path.read_text())
+        damage(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"{path}: {pointer}: "):
+            load_head(path)

@@ -7,19 +7,14 @@ in closed-form cases were computed by hand from the definitions.
 import numpy as np
 import pytest
 
+from conftest import ce_plus_mae_loss, focal_loss, gce_loss, grad_loss, loss_value, mae_loss
 from promix.head import predict
 from promix.losses import (
     LossConfig,
     batch_loss_grad,
     ce_loss,
-    ce_plus_mae_loss,
     confusion_loss,
-    focal_loss,
-    gce_loss,
-    grad_loss,
     grad_prompt_loss,
-    loss_value,
-    mae_loss,
     prompt_loss,
 )
 

@@ -1,10 +1,15 @@
 """Mixture weights, predictions, the ensemble error bound, the error
 decomposition, weight gradients, and entropy machinery."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+import promix.head
 import promix.mixture
+from conftest import matched_two_stage, mixture_ce_grad_wrt_weight, two_pass_bound_gap
 from promix.embedspace import (
     DomainPartition,
     EmbeddingSet,
@@ -21,8 +26,6 @@ from promix.mixture import (
     decompose_error,
     ent_loss,
     load_weights,
-    matched_two_stage,
-    mixture_ce_grad_wrt_weight,
     mixture_predict,
     mixture_predict_matrix,
     mixture_scaled_logits,
@@ -248,6 +251,50 @@ class TestBoundGap:
         with pytest.raises(ValueError, match="simplex"):
             bound_gap(heads, data, np.array([0.7, 0.6]), 0.1)
 
+    @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_equals_the_two_pass_bound_bitwise(self, k, tau):
+        rng = np.random.default_rng(100 * k + int(1 / tau))
+        for _ in range(20):
+            c, d = int(rng.integers(2, 21)), int(rng.integers(4, 17))
+            heads = _heads(rng, k + 1, c, d)
+            data = _data(rng, int(rng.integers(1, 17)), c, d)
+            pi = rng.exponential(size=k + 1)
+            pi /= pi.sum()
+            got, want = bound_gap(heads, data, pi, tau), two_pass_bound_gap(heads, data, pi, tau)
+            assert struct.pack("<d", got) == struct.pack("<d", want)
+
+    def test_scores_each_head_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        heads, data = _heads(rng, 3, 5, 8), _data(rng, 6, 5, 8)
+        calls = []
+        original = promix.mixture.similarity_matrix
+        for module in (promix.head, promix.mixture):
+            monkeypatch.setattr(module, "similarity_matrix",
+                                lambda h, v: calls.append(id(h)) or original(h, v))
+        bound_gap(heads, data, np.full(3, 1 / 3), 0.1)
+        assert calls == [id(h) for h in heads]
+
+    @pytest.mark.parametrize("tau", [0.0, -0.1])
+    def test_rejects_non_positive_temperature(self, tau):
+        rng = np.random.default_rng(12)
+        heads, data = _heads(rng, 2, 3, 6), _data(rng, 5, 3, 6)
+        with pytest.raises(ValueError, match="temperature"):
+            bound_gap(heads, data, np.array([0.5, 0.5]), tau)
+
+    def test_rejects_an_empty_set(self):
+        rng = np.random.default_rng(13)
+        heads = _heads(rng, 2, 3, 6)
+        empty = EmbeddingSet(np.zeros((0, 6)), np.zeros(0, dtype=np.int64), ("a", "b", "c"))
+        with pytest.raises(ValueError, match="empty"):
+            bound_gap(heads, empty, np.array([0.5, 0.5]), 0.1)
+
+    def test_rejects_nan_weights(self):
+        rng = np.random.default_rng(14)
+        heads, data = _heads(rng, 2, 3, 6), _data(rng, 5, 3, 6)
+        with pytest.raises(ValueError, match="simplex"):
+            bound_gap(heads, data, np.array([np.nan, 1.0]), 0.1)
+
 
 class TestDecomposeError:
     def _model(self, rng, classes=6, dim=8, k=2):
@@ -450,3 +497,54 @@ class TestWeightCheckpoint:
         assert back.parameterization == weights.parameterization
         np.testing.assert_allclose(back.in_weights, weights.in_weights, rtol=1e-15)
         np.testing.assert_allclose(back.out_weights, weights.out_weights, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "weights, damage, pointer",
+        [
+            (MixtureWeights.two_stage([0.3], [0.1]), lambda d: d.pop("raw"), "/raw/alphas_in"),
+            (MixtureWeights.two_stage([0.3], [0.1]),
+             lambda d: d["raw"]["alphas_in"].__setitem__(0, float("nan")), "/raw/alphas_in/0"),
+            (MixtureWeights.two_stage([0.3, 0.2], [0.1, 0.0]),
+             lambda d: d["raw"]["alphas_out"].pop(), "/raw/alphas_out"),
+            (MixtureWeights.two_stage([0.3], [0.1]), lambda d: d.pop("tau_0"), "/tau_0"),
+            (MixtureWeights.one_stage(0.03, 0.07),
+             lambda d: d["raw"].__setitem__("tau_out", float("inf")), "/raw/tau_out"),
+            (MixtureWeights.one_stage(0.03, 0.07),
+             lambda d: d.__setitem__("parameterization", "three_stage"), "/parameterization"),
+            (MixtureWeights.direct([0.4], [0.9]),
+             lambda d: d["prompts"][0].__setitem__("pi_in", float("nan")), "/prompts/0/pi_in"),
+        ],
+        ids=["no_raw", "nan_alpha", "short_alphas_out", "no_tau_0", "inf_tau", "kind", "nan_pi"],
+    )
+    def test_bad_entry_names_file_and_pointer(self, weights, damage, pointer, tmp_path):
+        path = tmp_path / "w.json"
+        payload = weights.to_dict()
+        damage(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"{path}: {pointer}: "):
+            load_weights(path)
+
+    def test_non_json_file_names_the_file(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match=f"{path}: /: not a JSON checkpoint"):
+            load_weights(path)
+
+
+class TestNonFiniteValuesAreRejected:
+    def test_weights(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            MixtureWeights.direct([np.nan], [0.5])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            MixtureWeights.direct([0.5], [np.nan])
+
+    def test_two_stage_logits(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            MixtureWeights.two_stage([np.nan], [0.0])
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_model_temperature(self, tau):
+        rng = np.random.default_rng(15)
+        part = partition_classes(6, "base_new_even_split", seed=0)
+        with pytest.raises(ValueError, match="temperature"):
+            MixtureModel(_heads(rng, 2, 6, 8), MixtureWeights.uniform(1), part, tau=tau)

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import _traced_peak
+from conftest import _traced_peak, context_gradient, context_loss_value, outclass_entropies
 from promix import backend
 from promix.embedspace import (
     EmbeddingSet,
@@ -25,15 +25,11 @@ from promix.train import (
     _AnchorSpace,
     _context_loss_grad,
     _in_objective_factory,
-    _one_stage_loss_grad,
     _runs_loss_grad,
     _descend_scalar,
     _out_objective_factory,
-    context_gradient,
-    context_loss_value,
     optimize_in_weight,
     optimize_out_weight,
-    outclass_entropies,
     tune_prompt,
     tune_prompt_one_stage,
 )
@@ -246,9 +242,9 @@ class TestOneStageJointGradient:
             return batch_loss_grad(z0 + s1 / np.exp(lt), y, 1.0, loss)[0]
 
         space = _AnchorSpace.of(head.anchors[None], x, np.arange(n)[None])
-        _, g_ctx, g_tau = _one_stage_loss_grad(
-            head.context[None], np.array([log_tau]), space, space.xa, x[None], y[None], z0[None],
-            _runs_loss_grad([loss]),
+        _, g_ctx, g_tau = _context_loss_grad(
+            head.context[None], space, space.xa, x[None], y[None], _runs_loss_grad([loss]), 1.0,
+            z0[None], np.array([log_tau]),
         )
         g_ctx, g_tau = np.broadcast_to(g_ctx[0], head.context.shape), g_tau[0]
         fd = np.zeros_like(g_ctx)
