@@ -121,7 +121,7 @@ def _domain_source(cfg: RunConfig):
     here, once, except the test file: only its header is read here, for its
     class list and size checks, and one stream of its samples is shared by
     every seed. A synthetic domain is made per seed, its test split drawn
-    class by class as it is iterated, and ``train`` holds the rows of the
+    chunk by chunk as it is iterated, and ``train`` holds the rows of the
     seed's base split only: the tuning classes, which is all that is read of it.
     """
     if cfg.files is None:
@@ -249,7 +249,7 @@ def gen(config_path: str, overrides: tuple[str, ...]) -> None:
     write_embedding_file(dom.train, data_dir / "train.emb")
     write_embedding_blocks(
         synthetic.dim, synthetic.num_classes * synthetic.test_per_class, names,
-        dom.test_blocks, data_dir / "test.emb",
+        dom.test_chunks(), data_dir / "test.emb",
     )
     write_embedding_file(prototype_set(dom.generalized_prototypes, names), data_dir / "anchors.emb")
     write_embedding_file(prototype_set(dom.true_prototypes, names), data_dir / "true_prototypes.emb")

@@ -31,14 +31,18 @@ split can be written while it is drawn; ``write_embedding_file`` writes a
 set through it. A write goes to a temporary file renamed into place, so a
 failed write leaves any existing file as it was.
 
+Synthetic splits are drawn in class order straight into their
+destination: the stacked arrays of a set, or the chunk buffer of a stream.
 ``synthetic_parts`` leaves a synthetic domain's test split undrawn, to be
-drawn class block by class block as it is streamed in chunks;
-``generate_synthetic`` stacks the blocks into the test set.
+drawn chunk by chunk as it is streamed; ``generate_synthetic`` draws it
+into one set.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -51,6 +55,8 @@ NORM_TOLERANCE = 1e-6
 MAGIC = b"EMB1"
 # samples per read or write step of an EMB1 payload
 CHUNK_ROWS = 1024
+# rows squared at a time when norms are taken through a scratch buffer
+SCRATCH_ROWS = 64
 
 
 class EmbeddingFileError(Exception):
@@ -348,63 +354,102 @@ class SyntheticDomain:
     config: SyntheticConfig = field(compare=False)
 
 
-def _noisy_copies(rng: np.random.Generator, base: np.ndarray, count: int, sigma: float):
-    """``count`` renormalized Gaussian perturbations of one unit vector."""
-    if sigma == 0.0:
-        return np.repeat(base[None, :], count, axis=0)
-    return unit_normalize(base[None, :] + sigma * rng.standard_normal((count, base.size)))
+def _row_norms(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=1)`` bit for bit, with the squares written
+    ``len(scratch)`` rows at a time into ``scratch`` instead of a new array."""
+    sums = np.empty(len(rows))
+    for i in range(0, len(rows), len(scratch)):
+        block = rows[i : i + len(scratch)]
+        squares = np.multiply(block, block, out=scratch[: len(block)])
+        np.add.reduce(squares, axis=1, out=sums[i : i + len(block)])
+    return np.sqrt(sums, out=sums)
 
 
-def _class_blocks(rng: np.random.Generator, protos: np.ndarray, per_class: int, sigma: float):
-    """Each class's samples in class order, drawn as one (vectors, labels) block."""
-    for c in range(protos.shape[0]):
-        yield _noisy_copies(rng, protos[c], per_class, sigma), np.full(per_class, c, dtype=np.int64)
+class _ClassRows:
+    """A split in class order, ``per_class`` rows per prototype, each a
+    renormalized Gaussian perturbation of it with spread ``sigma`` (a copy
+    when ``sigma`` is 0, which draws nothing). Rows are drawn in order
+    straight into the caller's buffers, one ``standard_normal`` call per
+    buffer, and normalized in place class run by class run through one
+    scratch of at most SCRATCH_ROWS rows. Drawing in pieces gives the rows
+    of one draw per class: the generator yields the same values in order."""
 
+    def __init__(self, rng: np.random.Generator, protos: np.ndarray, per_class: int, sigma: float):
+        self.rng, self.protos, self.per_class, self.sigma = rng, protos, per_class, sigma
+        self.row = 0  # the next row of the split to draw
 
-def _stacked(blocks, count: int, dim: int, names: tuple[str, ...]) -> EmbeddingSet:
-    """The set of ``count`` samples given as blocks, filled in place."""
-    vecs = np.empty((count, dim))
-    labels = np.empty(count, dtype=np.int64)
-    at = 0
-    for block_vecs, block_labels in blocks:
-        vecs[at : at + len(block_labels)] = block_vecs
-        labels[at : at + len(block_labels)] = block_labels
-        at += len(block_labels)
-    return EmbeddingSet(vecs, labels, names)
+    @functools.cached_property
+    def scratch(self) -> np.ndarray:
+        """Allocated at the first draw, so an undrawn split holds no memory."""
+        return np.empty((min(self.per_class, SCRATCH_ROWS), self.protos.shape[1]))
+
+    def fill(self, vectors: np.ndarray, labels: np.ndarray) -> None:
+        """Draw the next ``len(labels)`` rows into ``vectors`` and ``labels``."""
+        if self.sigma != 0.0:
+            self.rng.standard_normal(out=vectors)
+            vectors *= self.sigma
+        at = 0
+        while at < len(labels):
+            c, offset = divmod(self.row + at, self.per_class)
+            n = min(self.per_class - offset, len(labels) - at)
+            rows = vectors[at : at + n]
+            labels[at : at + n] = c
+            if self.sigma == 0.0:
+                rows[...] = self.protos[c]
+            else:
+                rows += self.protos[c]
+                norms = _row_norms(rows, self.scratch)
+                if np.any(norms == 0.0):
+                    raise ValueError("cannot normalize a zero vector")
+                rows /= norms[:, None]
+            at += n
+        self.row += len(labels)
+
+    def stacked(self, names: tuple[str, ...], keep: np.ndarray) -> EmbeddingSet:
+        """The rows of the classes where ``keep`` holds, as one set: each run
+        of kept classes is drawn into place, each run of others dropped."""
+        vectors = np.empty((int(keep.sum()) * self.per_class, self.protos.shape[1]))
+        labels = np.empty(len(vectors), dtype=np.int64)
+        at = 0
+        for kept, run in itertools.groupby(keep):
+            rows = sum(1 for _ in run) * self.per_class
+            if kept:
+                self.fill(vectors[at : at + rows], labels[at : at + rows])
+                at += rows
+                continue
+            # drawn into the scratch and dropped
+            for start in range(0, rows if self.sigma != 0.0 else 0, len(self.scratch)):
+                self.rng.standard_normal(out=self.scratch[: rows - start])
+            self.row += rows
+        return EmbeddingSet(vectors, labels, names)
+
+    def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Every row as (vectors, labels) chunks of at most CHUNK_ROWS rows,
+        each drawn into two buffers that the next chunk overwrites."""
+        count = self.protos.shape[0] * self.per_class
+        vectors = np.empty((min(count, CHUNK_ROWS), self.protos.shape[1]))
+        labels = np.empty(len(vectors), dtype=np.int64)
+        for start in range(0, count, CHUNK_ROWS):
+            n = min(CHUNK_ROWS, count - start)
+            self.fill(vectors[:n], labels[:n])
+            yield vectors[:n], labels[:n]
 
 
 class SyntheticParts(NamedTuple):
-    """A synthetic domain whose test split is drawn only while
-    ``test_blocks`` is iterated, one (vectors, labels) block per class."""
+    """A synthetic domain whose test split is drawn only as
+    ``test_chunks()`` is iterated, which can happen once."""
 
     train: EmbeddingSet
     generalized_prototypes: np.ndarray
     true_prototypes: np.ndarray
-    test_blocks: Iterator[tuple[np.ndarray, np.ndarray]]
+    test_rows: _ClassRows
 
     def test_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The test split as the chunks :meth:`EmbeddingSet.chunks` gives on it
-        stacked, each a view of two buffers that the next chunk overwrites. A
-        class block is drawn only once the chunks before it are consumed. The
-        stream does not hold these parts, so the train split can go first."""
-        return _block_chunks(self.test_blocks, self.train.dim)
-
-
-def _block_chunks(blocks, dim: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    vectors = np.empty((CHUNK_ROWS, dim))
-    labels = np.empty(CHUNK_ROWS, dtype=np.int64)
-    filled = 0
-    for block_vectors, block_labels in blocks:
-        # cut where the block fills the current chunk, then every CHUNK_ROWS
-        cuts = range(CHUNK_ROWS - filled, len(block_labels), CHUNK_ROWS)
-        for v, y in zip(np.split(block_vectors, cuts), np.split(block_labels, cuts)):
-            vectors[filled : filled + len(y)], labels[filled : filled + len(y)] = v, y
-            filled += len(y)
-            if filled == CHUNK_ROWS:
-                yield vectors, labels
-                filled = 0
-    if filled:
-        yield vectors[:filled], labels[:filled]
+        stacked, each a view of two buffers that the next chunk overwrites and
+        drawn only once the chunks before it are consumed. The stream does not
+        hold these parts, so the train split can go first."""
+        return self.test_rows.chunks()
 
 
 def synthetic_parts(config: SyntheticConfig, classes: Sequence[int] | None = None) -> SyntheticParts:
@@ -418,10 +463,10 @@ def synthetic_parts(config: SyntheticConfig, classes: Sequence[int] | None = Non
     Identical seeds give bit-identical output.
 
     The test split is drawn last, from the same generator, so it can be
-    left undrawn without changing anything else. ``test_blocks`` can be
-    iterated once. ``train`` holds the rows of ``classes`` only (default:
-    all), bitwise ``with_labels_in(classes)`` of the full split: every class
-    block is still drawn in order, and the others are dropped as they come.
+    left undrawn without changing anything else. ``train`` holds the rows
+    of ``classes`` only (default: all), bitwise ``with_labels_in(classes)``
+    of the full split: every class is still drawn in order, and the rows of
+    the others are dropped as they come.
     """
     rng = np.random.default_rng(config.seed)
     d, n = config.dim, config.num_classes
@@ -447,21 +492,16 @@ def synthetic_parts(config: SyntheticConfig, classes: Sequence[int] | None = Non
     names = tuple(f"class_{i:03d}" for i in range(n))
     keep = np.zeros(n, dtype=bool)
     keep[np.arange(n) if classes is None else np.asarray(list(classes), dtype=np.int64)] = True
-    blocks = _class_blocks(rng, protos, config.shots, config.intra_noise)
-    kept = (block for block, k in zip(blocks, keep) if k)
-    train = _stacked(kept, int(keep.sum()) * config.shots, d, names)
-    test_blocks = _class_blocks(rng, protos, config.test_per_class, config.intra_noise)
-    return SyntheticParts(train, anchors, protos, test_blocks)
+    train = _ClassRows(rng, protos, config.shots, config.intra_noise).stacked(names, keep)
+    test_rows = _ClassRows(rng, protos, config.test_per_class, config.intra_noise)
+    return SyntheticParts(train, anchors, protos, test_rows)
 
 
 def generate_synthetic(config: SyntheticConfig) -> SyntheticDomain:
-    """The domain of :func:`synthetic_parts` with its test split drawn and
-    stacked into one set."""
+    """The domain of :func:`synthetic_parts` with its test split drawn into
+    one set."""
     parts = synthetic_parts(config)
-    test = _stacked(
-        parts.test_blocks, config.num_classes * config.test_per_class, config.dim,
-        parts.train.class_names,
-    )
+    test = parts.test_rows.stacked(parts.train.class_names, np.ones(config.num_classes, dtype=bool))
     return SyntheticDomain(
         parts.train, test, parts.generalized_prototypes, parts.true_prototypes, config
     )
@@ -602,6 +642,7 @@ def _read_samples(fh, path, header: EmbeddingHeader, check_norms: bool, vectors,
     dim, count, names = header
     buf = np.empty(min(count, CHUNK_ROWS), dtype=_record_dtype(dim))
     reuse = len(labels) < count
+    squares = np.empty((min(count, SCRATCH_ROWS), dim)) if check_norms else None
     worst = 0.0
     label_over = False
     for start in range(0, count, CHUNK_ROWS):
@@ -615,7 +656,7 @@ def _read_samples(fh, path, header: EmbeddingHeader, check_norms: bool, vectors,
         out[...] = rows["vec"]
         labels[at : at + len(rows)] = rows["label"]
         if check_norms:
-            norms = np.linalg.norm(out, axis=1)
+            norms = _row_norms(out, squares)
             worst = max(worst, float(np.max(np.abs(norms - 1.0))))
         label_over = label_over or bool(np.any(rows["label"] >= max(len(names), 1)))
         yield out, labels[at : at + len(rows)]

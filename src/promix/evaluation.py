@@ -481,7 +481,7 @@ def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
     parts = synthetic_parts(replace(cfg.synthetic, seed=seed), partition.subsets[1])
     base, anchors, names = parts.train, parts.generalized_prototypes, parts.train.class_names
     test = parts.test_chunks()
-    del parts  # the stream does not hold the parts, so the true prototypes go here
+    del parts  # the stream does not hold the parts, so `del base` below frees the train split
     head_ce, mix_head, mix_tau, _ = tune_base_new_heads(cfg, base, anchors, partition, seed)
     out_anchors = outclass_anchors(cfg, base.dim, seed, len(partition.subsets[1]))
     weights = fit_base_new_weights(

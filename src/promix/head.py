@@ -262,5 +262,6 @@ def load_head(path) -> tuple[PromptHead, float]:
         raise CheckpointError(f"{path}: /data_file: {exc}") from exc
     if block.vectors.shape[0] != m + len(names):
         raise CheckpointError(f"{path}: /class_names: anchor count does not match class list")
+    entry("/dim", lambda v: type(v) is int and v == block.dim, f"the data file's {block.dim}")
     head = PromptHead(block.vectors[:m], block.vectors[m:], tuple(names), frozen=frozen)
     return head, float(tau)

@@ -118,12 +118,11 @@ def batch_loss_grad(
     if config.kind == "fl":
         log_py = -label_nll(py)
         loss = float(np.mean(-((1.0 - py) ** config.gamma) * log_py))
-        dl_dpy = np.where(
-            py >= 1.0,
-            0.0,
-            config.gamma * (1.0 - py) ** (config.gamma - 1.0) * log_py
-            - (1.0 - py) ** config.gamma / np.maximum(py, PROB_FLOOR),
-        )
+        # rows with p(y) >= 1 get 0 unevaluated: (1 - p(y))^(gamma - 1) is 1/0 there for gamma < 1
+        live = ~(py >= 1.0)
+        q, dl_dpy = 1.0 - py[live], np.zeros_like(py)
+        dl_dpy[live] = (config.gamma * q ** (config.gamma - 1.0) * log_py[live]
+                        - q**config.gamma / np.maximum(py[live], PROB_FLOOR))
         g = dl_dpy[:, None] * dpy_ds
     elif config.kind == "gce":
         loss = float(np.mean((1.0 - py**config.q) / config.q))

@@ -1,13 +1,15 @@
 """Helpers shared by the test modules, and the oracles the library is
-checked against: per-sample loss values, the full-set context gradient and
-loss, the out-class entropies, the two-pass ensemble bound, the matched
-two_stage configuration and the mixture-CE weight gradient."""
+checked against: the per-class synthetic draw, per-sample loss values, the
+full-set context gradient and loss, the out-class entropies, the two-pass
+ensemble bound, the matched two_stage configuration and the mixture-CE
+weight gradient."""
 
 import tracemalloc
 
 import numpy as np
 
 from promix import backend
+from promix.embedspace import unit_normalize
 from promix.evaluation import harmonic_mean
 from promix.head import expected_error, similarity_matrix
 from promix.losses import (
@@ -37,6 +39,39 @@ def _traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return peak, result
+
+
+def _per_class_draw(config, protos, classes=None):
+    """The synthetic train and test splits drawn one class block at a time,
+    each its own ``standard_normal((per_class, D))`` call normalized by
+    ``unit_normalize``: the oracle of the in-place fill path. Replays the
+    prototype and anchor draws of ``synthetic_parts`` to reach the first
+    train row, takes ``protos`` as given and keeps the train rows of
+    ``classes`` (default all). Returns (train vectors, train labels, test
+    vectors, test labels)."""
+    rng = np.random.default_rng(config.seed)
+    n, d = config.num_classes, config.dim
+    rng.standard_normal((n, d))
+    for _ in range(config.confusion_pairs):
+        rng.uniform(0.9, 0.975)
+        rng.standard_normal(d)
+    if config.proto_noise != 0.0:
+        rng.standard_normal((n, d))
+    kept = set(range(n) if classes is None else classes)
+    splits = []
+    for per_class, keep in ((config.shots, kept), (config.test_per_class, set(range(n)))):
+        blocks = []
+        for c in range(n):
+            if config.intra_noise == 0.0:
+                block = np.repeat(protos[c][None, :], per_class, axis=0)
+            else:
+                noise = config.intra_noise * rng.standard_normal((per_class, d))
+                block = unit_normalize(protos[c][None, :] + noise)
+            if c in keep:
+                blocks.append((block, np.full(per_class, c, dtype=np.int64)))
+        splits += [np.concatenate([v for v, _ in blocks] or [np.empty((0, d))]),
+                   np.concatenate([y for _, y in blocks] or [np.empty(0, dtype=np.int64)])]
+    return tuple(splits)
 
 
 def _whole_set_accuracy(model_or_head, emb_set, classes=None) -> float:

@@ -544,9 +544,11 @@ class TestBadCheckpoints:
              lambda d: d.__setitem__("tau", float("nan")), "/tau"),
             ("one_stage", "heads/seed0_conf.json",
              lambda d: d.__setitem__("data_file", "gone.emb"), "/data_file"),
+            ("two_stage", "heads/seed0_conf.json", lambda d: d.__setitem__("dim", 999), "/dim"),
+            ("two_stage", "heads/seed0_ce.json", lambda d: d.pop("dim"), "/dim"),
         ],
         ids=["no_raw", "nan_alpha", "nan_tau_in", "no_class_names", "nan_head_tau",
-             "missing_data_file"],
+             "missing_data_file", "dim_mismatch", "no_dim"],
     )
     def test_eval_exits_one_at_the_bad_entry(
         self, run_config, capsys, parameterization, name, damage, pointer
@@ -559,6 +561,15 @@ class TestBadCheckpoints:
         assert main(["eval", "--config", str(path)]) == 1
         assert f"{out / name}: {pointer}: " in capsys.readouterr().err
         assert not (out / "report_eval.json").exists()
+
+    def test_weights_exits_one_at_a_head_dim_mismatch(self, run_config, capsys):
+        path, out = run_config()
+        assert main(["tune", "--config", str(path)]) == 0
+        head = out / "heads" / "seed0_conf.json"
+        _damage_json(head, lambda d: d.__setitem__("dim", 999))
+        capsys.readouterr()
+        assert main(["weights", "--config", str(path)]) == 1
+        assert f"{head}: /dim: " in capsys.readouterr().err
 
 
 class TestStreamedEval:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import _traced_peak
+from conftest import _per_class_draw, _traced_peak
 from promix import embedspace
 from promix.embedspace import (
     CHUNK_ROWS,
@@ -110,7 +110,7 @@ class TestGenerateSynthetic:
                     dom.generalized_prototypes, dom.true_prototypes):
             np.testing.assert_allclose(np.linalg.norm(arr, axis=1), 1.0, atol=1e-9)
 
-    def test_parts_draw_the_test_split_as_class_blocks_last(self):
+    def test_parts_draw_the_test_split_as_class_blocks_last(self, monkeypatch):
         cfg = SyntheticConfig(dim=6, num_classes=5, shots=3, test_per_class=4,
                               confusion_pairs=1, seed=7)
         dom, parts = generate_synthetic(cfg), synthetic_parts(cfg)
@@ -118,7 +118,9 @@ class TestGenerateSynthetic:
         assert np.array_equal(parts.train.labels, dom.train.labels)
         assert np.array_equal(parts.generalized_prototypes, dom.generalized_prototypes)
         assert np.array_equal(parts.true_prototypes, dom.true_prototypes)
-        blocks = list(parts.test_blocks)
+        # one chunk per class block
+        monkeypatch.setattr(embedspace, "CHUNK_ROWS", cfg.test_per_class)
+        blocks = [(v.copy(), labels.copy()) for v, labels in parts.test_chunks()]
         assert [set(labels.tolist()) for _, labels in blocks] == [{c} for c in range(5)]
         assert np.array_equal(np.concatenate([v for v, _ in blocks]), dom.test.vectors)
         assert np.array_equal(np.concatenate([l for _, l in blocks]), dom.test.labels)
@@ -154,6 +156,28 @@ class TestGenerateSynthetic:
         for (vectors, labels), (want_vectors, want_labels) in pairs:
             assert vectors.tobytes() == want_vectors.tobytes()
             assert labels.tobytes() == want_labels.tobytes()
+
+    @pytest.mark.parametrize("classes", [None, [1, 3], [4, 0, 2], []])
+    @pytest.mark.parametrize("per_class", [3, 17])
+    @pytest.mark.parametrize("rows", [2, 7])
+    @pytest.mark.parametrize("sigma", [0.1, 0.0])
+    def test_fill_path_equals_the_per_class_draw(self, monkeypatch, sigma, rows, per_class, classes):
+        monkeypatch.setattr(embedspace, "CHUNK_ROWS", rows)
+        cfg = SyntheticConfig(dim=6, num_classes=5, shots=per_class, test_per_class=per_class,
+                              intra_noise=sigma, confusion_pairs=1, seed=7)
+        dom = generate_synthetic(cfg)
+        train_v, train_y, test_v, test_y = _per_class_draw(cfg, dom.true_prototypes)
+        assert dom.train.vectors.tobytes() == train_v.tobytes()
+        assert dom.train.labels.tobytes() == train_y.tobytes()
+        assert dom.test.vectors.tobytes() == test_v.tobytes()
+        assert dom.test.labels.tobytes() == test_y.tobytes()
+        parts = synthetic_parts(cfg, classes)
+        train_v, train_y, _, _ = _per_class_draw(cfg, dom.true_prototypes, classes)
+        assert parts.train.vectors.tobytes() == train_v.tobytes()
+        assert parts.train.labels.tobytes() == train_y.tobytes()
+        stream = [(v.tobytes(), y.tobytes()) for v, y in parts.test_chunks()]
+        assert b"".join(v for v, _ in stream) == test_v.tobytes()
+        assert b"".join(y for _, y in stream) == test_y.tobytes()
 
     @pytest.mark.parametrize("classes", [[1, 3], [4, 0, 2], [], range(5)])
     def test_parts_keep_the_train_rows_of_the_given_classes(self, classes):
@@ -514,6 +538,28 @@ class TestEmbeddingMemory:
         # a class's noisy copies: the draw, its scaled sum and the normalized rows
         one_class = 3 * config.test_per_class * config.dim * 8
         assert peak < 1.1 * output + one_class
+
+    @pytest.mark.parametrize("scratch_rows", [1, 3, 64])
+    def test_scratch_norms_are_the_linalg_norms(self, scratch_rows):
+        rows = np.random.default_rng(4).standard_normal((100, 37))
+        norms = embedspace._row_norms(rows, np.empty((scratch_rows, 37)))
+        assert norms.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+    def test_test_stream_holds_its_chunk_and_scratch(self, tmp_path):
+        # gen's test.emb: the test split streamed into the block writer
+        config = SyntheticConfig(dim=32, num_classes=20, shots=4, test_per_class=500, seed=0)
+        parts = synthetic_parts(config)
+        count = config.num_classes * config.test_per_class
+        peak, _ = _traced_peak(
+            write_embedding_blocks, config.dim, count, parts.train.class_names,
+            parts.test_chunks(), tmp_path / "test.emb",
+        )
+        record = CHUNK_ROWS * (4 + 4 * config.dim)
+        # the destination block: the chunk's vector and label buffers
+        chunk = CHUNK_ROWS * (config.dim + 1) * 8
+        # drawing a class as its own block held two or three of them at once
+        one_class = config.test_per_class * config.dim * 8
+        assert peak < record + chunk + one_class
 
 
 @st.composite

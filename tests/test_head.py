@@ -214,9 +214,11 @@ class TestCheckpoint:
             (lambda m: m.__setitem__("tau", 0.0), "/tau"),
             (lambda m: m.__setitem__("frozen", "no"), "/frozen"),
             (lambda m: m.__setitem__("data_file", "absent.emb"), "/data_file"),
+            (lambda m: m.__setitem__("dim", 999), "/dim"),
+            (lambda m: m.pop("dim"), "/dim"),
         ],
         ids=["no_class_names", "names_not_list", "negative_context", "nan_tau", "zero_tau",
-             "frozen_not_bool", "missing_data_file"],
+             "frozen_not_bool", "missing_data_file", "dim_mismatch", "no_dim"],
     )
     def test_bad_entry_names_file_and_pointer(self, small_head, tmp_path, damage, pointer):
         path = tmp_path / "head.json"

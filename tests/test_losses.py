@@ -4,12 +4,16 @@ Every gradient is gated by central finite differences; expected values
 in closed-form cases were computed by hand from the definitions.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import ce_plus_mae_loss, focal_loss, gce_loss, grad_loss, loss_value, mae_loss
+from promix import backend
 from promix.head import predict
 from promix.losses import (
+    PROB_FLOOR,
     LossConfig,
     batch_loss_grad,
     ce_loss,
@@ -197,6 +201,46 @@ class TestBatchLossGrad:
         s = np.zeros((2, 3))
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
             batch_loss_grad(s, np.array([0, label]), 1.0, LossConfig(kind))
+
+
+class TestFocalSaturatedRows:
+    """The fl gradient on rows with p(y) = 1, where (1 - p(y))^(gamma - 1)
+    is 1/0 for gamma < 1."""
+
+    def test_no_floating_point_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = batch_loss_grad(
+                np.array([[1e6, 0, 0]]), np.array([0]), 0.01, LossConfig("fl", gamma=0.5)
+            )
+        assert value == 0.0 and not grad.any()
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_bits_equal_the_masked_all_rows_formula(self, gamma):
+        rng = np.random.default_rng(12)
+        s = rng.uniform(-1, 1, (12, 5))
+        y = rng.integers(0, 5, 12).astype(np.int64)
+        s[3, y[3]] = 1e6  # a saturated row
+        tau = 0.1
+        value, grad = batch_loss_grad(s, y, tau, LossConfig("fl", gamma=gamma))
+        # the formula evaluated on every row, then masked where p(y) >= 1
+        p = backend.kernels.softmax_rows(s / tau)
+        rows = np.arange(len(y))
+        py = p[rows, y]
+        onehot = np.zeros_like(p)
+        onehot[rows, y] = 1.0
+        log_py = np.log(np.maximum(py, PROB_FLOOR))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dl_dpy = np.where(
+                py >= 1.0,
+                0.0,
+                gamma * (1.0 - py) ** (gamma - 1.0) * log_py
+                - (1.0 - py) ** gamma / np.maximum(py, PROB_FLOOR),
+            )
+        want = dl_dpy[:, None] * (py[:, None] * (onehot - p) / tau) / len(y)
+        assert py[3] == 1.0
+        assert value == float(np.mean(-((1.0 - py) ** gamma) * log_py))
+        assert grad.tobytes() == want.tobytes()
 
 
 class TestLossConfig:
