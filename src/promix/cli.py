@@ -64,12 +64,11 @@ def _effective_config(path: str, overrides: tuple[str, ...]) -> RunConfig:
     env_seed = os.environ.get("PROMIX_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
-        except ValueError:
-            seed = -1
-        if seed < 0:
-            raise ConfigError(f"PROMIX_SEED must be a non-negative integer, got {env_seed!r}")
-        cfg = replace(cfg, seed=seed)
+            cfg = replace(cfg, seed=int(env_seed))
+        except ValueError as exc:  # not an integer, or out of RunConfig.seed's range
+            raise ConfigError(
+                f"PROMIX_SEED must be a non-negative integer, got {env_seed!r}"
+            ) from exc
     return cfg
 
 
@@ -361,17 +360,16 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
 @cli.command()
 @_config_opt
 @_set_opt
-@click.option("--jobs", type=click.IntRange(min=1), default=None, help="Parallel seed workers.")
-def fscil(config_path: str, overrides: tuple[str, ...], jobs: int | None) -> None:
+def fscil(config_path: str, overrides: tuple[str, ...]) -> None:
     """Run the class-incremental session benchmark."""
     cfg = _effective_config(config_path, overrides)
     _require_synthetic(cfg, "fscil")
     out = _out_dir(cfg)
-    harness = cfg if jobs is None else replace(cfg, jobs=jobs)
+    harness = cfg
     spec = cfg.partition or {}
     if spec.get("kind") == "session_schedule":
         harness = replace(
-            harness, fscil_base_size=spec.get("base_size"), fscil_way=spec.get("way") or 5
+            cfg, fscil_base_size=spec.get("base_size"), fscil_way=spec.get("way") or 5
         )
     report = fscil_run(harness, config_hash=cfg.config_hash())
     report.write(out / "report_fscil.json")
@@ -387,14 +385,12 @@ def fscil(config_path: str, overrides: tuple[str, ...], jobs: int | None) -> Non
 @_config_opt
 @_set_opt
 @click.option("--splits", type=click.IntRange(min=2), default=10, show_default=True)
-@click.option("--jobs", type=click.IntRange(min=1), default=None, help="Parallel split workers.")
-def assume(config_path: str, overrides: tuple[str, ...], splits: int, jobs: int | None) -> None:
+def assume(config_path: str, overrides: tuple[str, ...], splits: int) -> None:
     """Validate the specialization assumption with paired t-tests."""
     cfg = _effective_config(config_path, overrides)
     _require_synthetic(cfg, "assume")
     out = _out_dir(cfg)
-    harness = cfg if jobs is None else replace(cfg, jobs=jobs)
-    report = assumption_check(harness, splits=splits, config_hash=cfg.config_hash())
+    report = assumption_check(cfg, splits=splits, config_hash=cfg.config_hash())
     report.write(out / "report_assume.json")
     _write_manifest(cfg, out, "assume", {"t_tests": report.t_tests})
     click.echo(f"wrote {out / 'report_assume.json'}")

@@ -4,9 +4,12 @@ A RunConfig is the harnesses' HarnessConfig plus the five fields only the
 command line reads: ``out_dir``, the top-level ``seed``, the data
 ``files``, the ``partition`` and the out-class ``pool_file``. The schema
 is validated strictly: unknown keys are rejected and every error carries
-the JSON pointer of the offending entry. A run is fully determined by the
-effective configuration plus the seed(s); the config hash recorded in
-reports covers everything except the output directory.
+the JSON pointer of the offending entry. The parser checks the document's
+shape (objects, keys and types); each value's range is checked by the
+dataclass that holds it, whose FieldError the parser turns into the
+field's pointer. A run is fully determined by the effective configuration
+plus the seed(s); the config hash recorded in reports covers everything
+except the output directory.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from promix.embedspace import SyntheticConfig
+from promix.embedspace import FieldError, SyntheticConfig
 from promix.evaluation import HarnessConfig
 from promix.head import DEFAULT_TAU
-from promix.losses import LOSS_KINDS, LossConfig
-from promix.outclass import STRATEGY_KINDS, OutclassStrategy
+from promix.losses import LossConfig
+from promix.outclass import OutclassStrategy
 from promix.train import HyperParams, OptimizerConfig
 
 _FILE_KEYS = ("train", "test", "anchors")
@@ -53,15 +56,18 @@ def _typed(obj: dict, key: str, kind, default, pointer: str):
         value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"expected {kind.__name__}", f"{pointer}/{key}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError("expected a finite number", f"{pointer}/{key}")
     return value
 
 
-def _non_negative(value: int, pointer: str) -> int:
-    if value < 0:
-        raise ConfigError("expected non-negative integer", pointer)
-    return value
+def _build(cls, values: dict, pointer: str, sections: dict | None = None):
+    """``cls(**values)``, its FieldError raised again as a ConfigError at
+    ``<pointer>/<field>``; ``sections`` gives the pointer of a field that
+    the document keeps in another section."""
+    try:
+        return cls(**values)
+    except FieldError as exc:
+        where = (sections or {}).get(exc.field, pointer)
+        raise ConfigError(str(exc), f"{where}/{exc.field}") from exc
 
 
 def _section(obj, cls, pointer: str, skip=()):
@@ -74,10 +80,7 @@ def _section(obj, cls, pointer: str, skip=()):
         name: _typed(obj, name, type(getattr(defaults, name)), getattr(defaults, name), pointer)
         for name in names
     }
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc), pointer) from exc
+    return _build(cls, values, pointer)
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,11 @@ class RunConfig(HarnessConfig):
     files: dict | None = None
     partition: dict | None = None
     pool_file: str | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.seed < 0:
+            raise FieldError("seed", "must be non-negative")
 
     def canonical(self) -> dict:
         """The hashed document: every field but ``out_dir``, the per-seed
@@ -124,8 +132,8 @@ def _parse_partition(obj: dict, pointer: str) -> dict:
     if kind == "explicit" and spec["sets"] is not None and len(spec["sets"]) < 2:
         raise ConfigError("explicit partition needs two sets or more: Y_0, then the tuned Y_1",
                           f"{pointer}/sets")
-    if spec["seed"] is not None:
-        _non_negative(spec["seed"], f"{pointer}/seed")
+    if spec["seed"] is not None and spec["seed"] < 0:
+        raise ConfigError("expected non-negative integer", f"{pointer}/seed")
     return {**spec, "kind": kind}
 
 
@@ -136,16 +144,6 @@ def parse_config(raw: dict) -> RunConfig:
         "optimizer", "outclass", "weights",
     )
     _require_keys(raw, top_keys, "")
-
-    seeds_raw = _typed(raw, "seeds", list, [0, 1, 2], "")
-    for i, s in enumerate(seeds_raw):
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise ConfigError("expected int", f"/seeds/{i}")
-        _non_negative(s, f"/seeds/{i}")
-    if not seeds_raw:
-        raise ConfigError("seeds must be non-empty", "/seeds")
-    if len(set(seeds_raw)) != len(seeds_raw):
-        raise ConfigError("seeds must be distinct", "/seeds")
 
     data = raw.get("data", {"synthetic": {}})
     _require_keys(data, ("synthetic", "files"), "/data")
@@ -163,60 +161,36 @@ def parse_config(raw: dict) -> RunConfig:
                 raise ConfigError(f"missing file path {key!r}", "/data/files")
         files = {key: _typed(files_obj, key, str, None, "/data/files") for key in _FILE_KEYS}
 
-    loss_obj = raw.get("loss", {})
-    if isinstance(loss_obj, dict) and loss_obj.get("kind", LossConfig.kind) not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {loss_obj['kind']!r}", "/loss/kind")
-
     oc_obj = raw.get("outclass", {})
     _require_keys(oc_obj, ("kind", "count", "pool_size", "pool_file"), "/outclass")
-    oc_kind = _typed(oc_obj, "kind", str, "random_word", "/outclass")
-    if oc_kind not in STRATEGY_KINDS:
-        raise ConfigError(f"unknown out-class kind {oc_kind!r}", "/outclass/kind")
-    try:
-        outclass = OutclassStrategy(
-            kind=oc_kind, count=_typed(oc_obj, "count", int, None, "/outclass")
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "/outclass") from exc
+    outclass = _build(OutclassStrategy, {
+        "kind": _typed(oc_obj, "kind", str, "random_word", "/outclass"),
+        "count": _typed(oc_obj, "count", int, None, "/outclass"),
+    }, "/outclass")
 
     weights_obj = raw.get("weights", {})
     _require_keys(weights_obj, ("parameterization",), "/weights")
-    parameterization = _typed(weights_obj, "parameterization", str, "two_stage", "/weights")
-    if parameterization not in ("one_stage", "two_stage"):
-        raise ConfigError(
-            f"parameterization must be one_stage or two_stage, got {parameterization!r}",
-            "/weights/parameterization",
-        )
 
-    pool_size = _typed(oc_obj, "pool_size", int, 64, "/outclass")
-    if pool_size < 1:
-        raise ConfigError("pool_size must be at least 1", "/outclass/pool_size")
-
-    jobs = _typed(raw, "jobs", int, 1, "")
-    if jobs < 1:
-        raise ConfigError("jobs must be at least 1", "/jobs")
-
-    tau = _typed(raw, "tau", float, DEFAULT_TAU, "")
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}", "/tau")
-
-    return RunConfig(
-        synthetic=synthetic,
-        hyper=_section(raw.get("hyper", {}), HyperParams, "/hyper"),
-        loss=_section(loss_obj, LossConfig, "/loss"),
-        optimizer=_section(raw.get("optimizer", {}), OptimizerConfig, "/optimizer", skip=("seed",)),
-        outclass=outclass,
-        parameterization=parameterization,
-        seeds=tuple(seeds_raw),
-        pool_size=pool_size,
-        tau=tau,
-        jobs=jobs,
-        out_dir=_typed(raw, "out_dir", str, "runs/default", ""),
-        seed=_non_negative(_typed(raw, "seed", int, 0, ""), "/seed"),
-        files=files,
-        partition=_parse_partition(raw.get("partition", {}), "/partition"),
-        pool_file=_typed(oc_obj, "pool_file", str, None, "/outclass"),
-    )
+    values = {
+        "synthetic": synthetic,
+        "hyper": _section(raw.get("hyper", {}), HyperParams, "/hyper"),
+        "loss": _section(raw.get("loss", {}), LossConfig, "/loss"),
+        "optimizer": _section(raw.get("optimizer", {}), OptimizerConfig, "/optimizer",
+                              skip=("seed",)),
+        "outclass": outclass,
+        "parameterization": _typed(weights_obj, "parameterization", str, "two_stage", "/weights"),
+        "seeds": tuple(_typed(raw, "seeds", list, [0, 1, 2], "")),
+        "pool_size": _typed(oc_obj, "pool_size", int, 64, "/outclass"),
+        "tau": _typed(raw, "tau", float, DEFAULT_TAU, ""),
+        "jobs": _typed(raw, "jobs", int, 1, ""),
+        "out_dir": _typed(raw, "out_dir", str, "runs/default", ""),
+        "seed": _typed(raw, "seed", int, 0, ""),
+        "files": files,
+        "partition": _parse_partition(raw.get("partition", {}), "/partition"),
+        "pool_file": _typed(oc_obj, "pool_file", str, None, "/outclass"),
+    }
+    return _build(RunConfig, values, "",
+                  sections={"parameterization": "/weights", "pool_size": "/outclass"})
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -83,6 +84,15 @@ class NormError(EmbeddingFileError):
     """Stored vector norm deviates from 1 beyond NORM_TOLERANCE."""
 
 
+class FieldError(ValueError):
+    """A config dataclass field out of its range. ``field`` names it as a
+    path below the dataclass: ``tau``, or ``seeds/1`` for one entry."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field
+
+
 def unit_normalize(v: np.ndarray) -> np.ndarray:
     """Scale vectors to unit Euclidean norm (rows of a 2-d array, or 1-d)."""
     v = np.asarray(v, dtype=np.float64)
@@ -121,11 +131,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b)
 
 
-class LabeledSample(NamedTuple):
-    embedding: np.ndarray
-    label: int
-
-
 @dataclass(frozen=True)
 class EmbeddingSet:
     """Ordered collection of labeled embeddings with a shared class list.
@@ -161,10 +166,6 @@ class EmbeddingSet:
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield LabeledSample(self.vectors[i], int(self.labels[i]))
-
     def subset(self, mask: np.ndarray) -> "EmbeddingSet":
         """Rows selected by a boolean mask or index array, order preserved."""
         return EmbeddingSet(self.vectors[mask], self.labels[mask], self.class_names)
@@ -185,16 +186,6 @@ class EmbeddingSet:
         """Copy with every vector scaled to exact unit norm (float64)."""
         return EmbeddingSet(unit_normalize(self.vectors), self.labels, self.class_names)
 
-    def quantized(self) -> "EmbeddingSet":
-        """Copy with vectors rounded to their float32 representation.
-
-        The result is the in-memory image of what write/read produces, so
-        write(s.quantized()) -> read is an exact identity.
-        """
-        return EmbeddingSet(
-            self.vectors.astype(np.float32).astype(np.float64), self.labels, self.class_names
-        )
-
 
 @dataclass(frozen=True)
 class DomainPartition:
@@ -202,8 +193,7 @@ class DomainPartition:
 
     ``subsets[0]`` is the domain of the generalized (untuned) head; the
     remaining subsets each belong to one specialized head. Masses default
-    to class-count proportions and can be recomputed empirically from a
-    sample set.
+    to class-count proportions.
     """
 
     subsets: tuple[np.ndarray, ...]
@@ -245,15 +235,6 @@ class DomainPartition:
         for i, s in enumerate(self.subsets):
             owners[s] = i
         return owners
-
-    def masses_from(self, labels: np.ndarray) -> np.ndarray:
-        """Empirical sub-domain masses of a label array."""
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.size == 0:
-            raise ValueError("empty label set")
-        owners = self.owner_of()
-        counts = np.bincount(owners[labels], minlength=len(self.subsets))
-        return counts / labels.size
 
 
 def _class_count_masses(subsets: Sequence[np.ndarray]) -> np.ndarray:
@@ -335,12 +316,14 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.dim, self.num_classes, self.shots, self.test_per_class) <= 0:
-            raise ValueError("dim, num_classes, shots, test_per_class must be positive")
-        if self.intra_noise < 0 or self.proto_noise < 0:
-            raise ValueError("noise levels must be non-negative")
+        for name in ("dim", "num_classes", "shots", "test_per_class"):
+            if getattr(self, name) <= 0:
+                raise FieldError(name, "must be positive")
+        for name in ("intra_noise", "proto_noise"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise FieldError(name, "must be finite and non-negative")
         if not 0 <= self.confusion_pairs <= self.num_classes // 2:
-            raise ValueError("confusion_pairs must be at most num_classes/2")
+            raise FieldError("confusion_pairs", "must lie in [0, num_classes/2]")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -38,6 +39,7 @@ import numpy as np
 from promix.embedspace import (
     DomainPartition,
     EmbeddingSet,
+    FieldError,
     SyntheticConfig,
     SyntheticDomain,
     generate_synthetic,
@@ -47,7 +49,13 @@ from promix.embedspace import (
 )
 from promix.head import DEFAULT_TAU, PromptHead, predict_matrix, similarity_matrix
 from promix.losses import LossConfig
-from promix.mixture import MixtureModel, MixtureWeights, bound_gap, mixture_scaled_logits
+from promix.mixture import (
+    MixtureModel,
+    MixtureWeights,
+    _stack_gap,
+    bound_gap,
+    mixture_scaled_logits,
+)
 from promix.outclass import OutclassStrategy, generate_outclass, generate_vocab_pool
 from promix.stats import TTestResult, t_test_paired_one_sided
 from promix.train import (
@@ -140,7 +148,8 @@ def classify_samples(
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Shared configuration for the benchmark harnesses."""
+    """Shared configuration for the benchmark harnesses. Construction checks
+    each field's range and raises a FieldError naming the first bad one."""
 
     synthetic: SyntheticConfig = SyntheticConfig()
     hyper: HyperParams = HyperParams()
@@ -154,6 +163,23 @@ class HarnessConfig:
     jobs: int = 1
     fscil_base_size: int | None = None
     fscil_way: int = 5
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise FieldError("seeds", "must be non-empty")
+        for i, seed in enumerate(self.seeds):
+            if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+                raise FieldError(f"seeds/{i}", "must be a non-negative int")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise FieldError("seeds", "must be distinct")
+        if self.parameterization not in ("one_stage", "two_stage"):
+            raise FieldError("parameterization",
+                             f"must be one_stage or two_stage, got {self.parameterization!r}")
+        for name in ("pool_size", "jobs"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, "must be at least 1")
+        if not 0 < self.tau < math.inf:
+            raise FieldError("tau", "must be positive and finite")
 
 
 @dataclass
@@ -804,13 +830,13 @@ def bound_sweep(
         d = int(rng.integers(4, 17))
         n = int(rng.integers(4, 17))
         tau = float(tau_choices[rng.integers(0, len(tau_choices))])
-        names = tuple(f"c{j}" for j in range(c))
-        heads = [PromptHead.frozen_from(_random_unit(rng, c, d), names) for _ in range(k + 1)]
-        emb = EmbeddingSet(_random_unit(rng, n, d), rng.integers(0, c, size=n).astype(np.int64),
-                           names)
+        anchors = [_random_unit(rng, c, d) for _ in range(k + 1)]
+        x = _random_unit(rng, n, d)
+        labels = rng.integers(0, c, size=n)
         pi = rng.exponential(size=k + 1)
         pi = pi / pi.sum()
-        gaps.append(bound_gap(heads, emb, pi, tau))
+        # the frozen heads' similarities, as bound_gap computes them
+        gaps.append(_stack_gap(np.stack([x @ a.T for a in anchors]), labels, pi, tau))
     names = ("a", "b", "c")
     base = PromptHead.frozen_from(_random_unit(rng, 3, 8), names)
     twin_set = EmbeddingSet(

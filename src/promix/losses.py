@@ -21,12 +21,14 @@ is checked against; the floored cross-entropy is ``label_nll``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from promix import backend
 from promix._kernels_py import PROB_FLOOR, label_nll  # the one floored CE, shared with the kernels
+from promix.embedspace import FieldError
 from promix.head import PredictiveDistribution
 
 LOSS_KINDS = ("ce", "ce_conf", "fl", "gce", "mae", "ce_mae")
@@ -44,13 +46,12 @@ class LossConfig:
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
-        if self.w < 0:
-            raise ValueError("w must be non-negative")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+            raise FieldError("kind", f"must be one of {LOSS_KINDS}, got {self.kind!r}")
+        for name in ("w", "gamma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise FieldError(name, "must be finite and non-negative")
         if not 0 < self.q <= 1:
-            raise ValueError("q must lie in (0, 1]")
+            raise FieldError("q", "must lie in (0, 1]")
 
     @property
     def fused_w(self) -> float | None:

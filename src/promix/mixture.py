@@ -350,7 +350,12 @@ def bound_gap(
     if len(emb_set) == 0:
         raise ValueError("bound_gap of an empty set")
     sims = np.stack([similarity_matrix(h, emb_set.vectors) for h in heads])
-    at_y = (np.arange(len(emb_set)), emb_set.labels)
+    return _stack_gap(sims, emb_set.labels, pi, tau)
+
+
+def _stack_gap(sims: np.ndarray, labels: np.ndarray, pi: np.ndarray, tau: float) -> float:
+    """bound_gap of a (K, N, C) similarity stack and its N labels, unchecked."""
+    at_y = (np.arange(len(labels)), labels)
     members = sum(p * float(np.mean(label_nll(predict_matrix(s, tau)[at_y])))
                   for p, s in zip(pi, sims))
     probs = backend.kernels.softmax_rows(np.einsum("k,knc->nc", pi, sims) / tau)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from promix.embedspace import unit_normalize
+from promix.embedspace import FieldError, unit_normalize
 
 STRATEGY_KINDS = ("none", "random_string", "random_word", "mixed")
 
@@ -29,9 +29,9 @@ class OutclassStrategy:
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown out-class kind {self.kind!r}")
+            raise FieldError("kind", f"must be one of {STRATEGY_KINDS}, got {self.kind!r}")
         if self.kind != "none" and self.count is not None and self.count < 2:
-            raise ValueError("out-class sets need at least 2 anchors")
+            raise FieldError("count", "must be at least 2: out-class sets need at least 2 anchors")
 
     def resolved_count(self, in_class_size: int) -> int:
         n = in_class_size if self.count is None else self.count

@@ -36,6 +36,7 @@ All loops are deterministic for a fixed seed and configuration.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -44,7 +45,7 @@ import numpy as np
 
 from promix import backend
 from promix._kernels_py import label_nll
-from promix.embedspace import EmbeddingSet
+from promix.embedspace import EmbeddingSet, FieldError
 from promix.head import DEFAULT_TAU, PromptHead
 from promix.losses import LossConfig, batch_loss_grad
 from promix.mixture import MixtureModel
@@ -78,15 +79,17 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        rates = (self.prompt_lr, self.weight_lr, self.prompt_weight_decay, self.weight_weight_decay)
-        if min(rates) < 0:
-            raise ValueError("learning rates and weight decays must be non-negative")
-        if not all(0 <= b < 1 for b in (self.weight_momentum, self.beta1, self.beta2)):
-            raise ValueError("momentum, beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.epochs < 1 or self.weight_epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be at least 1")
+        for name in ("prompt_lr", "prompt_weight_decay", "weight_lr", "weight_weight_decay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise FieldError(name, "must be finite and non-negative")
+        for name in ("beta1", "beta2", "weight_momentum"):
+            if not 0 <= getattr(self, name) < 1:
+                raise FieldError(name, "must lie in [0, 1)")
+        if not 0 < self.eps < math.inf:
+            raise FieldError("eps", "must be positive and finite")
+        for name in ("epochs", "batch_size", "weight_epochs"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, "must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,13 @@ class HyperParams:
     context_len: int = 16
 
     def __post_init__(self):
-        if min(self.conf_weight, self.ent_weight, self.margin) < 0:
-            raise ValueError("hyperparameters must be non-negative")
-        if self.margin > 1:
-            raise ValueError("margin must lie in [0, 1]")
+        for name in ("conf_weight", "ent_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise FieldError(name, "must be finite and non-negative")
+        if not 0 <= self.margin <= 1:
+            raise FieldError("margin", "must lie in [0, 1]")
         if self.context_len < 1:
-            raise ValueError("context_len must be at least 1: a tuned head needs context")
+            raise FieldError("context_len", "must be at least 1: a tuned head needs context")
 
 
 LOCKSTEP_RUNS = 16  # the most runs one loop steps, so memory stays bounded

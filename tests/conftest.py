@@ -1,15 +1,17 @@
 """Helpers shared by the test modules, and the oracles the library is
-checked against: the per-class synthetic draw, per-sample loss values, the
-full-set context gradient and loss, the out-class entropies, the two-pass
-ensemble bound, the matched two_stage configuration and the mixture-CE
-weight gradient."""
+checked against: row-by-row iteration, float32 quantization and empirical
+sub-domain masses of embedding sets, the per-class synthetic draw,
+per-sample loss values, the full-set context gradient and loss, the
+out-class entropies, the two-pass ensemble bound, the matched two_stage
+configuration and the mixture-CE weight gradient."""
 
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 
 from promix import backend
-from promix.embedspace import unit_normalize
+from promix.embedspace import EmbeddingSet, unit_normalize
 from promix.evaluation import harmonic_mean
 from promix.head import expected_error, similarity_matrix
 from promix.losses import (
@@ -39,6 +41,35 @@ def _traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return peak, result
+
+
+class LabeledSample(NamedTuple):
+    embedding: np.ndarray
+    label: int
+
+
+def samples(emb_set):
+    """The rows of an EmbeddingSet one at a time, in order."""
+    for i in range(len(emb_set)):
+        yield LabeledSample(emb_set.vectors[i], int(emb_set.labels[i]))
+
+
+def quantized(emb_set):
+    """Copy with vectors rounded to their float32 representation: the
+    in-memory image of what write/read produces, so write(quantized(s)) ->
+    read is an exact identity."""
+    return EmbeddingSet(
+        emb_set.vectors.astype(np.float32).astype(np.float64), emb_set.labels, emb_set.class_names
+    )
+
+
+def masses_from(partition, labels):
+    """Empirical sub-domain masses of a label array under a DomainPartition."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValueError("empty label set")
+    counts = np.bincount(partition.owner_of()[labels], minlength=len(partition.subsets))
+    return counts / labels.size
 
 
 def _per_class_draw(config, protos, classes=None):

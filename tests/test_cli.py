@@ -285,10 +285,14 @@ class TestPipeline:
             pytest.param("tau=1" + "0" * 400, "/tau", id="tau=10**400"),
             ("optimizer.prompt_lr=NaN", "/optimizer/prompt_lr"),
             ("data.synthetic.intra_noise=Infinity", "/data/synthetic/intra_noise"),
-            ("optimizer.beta2=1", "/optimizer"),
-            ("optimizer.eps=-1", "/optimizer"),
-            ("optimizer.weight_weight_decay=-5", "/optimizer"),
-            ("hyper.context_len=0", "/hyper"),
+            ("optimizer.beta2=1", "/optimizer/beta2"),
+            ("optimizer.eps=-1", "/optimizer/eps"),
+            ("optimizer.weight_weight_decay=-5", "/optimizer/weight_weight_decay"),
+            ("hyper.context_len=0", "/hyper/context_len"),
+            ('weights.parameterization="bogus"', "/weights/parameterization"),
+            ('outclass.kind="web_api"', "/outclass/kind"),
+            ("jobs=0", "/jobs"),
+            ("jobs=-1", "/jobs"),
         ],
     )
     def test_bad_value_exits_one_with_pointer(self, run_config, capsys, override, pointer):
@@ -496,9 +500,7 @@ class TestPipeline:
         [
             (["bound", "--trials", "0"], "--trials"),
             (["bound", "--trials", "-3"], "--trials"),
-            (["assume", "--jobs", "-1", "--splits", "2"], "--jobs"),
             (["assume", "--splits", "1"], "--splits"),
-            (["fscil", "--jobs", "0"], "--jobs"),
         ],
     )
     def test_bad_flag_exits_one_naming_it(self, run_config, capsys, args, flag):

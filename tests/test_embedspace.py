@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import _per_class_draw, _traced_peak
+from conftest import _per_class_draw, _traced_peak, masses_from, quantized, samples
 from promix import embedspace
 from promix.embedspace import (
     CHUNK_ROWS,
@@ -76,7 +76,7 @@ class TestGenerateSynthetic:
         cfg = SyntheticConfig(dim=8, num_classes=4, shots=3, test_per_class=2,
                               intra_noise=0.0, proto_noise=0.1, confusion_pairs=0, seed=1)
         dom = generate_synthetic(cfg)
-        for vec, label in dom.train:
+        for vec, label in samples(dom.train):
             assert np.array_equal(vec, dom.true_prototypes[label])
 
     def test_zero_proto_noise_gives_perfect_zero_shot(self):
@@ -200,6 +200,8 @@ class TestGenerateSynthetic:
             SyntheticConfig(num_classes=0)
         with pytest.raises(ValueError):
             SyntheticConfig(intra_noise=-0.1)
+        with pytest.raises(ValueError, match="intra_noise"):
+            SyntheticConfig(intra_noise=float("nan"))
         with pytest.raises(ValueError):
             SyntheticConfig(num_classes=6, confusion_pairs=4)
 
@@ -248,7 +250,7 @@ class TestPartitionClasses:
 
     def test_masses_from_labels(self):
         p = partition_classes(4, "explicit", sets=[[0], [1, 2], [3]])
-        masses = p.masses_from(np.array([0, 1, 1, 2, 3, 3, 3, 3]))
+        masses = masses_from(p, np.array([0, 1, 1, 2, 3, 3, 3, 3]))
         np.testing.assert_allclose(masses, [1 / 8, 3 / 8, 4 / 8])
 
     def test_schedule_must_divide(self):
@@ -273,7 +275,7 @@ class TestEmbeddingFile:
             assert p1.read_bytes() == p2.read_bytes()
 
     def test_quantized_set_round_trips_exactly(self, tmp_path):
-        s = _random_set(np.random.default_rng(1)).quantized()
+        s = quantized(_random_set(np.random.default_rng(1)))
         path = tmp_path / "q.emb"
         write_embedding_file(s, path)
         back = read_embedding_file(path)
@@ -377,7 +379,7 @@ class TestChunkedEmbeddingFile:
          8191, 8192, 8193, 16387],
     )
     def test_round_trip_is_exact_at_chunk_boundaries(self, tmp_path, count):
-        s = _random_set(np.random.default_rng(count), n=count, d=3, c=5).quantized()
+        s = quantized(_random_set(np.random.default_rng(count), n=count, d=3, c=5))
         path, copy = tmp_path / "a.emb", tmp_path / "b.emb"
         write_embedding_file(s, path)
         back = read_embedding_file(path)
@@ -592,7 +594,7 @@ class TestEmbeddingFileProperties:
     @given(emb=_embedding_sets())
     def test_quantized_round_trip_is_exact(self, tmp_path, emb):
         path = tmp_path / "q.emb"
-        q = emb.quantized()
+        q = quantized(emb)
         write_embedding_file(q, path)
         back = read_embedding_file(path)
         assert np.array_equal(back.vectors, q.vectors)

@@ -15,7 +15,13 @@ import pytest
 from conftest import _traced_peak, _whole_set_accuracy, _whole_set_base_new_scores
 import promix.evaluation as evaluation
 from promix import embedspace
-from promix.embedspace import EmbeddingSet, SyntheticConfig, generate_synthetic, unit_normalize
+from promix.embedspace import (
+    EmbeddingSet,
+    FieldError,
+    SyntheticConfig,
+    generate_synthetic,
+    unit_normalize,
+)
 from promix.evaluation import (
     CONFIG_NAMES,
     EvalReport,
@@ -188,6 +194,29 @@ class TestEvalReport:
         rep.write(a)
         rep.write(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestHarnessConfig:
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"parameterization": "bogus"}, "parameterization"),
+            ({"jobs": 0}, "jobs"),
+            ({"pool_size": 0}, "pool_size"),
+            ({"seeds": ()}, "seeds"),
+            ({"seeds": (0, 0)}, "seeds"),
+            ({"seeds": (0, -1)}, "seeds/1"),
+            ({"seeds": (0, 1.0)}, "seeds/1"),
+            ({"tau": float("nan")}, "tau"),
+            ({"tau": float("inf")}, "tau"),
+            ({"tau": 0.0}, "tau"),
+        ],
+    )
+    def test_out_of_range_field_is_rejected_at_construction(self, change, field):
+        with pytest.raises(FieldError) as info:
+            replace(HarnessConfig(), **change)
+        assert info.value.field == field
+        assert str(info.value).startswith(f"{field} ")
 
 
 class TestHarnessSmoke:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import samples
 from promix.embedspace import SyntheticConfig, generate_synthetic, unit_normalize
 from promix.head import (
     PredictiveDistribution,
@@ -158,7 +159,7 @@ class TestExpectedError:
                                                  test_per_class=2, confusion_pairs=0, seed=9))
         head = PromptHead.frozen_from(dom.generalized_prototypes, dom.train.class_names)
         total = 0.0
-        for vec, label in dom.train:
+        for vec, label in samples(dom.train):
             total += -np.log(predict(similarities(head, vec), 0.01).probs[label])
         assert expected_error(head, dom.train, 0.01) == pytest.approx(total / len(dom.train), rel=1e-12)
 

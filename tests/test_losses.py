@@ -249,6 +249,8 @@ class TestLossConfig:
             LossConfig(kind="nope")
         with pytest.raises(ValueError):
             LossConfig(w=-1.0)
+        with pytest.raises(ValueError, match="w must"):
+            LossConfig(w=float("nan"))
         with pytest.raises(ValueError):
             LossConfig(q=0.0)
         with pytest.raises(ValueError):

@@ -72,6 +72,8 @@ class TestHyperParams:
             HyperParams(margin=1.5)
         with pytest.raises(ValueError):
             HyperParams(conf_weight=-1)
+        with pytest.raises(ValueError, match="margin"):
+            HyperParams(margin=float("nan"))
 
     def test_optimizer_defaults(self):
         opt = OptimizerConfig()
@@ -82,6 +84,8 @@ class TestHyperParams:
             OptimizerConfig(weight_momentum=1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(epochs=0)
+        with pytest.raises(ValueError, match="prompt_lr"):
+            OptimizerConfig(prompt_lr=float("nan"))
 
 
 class TestTunePrompt:
