@@ -434,7 +434,7 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
                        cfg.hyper.context_len, seed, cfg.tau)
             for kind in LOSS_KINDS
         ])
-        heads = {kind: head for kind, (head, _) in zip(LOSS_KINDS, tuned)}
+        heads = {kind: head for kind, (head, _, _) in zip(LOSS_KINDS, tuned)}
         feeds.append((test, SplitAccuracy(heads, scorers, {"base": base_classes})))
     splits = _score_test(feeds)
     accs = {kind: [split["base"][kind] for split in splits] for kind in LOSS_KINDS}

@@ -152,7 +152,9 @@ def parse_config(raw: dict) -> RunConfig:
     synthetic = SyntheticConfig()
     files = None
     if "synthetic" in data:
-        synthetic = _section(data["synthetic"], SyntheticConfig, "/data/synthetic")
+        # `seed` and `seeds` draw the data, so a synthetic seed would go unread
+        synthetic = _section(data["synthetic"], SyntheticConfig, "/data/synthetic",
+                             skip=("seed",))
     else:
         files_obj = data["files"]
         _require_keys(files_obj, _FILE_KEYS, "/data/files")

@@ -193,17 +193,21 @@ class DomainPartition:
 
     ``subsets[0]`` is the domain of the generalized (untuned) head; the
     remaining subsets each belong to one specialized head. Masses default
-    to class-count proportions.
+    to class-count proportions: subset sizes over their total.
     """
 
     subsets: tuple[np.ndarray, ...]
-    masses: np.ndarray
+    masses: np.ndarray | None = None
 
     def __post_init__(self):
         subsets = tuple(
             np.ascontiguousarray(np.sort(np.asarray(s, dtype=np.int64))) for s in self.subsets
         )
-        masses = np.ascontiguousarray(np.asarray(self.masses, dtype=np.float64))
+        masses = self.masses
+        if masses is None:
+            sizes = np.array([len(s) for s in subsets], dtype=np.float64)
+            masses = sizes / sizes.sum()
+        masses = np.ascontiguousarray(np.asarray(masses, dtype=np.float64))
         object.__setattr__(self, "subsets", subsets)
         object.__setattr__(self, "masses", masses)
         if masses.shape != (len(subsets),):
@@ -235,11 +239,6 @@ class DomainPartition:
         for i, s in enumerate(self.subsets):
             owners[s] = i
         return owners
-
-
-def _class_count_masses(subsets: Sequence[np.ndarray]) -> np.ndarray:
-    sizes = np.array([len(s) for s in subsets], dtype=np.float64)
-    return sizes / sizes.sum()
 
 
 def partition_classes(
@@ -293,7 +292,7 @@ def partition_classes(
             raise ValueError(f"explicit sets do not cover all {class_count} classes")
     else:
         raise ValueError(f"unknown partition kind: {kind!r}")
-    return DomainPartition(tuple(subsets), _class_count_masses(subsets))
+    return DomainPartition(tuple(subsets))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ reduction order fixed by sorting on the seed.
 ``tune_prompts`` tunes in lockstep the splits of the assumption check, all
 seeds' CE/CoA twins of the confusing-sample analysis (in one process), and
 each seed's incremental sessions of equal row counts (tuned before the
-weights, which they do not depend on); base/new tunes each head alone.
+weights, which they do not depend on); base/new tunes its CE head and its
+mixture head (a one_stage run under that parameterization) one at a time.
 ``jobs`` fans the seeds out, or the assumption check's splits as one
 lockstep group per worker; results do not depend on it.
 
@@ -67,7 +68,6 @@ from promix.train import (
     optimize_in_weight,
     optimize_out_weight,
     tune_prompt,
-    tune_prompt_one_stage,
     tune_prompts,
 )
 
@@ -440,11 +440,11 @@ def tune_base_new_heads(
     partition: DomainPartition,
     seed: int,
 ) -> tuple[PromptHead, PromptHead, float, dict[str, list[float]]]:
-    """First base/new stage: tune the plain-CE head and the mixture head on
-    the tuning classes ``partition.subsets[1]``, each alone through
-    :func:`tune_prompt`, on ``base_set``: their training rows, global labels
-    kept, viewed without a copy. Returns (CE head, mixture head, the mixture
-    head's temperature, the per-epoch loss trace of each keyed "ce" / "conf").
+    """First base/new stage: tune the plain-CE head through :func:`tune_prompt`,
+    then the mixture head as one :func:`tune_prompts` run, on the tuning
+    classes ``partition.subsets[1]`` of ``base_set``: their training rows,
+    global labels kept, viewed without a copy. Returns (CE head, mixture
+    head, its temperature, the per-epoch loss trace of each keyed "ce" / "conf").
 
     Under two_stage the mixture head is the confusion-tuned head at the
     shared temperature ``cfg.tau``. Under one_stage it is tuned jointly
@@ -461,14 +461,9 @@ def tune_base_new_heads(
         raise ValueError("the base split holds rows of classes outside partition.subsets[1]")
     local = EmbeddingSet(base_set.vectors, labels, init.class_names)
     head_ce, trace_ce = tune_prompt(init, local, ce_loss, opt, tau=cfg.tau)
-    if cfg.parameterization == "one_stage":
-        t0_local = PromptHead.frozen_from(init.anchors, init.class_names)
-        mix_head, mix_tau, trace_conf = tune_prompt_one_stage(
-            init, t0_local, local, conf_loss, opt, tau_0=cfg.tau
-        )
-    else:
-        mix_head, trace_conf = tune_prompt(init, local, conf_loss, opt, tau=cfg.tau)
-        mix_tau = cfg.tau
+    ((mix_head, mix_tau, trace_conf),) = tune_prompts([TuneRun(
+        init, local, conf_loss, opt, cfg.tau, one_stage=cfg.parameterization == "one_stage"
+    )])
     heads = (run.init.with_context(h.context) for h in (head_ce, mix_head))
     return *heads, mix_tau, {"ce": trace_ce, "conf": trace_conf}
 
@@ -603,9 +598,7 @@ def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
 
         unseen = np.setdiff1d(np.arange(n_classes), seen)
         subsets = [unseen] + [partition.subsets[i] for i in range(1, session + 1)]
-        sizes = np.array([max(len(s), 0) for s in subsets], dtype=np.float64)
-        masses = sizes / sizes.sum()
-        model_partition = DomainPartition(tuple(subsets), masses)
+        model_partition = DomainPartition(tuple(subsets))
         weights = MixtureWeights.two_stage(alphas_in, alphas_out)
         model = MixtureModel(tuple(heads), weights, model_partition, tau=cfg.tau)
 
@@ -687,7 +680,7 @@ def _assumption_group(
         for partition, s in zip(partitions, split_seeds)
     ])
     rows = []
-    for partition, (head, _) in zip(partitions, tuned):
+    for partition, (head, _, _) in zip(partitions, tuned):
         heads = {"t0": t0, "tuned": head}
         split = SplitAccuracy(
             heads, {key: ((key,), None) for key in heads},

@@ -10,9 +10,9 @@ C×D effective embeddings.
 
 The one tuning loop steps R independent runs of equal length at once,
 stacked on a leading axis, each bitwise as if alone; ``tune_prompt`` and
-``tune_prompt_one_stage`` are its one-run callers. Given each run's fixed
-generalized logits z0, the loop is one_stage: it also steps each run's
-log(tau_1) beside its context.
+``tune_prompt_one_stage`` are its one-run callers. A one_stage run also
+steps its log(tau_1) beside its context, against the fixed logits of the
+frozen head on its own anchors, which it reads from its own X·Aᵀ.
 
 Weight fitting runs full-batch momentum descent on the raw weight
 parameters (two_stage logits or one_stage temperatures): the in-weight
@@ -121,7 +121,8 @@ class TuneRun:
     """One run of :func:`tune_prompts`. With ``classes`` (indices into the
     head's class list) it trains those columns on the rows they label,
     gathered batch by batch from ``train_set``; with None, every column on
-    every row."""
+    every row. A ``one_stage`` run also learns its temperature tau_1, from
+    ``tau``, against the frozen head's logits on its anchors at ``tau``."""
 
     init: PromptHead
     train_set: EmbeddingSet
@@ -130,6 +131,7 @@ class TuneRun:
     tau: float = DEFAULT_TAU
     classes: np.ndarray | None = None
     epoch_hook: Callable[[int, PromptHead], None] | None = None
+    one_stage: bool = False
 
     def local(self) -> tuple[PromptHead, np.ndarray, np.ndarray]:
         """The head on the trained columns (increasing), the training rows,
@@ -244,13 +246,6 @@ def _context_loss_grad(
     return loss_vals, grad_ctx, -np.einsum("rbc,rbc->r", g_z, sims) / tau_1[:, 0, 0]
 
 
-def _check_tunable(init: PromptHead, n_rows: int) -> None:
-    if init.frozen or init.context_len == 0:
-        raise ValueError("cannot tune a frozen head (no context vectors)")
-    if n_rows == 0:
-        raise ValueError("empty training set")
-
-
 def _adam_descent(
     params: list[np.ndarray],
     batch_grad: Callable[[np.ndarray, np.ndarray, list], tuple[np.ndarray, list]],
@@ -310,38 +305,42 @@ def _adam_descent(
     return params, trace.T.tolist()
 
 
-def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, list[float]]]:
-    """Tune independent runs; return each one's (tuned head, per-epoch mean
-    training loss), bitwise what :func:`tune_prompt` gives it alone. Runs
-    with equal row counts, trained shapes, optimizers (seed apart) and
-    temperatures step in lockstep, on one training set or several, at most
+def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, float, list[float]]]:
+    """Tune independent runs; return each one's (tuned head, temperature,
+    per-epoch mean training loss), bitwise what it gives alone: the
+    temperature is ``run.tau``, or a one_stage run's learned tau_1. Runs of
+    equal row counts, trained shapes, optimizers (seed apart), temperatures
+    and kinds step in lockstep, on one training set or several, at most
     ``LOCKSTEP_RUNS`` at a time; a loss other than ce/ce_conf runs alone."""
     groups: dict[tuple, list[int]] = {}
     for i, run in enumerate(runs):
         head, rows, _ = run.local()
-        _check_tunable(run.init, len(rows))
+        if run.init.frozen or run.init.context_len == 0:
+            raise ValueError("cannot tune a frozen head (no context vectors)")
+        if len(rows) == 0:
+            raise ValueError("empty training set")
         alone = i if run.loss.fused_w is None else None
         key = (len(rows), head.anchors.shape, head.context.shape, replace(run.opt, seed=0),
-               run.tau, alone)
+               run.tau, run.one_stage, alone)
         groups.setdefault(key, []).append(i)
     results: list = [None] * len(runs)
     for members in groups.values():
         for start in range(0, len(members), LOCKSTEP_RUNS):
             ids = members[start : start + LOCKSTEP_RUNS]
-            for i, (head, _, trace) in zip(ids, _tune_group([runs[i] for i in ids], ids)):
-                results[i] = head, trace
+            for i, result in zip(ids, _tune_group([runs[i] for i in ids], ids)):
+                results[i] = result
     return results
 
 
 def _tune_group(
-    runs: list[TuneRun], ids: list[int], z0: np.ndarray | None = None
+    runs: list[TuneRun], ids: list[int]
 ) -> list[tuple[PromptHead, float, list[float]]]:
-    """One Adam loop over runs of equal steps; returns each run's (tuned head,
-    temperature, per-epoch loss trace). Runs on the same rows, anchors and
-    classes (twins differing in loss or seed) share one X·Aᵀ; runs on
-    several training sets read their rows gathered into one (R·n, D) matrix.
-    ``z0`` (R, n, C), each run's fixed logits on its rows and columns, makes
-    the runs one_stage: log(tau_1) steps too, from log(run.tau)."""
+    """One Adam loop over runs of equal steps and one kind; returns each
+    run's (tuned head, temperature, per-epoch loss trace). Runs on the same
+    rows, anchors and classes (twins differing in loss or seed) share one
+    X·Aᵀ; runs on several training sets read their rows gathered into one
+    (R·n, D) matrix. One_stage runs also step log(tau_1), from log(run.tau);
+    a batch's fixed logits are its X·Aᵀ rows over run.tau."""
     first = runs[0]
     one_set = all(r.train_set is first.train_set for r in runs)
     shared = one_set and all(r.init.anchors is first.init.anchors and r.classes is first.classes
@@ -359,14 +358,15 @@ def _tune_group(
     run_axis = np.arange(len(runs))[:, None]
     loss_grad = _runs_loss_grad([run.loss for run in runs])
     params = [np.stack([run.init.context for run in runs])]
-    if z0 is not None:
+    if first.one_stage:
         params.append(np.array([np.log(run.tau) for run in runs]))
 
     def batch_grad(idx, yb, params):
         at, ctx = (run_axis, idx), params[0]
+        xa_b = xa[at]
+        z0_b = xa_b / first.tau if first.one_stage else None  # before xa_b is overwritten
         loss_vals, grad, *grad_tau = _context_loss_grad(
-            ctx, space, xa[at], x[rows[at]], yb, loss_grad, first.tau,
-            None if z0 is None else z0[at], *params[1:],
+            ctx, space, xa_b, x[rows[at]], yb, loss_grad, first.tau, z0_b, *params[1:]
         )
         return loss_vals, [grad + first.opt.prompt_weight_decay * ctx, *grad_tau]
 
@@ -379,7 +379,7 @@ def _tune_group(
         params, batch_grad, labels, space.anchors.shape[1], first.opt,
         [run.opt.seed for run in runs], ids, head_hook,
     )
-    taus = np.exp(params[1]) if z0 is not None else [run.tau for run in runs]
+    taus = np.exp(params[1]) if first.one_stage else [run.tau for run in runs]
     return [(run.init.with_context(c.copy()), float(t), trace)
             for run, c, t, trace in zip(runs, params[0], taus, traces)]
 
@@ -390,20 +390,19 @@ def tune_prompt(
     loss: LossConfig,
     opt: OptimizerConfig,
     tau: float = DEFAULT_TAU,
-    epoch_hook: Callable[[int, PromptHead], None] | None = None,
 ) -> tuple[PromptHead, list[float]]:
     """Mini-batch descent on the context vectors; anchors stay frozen.
 
     The one-run case of :func:`tune_prompts`. Labels must index the head's
     class list directly. Returns the tuned head and the per-epoch mean
-    training loss. ``epoch_hook`` receives the head after each epoch.
+    training loss.
     """
-    return tune_prompts([TuneRun(init, train_set, loss, opt, tau, epoch_hook=epoch_hook)])[0]
+    head, _, trace = tune_prompts([TuneRun(init, train_set, loss, opt, tau)])[0]
+    return head, trace
 
 
 def tune_prompt_one_stage(
     init: PromptHead,
-    generalized: PromptHead,
     train_set: EmbeddingSet,
     loss: LossConfig,
     opt: OptimizerConfig,
@@ -413,16 +412,13 @@ def tune_prompt_one_stage(
 
     The single-temperature coupling ties the specialized head's mixing
     weight to its own temperature tau_1: training logits are
-    s_0 / tau_0 + s_1 / tau_1, and the one tuning loop updates the context
+    s_0 / tau_0 + s_1 / tau_1, where s_0 are the similarities of the frozen
+    head on ``init``'s anchors, and the one tuning loop updates the context
     together with log(tau_1), as its one-run case. Only meaningful with
     exactly one specialized head. Returns (tuned head, tau_1, per-epoch
     loss trace).
     """
-    _check_tunable(init, len(train_set))
-    if generalized.num_classes != init.num_classes:
-        raise ValueError("generalized head must share the class list")
-    z0 = train_set.vectors @ generalized.effective_embeddings().T / tau_0
-    return _tune_group([TuneRun(init, train_set, loss, opt, tau_0)], [0], z0[None])[0]
+    return tune_prompts([TuneRun(init, train_set, loss, opt, tau_0, one_stage=True)])[0]
 
 
 def _descend_scalar(

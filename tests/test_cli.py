@@ -285,6 +285,7 @@ class TestPipeline:
             pytest.param("tau=1" + "0" * 400, "/tau", id="tau=10**400"),
             ("optimizer.prompt_lr=NaN", "/optimizer/prompt_lr"),
             ("data.synthetic.intra_noise=Infinity", "/data/synthetic/intra_noise"),
+            ("data.synthetic.seed=3", "/data/synthetic/seed"),
             ("optimizer.beta2=1", "/optimizer/beta2"),
             ("optimizer.eps=-1", "/optimizer/eps"),
             ("optimizer.weight_weight_decay=-5", "/optimizer/weight_weight_decay"),

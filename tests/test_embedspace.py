@@ -635,6 +635,12 @@ class TestDomainPartitionType:
         with pytest.raises(ValueError, match="sum to 1"):
             DomainPartition((np.array([0]), np.array([1])), np.array([0.5, 0.4]))
 
+    def test_masses_default_to_class_count_proportions(self):
+        p = partition_classes(7, "session_schedule", seed=3, base_size=3, way=2)
+        default = DomainPartition(p.subsets)
+        assert default.masses.tobytes() == p.masses.tobytes()
+        assert default.masses.tolist() == [0.0, 3 / 7, 2 / 7, 2 / 7]
+
     def test_subset_and_label_helpers(self):
         p = partition_classes(6, "explicit", sets=[[5, 0], [1, 2], [3, 4]])
         owners = p.owner_of()

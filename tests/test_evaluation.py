@@ -275,14 +275,9 @@ class TestHarnessSmoke:
         assert evaluation._run_seeds(lambda _cfg, s: 10 * s, cfg) == [10 * s for s in sorted(seeds)]
         assert pools == started
 
-    @pytest.mark.parametrize(
-        "parameterization, tunes, joint_tunes",
-        [("two_stage", 2, 0), ("one_stage", 1, 1)],
-    )
-    def test_base_to_new_tunes_only_the_heads_it_scores(
-        self, monkeypatch, parameterization, tunes, joint_tunes
-    ):
-        calls = {"tune_prompt": 0, "tune_prompt_one_stage": 0}
+    @pytest.mark.parametrize("parameterization", ["two_stage", "one_stage"])
+    def test_base_to_new_tunes_only_the_heads_it_scores(self, monkeypatch, parameterization):
+        calls = {"tune_prompt": 0, "tune_prompts": 0}
 
         def counting(name):
             original = getattr(evaluation, name)
@@ -296,7 +291,7 @@ class TestHarnessSmoke:
         for name in calls:
             monkeypatch.setattr(evaluation, name, counting(name))
         base_to_new_eval(_tiny_harness(seeds=(0, 1), parameterization=parameterization))
-        assert calls == {"tune_prompt": 2 * tunes, "tune_prompt_one_stage": 2 * joint_tunes}
+        assert calls == {"tune_prompt": 2, "tune_prompts": 2}
 
     def test_fscil_schema(self):
         cfg = _tiny_harness(
@@ -614,10 +609,8 @@ def _full_split_base_new(cfg, train, anchors, partition, out_anchors, seed):
     local = EmbeddingSet(train.vectors[rows], labels, init.class_names)
     head_ce, trace_ce = tune_prompt(init, local, ce_loss, opt, tau=cfg.tau)
     if cfg.parameterization == "one_stage":
-        t0_local = PromptHead.frozen_from(init.anchors, init.class_names)
-        mix_head, mix_tau, trace_conf = tune_prompt_one_stage(
-            init, t0_local, local, conf_loss, opt, tau_0=cfg.tau
-        )
+        mix_head, mix_tau, trace_conf = tune_prompt_one_stage(init, local, conf_loss, opt,
+                                                              tau_0=cfg.tau)
         start = MixtureWeights.one_stage(mix_tau, cfg.tau, tau_0=cfg.tau)
     else:
         mix_head, trace_conf = tune_prompt(init, local, conf_loss, opt, tau=cfg.tau)
@@ -688,7 +681,7 @@ class TestAssumptionDomain:
         in_classes = partition_classes(8, "base_new_even_split", seed=0).subsets[1]
         test_in = domain.test.with_labels_in(in_classes)
         t0 = PromptHead.frozen_from(domain.generalized_prototypes, domain.test.class_names)
-        ((tuned, _),) = evaluation.tune_prompts([evaluation.subset_run(
+        ((tuned, _, _),) = evaluation.tune_prompts([evaluation.subset_run(
             domain.generalized_prototypes, domain.train.class_names, domain.train, in_classes,
             replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight),
             replace(cfg.optimizer, seed=0), cfg.hyper.context_len, 0, cfg.tau,

@@ -156,7 +156,7 @@ def _spy_groups(monkeypatch) -> list[int]:
 
 
 def _assert_matches_oracle(run, result):
-    head, trace = result
+    head, _, trace = result
     init, rows, labels = run.local()
     local = EmbeddingSet(run.train_set.vectors[rows], labels, init.class_names)
     ctx, oracle_trace = _oracle_tune(init, local, run.loss, run.opt, run.tau)
@@ -210,7 +210,7 @@ class TestLockstepMatchesTheSingleRunLoop:
         monkeypatch.setattr(train, "LOCKSTEP_RUNS", 2)
         capped = tune_prompts(runs)
         assert sizes == [2, 2, 1]
-        for (a, trace_a), (b, trace_b) in zip(whole, capped):
+        for (a, _, trace_a), (b, _, trace_b) in zip(whole, capped):
             assert _bits(a.context) == _bits(b.context) and trace_a == trace_b
 
     def test_epoch_hooks_see_each_run_alone(self):
@@ -235,13 +235,31 @@ class TestLockstepMatchesTheSingleRunLoop:
         generalized = PromptHead.frozen_from(dom.generalized_prototypes, dom.train.class_names)
         loss = LossConfig("ce_conf", w=5.0)
         opt = replace(OPT, seed=5)
-        tuned, tau_1, trace = tune_prompt_one_stage(init, generalized, dom.train, loss, opt,
-                                                    tau_0=0.05)
+        tuned, tau_1, trace = tune_prompt_one_stage(init, dom.train, loss, opt, tau_0=0.05)
         ctx, oracle_tau, oracle_trace = _oracle_one_stage(init, generalized, dom.train, loss,
                                                           opt, 0.05)
         assert _bits(tuned.context) == _bits(ctx)
         assert _bits(tau_1) == _bits(oracle_tau) and tau_1 != 0.05
         assert _bits(trace) == _bits(oracle_trace)
+
+    def test_one_stage_runs_step_together(self, monkeypatch):
+        sizes = _spy_groups(monkeypatch)
+        dom, other = _domain(0), _domain(1)
+        loss = LossConfig("ce_conf", w=5.0)
+        runs = [TuneRun(_head(d, 60 + i), d.train, loss, replace(OPT, seed=i), 0.05, one_stage=True)
+                for i, d in enumerate((dom, other, dom))]
+        runs.append(TuneRun(_head(dom, 63), dom.train, loss, replace(OPT, seed=3), 0.05))
+        results = tune_prompts(runs)
+        assert sorted(sizes) == [1, 3]  # the one_stage runs together, the two_stage one apart
+        for run, (head, tau_1, trace) in zip(runs[:3], results):
+            generalized = PromptHead.frozen_from(run.init.anchors, run.init.class_names)
+            ctx, oracle_tau, oracle_trace = _oracle_one_stage(
+                run.init, generalized, run.train_set, run.loss, run.opt, run.tau
+            )
+            assert _bits(head.context) == _bits(ctx)
+            assert _bits(tau_1) == _bits(oracle_tau) and _bits(trace) == _bits(oracle_trace)
+        assert results[3][1] == 0.05
+        _assert_matches_oracle(runs[3], results[3])
 
 
 class TestLockstepErrorsNameTheRun:
