@@ -44,6 +44,7 @@ from promix.evaluation import (
     bound_sweep,
     fit_base_new_weights,
     fscil_csv,
+    fscil_partition,
     fscil_run,
     outclass_anchors,
     subset_run,
@@ -368,9 +369,15 @@ def fscil(config_path: str, overrides: tuple[str, ...]) -> None:
     harness = cfg
     spec = cfg.partition or {}
     if spec.get("kind") == "session_schedule":
-        harness = replace(
-            cfg, fscil_base_size=spec.get("base_size"), fscil_way=spec.get("way") or 5
-        )
+        if spec.get("seed") is not None:
+            raise ConfigError("fscil draws each run seed's own schedule", "/partition/seed")
+        way = cfg.fscil_way if spec.get("way") is None else spec["way"]
+        harness = replace(cfg, fscil_base_size=spec.get("base_size"), fscil_way=way)
+    try:
+        fscil_partition(harness, cfg.synthetic.num_classes, cfg.seed)
+    except ValueError as exc:
+        pointer = "/partition" if harness is not cfg else "/data/synthetic/num_classes"
+        raise ConfigError(str(exc), pointer) from exc
     report = fscil_run(harness, config_hash=cfg.config_hash())
     report.write(out / "report_fscil.json")
     (out / "report_fscil.csv").write_text(fscil_csv(report))
@@ -423,6 +430,9 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     out = _out_dir(cfg)
     _, domain = _domain_source(cfg)
     scorers = {kind: ((kind,), None) for kind in LOSS_KINDS}
+    # ce_conf is the CoA-loss at the method's w; loss.w weighs ce_mae
+    losses = {kind: replace(cfg.loss, kind=kind) for kind in LOSS_KINDS}
+    losses["ce_conf"] = cfg.conf_loss
     feeds = []
     for seed in sorted(cfg.seeds):
         train, anchors, test = domain(seed)
@@ -430,7 +440,7 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
         base_classes = partition.subsets[1]
         tuned = tune_prompts([
             subset_run(anchors, train.class_names, base, base_classes,
-                       replace(cfg.loss, kind=kind), replace(cfg.optimizer, seed=seed),
+                       losses[kind], replace(cfg.optimizer, seed=seed),
                        cfg.hyper.context_len, seed, cfg.tau)
             for kind in LOSS_KINDS
         ])

@@ -418,8 +418,8 @@ class _ClassRows:
 
 
 class SyntheticParts(NamedTuple):
-    """A synthetic domain whose test split is drawn only as
-    ``test_chunks()`` is iterated, which can happen once."""
+    """A synthetic domain whose test split is drawn only by ``test_chunks()``
+    or ``test_set()``, once."""
 
     train: EmbeddingSet
     generalized_prototypes: np.ndarray
@@ -432,6 +432,11 @@ class SyntheticParts(NamedTuple):
         drawn only once the chunks before it are consumed. The stream does not
         hold these parts, so the train split can go first."""
         return self.test_rows.chunks()
+
+    def test_set(self) -> EmbeddingSet:
+        """The test split drawn into one set."""
+        every = np.ones(len(self.true_prototypes), dtype=bool)
+        return self.test_rows.stacked(self.train.class_names, every)
 
 
 def synthetic_parts(config: SyntheticConfig, classes: Sequence[int] | None = None) -> SyntheticParts:
@@ -483,9 +488,8 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDomain:
     """The domain of :func:`synthetic_parts` with its test split drawn into
     one set."""
     parts = synthetic_parts(config)
-    test = parts.test_rows.stacked(parts.train.class_names, np.ones(config.num_classes, dtype=bool))
     return SyntheticDomain(
-        parts.train, test, parts.generalized_prototypes, parts.true_prototypes, config
+        parts.train, parts.test_set(), parts.generalized_prototypes, parts.true_prototypes, config
     )
 
 

@@ -31,7 +31,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -43,6 +43,7 @@ from promix.embedspace import (
     FieldError,
     SyntheticConfig,
     SyntheticDomain,
+    SyntheticParts,
     generate_synthetic,
     partition_classes,
     synthetic_parts,
@@ -181,6 +182,11 @@ class HarnessConfig:
         if not 0 < self.tau < math.inf:
             raise FieldError("tau", "must be positive and finite")
 
+    @property
+    def conf_loss(self) -> LossConfig:
+        """The CoA-loss: ``loss`` as ce_conf with the method's w, ``hyper.conf_weight``."""
+        return replace(self.loss, kind="ce_conf", w=self.hyper.conf_weight)
+
 
 @dataclass
 class EvalReport:
@@ -219,18 +225,7 @@ class EvalReport:
                 raise ValueError("pd must equal first minus last session accuracy")
 
     def to_dict(self) -> dict:
-        payload = {
-            "kind": self.kind,
-            "config_hash": self.config_hash,
-            "per_config": self.per_config,
-            "session_acc": self.session_acc,
-            "mean_acc": self.mean_acc,
-            "pd": self.pd,
-            "category_counts": self.category_counts,
-            "t_tests": self.t_tests,
-            "extra": self.extra,
-        }
-        return {k: v for k, v in payload.items() if v is not None}
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -268,15 +263,14 @@ def fit_weights(
     opt: OptimizerConfig,
     prompt: int = 1,
     classes: np.ndarray | None = None,
-    in_epochs: int | None = None,
-    out_epochs: int | None = None,
+    epochs: int | None = None,
 ) -> MixtureModel:
-    """Run the weight stages for one specialized head: the in-weight, then
-    the out-weight. A one_stage in-weight is the head's own temperature,
-    learned together with its context, so only the out-weight is fitted."""
+    """Run the weight stages for one specialized head, each for ``epochs``: the
+    in-weight, then the out-weight. A one_stage in-weight is the head's own
+    temperature, learned with its context, so only the out-weight is fitted."""
     if model.weights.parameterization != "one_stage":
         model, _ = optimize_in_weight(
-            model, train_in, prompt=prompt, opt=opt, classes=classes, epochs=in_epochs
+            model, train_in, prompt=prompt, opt=opt, classes=classes, epochs=epochs
         )
     if out_anchors.shape[0]:
         model, _ = optimize_out_weight(
@@ -287,7 +281,7 @@ def fit_weights(
             margin=hyper.margin,
             ent_weight=hyper.ent_weight,
             opt=opt,
-            epochs=out_epochs,
+            epochs=epochs,
         )
     return model
 
@@ -441,31 +435,26 @@ def tune_base_new_heads(
     seed: int,
 ) -> tuple[PromptHead, PromptHead, float, dict[str, list[float]]]:
     """First base/new stage: tune the plain-CE head through :func:`tune_prompt`,
-    then the mixture head as one :func:`tune_prompts` run, on the tuning
-    classes ``partition.subsets[1]`` of ``base_set``: their training rows,
-    global labels kept, viewed without a copy. Returns (CE head, mixture
-    head, its temperature, the per-epoch loss trace of each keyed "ce" / "conf").
+    then the mixture head as one :func:`tune_prompts` run, on the columns of
+    the tuning classes ``partition.subsets[1]`` and on ``base_set``, which
+    holds only their rows. Returns (CE head, mixture head, its temperature,
+    the per-epoch loss trace of each keyed "ce" / "conf").
 
     Under two_stage the mixture head is the confusion-tuned head at the
     shared temperature ``cfg.tau``. Under one_stage it is tuned jointly
     with its own temperature tau_in (the coupling makes the in-weight part
     of prompt tuning itself), and the learned tau_in is returned.
     """
+    if not np.isin(base_set.labels, partition.subsets[1]).all():
+        raise ValueError("the base split holds rows of classes outside partition.subsets[1]")
     opt = replace(cfg.optimizer, seed=seed)
     ce_loss = replace(cfg.loss, kind="ce")
-    conf_loss = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
     run = subset_run(anchors, base_set.class_names, base_set, partition.subsets[1], ce_loss,
                      opt, cfg.hyper.context_len, seed, cfg.tau)
-    init, rows, labels = run.local()
-    if len(rows) != len(base_set):
-        raise ValueError("the base split holds rows of classes outside partition.subsets[1]")
-    local = EmbeddingSet(base_set.vectors, labels, init.class_names)
-    head_ce, trace_ce = tune_prompt(init, local, ce_loss, opt, tau=cfg.tau)
-    ((mix_head, mix_tau, trace_conf),) = tune_prompts([TuneRun(
-        init, local, conf_loss, opt, cfg.tau, one_stage=cfg.parameterization == "one_stage"
-    )])
-    heads = (run.init.with_context(h.context) for h in (head_ce, mix_head))
-    return *heads, mix_tau, {"ce": trace_ce, "conf": trace_conf}
+    head_ce, trace_ce = tune_prompt(run.init, base_set, ce_loss, opt, cfg.tau, run.classes)
+    mix_run = replace(run, loss=cfg.conf_loss, one_stage=cfg.parameterization == "one_stage")
+    ((mix_head, mix_tau, trace_conf),) = tune_prompts([mix_run])
+    return head_ce, mix_head, mix_tau, {"ce": trace_ce, "conf": trace_conf}
 
 
 def fit_base_new_weights(
@@ -558,27 +547,29 @@ def base_to_new_eval(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     return base_new_report(_run_seeds(_base_to_new_single, cfg), cfg.seeds, config_hash)
 
 
+def fscil_partition(cfg: HarnessConfig, n_classes: int, seed: int) -> DomainPartition:
+    """One seed's session schedule: ``cfg.fscil_base_size`` base classes (default 60%),
+    then ``cfg.fscil_way``-class sessions; ValueError if it does not fit."""
+    base_size = n_classes * 60 // 100 if cfg.fscil_base_size is None else cfg.fscil_base_size
+    return partition_classes(n_classes, "session_schedule", seed=seed, base_size=base_size,
+                             way=cfg.fscil_way)
+
+
 def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
     """One seed of the incremental-session protocol."""
     domain = _domain_for(cfg, seed)
     names = domain.train.class_names
     n_classes = len(names)
-    base_size = cfg.fscil_base_size
-    if base_size is None:
-        base_size = n_classes * 60 // 100
-    partition = partition_classes(
-        n_classes, "session_schedule", seed=seed, base_size=base_size, way=cfg.fscil_way
-    )
+    partition = fscil_partition(cfg, n_classes, seed)
     anchors = domain.generalized_prototypes
     t0 = PromptHead.frozen_from(anchors, names)
     opt = replace(cfg.optimizer, seed=seed)
     num_sessions = len(partition.subsets) - 1
 
-    conf_loss = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
     # each session head is tuned independently of earlier weights, so every
     # head is tuned first, sessions of equal row counts in lockstep
     tuned = tune_prompts([
-        subset_run(anchors, names, domain.train, partition.subsets[session], conf_loss, opt,
+        subset_run(anchors, names, domain.train, partition.subsets[session], cfg.conf_loss, opt,
                    FSCIL_CONTEXT_LEN, seed * 1000 + session, cfg.tau)
         for session in range(1, num_sessions + 1)
     ])
@@ -615,8 +606,7 @@ def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
         model = fit_weights(
             model, train_in, out_anchors,
             replace(cfg.hyper, margin=FSCIL_MARGIN), opt,
-            prompt=session, classes=seen,
-            in_epochs=weight_epochs, out_epochs=weight_epochs,
+            prompt=session, classes=seen, epochs=weight_epochs,
         )
         alphas_in = list(model.weights.alphas_in)
         alphas_out = list(model.weights.alphas_out)
@@ -672,10 +662,9 @@ def _assumption_group(
     names = domain.train.class_names
     anchors = domain.generalized_prototypes
     t0 = PromptHead.frozen_from(anchors, names)
-    conf_loss = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
     partitions = [partition_classes(len(names), seed=s) for s in split_seeds]
     tuned = tune_prompts([
-        subset_run(anchors, names, domain.train, partition.subsets[1], conf_loss,
+        subset_run(anchors, names, domain.train, partition.subsets[1], cfg.conf_loss,
                    replace(cfg.optimizer, seed=s), cfg.hyper.context_len, s, cfg.tau)
         for partition, s in zip(partitions, split_seeds)
     ])
@@ -738,35 +727,34 @@ def assumption_check(
     )
 
 
-def _confusing_runs(cfg: HarnessConfig, seed: int) -> tuple[list[TuneRun], dict]:
-    """One seed's CE/CoA twins, drawn without the test split. Each keeps its
-    head's context mean, all a classifier reads of it, at every epoch."""
+def _confusing_runs(cfg: HarnessConfig, seed: int) -> tuple[list[TuneRun], dict, SyntheticParts]:
+    """One seed's CE/CoA twins and its parts, drawn without the test split. Each
+    twin keeps its head's context mean, all a classifier reads of it, at every epoch."""
     parts = synthetic_parts(replace(cfg.synthetic, seed=seed))
     anchors, names = parts.generalized_prototypes, parts.train.class_names
     # the twins share rows, batch order and init
     init = PromptHead.with_random_context(anchors, names, cfg.hyper.context_len, seed)
-    losses = {"ce": replace(cfg.loss, kind="ce"),
-              "conf": replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)}
+    losses = {"ce": replace(cfg.loss, kind="ce"), "conf": cfg.conf_loss}
     means: dict[str, list[np.ndarray]] = {key: [] for key in losses}
     runs = [TuneRun(init, parts.train, loss, replace(cfg.optimizer, seed=seed), cfg.tau,
                     epoch_hook=lambda _, head, kept=means[key]: kept.append(head.context.mean(0)))
             for key, loss in losses.items()]
-    return runs, means
+    return runs, means, parts
 
 
-def _confusing_curves(cfg: HarnessConfig, seed: int, init: PromptHead, means: dict) -> dict:
+def _confusing_curves(tau: float, parts: SyntheticParts, init: PromptHead, means: dict) -> dict:
     """The seed's category counts and, per loss, each epoch's accuracy on the
-    easy/confusing/all test subsets, of ``init`` with the kept mean as its one
-    context row: the tuned head's similarities."""
-    domain = _domain_for(cfg, seed)
-    t0 = PromptHead.frozen_from(domain.generalized_prototypes, domain.test.class_names)
-    categories = classify_samples(t0, domain.test, gap_threshold=0.2, tau=cfg.tau)
+    easy/confusing/all subsets of the test split drawn from ``parts``, of ``init``
+    with the kept mean as its one context row: the tuned head's similarities."""
+    test = parts.test_set()
+    t0 = PromptHead.frozen_from(parts.generalized_prototypes, test.class_names)
+    categories = classify_samples(t0, test, gap_threshold=0.2, tau=tau)
     masks = {name: categories == name for name in ("easy", "confusing", "hard")}
     curves = {loss: {"easy": [], "confusing": [], "all": []} for loss in means}
     for loss, curve in curves.items():
         for cbar in means[loss]:
-            sims = similarity_matrix(init.with_context(cbar[None]), domain.test.vectors)
-            hits = np.argmax(sims, axis=1) == domain.test.labels
+            sims = similarity_matrix(init.with_context(cbar[None]), test.vectors)
+            hits = np.argmax(sims, axis=1) == test.labels
             for key, values in curve.items():
                 hit = hits if key == "all" else hits[masks[key]]
                 values.append(float(np.mean(hit) * 100.0) if hit.size else 0.0)
@@ -779,9 +767,9 @@ def confusing_gain(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     the baseline head's predictions. Every seed's twins step in lockstep in
     one :func:`tune_prompts` call; each test split is drawn afterwards."""
     seeds = sorted(cfg.seeds)
-    twins, means = zip(*(_confusing_runs(cfg, seed) for seed in seeds))
+    twins, means, parts = zip(*(_confusing_runs(cfg, seed) for seed in seeds))
     tune_prompts([run for pair in twins for run in pair])
-    per_seed = [_confusing_curves(cfg, s, t[0].init, m) for s, t, m in zip(seeds, twins, means)]
+    per_seed = [_confusing_curves(cfg.tau, p, t[0].init, m) for p, t, m in zip(parts, twins, means)]
     deltas = {}
     finals = {}
     for key in ("easy", "confusing", "all"):

@@ -4,8 +4,8 @@ A mixture combines a frozen generalized head with K specialized heads by
 weighting their similarity vectors before one shared softmax. Each
 specialized head carries two weights: one applied to classes it was tuned
 on (its own sub-domain) and one applied to everybody else's classes; the
-generalized head receives the per-class remainder. Two parameterizations
-are supported:
+generalized head receives the per-class remainder. The weights have one of
+two parameterizations:
 
 ``two_stage``
     Weights are sigmoids of logits measured against a fixed reference
@@ -16,10 +16,9 @@ are supported:
     (tau_1 + tau_0) with an effective temperature tau_1 tau_0 / (tau_1 +
     tau_0). Algebraically identical to a matched two_stage configuration.
 
-``direct`` stores plain weight values and exists for uniform ensembles
-and tests. All three reduce to one (K+1, C) matrix of per-class logit
-scales, so the mixture logits are sum_k scale[k, c] s_k(c), summed head
-by head over the candidate classes only.
+Both reduce to one (K+1, C) matrix of per-class logit scales, so the
+mixture logits are sum_k scale[k, c] s_k(c), summed head by head over the
+candidate classes only.
 
 This module also houses the ensemble error bound (the mixture's expected
 error never exceeds the weight-averaged error of its members), the
@@ -50,7 +49,7 @@ from promix.head import (
     similarity_matrix,
 )
 
-PARAMETERIZATIONS = ("one_stage", "two_stage", "direct")
+PARAMETERIZATIONS = ("one_stage", "two_stage")
 
 
 def sigmoid(x):
@@ -111,10 +110,6 @@ class MixtureWeights:
         return self.in_weights.shape[0]
 
     @classmethod
-    def direct(cls, in_weights, out_weights) -> "MixtureWeights":
-        return cls("direct", np.atleast_1d(in_weights), np.atleast_1d(out_weights))
-
-    @classmethod
     def uniform(cls, k: int) -> "MixtureWeights":
         """The naive ensemble: every weight 0.5 (two_stage logits of 0)."""
         return cls.two_stage(np.zeros(k), np.zeros(k))
@@ -151,9 +146,7 @@ class MixtureWeights:
         one_stage log tau."""
         if self.parameterization == "two_stage":
             return float((self.alphas_in if side == "in" else self.alphas_out)[prompt - 1])
-        if self.parameterization == "one_stage":
-            return float(np.log(self.tau_in if side == "in" else self.tau_out))
-        raise ValueError("direct weights carry no raw parameter to optimize")
+        return float(np.log(self.tau_in if side == "in" else self.tau_out))
 
     def with_raw(self, prompt: int, side: str, theta: float) -> "MixtureWeights":
         """New weights with the raw parameter read by :meth:`raw` set to theta."""
@@ -161,10 +154,8 @@ class MixtureWeights:
             alphas = {"in": self.alphas_in.copy(), "out": self.alphas_out.copy()}
             alphas[side][prompt - 1] = theta
             return MixtureWeights.two_stage(alphas["in"], alphas["out"], tau_0=self.tau_0)
-        if self.parameterization == "one_stage":
-            taus = {"in": self.tau_in, "out": self.tau_out, side: float(np.exp(theta))}
-            return MixtureWeights.one_stage(taus["in"], taus["out"], tau_0=self.tau_0)
-        raise ValueError("direct weights carry no raw parameters")
+        taus = {"in": self.tau_in, "out": self.tau_out, side: float(np.exp(theta))}
+        return MixtureWeights.one_stage(taus["in"], taus["out"], tau_0=self.tau_0)
 
     def coefficient(self, theta: float, tau: float = 1.0) -> tuple[float, float]:
         """(a, d log a / d theta), a the factor raw parameter theta puts on its
@@ -172,16 +163,12 @@ class MixtureWeights:
         if self.parameterization == "two_stage":
             pi = float(sigmoid(theta))
             return pi / tau, 1.0 - pi
-        if self.parameterization == "one_stage":
-            return float(np.exp(-theta)), -1.0
-        raise ValueError("direct weights carry no raw parameters")
+        return float(np.exp(-theta)), -1.0
 
     def to_dict(self) -> dict:
-        raw: dict = {}
-        if self.parameterization == "two_stage":
-            raw = {"alphas_in": list(self.alphas_in), "alphas_out": list(self.alphas_out)}
-        elif self.parameterization == "one_stage":
-            raw = {"tau_in": self.tau_in, "tau_out": self.tau_out}
+        raw = ({"alphas_in": list(self.alphas_in), "alphas_out": list(self.alphas_out)}
+               if self.parameterization == "two_stage"
+               else {"tau_in": self.tau_in, "tau_out": self.tau_out})
         return {
             "parameterization": self.parameterization,
             "tau_0": self.tau_0,
@@ -204,20 +191,16 @@ def load_weights(path) -> MixtureWeights:
     kind = entry("/parameterization", lambda v: v in PARAMETERIZATIONS,
                  " or ".join(PARAMETERIZATIONS))
 
-    def numbers(pointer: str, ok=is_finite, expected: str = "a finite number") -> list:
-        count = len(entry(pointer.split("/*")[0], lambda v: isinstance(v, list), "a list"))
-        return [entry(pointer.replace("*", str(i)), ok, expected) for i in range(count)]
+    def numbers(pointer: str) -> list:
+        count = len(entry(pointer, lambda v: isinstance(v, list), "a list"))
+        return [entry(f"{pointer}/{i}", is_finite, "a finite number") for i in range(count)]
 
-    if kind == "direct":
-        unit = (lambda v: is_finite(v) and 0 <= v <= 1), "a weight in [0, 1]"
-        return MixtureWeights.direct(*(numbers(f"/prompts/*/{side}", *unit)
-                                       for side in ("pi_in", "pi_out")))
     positive = (lambda v: is_finite(v) and v > 0), "a positive finite number"
     tau_0 = float(entry("/tau_0", *positive))
     if kind == "one_stage":
         taus = (float(entry(f"/raw/{key}", *positive)) for key in ("tau_in", "tau_out"))
         return MixtureWeights.one_stage(*taus, tau_0=tau_0)
-    alphas_in, alphas_out = numbers("/raw/alphas_in/*"), numbers("/raw/alphas_out/*")
+    alphas_in, alphas_out = numbers("/raw/alphas_in"), numbers("/raw/alphas_out")
     if len(alphas_in) != len(alphas_out):
         raise CheckpointError(f"{path}: /raw/alphas_out: expected one logit per alphas_in entry")
     return MixtureWeights.two_stage(alphas_in, alphas_out, tau_0=tau_0)
@@ -281,18 +264,15 @@ class MixtureModel:
         return self.heads[0].num_classes
 
 
-def class_scale_matrix(model: MixtureModel, weight_rows: np.ndarray | None = None) -> np.ndarray:
+def class_scale_matrix(model: MixtureModel) -> np.ndarray:
     """(K+1, C) per-class logit scales: the mixture logit of class c is
     sum_k scale[k, c] s_k(c). one_stage: 1/tau_0, and 1/tau_in or 1/tau_out
-    by class owner. Otherwise the per-class weights over tau, from
-    ``class_weight_matrix`` or ``weight_rows`` (off-simplex probes)."""
+    by class owner; two_stage: ``class_weight_matrix`` over tau."""
     w = model.weights
     if w.parameterization == "one_stage":
         tau_spec = np.where(model.partition.owner_of() == 1, w.tau_in, w.tau_out)
         return np.stack([np.full(model.num_classes, 1.0 / w.tau_0), 1.0 / tau_spec])
-    if weight_rows is None:
-        weight_rows = class_weight_matrix(w, model.partition)
-    return weight_rows / model.tau
+    return class_weight_matrix(w, model.partition) / model.tau
 
 
 def mixture_scaled_logits(
@@ -300,16 +280,15 @@ def mixture_scaled_logits(
     vectors: np.ndarray,
     classes: np.ndarray | None = None,
     sims: Iterable[np.ndarray] | None = None,
-    weight_rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Final pre-softmax logits of the mixture for a batch, (N, C').
 
     ``classes`` restricts the candidates (class-incremental evaluation
     only ranks classes seen so far), and each head is scored on those
     columns only. ``sims`` yields each head's (N, C') similarities on the
-    candidates in turn; ``weight_rows`` is passed to ``class_scale_matrix``.
+    candidates in turn.
     """
-    scale = class_scale_matrix(model, weight_rows)
+    scale = class_scale_matrix(model)
     if classes is not None:
         scale = scale[:, np.asarray(classes, dtype=np.int64)]
     if sims is None:

@@ -15,9 +15,10 @@ steps its log(tau_1) beside its context, against the fixed logits of the
 frozen head on its own anchors, which it reads from its own X·Aᵀ.
 
 Weight fitting runs full-batch momentum descent on the raw weight
-parameters (two_stage logits or one_stage temperatures): the in-weight
-against the mixture's cross-entropy on its own sub-domain, the
-out-weight against the entropy-margin loss on a surrogate out-class set.
+parameters (two_stage logits or one_stage temperatures): the two_stage
+in-weight against the mixture's cross-entropy on its own sub-domain (a
+one_stage in-weight is learned in tuning), the out-weight against the
+entropy-margin loss on a surrogate out-class set.
 Both objectives are evaluated in closed form from arrays computed once per
 fit, the in-weight ones on the candidate columns only: the in-weight logits
 are affine in a scalar coefficient of the parameter, and the out-weight
@@ -390,14 +391,15 @@ def tune_prompt(
     loss: LossConfig,
     opt: OptimizerConfig,
     tau: float = DEFAULT_TAU,
+    classes: np.ndarray | None = None,
 ) -> tuple[PromptHead, list[float]]:
     """Mini-batch descent on the context vectors; anchors stay frozen.
 
-    The one-run case of :func:`tune_prompts`. Labels must index the head's
-    class list directly. Returns the tuned head and the per-epoch mean
-    training loss.
+    The one-run case of :func:`tune_prompts`, on the columns and rows of
+    ``classes`` as in :class:`TuneRun`. Returns the tuned head and the
+    per-epoch mean training loss.
     """
-    head, _, trace = tune_prompts([TuneRun(init, train_set, loss, opt, tau)])[0]
+    head, _, trace = tune_prompts([TuneRun(init, train_set, loss, opt, tau, classes)])[0]
     return head, trace
 
 
@@ -490,13 +492,13 @@ def _descend_scalar(
 def _in_objective_factory(
     model: MixtureModel, train_set: EmbeddingSet, prompt: int, classes: np.ndarray | None
 ):
-    """Precompute the mixture logits in closed form; return
+    """Precompute the two_stage mixture logits in closed form; return
     theta -> (mean CE, gradient).
 
     The logits are affine in the coefficient (a, c) =
-    ``MixtureWeights.coefficient(theta)``: logits = base + a vary and
-    d logits / d theta = a c vary, where vary is zero off the head's own
-    classes (two_stage builds base and vary over tau, so a = pi). Both are
+    ``MixtureWeights.coefficient(theta)`` = (pi, 1 - pi): logits =
+    base + a vary and d logits / d theta = a c vary, where base and vary are
+    over tau and vary is zero off the head's own classes. Both are
     built in a (K+1, N, |classes|) stack of candidate-column similarities,
     filled head by head: row block by row block, base overwrites slot 0 and
     vary slot 1, so nothing N x |classes| is allocated beside the stack.
@@ -527,41 +529,31 @@ def _in_objective_factory(
     step = max(1, BLOCK_ELEMS // len(classes))
     spans = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
+    own = owners_c == np.arange(1, weights.num_specialized + 1)[:, None]
+    raw = np.where(own, weights.in_weights[:, None], weights.out_weights[:, None])
+    raw[prompt - 1, owned] = 0.0
+    spec = raw.sum(axis=0)
+    # owned columns keep the free form (head 0 takes 1 - spec - pi);
+    # the others are fixed and clamped as in class_weight_matrix
+    w0 = np.where(owned, 1.0 - spec, np.maximum(1.0 - spec, 0.0))
+    denom = np.where(owned, 1.0, np.maximum(spec, 1.0))
+    capped = np.flatnonzero(owned & (spec > 0.0))
+    rest = spec[capped]
+    z0_capped = np.empty((n, len(capped)))
     # each block's base and vary take the operations of their one-line forms,
     # so the bits stay, and then overwrite the block's slots 0 and 1
     base, vary = sims[0], sims[1]
-    if weights.parameterization == "one_stage":
-        capped, rest, z0_capped = np.zeros(0, dtype=np.int64), np.zeros(0), None
-        for b in spans:
-            s0, s1 = sims[0, b], sims[1, b]
-            base_b = s1 / weights.tau_out
-            base_b[:, owned] = 0.0
-            base_b += s0 / weights.tau_0
-            base[b], vary[b] = base_b, np.where(owned, s1, 0.0)
-    else:
-        tau = model.tau
-        own = owners_c == np.arange(1, weights.num_specialized + 1)[:, None]
-        raw = np.where(own, weights.in_weights[:, None], weights.out_weights[:, None])
-        raw[prompt - 1, owned] = 0.0
-        spec = raw.sum(axis=0)
-        # owned columns keep the free form (head 0 takes 1 - spec - pi);
-        # the others are fixed and clamped as in class_weight_matrix
-        w0 = np.where(owned, 1.0 - spec, np.maximum(1.0 - spec, 0.0))
-        denom = np.where(owned, 1.0, np.maximum(spec, 1.0))
-        capped = np.flatnonzero(owned & (spec > 0.0))
-        rest = spec[capped]
-        z0_capped = np.empty((n, len(capped)))
-        for b in spans:
-            block = sims[:, b]
-            z0_capped[b] = block[0][:, capped] / tau
-            base_b = w0 * block[0]
-            base_b += np.einsum("kc,knc->nc", raw, block[1:])
-            base_b /= denom
-            base_b /= tau
-            vary_b = np.subtract(block[prompt], block[0])
-            vary_b[:, ~owned] = 0.0
-            vary_b /= tau
-            base[b], vary[b] = base_b, vary_b
+    for b in spans:
+        block = sims[:, b]
+        z0_capped[b] = block[0][:, capped] / model.tau
+        base_b = w0 * block[0]
+        base_b += np.einsum("kc,knc->nc", raw, block[1:])
+        base_b /= denom
+        base_b /= model.tau
+        vary_b = np.subtract(block[prompt], block[0])
+        vary_b[:, ~owned] = 0.0
+        vary_b /= model.tau
+        base[b], vary[b] = base_b, vary_b
 
     z_buf, sums = np.empty((min(step, n), len(classes))), np.empty(min(step, n))
     p_y, g_rows = np.empty(n), np.empty(n)  # per-row label probability and gradient
@@ -598,24 +590,34 @@ def optimize_in_weight(
     classes: np.ndarray | None = None,
     epochs: int | None = None,
 ) -> tuple[MixtureModel, list[float]]:
-    """Fit one head's in-domain weight by descending the mixture CE.
+    """Fit one head's two_stage in-domain weight by descending the mixture CE.
 
     ``train_set`` labels must lie in the head's own sub-domain;
     ``classes`` restricts the candidate class list (incremental sessions
     only rank classes seen so far). Returns the updated model and the
     per-epoch objective trace, which is monotone non-increasing.
     """
-    opt = opt or OptimizerConfig()
+    if model.weights.parameterization == "one_stage":
+        raise ValueError("a one_stage in-weight is its head's temperature, learned in tuning")
     if len(train_set) == 0:
         raise ValueError("empty training set")
     if not np.all(np.isin(train_set.labels, model.partition.subsets[prompt])):
         raise ValueError(f"training labels must lie in sub-domain {prompt}")
-    theta0 = model.weights.raw(prompt, "in")
     objective = _in_objective_factory(model, train_set, prompt, classes)
+    return _fit_raw(model, prompt, "in", objective, opt, epochs, len(train_set))
+
+
+def _fit_raw(
+    model: MixtureModel, prompt: int, side: str, objective: Callable,
+    opt: OptimizerConfig | None, epochs: int | None, n_samples: int,
+) -> tuple[MixtureModel, list[float]]:
+    """Descend head ``prompt``'s ``side`` raw weight from its current value (``opt`` by
+    default OptimizerConfig(), ``epochs`` its weight_epochs); return the fitted model, trace."""
+    opt = opt or OptimizerConfig()
     theta, trace = _descend_scalar(
-        theta0, objective, opt, epochs or opt.weight_epochs, len(train_set)
+        model.weights.raw(prompt, side), objective, opt, epochs or opt.weight_epochs, n_samples
     )
-    return replace(model, weights=model.weights.with_raw(prompt, "in", theta)), trace
+    return replace(model, weights=model.weights.with_raw(prompt, side, theta)), trace
 
 
 def _entropy_rows(
@@ -702,7 +704,6 @@ def optimize_out_weight(
     Skips (returning the model unchanged with an empty trace) when no
     out-class anchors are supplied; raises if fewer than two are given.
     """
-    opt = opt or OptimizerConfig()
     out_anchors = np.asarray(out_anchors, dtype=np.float64)
     if out_anchors.shape[0] == 0:
         return model, []
@@ -710,12 +711,7 @@ def optimize_out_weight(
         raise ValueError("out-class sets need at least 2 anchors")
     if len(train_set) == 0:
         raise ValueError("empty training set")
-    theta0 = model.weights.raw(prompt, "out")
-    objective = _out_objective_factory(
-        model, train_set.vectors, out_anchors, prompt, margin, ent_weight
-    )
-    theta, trace = _descend_scalar(
-        theta0, objective, opt, epochs or opt.weight_epochs, len(train_set)
-    )
-    return replace(model, weights=model.weights.with_raw(prompt, "out", theta)), trace
+    objective = _out_objective_factory(model, train_set.vectors, out_anchors, prompt, margin,
+                                       ent_weight)
+    return _fit_raw(model, prompt, "out", objective, opt, epochs, len(train_set))
 

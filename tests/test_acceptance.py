@@ -45,7 +45,7 @@ from promix.evaluation import (
     fscil_run,
     harmonic_mean,
 )
-from promix.head import PromptHead, predict
+from promix.head import PromptHead, predict, similarity_matrix
 from promix.losses import (
     LossConfig,
     ce_loss,
@@ -59,7 +59,6 @@ from promix.mixture import (
     class_weight_matrix,
     mixture_predict,
     mixture_predict_matrix,
-    mixture_scaled_logits,
 )
 from promix.stats import student_t_cdf, t_test_paired_one_sided
 from promix.train import _out_objective_factory
@@ -157,9 +156,11 @@ class TestCriterion01GradientOracles:
                 PromptHead.frozen_from(_unit_rows(rng, c, d), names) for _ in range(2)
             )
             part = partition_classes(c, "base_new_even_split", seed=trial)
+            pi_in, pi_out = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)
             model = MixtureModel(
                 heads,
-                MixtureWeights.direct([rng.uniform(0.1, 0.9)], [rng.uniform(0.1, 0.9)]),
+                MixtureWeights.two_stage([np.log(pi_in / (1 - pi_in))],
+                                         [np.log(pi_out / (1 - pi_out))]),
                 part,
                 tau=GRID_TAUS[trial % 3],
             )
@@ -168,11 +169,12 @@ class TestCriterion01GradientOracles:
             prompt = int(rng.integers(0, 2))
             g = mixture_ce_grad_wrt_weight(model, x, y, prompt)
             base_rows = class_weight_matrix(model.weights, model.partition)
+            sims = [similarity_matrix(head, x[None, :]) for head in heads]
 
             def ce_at(delta):
                 rows = base_rows.copy()
                 rows[prompt] += delta
-                logits = mixture_scaled_logits(model, x[None, :], weight_rows=rows)
+                logits = sum(r * s for r, s in zip(rows / model.tau, sims))
                 z = logits[0] - logits[0].max()
                 p = np.exp(z) / np.exp(z).sum()
                 return -np.log(p[y])

@@ -361,6 +361,34 @@ class TestPipeline:
         report = json.loads((out / "report_fscil.json").read_text())
         assert len(report["session_acc"]) == 3
 
+    @pytest.mark.parametrize(
+        "partition, pointer",
+        [
+            # the default schedule, 19 base classes of 32, leaves 13: no 5-way sessions
+            (None, "/data/synthetic/num_classes"),
+            ({"kind": "session_schedule", "base_size": 4, "way": 3}, "/partition"),
+            ({"kind": "session_schedule", "base_size": 3, "way": 0}, "/partition"),
+            ({"kind": "session_schedule", "base_size": 4, "way": 2, "seed": 3},
+             "/partition/seed"),
+        ],
+        ids=["default_misfit", "schedule_misfit", "way_0", "seed"],
+    )
+    def test_fscil_schedule_errors_name_their_entry(self, run_config, capsys, partition, pointer):
+        path, out = run_config(**({} if partition is None else {"partition": partition}))
+        args = ["--set", "data.synthetic.num_classes=32"] if partition is None else []
+        assert main(["fscil", "--config", str(path), *args]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+        assert not (out / "report_fscil.json").exists()
+
+    def test_losses_ce_conf_row_is_the_coa_loss(self, run_config):
+        # at the method's w = 0 the CoA-loss is CE, whatever loss.w holds
+        path, out = run_config()
+        sets = ["hyper.conf_weight=0", "data.synthetic.dim=8", "data.synthetic.num_classes=32",
+                "data.synthetic.shots=8"]  # at loss.w = 5 the two rows differ here
+        assert main(["losses", "--config", str(path), *(a for s in sets for a in ("--set", s))]) == 0
+        rows = json.loads((out / "report_losses.json").read_text())["losses"]
+        assert rows["ce_conf"] == rows["ce"]
+
     def test_assume_command(self, run_config):
         path, out = run_config()
         assert main(["assume", "--config", str(path), "--splits", "3"]) == 0
@@ -542,6 +570,8 @@ class TestBadCheckpoints:
              lambda d: d["raw"]["alphas_in"].__setitem__(0, float("nan")), "/raw/alphas_in/0"),
             ("one_stage", "weights/seed0.json",
              lambda d: d["raw"].__setitem__("tau_in", float("nan")), "/raw/tau_in"),
+            ("two_stage", "weights/seed0.json",
+             lambda d: d.__setitem__("parameterization", "direct"), "/parameterization"),
             ("two_stage", "heads/seed0_ce.json", lambda d: d.pop("class_names"), "/class_names"),
             ("two_stage", "heads/seed0_ce.json",
              lambda d: d.__setitem__("tau", float("nan")), "/tau"),
@@ -550,8 +580,8 @@ class TestBadCheckpoints:
             ("two_stage", "heads/seed0_conf.json", lambda d: d.__setitem__("dim", 999), "/dim"),
             ("two_stage", "heads/seed0_ce.json", lambda d: d.pop("dim"), "/dim"),
         ],
-        ids=["no_raw", "nan_alpha", "nan_tau_in", "no_class_names", "nan_head_tau",
-             "missing_data_file", "dim_mismatch", "no_dim"],
+        ids=["no_raw", "nan_alpha", "nan_tau_in", "direct_weights", "no_class_names",
+             "nan_head_tau", "missing_data_file", "dim_mismatch", "no_dim"],
     )
     def test_eval_exits_one_at_the_bad_entry(
         self, run_config, capsys, parameterization, name, damage, pointer

@@ -738,6 +738,19 @@ class TestLockstepHarnesses:
         assert fscil_run(_fscil_tiny()).to_json() == stacked.to_json()
         assert sizes[2:] == [1, 1, 1, 1]
 
+    def test_confusing_gain_draws_each_seeds_domain_once(self, monkeypatch):
+        want = confusing_gain(_tiny_harness(seeds=(0, 1))).to_json()
+        drawn = []
+        for name in ("synthetic_parts", "generate_synthetic"):
+            def spy(config, *args, name=name, original=getattr(evaluation, name)):
+                drawn.append((name, config.seed))
+                return original(config, *args)
+
+            monkeypatch.setattr(evaluation, name, spy)
+        assert confusing_gain(_tiny_harness(seeds=(0, 1))).to_json() == want
+        # the test split comes from the parts that tuning drew
+        assert drawn == [("synthetic_parts", 0), ("synthetic_parts", 1)]
+
     def test_confusing_gain_steps_every_seeds_twins_together(self, monkeypatch):
         import promix.train as train
 

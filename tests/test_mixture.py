@@ -45,6 +45,13 @@ def _heads(rng, count, classes, dim):
     return tuple(PromptHead.frozen_from(_unit_rows(rng, classes, dim), names) for _ in range(count))
 
 
+def _logit(p):
+    """The two_stage logit of a weight in (0, 1); weights of exactly 0 and 1
+    are written as -inf and inf, which sigmoid maps back exactly."""
+    p = np.asarray(p, dtype=np.float64)
+    return np.log(p / (1.0 - p))
+
+
 def _data(rng, n, classes, dim):
     names = tuple(f"c{i}" for i in range(classes))
     return EmbeddingSet(_unit_rows(rng, n, dim), rng.integers(0, classes, n), names)
@@ -53,7 +60,7 @@ def _data(rng, n, classes, dim):
 class TestEffectiveWeight:
     def test_k1_in_domain(self):
         part = partition_classes(4, "explicit", sets=[[0, 1], [2, 3]])
-        w = class_weight_matrix(MixtureWeights.direct([0.5], [0.3]), part)
+        w = class_weight_matrix(MixtureWeights.two_stage([0.0], [_logit(0.3)]), part)
         assert w[1, 2] == pytest.approx(0.5)
         assert w[0, 2] == pytest.approx(0.5)
         assert w[1, 0] == pytest.approx(0.3)
@@ -63,7 +70,7 @@ class TestEffectiveWeight:
         rng = np.random.default_rng(0)
         part = partition_classes(6, "explicit", sets=[[0, 1], [2, 3], [4, 5]])
         for _ in range(100):
-            w = MixtureWeights.direct(rng.uniform(0, 1, 2), rng.uniform(0, 1, 2))
+            w = MixtureWeights.two_stage(_logit(rng.uniform(0, 1, 2)), _logit(rng.uniform(0, 1, 2)))
             mat = class_weight_matrix(w, part)
             np.testing.assert_allclose(mat.sum(axis=0), 1.0, atol=1e-12)
             assert np.all(mat >= 0)
@@ -72,7 +79,7 @@ class TestEffectiveWeight:
         rng = np.random.default_rng(1)
         heads = _heads(rng, 2, 4, 8)
         part = partition_classes(4, "explicit", sets=[[0, 1], [2, 3]])
-        model = MixtureModel(heads, MixtureWeights.direct([0.5], [0.0]), part, tau=0.05)
+        model = MixtureModel(heads, MixtureWeights.two_stage([0.0], [-np.inf]), part, tau=0.05)
         x = _unit_rows(rng, 1, 8)
         logits = mixture_scaled_logits(model, x)
         s0 = similarity_matrix(heads[0], x)
@@ -85,7 +92,7 @@ class TestMixturePredict:
         rng = np.random.default_rng(2)
         heads = _heads(rng, 2, 5, 8)
         part = partition_classes(5, "base_new_even_split", seed=0)
-        model = MixtureModel(heads, MixtureWeights.direct([0.0], [0.0]), part, tau=0.02)
+        model = MixtureModel(heads, MixtureWeights.two_stage([-np.inf], [-np.inf]), part, tau=0.02)
         x = _unit_rows(rng, 1, 8)[0]
         expected = predict_matrix(similarity_matrix(heads[0], x[None, :]), 0.02)[0]
         np.testing.assert_allclose(mixture_predict(model, x).probs, expected, atol=1e-12)
@@ -94,7 +101,8 @@ class TestMixturePredict:
         rng = np.random.default_rng(3)
         heads = _heads(rng, 2, 4, 8)
         part = partition_classes(4, "explicit", sets=[[], [0, 1, 2, 3]])
-        model = MixtureModel(heads, MixtureWeights.direct([1.0], [0.7]), part, tau=0.02)
+        weights = MixtureWeights.two_stage([np.inf], [_logit(0.7)])
+        model = MixtureModel(heads, weights, part, tau=0.02)
         x = _unit_rows(rng, 1, 8)[0]
         expected = predict_matrix(similarity_matrix(heads[1], x[None, :]), 0.02)[0]
         np.testing.assert_allclose(mixture_predict(model, x).probs, expected, atol=1e-12)
@@ -103,7 +111,7 @@ class TestMixturePredict:
         rng = np.random.default_rng(4)
         heads = _heads(rng, 2, 6, 8)
         part = partition_classes(6, "base_new_even_split", seed=1)
-        model = MixtureModel(heads, MixtureWeights.direct([0.5], [0.5]), part, tau=0.05)
+        model = MixtureModel(heads, MixtureWeights.two_stage([0.0], [0.0]), part, tau=0.05)
         x = _unit_rows(rng, 3, 8)
         mean_sims = 0.5 * (similarity_matrix(heads[0], x) + similarity_matrix(heads[1], x))
         np.testing.assert_allclose(
@@ -119,7 +127,7 @@ class TestMixturePredict:
         x = _unit_rows(rng, 3, 8)
         for pi_1 in (0.2, 0.5, 0.9):
             model = MixtureModel(
-                heads, MixtureWeights.direct([pi_1], [0.3]), part, tau=0.05
+                heads, MixtureWeights.two_stage([_logit(pi_1)], [_logit(0.3)]), part, tau=0.05
             )
             combined = (1 - pi_1) * similarity_matrix(heads[0], x) + pi_1 * similarity_matrix(heads[1], x)
             np.testing.assert_allclose(
@@ -176,7 +184,7 @@ class TestOneFormula:
             # in/out weights near 0.9 push every column's specialized sum above 1
             (MixtureWeights.two_stage([2.2, 2.5], [2.0, 1.9]), [[0, 1], [2, 3], [4, 5]]),
             (MixtureWeights.one_stage(0.004, 0.03, tau_0=0.01), [[0, 2, 4], [1, 3, 5]]),
-            (MixtureWeights.direct([0.35], [0.6]), [[0, 2, 4], [1, 3, 5]]),
+            (MixtureWeights.two_stage([_logit(0.35)], [_logit(0.6)]), [[0, 2, 4], [1, 3, 5]]),
         ],
     )
     def test_matches_the_per_parameterization_formula(self, monkeypatch, weights, sets):
@@ -307,7 +315,8 @@ class TestDecomposeError:
         rng = np.random.default_rng(10)
         heads = _heads(rng, 1, 4, 8)
         part = partition_classes(4, "explicit", sets=[[0, 1, 2, 3]])
-        model = MixtureModel(heads, MixtureWeights.direct(np.empty(0), np.empty(0)), part, tau=0.05)
+        weights = MixtureWeights.two_stage(np.empty(0), np.empty(0))
+        model = MixtureModel(heads, weights, part, tau=0.05)
         data = _data(rng, 9, 4, 8)
         parts, total = decompose_error(model, data)
         assert parts[0][0] == 1.0
@@ -348,7 +357,8 @@ class TestMixtureCEGradient:
     def _setup(self, rng, classes=5, dim=8):
         heads = _heads(rng, 2, classes, dim)
         part = partition_classes(classes, "base_new_even_split", seed=0)
-        model = MixtureModel(heads, MixtureWeights.direct([0.4], [0.6]), part, tau=0.05)
+        weights = MixtureWeights.two_stage([_logit(0.4)], [_logit(0.6)])
+        model = MixtureModel(heads, weights, part, tau=0.05)
         x = _unit_rows(rng, 1, dim)[0]
         return model, x
 
@@ -376,11 +386,12 @@ class TestMixtureCEGradient:
                 g = mixture_ce_grad_wrt_weight(model, x, y, prompt)
                 h = 1e-5
                 base_w = class_weight_matrix(model.weights, model.partition)
+                sims = [similarity_matrix(head, x[None, :]) for head in model.heads]
 
                 def ce_at(delta):
                     rows = base_w.copy()
                     rows[prompt] += delta
-                    logits = mixture_scaled_logits(model, x[None, :], weight_rows=rows)
+                    logits = sum(r * s for r, s in zip(rows / model.tau, sims))
                     probs = np.exp(logits - logits.max())
                     probs /= probs.sum()
                     return -np.log(probs[0, y])
@@ -399,7 +410,8 @@ class TestMixtureCEGradient:
             PromptHead.frozen_from(anchors1, names),
         )
         part = partition_classes(2, "explicit", sets=[[1], [0]])
-        model = MixtureModel(heads, MixtureWeights.direct([0.2], [0.2]), part, tau=0.05)
+        weights = MixtureWeights.two_stage([_logit(0.2)], [_logit(0.2)])
+        model = MixtureModel(heads, weights, part, tau=0.05)
         x = unit_normalize(np.array([1.0, 0.05]))
         probs = mixture_predict(model, x).probs
         assert int(np.argmax(probs)) != 0
@@ -486,9 +498,8 @@ class TestWeightCheckpoint:
         [
             MixtureWeights.two_stage([0.3, -1.2], [0.0, 2.0]),
             MixtureWeights.one_stage(0.03, 0.07),
-            MixtureWeights.direct([0.4], [0.9]),
         ],
-        ids=["two_stage", "one_stage", "direct"],
+        ids=["two_stage", "one_stage"],
     )
     def test_round_trip(self, weights, tmp_path):
         path = tmp_path / "w.json"
@@ -511,10 +522,11 @@ class TestWeightCheckpoint:
              lambda d: d["raw"].__setitem__("tau_out", float("inf")), "/raw/tau_out"),
             (MixtureWeights.one_stage(0.03, 0.07),
              lambda d: d.__setitem__("parameterization", "three_stage"), "/parameterization"),
-            (MixtureWeights.direct([0.4], [0.9]),
-             lambda d: d["prompts"][0].__setitem__("pi_in", float("nan")), "/prompts/0/pi_in"),
+            # no kind reads plain weights from /prompts
+            (MixtureWeights.two_stage([0.4], [0.9]),
+             lambda d: d.__setitem__("parameterization", "direct"), "/parameterization"),
         ],
-        ids=["no_raw", "nan_alpha", "short_alphas_out", "no_tau_0", "inf_tau", "kind", "nan_pi"],
+        ids=["no_raw", "nan_alpha", "short_alphas_out", "no_tau_0", "inf_tau", "kind", "direct"],
     )
     def test_bad_entry_names_file_and_pointer(self, weights, damage, pointer, tmp_path):
         path = tmp_path / "w.json"
@@ -534,9 +546,9 @@ class TestWeightCheckpoint:
 class TestNonFiniteValuesAreRejected:
     def test_weights(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            MixtureWeights.direct([np.nan], [0.5])
+            MixtureWeights.two_stage([np.nan], [0.0])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            MixtureWeights.direct([0.5], [np.nan])
+            MixtureWeights.two_stage([0.0], [np.nan])
 
     def test_two_stage_logits(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -333,22 +333,14 @@ class TestOptimizeInWeight:
         with pytest.raises(ValueError, match="sub-domain"):
             optimize_in_weight(model, dom.train, opt=OptimizerConfig())
 
-    def test_one_stage_descends_too(self):
-        dom, model, train_in = _mixture_fixture(seed=11)
+    def test_one_stage_model_rejected(self):
+        # a one_stage in-weight is tau_1, which tuning learns with the context
+        _, model, train_in = _mixture_fixture(seed=11)
         model_os = MixtureModel(
             model.heads, MixtureWeights.one_stage(0.01, 0.01), model.partition, tau=0.01
         )
-        fitted, trace = optimize_in_weight(model_os, train_in, opt=OptimizerConfig(seed=0))
-        assert trace[-1] <= trace[0] + 1e-9
-        assert fitted.weights.tau_0 == 0.01  # fixed component untouched
-
-    def test_direct_weights_rejected(self):
-        dom, model, train_in = _mixture_fixture(seed=12)
-        model_d = MixtureModel(
-            model.heads, MixtureWeights.direct([0.5], [0.5]), model.partition, tau=0.01
-        )
-        with pytest.raises(ValueError, match="raw parameter"):
-            optimize_in_weight(model_d, train_in, opt=OptimizerConfig())
+        with pytest.raises(ValueError, match="one_stage in-weight is its head's temperature"):
+            optimize_in_weight(model_os, train_in, opt=OptimizerConfig(seed=0))
 
 
 def _stacked_fixture(seed=40):
@@ -401,13 +393,6 @@ class TestInObjectiveClosedForm:
                     lambda t: model.weights.with_raw(1, "in", t),
                     classes=np.array([0, 1, 2, 3, 5]))
 
-    def test_one_stage(self):
-        _, model, train_in = _mixture_fixture(seed=42)
-        one = MixtureModel(model.heads, MixtureWeights.one_stage(0.02, 0.015), model.partition,
-                           tau=0.01)
-        self._check(one, train_in, (np.log(0.005), np.log(0.01), np.log(0.04)),
-                    lambda t: one.weights.with_raw(1, "in", t))
-
     def test_unknown_label_names_it(self):
         _, model, train_in = _mixture_fixture(seed=43)
         with pytest.raises(ValueError, match="training label 3 "):
@@ -447,36 +432,26 @@ def _full_stack_in_objective(model, train_set, prompt, classes):
     sims = full[:, :, classes]
     owners_c = model.partition.owner_of()[classes]
     owned = owners_c == prompt
-    if weights.parameterization == "one_stage":
-        base = sims[0] / weights.tau_0 + np.where(owned, 0.0, sims[1] / weights.tau_out)
-        vary = np.where(owned, sims[1], 0.0)
-        capped, rest, z0_capped = np.zeros(0, dtype=np.int64), np.zeros(0), None
+    tau = model.tau
+    raw = np.stack(
+        [
+            np.where(owners_c == i, weights.in_weights[i - 1], weights.out_weights[i - 1])
+            for i in range(1, weights.num_specialized + 1)
+        ]
+    )
+    raw[prompt - 1, owned] = 0.0
+    spec = raw.sum(axis=0)
+    w0 = np.where(owned, 1.0 - spec, np.maximum(1.0 - spec, 0.0))
+    denom = np.where(owned, 1.0, np.maximum(spec, 1.0))
+    base = (w0 * sims[0] + np.einsum("kc,knc->nc", raw, sims[1:])) / denom / tau
+    vary = np.where(owned, sims[prompt] - sims[0], 0.0) / tau
+    capped = np.flatnonzero(owned & (spec > 0.0))
+    rest = spec[capped]
+    z0_capped = sims[0][:, capped] / tau
 
-        def coefficients(theta):
-            scale = float(np.exp(-theta))
-            return scale, -scale
-
-    else:
-        tau = model.tau
-        raw = np.stack(
-            [
-                np.where(owners_c == i, weights.in_weights[i - 1], weights.out_weights[i - 1])
-                for i in range(1, weights.num_specialized + 1)
-            ]
-        )
-        raw[prompt - 1, owned] = 0.0
-        spec = raw.sum(axis=0)
-        w0 = np.where(owned, 1.0 - spec, np.maximum(1.0 - spec, 0.0))
-        denom = np.where(owned, 1.0, np.maximum(spec, 1.0))
-        base = (w0 * sims[0] + np.einsum("kc,knc->nc", raw, sims[1:])) / denom / tau
-        vary = np.where(owned, sims[prompt] - sims[0], 0.0) / tau
-        capped = np.flatnonzero(owned & (spec > 0.0))
-        rest = spec[capped]
-        z0_capped = sims[0][:, capped] / tau
-
-        def coefficients(theta):
-            pi = float(sigmoid(theta))
-            return pi, pi * (1.0 - pi)
+    def coefficients(theta):
+        pi = float(sigmoid(theta))
+        return pi, pi * (1.0 - pi)
 
     vary_y = float(vary[rows, y_local].sum())
     logits = np.empty_like(base)
@@ -497,12 +472,6 @@ def _full_stack_in_objective(model, train_set, prompt, classes):
         return ce, b * (float(np.einsum("nc,nc->", probs, dz)) - dz_y) / n
 
     return evaluate
-
-
-def _one_stage_fixture(seed=42):
-    _, model, train_in = _mixture_fixture(seed=seed)
-    weights = MixtureWeights.one_stage(0.02, 0.015)
-    return MixtureModel(model.heads, weights, model.partition, tau=0.01), train_in
 
 
 def _candidate_columns_fixture(shots):
@@ -527,8 +496,6 @@ class TestInObjectiveCandidateColumns:
                          (-2.0, 0.0, 1.3)),
         # pi_1 = 0.018 (under the simplex cap), 0.5 and 0.88 (over it)
         "two_stage_k2_over_cap": (_stacked_fixture, [0, 1, 2, 3, 5], (-4.0, 0.0, 2.0)),
-        "one_stage": (_one_stage_fixture, [0, 1, 2, 3, 4],
-                      (np.log(0.005), np.log(0.01), np.log(0.04))),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -725,7 +692,7 @@ class TestOptimizeOutWeight:
     def test_zero_weight_flattens_distribution(self):
         _, model, train_in, out = self._out_setup(17)
         zeroed = MixtureModel(
-            model.heads, MixtureWeights.direct([0.5], [0.0]), model.partition, tau=0.01
+            model.heads, MixtureWeights.two_stage([0.0], [-np.inf]), model.partition, tau=0.01
         )
         h0, hi = outclass_entropies(zeroed, train_in.vectors[0], out, prompt=1)
         assert hi == pytest.approx(1.0, abs=1e-12)
