@@ -366,17 +366,18 @@ def fscil(config_path: str, overrides: tuple[str, ...]) -> None:
     cfg = _effective_config(config_path, overrides)
     _require_synthetic(cfg, "fscil")
     out = _out_dir(cfg)
-    harness = cfg
     spec = cfg.partition or {}
-    if spec.get("kind") == "session_schedule":
-        if spec.get("seed") is not None:
-            raise ConfigError("fscil draws each run seed's own schedule", "/partition/seed")
-        way = cfg.fscil_way if spec.get("way") is None else spec["way"]
-        harness = replace(cfg, fscil_base_size=spec.get("base_size"), fscil_way=way)
+    scheduled = spec.get("kind") == "session_schedule"
+    if scheduled and spec.get("seed") is not None:
+        raise ConfigError("fscil draws each run seed's own schedule", "/partition/seed")
     try:
+        harness = cfg
+        if scheduled:
+            way = cfg.fscil_way if spec.get("way") is None else spec["way"]
+            harness = replace(cfg, fscil_base_size=spec.get("base_size"), fscil_way=way)
         fscil_partition(harness, cfg.synthetic.num_classes, cfg.seed)
     except ValueError as exc:
-        pointer = "/partition" if harness is not cfg else "/data/synthetic/num_classes"
+        pointer = "/partition" if scheduled else "/data/synthetic/num_classes"
         raise ConfigError(str(exc), pointer) from exc
     report = fscil_run(harness, config_hash=cfg.config_hash())
     report.write(out / "report_fscil.json")

@@ -129,6 +129,11 @@ def _parse_partition(obj: dict, pointer: str) -> dict:
         for j, c in enumerate(subset):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ConfigError("expected int", f"{pointer}/sets/{i}/{j}")
+    reads = {"base_new_even_split": ("seed",), "session_schedule": ("base_size", "way", "seed"),
+             "explicit": ("sets",)}[kind]
+    for key in ("base_size", "way", "sets", "seed"):
+        if spec[key] is not None and key not in reads:
+            raise ConfigError(f"a {kind} partition does not read {key!r}", f"{pointer}/{key}")
     if kind == "explicit" and spec["sets"] is not None and len(spec["sets"]) < 2:
         raise ConfigError("explicit partition needs two sets or more: Y_0, then the tuned Y_1",
                           f"{pointer}/sets")

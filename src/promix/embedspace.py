@@ -17,8 +17,7 @@ On-disk format (``EMB1``, little-endian throughout)::
 Values are stored as float32. ``read_embedding_file`` returns the stored
 values verbatim (promoted to float64) so that read -> write reproduces a
 file byte for byte; vectors whose norm deviates from 1 by more than
-NORM_TOLERANCE are rejected. Use :meth:`EmbeddingSet.renormalized` when
-strict unit norms are needed after ingesting external data.
+NORM_TOLERANCE are rejected.
 
 ``read_embedding_header`` reads the header alone: the dimension, the
 sample count and the class names, after the format checks and a check that
@@ -182,38 +181,22 @@ class EmbeddingSet:
         mask = np.isin(self.labels, np.asarray(list(classes), dtype=np.int64))
         return self if mask.all() else self.subset(mask)
 
-    def renormalized(self) -> "EmbeddingSet":
-        """Copy with every vector scaled to exact unit norm (float64)."""
-        return EmbeddingSet(unit_normalize(self.vectors), self.labels, self.class_names)
-
 
 @dataclass(frozen=True)
 class DomainPartition:
-    """Disjoint class subsets Y_0..Y_K with sub-domain masses.
+    """Disjoint class subsets Y_0..Y_K.
 
     ``subsets[0]`` is the domain of the generalized (untuned) head; the
-    remaining subsets each belong to one specialized head. Masses default
-    to class-count proportions: subset sizes over their total.
+    remaining subsets each belong to one specialized head.
     """
 
     subsets: tuple[np.ndarray, ...]
-    masses: np.ndarray | None = None
 
     def __post_init__(self):
         subsets = tuple(
             np.ascontiguousarray(np.sort(np.asarray(s, dtype=np.int64))) for s in self.subsets
         )
-        masses = self.masses
-        if masses is None:
-            sizes = np.array([len(s) for s in subsets], dtype=np.float64)
-            masses = sizes / sizes.sum()
-        masses = np.ascontiguousarray(np.asarray(masses, dtype=np.float64))
         object.__setattr__(self, "subsets", subsets)
-        object.__setattr__(self, "masses", masses)
-        if masses.shape != (len(subsets),):
-            raise ValueError("one mass per subset required")
-        if np.any(masses < 0) or abs(float(masses.sum()) - 1.0) > 1e-12:
-            raise ValueError("masses must be non-negative and sum to 1")
         all_classes = np.concatenate(subsets) if subsets else np.empty(0, dtype=np.int64)
         if len(np.unique(all_classes)) != len(all_classes):
             raise ValueError("subsets overlap")
@@ -222,7 +205,6 @@ class DomainPartition:
             raise ValueError("subsets do not cover the class range exactly")
         for s in subsets:
             s.setflags(write=False)
-        masses.setflags(write=False)
 
     @property
     def num_classes(self) -> int:

@@ -7,13 +7,13 @@ ensemble-bound sweep, and the confusing-sample analysis. All harnesses
 are deterministic per seed; multi-seed fan-out may run in parallel, with
 reduction order fixed by sorting on the seed.
 
-``tune_prompts`` tunes in lockstep the splits of the assumption check, all
-seeds' CE/CoA twins of the confusing-sample analysis (in one process), and
-each seed's incremental sessions of equal row counts (tuned before the
-weights, which they do not depend on); base/new tunes its CE head and its
-mixture head (a one_stage run under that parameterization) one at a time.
-``jobs`` fans the seeds out, or the assumption check's splits as one
-lockstep group per worker; results do not depend on it.
+``jobs`` cuts the seeds, or the assumption check's splits, into contiguous
+groups, one per worker process; results do not depend on it. Within a
+group ``tune_prompts`` tunes in lockstep the splits of the assumption
+check, the CE/CoA twins of the confusing-sample analysis, and the
+incremental sessions of equal row counts (tuned before the weights, which
+they do not depend on); base/new tunes each seed's CE head and its mixture
+head (a one_stage run under that parameterization) one at a time.
 
 Every accuracy is counted chunk by chunk by :class:`SplitAccuracy`, on the
 ``candidates`` every split ranks; a head used by several scorers is scored
@@ -33,7 +33,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from promix.outclass import OutclassStrategy, generate_outclass, generate_vocab_
 from promix.stats import TTestResult, t_test_paired_one_sided
 from promix.train import (
     BLOCK_ELEMS,
-    LOCKSTEP_RUNS,
     HyperParams,
     OptimizerConfig,
     TuneRun,
@@ -176,9 +175,11 @@ class HarnessConfig:
         if self.parameterization not in ("one_stage", "two_stage"):
             raise FieldError("parameterization",
                              f"must be one_stage or two_stage, got {self.parameterization!r}")
-        for name in ("pool_size", "jobs"):
+        for name in ("pool_size", "jobs", "fscil_way"):
             if getattr(self, name) < 1:
                 raise FieldError(name, "must be at least 1")
+        if self.fscil_base_size is not None and self.fscil_base_size < 1:
+            raise FieldError("fscil_base_size", "must be None or at least 1")
         if not 0 < self.tau < math.inf:
             raise FieldError("tau", "must be positive and finite")
 
@@ -232,10 +233,6 @@ class EvalReport:
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_json())
-
-
-def _domain_for(cfg: HarnessConfig, seed: int):
-    return generate_synthetic(replace(cfg.synthetic, seed=seed))
 
 
 def subset_run(
@@ -503,16 +500,21 @@ def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
     return base_new_scores(acc.score(test))
 
 
-def _run_seeds(worker: Callable, cfg: HarnessConfig, items: Sequence | None = None) -> list:
-    """``worker(cfg, item)`` for every item (by default the sorted seeds) in
-    order, on at most min(jobs, items, cores) worker processes."""
-    items = sorted(cfg.seeds) if items is None else items
-    workers = min(cfg.jobs, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker, cfg, item) for item in items]
-            return [f.result() for f in futures]
-    return [worker(cfg, item) for item in items]
+def _base_to_new_seeds(cfg: HarnessConfig, seeds: Sequence[int]) -> list[dict]:
+    return [_base_to_new_single(cfg, seed) for seed in seeds]
+
+
+def _run_seeds(worker: Callable, cfg: HarnessConfig, items: Sequence) -> list:
+    """``worker(cfg, group)``, one result per item of its group, called on
+    ``items`` cut in order into min(jobs, items, cores) contiguous groups, each
+    in its own worker process when there are several; the results in order."""
+    count = min(cfg.jobs, len(items), os.cpu_count() or 1)
+    if count == 1:
+        return worker(cfg, items)
+    groups = [[items[i] for i in idx] for idx in np.array_split(np.arange(len(items)), count)]
+    with ProcessPoolExecutor(max_workers=count) as pool:
+        futures = [pool.submit(worker, cfg, group) for group in groups]
+        return [result for f in futures for result in f.result()]
 
 
 def base_new_report(per_seed: list[dict], seeds, config_hash: str = "") -> EvalReport:
@@ -544,7 +546,8 @@ def base_new_report(per_seed: list[dict], seeds, config_hash: str = "") -> EvalR
 def base_to_new_eval(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     """Four configurations (zero-shot, uniform ensemble, confusion-loss +
     uniform ensemble, full method) averaged over the configured seeds."""
-    return base_new_report(_run_seeds(_base_to_new_single, cfg), cfg.seeds, config_hash)
+    per_seed = _run_seeds(_base_to_new_seeds, cfg, sorted(cfg.seeds))
+    return base_new_report(per_seed, cfg.seeds, config_hash)
 
 
 def fscil_partition(cfg: HarnessConfig, n_classes: int, seed: int) -> DomainPartition:
@@ -555,24 +558,32 @@ def fscil_partition(cfg: HarnessConfig, n_classes: int, seed: int) -> DomainPart
                              way=cfg.fscil_way)
 
 
-def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
-    """One seed of the incremental-session protocol."""
-    domain = _domain_for(cfg, seed)
-    names = domain.train.class_names
-    n_classes = len(names)
-    partition = fscil_partition(cfg, n_classes, seed)
-    anchors = domain.generalized_prototypes
+def _fscil_group(cfg: HarnessConfig, seeds: Sequence[int]) -> list[dict]:
+    """The incremental-session protocol for each of ``seeds``. Session heads do
+    not depend on earlier weights, so every seed's are tuned first, in one call
+    that steps sessions of equal row counts in lockstep; then seed by seed."""
+    parts = [synthetic_parts(replace(cfg.synthetic, seed=seed)) for seed in seeds]
+    partitions = [fscil_partition(cfg, cfg.synthetic.num_classes, seed) for seed in seeds]
+    tuned = iter(tune_prompts([
+        subset_run(p.generalized_prototypes, p.train.class_names, p.train, subset,
+                   cfg.conf_loss, replace(cfg.optimizer, seed=seed), FSCIL_CONTEXT_LEN,
+                   seed * 1000 + session, cfg.tau)
+        for seed, p, partition in zip(seeds, parts, partitions)
+        for session, subset in enumerate(partition.subsets[1:], start=1)
+    ]))
+    return [_fscil_sessions(cfg, seed, p, partition, tuned)
+            for seed, p, partition in zip(seeds, parts, partitions)]
+
+
+def _fscil_sessions(cfg: HarnessConfig, seed: int, parts: SyntheticParts,
+                    partition: DomainPartition, tuned: Iterator) -> dict:
+    """One seed's sessions in order, each with the next head of ``tuned``: it
+    fits its weights and scores the mixture on the test split, drawn here."""
+    test = parts.test_set()
+    names = parts.train.class_names
+    anchors = parts.generalized_prototypes
     t0 = PromptHead.frozen_from(anchors, names)
     opt = replace(cfg.optimizer, seed=seed)
-    num_sessions = len(partition.subsets) - 1
-
-    # each session head is tuned independently of earlier weights, so every
-    # head is tuned first, sessions of equal row counts in lockstep
-    tuned = tune_prompts([
-        subset_run(anchors, names, domain.train, partition.subsets[session], cfg.conf_loss, opt,
-                   FSCIL_CONTEXT_LEN, seed * 1000 + session, cfg.tau)
-        for session in range(1, num_sessions + 1)
-    ])
 
     heads: list[PromptHead] = [t0]
     alphas_in: list[float] = []
@@ -580,14 +591,14 @@ def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
     session_acc: list[float] = []
     seen: np.ndarray = np.empty(0, dtype=np.int64)
 
-    for session in range(1, num_sessions + 1):
+    for session in range(1, len(partition.subsets)):
         session_classes = partition.subsets[session]
         seen = np.sort(np.concatenate([seen, session_classes]))
-        heads.append(tuned[session - 1][0])
+        heads.append(next(tuned)[0])
         alphas_in.append(0.0)
         alphas_out.append(0.0)
 
-        unseen = np.setdiff1d(np.arange(n_classes), seen)
+        unseen = np.setdiff1d(np.arange(len(names)), seen)
         subsets = [unseen] + [partition.subsets[i] for i in range(1, session + 1)]
         model_partition = DomainPartition(tuple(subsets))
         weights = MixtureWeights.two_stage(alphas_in, alphas_out)
@@ -602,7 +613,7 @@ def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
             )
             out_anchors = anchors[np.sort(previous)]
             weight_epochs = FSCIL_LATER_WEIGHT_EPOCHS
-        train_in = domain.train.with_labels_in(session_classes)
+        train_in = parts.train.with_labels_in(session_classes)
         model = fit_weights(
             model, train_in, out_anchors,
             replace(cfg.hyper, margin=FSCIL_MARGIN), opt,
@@ -614,9 +625,9 @@ def _fscil_single(cfg: HarnessConfig, seed: int) -> dict:
         keyed = {str(k): h for k, h in enumerate(model.heads)}
         scorers = {"mixture": (tuple(keyed), model), "t0": (("0",), None)}
         splits = {"seen": seen}
-        if session == num_sessions:
+        if session == len(partition.subsets) - 1:
             splits["first"] = partition.subsets[1]
-        split = SplitAccuracy(keyed, scorers, splits, candidates=seen).score(domain.test.chunks())
+        split = SplitAccuracy(keyed, scorers, splits, candidates=seen).score(test.chunks())
         session_acc.append(split["seen"]["mixture"])
 
     return {
@@ -633,7 +644,7 @@ def fscil_run(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     on every class seen so far. Weights use the two_stage parameterization
     regardless of the configured one; a single-temperature coupling is
     undefined past one specialized head."""
-    runs = _run_seeds(_fscil_single, cfg)
+    runs = _run_seeds(_fscil_group, cfg, sorted(cfg.seeds))
     acc = np.mean([r["session_acc"] for r in runs], axis=0)
     session_acc = [float(a) for a in acc]
     return EvalReport(
@@ -695,12 +706,8 @@ def assumption_check(
     """
     if splits < 2:
         raise ValueError("need at least 2 splits")
-    domain = _domain_for(cfg, cfg.seeds[0] if cfg.seeds else 0)
-    # as many lockstep groups as workers, and none above LOCKSTEP_RUNS splits
-    count = max(-(-splits // LOCKSTEP_RUNS), min(cfg.jobs, splits, os.cpu_count() or 1))
-    groups = [g.tolist() for g in np.array_split(np.arange(splits), count)]
-    worker = functools.partial(_assumption_group, domain)
-    rows = [row for group in _run_seeds(worker, cfg, groups) for row in group]
+    domain = generate_synthetic(replace(cfg.synthetic, seed=cfg.seeds[0]))
+    rows = _run_seeds(functools.partial(_assumption_group, domain), cfg, list(range(splits)))
     in_gaps = [r["in_gap"] for r in rows]
     out_gaps = [r["out_gap"] for r in rows]
 
@@ -761,15 +768,19 @@ def _confusing_curves(tau: float, parts: SyntheticParts, init: PromptHead, means
     return {"counts": {k: int(m.sum()) for k, m in masks.items()}, **curves}
 
 
+def _confusing_group(cfg: HarnessConfig, seeds: Sequence[int]) -> list[dict]:
+    """The curves of each of ``seeds``: every seed's twins step in lockstep in
+    one :func:`tune_prompts` call, and each test split is drawn afterwards."""
+    twins, means, parts = zip(*(_confusing_runs(cfg, seed) for seed in seeds))
+    tune_prompts([run for pair in twins for run in pair])
+    return [_confusing_curves(cfg.tau, p, t[0].init, m) for p, t, m in zip(parts, twins, means)]
+
+
 def confusing_gain(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     """Twin tuning runs (plain CE vs CE plus the confusion term) on
     identical seeds and data, scored on the easy/confusing/all subsets of
-    the baseline head's predictions. Every seed's twins step in lockstep in
-    one :func:`tune_prompts` call; each test split is drawn afterwards."""
-    seeds = sorted(cfg.seeds)
-    twins, means, parts = zip(*(_confusing_runs(cfg, seed) for seed in seeds))
-    tune_prompts([run for pair in twins for run in pair])
-    per_seed = [_confusing_curves(cfg.tau, p, t[0].init, m) for p, t, m in zip(parts, twins, means)]
+    the baseline head's predictions."""
+    per_seed = _run_seeds(_confusing_group, cfg, sorted(cfg.seeds))
     deltas = {}
     finals = {}
     for key in ("easy", "confusing", "all"):

@@ -283,9 +283,7 @@ class TestCriterion04ErrorDecomposition:
             cut = np.sort(rng.choice(np.arange(1, c), size=k, replace=False))
             order = rng.permutation(c)
             subsets = np.split(order, cut)
-            part = DomainPartition(
-                tuple(subsets), np.array([len(s) for s in subsets]) / c
-            )
+            part = DomainPartition(tuple(subsets))
             model = MixtureModel(heads, MixtureWeights.uniform(k), part, tau=0.05)
             n = int(rng.integers(5, 26))
             data = EmbeddingSet(

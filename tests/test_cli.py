@@ -258,6 +258,10 @@ class TestPipeline:
             ('partition.sets=[["a"]]', "/partition/sets/0/0"),
             ("partition.sets=[[0],1]", "/partition/sets/1"),
             ("partition.seed=-1", "/partition/seed"),
+            ('partition={"way": 3, "base_size": 7}', "/partition/base_size"),
+            ("partition.sets=[[0,1,2,3],[4,5,6,7]]", "/partition/sets"),
+            ('partition={"kind": "explicit", "sets": [[0, 1, 2, 3], [4, 5, 6, 7]], "seed": 5}',
+             "/partition/seed"),
             ('outclass.count="abc"', "/outclass/count"),
             ("outclass.pool_file=5", "/outclass/pool_file"),
             ("outclass.pool_size=0", "/outclass/pool_size"),

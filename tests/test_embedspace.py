@@ -17,7 +17,6 @@ from promix.embedspace import (
     MAGIC,
     BadHeaderError,
     BadMagicError,
-    DomainPartition,
     EmbeddingFileError,
     EmbeddingSet,
     NonFiniteError,
@@ -245,8 +244,6 @@ class TestPartitionClasses:
                 p = partition_classes(n, kind, seed=int(rng.integers(0, 100)))
             merged = np.concatenate(p.subsets)
             assert sorted(merged) == list(range(n))
-            assert p.masses.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(p.masses >= 0)
 
     def test_masses_from_labels(self):
         p = partition_classes(4, "explicit", sets=[[0], [1, 2], [3]])
@@ -631,16 +628,6 @@ class TestEmbeddingFileProperties:
 
 
 class TestDomainPartitionType:
-    def test_masses_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            DomainPartition((np.array([0]), np.array([1])), np.array([0.5, 0.4]))
-
-    def test_masses_default_to_class_count_proportions(self):
-        p = partition_classes(7, "session_schedule", seed=3, base_size=3, way=2)
-        default = DomainPartition(p.subsets)
-        assert default.masses.tobytes() == p.masses.tobytes()
-        assert default.masses.tolist() == [0.0, 3 / 7, 2 / 7, 2 / 7]
-
     def test_subset_and_label_helpers(self):
         p = partition_classes(6, "explicit", sets=[[5, 0], [1, 2], [3, 4]])
         owners = p.owner_of()

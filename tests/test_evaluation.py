@@ -14,6 +14,7 @@ import pytest
 
 from conftest import _traced_peak, _whole_set_accuracy, _whole_set_base_new_scores
 import promix.evaluation as evaluation
+import promix.train as train
 from promix import embedspace
 from promix.embedspace import (
     EmbeddingSet,
@@ -210,6 +211,8 @@ class TestHarnessConfig:
             ({"tau": float("nan")}, "tau"),
             ({"tau": float("inf")}, "tau"),
             ({"tau": 0.0}, "tau"),
+            ({"fscil_way": 0}, "fscil_way"),
+            ({"fscil_base_size": -3}, "fscil_base_size"),
         ],
     )
     def test_out_of_range_field_is_rejected_at_construction(self, change, field):
@@ -242,17 +245,23 @@ class TestHarnessSmoke:
         assert serial.per_config == parallel.per_config
 
     @pytest.mark.parametrize(
-        "jobs, seeds, cores, started",
+        "jobs, seeds, cores, started, groups",
         [
-            (8, (0, 1, 2), 2, [2]),
-            (8, (0, 1), 4, [2]),
-            (2, (0, 1, 2), 4, [2]),
-            (3, (0, 1, 2), None, []),
-            (1, (0, 1, 2), 4, []),
+            (8, (0, 1, 2), 2, [2], [[0, 1], [2]]),
+            (8, (1, 0), 4, [2], [[0], [1]]),
+            (2, (2, 0, 1), 4, [2], [[0, 1], [2]]),
+            (3, (0, 1, 2), None, [], [[0, 1, 2]]),
+            (1, (0, 1, 2), 4, [], [[0, 1, 2]]),
         ],
     )
-    def test_workers_clamped_to_seeds_and_cores(self, monkeypatch, jobs, seeds, cores, started):
-        pools = []
+    def test_workers_clamped_to_seeds_and_cores(
+        self, monkeypatch, jobs, seeds, cores, started, groups
+    ):
+        pools, received = [], []
+
+        def worker(_cfg, group):
+            received.append(group)
+            return [10 * s for s in group]
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -272,7 +281,10 @@ class TestHarnessSmoke:
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cores)
         cfg = _tiny_harness(seeds=seeds, jobs=jobs)
-        assert evaluation._run_seeds(lambda _cfg, s: 10 * s, cfg) == [10 * s for s in sorted(seeds)]
+        assert evaluation._run_seeds(worker, cfg, sorted(seeds)) == [10 * s for s in sorted(seeds)]
+        # one contiguous group of plain ints per worker, in seed order
+        assert received == groups
+        assert all(type(s) is int for group in received for s in group)
         assert pools == started
 
     @pytest.mark.parametrize("parameterization", ["two_stage", "one_stage"])
@@ -667,13 +679,13 @@ class TestAssumptionDomain:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_domain_from_the_configured_seed(self, monkeypatch, jobs):
         seeds = []
-        original = evaluation._domain_for
+        original = evaluation.generate_synthetic
 
-        def recording(cfg, seed):
-            seeds.append(seed)
-            return original(cfg, seed)
+        def recording(config):
+            seeds.append(config.seed)
+            return original(config)
 
-        monkeypatch.setattr(evaluation, "_domain_for", recording)
+        monkeypatch.setattr(evaluation, "generate_synthetic", recording)
         cfg = _tiny_harness(seeds=(5,), jobs=jobs)
         rep = assumption_check(cfg, splits=2)
         assert seeds == [5]
@@ -711,6 +723,19 @@ def _counting_tune_prompts(monkeypatch) -> list[int]:
     return sizes
 
 
+def _recording_descent(monkeypatch) -> list[int]:
+    """Record the number of runs of each lockstep ``_adam_descent`` loop."""
+    sizes = []
+    descent = train._adam_descent
+
+    def recording(params, batch_grad, labels, *args, **kwargs):
+        sizes.append(labels.shape[0])
+        return descent(params, batch_grad, labels, *args, **kwargs)
+
+    monkeypatch.setattr(train, "_adam_descent", recording)
+    return sizes
+
+
 class TestLockstepHarnesses:
     def test_assumption_jobs_match_serial(self):
         serial = assumption_check(_tiny_harness(), splits=4)
@@ -721,17 +746,8 @@ class TestLockstepHarnesses:
         assert fscil_run(_fscil_tiny(seeds=(0, 1), jobs=2)).to_json() == serial.to_json()
 
     def test_fscil_sessions_of_equal_rows_step_together(self, monkeypatch):
-        import promix.train as train
-
         stacked = fscil_run(_fscil_tiny())
-        sizes = []
-        descent = train._adam_descent
-
-        def recording(params, batch_grad, labels, *args, **kwargs):
-            sizes.append(labels.shape[0])
-            return descent(params, batch_grad, labels, *args, **kwargs)
-
-        monkeypatch.setattr(train, "_adam_descent", recording)
+        sizes = _recording_descent(monkeypatch)
         assert fscil_run(_fscil_tiny()).to_json() == stacked.to_json()
         assert sizes == [1, 3]  # the base session alone, the three 2-way sessions together
         monkeypatch.setattr(train, "LOCKSTEP_RUNS", 1)
@@ -752,30 +768,44 @@ class TestLockstepHarnesses:
         assert drawn == [("synthetic_parts", 0), ("synthetic_parts", 1)]
 
     def test_confusing_gain_steps_every_seeds_twins_together(self, monkeypatch):
-        import promix.train as train
-
         alone = [confusing_gain(_tiny_harness(seeds=(s,))).extra["curves"][0] for s in (0, 1, 2)]
-        calls, groups = _counting_tune_prompts(monkeypatch), []
-        descent = train._adam_descent
-
-        def recording(params, batch_grad, labels, *args, **kwargs):
-            groups.append(labels.shape[0])
-            return descent(params, batch_grad, labels, *args, **kwargs)
-
-        monkeypatch.setattr(train, "_adam_descent", recording)
+        calls, groups = _counting_tune_prompts(monkeypatch), _recording_descent(monkeypatch)
         report = confusing_gain(_tiny_harness(seeds=(0, 1, 2)))
         assert calls == [6] and groups == [6]
         assert report.extra["curves"] == alone
 
     def test_assumption_groups_are_capped(self, monkeypatch):
-        import promix.train as train
-
         whole = assumption_check(_tiny_harness(), splits=5)
-        sizes = _counting_tune_prompts(monkeypatch)
+        sizes = _recording_descent(monkeypatch)
         monkeypatch.setattr(train, "LOCKSTEP_RUNS", 2)
-        monkeypatch.setattr(evaluation, "LOCKSTEP_RUNS", 2)
         assert assumption_check(_tiny_harness(), splits=5).to_json() == whole.to_json()
+        # tune_prompts caps each lockstep group of the one call
         assert sizes == [2, 2, 1]
+
+    def test_confusing_gain_jobs_match_serial(self):
+        serial = confusing_gain(_tiny_harness(seeds=(0, 1, 2)))
+        parallel = confusing_gain(_tiny_harness(seeds=(0, 1, 2), jobs=2))
+        assert parallel.to_json() == serial.to_json()
+
+    def test_fscil_tunes_every_seeds_sessions_in_one_call(self, monkeypatch):
+        alone = [fscil_run(_fscil_tiny(seeds=(s,))).extra["per_seed"][0] for s in (0, 1)]
+        calls, sizes = _counting_tune_prompts(monkeypatch), _recording_descent(monkeypatch)
+        report = fscil_run(_fscil_tiny(seeds=(0, 1)))
+        # both base sessions together, then the six 2-way sessions together
+        assert calls == [8] and sizes == [2, 6]
+        assert report.extra["per_seed"] == alone
+
+    def test_fscil_draws_each_seeds_parts_once(self, monkeypatch):
+        want = fscil_run(_fscil_tiny(seeds=(0, 1))).to_json()
+        drawn = []
+        for name in ("synthetic_parts", "generate_synthetic"):
+            def spy(config, *args, name=name, original=getattr(evaluation, name)):
+                drawn.append((name, config.seed))
+                return original(config, *args)
+
+            monkeypatch.setattr(evaluation, name, spy)
+        assert fscil_run(_fscil_tiny(seeds=(0, 1))).to_json() == want
+        assert drawn == [("synthetic_parts", 0), ("synthetic_parts", 1)]
 
     def test_assumption_peak_stays_within_fscils_at_desk_scale(self):
         # assume tunes its 10 splits of one domain in one lockstep group, whose

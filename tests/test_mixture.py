@@ -308,7 +308,7 @@ class TestDecomposeError:
     def _model(self, rng, classes=6, dim=8, k=2):
         heads = _heads(rng, k + 1, classes, dim)
         sets = np.array_split(np.arange(classes), k + 1)
-        part = DomainPartition(tuple(sets), np.array([len(s) for s in sets]) / classes)
+        part = DomainPartition(tuple(sets))
         return MixtureModel(heads, MixtureWeights.uniform(k), part, tau=0.05)
 
     def test_single_subset_recovers_full_error(self):
