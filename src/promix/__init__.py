@@ -5,31 +5,14 @@ from promix.embedspace import (
     DomainPartition,
     EmbeddingSet,
     SyntheticConfig,
-    cosine_similarity,
     generate_synthetic,
     partition_classes,
     read_embedding_file,
     write_embedding_file,
 )
-from promix.head import (
-    PredictiveDistribution,
-    PromptHead,
-    expected_error,
-    predict,
-    similarities,
-)
-from promix.losses import LossConfig, ce_loss, confusion_loss, grad_prompt_loss, prompt_loss
-from promix.mixture import (
-    MixtureModel,
-    MixtureWeights,
-    bound_gap,
-    decompose_error,
-    ent_loss,
-    mixture_predict,
-    normalized_entropy,
-    one_stage_params,
-    two_stage_params,
-)
+from promix.head import PromptHead
+from promix.losses import LossConfig
+from promix.mixture import MixtureModel, MixtureWeights, bound_gap, one_stage_params
 from promix.outclass import OutclassStrategy, generate_outclass
 from promix.stats import t_test_paired_one_sided
 from promix.train import HyperParams, OptimizerConfig, optimize_in_weight, optimize_out_weight, tune_prompt
@@ -58,38 +41,24 @@ __all__ = [
     "MixtureWeights",
     "OptimizerConfig",
     "OutclassStrategy",
-    "PredictiveDistribution",
     "PromptHead",
     "SyntheticConfig",
     "accuracy",
     "assumption_check",
     "base_to_new_eval",
     "bound_gap",
-    "ce_loss",
     "classify_samples",
-    "confusion_loss",
     "confusing_gain",
-    "cosine_similarity",
-    "decompose_error",
-    "ent_loss",
-    "expected_error",
     "fscil_run",
     "generate_outclass",
     "generate_synthetic",
-    "grad_prompt_loss",
     "harmonic_mean",
-    "mixture_predict",
-    "normalized_entropy",
     "one_stage_params",
     "optimize_in_weight",
     "optimize_out_weight",
     "partition_classes",
-    "predict",
-    "prompt_loss",
     "read_embedding_file",
-    "similarities",
     "t_test_paired_one_sided",
     "tune_prompt",
-    "two_stage_params",
     "write_embedding_file",
 ]

@@ -367,9 +367,11 @@ def fscil(config_path: str, overrides: tuple[str, ...]) -> None:
     _require_synthetic(cfg, "fscil")
     out = _out_dir(cfg)
     spec = cfg.partition or {}
-    scheduled = spec.get("kind") == "session_schedule"
-    if scheduled and spec.get("seed") is not None:
+    if spec.get("kind") == "explicit":
+        raise ConfigError("fscil runs a session schedule, not explicit sets", "/partition/kind")
+    if spec.get("seed") is not None:
         raise ConfigError("fscil draws each run seed's own schedule", "/partition/seed")
+    scheduled = spec.get("kind") == "session_schedule"
     try:
         harness = cfg
         if scheduled:

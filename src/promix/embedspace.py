@@ -114,22 +114,6 @@ def check_unit(v: np.ndarray, atol: float = UNIT_ATOL) -> None:
         raise ValueError(f"embedding norm deviates from 1 by {worst:.3e} (> {atol:.0e})")
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two unit-norm vectors (reduces to a dot product).
-
-    Both inputs must have the same dimension and unit norm within
-    NORM_TOLERANCE (the ingest tolerance; generated embeddings are far
-    tighter than that).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    check_unit(a, NORM_TOLERANCE)
-    check_unit(b, NORM_TOLERANCE)
-    return float(a @ b)
-
-
 @dataclass(frozen=True)
 class EmbeddingSet:
     """Ordered collection of labeled embeddings with a shared class list.

@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from promix import backend
-from promix._kernels_py import label_nll
 from promix.embedspace import (
     NORM_TOLERANCE,
     EmbeddingFileError,
@@ -118,37 +117,6 @@ class PromptHead:
         return unit_normalize(base + self.context.mean(axis=0))
 
 
-@dataclass(frozen=True)
-class PredictiveDistribution:
-    """Per-class probabilities produced at a given temperature."""
-
-    probs: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        probs = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
-        if self.tau <= 0:
-            raise ValueError("temperature must be positive")
-        if probs.ndim != 1 or np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError("probabilities must be non-negative and sum to 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-    def __len__(self) -> int:
-        return self.probs.shape[0]
-
-    def argmax(self) -> int:
-        return int(np.argmax(self.probs))
-
-
-def similarities(head: PromptHead, x: np.ndarray) -> np.ndarray:
-    """Cosine similarities of one embedding against every class."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (head.dim,):
-        raise ValueError(f"dimension mismatch: embedding {x.shape}, head dim {head.dim}")
-    return head.effective_embeddings() @ x
-
-
 def similarity_matrix(head: PromptHead, vectors: np.ndarray) -> np.ndarray:
     """(N, C) similarities of a batch of embeddings against every class."""
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -159,12 +127,6 @@ def similarity_matrix(head: PromptHead, vectors: np.ndarray) -> np.ndarray:
     return vectors @ head.effective_embeddings().T
 
 
-def predict(s: np.ndarray, tau: float = DEFAULT_TAU) -> PredictiveDistribution:
-    """Temperature softmax of a similarity vector (max-subtracted)."""
-    probs = predict_matrix(np.asarray(s, dtype=np.float64)[None, :], tau)[0]
-    return PredictiveDistribution(probs, tau)
-
-
 def predict_matrix(s: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
     """Row-wise temperature softmax for a batch of similarity vectors."""
     s = np.asarray(s, dtype=np.float64)
@@ -173,14 +135,6 @@ def predict_matrix(s: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise ValueError("non-finite similarity")
     return backend.kernels.softmax_rows(s / tau)
-
-
-def expected_error(head: PromptHead, emb_set: EmbeddingSet, tau: float = DEFAULT_TAU) -> float:
-    """Mean negative log-probability of the true class over a set."""
-    if len(emb_set) == 0:
-        raise ValueError("expected_error of an empty set")
-    probs = predict_matrix(similarity_matrix(head, emb_set.vectors), tau)
-    return float(np.mean(label_nll(probs[np.arange(len(emb_set)), emb_set.labels])))
 
 
 def save_head(head: PromptHead, tau: float, path) -> None:
@@ -263,5 +217,10 @@ def load_head(path) -> tuple[PromptHead, float]:
     if block.vectors.shape[0] != m + len(names):
         raise CheckpointError(f"{path}: /class_names: anchor count does not match class list")
     entry("/dim", lambda v: type(v) is int and v == block.dim, f"the data file's {block.dim}")
-    head = PromptHead(block.vectors[:m], block.vectors[m:], tuple(names), frozen=frozen)
+    if frozen and m:
+        raise CheckpointError(f"{path}: /frozen: a frozen head must not carry context vectors")
+    try:
+        head = PromptHead(block.vectors[:m], block.vectors[m:], tuple(names), frozen=frozen)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: /data_file: {exc}") from exc
     return head, float(tau)

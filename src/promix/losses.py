@@ -11,12 +11,12 @@ invariance; every gradient here is gated by finite-difference checks in
 the test suite. The remaining losses (focal, generalized CE, MAE) exist
 for the comparison harness.
 
-Gradient conventions: ``s`` is a per-class similarity vector, ``tau`` the
-softmax temperature, and all gradients are with respect to ``s``. Each
-gradient formula lives once, in the batch path, and ``grad_prompt_loss``
-is its single-row ce_conf case. The per-sample values of the comparison
-losses live in the tests, as the finite-difference oracles the batch path
-is checked against; the floored cross-entropy is ``label_nll``.
+Gradient conventions: ``s`` holds per-class similarity rows, ``tau`` is
+the softmax temperature, and all gradients are with respect to ``s``. Each
+gradient formula lives once, in the batch path ``batch_loss_grad``. The
+per-sample loss values live in the tests, as the finite-difference oracles
+the batch path is checked against; the floored cross-entropy is
+``label_nll``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from promix import backend
 from promix._kernels_py import PROB_FLOOR, label_nll  # the one floored CE, shared with the kernels
 from promix.embedspace import FieldError
-from promix.head import PredictiveDistribution
 
 LOSS_KINDS = ("ce", "ce_conf", "fl", "gce", "mae", "ce_mae")
 
@@ -57,40 +56,6 @@ class LossConfig:
     def fused_w(self) -> float | None:
         """w of the fused ce/ce_conf kernel (0 for CE); None for other kinds."""
         return {"ce": 0.0, "ce_conf": self.w}.get(self.kind)
-
-
-def _probs(p) -> np.ndarray:
-    if isinstance(p, PredictiveDistribution):
-        return p.probs
-    return np.asarray(p, dtype=np.float64)
-
-
-def ce_loss(p, y: int) -> float:
-    """Cross-entropy -log p(y), floored so adversarial inputs stay finite."""
-    return float(label_nll(_probs(p)[y]))
-
-
-def confusion_loss(p, y: int) -> float:
-    """Confusion-aware term 1 - p(y), in [0, 1]."""
-    return float(1.0 - _probs(p)[y])
-
-
-def prompt_loss(p, y: int, w: float) -> float:
-    """Tuning objective: ce_loss + w * confusion_loss."""
-    return ce_loss(p, y) + w * confusion_loss(p, y)
-
-
-def grad_prompt_loss(s: np.ndarray, y: int, tau: float, w: float) -> np.ndarray:
-    """Exact gradient of prompt_loss(softmax(s / tau), y, w) w.r.t. s: the
-    single-row ce_conf case of ``batch_loss_grad``.
-
-    d/ds(y)   = -(1/tau) (1 - p(y)) (1 + w p(y))
-    d/ds(c!=y) = (1/tau) p(c) (1 + w p(y))
-
-    Components sum to zero (softmax shift invariance).
-    """
-    s = np.asarray(s, dtype=np.float64)
-    return batch_loss_grad(s[None, :], np.array([y]), tau, LossConfig("ce_conf", w=w))[1][0]
 
 
 def batch_loss_grad(

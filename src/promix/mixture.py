@@ -20,10 +20,10 @@ Both reduce to one (K+1, C) matrix of per-class logit scales, so the
 mixture logits are sum_k scale[k, c] s_k(c), summed head by head over the
 candidate classes only.
 
-This module also houses the ensemble error bound (the mixture's expected
-error never exceeds the weight-averaged error of its members), the
-sub-domain error decomposition, and the entropy-margin loss used to
-optimize out-of-domain weights.
+This module also houses the ensemble error bound: the mixture's expected
+error never exceeds the weight-averaged error of its members. The
+entropy-margin hinge that fits the out-of-domain weights lives in the
+out-weight objective of ``promix.train``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from promix.embedspace import DomainPartition, EmbeddingSet
 from promix.head import (
     DEFAULT_TAU,
     CheckpointError,
-    PredictiveDistribution,
     PromptHead,
     checkpoint_reader,
     is_finite,
@@ -62,12 +61,6 @@ def one_stage_params(tau_1: float, tau_0: float = DEFAULT_TAU) -> tuple[float, f
         raise ValueError("temperatures must be positive")
     pi_1 = tau_0 / (tau_1 + tau_0)
     return pi_1, tau_1 * tau_0 / (tau_1 + tau_0)
-
-
-def two_stage_params(alphas: Sequence[float]) -> np.ndarray:
-    """Global simplex weights: softmax of (0, alpha_1, ..., alpha_K)."""
-    logits = np.concatenate([[0.0], np.asarray(alphas, dtype=np.float64)])
-    return backend.kernels.softmax_rows(logits[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -301,19 +294,6 @@ def mixture_scaled_logits(
     return logits
 
 
-def mixture_predict(model: MixtureModel, x: np.ndarray) -> PredictiveDistribution:
-    """Mixture distribution for a single embedding."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.heads[0].dim,):
-        raise ValueError("dimension mismatch between embedding and model")
-    return PredictiveDistribution(mixture_predict_matrix(model, x[None, :])[0], model.tau)
-
-
-def mixture_predict_matrix(model: MixtureModel, vectors: np.ndarray) -> np.ndarray:
-    """Row-wise mixture probabilities for a batch."""
-    return backend.kernels.softmax_rows(mixture_scaled_logits(model, vectors))
-
-
 def bound_gap(
     heads: Sequence[PromptHead], emb_set: EmbeddingSet, pi: np.ndarray, tau: float = DEFAULT_TAU
 ) -> float:
@@ -339,49 +319,3 @@ def _stack_gap(sims: np.ndarray, labels: np.ndarray, pi: np.ndarray, tau: float)
                   for p, s in zip(pi, sims))
     probs = backend.kernels.softmax_rows(np.einsum("k,knc->nc", pi, sims) / tau)
     return float(members - float(np.mean(label_nll(probs[at_y]))))
-
-
-def decompose_error(
-    model: MixtureModel, emb_set: EmbeddingSet, partition: DomainPartition | None = None
-) -> tuple[list[tuple[float, float]], float]:
-    """Per-sub-domain (mass, error) pairs and their mass-weighted total.
-
-    The total reconstructs the mixture's expected error on the full set
-    exactly; empty sub-domains contribute (0, 0).
-    """
-    if len(emb_set) == 0:
-        raise ValueError("empty set")
-    partition = model.partition if partition is None else partition
-    if int(emb_set.labels.max()) >= partition.num_classes:
-        raise ValueError("sample label outside the partition")
-    probs = mixture_predict_matrix(model, emb_set.vectors)
-    losses = label_nll(probs[np.arange(len(emb_set)), emb_set.labels])
-    owners = partition.owner_of()[emb_set.labels]
-    parts = []
-    total = 0.0
-    for i in range(len(partition.subsets)):
-        mask = owners == i
-        lam = float(mask.mean())
-        err = float(losses[mask].mean()) if mask.any() else 0.0
-        parts.append((lam, err))
-        total += lam * err
-    return parts, total
-
-
-def normalized_entropy(probs: np.ndarray) -> float:
-    """Shannon entropy over a restricted class set divided by log of its
-    size: 0 for one-hot, 1 for uniform. Requires at least two entries."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.size < 2:
-        raise ValueError("normalized entropy needs at least two classes")
-    nz = probs[probs > 0]
-    return float(-(nz * np.log(nz)).sum() / np.log(probs.size))
-
-
-def ent_loss(h_generalized: float, h_specialized: float, d: float) -> float:
-    """Hinge comparing entropies: max(0, H_gen - H_spec + d).
-
-    Zero once the specialized head is at least ``d`` more uncertain than
-    the generalized one on the out-class set.
-    """
-    return max(0.0, h_generalized - h_specialized + d)

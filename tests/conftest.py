@@ -1,9 +1,11 @@
 """Helpers shared by the test modules, and the oracles the library is
 checked against: row-by-row iteration, float32 quantization and empirical
 sub-domain masses of embedding sets, the per-class synthetic draw,
-per-sample loss values, the full-set context gradient and loss, the
-out-class entropies, the two-pass ensemble bound, the matched two_stage
-configuration and the mixture-CE weight gradient."""
+single-row predictions and a head's expected error, per-sample loss
+values, the full-set context gradient and loss, the out-class entropies,
+mixture probabilities and the sub-domain error decomposition, the
+two-pass ensemble bound, the matched two_stage configuration and the
+mixture-CE weight gradient."""
 
 import tracemalloc
 from typing import NamedTuple
@@ -11,24 +13,12 @@ from typing import NamedTuple
 import numpy as np
 
 from promix import backend
+from promix._kernels_py import label_nll
 from promix.embedspace import EmbeddingSet, unit_normalize
 from promix.evaluation import harmonic_mean
-from promix.head import expected_error, similarity_matrix
-from promix.losses import (
-    PROB_FLOOR,
-    LossConfig,
-    _probs,
-    batch_loss_grad,
-    ce_loss,
-    prompt_loss,
-)
-from promix.mixture import (
-    MixtureModel,
-    MixtureWeights,
-    mixture_predict_matrix,
-    mixture_scaled_logits,
-    one_stage_params,
-)
+from promix.head import predict_matrix, similarity_matrix
+from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
+from promix.mixture import MixtureModel, MixtureWeights, mixture_scaled_logits, one_stage_params
 from promix.train import _AnchorSpace, _context_loss_grad, _entropy_rows, _runs_loss_grad
 
 
@@ -141,7 +131,42 @@ def _whole_set_base_new_scores(t0, head_ce, head_conf, fitted, partition, test_s
     return scores
 
 
+# ---- single-row predictions and a head's expected error
+
+
+def predict(s: np.ndarray, tau: float) -> np.ndarray:
+    """Temperature softmax of one similarity vector: its probability row."""
+    return predict_matrix(np.asarray(s, dtype=np.float64)[None, :], tau)[0]
+
+
+def expected_error(head, emb_set, tau: float) -> float:
+    """Mean negative log-probability of the true class over a set."""
+    if len(emb_set) == 0:
+        raise ValueError("expected_error of an empty set")
+    probs = predict_matrix(similarity_matrix(head, emb_set.vectors), tau)
+    return float(np.mean(label_nll(probs[np.arange(len(emb_set)), emb_set.labels])))
+
+
 # ---- per-sample loss values: the finite-difference oracles of batch_loss_grad
+
+
+def _probs(p) -> np.ndarray:
+    return np.asarray(p, dtype=np.float64)
+
+
+def ce_loss(p, y: int) -> float:
+    """Cross-entropy -log p(y), floored so adversarial inputs stay finite."""
+    return float(label_nll(_probs(p)[y]))
+
+
+def confusion_loss(p, y: int) -> float:
+    """Confusion-aware term 1 - p(y), in [0, 1]."""
+    return float(1.0 - _probs(p)[y])
+
+
+def prompt_loss(p, y: int, w: float) -> float:
+    """Tuning objective: ce_loss + w * confusion_loss."""
+    return ce_loss(p, y) + w * confusion_loss(p, y)
 
 
 def focal_loss(p, y: int, gamma: float) -> float:
@@ -230,6 +255,34 @@ def outclass_entropies(model, x, out_anchors, prompt: int) -> tuple[float, float
 
 
 # ---- mixture oracles
+
+
+def mixture_predict_matrix(model, vectors) -> np.ndarray:
+    """Row-wise mixture probabilities for a batch."""
+    return backend.kernels.softmax_rows(mixture_scaled_logits(model, vectors))
+
+
+def decompose_error(model, emb_set) -> tuple[list[tuple[float, float]], float]:
+    """Per-sub-domain (mass, error) pairs of the model's partition and their
+    mass-weighted total, which reconstructs the mixture's expected error on
+    the full set exactly; empty sub-domains contribute (0, 0)."""
+    if len(emb_set) == 0:
+        raise ValueError("empty set")
+    partition = model.partition
+    if int(emb_set.labels.max()) >= partition.num_classes:
+        raise ValueError("sample label outside the partition")
+    probs = mixture_predict_matrix(model, emb_set.vectors)
+    losses = label_nll(probs[np.arange(len(emb_set)), emb_set.labels])
+    owners = partition.owner_of()[emb_set.labels]
+    parts = []
+    total = 0.0
+    for i in range(len(partition.subsets)):
+        mask = owners == i
+        lam = float(mask.mean())
+        err = float(losses[mask].mean()) if mask.any() else 0.0
+        parts.append((lam, err))
+        total += lam * err
+    return parts, total
 
 
 def global_mixture_error(heads, emb_set, pi, tau: float) -> float:

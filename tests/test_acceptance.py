@@ -17,13 +17,20 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ce_loss,
     ce_plus_mae_loss,
+    confusion_loss,
     context_gradient,
     context_loss_value,
+    decompose_error,
     focal_loss,
     gce_loss,
+    grad_loss,
     matched_two_stage,
     mixture_ce_grad_wrt_weight,
+    mixture_predict_matrix,
+    predict,
+    prompt_loss,
 )
 from promix.cli import main as cli_main
 from promix.embedspace import (
@@ -45,21 +52,9 @@ from promix.evaluation import (
     fscil_run,
     harmonic_mean,
 )
-from promix.head import PromptHead, predict, similarity_matrix
-from promix.losses import (
-    LossConfig,
-    ce_loss,
-    confusion_loss,
-    grad_prompt_loss,
-    prompt_loss,
-)
-from promix.mixture import (
-    MixtureModel,
-    MixtureWeights,
-    class_weight_matrix,
-    mixture_predict,
-    mixture_predict_matrix,
-)
+from promix.head import PromptHead, similarity_matrix
+from promix.losses import LossConfig
+from promix.mixture import MixtureModel, MixtureWeights, class_weight_matrix
 from promix.stats import student_t_cdf, t_test_paired_one_sided
 from promix.train import _out_objective_factory
 
@@ -106,7 +101,7 @@ class TestCriterion01GradientOracles:
             y = int(rng.integers(0, c))
             tau = GRID_TAUS[trial % 3]
             w = GRID_WEIGHTS[trial % 4]
-            g = grad_prompt_loss(s, y, tau, w)
+            g = grad_loss(s, y, tau, LossConfig("ce_conf", w=w))
             fd = np.zeros(c)
             for i in range(c):
                 up, down = s.copy(), s.copy()
@@ -239,12 +234,13 @@ class TestCriterion02ShiftInvariance:
             y = int(rng.integers(0, c))
             tau = GRID_TAUS[trial % 3]
             w = GRID_WEIGHTS[trial % 4]
-            worst = max(worst, abs(float(grad_prompt_loss(s, y, tau, w).sum())))
+            g = grad_loss(s, y, tau, LossConfig("ce_conf", w=w))
+            worst = max(worst, abs(float(g.sum())))
         assert worst < 1e-10
         # the sum-to-zero identity holds for the (1 + w p) factor; the
         # printed-with-a-minus variant violates it by w p (1 - p) / tau
         s = np.array([0.8, -0.2, 0.1])
-        p = predict(s, 0.1).probs
+        p = predict(s, 0.1)
         wrong_first_line = -(1 - p[0]) * (1 - 5.0 * p[0]) / 0.1
         rest = (p[1:] * (1 + 5.0 * p[0]) / 0.1).sum()
         assert abs(wrong_first_line + rest) > 1e-3
@@ -267,8 +263,6 @@ class TestCriterion03EnsembleBound:
 
 class TestCriterion04ErrorDecomposition:
     def test_decomposition_reconstructs_total(self):
-        from promix.mixture import decompose_error
-
         rng = np.random.default_rng(44)
         worst = 0.0
         for _ in range(100):
@@ -290,13 +284,9 @@ class TestCriterion04ErrorDecomposition:
                 _unit_rows(rng, n, d), rng.integers(0, c, n), names
             )
             _, total = decompose_error(model, data)
-            # independent oracle: one sample at a time through the scalar path
-            direct = np.mean(
-                [
-                    -np.log(mixture_predict(model, data.vectors[i]).probs[data.labels[i]])
-                    for i in range(n)
-                ]
-            )
+            # independent oracle: one sample at a time, each its own one-row batch
+            rows = (mixture_predict_matrix(model, data.vectors[i][None])[0] for i in range(n))
+            direct = np.mean([-np.log(p[y]) for p, y in zip(rows, data.labels)])
             worst = max(worst, abs(total - float(direct)))
         assert worst < 1e-12
         print(f"PASS criterion 4: decomposition reconstructs the total within {worst:.2e}")

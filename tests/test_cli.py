@@ -366,20 +366,27 @@ class TestPipeline:
         assert len(report["session_acc"]) == 3
 
     @pytest.mark.parametrize(
-        "partition, pointer",
+        "partition, sets, pointer",
         [
             # the default schedule, 19 base classes of 32, leaves 13: no 5-way sessions
-            (None, "/data/synthetic/num_classes"),
-            ({"kind": "session_schedule", "base_size": 4, "way": 3}, "/partition"),
-            ({"kind": "session_schedule", "base_size": 3, "way": 0}, "/partition"),
-            ({"kind": "session_schedule", "base_size": 4, "way": 2, "seed": 3},
+            (None, ["data.synthetic.num_classes=32"], "/data/synthetic/num_classes"),
+            ({"kind": "session_schedule", "base_size": 4, "way": 3}, [], "/partition"),
+            ({"kind": "session_schedule", "base_size": 3, "way": 0}, [], "/partition"),
+            ({"kind": "session_schedule", "base_size": 4, "way": 2, "seed": 3}, [],
              "/partition/seed"),
+            # at 11 classes the default schedule (6 base, one 5-way session) fits, so a
+            # partition fscil would ignore is the only fault
+            ({"kind": "explicit", "sets": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9, 10]]},
+             ["data.synthetic.num_classes=11"], "/partition/kind"),
+            (None, ["data.synthetic.num_classes=11", "partition.seed=3"], "/partition/seed"),
         ],
-        ids=["default_misfit", "schedule_misfit", "way_0", "seed"],
+        ids=["default_misfit", "schedule_misfit", "way_0", "seed", "explicit",
+             "default_kind_seed"],
     )
-    def test_fscil_schedule_errors_name_their_entry(self, run_config, capsys, partition, pointer):
+    def test_fscil_schedule_errors_name_their_entry(self, run_config, capsys, partition, sets,
+                                                    pointer):
         path, out = run_config(**({} if partition is None else {"partition": partition}))
-        args = ["--set", "data.synthetic.num_classes=32"] if partition is None else []
+        args = [a for s in sets for a in ("--set", s)]
         assert main(["fscil", "--config", str(path), *args]) == 1
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
         assert not (out / "report_fscil.json").exists()
@@ -812,3 +819,13 @@ class TestConfigBoundaryFuzz:
         code = main(["tune", "--config", str(path), *args])
         err = capsys.readouterr().err
         assert code == 0 or code == 1 and err.startswith("error: /"), (kind, code, err)
+
+
+def test_readme_entry_points_and_all_resolve():
+    import promix
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library entry points\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(block, {})
+    assert [name for name in promix.__all__ if not hasattr(promix, name)] == []

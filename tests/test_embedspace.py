@@ -23,7 +23,6 @@ from promix.embedspace import (
     NormError,
     SyntheticConfig,
     TruncatedFileError,
-    cosine_similarity,
     generate_synthetic,
     iter_embedding_chunks,
     partition_classes,
@@ -35,39 +34,48 @@ from promix.embedspace import (
     write_embedding_blocks,
     write_embedding_file,
 )
+from promix.head import PromptHead, similarity_matrix
+
+
+def _cosine(a, b) -> float:
+    """Cosine of unit vectors as the pipeline takes it: ``similarity_matrix``
+    of the one-row batch ``a`` against a frozen head whose one anchor is ``b``
+    (the head checks its anchor's norm when it is built)."""
+    head = PromptHead.frozen_from(np.atleast_2d(b), ("b",))
+    return float(similarity_matrix(head, np.atleast_2d(a))[0, 0])
 
 
 class TestCosineSimilarity:
     def test_self_similarity(self):
         e = unit_normalize(np.array([1.0, 2.0, 3.0]))
-        assert cosine_similarity(e, e) == pytest.approx(1.0, abs=1e-12)
+        assert _cosine(e, e) == pytest.approx(1.0, abs=1e-12)
 
     def test_antipodal(self):
         e = unit_normalize(np.array([0.3, -0.4, 0.5]))
-        assert cosine_similarity(e, -e) == pytest.approx(-1.0, abs=1e-12)
+        assert _cosine(e, -e) == pytest.approx(-1.0, abs=1e-12)
 
     def test_against_exact_rational_oracle(self):
         # unit vectors with exactly representable components: 3-4-5 style
         a = np.array([0.6, 0.8, 0.0])
         b = np.array([0.0, 0.6, 0.8])
         expected = fractions.Fraction(6, 10) * 0 + fractions.Fraction(8, 10) * fractions.Fraction(6, 10)
-        assert cosine_similarity(a, b) == pytest.approx(float(expected), abs=1e-15)
+        assert _cosine(a, b) == pytest.approx(float(expected), abs=1e-15)
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             a = unit_normalize(rng.standard_normal(8))
             b = unit_normalize(rng.standard_normal(8))
-            assert cosine_similarity(a, b) == cosine_similarity(b, a)
-            assert abs(cosine_similarity(a, b)) <= 1 + 1e-9
+            assert _cosine(a, b) == _cosine(b, a)
+            assert abs(_cosine(a, b)) <= 1 + 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+            _cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="norm"):
-            cosine_similarity(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+            _cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
 
 class TestGenerateSynthetic:

@@ -5,16 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from conftest import samples
-from promix.embedspace import SyntheticConfig, generate_synthetic, unit_normalize
+from conftest import expected_error, predict, samples
+from promix.embedspace import (
+    EmbeddingSet,
+    SyntheticConfig,
+    generate_synthetic,
+    read_embedding_file,
+    unit_normalize,
+    write_embedding_file,
+)
 from promix.head import (
-    PredictiveDistribution,
+    CheckpointError,
     PromptHead,
-    expected_error,
     load_head,
-    predict,
+    predict_matrix,
     save_head,
-    similarities,
     similarity_matrix,
 )
 
@@ -63,7 +68,7 @@ class TestPromptHead:
 class TestSimilarities:
     def test_self_similarity_is_one(self, small_head):
         eff = small_head.effective_embeddings()
-        s = similarities(small_head, eff[3])
+        s = similarity_matrix(small_head, eff[3][None])[0]
         assert s[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_head_reduces_to_anchor_dots(self):
@@ -71,35 +76,35 @@ class TestSimilarities:
         anchors = _unit_rows(rng, 4, 7)
         head = PromptHead.frozen_from(anchors, [str(i) for i in range(4)])
         x = unit_normalize(rng.standard_normal(7))
-        np.testing.assert_array_equal(similarities(head, x), anchors @ x)
+        np.testing.assert_array_equal(similarity_matrix(head, x[None])[0], anchors @ x)
 
     def test_matches_bruteforce_dots(self, small_head):
         rng = np.random.default_rng(5)
         x = unit_normalize(rng.standard_normal(12))
-        s = similarities(small_head, x)
+        s = similarity_matrix(small_head, x[None])[0]
         eff = small_head.effective_embeddings()
         brute = [sum(float(x[k]) * float(eff[c, k]) for k in range(12)) for c in range(5)]
         np.testing.assert_allclose(s, brute, rtol=1e-12)
 
     def test_dimension_mismatch(self, small_head):
         with pytest.raises(ValueError, match="dimension"):
-            similarities(small_head, np.zeros(9))
+            similarity_matrix(small_head, np.zeros(9)[None])[0]
 
 
 class TestPredict:
     def test_uniform_logits(self):
         p = predict(np.zeros(3), tau=1.0)
-        np.testing.assert_allclose(p.probs, [1 / 3] * 3, atol=1e-15)
+        np.testing.assert_allclose(p, [1 / 3] * 3, atol=1e-15)
 
     def test_two_class_closed_form(self):
         p = predict(np.array([1.0, 0.0]), tau=1.0)
         e = np.e
-        np.testing.assert_allclose(p.probs, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
-        assert p.probs[0] == pytest.approx(0.7311, abs=1e-4)
+        np.testing.assert_allclose(p, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
+        assert p[0] == pytest.approx(0.7311, abs=1e-4)
 
     def test_cold_temperature_saturates(self):
         p = predict(np.array([0.2, 0.0]), tau=0.01)
-        assert p.probs[0] >= 1 - 1e-8
+        assert p[0] >= 1 - 1e-8
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
@@ -107,13 +112,13 @@ class TestPredict:
             s = rng.uniform(-1, 1, 8)
             c = rng.uniform(-100, 100)
             np.testing.assert_allclose(
-                predict(s, 0.05).probs, predict(s + c, 0.05).probs, atol=1e-12
+                predict(s, 0.05), predict(s + c, 0.05), atol=1e-12
             )
 
     def test_temperature_monotonicity(self):
         s = np.array([0.5, 0.1, -0.2])
         taus = [1.0, 0.5, 0.1, 0.05, 0.01]
-        tops = [predict(s, t).probs[0] for t in taus]
+        tops = [predict(s, t)[0] for t in taus]
         assert all(b > a for a, b in zip(tops, tops[1:]))
 
     def test_argmax_preserved(self):
@@ -129,18 +134,18 @@ class TestPredict:
             predict(np.array([1.0, 0.0]), 0.0)
 
     def test_distribution_invariants(self):
-        with pytest.raises(ValueError):
-            PredictiveDistribution(np.array([0.5, 0.6]), 1.0)
-        with pytest.raises(ValueError):
-            PredictiveDistribution(np.array([1.0]), -1.0)
+        rng = np.random.default_rng(8)
+        p = predict_matrix(rng.uniform(-1, 1, (20, 6)), 0.05)
+        assert np.all((p >= 0) & (p <= 1))
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+        with pytest.raises(ValueError, match="positive"):
+            predict_matrix(np.array([[1.0, 0.0]]), -1.0)
 
 
 class TestExpectedError:
     def test_perfect_prediction_is_zero(self):
         anchors = np.eye(2)
         head = PromptHead.frozen_from(anchors, ("a", "b"))
-        from promix.embedspace import EmbeddingSet
-
         data = EmbeddingSet(np.eye(2), np.array([0, 1]), ("a", "b"))
         # gap/tau is 2000: the softmax saturates to an exact one-hot
         assert expected_error(head, data, tau=0.001) == 0.0
@@ -148,8 +153,6 @@ class TestExpectedError:
     def test_uniform_predictor_gives_log_classes(self):
         anchors = np.tile(unit_normalize(np.ones(4)), (4, 1))
         head = PromptHead.frozen_from(anchors, tuple("abcd"))
-        from promix.embedspace import EmbeddingSet
-
         rng = np.random.default_rng(8)
         data = EmbeddingSet(_unit_rows(rng, 6, 4), rng.integers(0, 4, 6), tuple("abcd"))
         assert expected_error(head, data, tau=0.01) == pytest.approx(np.log(4), abs=1e-9)
@@ -160,7 +163,7 @@ class TestExpectedError:
         head = PromptHead.frozen_from(dom.generalized_prototypes, dom.train.class_names)
         total = 0.0
         for vec, label in samples(dom.train):
-            total += -np.log(predict(similarities(head, vec), 0.01).probs[label])
+            total += -np.log(predict(similarity_matrix(head, vec[None])[0], 0.01)[label])
         assert expected_error(head, dom.train, 0.01) == pytest.approx(total / len(dom.train), rel=1e-12)
 
     def test_reorder_invariance(self):
@@ -174,8 +177,6 @@ class TestExpectedError:
         )
 
     def test_empty_set_rejected(self):
-        from promix.embedspace import EmbeddingSet
-
         head = PromptHead.frozen_from(np.eye(2), ("a", "b"))
         empty = EmbeddingSet(np.empty((0, 2)), np.empty(0, dtype=np.int64), ("a", "b"))
         with pytest.raises(ValueError, match="empty"):
@@ -228,4 +229,24 @@ class TestCheckpoint:
         damage(manifest)
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=f"{path}: {pointer}: "):
+            load_head(path)
+
+    def test_frozen_flag_on_a_tuned_head_names_file_and_pointer(self, small_head, tmp_path):
+        path = tmp_path / "head.json"
+        save_head(small_head, 0.01, path)
+        manifest = json.loads(path.read_text())
+        manifest["frozen"] = True
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"{path}: /frozen: "):
+            load_head(path)
+
+    def test_non_unit_anchor_names_file_and_pointer(self, small_head, tmp_path):
+        path = tmp_path / "head.json"
+        save_head(small_head, 0.01, path)
+        data_file = path.with_suffix(".emb")
+        block = read_embedding_file(data_file, check_norms=False)
+        vectors = block.vectors.copy()
+        vectors[small_head.context_len] *= 1.5  # the first anchor row
+        write_embedding_file(EmbeddingSet(vectors, block.labels, block.class_names), data_file)
+        with pytest.raises(CheckpointError, match=f"{path}: /data_file: embedding norm"):
             load_head(path)

@@ -9,18 +9,20 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import ce_plus_mae_loss, focal_loss, gce_loss, grad_loss, loss_value, mae_loss
-from promix import backend
-from promix.head import predict
-from promix.losses import (
-    PROB_FLOOR,
-    LossConfig,
-    batch_loss_grad,
+from conftest import (
     ce_loss,
+    ce_plus_mae_loss,
     confusion_loss,
-    grad_prompt_loss,
+    focal_loss,
+    gce_loss,
+    grad_loss,
+    loss_value,
+    mae_loss,
+    predict,
     prompt_loss,
 )
+from promix import backend
+from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
 
 
 def central_diff(f, s, h=1e-5):
@@ -114,13 +116,13 @@ class TestPointValues:
 
     def test_accepts_predictive_distribution(self):
         dist = predict(np.array([1.0, 0.0]), tau=1.0)
-        assert ce_loss(dist, 0) == pytest.approx(-np.log(dist.probs[0]), rel=1e-12)
+        assert ce_loss(dist, 0) == pytest.approx(-np.log(dist[0]), rel=1e-12)
 
 
 class TestPromptGradient:
     def test_ce_reduction_at_even_odds(self):
         s = np.zeros(2)
-        g = grad_prompt_loss(s, 0, tau=1.0, w=0.0)
+        g = grad_loss(s, 0, 1.0, LossConfig("ce_conf", w=0.0))
         assert g[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_components_sum_to_zero(self):
@@ -131,7 +133,7 @@ class TestPromptGradient:
             y = int(rng.integers(0, c))
             tau = float(rng.choice([1.0, 0.1, 0.01]))
             w = float(rng.choice([0.0, 1.0, 5.0, 7.0]))
-            assert abs(grad_prompt_loss(s, y, tau, w).sum()) < 1e-10
+            assert abs(grad_loss(s, y, tau, LossConfig("ce_conf", w=w)).sum()) < 1e-10
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -141,7 +143,7 @@ class TestPromptGradient:
             y = int(rng.integers(0, c))
             tau = [1.0, 0.1, 0.01][trial % 3]
             w = [0.0, 1.0, 5.0, 7.0][trial % 4]
-            g = grad_prompt_loss(s, y, tau, w)
+            g = grad_loss(s, y, tau, LossConfig("ce_conf", w=w))
             fd = central_diff(lambda v: prompt_loss(predict(v, tau), y, w), s)
             denom = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(g - fd)) / denom < 1e-6
@@ -157,7 +159,7 @@ class TestPromptGradient:
 
     def test_incorrect_class_gradient_grows_with_w(self):
         s = np.array([0.4, 0.1, -0.3])
-        grads = [grad_prompt_loss(s, 0, 0.5, w)[1] for w in (0.0, 1.0, 5.0, 7.0)]
+        grads = [grad_loss(s, 0, 0.5, LossConfig("ce_conf", w=w))[1] for w in (0.0, 1.0, 5.0, 7.0)]
         assert all(b > a for a, b in zip(grads, grads[1:]))
 
 

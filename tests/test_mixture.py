@@ -1,5 +1,5 @@
 """Mixture weights, predictions, the ensemble error bound, the error
-decomposition, weight gradients, and entropy machinery."""
+decomposition, the out-weight entropy hinge and weight gradients."""
 
 import json
 import struct
@@ -9,31 +9,34 @@ import pytest
 
 import promix.head
 import promix.mixture
-from conftest import matched_two_stage, mixture_ce_grad_wrt_weight, two_pass_bound_gap
+from conftest import (
+    decompose_error,
+    matched_two_stage,
+    mixture_ce_grad_wrt_weight,
+    mixture_predict_matrix,
+    outclass_entropies,
+    two_pass_bound_gap,
+)
+from promix import backend
 from promix.embedspace import (
     DomainPartition,
     EmbeddingSet,
     partition_classes,
     unit_normalize,
 )
-from promix.head import PromptHead, predict_matrix, similarity_matrix, expected_error
+from promix.head import PromptHead, predict_matrix, similarity_matrix
 from promix.mixture import (
     MixtureModel,
     MixtureWeights,
     bound_gap,
     class_scale_matrix,
     class_weight_matrix,
-    decompose_error,
-    ent_loss,
     load_weights,
-    mixture_predict,
-    mixture_predict_matrix,
     mixture_scaled_logits,
-    normalized_entropy,
     one_stage_params,
     save_weights,
-    two_stage_params,
 )
+from promix.train import _entropy_rows, _out_objective_factory
 
 
 def _unit_rows(rng, rows, dim):
@@ -95,7 +98,7 @@ class TestMixturePredict:
         model = MixtureModel(heads, MixtureWeights.two_stage([-np.inf], [-np.inf]), part, tau=0.02)
         x = _unit_rows(rng, 1, 8)[0]
         expected = predict_matrix(similarity_matrix(heads[0], x[None, :]), 0.02)[0]
-        np.testing.assert_allclose(mixture_predict(model, x).probs, expected, atol=1e-12)
+        np.testing.assert_allclose(mixture_predict_matrix(model, x[None])[0], expected, atol=1e-12)
 
     def test_full_weight_on_specialized_head(self):
         rng = np.random.default_rng(3)
@@ -105,7 +108,7 @@ class TestMixturePredict:
         model = MixtureModel(heads, weights, part, tau=0.02)
         x = _unit_rows(rng, 1, 8)[0]
         expected = predict_matrix(similarity_matrix(heads[1], x[None, :]), 0.02)[0]
-        np.testing.assert_allclose(mixture_predict(model, x).probs, expected, atol=1e-12)
+        np.testing.assert_allclose(mixture_predict_matrix(model, x[None])[0], expected, atol=1e-12)
 
     def test_uniform_weights_match_mean_similarities(self):
         rng = np.random.default_rng(4)
@@ -413,32 +416,59 @@ class TestMixtureCEGradient:
         weights = MixtureWeights.two_stage([_logit(0.2)], [_logit(0.2)])
         model = MixtureModel(heads, weights, part, tau=0.05)
         x = unit_normalize(np.array([1.0, 0.05]))
-        probs = mixture_predict(model, x).probs
+        probs = mixture_predict_matrix(model, x[None])[0]
         assert int(np.argmax(probs)) != 0
         assert mixture_ce_grad_wrt_weight(model, x, 0, 1) < 0
 
 
-class TestEntropyPieces:
-    def test_normalized_entropy_bounds(self):
-        assert normalized_entropy(np.array([0.25, 0.25, 0.25, 0.25])) == pytest.approx(1.0)
-        assert normalized_entropy(np.array([1.0, 0.0, 0.0])) == 0.0
-        assert normalized_entropy(np.array([0.5, 0.5])) == pytest.approx(1.0)
+def _normalized_entropy(logits) -> float:
+    """Entropy of softmax(logits) over log of the class count, by the
+    out-weight objective's row formula."""
+    z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    h = _entropy_rows(z, backend.kernels.softmax_rows(z), np.argmax(z, axis=1))[0]
+    return float(h[0] / np.log(z.shape[1]))
 
-    def test_requires_two_entries(self):
-        with pytest.raises(ValueError, match="two"):
-            normalized_entropy(np.array([1.0]))
+
+def _out_case(seed):
+    """A one-specialized-head model, six training rows and five out-class anchors."""
+    rng = np.random.default_rng(seed)
+    part = partition_classes(6, "base_new_even_split", seed=3)
+    model = MixtureModel(_heads(rng, 2, 6, 8), MixtureWeights.two_stage([0.0], [0.4]), part,
+                         tau=0.01)
+    return model, _unit_rows(rng, 6, 8), _unit_rows(rng, 5, 8)
+
+
+class TestEntropyPieces:
+    """The out-weight hinge mean(max(0, H_gen - H_spec + d)) on normalized
+    entropies, as ``_out_objective_factory`` computes it."""
+
+    def test_normalized_entropy_bounds(self):
+        assert _normalized_entropy([0.0, 0.0, 0.0, 0.0]) == pytest.approx(1.0)
+        assert _normalized_entropy([1000.0, 0.0, 0.0]) == 0.0
+        assert _normalized_entropy([0.0, 0.0]) == pytest.approx(1.0)
 
     def test_ent_loss_hinge(self):
-        assert ent_loss(0.3, 0.8, 0.2) == 0.0
-        assert ent_loss(0.9, 0.5, 0.2) == pytest.approx(0.6, abs=1e-15)
-        assert ent_loss(0.25, 0.75, 0.5) == 0.0  # boundary: H_i = H_0 + d
+        model, x, out = _out_case(15)
+        h0, hi = outclass_entropies(model, x[0], out, prompt=1)
+        theta = model.weights.raw(1, "out")
+
+        def loss(margin):
+            return _out_objective_factory(model, x[:1], out, 1, margin, 1.0)(theta)[0]
+
+        assert loss(hi - h0 - 0.1) == 0.0
+        assert loss(hi - h0 + 0.6) == pytest.approx(0.6, abs=1e-12)
+        assert loss(hi - h0) == pytest.approx(0.0, abs=1e-12)  # boundary: H_i = H_0 + d
 
     def test_ent_loss_monotonicity(self):
         rng = np.random.default_rng(16)
-        for _ in range(100):
-            h0, hi, d = rng.uniform(0, 1, 3)
-            assert ent_loss(h0, hi + 0.05, d) <= ent_loss(h0, hi, d)
-            assert ent_loss(h0, hi, min(d + 0.05, 1.0)) >= ent_loss(h0, hi, d)
+        model, x, out = _out_case(16)
+        for _ in range(20):
+            theta, d = rng.uniform(-3, 3), rng.uniform(0, 1)
+            loss = _out_objective_factory(model, x, out, 1, d, 1.0)
+            # a smaller weight flattens the specialized head: no larger loss
+            assert loss(theta - 0.05)[0] <= loss(theta)[0]
+            wider = _out_objective_factory(model, x, out, 1, min(d + 0.05, 1.0), 1.0)
+            assert wider(theta)[0] >= loss(theta)[0]
 
 
 class TestParameterizations:
@@ -458,14 +488,19 @@ class TestParameterizations:
         assert tau == pytest.approx(0.0075, rel=1e-12)
 
     def test_two_stage_uniform_at_zero(self):
-        np.testing.assert_allclose(two_stage_params([0.0, 0.0]), [1 / 3] * 3, atol=1e-15)
+        part = partition_classes(4, "explicit", sets=[[0, 1], [2, 3]])
+        w = class_weight_matrix(MixtureWeights.two_stage([0.0], [0.0]), part)
+        np.testing.assert_allclose(w, 0.5, atol=1e-15)
 
     def test_two_stage_saturates(self):
-        pi = two_stage_params([50.0])
-        assert pi[1] == pytest.approx(1.0, abs=1e-12)
+        part = partition_classes(4, "explicit", sets=[[0, 1], [2, 3]])
+        w = class_weight_matrix(MixtureWeights.two_stage([50.0], [50.0]), part)
+        np.testing.assert_allclose(w[1], 1.0, atol=1e-12)
 
     def test_two_stage_log3(self):
-        np.testing.assert_allclose(two_stage_params([np.log(3.0)]), [0.25, 0.75], atol=1e-12)
+        part = partition_classes(4, "explicit", sets=[[0, 1], [2, 3]])
+        w = class_weight_matrix(MixtureWeights.two_stage([np.log(3.0)], [np.log(3.0)]), part)
+        np.testing.assert_allclose(w.T, [[0.25, 0.75]] * 4, atol=1e-12)
 
     def test_equivalence_of_matched_configurations(self):
         rng = np.random.default_rng(17)
