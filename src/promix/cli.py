@@ -182,6 +182,16 @@ def _check_pool_file(cfg: RunConfig, dim: int) -> np.ndarray | None:
     return pool.vectors
 
 
+def _check_pool_size(cfg: RunConfig, pool: np.ndarray | None, in_class_size: int) -> None:
+    """The draw's random words (random_word: all, mixed: half, floored) must fit the pool."""
+    n = cfg.outclass.count or in_class_size
+    need = {"random_word": n, "mixed": n // 2}.get(cfg.outclass.kind, 0)
+    have = cfg.pool_size if pool is None else len(pool)
+    if need > have:
+        pointer = "/outclass/pool_file" if cfg.pool_file else "/outclass/pool_size"
+        raise ConfigError(f"pool exhausted: need {need}, have {have}", pointer)
+
+
 def _partition_for(cfg: RunConfig, n_classes: int, seed: int):
     spec = cfg.partition or {"kind": "base_new_even_split"}
     try:
@@ -269,11 +279,12 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     out = _out_dir(cfg)
     (out / "heads").mkdir(exist_ok=True)
     dim, domain = _domain_source(cfg)
-    _check_pool_file(cfg, dim)
+    pool = _check_pool_file(cfg, dim)
     metrics = {}
     for seed in sorted(cfg.seeds):
         train, anchors, _test = domain(seed)
         partition, base = _tuning_split(cfg, train, seed)
+        _check_pool_size(cfg, pool, len(partition.subsets[1]))
         head_ce, mix_head, mix_tau, traces = tune_base_new_heads(
             cfg, base, anchors, partition, seed
         )
@@ -310,6 +321,7 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
         mix_head, mix_tau = load_head(paths["conf"])
         train, anchors, _test = domain(seed)
         partition, base = _tuning_split(cfg, train, seed)
+        _check_pool_size(cfg, pool, len(partition.subsets[1]))
         out_anchors = outclass_anchors(cfg, dim, seed, len(partition.subsets[1]), pool)
         fit = fit_base_new_weights(
             replace(cfg, tau=tau), mix_head, mix_tau, base, anchors, partition,
@@ -377,11 +389,13 @@ def fscil(config_path: str, overrides: tuple[str, ...]) -> None:
         if scheduled:
             way = cfg.fscil_way if spec.get("way") is None else spec["way"]
             harness = replace(cfg, fscil_base_size=spec.get("base_size"), fscil_way=way)
-        fscil_partition(harness, cfg.synthetic.num_classes, cfg.seed)
+        partition = fscil_partition(harness, cfg.synthetic.num_classes, cfg.seed)
     except ValueError as exc:
         pointer = "/partition" if scheduled else "/data/synthetic/num_classes"
         raise ConfigError(str(exc), pointer) from exc
-    report = fscil_run(harness, config_hash=cfg.config_hash())
+    pool = _check_pool_file(cfg, cfg.synthetic.dim)
+    _check_pool_size(cfg, pool, len(partition.subsets[1]))
+    report = fscil_run(harness, config_hash=cfg.config_hash(), pool=pool)
     report.write(out / "report_fscil.json")
     (out / "report_fscil.csv").write_text(fscil_csv(report))
     _write_manifest(

@@ -1,8 +1,9 @@
 """Run configuration: one JSON document drives every command.
 
-A RunConfig is the harnesses' HarnessConfig plus the five fields only the
+A RunConfig is the harnesses' HarnessConfig plus the six fields only the
 command line reads: ``out_dir``, the top-level ``seed``, the data
-``files``, the ``partition`` and the out-class ``pool_file``. The schema
+``files``, the ``partition``, the out-class ``pool_file`` and the ``loss``
+parameters of the ``losses`` zoo, whose kind each row sets. The schema
 is validated strictly: unknown keys are rejected and every error carries
 the JSON pointer of the offending entry. The parser checks the document's
 shape (objects, keys and types); each value's range is checked by the
@@ -89,6 +90,7 @@ class RunConfig(HarnessConfig):
 
     out_dir: str = "runs/default"
     seed: int = 0
+    loss: LossConfig = LossConfig()
     files: dict | None = None
     partition: dict | None = None
     pool_file: str | None = None
@@ -181,7 +183,8 @@ def parse_config(raw: dict) -> RunConfig:
     values = {
         "synthetic": synthetic,
         "hyper": _section(raw.get("hyper", {}), HyperParams, "/hyper"),
-        "loss": _section(raw.get("loss", {}), LossConfig, "/loss"),
+        # each row of the `losses` zoo sets its own kind, so a loss kind would go unread
+        "loss": _section(raw.get("loss", {}), LossConfig, "/loss", skip=("kind",)),
         "optimizer": _section(raw.get("optimizer", {}), OptimizerConfig, "/optimizer",
                               skip=("seed",)),
         "outclass": outclass,

@@ -45,7 +45,7 @@ import itertools
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -299,7 +299,6 @@ class SyntheticDomain:
     test: EmbeddingSet
     generalized_prototypes: np.ndarray
     true_prototypes: np.ndarray
-    config: SyntheticConfig = field(compare=False)
 
 
 def _row_norms(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -455,7 +454,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDomain:
     one set."""
     parts = synthetic_parts(config)
     return SyntheticDomain(
-        parts.train, parts.test_set(), parts.generalized_prototypes, parts.true_prototypes, config
+        parts.train, parts.test_set(), parts.generalized_prototypes, parts.true_prototypes
     )
 
 

@@ -149,11 +149,11 @@ def classify_samples(
 @dataclass(frozen=True)
 class HarnessConfig:
     """Shared configuration for the benchmark harnesses. Construction checks
-    each field's range and raises a FieldError naming the first bad one."""
+    each field's range and raises a FieldError naming the first bad one.
+    The harnesses build their losses by role: plain CE, and :attr:`conf_loss`."""
 
     synthetic: SyntheticConfig = SyntheticConfig()
     hyper: HyperParams = HyperParams()
-    loss: LossConfig = LossConfig()
     optimizer: OptimizerConfig = OptimizerConfig()
     outclass: OutclassStrategy = OutclassStrategy()
     parameterization: str = "two_stage"
@@ -185,8 +185,8 @@ class HarnessConfig:
 
     @property
     def conf_loss(self) -> LossConfig:
-        """The CoA-loss: ``loss`` as ce_conf with the method's w, ``hyper.conf_weight``."""
-        return replace(self.loss, kind="ce_conf", w=self.hyper.conf_weight)
+        """The CoA-loss: ce_conf with the method's w, ``hyper.conf_weight``."""
+        return LossConfig("ce_conf", w=self.hyper.conf_weight)
 
 
 @dataclass
@@ -194,18 +194,16 @@ class EvalReport:
     """Result container shared by the harnesses; unused sections stay None.
 
     ``per_config`` maps configuration name -> {"base", "new", "h"};
-    ``session_acc`` lists per-session accuracies with ``mean_acc`` and
-    ``pd`` (first minus last); ``t_tests`` holds the assumption-check
-    statistics; ``extra`` carries harness-specific details (margins,
-    per-seed values, category counts).
+    ``session_acc`` lists per-session accuracies, from which the properties
+    ``mean_acc`` and ``pd`` (first minus last) derive; ``t_tests`` holds the
+    assumption-check statistics; ``extra`` carries harness-specific details
+    (margins, per-seed values, category counts).
     """
 
     kind: str
     config_hash: str = ""
     per_config: dict | None = None
     session_acc: list[float] | None = None
-    mean_acc: float | None = None
-    pd: float | None = None
     category_counts: dict | None = None
     t_tests: dict | None = None
     extra: dict = field(default_factory=dict)
@@ -221,12 +219,20 @@ class EvalReport:
         if self.session_acc is not None:
             if any(not 0.0 <= a <= 100.0 for a in self.session_acc):
                 raise ValueError("session accuracy out of [0, 100]")
-            expected_pd = self.session_acc[0] - self.session_acc[-1]
-            if self.pd is None or abs(self.pd - expected_pd) > 1e-9:
-                raise ValueError("pd must equal first minus last session accuracy")
+
+    @property
+    def mean_acc(self) -> float | None:
+        acc = self.session_acc
+        return None if acc is None else float(np.mean(acc))
+
+    @property
+    def pd(self) -> float | None:
+        acc = self.session_acc
+        return None if acc is None else float(acc[0] - acc[-1])
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        doc = {**asdict(self), "mean_acc": self.mean_acc, "pd": self.pd}
+        return {k: v for k, v in doc.items() if v is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -287,9 +293,9 @@ def outclass_anchors(
     cfg: HarnessConfig, dim: int, seed: int, in_class_size: int, pool: np.ndarray | None = None
 ) -> np.ndarray:
     """Surrogate out-class anchors for one seed. Random words come from the
-    word vectors ``pool`` when given, else from a generated pool of
-    ``cfg.pool_size`` words (seed + 7919); the draw uses seed + 104729."""
-    if pool is None:
+    word vectors ``pool`` when given, else from a pool of ``cfg.pool_size``
+    words generated (seed + 7919) for the kinds that read one; the draw uses seed + 104729."""
+    if pool is None and cfg.outclass.kind in ("random_word", "mixed"):
         pool = generate_vocab_pool(dim, cfg.pool_size, seed=seed + 7919)
     return generate_outclass(
         cfg.outclass, dim, seed=seed + 104729, vocab_pool=pool, in_class_size=in_class_size
@@ -445,7 +451,7 @@ def tune_base_new_heads(
     if not np.isin(base_set.labels, partition.subsets[1]).all():
         raise ValueError("the base split holds rows of classes outside partition.subsets[1]")
     opt = replace(cfg.optimizer, seed=seed)
-    ce_loss = replace(cfg.loss, kind="ce")
+    ce_loss = LossConfig("ce")
     run = subset_run(anchors, base_set.class_names, base_set, partition.subsets[1], ce_loss,
                      opt, cfg.hyper.context_len, seed, cfg.tau)
     head_ce, trace_ce = tune_prompt(run.init, base_set, ce_loss, opt, cfg.tau, run.classes)
@@ -558,7 +564,7 @@ def fscil_partition(cfg: HarnessConfig, n_classes: int, seed: int) -> DomainPart
                              way=cfg.fscil_way)
 
 
-def _fscil_group(cfg: HarnessConfig, seeds: Sequence[int]) -> list[dict]:
+def _fscil_group(pool: np.ndarray | None, cfg: HarnessConfig, seeds: Sequence[int]) -> list[dict]:
     """The incremental-session protocol for each of ``seeds``. Session heads do
     not depend on earlier weights, so every seed's are tuned first, in one call
     that steps sessions of equal row counts in lockstep; then seed by seed."""
@@ -571,12 +577,12 @@ def _fscil_group(cfg: HarnessConfig, seeds: Sequence[int]) -> list[dict]:
         for seed, p, partition in zip(seeds, parts, partitions)
         for session, subset in enumerate(partition.subsets[1:], start=1)
     ]))
-    return [_fscil_sessions(cfg, seed, p, partition, tuned)
+    return [_fscil_sessions(cfg, seed, p, partition, tuned, pool)
             for seed, p, partition in zip(seeds, parts, partitions)]
 
 
 def _fscil_sessions(cfg: HarnessConfig, seed: int, parts: SyntheticParts,
-                    partition: DomainPartition, tuned: Iterator) -> dict:
+                    partition: DomainPartition, tuned: Iterator, pool: np.ndarray | None) -> dict:
     """One seed's sessions in order, each with the next head of ``tuned``: it
     fits its weights and scores the mixture on the test split, drawn here."""
     test = parts.test_set()
@@ -586,8 +592,8 @@ def _fscil_sessions(cfg: HarnessConfig, seed: int, parts: SyntheticParts,
     opt = replace(cfg.optimizer, seed=seed)
 
     heads: list[PromptHead] = [t0]
-    alphas_in: list[float] = []
-    alphas_out: list[float] = []
+    raw_in: list[float] = []
+    raw_out: list[float] = []
     session_acc: list[float] = []
     seen: np.ndarray = np.empty(0, dtype=np.int64)
 
@@ -595,17 +601,17 @@ def _fscil_sessions(cfg: HarnessConfig, seed: int, parts: SyntheticParts,
         session_classes = partition.subsets[session]
         seen = np.sort(np.concatenate([seen, session_classes]))
         heads.append(next(tuned)[0])
-        alphas_in.append(0.0)
-        alphas_out.append(0.0)
+        raw_in.append(0.0)
+        raw_out.append(0.0)
 
         unseen = np.setdiff1d(np.arange(len(names)), seen)
         subsets = [unseen] + [partition.subsets[i] for i in range(1, session + 1)]
         model_partition = DomainPartition(tuple(subsets))
-        weights = MixtureWeights.two_stage(alphas_in, alphas_out)
+        weights = MixtureWeights.two_stage(raw_in, raw_out)
         model = MixtureModel(tuple(heads), weights, model_partition, tau=cfg.tau)
 
         if session == 1:
-            out_anchors = outclass_anchors(cfg, cfg.synthetic.dim, seed, len(session_classes))
+            out_anchors = outclass_anchors(cfg, cfg.synthetic.dim, seed, len(session_classes), pool)
             weight_epochs = FSCIL_INITIAL_WEIGHT_EPOCHS
         else:
             previous = np.concatenate(
@@ -619,8 +625,8 @@ def _fscil_sessions(cfg: HarnessConfig, seed: int, parts: SyntheticParts,
             replace(cfg.hyper, margin=FSCIL_MARGIN), opt,
             prompt=session, classes=seen, epochs=weight_epochs,
         )
-        alphas_in = list(model.weights.alphas_in)
-        alphas_out = list(model.weights.alphas_out)
+        raw_in = list(model.weights.raw_in)
+        raw_out = list(model.weights.raw_out)
 
         keyed = {str(k): h for k, h in enumerate(model.heads)}
         scorers = {"mixture": (tuple(keyed), model), "t0": (("0",), None)}
@@ -637,22 +643,21 @@ def _fscil_sessions(cfg: HarnessConfig, seed: int, parts: SyntheticParts,
     }
 
 
-def fscil_run(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
-    """Class-incremental protocol: per session, tune a short-context head
-    on the session's classes, fit its weights (out-class anchors come from
-    previous sessions after the first), then score the accumulated mixture
-    on every class seen so far. Weights use the two_stage parameterization
-    regardless of the configured one; a single-temperature coupling is
-    undefined past one specialized head."""
-    runs = _run_seeds(_fscil_group, cfg, sorted(cfg.seeds))
+def fscil_run(cfg: HarnessConfig, config_hash: str = "",
+              pool: np.ndarray | None = None) -> EvalReport:
+    """Class-incremental protocol: per session, tune a short-context head on the
+    session's classes, fit its weights (the first session's out-class anchors are
+    drawn by :func:`outclass_anchors` from ``pool``, later ones are the previous
+    sessions' classes), then score the accumulated mixture on every class seen so
+    far. Weights use the two_stage parameterization regardless of the configured
+    one; a single-temperature coupling is undefined past one specialized head."""
+    runs = _run_seeds(functools.partial(_fscil_group, pool), cfg, sorted(cfg.seeds))
     acc = np.mean([r["session_acc"] for r in runs], axis=0)
     session_acc = [float(a) for a in acc]
     return EvalReport(
         kind="fscil",
         config_hash=config_hash,
         session_acc=session_acc,
-        mean_acc=float(np.mean(session_acc)),
-        pd=float(session_acc[0] - session_acc[-1]),
         extra={
             "seeds": list(sorted(cfg.seeds)),
             "final_first_session_acc": float(
@@ -741,7 +746,7 @@ def _confusing_runs(cfg: HarnessConfig, seed: int) -> tuple[list[TuneRun], dict,
     anchors, names = parts.generalized_prototypes, parts.train.class_names
     # the twins share rows, batch order and init
     init = PromptHead.with_random_context(anchors, names, cfg.hyper.context_len, seed)
-    losses = {"ce": replace(cfg.loss, kind="ce"), "conf": cfg.conf_loss}
+    losses = {"ce": LossConfig("ce"), "conf": cfg.conf_loss}
     means: dict[str, list[np.ndarray]] = {key: [] for key in losses}
     runs = [TuneRun(init, parts.train, loss, replace(cfg.optimizer, seed=seed), cfg.tau,
                     epoch_hook=lambda _, head, kept=means[key]: kept.append(head.context.mean(0)))

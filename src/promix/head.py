@@ -35,12 +35,12 @@ CONTEXT_INIT_STD = 0.02
 
 @dataclass(frozen=True)
 class PromptHead:
-    """Immutable head: anchors plus shared learnable context vectors."""
+    """Immutable head: anchors plus shared learnable context vectors. A head
+    is frozen exactly when it has no context vectors."""
 
     context: np.ndarray
     anchors: np.ndarray
     class_names: tuple[str, ...]
-    frozen: bool = False
 
     def __post_init__(self):
         context = np.ascontiguousarray(np.asarray(self.context, dtype=np.float64))
@@ -52,8 +52,6 @@ class PromptHead:
         if anchors.shape[0] != len(self.class_names):
             raise ValueError("one anchor per class name required")
         check_unit(anchors, NORM_TOLERANCE)
-        if self.frozen and context.shape[0] != 0:
-            raise ValueError("a frozen head must not carry context vectors")
         context.setflags(write=False)
         anchors.setflags(write=False)
         object.__setattr__(self, "context", context)
@@ -75,7 +73,7 @@ class PromptHead:
     @classmethod
     def frozen_from(cls, anchors: np.ndarray, class_names: Sequence[str]) -> "PromptHead":
         a = np.asarray(anchors, dtype=np.float64)
-        return cls(np.empty((0, a.shape[1])), a, tuple(class_names), frozen=True)
+        return cls(np.empty((0, a.shape[1])), a, tuple(class_names))
 
     @classmethod
     def with_random_context(
@@ -93,17 +91,12 @@ class PromptHead:
         return cls(ctx, a, tuple(class_names))
 
     def with_context(self, context: np.ndarray) -> "PromptHead":
-        return PromptHead(context, self.anchors, self.class_names, frozen=False)
+        return PromptHead(context, self.anchors, self.class_names)
 
     def restrict(self, classes: Sequence[int]) -> "PromptHead":
         """Head over a class subset; context is shared with the original."""
         idx = np.asarray(list(classes), dtype=np.int64)
-        return PromptHead(
-            self.context,
-            self.anchors[idx],
-            tuple(self.class_names[i] for i in idx),
-            frozen=self.frozen,
-        )
+        return PromptHead(self.context, self.anchors[idx], tuple(self.class_names[i] for i in idx))
 
     def effective_embeddings(self, anchors: np.ndarray | None = None) -> np.ndarray:
         """Unit-norm per-class embeddings: renormalize(anchor + mean(context)).
@@ -159,7 +152,7 @@ def save_head(head: PromptHead, tau: float, path) -> None:
         "dim": head.dim,
         "class_names": list(head.class_names),
         "tau": tau,
-        "frozen": head.frozen,
+        "frozen": head.context_len == 0,
         "data_file": data_file.name,
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -217,10 +210,10 @@ def load_head(path) -> tuple[PromptHead, float]:
     if block.vectors.shape[0] != m + len(names):
         raise CheckpointError(f"{path}: /class_names: anchor count does not match class list")
     entry("/dim", lambda v: type(v) is int and v == block.dim, f"the data file's {block.dim}")
-    if frozen and m:
-        raise CheckpointError(f"{path}: /frozen: a frozen head must not carry context vectors")
+    if frozen != (m == 0):
+        raise CheckpointError(f"{path}: /frozen: a head is frozen exactly when it has no context")
     try:
-        head = PromptHead(block.vectors[:m], block.vectors[m:], tuple(names), frozen=frozen)
+        head = PromptHead(block.vectors[:m], block.vectors[m:], tuple(names))
     except ValueError as exc:
         raise CheckpointError(f"{path}: /data_file: {exc}") from exc
     return head, float(tau)

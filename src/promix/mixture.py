@@ -65,42 +65,50 @@ def one_stage_params(tau_1: float, tau_0: float = DEFAULT_TAU) -> tuple[float, f
 
 @dataclass(frozen=True)
 class MixtureWeights:
-    """Per-prompt in/out weights plus the raw parameters behind them.
+    """The raw parameters behind each specialized head's in/out weights.
 
-    ``in_weights[i-1]`` and ``out_weights[i-1]`` belong to specialized
-    head i. Raw parameters are kept so optimization state survives
-    checkpointing: logits for two_stage, temperatures for one_stage.
+    ``raw_in[i-1]`` and ``raw_out[i-1]`` belong to specialized head i: logits
+    for two_stage, temperatures for one_stage. The weights themselves,
+    ``in_weights`` and ``out_weights``, are derived from them on each read.
     """
 
     parameterization: str
-    in_weights: np.ndarray
-    out_weights: np.ndarray
-    alphas_in: np.ndarray | None = None
-    alphas_out: np.ndarray | None = None
-    tau_in: float | None = None
-    tau_out: float | None = None
+    raw_in: np.ndarray
+    raw_out: np.ndarray
     tau_0: float = DEFAULT_TAU
 
     def __post_init__(self):
         if self.parameterization not in PARAMETERIZATIONS:
             raise ValueError(f"unknown parameterization {self.parameterization!r}")
-        inw = np.ascontiguousarray(np.asarray(self.in_weights, dtype=np.float64))
-        outw = np.ascontiguousarray(np.asarray(self.out_weights, dtype=np.float64))
-        if inw.shape != outw.shape or inw.ndim != 1:
-            raise ValueError("in/out weights must be 1-d arrays of equal length")
-        for arr in (inw, outw):
+        raw_in, raw_out = (np.array(r, np.float64, ndmin=1) for r in (self.raw_in, self.raw_out))
+        if raw_in.shape != raw_out.shape or raw_in.ndim != 1:
+            raise ValueError("in/out parameters must be 1-d arrays of equal length")
+        if self.parameterization == "one_stage" and raw_in.shape[0] != 1:
+            raise ValueError("one_stage is only defined for a single specialized head")
+        raw_in.setflags(write=False)
+        raw_out.setflags(write=False)
+        object.__setattr__(self, "raw_in", raw_in)
+        object.__setattr__(self, "raw_out", raw_out)
+        for arr in (self.in_weights, self.out_weights):
             if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails both comparisons
                 raise ValueError("weights must lie in [0, 1]")
-        if self.parameterization == "one_stage" and inw.shape[0] != 1:
-            raise ValueError("one_stage is only defined for a single specialized head")
-        inw.setflags(write=False)
-        outw.setflags(write=False)
-        object.__setattr__(self, "in_weights", inw)
-        object.__setattr__(self, "out_weights", outw)
+
+    def _weights(self, raw: np.ndarray) -> np.ndarray:
+        if self.parameterization == "two_stage":
+            return sigmoid(raw)
+        return np.array([one_stage_params(raw[0], self.tau_0)[0]])
+
+    @property
+    def in_weights(self) -> np.ndarray:
+        return self._weights(self.raw_in)
+
+    @property
+    def out_weights(self) -> np.ndarray:
+        return self._weights(self.raw_out)
 
     @property
     def num_specialized(self) -> int:
-        return self.in_weights.shape[0]
+        return self.raw_in.shape[0]
 
     @classmethod
     def uniform(cls, k: int) -> "MixtureWeights":
@@ -109,46 +117,24 @@ class MixtureWeights:
 
     @classmethod
     def two_stage(cls, alphas_in, alphas_out, tau_0: float = DEFAULT_TAU) -> "MixtureWeights":
-        a_in = np.atleast_1d(np.asarray(alphas_in, dtype=np.float64))
-        a_out = np.atleast_1d(np.asarray(alphas_out, dtype=np.float64))
-        return cls(
-            "two_stage",
-            sigmoid(a_in),
-            sigmoid(a_out),
-            alphas_in=a_in,
-            alphas_out=a_out,
-            tau_0=tau_0,
-        )
+        return cls("two_stage", alphas_in, alphas_out, tau_0)
 
     @classmethod
     def one_stage(cls, tau_in: float, tau_out: float, tau_0: float = DEFAULT_TAU) -> "MixtureWeights":
-        pi_in, _ = one_stage_params(tau_in, tau_0)
-        pi_out, _ = one_stage_params(tau_out, tau_0)
-        return cls(
-            "one_stage",
-            np.array([pi_in]),
-            np.array([pi_out]),
-            tau_in=tau_in,
-            tau_out=tau_out,
-            tau_0=tau_0,
-        )
+        return cls("one_stage", tau_in, tau_out, tau_0)
 
     def raw(self, prompt: int, side: str) -> float:
         """The raw parameter weight fitting descends for head ``prompt``'s
         ``side`` ("in" or "out") weight: the two_stage logit alpha or the
         one_stage log tau."""
-        if self.parameterization == "two_stage":
-            return float((self.alphas_in if side == "in" else self.alphas_out)[prompt - 1])
-        return float(np.log(self.tau_in if side == "in" else self.tau_out))
+        value = (self.raw_in if side == "in" else self.raw_out)[prompt - 1]
+        return float(value if self.parameterization == "two_stage" else np.log(value))
 
     def with_raw(self, prompt: int, side: str, theta: float) -> "MixtureWeights":
         """New weights with the raw parameter read by :meth:`raw` set to theta."""
-        if self.parameterization == "two_stage":
-            alphas = {"in": self.alphas_in.copy(), "out": self.alphas_out.copy()}
-            alphas[side][prompt - 1] = theta
-            return MixtureWeights.two_stage(alphas["in"], alphas["out"], tau_0=self.tau_0)
-        taus = {"in": self.tau_in, "out": self.tau_out, side: float(np.exp(theta))}
-        return MixtureWeights.one_stage(taus["in"], taus["out"], tau_0=self.tau_0)
+        raw = {"in": self.raw_in.copy(), "out": self.raw_out.copy()}
+        raw[side][prompt - 1] = theta if self.parameterization == "two_stage" else np.exp(theta)
+        return MixtureWeights(self.parameterization, raw["in"], raw["out"], self.tau_0)
 
     def coefficient(self, theta: float, tau: float = 1.0) -> tuple[float, float]:
         """(a, d log a / d theta), a the factor raw parameter theta puts on its
@@ -159,9 +145,9 @@ class MixtureWeights:
         return float(np.exp(-theta)), -1.0
 
     def to_dict(self) -> dict:
-        raw = ({"alphas_in": list(self.alphas_in), "alphas_out": list(self.alphas_out)}
+        raw = ({"alphas_in": list(self.raw_in), "alphas_out": list(self.raw_out)}
                if self.parameterization == "two_stage"
-               else {"tau_in": self.tau_in, "tau_out": self.tau_out})
+               else {"tau_in": float(self.raw_in[0]), "tau_out": float(self.raw_out[0])})
         return {
             "parameterization": self.parameterization,
             "tau_0": self.tau_0,
@@ -218,8 +204,9 @@ def class_weight_matrix(weights: MixtureWeights, partition: DomainPartition) -> 
         )
     owners = partition.owner_of()
     w = np.zeros((k + 1, partition.num_classes))
+    in_w, out_w = weights.in_weights, weights.out_weights
     for i in range(1, k + 1):
-        w[i] = np.where(owners == i, weights.in_weights[i - 1], weights.out_weights[i - 1])
+        w[i] = np.where(owners == i, in_w[i - 1], out_w[i - 1])
     specialized = w[1:].sum(axis=0)
     w[0] = np.maximum(1.0 - specialized, 0.0)
     w /= np.maximum(specialized, 1.0)[None, :]
@@ -263,7 +250,7 @@ def class_scale_matrix(model: MixtureModel) -> np.ndarray:
     by class owner; two_stage: ``class_weight_matrix`` over tau."""
     w = model.weights
     if w.parameterization == "one_stage":
-        tau_spec = np.where(model.partition.owner_of() == 1, w.tau_in, w.tau_out)
+        tau_spec = np.where(model.partition.owner_of() == 1, w.raw_in[0], w.raw_out[0])
         return np.stack([np.full(model.num_classes, 1.0 / w.tau_0), 1.0 / tau_spec])
     return class_weight_matrix(w, model.partition) / model.tau
 

@@ -30,8 +30,8 @@ class OutclassStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise FieldError("kind", f"must be one of {STRATEGY_KINDS}, got {self.kind!r}")
-        if self.kind != "none" and self.count is not None and self.count < 2:
-            raise FieldError("count", "must be at least 2: out-class sets need at least 2 anchors")
+        if self.count is not None and (self.kind == "none" or self.count < 2):
+            raise FieldError("count", "must be unset under kind none, else at least 2 anchors")
 
     def resolved_count(self, in_class_size: int) -> int:
         n = in_class_size if self.count is None else self.count

@@ -316,7 +316,7 @@ def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, float, list[
     groups: dict[tuple, list[int]] = {}
     for i, run in enumerate(runs):
         head, rows, _ = run.local()
-        if run.init.frozen or run.init.context_len == 0:
+        if run.init.context_len == 0:
             raise ValueError("cannot tune a frozen head (no context vectors)")
         if len(rows) == 0:
             raise ValueError("empty training set")

@@ -244,7 +244,7 @@ def outclass_entropies(model, x, out_anchors, prompt: int) -> tuple[float, float
     """(H_generalized, H_specialized) for one embedding on the out-class
     set, read from the out-weight objective's own entropy formula."""
     w = model.weights
-    scale = (1.0 / w.tau_out if w.parameterization == "one_stage"
+    scale = (1.0 / w.raw_out[0] if w.parameterization == "one_stage"
              else w.out_weights[prompt - 1] / model.tau)
     x, entropies = np.asarray(x, dtype=np.float64)[None, :], []
     for head, a in ((model.heads[0], 1.0 / model.tau), (model.heads[prompt], scale)):

@@ -61,6 +61,14 @@ def _files_config(path, data_dir, tmp_path):
     return path2
 
 
+def _write_pool(tmp_path, rows, dim=16):
+    """An EMB1 vocabulary pool of ``rows`` random unit words."""
+    words = unit_normalize(np.random.default_rng(rows).standard_normal((rows, dim)))
+    write_embedding_file(EmbeddingSet(words, np.zeros(rows, np.int64), ("word",)),
+                         tmp_path / "pool.emb")
+    return tmp_path / "pool.emb"
+
+
 def _tree_bytes(root):
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -100,11 +108,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="/loss/kind"):
             parse_config({"loss": {"kind": "hinge"}})
 
+    @pytest.mark.parametrize("kind", ["ce_conf", "gce"])
+    def test_loss_kind_is_unread_so_rejected(self, kind):
+        # every row of the losses zoo sets its own kind
+        with pytest.raises(ConfigError, match="^/loss/kind: unknown key"):
+            parse_config({"loss": {"kind": kind}})
+
     def test_overrides(self):
-        raw = apply_overrides({}, ["optimizer.epochs=7", "loss.kind=\"gce\"", "seeds=[1,2]"])
+        raw = apply_overrides({}, ["optimizer.epochs=7", "loss.q=0.5", "seeds=[1,2]"])
         cfg = parse_config(raw)
         assert cfg.optimizer.epochs == 7
-        assert cfg.loss.kind == "gce"
+        assert cfg.loss.q == 0.5
         assert cfg.seeds == (1, 2)
 
     def test_bad_override_shape(self):
@@ -134,11 +148,11 @@ class TestConfigParsing:
             ),
             (
                 {
-                    "hyper": {"margin": 0.1}, "loss": {"kind": "gce", "q": 0.5},
+                    "hyper": {"margin": 0.1}, "loss": {"q": 0.5},
                     "weights": {"parameterization": "one_stage"}, "tau": 0.05, "jobs": 2,
                     "seeds": [3, 1],
                 },
-                "c6f53a28e2f3f746",
+                "c5936b360554e47d",
             ),
         ],
     )
@@ -296,6 +310,8 @@ class TestPipeline:
             ("hyper.context_len=0", "/hyper/context_len"),
             ('weights.parameterization="bogus"', "/weights/parameterization"),
             ('outclass.kind="web_api"', "/outclass/kind"),
+            # kind none draws no out-classes, so it never reads a count
+            ('outclass={"kind": "none", "count": 7}', "/outclass/count"),
             ("jobs=0", "/jobs"),
             ("jobs=-1", "/jobs"),
         ],
@@ -534,6 +550,68 @@ class TestPipeline:
         override = ["--set", f'outclass.pool_file="{pool_path}"']
         assert main([stage, "--config", str(path), *override]) == 1
         assert "/outclass/pool_file:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "outclass, pointer",
+        [
+            # random_word takes all 4 words of the 4-class base split, mixed half of 8
+            ({"pool_size": 3}, "/outclass/pool_size"),
+            ({"kind": "mixed", "count": 8, "pool_size": 3}, "/outclass/pool_size"),
+            ({"pool_file": 3}, "/outclass/pool_file"),
+        ],
+        ids=["random_word", "mixed", "file"],
+    )
+    @pytest.mark.parametrize("stage", ["tune", "weights"])
+    def test_small_pool_exits_one_before_its_stage_runs(
+        self, run_config, tmp_path, capsys, stage, outclass, pointer
+    ):
+        path, out = run_config()
+        if "pool_file" in outclass:
+            outclass = {"pool_file": str(_write_pool(tmp_path, outclass["pool_file"]))}
+        if stage == "weights":
+            assert main(["tune", "--config", str(path)]) == 0
+        override = ["--set", f"outclass={json.dumps(outclass)}"]
+        assert main([stage, "--config", str(path), *override]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: pool exhausted: need 4, ")
+        assert list((out / ("heads" if stage == "tune" else "weights")).iterdir()) == []
+
+    def test_small_pool_exits_one_before_fscil_tunes(self, run_config, capsys, monkeypatch):
+        path, out = run_config(
+            partition={"kind": "session_schedule", "base_size": 4, "way": 2},
+            outclass={"pool_size": 3},
+        )
+        monkeypatch.setattr(evaluation, "tune_prompts", None)  # any tuning would raise
+        assert main(["fscil", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: /outclass/pool_size: pool exhausted: need 4, have 3")
+        assert not (out / "report_fscil.json").exists()
+
+    def test_fscil_missing_pool_file_exits_one(self, run_config, tmp_path, capsys):
+        path, out = run_config(partition={"kind": "session_schedule", "base_size": 4, "way": 2})
+        missing = ["--set", f'outclass.pool_file="{tmp_path / "absent.emb"}"']
+        assert main(["fscil", "--config", str(path), *missing]) == 1
+        assert capsys.readouterr().err.startswith("error: /outclass/pool_file: ")
+        assert not (out / "report_fscil.json").exists()
+
+    def test_fscil_draws_its_first_words_from_the_pool_file(
+        self, run_config, tmp_path, monkeypatch
+    ):
+        path, _ = run_config(partition={"kind": "session_schedule", "base_size": 4, "way": 2})
+        pool_path = _write_pool(tmp_path, 6)
+        drawn = []
+        fit = evaluation.fit_weights
+
+        def recording(model, train_in, out_anchors, *args, prompt=1, **kwargs):
+            if prompt == 1:
+                drawn.append(out_anchors)
+            return fit(model, train_in, out_anchors, *args, prompt=prompt, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_weights", recording)
+        valid = ["--set", f'outclass.pool_file="{pool_path}"']
+        assert main(["fscil", "--config", str(path), *valid]) == 0
+        words = read_embedding_file(pool_path).vectors
+        assert len(drawn) == 1 and drawn[0].shape == (4, 16)
+        assert all((words == row).all(axis=1).any() for row in drawn[0])
 
     @pytest.mark.parametrize(
         "args, flag",
@@ -829,3 +907,10 @@ def test_readme_entry_points_and_all_resolve():
     block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(block, {})
     assert [name for name in promix.__all__ if not hasattr(promix, name)] == []
+
+
+def test_readme_minimal_config_parses_to_the_default_hash():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\nA minimal config", 1)[1]
+    block = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+    assert parse_config(json.loads(block)).config_hash() == "153cb42f3c9b70c3"

@@ -44,7 +44,9 @@ from promix.evaluation import (
 )
 from promix.embedspace import partition_classes
 from promix.head import PromptHead
+from promix.losses import LossConfig
 from promix.mixture import MixtureModel, MixtureWeights
+from promix.outclass import OutclassStrategy
 from promix.train import HyperParams, OptimizerConfig, tune_prompt, tune_prompt_one_stage
 
 
@@ -175,10 +177,6 @@ class TestClassifySamples:
 
 
 class TestEvalReport:
-    def test_pd_must_match_sessions(self):
-        with pytest.raises(ValueError, match="pd"):
-            EvalReport(kind="fscil", session_acc=[80.0, 70.0], mean_acc=75.0, pd=5.0)
-
     def test_accuracy_range_validated(self):
         with pytest.raises(ValueError, match="out of"):
             EvalReport(kind="base_to_new",
@@ -190,11 +188,27 @@ class TestEvalReport:
                        per_config={"x": {"base": 50.0, "new": 60.0, "h": 70.0}})
 
     def test_json_round_trip_is_deterministic(self, tmp_path):
-        rep = EvalReport(kind="fscil", session_acc=[80.0, 75.0], mean_acc=77.5, pd=5.0)
+        rep = EvalReport(kind="fscil", session_acc=[80.0, 75.0])
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         rep.write(a)
         rep.write(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_mean_and_pd_derive_from_the_sessions(self):
+        rep = EvalReport(kind="fscil", session_acc=[80.0, 70.0, 75.0])
+        assert (rep.mean_acc, rep.pd) == (75.0, 5.0)
+        assert {k: rep.to_dict()[k] for k in ("mean_acc", "pd")} == {"mean_acc": 75.0, "pd": 5.0}
+        plain = EvalReport(kind="assumption").to_dict()
+        assert plain == {"kind": "assumption", "config_hash": "", "extra": {}}
+
+
+class TestOutclassAnchors:
+    @pytest.mark.parametrize("kind", ["random_string", "none"])
+    def test_kinds_without_words_draw_no_pool(self, monkeypatch, kind):
+        monkeypatch.setattr(evaluation, "generate_vocab_pool", None)  # a draw would raise
+        cfg = _tiny_harness(outclass=OutclassStrategy(kind), pool_size=10**9)
+        out = evaluation.outclass_anchors(cfg, 16, 0, 4)
+        assert out.shape == ((4, 16) if kind == "random_string" else (0, 16))
 
 
 class TestHarnessConfig:
@@ -613,8 +627,8 @@ def _full_split_base_new(cfg, train, anchors, partition, out_anchors, seed):
     oracle of the stages on the base split."""
     names = train.class_names
     opt = replace(cfg.optimizer, seed=seed)
-    ce_loss = replace(cfg.loss, kind="ce")
-    conf_loss = replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight)
+    ce_loss = LossConfig("ce")
+    conf_loss = LossConfig("ce_conf", w=cfg.hyper.conf_weight)
     run = evaluation.subset_run(anchors, names, train, partition.subsets[1], ce_loss, opt,
                                 cfg.hyper.context_len, seed, cfg.tau)
     init, rows, labels = run.local()
@@ -695,7 +709,7 @@ class TestAssumptionDomain:
         t0 = PromptHead.frozen_from(domain.generalized_prototypes, domain.test.class_names)
         ((tuned, _, _),) = evaluation.tune_prompts([evaluation.subset_run(
             domain.generalized_prototypes, domain.train.class_names, domain.train, in_classes,
-            replace(cfg.loss, kind="ce_conf", w=cfg.hyper.conf_weight),
+            LossConfig("ce_conf", w=cfg.hyper.conf_weight),
             replace(cfg.optimizer, seed=0), cfg.hyper.context_len, 0, cfg.tau,
         )])
         assert rep.extra["in_gaps"][0] == (

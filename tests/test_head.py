@@ -47,12 +47,6 @@ class TestPromptHead:
         assert head.context_len == 0
         assert np.array_equal(head.effective_embeddings(), anchors)
 
-    def test_frozen_with_context_rejected(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(ValueError, match="frozen"):
-            PromptHead(rng.standard_normal((2, 4)), _unit_rows(rng, 2, 4), ("a", "b"),
-                       frozen=True)
-
     def test_parameter_count_independent_of_classes(self):
         rng = np.random.default_rng(3)
         h5 = PromptHead.with_random_context(_unit_rows(rng, 5, 8), [str(i) for i in range(5)], 4, seed=0)
@@ -236,6 +230,17 @@ class TestCheckpoint:
         save_head(small_head, 0.01, path)
         manifest = json.loads(path.read_text())
         manifest["frozen"] = True
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"{path}: /frozen: "):
+            load_head(path)
+
+    def test_unfrozen_flag_on_a_contextless_head_names_file_and_pointer(self, tmp_path):
+        path = tmp_path / "head.json"
+        rng = np.random.default_rng(2)
+        save_head(PromptHead.frozen_from(_unit_rows(rng, 3, 4), ("a", "b", "c")), 0.01, path)
+        manifest = json.loads(path.read_text())
+        assert manifest["frozen"] is True
+        manifest["frozen"] = False
         path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match=f"{path}: /frozen: "):
             load_head(path)

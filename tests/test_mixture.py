@@ -1,6 +1,7 @@
 """Mixture weights, predictions, the ensemble error bound, the error
 decomposition, the out-weight entropy hinge and weight gradients."""
 
+import dataclasses
 import json
 import struct
 
@@ -35,6 +36,7 @@ from promix.mixture import (
     mixture_scaled_logits,
     one_stage_params,
     save_weights,
+    sigmoid,
 )
 from promix.train import _entropy_rows, _out_objective_factory
 
@@ -155,7 +157,7 @@ def _parent_logits(model, x, classes):
     sims = np.stack([similarity_matrix(h, x) for h in model.heads])
     w = model.weights
     if w.parameterization == "one_stage":
-        tau_spec = np.where(model.partition.owner_of() == 1, w.tau_in, w.tau_out)
+        tau_spec = np.where(model.partition.owner_of() == 1, w.raw_in[0], w.raw_out[0])
         logits = sims[0] / w.tau_0 + sims[1] / tau_spec[None, :]
     else:
         rows = class_weight_matrix(w, model.partition)
@@ -521,10 +523,28 @@ class TestParameterizations:
 
     def test_one_stage_requires_single_head(self):
         with pytest.raises(ValueError, match="one_stage|single"):
-            MixtureWeights(
-                "one_stage", np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-                tau_in=0.01, tau_out=0.01,
-            )
+            MixtureWeights("one_stage", np.array([0.01, 0.01]), np.array([0.01, 0.01]))
+
+    def test_stores_only_the_raw_parameters(self):
+        names = [f.name for f in dataclasses.fields(MixtureWeights)]
+        assert names == ["parameterization", "raw_in", "raw_out", "tau_0"]
+        two = MixtureWeights.two_stage([0.3, -1.2], [0.0, 2.0])
+        np.testing.assert_array_equal(two.in_weights, sigmoid(np.array([0.3, -1.2])))
+        one = MixtureWeights.one_stage(0.03, 0.07, tau_0=0.01)
+        assert (one.in_weights[0], one.out_weights[0]) == (0.25, one_stage_params(0.07, 0.01)[0])
+        for w in (two, one):
+            assert not w.raw_in.flags.writeable
+            moved = w.with_raw(1, "out", w.raw(1, "out") + 0.5)
+            np.testing.assert_array_equal(moved.in_weights, w.in_weights)
+
+    @pytest.mark.parametrize(
+        "raw_in, kind, match",
+        [([np.nan], "two_stage", "lie in"), ([0.0], "one_stage", "positive"),
+         ([-0.01], "one_stage", "positive"), ([np.nan], "one_stage", "lie in")],
+    )
+    def test_rejects_a_bad_raw_parameter(self, raw_in, kind, match):
+        with pytest.raises(ValueError, match=match):
+            MixtureWeights(kind, raw_in, [0.01])
 
 
 class TestWeightCheckpoint:

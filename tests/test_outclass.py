@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from promix.embedspace import FieldError
 from promix.outclass import OutclassStrategy, generate_outclass, generate_vocab_pool
 
 
@@ -12,6 +13,8 @@ class TestStrategy:
             OutclassStrategy(kind="web_api")
         with pytest.raises(ValueError, match="at least 2"):
             OutclassStrategy(kind="random_word", count=1)
+        with pytest.raises(FieldError, match="count must be unset under kind none"):
+            OutclassStrategy(kind="none", count=7)
 
     def test_resolved_count_defaults_to_in_class_size(self):
         assert OutclassStrategy("random_word").resolved_count(7) == 7

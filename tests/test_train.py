@@ -918,6 +918,6 @@ class TestFixedPointExit:
             model, dom.train.with_labels_in([0, 1, 2, 3]), out, margin=0.0,
             opt=OptimizerConfig(seed=0), epochs=4,
         )
-        assert fitted.weights.alphas_out[0] == 0.0
+        assert fitted.weights.raw_out[0] == 0.0
         assert trace == [0.0] * 5
         assert counted[0].calls == 1
