@@ -127,7 +127,7 @@ def _domain_source(cfg: RunConfig):
     if cfg.files is None:
         def generate(seed: int):
             partition = _partition_for(cfg, cfg.synthetic.num_classes, seed)
-            parts = synthetic_parts(replace(cfg.synthetic, seed=seed), partition.subsets[1])
+            parts = synthetic_parts(cfg.synthetic, seed, partition.subsets[1])
             return parts.train, parts.generalized_prototypes, parts.test_chunks()
 
         return cfg.synthetic.dim, generate
@@ -182,9 +182,14 @@ def _check_pool_file(cfg: RunConfig, dim: int) -> np.ndarray | None:
     return pool.vectors
 
 
-def _check_pool_size(cfg: RunConfig, pool: np.ndarray | None, in_class_size: int) -> None:
-    """The draw's random words (random_word: all, mixed: half, floored) must fit the pool."""
+def _check_outclass(cfg: RunConfig, pool: np.ndarray | None, in_class_size: int) -> None:
+    """The out-class set, ``outclass.count`` anchors or else one per tuned class,
+    must hold at least 2 unless the kind is none, and the draw's random words
+    (random_word: all, mixed: half, floored) must fit the pool."""
     n = cfg.outclass.count or in_class_size
+    if cfg.outclass.kind != "none" and n < 2:
+        raise ConfigError(f"out-class sets need at least 2 anchors; set a count, as one "
+                          f"anchor per tuned class gives {n}", "/outclass/count")
     need = {"random_word": n, "mixed": n // 2}.get(cfg.outclass.kind, 0)
     have = cfg.pool_size if pool is None else len(pool)
     if need > have:
@@ -253,12 +258,11 @@ def gen(config_path: str, overrides: tuple[str, ...]) -> None:
     out = _out_dir(cfg)
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
-    synthetic = replace(cfg.synthetic, seed=cfg.seed)
-    dom = synthetic_parts(synthetic)
+    dom = synthetic_parts(cfg.synthetic, cfg.seed)
     names = dom.train.class_names
     write_embedding_file(dom.train, data_dir / "train.emb")
     write_embedding_blocks(
-        synthetic.dim, synthetic.num_classes * synthetic.test_per_class, names,
+        dom.train.dim, len(names) * cfg.synthetic.test_per_class, names,
         dom.test_chunks(), data_dir / "test.emb",
     )
     write_embedding_file(prototype_set(dom.generalized_prototypes, names), data_dir / "anchors.emb")
@@ -284,7 +288,7 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     for seed in sorted(cfg.seeds):
         train, anchors, _test = domain(seed)
         partition, base = _tuning_split(cfg, train, seed)
-        _check_pool_size(cfg, pool, len(partition.subsets[1]))
+        _check_outclass(cfg, pool, len(partition.subsets[1]))
         head_ce, mix_head, mix_tau, traces = tune_base_new_heads(
             cfg, base, anchors, partition, seed
         )
@@ -321,11 +325,10 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
         mix_head, mix_tau = load_head(paths["conf"])
         train, anchors, _test = domain(seed)
         partition, base = _tuning_split(cfg, train, seed)
-        _check_pool_size(cfg, pool, len(partition.subsets[1]))
+        _check_outclass(cfg, pool, len(partition.subsets[1]))
         out_anchors = outclass_anchors(cfg, dim, seed, len(partition.subsets[1]), pool)
         fit = fit_base_new_weights(
-            replace(cfg, tau=tau), mix_head, mix_tau, base, anchors, partition,
-            out_anchors, seed,
+            replace(cfg, tau=tau), mix_head, mix_tau, base, anchors, partition, out_anchors
         )
         save_weights(fit, _weight_path(out, seed))
         fitted[f"seed{seed}"] = fit.to_dict()
@@ -394,7 +397,7 @@ def fscil(config_path: str, overrides: tuple[str, ...]) -> None:
         pointer = "/partition" if scheduled else "/data/synthetic/num_classes"
         raise ConfigError(str(exc), pointer) from exc
     pool = _check_pool_file(cfg, cfg.synthetic.dim)
-    _check_pool_size(cfg, pool, len(partition.subsets[1]))
+    _check_outclass(cfg, pool, len(partition.subsets[1]))
     report = fscil_run(harness, config_hash=cfg.config_hash(), pool=pool)
     report.write(out / "report_fscil.json")
     (out / "report_fscil.csv").write_text(fscil_csv(report))
@@ -457,8 +460,7 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
         base_classes = partition.subsets[1]
         tuned = tune_prompts([
             subset_run(anchors, train.class_names, base, base_classes,
-                       losses[kind], replace(cfg.optimizer, seed=seed),
-                       cfg.hyper.context_len, seed, cfg.tau)
+                       losses[kind], cfg.optimizer, cfg.hyper.context_len, seed, cfg.tau)
             for kind in LOSS_KINDS
         ])
         heads = {kind: head for kind, (head, _, _) in zip(LOSS_KINDS, tuned)}

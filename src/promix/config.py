@@ -101,13 +101,16 @@ class RunConfig(HarnessConfig):
             raise FieldError("seed", "must be non-negative")
 
     def canonical(self) -> dict:
-        """The hashed document: every field but ``out_dir``, the per-seed
-        optimizer seed and the fscil session settings, laid out by section."""
+        """The hashed document: every field but ``out_dir`` and the fscil
+        session settings, laid out by section. ``data.synthetic`` is hashed
+        with a ``seed`` of 0 that no field holds, so the hashes that earlier
+        reports and manifests carry still match; the seeds that draw the
+        data are hashed as ``seed`` and ``seeds``."""
         doc = asdict(self)
         for key in ("out_dir", "fscil_base_size", "fscil_way"):
             del doc[key]
-        del doc["optimizer"]["seed"]
         synthetic, files = doc.pop("synthetic"), doc.pop("files")
+        synthetic["seed"] = 0
         doc["data"] = {"synthetic": synthetic} if files is None else {"files": files}
         doc["outclass"].update(pool_size=doc.pop("pool_size"), pool_file=doc.pop("pool_file"))
         doc["weights"] = {"parameterization": doc.pop("parameterization")}
@@ -159,9 +162,7 @@ def parse_config(raw: dict) -> RunConfig:
     synthetic = SyntheticConfig()
     files = None
     if "synthetic" in data:
-        # `seed` and `seeds` draw the data, so a synthetic seed would go unread
-        synthetic = _section(data["synthetic"], SyntheticConfig, "/data/synthetic",
-                             skip=("seed",))
+        synthetic = _section(data["synthetic"], SyntheticConfig, "/data/synthetic")
     else:
         files_obj = data["files"]
         _require_keys(files_obj, _FILE_KEYS, "/data/files")
@@ -172,6 +173,9 @@ def parse_config(raw: dict) -> RunConfig:
 
     oc_obj = raw.get("outclass", {})
     _require_keys(oc_obj, ("kind", "count", "pool_size", "pool_file"), "/outclass")
+    if "pool_size" in oc_obj and "pool_file" in oc_obj:
+        raise ConfigError("a pool_file's words are the pool, so pool_size would go unread",
+                          "/outclass/pool_size")
     outclass = _build(OutclassStrategy, {
         "kind": _typed(oc_obj, "kind", str, "random_word", "/outclass"),
         "count": _typed(oc_obj, "count", int, None, "/outclass"),
@@ -185,8 +189,7 @@ def parse_config(raw: dict) -> RunConfig:
         "hyper": _section(raw.get("hyper", {}), HyperParams, "/hyper"),
         # each row of the `losses` zoo sets its own kind, so a loss kind would go unread
         "loss": _section(raw.get("loss", {}), LossConfig, "/loss", skip=("kind",)),
-        "optimizer": _section(raw.get("optimizer", {}), OptimizerConfig, "/optimizer",
-                              skip=("seed",)),
+        "optimizer": _section(raw.get("optimizer", {}), OptimizerConfig, "/optimizer"),
         "outclass": outclass,
         "parameterization": _typed(weights_obj, "parameterization", str, "two_stage", "/weights"),
         "seeds": tuple(_typed(raw, "seeds", list, [0, 1, 2], "")),

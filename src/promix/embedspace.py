@@ -50,7 +50,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-UNIT_ATOL = 1e-9
 NORM_TOLERANCE = 1e-6
 MAGIC = b"EMB1"
 # samples per read or write step of an EMB1 payload
@@ -106,12 +105,15 @@ def unit_normalize(v: np.ndarray) -> np.ndarray:
     return v / norms
 
 
-def check_unit(v: np.ndarray, atol: float = UNIT_ATOL) -> None:
-    """Raise ValueError unless every row of ``v`` has norm 1 within atol."""
+def check_unit(v: np.ndarray) -> None:
+    """Raise ValueError unless every row of ``v`` has norm 1 within
+    NORM_TOLERANCE."""
     norms = np.linalg.norm(np.atleast_2d(np.asarray(v, dtype=np.float64)), axis=1)
     worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-    if worst > atol:
-        raise ValueError(f"embedding norm deviates from 1 by {worst:.3e} (> {atol:.0e})")
+    if worst > NORM_TOLERANCE:
+        raise ValueError(
+            f"embedding norm deviates from 1 by {worst:.3e} (> {NORM_TOLERANCE:.0e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,8 @@ class SyntheticConfig:
     ``intra_noise`` spreads samples around their class prototype;
     ``proto_noise`` misaligns the generalized head's anchors from the true
     prototypes; ``confusion_pairs`` forces that many prototype pairs to a
-    cosine of at least 0.9.
+    cosine of at least 0.9. The seed that draws a domain is passed beside
+    it, to :func:`synthetic_parts`.
     """
 
     dim: int = 48
@@ -278,7 +281,6 @@ class SyntheticConfig:
     intra_noise: float = 0.10
     proto_noise: float = 0.22
     confusion_pairs: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("dim", "num_classes", "shots", "test_per_class"):
@@ -404,8 +406,10 @@ class SyntheticParts(NamedTuple):
         return self.test_rows.stacked(self.train.class_names, every)
 
 
-def synthetic_parts(config: SyntheticConfig, classes: Sequence[int] | None = None) -> SyntheticParts:
-    """Deterministically generate a labeled embedding domain.
+def synthetic_parts(
+    config: SyntheticConfig, seed: int, classes: Sequence[int] | None = None
+) -> SyntheticParts:
+    """Deterministically generate a labeled embedding domain from ``seed``.
 
     Class prototypes are uniform on the unit sphere except for the
     configured confusion pairs, whose second member is placed at a cosine
@@ -420,7 +424,7 @@ def synthetic_parts(config: SyntheticConfig, classes: Sequence[int] | None = Non
     of the full split: every class is still drawn in order, and the rows of
     the others are dropped as they come.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     d, n = config.dim, config.num_classes
 
     protos = unit_normalize(rng.standard_normal((n, d)))
@@ -449,10 +453,10 @@ def synthetic_parts(config: SyntheticConfig, classes: Sequence[int] | None = Non
     return SyntheticParts(train, anchors, protos, test_rows)
 
 
-def generate_synthetic(config: SyntheticConfig) -> SyntheticDomain:
+def generate_synthetic(config: SyntheticConfig, seed: int = 0) -> SyntheticDomain:
     """The domain of :func:`synthetic_parts` with its test split drawn into
     one set."""
-    parts = synthetic_parts(config)
+    parts = synthetic_parts(config, seed)
     return SyntheticDomain(
         parts.train, parts.test_set(), parts.generalized_prototypes, parts.true_prototypes
     )

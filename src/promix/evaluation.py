@@ -78,13 +78,15 @@ FSCIL_MARGIN = 0.1
 FSCIL_INITIAL_WEIGHT_EPOCHS = 2
 FSCIL_LATER_WEIGHT_EPOCHS = 100
 SCORE_BLOCK_ROWS = 256  # the fewest rows a scoring block takes: smaller gemms run slower
+CONFUSING_GAP = 0.2  # the widest p(pred) - p(true) of a confusing sample
+BOUND_TAU_CHOICES = (1.0, 0.1, 0.01)  # the temperatures a bound_sweep trial draws from
 
 
 def fscil_default_synthetic() -> SyntheticConfig:
     """100-class domain sized for the 60 + 8x5 session schedule."""
     return SyntheticConfig(
         dim=48, num_classes=100, shots=5, test_per_class=30,
-        intra_noise=0.08, proto_noise=0.20, confusion_pairs=10, seed=0,
+        intra_noise=0.08, proto_noise=0.20, confusion_pairs=10,
     )
 
 
@@ -92,7 +94,7 @@ def assumption_default_synthetic() -> SyntheticConfig:
     """100-class domain for the specialized-vs-generalized split protocol."""
     return SyntheticConfig(
         dim=48, num_classes=100, shots=16, test_per_class=20,
-        intra_noise=0.10, proto_noise=0.25, confusion_pairs=30, seed=0,
+        intra_noise=0.10, proto_noise=0.25, confusion_pairs=30,
     )
 
 
@@ -127,13 +129,12 @@ def accuracy(
 def classify_samples(
     baseline: PromptHead,
     emb_set: EmbeddingSet,
-    gap_threshold: float = 0.2,
     tau: float = DEFAULT_TAU,
 ) -> np.ndarray:
     """Categorize samples by the baseline head's behavior.
 
     easy: baseline argmax is correct. confusing: misclassified with a
-    probability gap p(pred) - p(true) at or below the threshold. hard:
+    probability gap p(pred) - p(true) at or below CONFUSING_GAP. hard:
     the remaining misclassified samples. Returns an array of the three
     category strings; the categories partition the set.
     """
@@ -142,7 +143,7 @@ def classify_samples(
     rows = np.arange(len(emb_set))
     gap = probs[rows, pred] - probs[rows, emb_set.labels]
     correct = pred == emb_set.labels
-    out = np.where(correct, "easy", np.where(gap <= gap_threshold, "confusing", "hard"))
+    out = np.where(correct, "easy", np.where(gap <= CONFUSING_GAP, "confusing", "hard"))
     return out.astype("U9")
 
 
@@ -252,10 +253,11 @@ def subset_run(
     seed: int,
     tau: float,
 ) -> TuneRun:
-    """A tuning run on a class subset: a fresh head on ``anchors`` (context
-    drawn from ``seed``) trained on the columns and rows of ``classes``."""
+    """A tuning run on a class subset: a fresh head on ``anchors`` trained on
+    the columns and rows of ``classes``, its context and batch order both
+    drawn from ``seed``."""
     init = PromptHead.with_random_context(anchors, names, context_len, seed)
-    return TuneRun(init, train_set, loss, opt, tau, classes=classes)
+    return TuneRun(init, train_set, loss, opt, seed, tau, classes=classes)
 
 
 def fit_weights(
@@ -266,26 +268,17 @@ def fit_weights(
     opt: OptimizerConfig,
     prompt: int = 1,
     classes: np.ndarray | None = None,
-    epochs: int | None = None,
 ) -> MixtureModel:
-    """Run the weight stages for one specialized head, each for ``epochs``: the
-    in-weight, then the out-weight. A one_stage in-weight is the head's own
-    temperature, learned with its context, so only the out-weight is fitted."""
+    """Run the weight stages for one specialized head, each for
+    ``opt.weight_epochs``: the in-weight, then the out-weight against
+    ``out_anchors`` (none skips it) under ``hyper``'s margin and entropy
+    weight. A one_stage in-weight is the head's own temperature, learned
+    with its context, so only the out-weight is fitted."""
     if model.weights.parameterization != "one_stage":
-        model, _ = optimize_in_weight(
-            model, train_in, prompt=prompt, opt=opt, classes=classes, epochs=epochs
-        )
-    if out_anchors.shape[0]:
-        model, _ = optimize_out_weight(
-            model,
-            train_in,
-            out_anchors,
-            prompt=prompt,
-            margin=hyper.margin,
-            ent_weight=hyper.ent_weight,
-            opt=opt,
-            epochs=epochs,
-        )
+        model, _ = optimize_in_weight(model, train_in, prompt=prompt, opt=opt, classes=classes)
+    model, _ = optimize_out_weight(
+        model, train_in, out_anchors, prompt=prompt, hyper=hyper, opt=opt
+    )
     return model
 
 
@@ -450,11 +443,11 @@ def tune_base_new_heads(
     """
     if not np.isin(base_set.labels, partition.subsets[1]).all():
         raise ValueError("the base split holds rows of classes outside partition.subsets[1]")
-    opt = replace(cfg.optimizer, seed=seed)
     ce_loss = LossConfig("ce")
     run = subset_run(anchors, base_set.class_names, base_set, partition.subsets[1], ce_loss,
-                     opt, cfg.hyper.context_len, seed, cfg.tau)
-    head_ce, trace_ce = tune_prompt(run.init, base_set, ce_loss, opt, cfg.tau, run.classes)
+                     cfg.optimizer, cfg.hyper.context_len, seed, cfg.tau)
+    head_ce, trace_ce = tune_prompt(run.init, base_set, ce_loss, cfg.optimizer, seed, cfg.tau,
+                                    run.classes)
     mix_run = replace(run, loss=cfg.conf_loss, one_stage=cfg.parameterization == "one_stage")
     ((mix_head, mix_tau, trace_conf),) = tune_prompts([mix_run])
     return head_ce, mix_head, mix_tau, {"ce": trace_ce, "conf": trace_conf}
@@ -468,7 +461,6 @@ def fit_base_new_weights(
     anchors: np.ndarray,
     partition: DomainPartition,
     out_anchors: np.ndarray,
-    seed: int,
 ) -> MixtureWeights:
     """Second base/new stage: fit the mixture head's weights against the
     frozen head on ``anchors``, on the base split ``base_set`` that tuning
@@ -482,7 +474,7 @@ def fit_base_new_weights(
         start = MixtureWeights.uniform(1)
     model = fit_weights(
         MixtureModel((t0, mix_head), start, partition, tau=cfg.tau), base_set, out_anchors,
-        cfg.hyper, replace(cfg.optimizer, seed=seed), classes=partition.subsets[1],
+        cfg.hyper, cfg.optimizer, classes=partition.subsets[1],
     )
     return model.weights
 
@@ -491,15 +483,13 @@ def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
     """One seed of the four-configuration comparison: only the base split's
     train rows are drawn, and the test split is streamed."""
     partition = partition_classes(cfg.synthetic.num_classes, "base_new_even_split", seed=seed)
-    parts = synthetic_parts(replace(cfg.synthetic, seed=seed), partition.subsets[1])
+    parts = synthetic_parts(cfg.synthetic, seed, partition.subsets[1])
     base, anchors, names = parts.train, parts.generalized_prototypes, parts.train.class_names
     test = parts.test_chunks()
     del parts  # the stream does not hold the parts, so `del base` below frees the train split
     head_ce, mix_head, mix_tau, _ = tune_base_new_heads(cfg, base, anchors, partition, seed)
     out_anchors = outclass_anchors(cfg, base.dim, seed, len(partition.subsets[1]))
-    weights = fit_base_new_weights(
-        cfg, mix_head, mix_tau, base, anchors, partition, out_anchors, seed
-    )
+    weights = fit_base_new_weights(cfg, mix_head, mix_tau, base, anchors, partition, out_anchors)
     del base
     t0 = PromptHead.frozen_from(anchors, names)
     acc = base_new_accuracy(t0, head_ce, mix_head, weights, partition, tau=cfg.tau)
@@ -568,12 +558,13 @@ def _fscil_group(pool: np.ndarray | None, cfg: HarnessConfig, seeds: Sequence[in
     """The incremental-session protocol for each of ``seeds``. Session heads do
     not depend on earlier weights, so every seed's are tuned first, in one call
     that steps sessions of equal row counts in lockstep; then seed by seed."""
-    parts = [synthetic_parts(replace(cfg.synthetic, seed=seed)) for seed in seeds]
+    parts = [synthetic_parts(cfg.synthetic, seed) for seed in seeds]
     partitions = [fscil_partition(cfg, cfg.synthetic.num_classes, seed) for seed in seeds]
+    # each session's context is drawn from its own seed, its batch order from the run's
     tuned = iter(tune_prompts([
-        subset_run(p.generalized_prototypes, p.train.class_names, p.train, subset,
-                   cfg.conf_loss, replace(cfg.optimizer, seed=seed), FSCIL_CONTEXT_LEN,
-                   seed * 1000 + session, cfg.tau)
+        replace(subset_run(p.generalized_prototypes, p.train.class_names, p.train, subset,
+                           cfg.conf_loss, cfg.optimizer, FSCIL_CONTEXT_LEN,
+                           seed * 1000 + session, cfg.tau), seed=seed)
         for seed, p, partition in zip(seeds, parts, partitions)
         for session, subset in enumerate(partition.subsets[1:], start=1)
     ]))
@@ -589,7 +580,6 @@ def _fscil_sessions(cfg: HarnessConfig, seed: int, parts: SyntheticParts,
     names = parts.train.class_names
     anchors = parts.generalized_prototypes
     t0 = PromptHead.frozen_from(anchors, names)
-    opt = replace(cfg.optimizer, seed=seed)
 
     heads: list[PromptHead] = [t0]
     raw_in: list[float] = []
@@ -612,18 +602,18 @@ def _fscil_sessions(cfg: HarnessConfig, seed: int, parts: SyntheticParts,
 
         if session == 1:
             out_anchors = outclass_anchors(cfg, cfg.synthetic.dim, seed, len(session_classes), pool)
-            weight_epochs = FSCIL_INITIAL_WEIGHT_EPOCHS
+            opt = replace(cfg.optimizer, weight_epochs=FSCIL_INITIAL_WEIGHT_EPOCHS)
         else:
             previous = np.concatenate(
                 [partition.subsets[i] for i in range(1, session)]
             )
             out_anchors = anchors[np.sort(previous)]
-            weight_epochs = FSCIL_LATER_WEIGHT_EPOCHS
+            opt = replace(cfg.optimizer, weight_epochs=FSCIL_LATER_WEIGHT_EPOCHS)
         train_in = parts.train.with_labels_in(session_classes)
         model = fit_weights(
             model, train_in, out_anchors,
             replace(cfg.hyper, margin=FSCIL_MARGIN), opt,
-            prompt=session, classes=seen, epochs=weight_epochs,
+            prompt=session, classes=seen,
         )
         raw_in = list(model.weights.raw_in)
         raw_out = list(model.weights.raw_out)
@@ -681,7 +671,7 @@ def _assumption_group(
     partitions = [partition_classes(len(names), seed=s) for s in split_seeds]
     tuned = tune_prompts([
         subset_run(anchors, names, domain.train, partition.subsets[1], cfg.conf_loss,
-                   replace(cfg.optimizer, seed=s), cfg.hyper.context_len, s, cfg.tau)
+                   cfg.optimizer, cfg.hyper.context_len, s, cfg.tau)
         for partition, s in zip(partitions, split_seeds)
     ])
     rows = []
@@ -711,7 +701,7 @@ def assumption_check(
     """
     if splits < 2:
         raise ValueError("need at least 2 splits")
-    domain = generate_synthetic(replace(cfg.synthetic, seed=cfg.seeds[0]))
+    domain = generate_synthetic(cfg.synthetic, cfg.seeds[0])
     rows = _run_seeds(functools.partial(_assumption_group, domain), cfg, list(range(splits)))
     in_gaps = [r["in_gap"] for r in rows]
     out_gaps = [r["out_gap"] for r in rows]
@@ -742,13 +732,13 @@ def assumption_check(
 def _confusing_runs(cfg: HarnessConfig, seed: int) -> tuple[list[TuneRun], dict, SyntheticParts]:
     """One seed's CE/CoA twins and its parts, drawn without the test split. Each
     twin keeps its head's context mean, all a classifier reads of it, at every epoch."""
-    parts = synthetic_parts(replace(cfg.synthetic, seed=seed))
+    parts = synthetic_parts(cfg.synthetic, seed)
     anchors, names = parts.generalized_prototypes, parts.train.class_names
     # the twins share rows, batch order and init
     init = PromptHead.with_random_context(anchors, names, cfg.hyper.context_len, seed)
     losses = {"ce": LossConfig("ce"), "conf": cfg.conf_loss}
     means: dict[str, list[np.ndarray]] = {key: [] for key in losses}
-    runs = [TuneRun(init, parts.train, loss, replace(cfg.optimizer, seed=seed), cfg.tau,
+    runs = [TuneRun(init, parts.train, loss, cfg.optimizer, seed, cfg.tau,
                     epoch_hook=lambda _, head, kept=means[key]: kept.append(head.context.mean(0)))
             for key, loss in losses.items()]
     return runs, means, parts
@@ -760,7 +750,7 @@ def _confusing_curves(tau: float, parts: SyntheticParts, init: PromptHead, means
     with the kept mean as its one context row: the tuned head's similarities."""
     test = parts.test_set()
     t0 = PromptHead.frozen_from(parts.generalized_prototypes, test.class_names)
-    categories = classify_samples(t0, test, gap_threshold=0.2, tau=tau)
+    categories = classify_samples(t0, test, tau=tau)
     masks = {name: categories == name for name in ("easy", "confusing", "hard")}
     curves = {loss: {"easy": [], "confusing": [], "all": []} for loss in means}
     for loss, curve in curves.items():
@@ -809,15 +799,14 @@ def confusing_gain(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     )
 
 
-def bound_sweep(
-    trials: int = 1000, seed: int = 0, tau_choices: tuple[float, ...] = (1.0, 0.1, 0.01)
-) -> dict:
+def bound_sweep(trials: int = 1000, seed: int = 0) -> dict:
     """Random-ensemble sweep of the mixture error bound.
 
     Each trial draws 2..5 random unit-anchor heads, a random simplex
-    weight vector, random unit data, and a temperature, then records the
-    bound gap. Includes one constructed identical-heads case whose gap is
-    exactly zero. Returns summary statistics for the report.
+    weight vector, random unit data, and a temperature from
+    BOUND_TAU_CHOICES, then records the bound gap. Includes one constructed
+    identical-heads case whose gap is exactly zero. Returns summary
+    statistics for the report.
     """
     rng = np.random.default_rng(seed)
     gaps = []
@@ -826,7 +815,7 @@ def bound_sweep(
         c = int(rng.integers(2, 21))
         d = int(rng.integers(4, 17))
         n = int(rng.integers(4, 17))
-        tau = float(tau_choices[rng.integers(0, len(tau_choices))])
+        tau = float(BOUND_TAU_CHOICES[rng.integers(0, len(BOUND_TAU_CHOICES))])
         anchors = [_random_unit(rng, c, d) for _ in range(k + 1)]
         x = _random_unit(rng, n, d)
         labels = rng.integers(0, c, size=n)

@@ -20,7 +20,6 @@ import numpy as np
 
 from promix import backend
 from promix.embedspace import (
-    NORM_TOLERANCE,
     EmbeddingFileError,
     EmbeddingSet,
     check_unit,
@@ -51,7 +50,7 @@ class PromptHead:
             raise ValueError("context and anchor dimensions differ")
         if anchors.shape[0] != len(self.class_names):
             raise ValueError("one anchor per class name required")
-        check_unit(anchors, NORM_TOLERANCE)
+        check_unit(anchors)
         context.setflags(write=False)
         anchors.setflags(write=False)
         object.__setattr__(self, "context", context)
@@ -82,12 +81,12 @@ class PromptHead:
         class_names: Sequence[str],
         context_len: int,
         seed: int,
-        init_std: float = CONTEXT_INIT_STD,
     ) -> "PromptHead":
-        """Tunable head with small random context (near the frozen head)."""
+        """Tunable head with small random context (near the frozen head): its
+        entries are normal with standard deviation CONTEXT_INIT_STD."""
         a = np.asarray(anchors, dtype=np.float64)
         rng = np.random.default_rng(seed)
-        ctx = init_std * rng.standard_normal((context_len, a.shape[1]))
+        ctx = CONTEXT_INIT_STD * rng.standard_normal((context_len, a.shape[1]))
         return cls(ctx, a, tuple(class_names))
 
     def with_context(self, context: np.ndarray) -> "PromptHead":

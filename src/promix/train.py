@@ -64,6 +64,7 @@ class OptimizerConfig:
     ``prompt_lr`` drives Adam on the context; ``weight_lr`` drives
     momentum SGD on the weight parameters. ``weight_epochs`` covers the
     non-incremental case; incremental harnesses override it per session.
+    The batch order's seed belongs to each run: :attr:`TuneRun.seed`.
     """
 
     prompt_lr: float = 0.002
@@ -77,7 +78,6 @@ class OptimizerConfig:
     epochs: int = 50
     batch_size: int = 32
     weight_epochs: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("prompt_lr", "prompt_weight_decay", "weight_lr", "weight_weight_decay"):
@@ -119,16 +119,18 @@ BLOCK_ELEMS = 1 << 16  # weight-objective rows x columns per block: 512 KiB, so 
 
 @dataclass(frozen=True)
 class TuneRun:
-    """One run of :func:`tune_prompts`. With ``classes`` (indices into the
-    head's class list) it trains those columns on the rows they label,
-    gathered batch by batch from ``train_set``; with None, every column on
-    every row. A ``one_stage`` run also learns its temperature tau_1, from
-    ``tau``, against the frozen head's logits on its anchors at ``tau``."""
+    """One run of :func:`tune_prompts`, its batch order drawn from ``seed``.
+    With ``classes`` (indices into the head's class list) it trains those
+    columns on the rows they label, gathered batch by batch from
+    ``train_set``; with None, every column on every row. A ``one_stage`` run
+    also learns its temperature tau_1, from ``tau``, against the frozen
+    head's logits on its anchors at ``tau``."""
 
     init: PromptHead
     train_set: EmbeddingSet
     loss: LossConfig
     opt: OptimizerConfig
+    seed: int
     tau: float = DEFAULT_TAU
     classes: np.ndarray | None = None
     epoch_hook: Callable[[int, PromptHead], None] | None = None
@@ -310,9 +312,10 @@ def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, float, list[
     """Tune independent runs; return each one's (tuned head, temperature,
     per-epoch mean training loss), bitwise what it gives alone: the
     temperature is ``run.tau``, or a one_stage run's learned tau_1. Runs of
-    equal row counts, trained shapes, optimizers (seed apart), temperatures
-    and kinds step in lockstep, on one training set or several, at most
-    ``LOCKSTEP_RUNS`` at a time; a loss other than ce/ce_conf runs alone."""
+    equal row counts, trained shapes, optimizers, temperatures and kinds
+    step in lockstep, whatever their seeds, on one training set or several,
+    at most ``LOCKSTEP_RUNS`` at a time; a loss other than ce/ce_conf runs
+    alone."""
     groups: dict[tuple, list[int]] = {}
     for i, run in enumerate(runs):
         head, rows, _ = run.local()
@@ -321,7 +324,7 @@ def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, float, list[
         if len(rows) == 0:
             raise ValueError("empty training set")
         alone = i if run.loss.fused_w is None else None
-        key = (len(rows), head.anchors.shape, head.context.shape, replace(run.opt, seed=0),
+        key = (len(rows), head.anchors.shape, head.context.shape, run.opt,
                run.tau, run.one_stage, alone)
         groups.setdefault(key, []).append(i)
     results: list = [None] * len(runs)
@@ -378,7 +381,7 @@ def _tune_group(
 
     params, traces = _adam_descent(
         params, batch_grad, labels, space.anchors.shape[1], first.opt,
-        [run.opt.seed for run in runs], ids, head_hook,
+        [run.seed for run in runs], ids, head_hook,
     )
     taus = np.exp(params[1]) if first.one_stage else [run.tau for run in runs]
     return [(run.init.with_context(c.copy()), float(t), trace)
@@ -390,16 +393,17 @@ def tune_prompt(
     train_set: EmbeddingSet,
     loss: LossConfig,
     opt: OptimizerConfig,
+    seed: int,
     tau: float = DEFAULT_TAU,
     classes: np.ndarray | None = None,
 ) -> tuple[PromptHead, list[float]]:
     """Mini-batch descent on the context vectors; anchors stay frozen.
 
-    The one-run case of :func:`tune_prompts`, on the columns and rows of
-    ``classes`` as in :class:`TuneRun`. Returns the tuned head and the
-    per-epoch mean training loss.
+    The one-run case of :func:`tune_prompts`, its batch order drawn from
+    ``seed``, on the columns and rows of ``classes`` as in :class:`TuneRun`.
+    Returns the tuned head and the per-epoch mean training loss.
     """
-    head, _, trace = tune_prompts([TuneRun(init, train_set, loss, opt, tau, classes)])[0]
+    head, _, trace = tune_prompts([TuneRun(init, train_set, loss, opt, seed, tau, classes)])[0]
     return head, trace
 
 
@@ -408,6 +412,7 @@ def tune_prompt_one_stage(
     train_set: EmbeddingSet,
     loss: LossConfig,
     opt: OptimizerConfig,
+    seed: int,
     tau_0: float = DEFAULT_TAU,
 ) -> tuple[PromptHead, float, list[float]]:
     """Joint descent on the context and the specialized temperature.
@@ -417,20 +422,20 @@ def tune_prompt_one_stage(
     s_0 / tau_0 + s_1 / tau_1, where s_0 are the similarities of the frozen
     head on ``init``'s anchors, and the one tuning loop updates the context
     together with log(tau_1), as its one-run case. Only meaningful with
-    exactly one specialized head. Returns (tuned head, tau_1, per-epoch
-    loss trace).
+    exactly one specialized head. The batch order is drawn from ``seed``.
+    Returns (tuned head, tau_1, per-epoch loss trace).
     """
-    return tune_prompts([TuneRun(init, train_set, loss, opt, tau_0, one_stage=True)])[0]
+    return tune_prompts([TuneRun(init, train_set, loss, opt, seed, tau_0, one_stage=True)])[0]
 
 
 def _descend_scalar(
     theta0: float,
     objective_grad: Callable[[float], tuple[float, float]],
     opt: OptimizerConfig,
-    epochs: int,
     n_samples: int,
 ) -> tuple[float, list[float]]:
-    """Full-batch momentum descent on one raw parameter.
+    """Full-batch momentum descent on one raw parameter for
+    ``opt.weight_epochs`` epochs.
 
     ``objective_grad`` maps theta -> (objective, d objective / d theta).
     One epoch performs ceil(n_samples / batch_size) full-batch steps, so
@@ -457,7 +462,7 @@ def _descend_scalar(
         buf = 0.0
         value, grad = objective_grad(theta)
         trace = [value]
-        for epoch in range(epochs):
+        for epoch in range(opt.weight_epochs):
             previous_theta = theta
             for _ in range(steps_per_epoch):
                 step_buf = opt.weight_momentum * buf + grad + opt.weight_weight_decay * theta
@@ -475,12 +480,12 @@ def _descend_scalar(
                 return previous_theta, trace
             trace.append(value)
             if stalled:
-                trace.extend([value] * (epochs - 1 - epoch))
+                trace.extend([value] * (opt.weight_epochs - 1 - epoch))
                 break
         return theta, trace
 
     theta, trace = run(opt.weight_lr)
-    if len(trace) == 1 and epochs > 0:
+    if len(trace) == 1:
         theta, trace = run(opt.weight_lr * 0.1)
         if len(trace) == 1:
             raise DivergenceError(
@@ -588,7 +593,6 @@ def optimize_in_weight(
     prompt: int = 1,
     opt: OptimizerConfig | None = None,
     classes: np.ndarray | None = None,
-    epochs: int | None = None,
 ) -> tuple[MixtureModel, list[float]]:
     """Fit one head's two_stage in-domain weight by descending the mixture CE.
 
@@ -604,19 +608,17 @@ def optimize_in_weight(
     if not np.all(np.isin(train_set.labels, model.partition.subsets[prompt])):
         raise ValueError(f"training labels must lie in sub-domain {prompt}")
     objective = _in_objective_factory(model, train_set, prompt, classes)
-    return _fit_raw(model, prompt, "in", objective, opt, epochs, len(train_set))
+    return _fit_raw(model, prompt, "in", objective, opt, len(train_set))
 
 
 def _fit_raw(
     model: MixtureModel, prompt: int, side: str, objective: Callable,
-    opt: OptimizerConfig | None, epochs: int | None, n_samples: int,
+    opt: OptimizerConfig | None, n_samples: int,
 ) -> tuple[MixtureModel, list[float]]:
     """Descend head ``prompt``'s ``side`` raw weight from its current value (``opt`` by
-    default OptimizerConfig(), ``epochs`` its weight_epochs); return the fitted model, trace."""
+    default OptimizerConfig()); return the fitted model and its trace."""
     opt = opt or OptimizerConfig()
-    theta, trace = _descend_scalar(
-        model.weights.raw(prompt, side), objective, opt, epochs or opt.weight_epochs, n_samples
-    )
+    theta, trace = _descend_scalar(model.weights.raw(prompt, side), objective, opt, n_samples)
     return replace(model, weights=model.weights.with_raw(prompt, side, theta)), trace
 
 
@@ -694,12 +696,11 @@ def optimize_out_weight(
     train_set: EmbeddingSet,
     out_anchors: np.ndarray,
     prompt: int = 1,
-    margin: float = 0.2,
-    ent_weight: float = 8.0,
+    hyper: HyperParams = HyperParams(),
     opt: OptimizerConfig | None = None,
-    epochs: int | None = None,
 ) -> tuple[MixtureModel, list[float]]:
-    """Fit one head's out-domain weight by descending the entropy hinge.
+    """Fit one head's out-domain weight by descending the entropy hinge of
+    margin ``hyper.margin``, scaled by ``hyper.ent_weight``.
 
     Skips (returning the model unchanged with an empty trace) when no
     out-class anchors are supplied; raises if fewer than two are given.
@@ -711,7 +712,7 @@ def optimize_out_weight(
         raise ValueError("out-class sets need at least 2 anchors")
     if len(train_set) == 0:
         raise ValueError("empty training set")
-    objective = _out_objective_factory(model, train_set.vectors, out_anchors, prompt, margin,
-                                       ent_weight)
-    return _fit_raw(model, prompt, "out", objective, opt, epochs, len(train_set))
+    objective = _out_objective_factory(model, train_set.vectors, out_anchors, prompt,
+                                       hyper.margin, hyper.ent_weight)
+    return _fit_raw(model, prompt, "out", objective, opt, len(train_set))
 

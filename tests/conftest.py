@@ -1,5 +1,5 @@
 """Helpers shared by the test modules, and the oracles the library is
-checked against: row-by-row iteration, float32 quantization and empirical
+checked against: heads with a wide random context, row-by-row iteration, float32 quantization and empirical
 sub-domain masses of embedding sets, the per-class synthetic draw,
 single-row predictions and a head's expected error, per-sample loss
 values, the full-set context gradient and loss, the out-class entropies,
@@ -16,7 +16,7 @@ from promix import backend
 from promix._kernels_py import label_nll
 from promix.embedspace import EmbeddingSet, unit_normalize
 from promix.evaluation import harmonic_mean
-from promix.head import predict_matrix, similarity_matrix
+from promix.head import PromptHead, predict_matrix, similarity_matrix
 from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
 from promix.mixture import MixtureModel, MixtureWeights, mixture_scaled_logits, one_stage_params
 from promix.train import _AnchorSpace, _context_loss_grad, _entropy_rows, _runs_loss_grad
@@ -31,6 +31,15 @@ def _traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return peak, result
+
+
+def wide_context_head(anchors, names, context_len, seed, std):
+    """A head whose context is drawn as ``PromptHead.with_random_context``
+    draws it, at the standard deviation ``std`` in place of its small one,
+    so that the tuned head sits far from the frozen one."""
+    rng = np.random.default_rng(seed)
+    context = std * rng.standard_normal((context_len, np.shape(anchors)[1]))
+    return PromptHead(context, anchors, names)
 
 
 class LabeledSample(NamedTuple):
@@ -62,15 +71,15 @@ def masses_from(partition, labels):
     return counts / labels.size
 
 
-def _per_class_draw(config, protos, classes=None):
+def _per_class_draw(config, seed, protos, classes=None):
     """The synthetic train and test splits drawn one class block at a time,
     each its own ``standard_normal((per_class, D))`` call normalized by
     ``unit_normalize``: the oracle of the in-place fill path. Replays the
-    prototype and anchor draws of ``synthetic_parts`` to reach the first
-    train row, takes ``protos`` as given and keeps the train rows of
-    ``classes`` (default all). Returns (train vectors, train labels, test
+    prototype and anchor draws of ``synthetic_parts`` from ``seed`` to reach
+    the first train row, takes ``protos`` as given and keeps the train rows
+    of ``classes`` (default all). Returns (train vectors, train labels, test
     vectors, test labels)."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     n, d = config.num_classes, config.dim
     rng.standard_normal((n, d))
     for _ in range(config.confusion_pairs):

@@ -3,7 +3,7 @@
 import json
 import os
 import struct
-from dataclasses import replace
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import _traced_peak, _whole_set_base_new_scores
 from promix import embedspace, evaluation
 from promix.cli import main
-from promix.config import ConfigError, apply_overrides, load_config, parse_config
+from promix.config import ConfigError, RunConfig, apply_overrides, load_config, parse_config
 from promix.embedspace import (
     EmbeddingSet,
     generate_synthetic,
@@ -24,6 +24,7 @@ from promix.embedspace import (
 )
 from promix.head import PromptHead, load_head
 from promix.mixture import load_weights
+from promix.train import DivergenceError
 
 
 @pytest.fixture
@@ -165,6 +166,73 @@ class TestConfigParsing:
             load_config(tmp_path / "absent.json")
 
 
+# the fields the command line derives: each row of the losses zoo sets its
+# loss kind, and fscil its session settings from the partition
+DERIVED_FIELDS = ("loss/kind", "fscil_base_size", "fscil_way")
+# the fields the document keeps in another section, as canonical() lays it out
+SECTION_OF = {
+    "synthetic": "data/synthetic", "files": "data/files", "pool_size": "outclass/pool_size",
+    "pool_file": "outclass/pool_file", "parameterization": "weights/parameterization",
+}
+# a valid value at a pointer where the default's increment or half is none
+OTHER_VALUE = {
+    "out_dir": "elsewhere", "seeds": [5], "partition": {"kind": "session_schedule"},
+    "data/files": {"train": "a", "test": "b", "anchors": "c"}, "outclass/kind": "random_string",
+    "outclass/count": 3, "outclass/pool_file": "pool.emb", "weights/parameterization": "one_stage",
+}
+
+
+def _leaf_values(config, prefix=""):
+    """Path below RunConfig -> value, for every field of ``config`` and of
+    the config dataclasses inside it that is not itself a dataclass."""
+    values = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            values.update(_leaf_values(value, f"{prefix}{f.name}/"))
+        else:
+            values[prefix + f.name] = value
+    return values
+
+
+def _pointer(path):
+    head, _, rest = path.partition("/")
+    return "/" + "/".join(filter(None, (SECTION_OF.get(head, head), rest)))
+
+
+def _document(pointer, value):
+    doc = node = {}
+    *parents, last = pointer[1:].split("/")
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[last] = value
+    return doc
+
+
+class TestEverySettingIsRead:
+    """Each config field is set through its one JSON pointer, and setting
+    that pointer moves no other field; the derived fields have none."""
+
+    @pytest.mark.parametrize(
+        "path", [p for p in _leaf_values(RunConfig()) if p not in DERIVED_FIELDS]
+    )
+    def test_the_fields_pointer_sets_it_alone(self, path):
+        pointer = _pointer(path)
+        default = _leaf_values(parse_config({}))
+        value = OTHER_VALUE.get(pointer[1:])
+        if value is None:
+            value = default[path] + 1 if isinstance(default[path], int) else default[path] / 2
+        changed = _leaf_values(parse_config(_document(pointer, value)))
+        assert [p for p in default if changed[p] != default[p]] == [path]
+
+    @pytest.mark.parametrize("path", DERIVED_FIELDS)
+    def test_a_derived_field_has_no_pointer(self, path):
+        default = _leaf_values(RunConfig())[path]
+        pointer = _pointer(path)
+        with pytest.raises(ConfigError, match=f"^{pointer}: unknown key"):
+            parse_config(_document(pointer, default))
+
+
 class TestPipeline:
     def test_gen_is_deterministic(self, run_config):
         path, out = run_config()
@@ -177,7 +245,7 @@ class TestPipeline:
         path, out = run_config()
         assert main(["gen", "--config", str(path)]) == 0
         cfg = load_config(path)
-        domain = generate_synthetic(replace(cfg.synthetic, seed=cfg.seed))
+        domain = generate_synthetic(cfg.synthetic, cfg.seed)
         write_embedding_file(domain.test, tmp_path / "want.emb")
         assert (out / "data" / "test.emb").read_bytes() == (tmp_path / "want.emb").read_bytes()
 
@@ -199,7 +267,7 @@ class TestPipeline:
         metrics = json.loads((out / "manifest_tune.json").read_text())["metrics"]
         cfg = load_config(path, ["seeds=[0,1]"])
         for seed in (0, 1):
-            domain = generate_synthetic(replace(cfg.synthetic, seed=seed))
+            domain = generate_synthetic(cfg.synthetic, seed)
             partition = embedspace.partition_classes(8, seed=seed)
             base = domain.train.with_labels_in(partition.subsets[1])
             *_, traces = evaluation.tune_base_new_heads(
@@ -279,6 +347,8 @@ class TestPipeline:
             ('outclass.count="abc"', "/outclass/count"),
             ("outclass.pool_file=5", "/outclass/pool_file"),
             ("outclass.pool_size=0", "/outclass/pool_size"),
+            # the file's words are the pool, so a size would go unread
+            ('outclass={"pool_size": 2, "pool_file": "p"}', "/outclass/pool_size"),
             ('outclass.pool_file="/nonexistent/pool.emb"', "/outclass/pool_file"),
             ('partition={"kind": "explicit", "sets": [[0, 1], [2, 99]]}', "/partition/sets"),
             ('partition={"kind": "explicit", "sets": [[0, 1], [2, 3]]}', "/partition/sets"),
@@ -358,9 +428,9 @@ class TestPipeline:
         generated = []
         original = promix.cli.synthetic_parts
 
-        def counted(config, classes=None):
-            generated.append(config.seed)
-            return original(config, classes)
+        def counted(config, seed, classes=None):
+            generated.append(seed)
+            return original(config, seed, classes)
 
         monkeypatch.setattr(promix.cli, "synthetic_parts", counted)
         # generate_synthetic would draw a domain through the module's own name
@@ -585,6 +655,50 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: /outclass/pool_size: pool exhausted: need 4, have 3")
         assert not (out / "report_fscil.json").exists()
+
+    @pytest.mark.parametrize("stage", ["tune", "weights", "fscil"])
+    def test_one_class_base_split_exits_one_before_its_stage_runs(
+        self, run_config, capsys, stage
+    ):
+        # one out-class per tuned class: the 2-class domain's base split, or
+        # fscil's base session, holds one, and a set needs two
+        synthetic = {"num_classes": 2, "shots": 4, "test_per_class": 4, "dim": 16,
+                     "confusion_pairs": 1}
+        extra = {"partition": {"kind": "session_schedule", "base_size": 1, "way": 1}}
+        path, out = run_config(data={"synthetic": synthetic},
+                               **(extra if stage == "fscil" else {}))
+        if stage == "weights":
+            assert main(["tune", "--config", str(path), "--set", "outclass.count=2"]) == 0
+        assert main([stage, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: /outclass/count: out-class sets need at least 2 anchors")
+        produced = {"tune": out / "heads", "weights": out / "weights", "fscil": out}[stage]
+        assert [p for p in produced.iterdir() if p.is_file()] == []
+
+    @pytest.mark.parametrize("stage", ["tune", "bound"])
+    def test_runtime_failure_exits_two(self, run_config, capsys, monkeypatch, stage):
+        import promix.cli
+
+        def diverge(*args):
+            raise DivergenceError("non-finite loss")
+
+        monkeypatch.setattr(promix.cli, "tune_base_new_heads", diverge)
+        # a sweep reporting a negative gap: the bound would be violated
+        monkeypatch.setattr(promix.cli, "bound_sweep",
+                            lambda trials, seed: {"min_gap": -1.0, "all_non_negative": False})
+        path, _ = run_config()
+        assert main([stage, "--config", str(path)]) == 2
+        message = {"tune": "non-finite loss", "bound": "mixture error bound violated"}[stage]
+        assert capsys.readouterr().err.startswith(f"runtime failure: {message}")
+
+    def test_eval_needs_a_held_out_subset(self, run_config, capsys):
+        path, out = run_config(partition={"kind": "explicit", "sets": [[], list(range(8))]})
+        for stage in ("tune", "weights"):
+            assert main([stage, "--config", str(path)]) == 0
+        assert main(["eval", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: /partition: eval needs a partition with non-empty tuning")
+        assert not (out / "report_eval.json").exists()
 
     def test_fscil_missing_pool_file_exits_one(self, run_config, tmp_path, capsys):
         path, out = run_config(partition={"kind": "session_schedule", "base_size": 4, "way": 2})

@@ -81,30 +81,30 @@ class TestCosineSimilarity:
 class TestGenerateSynthetic:
     def test_zero_intra_noise_collapses_to_prototypes(self):
         cfg = SyntheticConfig(dim=8, num_classes=4, shots=3, test_per_class=2,
-                              intra_noise=0.0, proto_noise=0.1, confusion_pairs=0, seed=1)
-        dom = generate_synthetic(cfg)
+                              intra_noise=0.0, proto_noise=0.1, confusion_pairs=0)
+        dom = generate_synthetic(cfg, 1)
         for vec, label in samples(dom.train):
             assert np.array_equal(vec, dom.true_prototypes[label])
 
     def test_zero_proto_noise_gives_perfect_zero_shot(self):
         cfg = SyntheticConfig(dim=8, num_classes=5, shots=2, test_per_class=4,
-                              intra_noise=0.0, proto_noise=0.0, confusion_pairs=0, seed=2)
-        dom = generate_synthetic(cfg)
+                              intra_noise=0.0, proto_noise=0.0, confusion_pairs=0)
+        dom = generate_synthetic(cfg, 2)
         assert np.array_equal(dom.generalized_prototypes, dom.true_prototypes)
         sims = dom.test.vectors @ dom.generalized_prototypes.T
         assert np.all(np.argmax(sims, axis=1) == dom.test.labels)
 
     def test_seed_determinism_is_bitwise(self):
-        cfg = SyntheticConfig(seed=77)
-        a, b = generate_synthetic(cfg), generate_synthetic(cfg)
+        cfg = SyntheticConfig()
+        a, b = generate_synthetic(cfg, 77), generate_synthetic(cfg, 77)
         assert np.array_equal(a.train.vectors, b.train.vectors)
         assert np.array_equal(a.test.vectors, b.test.vectors)
         assert np.array_equal(a.generalized_prototypes, b.generalized_prototypes)
 
     def test_confusion_pairs_have_high_cosine(self):
         cfg = SyntheticConfig(dim=16, num_classes=10, shots=1, test_per_class=1,
-                              confusion_pairs=4, seed=3)
-        dom = generate_synthetic(cfg)
+                              confusion_pairs=4)
+        dom = generate_synthetic(cfg, 3)
         cosines = [
             float(dom.true_prototypes[2 * k] @ dom.true_prototypes[2 * k + 1])
             for k in range(4)
@@ -112,15 +112,15 @@ class TestGenerateSynthetic:
         assert all(c >= 0.9 for c in cosines)
 
     def test_all_outputs_unit_norm(self):
-        dom = generate_synthetic(SyntheticConfig(seed=5))
+        dom = generate_synthetic(SyntheticConfig(), 5)
         for arr in (dom.train.vectors, dom.test.vectors,
                     dom.generalized_prototypes, dom.true_prototypes):
             np.testing.assert_allclose(np.linalg.norm(arr, axis=1), 1.0, atol=1e-9)
 
     def test_parts_draw_the_test_split_as_class_blocks_last(self, monkeypatch):
         cfg = SyntheticConfig(dim=6, num_classes=5, shots=3, test_per_class=4,
-                              confusion_pairs=1, seed=7)
-        dom, parts = generate_synthetic(cfg), synthetic_parts(cfg)
+                              confusion_pairs=1)
+        dom, parts = generate_synthetic(cfg, 7), synthetic_parts(cfg, 7)
         assert np.array_equal(parts.train.vectors, dom.train.vectors)
         assert np.array_equal(parts.train.labels, dom.train.labels)
         assert np.array_equal(parts.generalized_prototypes, dom.generalized_prototypes)
@@ -139,9 +139,9 @@ class TestGenerateSynthetic:
         # chunks both straddle class blocks and cut through them
         monkeypatch.setattr(embedspace, "CHUNK_ROWS", rows)
         cfg = SyntheticConfig(dim=6, num_classes=5, shots=3, test_per_class=per_class,
-                              confusion_pairs=1, seed=7)
-        stream = synthetic_parts(cfg).test_chunks()
-        pairs = itertools.zip_longest(stream, generate_synthetic(cfg).test.chunks())
+                              confusion_pairs=1)
+        stream = synthetic_parts(cfg, 7).test_chunks()
+        pairs = itertools.zip_longest(stream, generate_synthetic(cfg, 7).test.chunks())
         count = 0
         for (vectors, labels), (want_vectors, want_labels) in pairs:
             assert vectors.tobytes() == want_vectors.tobytes()
@@ -152,14 +152,14 @@ class TestGenerateSynthetic:
     def test_test_chunks_outlive_the_train_split(self, monkeypatch):
         monkeypatch.setattr(embedspace, "CHUNK_ROWS", 7)
         cfg = SyntheticConfig(dim=6, num_classes=5, shots=3, test_per_class=4,
-                              confusion_pairs=1, seed=7)
-        parts = synthetic_parts(cfg)
+                              confusion_pairs=1)
+        parts = synthetic_parts(cfg, 7)
         train = weakref.ref(parts.train)
         base = parts.train.with_labels_in([1, 3])
         stream = parts.test_chunks()
         del parts
         assert train() is None and len(base) == 6
-        pairs = itertools.zip_longest(stream, generate_synthetic(cfg).test.chunks())
+        pairs = itertools.zip_longest(stream, generate_synthetic(cfg, 7).test.chunks())
         for (vectors, labels), (want_vectors, want_labels) in pairs:
             assert vectors.tobytes() == want_vectors.tobytes()
             assert labels.tobytes() == want_labels.tobytes()
@@ -171,15 +171,15 @@ class TestGenerateSynthetic:
     def test_fill_path_equals_the_per_class_draw(self, monkeypatch, sigma, rows, per_class, classes):
         monkeypatch.setattr(embedspace, "CHUNK_ROWS", rows)
         cfg = SyntheticConfig(dim=6, num_classes=5, shots=per_class, test_per_class=per_class,
-                              intra_noise=sigma, confusion_pairs=1, seed=7)
-        dom = generate_synthetic(cfg)
-        train_v, train_y, test_v, test_y = _per_class_draw(cfg, dom.true_prototypes)
+                              intra_noise=sigma, confusion_pairs=1)
+        dom = generate_synthetic(cfg, 7)
+        train_v, train_y, test_v, test_y = _per_class_draw(cfg, 7, dom.true_prototypes)
         assert dom.train.vectors.tobytes() == train_v.tobytes()
         assert dom.train.labels.tobytes() == train_y.tobytes()
         assert dom.test.vectors.tobytes() == test_v.tobytes()
         assert dom.test.labels.tobytes() == test_y.tobytes()
-        parts = synthetic_parts(cfg, classes)
-        train_v, train_y, _, _ = _per_class_draw(cfg, dom.true_prototypes, classes)
+        parts = synthetic_parts(cfg, 7, classes)
+        train_v, train_y, _, _ = _per_class_draw(cfg, 7, dom.true_prototypes, classes)
         assert parts.train.vectors.tobytes() == train_v.tobytes()
         assert parts.train.labels.tobytes() == train_y.tobytes()
         stream = [(v.tobytes(), y.tobytes()) for v, y in parts.test_chunks()]
@@ -189,8 +189,8 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("classes", [[1, 3], [4, 0, 2], [], range(5)])
     def test_parts_keep_the_train_rows_of_the_given_classes(self, classes):
         cfg = SyntheticConfig(dim=6, num_classes=5, shots=3, test_per_class=4,
-                              confusion_pairs=1, seed=7)
-        dom, parts = generate_synthetic(cfg), synthetic_parts(cfg, classes)
+                              confusion_pairs=1)
+        dom, parts = generate_synthetic(cfg, 7), synthetic_parts(cfg, 7, classes)
         want = dom.train.with_labels_in(classes)
         assert parts.train.vectors.tobytes() == want.vectors.tobytes()
         assert parts.train.labels.tobytes() == want.labels.tobytes()
@@ -341,7 +341,7 @@ class TestEmbeddingFile:
 
     def test_prototype_file_layout(self, tmp_path):
         dom = generate_synthetic(SyntheticConfig(dim=6, num_classes=3, shots=1,
-                                                 test_per_class=1, confusion_pairs=0, seed=4))
+                                                 test_per_class=1, confusion_pairs=0), 4)
         protos = prototype_set(dom.true_prototypes, dom.train.class_names)
         path = tmp_path / "protos.emb"
         write_embedding_file(protos, path)
@@ -535,8 +535,8 @@ class TestEmbeddingMemory:
         assert peak < 3 * self.CHUNK_BYTES
 
     def test_generation_fills_each_split_in_place(self):
-        config = SyntheticConfig(dim=32, num_classes=20, shots=4, test_per_class=500, seed=0)
-        peak, dom = _traced_peak(generate_synthetic, config)
+        config = SyntheticConfig(dim=32, num_classes=20, shots=4, test_per_class=500)
+        peak, dom = _traced_peak(generate_synthetic, config, 0)
         output = sum(
             a.nbytes
             for a in (dom.train.vectors, dom.train.labels, dom.test.vectors, dom.test.labels,
@@ -554,8 +554,8 @@ class TestEmbeddingMemory:
 
     def test_test_stream_holds_its_chunk_and_scratch(self, tmp_path):
         # gen's test.emb: the test split streamed into the block writer
-        config = SyntheticConfig(dim=32, num_classes=20, shots=4, test_per_class=500, seed=0)
-        parts = synthetic_parts(config)
+        config = SyntheticConfig(dim=32, num_classes=20, shots=4, test_per_class=500)
+        parts = synthetic_parts(config, 0)
         count = config.num_classes * config.test_per_class
         peak, _ = _traced_peak(
             write_embedding_blocks, config.dim, count, parts.train.class_names,

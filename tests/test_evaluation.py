@@ -12,7 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import _traced_peak, _whole_set_accuracy, _whole_set_base_new_scores
+from conftest import (
+    _traced_peak,
+    _whole_set_accuracy,
+    _whole_set_base_new_scores,
+    wide_context_head,
+)
 import promix.evaluation as evaluation
 import promix.train as train
 from promix import embedspace
@@ -53,7 +58,7 @@ from promix.train import HyperParams, OptimizerConfig, tune_prompt, tune_prompt_
 def _tiny_harness(**kw):
     defaults = dict(
         synthetic=SyntheticConfig(dim=16, num_classes=8, shots=4, test_per_class=6,
-                                  intra_noise=0.1, proto_noise=0.2, confusion_pairs=2, seed=0),
+                                  intra_noise=0.1, proto_noise=0.2, confusion_pairs=2),
         optimizer=OptimizerConfig(epochs=8),
         seeds=(0,),
     )
@@ -78,7 +83,7 @@ class TestAccuracy:
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(0)
         dom = generate_synthetic(SyntheticConfig(dim=8, num_classes=5, shots=2,
-                                                 test_per_class=8, confusion_pairs=0, seed=1))
+                                                 test_per_class=8, confusion_pairs=0), 1)
         head = PromptHead.frozen_from(dom.generalized_prototypes, dom.train.class_names)
         sims = dom.test.vectors @ dom.generalized_prototypes.T
         hits = sum(int(np.argmax(sims[i]) == dom.test.labels[i]) for i in range(len(dom.test)))
@@ -151,28 +156,21 @@ class TestClassifySamples:
 
     def test_three_way_categorization(self):
         head, data = self._fixture()
-        cats = classify_samples(head, data, gap_threshold=0.2, tau=0.05)
+        cats = classify_samples(head, data, tau=0.05)
         assert list(cats) == ["easy", "confusing", "hard"]
 
     def test_categories_partition_the_set(self):
         rng = np.random.default_rng(2)
         dom = generate_synthetic(SyntheticConfig(dim=8, num_classes=6, shots=2,
-                                                 test_per_class=10, confusion_pairs=2, seed=3))
+                                                 test_per_class=10, confusion_pairs=2), 3)
         head = PromptHead.frozen_from(dom.generalized_prototypes, dom.train.class_names)
-        for threshold in (0.2, 0.5):
-            cats = classify_samples(head, dom.test, gap_threshold=threshold)
-            assert len(cats) == len(dom.test)
-            assert set(np.unique(cats)) <= {"easy", "confusing", "hard"}
-
-    def test_wider_threshold_moves_hard_to_confusing(self):
-        head, data = self._fixture()
-        tight = classify_samples(head, data, gap_threshold=0.2, tau=0.5)
-        wide = classify_samples(head, data, gap_threshold=0.5, tau=0.5)
-        assert (tight == "confusing").sum() <= (wide == "confusing").sum()
+        cats = classify_samples(head, dom.test)
+        assert len(cats) == len(dom.test)
+        assert set(np.unique(cats)) <= {"easy", "confusing", "hard"}
 
     def test_correct_sample_is_easy_regardless_of_gap(self):
         head, data = self._fixture()
-        cats = classify_samples(head, data.subset(np.array([0])), gap_threshold=0.0)
+        cats = classify_samples(head, data.subset(np.array([0])))
         assert list(cats) == ["easy"]
 
 
@@ -323,7 +321,7 @@ class TestHarnessSmoke:
         cfg = _tiny_harness(
             synthetic=SyntheticConfig(dim=16, num_classes=10, shots=3, test_per_class=4,
                                       intra_noise=0.08, proto_noise=0.15,
-                                      confusion_pairs=2, seed=0),
+                                      confusion_pairs=2),
             fscil_base_size=6, fscil_way=2,
         )
         rep = fscil_run(cfg)
@@ -381,12 +379,12 @@ class TestSharedScoring:
     )
     def test_base_new_scores_match_per_configuration_accuracy(self, monkeypatch, fitted):
         dom = generate_synthetic(SyntheticConfig(dim=16, num_classes=10, shots=2,
-                                                 test_per_class=8, confusion_pairs=3, seed=4))
+                                                 test_per_class=8, confusion_pairs=3), 4)
         names, anchors = dom.test.class_names, dom.generalized_prototypes
         partition = partition_classes(10, "base_new_even_split", seed=4)
         t0 = PromptHead.frozen_from(anchors, names)
-        head_ce = PromptHead.with_random_context(anchors, names, 2, seed=1, init_std=0.4)
-        head_conf = PromptHead.with_random_context(anchors, names, 2, seed=2, init_std=0.4)
+        head_ce = wide_context_head(anchors, names, 2, 1, 0.4)
+        head_conf = wide_context_head(anchors, names, 2, 2, 0.4)
         tau = 0.01
         expected = _whole_set_base_new_scores(
             t0, head_ce, head_conf, fitted, partition, dom.test, tau
@@ -400,9 +398,9 @@ class TestSharedScoring:
     def test_confusing_curves_match_per_subset_accuracy(self, monkeypatch):
         # seed 3 at tau 0.05 gives both easy and confusing samples
         cfg = _tiny_harness(optimizer=OptimizerConfig(epochs=3), seeds=(3,), tau=0.05)
-        dom = generate_synthetic(replace(cfg.synthetic, seed=3))
+        dom = generate_synthetic(cfg.synthetic, 3)
         t0 = PromptHead.frozen_from(dom.generalized_prototypes, dom.test.class_names)
-        categories = classify_samples(t0, dom.test, gap_threshold=0.2, tau=cfg.tau)
+        categories = classify_samples(t0, dom.test, tau=cfg.tau)
         assert (categories == "easy").any() and (categories == "confusing").any()
         calls = _counting_similarity(monkeypatch)
         hook_calls, expected = [], {"ce": [], "conf": []}
@@ -443,7 +441,7 @@ class TestSharedScoring:
 def _random_heads(anchors, names, count):
     """The frozen head on ``anchors`` and ``count`` heads with random contexts."""
     return (PromptHead.frozen_from(anchors, names),) + tuple(
-        PromptHead.with_random_context(anchors, names, 2, seed=k, init_std=0.4)
+        wide_context_head(anchors, names, 2, k, 0.4)
         for k in range(1, count + 1)
     )
 
@@ -454,7 +452,7 @@ class TestSplitAccuracyCandidates:
     def test_heads_and_mixtures_match_the_whole_set_oracle(self, monkeypatch):
         monkeypatch.setattr(embedspace, "CHUNK_ROWS", 7)  # 80 test rows in 12 chunks
         dom = generate_synthetic(SyntheticConfig(dim=16, num_classes=10, shots=2,
-                                                 test_per_class=8, confusion_pairs=3, seed=6))
+                                                 test_per_class=8, confusion_pairs=3), 6)
         names = dom.test.class_names
         heads = _random_heads(dom.generalized_prototypes, names, 2)
         partition = partition_classes(10, "explicit", sets=[[0, 1, 8, 9], [2, 3, 4], [5, 6, 7]])
@@ -500,7 +498,7 @@ class TestSplitAccuracyCandidates:
 
     def test_row_blocks_match_the_whole_set_oracle(self, monkeypatch):
         dom = generate_synthetic(SyntheticConfig(dim=16, num_classes=10, shots=2,
-                                                 test_per_class=9, confusion_pairs=3, seed=5))
+                                                 test_per_class=9, confusion_pairs=3), 5)
         heads = _random_heads(dom.generalized_prototypes, dom.test.class_names, 2)
         partition = partition_classes(10, "base_new_even_split", seed=5)
         fitted = MixtureWeights.two_stage([0.9], [-0.7])
@@ -528,7 +526,7 @@ class TestStreamedBaseNew:
         cfg = _tiny_harness(seeds=(0, 1), parameterization=parameterization)
         per_seed = base_to_new_eval(cfg).extra["per_seed"]
         for seed, row in zip(cfg.seeds, per_seed):
-            dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
+            dom = generate_synthetic(cfg.synthetic, seed)
             train, anchors = dom.train, dom.generalized_prototypes
             partition = partition_classes(8, "base_new_even_split", seed=seed)
             base = train.with_labels_in(partition.subsets[1])
@@ -537,7 +535,7 @@ class TestStreamedBaseNew:
             )
             out = evaluation.outclass_anchors(cfg, train.dim, seed, len(partition.subsets[1]))
             weights = evaluation.fit_base_new_weights(
-                cfg, mix_head, mix_tau, base, anchors, partition, out, seed
+                cfg, mix_head, mix_tau, base, anchors, partition, out
             )
             t0 = PromptHead.frozen_from(anchors, train.class_names)
             assert row == _whole_set_base_new_scores(
@@ -548,7 +546,7 @@ class TestStreamedBaseNew:
         dim = 128
         chunk = embedspace.CHUNK_ROWS * dim * 8
         synthetic = SyntheticConfig(dim=dim, num_classes=16, shots=4, test_per_class=1,
-                                    confusion_pairs=2, seed=0)
+                                    confusion_pairs=2)
         cfg = _tiny_harness(synthetic=synthetic, pool_size=16,
                             optimizer=OptimizerConfig(epochs=2, weight_epochs=2))
         base_to_new_eval(cfg)  # lazy imports allocate on a first call
@@ -570,8 +568,8 @@ class TestStreamedBaseNew:
         trains, alive = [], []
         make, tune = evaluation.synthetic_parts, evaluation.tune_base_new_heads
 
-        def parts(config, classes=None):
-            made = make(config, classes)
+        def parts(config, seed, classes=None):
+            made = make(config, seed, classes)
             trains.append((weakref.ref(made.train), len(made.train)))
             return made
 
@@ -590,7 +588,7 @@ class TestStreamedBaseNew:
     def test_peak_holds_one_copy_of_the_base_rows(self, parameterization):
         # a train split of 1024 rows of dimension 512 outweighs everything else
         synthetic = SyntheticConfig(dim=512, num_classes=16, shots=64, test_per_class=1,
-                                    confusion_pairs=2, seed=0)
+                                    confusion_pairs=2)
         cfg = _tiny_harness(synthetic=synthetic, pool_size=16, parameterization=parameterization,
                             hyper=HyperParams(context_len=2),
                             optimizer=OptimizerConfig(epochs=2, weight_epochs=2))
@@ -608,7 +606,7 @@ class TestStreamedBaseNew:
         # 327 rows, and about 512 rows of each split per test chunk are
         # scored in 2 blocks
         synthetic = SyntheticConfig(dim=32, num_classes=400, shots=8, test_per_class=8,
-                                    confusion_pairs=2, seed=0)
+                                    confusion_pairs=2)
         cfg = _tiny_harness(synthetic=synthetic, pool_size=200, parameterization=parameterization,
                             hyper=HyperParams(context_len=2),
                             optimizer=OptimizerConfig(epochs=2, weight_epochs=2))
@@ -626,20 +624,20 @@ def _full_split_base_new(cfg, train, anchors, partition, out_anchors, seed):
     a copy of the base rows, and the weight stage filters another. The
     oracle of the stages on the base split."""
     names = train.class_names
-    opt = replace(cfg.optimizer, seed=seed)
+    opt = cfg.optimizer
     ce_loss = LossConfig("ce")
     conf_loss = LossConfig("ce_conf", w=cfg.hyper.conf_weight)
     run = evaluation.subset_run(anchors, names, train, partition.subsets[1], ce_loss, opt,
                                 cfg.hyper.context_len, seed, cfg.tau)
     init, rows, labels = run.local()
     local = EmbeddingSet(train.vectors[rows], labels, init.class_names)
-    head_ce, trace_ce = tune_prompt(init, local, ce_loss, opt, tau=cfg.tau)
+    head_ce, trace_ce = tune_prompt(init, local, ce_loss, opt, seed, tau=cfg.tau)
     if cfg.parameterization == "one_stage":
-        mix_head, mix_tau, trace_conf = tune_prompt_one_stage(init, local, conf_loss, opt,
+        mix_head, mix_tau, trace_conf = tune_prompt_one_stage(init, local, conf_loss, opt, seed,
                                                               tau_0=cfg.tau)
         start = MixtureWeights.one_stage(mix_tau, cfg.tau, tau_0=cfg.tau)
     else:
-        mix_head, trace_conf = tune_prompt(init, local, conf_loss, opt, tau=cfg.tau)
+        mix_head, trace_conf = tune_prompt(init, local, conf_loss, opt, seed, tau=cfg.tau)
         mix_tau, start = cfg.tau, MixtureWeights.uniform(1)
     head_ce, mix_head = (run.init.with_context(h.context) for h in (head_ce, mix_head))
     t0 = PromptHead.frozen_from(anchors, names)
@@ -660,7 +658,7 @@ class TestBaseSplit:
     def test_stages_match_the_full_split_calls(self, parameterization, seed):
         cfg = _tiny_harness(parameterization=parameterization,
                             optimizer=OptimizerConfig(epochs=8, weight_epochs=20))
-        dom = generate_synthetic(replace(cfg.synthetic, seed=seed))
+        dom = generate_synthetic(cfg.synthetic, seed)
         train, anchors = dom.train, dom.generalized_prototypes
         partition = partition_classes(8, "base_new_even_split", seed=seed)
         base = train.with_labels_in(partition.subsets[1])
@@ -670,7 +668,7 @@ class TestBaseSplit:
             cfg, base, anchors, partition, seed
         )
         weights = evaluation.fit_base_new_weights(
-            cfg, mix_head, mix_tau, base, anchors, partition, out, seed
+            cfg, mix_head, mix_tau, base, anchors, partition, out
         )
         want = _full_split_base_new(cfg, train, anchors, partition, out, seed)
         assert head_ce.context.tobytes() == want[0].context.tobytes()
@@ -695,22 +693,22 @@ class TestAssumptionDomain:
         seeds = []
         original = evaluation.generate_synthetic
 
-        def recording(config):
-            seeds.append(config.seed)
-            return original(config)
+        def recording(config, seed):
+            seeds.append(seed)
+            return original(config, seed)
 
         monkeypatch.setattr(evaluation, "generate_synthetic", recording)
         cfg = _tiny_harness(seeds=(5,), jobs=jobs)
         rep = assumption_check(cfg, splits=2)
         assert seeds == [5]
-        domain = generate_synthetic(replace(cfg.synthetic, seed=5))
+        domain = generate_synthetic(cfg.synthetic, 5)
         in_classes = partition_classes(8, "base_new_even_split", seed=0).subsets[1]
         test_in = domain.test.with_labels_in(in_classes)
         t0 = PromptHead.frozen_from(domain.generalized_prototypes, domain.test.class_names)
         ((tuned, _, _),) = evaluation.tune_prompts([evaluation.subset_run(
             domain.generalized_prototypes, domain.train.class_names, domain.train, in_classes,
             LossConfig("ce_conf", w=cfg.hyper.conf_weight),
-            replace(cfg.optimizer, seed=0), cfg.hyper.context_len, 0, cfg.tau,
+            cfg.optimizer, cfg.hyper.context_len, 0, cfg.tau,
         )])
         assert rep.extra["in_gaps"][0] == (
             _whole_set_accuracy(tuned, test_in) - _whole_set_accuracy(t0, test_in)
@@ -720,7 +718,7 @@ class TestAssumptionDomain:
 def _fscil_tiny(**kw):
     """4 base classes, then three 2-way sessions of 6 training rows each."""
     synthetic = SyntheticConfig(dim=16, num_classes=10, shots=3, test_per_class=4,
-                                intra_noise=0.08, proto_noise=0.15, confusion_pairs=2, seed=0)
+                                intra_noise=0.08, proto_noise=0.15, confusion_pairs=2)
     return _tiny_harness(synthetic=synthetic, fscil_base_size=4, fscil_way=2, **kw)
 
 
@@ -772,9 +770,9 @@ class TestLockstepHarnesses:
         want = confusing_gain(_tiny_harness(seeds=(0, 1))).to_json()
         drawn = []
         for name in ("synthetic_parts", "generate_synthetic"):
-            def spy(config, *args, name=name, original=getattr(evaluation, name)):
-                drawn.append((name, config.seed))
-                return original(config, *args)
+            def spy(config, seed, *args, name=name, original=getattr(evaluation, name)):
+                drawn.append((name, seed))
+                return original(config, seed, *args)
 
             monkeypatch.setattr(evaluation, name, spy)
         assert confusing_gain(_tiny_harness(seeds=(0, 1))).to_json() == want
@@ -813,9 +811,9 @@ class TestLockstepHarnesses:
         want = fscil_run(_fscil_tiny(seeds=(0, 1))).to_json()
         drawn = []
         for name in ("synthetic_parts", "generate_synthetic"):
-            def spy(config, *args, name=name, original=getattr(evaluation, name)):
-                drawn.append((name, config.seed))
-                return original(config, *args)
+            def spy(config, seed, *args, name=name, original=getattr(evaluation, name)):
+                drawn.append((name, seed))
+                return original(config, seed, *args)
 
             monkeypatch.setattr(evaluation, name, spy)
         assert fscil_run(_fscil_tiny(seeds=(0, 1))).to_json() == want

@@ -153,7 +153,7 @@ class TestExpectedError:
 
     def test_matches_per_sample_oracle(self):
         dom = generate_synthetic(SyntheticConfig(dim=8, num_classes=4, shots=3,
-                                                 test_per_class=2, confusion_pairs=0, seed=9))
+                                                 test_per_class=2, confusion_pairs=0), 9)
         head = PromptHead.frozen_from(dom.generalized_prototypes, dom.train.class_names)
         total = 0.0
         for vec, label in samples(dom.train):
@@ -162,7 +162,7 @@ class TestExpectedError:
 
     def test_reorder_invariance(self):
         dom = generate_synthetic(SyntheticConfig(dim=8, num_classes=4, shots=4,
-                                                 test_per_class=2, confusion_pairs=0, seed=10))
+                                                 test_per_class=2, confusion_pairs=0), 10)
         head = PromptHead.frozen_from(dom.generalized_prototypes, dom.train.class_names)
         perm = np.random.default_rng(0).permutation(len(dom.train))
         shuffled = dom.train.subset(perm)

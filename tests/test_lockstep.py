@@ -46,8 +46,8 @@ def _oracle_loss_grad(s, y, tau, loss):
     return float(losses.mean()), g
 
 
-def _oracle_adam(params, batch_grad, n, opt, epoch_hook=None):
-    rng = np.random.default_rng(opt.seed)
+def _oracle_adam(params, batch_grad, n, opt, seed, epoch_hook=None):
+    rng = np.random.default_rng(seed)
     moments = [np.zeros_like(p) for p in params]
     second = [np.zeros_like(p) for p in params]
     step = 0
@@ -90,7 +90,7 @@ def _oracle_step(anchors, x, cbar):
     return sims, grad
 
 
-def _oracle_tune(init, train_set, loss, opt, tau, epoch_hook=None):
+def _oracle_tune(init, train_set, loss, opt, seed, tau, epoch_hook=None):
     x, y = train_set.vectors, train_set.labels
 
     def batch_grad(idx, params):
@@ -100,12 +100,12 @@ def _oracle_tune(init, train_set, loss, opt, tau, epoch_hook=None):
         loss_val, g = _oracle_loss_grad(s, y[idx], tau, loss)
         return loss_val, [grad(idx, g, s, norms, ctx.shape[0]) + opt.prompt_weight_decay * ctx]
 
-    (ctx,), trace = _oracle_adam([init.context.copy()], batch_grad, len(train_set), opt,
+    (ctx,), trace = _oracle_adam([init.context.copy()], batch_grad, len(train_set), opt, seed,
                                  epoch_hook)
     return ctx, trace
 
 
-def _oracle_one_stage(init, generalized, train_set, loss, opt, tau_0):
+def _oracle_one_stage(init, generalized, train_set, loss, opt, seed, tau_0):
     x, y = train_set.vectors, train_set.labels
     z0 = x @ generalized.effective_embeddings().T / tau_0
 
@@ -120,7 +120,7 @@ def _oracle_one_stage(init, generalized, train_set, loss, opt, tau_0):
         return loss_val, [grad_ctx + opt.prompt_weight_decay * ctx, grad_tau]
 
     (ctx, log_tau), trace = _oracle_adam(
-        [init.context.copy(), float(np.log(tau_0))], batch_grad, len(train_set), opt
+        [init.context.copy(), float(np.log(tau_0))], batch_grad, len(train_set), opt, seed
     )
     return ctx, float(np.exp(log_tau)), trace
 
@@ -132,8 +132,8 @@ def _bits(values) -> bytes:
 def _domain(seed=0, num_classes=8):
     return generate_synthetic(SyntheticConfig(
         dim=12, num_classes=num_classes, shots=9, test_per_class=2, intra_noise=0.1,
-        proto_noise=0.2, confusion_pairs=2, seed=seed,
-    ))
+        proto_noise=0.2, confusion_pairs=2,
+    ), seed)
 
 
 def _head(dom, seed, context_len=3):
@@ -159,7 +159,7 @@ def _assert_matches_oracle(run, result):
     head, _, trace = result
     init, rows, labels = run.local()
     local = EmbeddingSet(run.train_set.vectors[rows], labels, init.class_names)
-    ctx, oracle_trace = _oracle_tune(init, local, run.loss, run.opt, run.tau)
+    ctx, oracle_trace = _oracle_tune(init, local, run.loss, run.opt, run.seed, run.tau)
     assert _bits(head.context) == _bits(ctx)
     assert _bits(trace) == _bits(oracle_trace)
     assert head.anchors is run.init.anchors  # the whole head comes back
@@ -173,10 +173,8 @@ class TestLockstepMatchesTheSingleRunLoop:
     def test_one_run(self, kind):
         dom = _domain()
         init = _head(dom, 1)
-        tuned, trace = tune_prompt(init, dom.train, LossConfig(kind), replace(OPT, seed=3),
-                                   tau=0.05)
-        ctx, oracle_trace = _oracle_tune(init, dom.train, LossConfig(kind),
-                                         replace(OPT, seed=3), 0.05)
+        tuned, trace = tune_prompt(init, dom.train, LossConfig(kind), OPT, 3, tau=0.05)
+        ctx, oracle_trace = _oracle_tune(init, dom.train, LossConfig(kind), OPT, 3, 0.05)
         assert _bits(tuned.context) == _bits(ctx)
         assert _bits(trace) == _bits(oracle_trace) and len(trace) == OPT.epochs
 
@@ -186,14 +184,14 @@ class TestLockstepMatchesTheSingleRunLoop:
         ce, conf = LossConfig("ce"), LossConfig("ce_conf", w=5.0)
         splits = [[0, 1, 2, 3], [4, 5, 6, 7], [1, 3, 5, 7], [0, 2, 4, 6]]
         runs = [
-            TuneRun(_head(dom, 10 + i), dom.train, loss, replace(OPT, seed=i), 0.05,
+            TuneRun(_head(dom, 10 + i), dom.train, loss, OPT, i, 0.05,
                     classes=np.array(split))
             for i, (split, loss) in enumerate(zip(splits, [ce, conf, conf, replace(conf, w=2.0)]))
         ]
         shared = _head(dom, 20)  # a CE/CoA pair on the same rows, batches and init
-        runs += [TuneRun(shared, dom.train, loss, replace(OPT, seed=7), 0.05) for loss in (ce, conf)]
-        runs += [TuneRun(_head(other, 30), other.train, conf, replace(OPT, seed=8), 0.05),
-                 TuneRun(_head(dom, 31), dom.train, LossConfig("fl"), replace(OPT, seed=9), 0.05)]
+        runs += [TuneRun(shared, dom.train, loss, OPT, 7, 0.05) for loss in (ce, conf)]
+        runs += [TuneRun(_head(other, 30), other.train, conf, OPT, 8, 0.05),
+                 TuneRun(_head(dom, 31), dom.train, LossConfig("fl"), OPT, 9, 0.05)]
         results = tune_prompts(runs)
         # the four subsets step together, as do the pair with the other
         # domain's run of equal rows; the fl run runs alone
@@ -203,7 +201,7 @@ class TestLockstepMatchesTheSingleRunLoop:
 
     def test_groups_are_capped(self, monkeypatch):
         dom = _domain()
-        runs = [TuneRun(_head(dom, i), dom.train, LossConfig("ce_conf"), replace(OPT, seed=i))
+        runs = [TuneRun(_head(dom, i), dom.train, LossConfig("ce_conf"), OPT, i)
                 for i in range(5)]
         whole = tune_prompts(runs)
         sizes = _spy_groups(monkeypatch)
@@ -217,14 +215,14 @@ class TestLockstepMatchesTheSingleRunLoop:
         dom = _domain()
         seen = {0: [], 1: []}
         runs = [
-            TuneRun(_head(dom, 40 + r), dom.train, LossConfig("ce_conf"), replace(OPT, seed=r),
+            TuneRun(_head(dom, 40 + r), dom.train, LossConfig("ce_conf"), OPT, r,
                     epoch_hook=lambda epoch, head, r=r: seen[r].append((epoch, head.context)))
             for r in (0, 1)
         ]
         tune_prompts(runs)
         for r, run in enumerate(runs):
             expected = []
-            _oracle_tune(run.init, dom.train, run.loss, run.opt, run.tau,
+            _oracle_tune(run.init, dom.train, run.loss, run.opt, run.seed, run.tau,
                          epoch_hook=lambda epoch, params: expected.append((epoch, params[0])))
             assert [e for e, _ in seen[r]] == list(range(OPT.epochs))
             assert [_bits(c) for _, c in seen[r]] == [_bits(c) for _, c in expected]
@@ -234,10 +232,9 @@ class TestLockstepMatchesTheSingleRunLoop:
         init = _head(dom, 50)
         generalized = PromptHead.frozen_from(dom.generalized_prototypes, dom.train.class_names)
         loss = LossConfig("ce_conf", w=5.0)
-        opt = replace(OPT, seed=5)
-        tuned, tau_1, trace = tune_prompt_one_stage(init, dom.train, loss, opt, tau_0=0.05)
+        tuned, tau_1, trace = tune_prompt_one_stage(init, dom.train, loss, OPT, 5, tau_0=0.05)
         ctx, oracle_tau, oracle_trace = _oracle_one_stage(init, generalized, dom.train, loss,
-                                                          opt, 0.05)
+                                                          OPT, 5, 0.05)
         assert _bits(tuned.context) == _bits(ctx)
         assert _bits(tau_1) == _bits(oracle_tau) and tau_1 != 0.05
         assert _bits(trace) == _bits(oracle_trace)
@@ -246,15 +243,15 @@ class TestLockstepMatchesTheSingleRunLoop:
         sizes = _spy_groups(monkeypatch)
         dom, other = _domain(0), _domain(1)
         loss = LossConfig("ce_conf", w=5.0)
-        runs = [TuneRun(_head(d, 60 + i), d.train, loss, replace(OPT, seed=i), 0.05, one_stage=True)
+        runs = [TuneRun(_head(d, 60 + i), d.train, loss, OPT, i, 0.05, one_stage=True)
                 for i, d in enumerate((dom, other, dom))]
-        runs.append(TuneRun(_head(dom, 63), dom.train, loss, replace(OPT, seed=3), 0.05))
+        runs.append(TuneRun(_head(dom, 63), dom.train, loss, OPT, 3, 0.05))
         results = tune_prompts(runs)
         assert sorted(sizes) == [1, 3]  # the one_stage runs together, the two_stage one apart
         for run, (head, tau_1, trace) in zip(runs[:3], results):
             generalized = PromptHead.frozen_from(run.init.anchors, run.init.class_names)
             ctx, oracle_tau, oracle_trace = _oracle_one_stage(
-                run.init, generalized, run.train_set, run.loss, run.opt, run.tau
+                run.init, generalized, run.train_set, run.loss, run.opt, run.seed, run.tau
             )
             assert _bits(head.context) == _bits(ctx)
             assert _bits(tau_1) == _bits(oracle_tau) and _bits(trace) == _bits(oracle_trace)
@@ -269,8 +266,8 @@ class TestLockstepErrorsNameTheRun:
         labels[5] = 8  # one past the 8-class list
         bad = EmbeddingSet(other.train.vectors, other.train.labels, other.train.class_names)
         object.__setattr__(bad, "labels", labels)
-        runs = [TuneRun(_head(dom, 0), dom.train, LossConfig("ce"), replace(OPT, seed=0)),
-                TuneRun(_head(other, 1), bad, LossConfig("ce"), replace(OPT, seed=4))]
+        runs = [TuneRun(_head(dom, 0), dom.train, LossConfig("ce"), OPT, 0),
+                TuneRun(_head(other, 1), bad, LossConfig("ce"), OPT, 4)]
         order = np.random.default_rng(4).permutation(len(bad))
         offset = int(np.flatnonzero(order == 5)[0]) // OPT.batch_size * OPT.batch_size
         with pytest.raises(ValueError, match=rf"run 1: .*class list .* epoch 0, batch offset "
@@ -281,9 +278,9 @@ class TestLockstepErrorsNameTheRun:
         dom = _domain()
         context = _head(dom, 2).context.copy()
         context[0, 0] = np.nan
-        runs = [TuneRun(_head(dom, 0), dom.train, LossConfig("ce_conf"), OPT),
-                TuneRun(_head(dom, 1).with_context(context), dom.train, LossConfig("ce"), OPT),
-                TuneRun(_head(dom, 3), dom.train, LossConfig("ce_conf"), OPT)]
+        runs = [TuneRun(_head(dom, 0), dom.train, LossConfig("ce_conf"), OPT, 0),
+                TuneRun(_head(dom, 1).with_context(context), dom.train, LossConfig("ce"), OPT, 0),
+                TuneRun(_head(dom, 3), dom.train, LossConfig("ce_conf"), OPT, 0)]
         with pytest.raises(DivergenceError, match=r"run 1: non-finite loss at epoch 0, "
                                                   r"batch offset 0$"):
             tune_prompts(runs)

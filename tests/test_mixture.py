@@ -17,6 +17,7 @@ from conftest import (
     mixture_predict_matrix,
     outclass_entropies,
     two_pass_bound_gap,
+    wide_context_head,
 )
 from promix import backend
 from promix.embedspace import (
@@ -176,7 +177,7 @@ class TestOneFormula:
         names = tuple(f"c{i}" for i in range(c))
         anchors = _unit_rows(rng, c, 8)
         heads = tuple(
-            PromptHead.with_random_context(anchors, names, 2, seed=seed + i, init_std=0.3)
+            wide_context_head(anchors, names, 2, seed + i, 0.3)
             for i in range(len(sets))
         )
         part = partition_classes(c, "explicit", sets=sets)

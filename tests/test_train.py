@@ -1,11 +1,18 @@
 """Tuning and weight-optimization loops: determinism, descent, gradients."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import _traced_peak, context_gradient, context_loss_value, outclass_entropies
+from conftest import (
+    _traced_peak,
+    context_gradient,
+    context_loss_value,
+    outclass_entropies,
+    wide_context_head,
+)
 from promix import backend
 from promix.embedspace import (
     EmbeddingSet,
@@ -59,9 +66,9 @@ def _with_labels(emb_set, labels):
 
 def _toy_domain(seed=0, **kw):
     defaults = dict(dim=16, num_classes=6, shots=6, test_per_class=4,
-                    intra_noise=0.08, proto_noise=0.2, confusion_pairs=2, seed=seed)
+                    intra_noise=0.08, proto_noise=0.2, confusion_pairs=2)
     defaults.update(kw)
-    return generate_synthetic(SyntheticConfig(**defaults))
+    return generate_synthetic(SyntheticConfig(**defaults), seed)
 
 
 class TestHyperParams:
@@ -94,8 +101,8 @@ class TestTunePrompt:
         init = PromptHead.with_random_context(
             dom.generalized_prototypes, dom.train.class_names, 4, seed=0
         )
-        opt = OptimizerConfig(prompt_lr=0.0, epochs=1, seed=0)
-        tuned, trace = tune_prompt(init, dom.train, LossConfig("ce_conf"), opt)
+        opt = OptimizerConfig(prompt_lr=0.0, epochs=1)
+        tuned, trace = tune_prompt(init, dom.train, LossConfig("ce_conf"), opt, 0)
         assert np.array_equal(tuned.context, init.context)
         assert len(trace) == 1
 
@@ -105,7 +112,7 @@ class TestTunePrompt:
         init = PromptHead.with_random_context(
             dom.generalized_prototypes, dom.train.class_names, 4, seed=1
         )
-        tuned, _ = tune_prompt(init, dom.train, LossConfig("ce_conf"), OptimizerConfig(seed=1))
+        tuned, _ = tune_prompt(init, dom.train, LossConfig("ce_conf"), OptimizerConfig(), 1)
         from promix.evaluation import accuracy
 
         assert accuracy(tuned, dom.train) == 100.0
@@ -117,7 +124,7 @@ class TestTunePrompt:
         init = PromptHead.with_random_context(
             dom.generalized_prototypes, dom.train.class_names, 4, seed=2
         )
-        _, trace = tune_prompt(init, dom.train, LossConfig("ce_conf"), OptimizerConfig(seed=2))
+        _, trace = tune_prompt(init, dom.train, LossConfig("ce_conf"), OptimizerConfig(), 2)
         assert all(b <= a + 1e-6 for a, b in zip(trace, trace[1:]))
 
     def test_bitwise_determinism(self):
@@ -125,9 +132,9 @@ class TestTunePrompt:
         init = PromptHead.with_random_context(
             dom.generalized_prototypes, dom.train.class_names, 4, seed=3
         )
-        opt = OptimizerConfig(seed=3, epochs=7)
-        a, trace_a = tune_prompt(init, dom.train, LossConfig("ce_conf"), opt)
-        b, trace_b = tune_prompt(init, dom.train, LossConfig("ce_conf"), opt)
+        opt = OptimizerConfig(epochs=7)
+        a, trace_a = tune_prompt(init, dom.train, LossConfig("ce_conf"), opt, 3)
+        b, trace_b = tune_prompt(init, dom.train, LossConfig("ce_conf"), opt, 3)
         assert np.array_equal(a.context, b.context)
         assert trace_a == trace_b
 
@@ -135,14 +142,14 @@ class TestTunePrompt:
         dom = _toy_domain(seed=4)
         frozen = PromptHead.frozen_from(dom.generalized_prototypes, dom.train.class_names)
         with pytest.raises(ValueError, match="frozen"):
-            tune_prompt(frozen, dom.train, LossConfig("ce"), OptimizerConfig())
+            tune_prompt(frozen, dom.train, LossConfig("ce"), OptimizerConfig(), 0)
 
     def test_anchors_never_change(self):
         dom = _toy_domain(seed=5)
         init = PromptHead.with_random_context(
             dom.generalized_prototypes, dom.train.class_names, 4, seed=5
         )
-        tuned, _ = tune_prompt(init, dom.train, LossConfig("ce"), OptimizerConfig(seed=5, epochs=3))
+        tuned, _ = tune_prompt(init, dom.train, LossConfig("ce"), OptimizerConfig(epochs=3), 5)
         assert np.array_equal(tuned.anchors, init.anchors)
 
     def test_one_stage_peak_stays_within_one_batch_of_tune_prompts(self):
@@ -153,9 +160,10 @@ class TestTunePrompt:
             dom.generalized_prototypes, dom.train.class_names, 2, seed=7
         )
         loss, opt = LossConfig("ce_conf", w=5.0), OptimizerConfig(epochs=1, batch_size=32)
-        tune_prompt_one_stage(init, dom.train, loss, opt, 0.05)  # lazy imports allocate once
-        one_stage_peak, _ = _traced_peak(tune_prompt_one_stage, init, dom.train, loss, opt, 0.05)
-        peak, _ = _traced_peak(tune_prompt, init, dom.train, loss, opt, 0.05)
+        tune_prompt_one_stage(init, dom.train, loss, opt, 0, 0.05)  # lazy imports allocate once
+        one_stage_peak, _ = _traced_peak(tune_prompt_one_stage, init, dom.train, loss, opt, 0,
+                                         0.05)
+        peak, _ = _traced_peak(tune_prompt, init, dom.train, loss, opt, 0, 0.05)
         assert one_stage_peak <= peak + opt.batch_size * len(init.class_names) * 8
 
 
@@ -173,7 +181,7 @@ class TestTuningLabelRange:
         labels[3] = bad
         with pytest.raises(ValueError, match="class list"):
             tune_prompt(init, _with_labels(dom.train, labels), LossConfig("ce"),
-                        OptimizerConfig(epochs=1))
+                        OptimizerConfig(epochs=1), 0)
 
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_one_stage_rejects_label_outside_class_list(self, setup, bad):
@@ -182,7 +190,7 @@ class TestTuningLabelRange:
         labels[3] = bad
         with pytest.raises(ValueError, match="class list"):
             tune_prompt_one_stage(init, _with_labels(dom.train, labels), LossConfig("ce"),
-                                  OptimizerConfig(epochs=1))
+                                  OptimizerConfig(epochs=1), 0)
 
 
 def _full_matrix_context_grad(ctx, anchors, xb, yb, loss, tau):
@@ -307,7 +315,7 @@ def _mixture_fixture(seed=0, better_specialized=True):
 class TestOptimizeInWeight:
     def test_better_specialized_head_raises_weight(self):
         _, model, train_in = _mixture_fixture(seed=8, better_specialized=True)
-        fitted, trace = optimize_in_weight(model, train_in, opt=OptimizerConfig(seed=0))
+        fitted, trace = optimize_in_weight(model, train_in, opt=OptimizerConfig())
         assert fitted.weights.in_weights[0] > 0.5
         assert trace[-1] <= trace[0] + 1e-9
 
@@ -318,14 +326,14 @@ class TestOptimizeInWeight:
         part = partition_classes(6, "explicit", sets=[[4, 5], [0, 1, 2, 3]])
         model = MixtureModel((t0, t0), MixtureWeights.two_stage([0.0], [0.0]), part, tau=0.01)
         train_in = dom.train.with_labels_in([0, 1, 2, 3])
-        fitted, trace = optimize_in_weight(model, train_in, opt=OptimizerConfig(seed=0))
+        fitted, trace = optimize_in_weight(model, train_in, opt=OptimizerConfig())
         assert fitted.weights.in_weights[0] == pytest.approx(0.5, abs=1e-9)
         assert trace[0] == pytest.approx(trace[-1], abs=1e-12)
 
     def test_objective_never_increases(self):
         for seed in range(4):
             _, model, train_in = _mixture_fixture(seed=seed)
-            _, trace = optimize_in_weight(model, train_in, opt=OptimizerConfig(seed=seed))
+            _, trace = optimize_in_weight(model, train_in, opt=OptimizerConfig())
             assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_labels_must_lie_in_sub_domain(self):
@@ -340,7 +348,7 @@ class TestOptimizeInWeight:
             model.heads, MixtureWeights.one_stage(0.01, 0.01), model.partition, tau=0.01
         )
         with pytest.raises(ValueError, match="one_stage in-weight is its head's temperature"):
-            optimize_in_weight(model_os, train_in, opt=OptimizerConfig(seed=0))
+            optimize_in_weight(model_os, train_in, opt=OptimizerConfig())
 
 
 def _stacked_fixture(seed=40):
@@ -350,8 +358,7 @@ def _stacked_fixture(seed=40):
     names = dom.train.class_names
     rng = np.random.default_rng(seed)
     heads = (PromptHead.frozen_from(dom.generalized_prototypes, names),) + tuple(
-        PromptHead.with_random_context(dom.generalized_prototypes, names, 2, seed=seed + i,
-                                       init_std=0.3)
+        wide_context_head(dom.generalized_prototypes, names, 2, seed + i, 0.3)
         for i in (1, 2)
     )
     part = partition_classes(8, "explicit", sets=[[6, 7], [0, 1, 2], [3, 4, 5]])
@@ -515,17 +522,17 @@ class TestInObjectiveCandidateColumns:
         fixture, classes, _ = self.CASES[case]
         model, train_in = fixture()
         classes = np.array(classes)
-        opt = OptimizerConfig(seed=0, weight_epochs=20)
+        opt = OptimizerConfig(weight_epochs=20)
         fitted, _ = optimize_in_weight(model, train_in, opt=opt, classes=classes)
         want, _ = _descend_scalar(
             model.weights.raw(1, "in"),
-            _full_stack_in_objective(model, train_in, 1, classes), opt, 20, len(train_in),
+            _full_stack_in_objective(model, train_in, 1, classes), opt, len(train_in),
         )
         assert fitted.weights.raw(1, "in") == pytest.approx(want, rel=1e-9)
 
     def test_memory_scales_with_the_candidate_columns(self):
         model, train_in, classes = _candidate_columns_fixture(shots=4)
-        opt = OptimizerConfig(seed=0, weight_epochs=2)
+        opt = OptimizerConfig(weight_epochs=2)
         optimize_in_weight(model, train_in, opt=opt, classes=classes)  # lazy set-up off the trace
         peak, _ = _traced_peak(optimize_in_weight, model, train_in, 1, opt, classes)
         unit = len(train_in) * len(classes) * 8
@@ -672,9 +679,9 @@ class TestOptimizeOutWeight:
         flat = MixtureModel(
             model.heads, MixtureWeights.two_stage([0.0], [-6.0]), model.partition, tau=0.01
         )
-        opt = OptimizerConfig(seed=0, weight_weight_decay=0.0)
+        opt = OptimizerConfig(weight_weight_decay=0.0, weight_epochs=5)
         fitted, trace = optimize_out_weight(
-            flat, train_in, out, margin=0.0, opt=opt, epochs=5
+            flat, train_in, out, hyper=HyperParams(margin=0.0), opt=opt
         )
         assert trace[0] == 0.0
         assert fitted.weights.out_weights[0] == pytest.approx(
@@ -684,7 +691,8 @@ class TestOptimizeOutWeight:
     def test_confident_head_weight_strictly_decreases(self):
         _, model, train_in, out = self._out_setup(16)
         fitted, trace = optimize_out_weight(
-            model, train_in, out, margin=0.2, ent_weight=8.0, opt=OptimizerConfig(seed=0)
+            model, train_in, out, hyper=HyperParams(margin=0.2, ent_weight=8.0),
+            opt=OptimizerConfig(),
         )
         assert fitted.weights.out_weights[0] < 0.5
         assert trace[-1] <= trace[0] + 1e-9
@@ -724,7 +732,7 @@ class TestOptimizeOutWeight:
         for seed in range(3):
             _, model, train_in, out = self._out_setup(seed + 20)
             _, trace = optimize_out_weight(
-                model, train_in, out, margin=0.3, opt=OptimizerConfig(seed=seed)
+                model, train_in, out, hyper=HyperParams(margin=0.3), opt=OptimizerConfig()
             )
             assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
@@ -774,7 +782,7 @@ class TestOutObjectiveBlocks:
     def test_ragged_small_blocks_keep_the_whole_array_bits(self, weights, thetas, monkeypatch):
         dom, model, train_in = _mixture_fixture(seed=21)
         names = dom.train.class_names
-        tuned = PromptHead.with_random_context(dom.true_prototypes, names, 2, seed=3, init_std=0.3)
+        tuned = wide_context_head(dom.true_prototypes, names, 2, 3, 0.3)
         model = MixtureModel((model.heads[0], tuned), weights, model.partition, tau=0.01)
         x, out = train_in.vectors, _unit_rows(np.random.default_rng(121), 8, 16)
         assert len(x) > 14 and len(x) % 7  # blocks of 7 rows: at least three, the last short
@@ -795,13 +803,13 @@ class TestOutObjectiveBlocks:
         names = tuple(f"c{j}" for j in range(4))
         anchors = _unit_rows(rng, 4, 32)
         heads = (PromptHead.frozen_from(anchors, names),
-                 PromptHead.with_random_context(anchors, names, 2, seed=1, init_std=0.4))
+                 wide_context_head(anchors, names, 2, 1, 0.4))
         part = partition_classes(4, "explicit", sets=[[2, 3], [0, 1]])
         model = MixtureModel(heads, MixtureWeights.two_stage([0.0], [0.0]), part, tau=0.01)
         train_in = EmbeddingSet(_unit_rows(rng, 1600, 32), np.arange(1600) % 2, names)
         out, opt = _unit_rows(rng, 200, 32), OptimizerConfig(weight_epochs=3)
         optimize_out_weight(model, train_in, out, opt=opt)  # lazy set-up off the trace
-        peak, _ = _traced_peak(optimize_out_weight, model, train_in, out, 1, 0.2, 8.0, opt)
+        peak, _ = _traced_peak(optimize_out_weight, model, train_in, out, 1, HyperParams(), opt)
         unit = 1600 * 200 * 8
         # si, one pair of 327-row logits/probs buffers and arrays of length
         # N (measured 1.46 units of N x n_out); holding si, logits and probs
@@ -809,7 +817,7 @@ class TestOutObjectiveBlocks:
         assert peak < 2 * unit
 
 
-def _descend_scalar_reference(theta0, objective_grad, opt, epochs, n_samples):
+def _descend_scalar_reference(theta0, objective_grad, opt, n_samples):
     """The weight descent loop without the fixed-point exit: every step
     evaluates the objective."""
     steps_per_epoch = max(1, -(-n_samples // opt.batch_size))
@@ -819,7 +827,7 @@ def _descend_scalar_reference(theta0, objective_grad, opt, epochs, n_samples):
         buf = 0.0
         value, grad = objective_grad(theta)
         trace = [value]
-        for _ in range(epochs):
+        for _ in range(opt.weight_epochs):
             previous_theta = theta
             for _ in range(steps_per_epoch):
                 buf = opt.weight_momentum * buf + grad + opt.weight_weight_decay * theta
@@ -833,7 +841,7 @@ def _descend_scalar_reference(theta0, objective_grad, opt, epochs, n_samples):
         return theta, trace
 
     theta, trace = run(opt.weight_lr)
-    if len(trace) == 1 and epochs > 0:
+    if len(trace) == 1:
         theta, trace = run(opt.weight_lr * 0.1)
         if len(trace) == 1:
             raise DivergenceError("weight objective rises immediately even after lr backoff")
@@ -858,8 +866,9 @@ class TestFixedPointExit:
 
     def _both(self, objective, theta0, opt):
         new, old = _Counted(objective), _Counted(objective)
-        result = _descend_scalar(theta0, new, opt, self.EPOCHS, self.N)
-        expected = _descend_scalar_reference(theta0, old, opt, self.EPOCHS, self.N)
+        opt = replace(opt, weight_epochs=self.EPOCHS)
+        result = _descend_scalar(theta0, new, opt, self.N)
+        expected = _descend_scalar_reference(theta0, old, opt, self.N)
         assert result[0] == expected[0]
         assert np.signbit(result[0]) == np.signbit(expected[0])
         assert result[1] == expected[1]
@@ -870,8 +879,8 @@ class TestFixedPointExit:
         assert (calls, reference_calls) == (1, 1 + self.EPOCHS * 2)
 
     def test_weight_decay_keeps_a_zero_gradient_moving(self):
-        theta, trace = _descend_scalar(0.7, lambda t: (0.0, 0.0), OptimizerConfig(),
-                                       self.EPOCHS, self.N)
+        theta, trace = _descend_scalar(0.7, lambda t: (0.0, 0.0),
+                                       OptimizerConfig(weight_epochs=self.EPOCHS), self.N)
         assert theta < 0.7 and trace == [0.0] * (self.EPOCHS + 1)
         calls, reference_calls = self._both(lambda t: (0.0, 0.0), 0.7, OptimizerConfig())
         assert calls == reference_calls == 1 + self.EPOCHS * 2
@@ -883,7 +892,8 @@ class TestFixedPointExit:
         opt = OptimizerConfig(weight_lr=0.01)
         calls, reference_calls = self._both(quadratic, 0.0, opt)
         assert calls == reference_calls == 1 + self.EPOCHS * 2
-        theta, trace = _descend_scalar(0.0, quadratic, opt, self.EPOCHS, self.N)
+        theta, trace = _descend_scalar(0.0, quadratic, replace(opt, weight_epochs=self.EPOCHS),
+                                       self.N)
         assert 0.0 < theta < 1.0 and len(trace) == self.EPOCHS + 1 and trace[-1] < trace[0]
 
     def test_exact_landing_on_the_minimum_stops_early(self):
@@ -895,7 +905,7 @@ class TestFixedPointExit:
 
     def test_non_finite_objective_at_a_fixed_point_still_raises(self):
         with pytest.raises(DivergenceError, match="non-finite"):
-            _descend_scalar(0.0, lambda t: (np.inf, 0.0), OptimizerConfig(), 2, 32)
+            _descend_scalar(0.0, lambda t: (np.inf, 0.0), OptimizerConfig(weight_epochs=2), 32)
 
     def test_inactive_hinge_out_weight_fit_is_one_evaluation(self, monkeypatch):
         # identical heads and margin 0: the specialized head at half weight is
@@ -915,9 +925,39 @@ class TestFixedPointExit:
 
         monkeypatch.setattr("promix.train._out_objective_factory", factory)
         fitted, trace = optimize_out_weight(
-            model, dom.train.with_labels_in([0, 1, 2, 3]), out, margin=0.0,
-            opt=OptimizerConfig(seed=0), epochs=4,
+            model, dom.train.with_labels_in([0, 1, 2, 3]), out, hyper=HyperParams(margin=0.0),
+            opt=OptimizerConfig(weight_epochs=4),
         )
         assert fitted.weights.raw_out[0] == 0.0
         assert trace == [0.0] * 5
         assert counted[0].calls == 1
+
+
+def _square(theta):
+    return theta * theta, 2.0 * theta
+
+
+class TestLearningRateBackoff:
+    """An ascent on the first epoch retries the descent once at a tenth of
+    the learning rate, and raises if that ascends too: bitwise as
+    ``_descend_scalar_reference`` does."""
+
+    # plain steps on theta^2 from 1, one per epoch: each scales theta by
+    # 1 - 2 lr, so a step ascends once lr exceeds 1
+    OPT = OptimizerConfig(weight_momentum=0.0, weight_weight_decay=0.0, weight_epochs=4)
+    N = 32
+
+    def test_first_epoch_ascent_retries_at_a_tenth_of_the_rate(self):
+        opt = replace(self.OPT, weight_lr=1.5)  # theta scales by -2, then by 0.7
+        theta, trace = _descend_scalar(1.0, _square, opt, self.N)
+        want = _descend_scalar_reference(1.0, _square, opt, self.N)
+        assert np.array([theta, *trace]).tobytes() == np.array([want[0], *want[1]]).tobytes()
+        slow = replace(opt, weight_lr=opt.weight_lr * 0.1)
+        assert (theta, trace) == _descend_scalar(1.0, _square, slow, self.N)
+        assert len(trace) == opt.weight_epochs + 1 and trace[-1] < trace[0]
+
+    @pytest.mark.parametrize("descend", [_descend_scalar, _descend_scalar_reference])
+    def test_ascent_at_both_rates_raises(self, descend):
+        opt = replace(self.OPT, weight_lr=15.0)  # theta scales by -29, then by -2
+        with pytest.raises(DivergenceError, match="rises immediately even after lr backoff"):
+            descend(1.0, _square, opt, self.N)
