@@ -321,9 +321,9 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
         for path in paths.values():
             if not path.exists():
                 raise ArtifactError(f"missing head checkpoint {path}; run `tune` first")
-        _, tau = load_head(paths["ce"])
-        mix_head, mix_tau = load_head(paths["conf"])
         train, anchors, _test = domain(seed)
+        _, tau = load_head(paths["ce"], anchors, train.class_names)
+        mix_head, mix_tau = load_head(paths["conf"], anchors, train.class_names)
         partition, base = _tuning_split(cfg, train, seed)
         _check_outclass(cfg, pool, len(partition.subsets[1]))
         out_anchors = outclass_anchors(cfg, dim, seed, len(partition.subsets[1]), pool)
@@ -351,10 +351,10 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
         for p in (*paths.values(), wpath):
             if not Path(p).exists():
                 raise ArtifactError(f"missing checkpoint {p}; run `tune` and `weights` first")
-        head_ce, tau = load_head(paths["ce"])
-        head_conf, _ = load_head(paths["conf"])
-        fitted = load_weights(wpath)
         train, anchors, test = domain(seed)
+        head_ce, tau = load_head(paths["ce"], anchors, train.class_names)
+        head_conf, _ = load_head(paths["conf"], anchors, train.class_names)
+        fitted = load_weights(wpath)
         partition = _partition_for(cfg, len(train.class_names), seed)
         if len(partition.subsets[0]) == 0 or len(partition.subsets[1]) == 0:
             raise ConfigError(

@@ -180,6 +180,9 @@ def parse_config(raw: dict) -> RunConfig:
         "kind": _typed(oc_obj, "kind", str, "random_word", "/outclass"),
         "count": _typed(oc_obj, "count", int, None, "/outclass"),
     }, "/outclass")
+    if "pool_size" in oc_obj and outclass.kind in ("random_string", "none"):
+        raise ConfigError(f"kind {outclass.kind} draws no words, so pool_size would go unread",
+                          "/outclass/pool_size")
 
     weights_obj = raw.get("weights", {})
     _require_keys(weights_obj, ("parameterization",), "/weights")
@@ -202,6 +205,9 @@ def parse_config(raw: dict) -> RunConfig:
         "partition": _parse_partition(raw.get("partition", {}), "/partition"),
         "pool_file": _typed(oc_obj, "pool_file", str, None, "/outclass"),
     }
+    if outclass.kind == "none" and "margin" in raw.get("hyper", {}):
+        raise ConfigError("kind none fits no out-weight, so its margin would go unread",
+                          "/hyper/margin")
     return _build(RunConfig, values, "",
                   sections={"parameterization": "/weights", "pool_size": "/outclass"})
 

@@ -10,6 +10,7 @@ generalized zero-shot model.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -129,31 +130,22 @@ def predict_matrix(s: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
     return backend.kernels.softmax_rows(s / tau)
 
 
-def save_head(head: PromptHead, tau: float, path) -> None:
-    """Write a head checkpoint: JSON manifest plus an EMB1 float block.
+def anchors_sha256(anchors: np.ndarray, class_names: Sequence[str]) -> str:
+    """sha256 of the float64 anchor rows, then of the class names as JSON."""
+    digest = hashlib.sha256(np.ascontiguousarray(anchors, dtype="<f8").tobytes())
+    digest.update(json.dumps(list(class_names)).encode())
+    return digest.hexdigest()
 
-    The binary block stores the context rows (label 0) followed by the
-    anchor rows (label 1). Values are float32 on disk.
-    """
+
+def save_head(head: PromptHead, tau: float, path) -> None:
+    """Write a head checkpoint: a JSON manifest of ``tau`` and the
+    ``anchors_sha256`` of the head's anchors and class names, plus the
+    context rows as an EMB1 block beside it (float32 on disk). The anchors
+    belong to the domain, so the checkpoint stores only their digest."""
     path = Path(path)
-    data_file = path.with_suffix(".emb")
-    vectors = np.concatenate([head.context, head.anchors]) if head.context_len else head.anchors
-    labels = np.concatenate(
-        [
-            np.zeros(head.context_len, dtype=np.int64),
-            np.ones(head.num_classes, dtype=np.int64),
-        ]
-    )
-    block = EmbeddingSet(vectors, labels, ("context", "anchor"))
-    write_embedding_file(block, data_file)
-    manifest = {
-        "context_len": head.context_len,
-        "dim": head.dim,
-        "class_names": list(head.class_names),
-        "tau": tau,
-        "frozen": head.context_len == 0,
-        "data_file": data_file.name,
-    }
+    context = EmbeddingSet(head.context, np.zeros(head.context_len, np.int64), ("context",))
+    write_embedding_file(context, path.with_suffix(".emb"))
+    manifest = {"tau": tau, "anchors_sha256": anchors_sha256(head.anchors, head.class_names)}
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -191,28 +183,22 @@ def checkpoint_reader(path) -> Callable:
     return entry
 
 
-def load_head(path) -> tuple[PromptHead, float]:
-    """Read a head checkpoint written by :func:`save_head`; a malformed
-    manifest entry or data file raises CheckpointError."""
+def load_head(path, anchors: np.ndarray, class_names: Sequence[str]) -> tuple[PromptHead, float]:
+    """Read a head checkpoint written by :func:`save_head` onto ``anchors``
+    and ``class_names``, the run's domain. CheckpointError if they are not
+    the ones the head was tuned on, or if a manifest entry or the context
+    block is malformed."""
     path = Path(path)
     entry = checkpoint_reader(path)
-    names = entry("/class_names", lambda v: isinstance(v, list)
-                  and all(isinstance(n, str) for n in v), "a list of class names")
-    m = entry("/context_len", lambda v: type(v) is int and v >= 0, "a non-negative integer")
     tau = entry("/tau", lambda v: is_finite(v) and v > 0, "a positive finite number")
-    frozen = entry("/frozen", lambda v: isinstance(v, bool), "true or false")
-    data_file = path.parent / entry("/data_file", lambda v: isinstance(v, str), "a file name")
+    entry("/anchors_sha256", lambda v: v == anchors_sha256(anchors, class_names),
+          "the digest of the run's anchors and class names; the head was tuned on others")
     try:
-        block = read_embedding_file(data_file, check_norms=False)
+        block = read_embedding_file(path.with_suffix(".emb"), check_norms=False)
     except (OSError, EmbeddingFileError) as exc:
-        raise CheckpointError(f"{path}: /data_file: {exc}") from exc
-    if block.vectors.shape[0] != m + len(names):
-        raise CheckpointError(f"{path}: /class_names: anchor count does not match class list")
-    entry("/dim", lambda v: type(v) is int and v == block.dim, f"the data file's {block.dim}")
-    if frozen != (m == 0):
-        raise CheckpointError(f"{path}: /frozen: a head is frozen exactly when it has no context")
-    try:
-        head = PromptHead(block.vectors[:m], block.vectors[m:], tuple(names))
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: /data_file: {exc}") from exc
-    return head, float(tau)
+        raise CheckpointError(f"{path}: context block: {exc}") from exc
+    dim = np.shape(anchors)[1]
+    if block.dim != dim:
+        raise CheckpointError(f"{path}: context block: rows of width {block.dim}, "
+                              f"anchors of width {dim}")
+    return PromptHead(block.vectors, anchors, tuple(class_names)), float(tau)

@@ -70,6 +70,7 @@ class MixtureWeights:
     ``raw_in[i-1]`` and ``raw_out[i-1]`` belong to specialized head i: logits
     for two_stage, temperatures for one_stage. The weights themselves,
     ``in_weights`` and ``out_weights``, are derived from them on each read.
+    ``tau_0``, the frozen head's temperature, is read under one_stage only.
     """
 
     parameterization: str
@@ -116,8 +117,8 @@ class MixtureWeights:
         return cls.two_stage(np.zeros(k), np.zeros(k))
 
     @classmethod
-    def two_stage(cls, alphas_in, alphas_out, tau_0: float = DEFAULT_TAU) -> "MixtureWeights":
-        return cls("two_stage", alphas_in, alphas_out, tau_0)
+    def two_stage(cls, alphas_in, alphas_out) -> "MixtureWeights":
+        return cls("two_stage", alphas_in, alphas_out)
 
     @classmethod
     def one_stage(cls, tau_in: float, tau_out: float, tau_0: float = DEFAULT_TAU) -> "MixtureWeights":
@@ -145,17 +146,17 @@ class MixtureWeights:
         return float(np.exp(-theta)), -1.0
 
     def to_dict(self) -> dict:
-        raw = ({"alphas_in": list(self.raw_in), "alphas_out": list(self.raw_out)}
+        raw = ({"raw": {"alphas_in": list(self.raw_in), "alphas_out": list(self.raw_out)}}
                if self.parameterization == "two_stage"
-               else {"tau_in": float(self.raw_in[0]), "tau_out": float(self.raw_out[0])})
+               else {"raw": {"tau_in": float(self.raw_in[0]), "tau_out": float(self.raw_out[0])},
+                     "tau_0": self.tau_0})
         return {
             "parameterization": self.parameterization,
-            "tau_0": self.tau_0,
             "prompts": [
                 {"pi_in": float(a), "pi_out": float(b)}
                 for a, b in zip(self.in_weights, self.out_weights)
             ],
-            "raw": raw,
+            **raw,
         }
 
 
@@ -175,14 +176,16 @@ def load_weights(path) -> MixtureWeights:
         return [entry(f"{pointer}/{i}", is_finite, "a finite number") for i in range(count)]
 
     positive = (lambda v: is_finite(v) and v > 0), "a positive finite number"
-    tau_0 = float(entry("/tau_0", *positive))
     if kind == "one_stage":
+        tau_0 = float(entry("/tau_0", *positive))
         taus = (float(entry(f"/raw/{key}", *positive)) for key in ("tau_in", "tau_out"))
         return MixtureWeights.one_stage(*taus, tau_0=tau_0)
+    if "tau_0" in entry("", lambda v: True, "a document"):  # a two_stage mixture reads no tau_0
+        raise CheckpointError(f"{path}: /tau_0: unexpected entry; only one_stage weights hold it")
     alphas_in, alphas_out = numbers("/raw/alphas_in"), numbers("/raw/alphas_out")
     if len(alphas_in) != len(alphas_out):
         raise CheckpointError(f"{path}: /raw/alphas_out: expected one logit per alphas_in entry")
-    return MixtureWeights.two_stage(alphas_in, alphas_out, tau_0=tau_0)
+    return MixtureWeights.two_stage(alphas_in, alphas_out)
 
 
 def class_weight_matrix(weights: MixtureWeights, partition: DomainPartition) -> np.ndarray:

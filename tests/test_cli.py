@@ -291,9 +291,16 @@ class TestPipeline:
         for cmd in ("tune", "weights", "eval"):
             assert main([cmd, "--config", str(path), *sets]) == 0, cmd
         report = json.loads((out / "report_eval.json").read_text())
-        harness = evaluation.base_to_new_eval(load_config(path, overrides))
+        cfg = load_config(path, overrides)
+        harness = evaluation.base_to_new_eval(cfg)
         assert report["per_config"] == harness.per_config
         assert report["extra"]["per_seed"] == harness.extra["per_seed"]
+        for seed in cfg.seeds:
+            domain = generate_synthetic(cfg.synthetic, seed)
+            anchors, names = domain.generalized_prototypes, domain.train.class_names
+            for label in ("ce", "conf"):
+                head, _ = load_head(out / "heads" / f"seed{seed}_{label}.json", anchors, names)
+                assert head.anchors.tobytes() == anchors.tobytes()
 
     def test_eval_without_tune_fails_cleanly(self, run_config, capsys):
         path, _ = run_config()
@@ -390,6 +397,24 @@ class TestPipeline:
         path, _ = run_config()
         assert main(["tune", "--config", str(path), "--set", override]) == 1
         assert f"{pointer}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, pointer",
+        [
+            (['outclass={"kind": "random_string", "pool_size": 8}'], "/outclass/pool_size"),
+            (['outclass={"kind": "none", "pool_size": 8}'], "/outclass/pool_size"),
+            (['outclass.kind="none"', "hyper.margin=0.9"], "/hyper/margin"),
+        ],
+        ids=["pool_size_random_string", "pool_size_none", "margin_none"],
+    )
+    def test_unread_outclass_setting_exits_one_before_any_work(
+        self, run_config, capsys, overrides, pointer
+    ):
+        path, out = run_config()
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["tune", "--config", str(path), *sets]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+        assert not out.exists()
 
     def test_env_seed_override_changes_data(self, run_config):
         path, out = run_config()
@@ -775,16 +800,15 @@ class TestBadCheckpoints:
              lambda d: d["raw"].__setitem__("tau_in", float("nan")), "/raw/tau_in"),
             ("two_stage", "weights/seed0.json",
              lambda d: d.__setitem__("parameterization", "direct"), "/parameterization"),
-            ("two_stage", "heads/seed0_ce.json", lambda d: d.pop("class_names"), "/class_names"),
+            # two_stage weights do not read the frozen head's temperature
+            ("two_stage", "weights/seed0.json", lambda d: d.__setitem__("tau_0", 7.5), "/tau_0"),
+            ("two_stage", "heads/seed0_ce.json",
+             lambda d: d.pop("anchors_sha256"), "/anchors_sha256"),
             ("two_stage", "heads/seed0_ce.json",
              lambda d: d.__setitem__("tau", float("nan")), "/tau"),
-            ("one_stage", "heads/seed0_conf.json",
-             lambda d: d.__setitem__("data_file", "gone.emb"), "/data_file"),
-            ("two_stage", "heads/seed0_conf.json", lambda d: d.__setitem__("dim", 999), "/dim"),
-            ("two_stage", "heads/seed0_ce.json", lambda d: d.pop("dim"), "/dim"),
         ],
-        ids=["no_raw", "nan_alpha", "nan_tau_in", "direct_weights", "no_class_names",
-             "nan_head_tau", "missing_data_file", "dim_mismatch", "no_dim"],
+        ids=["no_raw", "nan_alpha", "nan_tau_in", "direct_weights", "two_stage_tau_0",
+             "no_anchors_sha256", "nan_head_tau"],
     )
     def test_eval_exits_one_at_the_bad_entry(
         self, run_config, capsys, parameterization, name, damage, pointer
@@ -798,14 +822,60 @@ class TestBadCheckpoints:
         assert f"{out / name}: {pointer}: " in capsys.readouterr().err
         assert not (out / "report_eval.json").exists()
 
-    def test_weights_exits_one_at_a_head_dim_mismatch(self, run_config, capsys):
+    @pytest.mark.parametrize("command", ["weights", "eval"])
+    def test_context_block_of_another_width_exits_one_naming_the_head(
+        self, run_config, capsys, command
+    ):
         path, out = run_config()
-        assert main(["tune", "--config", str(path)]) == 0
+        for cmd in ("tune", "weights"):
+            assert main([cmd, "--config", str(path)]) == 0, cmd
         head = out / "heads" / "seed0_conf.json"
-        _damage_json(head, lambda d: d.__setitem__("dim", 999))
+        wide = np.zeros((16, 17))  # the fixture's anchors are 16 wide
+        write_embedding_file(EmbeddingSet(wide, np.zeros(16, np.int64), ("context",)),
+                             head.with_suffix(".emb"))
+        before = _tree_bytes(out)
         capsys.readouterr()
-        assert main(["weights", "--config", str(path)]) == 1
-        assert f"{head}: /dim: " in capsys.readouterr().err
+        assert main([command, "--config", str(path)]) == 1
+        assert f"{head}: context block: rows of width 17" in capsys.readouterr().err
+        assert _tree_bytes(out) == before
+
+
+class TestHeadsBelongToTheDomain:
+    """weights and eval build each head on the anchors of their own domain and
+    exit 1 at /anchors_sha256, before writing anything, if the heads were
+    tuned on other anchors."""
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("eval", ["data.synthetic.proto_noise=0.05"]),
+            ("weights", ['weights.parameterization="one_stage"',
+                         "data.synthetic.confusion_pairs=1"]),
+        ],
+        ids=["eval_other_noise", "weights_other_pairs"],
+    )
+    def test_other_synthetic_domain_exits_one(self, run_config, capsys, command, overrides):
+        path, out = run_config()
+        for cmd in ("tune", "weights"):
+            assert main([cmd, "--config", str(path)]) == 0, cmd
+        before = _tree_bytes(out)
+        capsys.readouterr()
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main([command, "--config", str(path), *sets]) == 1
+        assert f"{out / 'heads' / 'seed0_ce.json'}: /anchors_sha256: " in capsys.readouterr().err
+        assert _tree_bytes(out) == before
+
+    @pytest.mark.parametrize("command", ["weights", "eval"])
+    def test_replaced_anchor_file_exits_one(self, run_config, tmp_path, capsys, command):
+        path2, out = _files_pipeline(run_config, tmp_path)
+        data = Path(load_config(path2).files["anchors"]).parent
+        (data / "anchors.emb").write_bytes((data / "true_prototypes.emb").read_bytes())
+        before = _tree_bytes(out)
+        capsys.readouterr()
+        assert main([command, "--config", str(path2)]) == 1
+        assert f"{out / 'heads' / 'seed0_ce.json'}: /anchors_sha256: " in capsys.readouterr().err
+        assert _tree_bytes(out) == before
+        assert not (out / "report_eval.json").exists()
 
 
 class TestStreamedEval:
@@ -824,13 +894,15 @@ class TestStreamedEval:
         test = read_embedding_file(cfg.files["test"])
         anchors = read_embedding_file(cfg.files["anchors"])
         per_seed = []
+        anchor_rows = anchors.vectors[np.argsort(anchors.labels)]
         for seed in cfg.seeds:
-            head_ce, tau = load_head(out / "heads" / f"seed{seed}_ce.json")
-            head_conf, _ = load_head(out / "heads" / f"seed{seed}_conf.json")
+            head_ce, tau = load_head(out / "heads" / f"seed{seed}_ce.json",
+                                     anchor_rows, test.class_names)
+            head_conf, _ = load_head(out / "heads" / f"seed{seed}_conf.json",
+                                     anchor_rows, test.class_names)
             fitted = load_weights(out / "weights" / f"seed{seed}.json")
             partition = embedspace.partition_classes(len(test.class_names), seed=seed)
-            t0 = PromptHead.frozen_from(anchors.vectors[np.argsort(anchors.labels)],
-                                        test.class_names)
+            t0 = PromptHead.frozen_from(anchor_rows, test.class_names)
             per_seed.append(_whole_set_base_new_scores(
                 t0, head_ce, head_conf, fitted, partition, test, tau))
         expected = evaluation.base_new_report(per_seed, cfg.seeds, cfg.config_hash())

@@ -17,6 +17,7 @@ from promix.embedspace import (
 from promix.head import (
     CheckpointError,
     PromptHead,
+    anchors_sha256,
     load_head,
     predict_matrix,
     save_head,
@@ -178,21 +179,42 @@ class TestExpectedError:
 
 
 class TestCheckpoint:
+    @staticmethod
+    def _load(head, path):
+        return load_head(path, head.anchors, head.class_names)
+
     def test_round_trip(self, small_head, tmp_path):
         path = tmp_path / "head.json"
         save_head(small_head, 0.01, path)
-        back, tau = load_head(path)
+        back, tau = self._load(small_head, path)
         assert tau == 0.01
         assert back.class_names == small_head.class_names
-        assert back.context_len == small_head.context_len
+        assert np.array_equal(back.anchors, small_head.anchors)
         # float32 storage: values match to f32 precision
         np.testing.assert_allclose(back.context, small_head.context, atol=1e-6)
-        np.testing.assert_allclose(back.anchors, small_head.anchors, atol=1e-6)
+
+    def test_manifest_holds_tau_and_digest_and_the_block_only_context(self, small_head, tmp_path):
+        path = tmp_path / "head.json"
+        save_head(small_head, 0.01, path)
+        manifest = json.loads(path.read_text())
+        assert manifest == {
+            "tau": 0.01,
+            "anchors_sha256": anchors_sha256(small_head.anchors, small_head.class_names),
+        }
+        block = read_embedding_file(path.with_suffix(".emb"), check_norms=False)
+        assert block.vectors.shape == small_head.context.shape
+
+    def test_frozen_head_round_trips_without_context_rows(self, tmp_path):
+        path = tmp_path / "head.json"
+        head = PromptHead.frozen_from(_unit_rows(np.random.default_rng(2), 3, 4), ("a", "b", "c"))
+        save_head(head, 0.02, path)
+        back, tau = self._load(head, path)
+        assert tau == 0.02 and back.context_len == 0 and back.dim == 4
 
     def test_loaded_head_predicts_like_saved(self, small_head, tmp_path):
         path = tmp_path / "head.json"
         save_head(small_head, 0.01, path)
-        back, _ = load_head(path)
+        back, _ = self._load(small_head, path)
         rng = np.random.default_rng(11)
         x = unit_normalize(rng.standard_normal(12))
         np.testing.assert_allclose(
@@ -203,18 +225,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "damage, pointer",
         [
-            (lambda m: m.pop("class_names"), "/class_names"),
-            (lambda m: m.__setitem__("class_names", "c0"), "/class_names"),
-            (lambda m: m.__setitem__("context_len", -1), "/context_len"),
+            (lambda m: m.pop("tau"), "/tau"),
             (lambda m: m.__setitem__("tau", float("nan")), "/tau"),
             (lambda m: m.__setitem__("tau", 0.0), "/tau"),
-            (lambda m: m.__setitem__("frozen", "no"), "/frozen"),
-            (lambda m: m.__setitem__("data_file", "absent.emb"), "/data_file"),
-            (lambda m: m.__setitem__("dim", 999), "/dim"),
-            (lambda m: m.pop("dim"), "/dim"),
+            (lambda m: m.pop("anchors_sha256"), "/anchors_sha256"),
+            (lambda m: m.__setitem__("anchors_sha256", "0" * 64), "/anchors_sha256"),
         ],
-        ids=["no_class_names", "names_not_list", "negative_context", "nan_tau", "zero_tau",
-             "frozen_not_bool", "missing_data_file", "dim_mismatch", "no_dim"],
+        ids=["no_tau", "nan_tau", "zero_tau", "no_digest", "other_digest"],
     )
     def test_bad_entry_names_file_and_pointer(self, small_head, tmp_path, damage, pointer):
         path = tmp_path / "head.json"
@@ -222,36 +239,35 @@ class TestCheckpoint:
         manifest = json.loads(path.read_text())
         damage(manifest)
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=f"{path}: {pointer}: "):
-            load_head(path)
+        with pytest.raises(CheckpointError, match=f"{path}: {pointer}: "):
+            self._load(small_head, path)
 
-    def test_frozen_flag_on_a_tuned_head_names_file_and_pointer(self, small_head, tmp_path):
+    @pytest.mark.parametrize("change", ["one_ulp", "float32", "class_order"])
+    def test_other_anchors_fail_at_the_digest(self, small_head, tmp_path, change):
         path = tmp_path / "head.json"
         save_head(small_head, 0.01, path)
-        manifest = json.loads(path.read_text())
-        manifest["frozen"] = True
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match=f"{path}: /frozen: "):
-            load_head(path)
+        anchors, names = small_head.anchors.copy(), small_head.class_names
+        if change == "one_ulp":
+            anchors[0, 0] = np.nextafter(anchors[0, 0], 2.0)
+        elif change == "float32":
+            anchors = anchors.astype(np.float32).astype(np.float64)
+        else:
+            names = names[::-1]
+        with pytest.raises(CheckpointError, match=f"{path}: /anchors_sha256: "):
+            load_head(path, anchors, names)
 
-    def test_unfrozen_flag_on_a_contextless_head_names_file_and_pointer(self, tmp_path):
-        path = tmp_path / "head.json"
-        rng = np.random.default_rng(2)
-        save_head(PromptHead.frozen_from(_unit_rows(rng, 3, 4), ("a", "b", "c")), 0.01, path)
-        manifest = json.loads(path.read_text())
-        assert manifest["frozen"] is True
-        manifest["frozen"] = False
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match=f"{path}: /frozen: "):
-            load_head(path)
-
-    def test_non_unit_anchor_names_file_and_pointer(self, small_head, tmp_path):
+    def test_context_block_of_another_width_names_the_head_file(self, small_head, tmp_path):
         path = tmp_path / "head.json"
         save_head(small_head, 0.01, path)
-        data_file = path.with_suffix(".emb")
-        block = read_embedding_file(data_file, check_norms=False)
-        vectors = block.vectors.copy()
-        vectors[small_head.context_len] *= 1.5  # the first anchor row
-        write_embedding_file(EmbeddingSet(vectors, block.labels, block.class_names), data_file)
-        with pytest.raises(CheckpointError, match=f"{path}: /data_file: embedding norm"):
-            load_head(path)
+        wide = np.zeros((small_head.context_len, small_head.dim + 1))
+        write_embedding_file(EmbeddingSet(wide, np.zeros(len(wide), np.int64), ("context",)),
+                             path.with_suffix(".emb"))
+        with pytest.raises(CheckpointError, match=f"{path}: context block: rows of width 13"):
+            self._load(small_head, path)
+
+    def test_missing_context_block_names_the_head_file(self, small_head, tmp_path):
+        path = tmp_path / "head.json"
+        save_head(small_head, 0.01, path)
+        path.with_suffix(".emb").unlink()
+        with pytest.raises(CheckpointError, match=f"{path}: context block: "):
+            self._load(small_head, path)

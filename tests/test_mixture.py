@@ -573,7 +573,10 @@ class TestWeightCheckpoint:
              lambda d: d["raw"]["alphas_in"].__setitem__(0, float("nan")), "/raw/alphas_in/0"),
             (MixtureWeights.two_stage([0.3, 0.2], [0.1, 0.0]),
              lambda d: d["raw"]["alphas_out"].pop(), "/raw/alphas_out"),
-            (MixtureWeights.two_stage([0.3], [0.1]), lambda d: d.pop("tau_0"), "/tau_0"),
+            # only one_stage reads the frozen head's temperature
+            (MixtureWeights.two_stage([0.3], [0.1]), lambda d: d.__setitem__("tau_0", 7.5),
+             "/tau_0"),
+            (MixtureWeights.one_stage(0.03, 0.07), lambda d: d.pop("tau_0"), "/tau_0"),
             (MixtureWeights.one_stage(0.03, 0.07),
              lambda d: d["raw"].__setitem__("tau_out", float("inf")), "/raw/tau_out"),
             (MixtureWeights.one_stage(0.03, 0.07),
@@ -582,7 +585,8 @@ class TestWeightCheckpoint:
             (MixtureWeights.two_stage([0.4], [0.9]),
              lambda d: d.__setitem__("parameterization", "direct"), "/parameterization"),
         ],
-        ids=["no_raw", "nan_alpha", "short_alphas_out", "no_tau_0", "inf_tau", "kind", "direct"],
+        ids=["no_raw", "nan_alpha", "short_alphas_out", "two_stage_tau_0", "one_stage_no_tau_0",
+             "inf_tau", "kind", "direct"],
     )
     def test_bad_entry_names_file_and_pointer(self, weights, damage, pointer, tmp_path):
         path = tmp_path / "w.json"
