@@ -8,13 +8,13 @@ validation or precondition error, 2 runtime failure.
 
 Every output lands under the config's out_dir and is byte-reproducible
 for a fixed config and seed: reports are canonical JSON (sorted keys, no
-timestamps). PROMIX_SEED overrides the config's top-level seed.
+timestamps). Every setting comes from the config file and its ``--set``
+overrides, the seed too (``--set seed=N``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -58,19 +58,6 @@ from promix.train import tune_prompts
 
 class ArtifactError(RuntimeError):
     """A required checkpoint from an earlier stage is missing."""
-
-
-def _effective_config(path: str, overrides: tuple[str, ...]) -> RunConfig:
-    cfg = load_config(path, list(overrides))
-    env_seed = os.environ.get("PROMIX_SEED")
-    if env_seed is not None:
-        try:
-            cfg = replace(cfg, seed=int(env_seed))
-        except ValueError as exc:  # not an integer, or out of RunConfig.seed's range
-            raise ConfigError(
-                f"PROMIX_SEED must be a non-negative integer, got {env_seed!r}"
-            ) from exc
-    return cfg
 
 
 def _require_synthetic(cfg: RunConfig, command: str) -> None:
@@ -184,13 +171,13 @@ def _check_pool_file(cfg: RunConfig, dim: int) -> np.ndarray | None:
 
 def _check_outclass(cfg: RunConfig, pool: np.ndarray | None, in_class_size: int) -> None:
     """The out-class set, ``outclass.count`` anchors or else one per tuned class,
-    must hold at least 2 unless the kind is none, and the draw's random words
-    (random_word: all, mixed: half, floored) must fit the pool."""
+    must hold at least 2 unless the kind is none, and the draw's pool words
+    must fit the pool."""
     n = cfg.outclass.count or in_class_size
     if cfg.outclass.kind != "none" and n < 2:
         raise ConfigError(f"out-class sets need at least 2 anchors; set a count, as one "
                           f"anchor per tuned class gives {n}", "/outclass/count")
-    need = {"random_word": n, "mixed": n // 2}.get(cfg.outclass.kind, 0)
+    need = cfg.outclass.pool_words(n)
     have = cfg.pool_size if pool is None else len(pool)
     if need > have:
         pointer = "/outclass/pool_file" if cfg.pool_file else "/outclass/pool_size"
@@ -253,7 +240,7 @@ _set_opt = click.option(
 @_set_opt
 def gen(config_path: str, overrides: tuple[str, ...]) -> None:
     """Write the synthetic domain as embedding files."""
-    cfg = _effective_config(config_path, overrides)
+    cfg = load_config(config_path, overrides)
     _require_synthetic(cfg, "gen")
     out = _out_dir(cfg)
     data_dir = out / "data"
@@ -279,7 +266,7 @@ def gen(config_path: str, overrides: tuple[str, ...]) -> None:
 @_set_opt
 def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     """Tune the baseline (plain CE) and mixture heads per seed."""
-    cfg = _effective_config(config_path, overrides)
+    cfg = load_config(config_path, overrides)
     out = _out_dir(cfg)
     (out / "heads").mkdir(exist_ok=True)
     dim, domain = _domain_source(cfg)
@@ -310,7 +297,7 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
 @_set_opt
 def weights(config_path: str, overrides: tuple[str, ...]) -> None:
     """Fit the in/out mixture weights from the tuned heads."""
-    cfg = _effective_config(config_path, overrides)
+    cfg = load_config(config_path, overrides)
     out = _out_dir(cfg)
     (out / "weights").mkdir(exist_ok=True)
     dim, domain = _domain_source(cfg)
@@ -341,7 +328,7 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
 @_set_opt
 def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     """Score the four comparison configurations from saved artifacts."""
-    cfg = _effective_config(config_path, overrides)
+    cfg = load_config(config_path, overrides)
     out = _out_dir(cfg)
     _, domain = _domain_source(cfg)
     feeds = []
@@ -378,7 +365,7 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
 @_set_opt
 def fscil(config_path: str, overrides: tuple[str, ...]) -> None:
     """Run the class-incremental session benchmark."""
-    cfg = _effective_config(config_path, overrides)
+    cfg = load_config(config_path, overrides)
     _require_synthetic(cfg, "fscil")
     out = _out_dir(cfg)
     spec = cfg.partition or {}
@@ -414,7 +401,7 @@ def fscil(config_path: str, overrides: tuple[str, ...]) -> None:
 @click.option("--splits", type=click.IntRange(min=2), default=10, show_default=True)
 def assume(config_path: str, overrides: tuple[str, ...], splits: int) -> None:
     """Validate the specialization assumption with paired t-tests."""
-    cfg = _effective_config(config_path, overrides)
+    cfg = load_config(config_path, overrides)
     _require_synthetic(cfg, "assume")
     out = _out_dir(cfg)
     report = assumption_check(cfg, splits=splits, config_hash=cfg.config_hash())
@@ -430,7 +417,7 @@ def assume(config_path: str, overrides: tuple[str, ...], splits: int) -> None:
 @click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
 def bound(config_path: str, overrides: tuple[str, ...], trials: int) -> None:
     """Sweep random ensembles against the mixture error bound."""
-    cfg = _effective_config(config_path, overrides)
+    cfg = load_config(config_path, overrides)
     out = _out_dir(cfg)
     result = bound_sweep(trials=trials, seed=cfg.seed)
     payload = {"config_hash": cfg.config_hash(), **result}
@@ -446,7 +433,7 @@ def bound(config_path: str, overrides: tuple[str, ...], trials: int) -> None:
 @_set_opt
 def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     """Compare tuning-domain accuracy across the loss zoo."""
-    cfg = _effective_config(config_path, overrides)
+    cfg = load_config(config_path, overrides)
     out = _out_dir(cfg)
     _, domain = _domain_source(cfg)
     scorers = {kind: ((kind,), None) for kind in LOSS_KINDS}
@@ -483,7 +470,7 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
 @_set_opt
 def report(config_path: str, overrides: tuple[str, ...]) -> None:
     """Merge the run directory's manifests and reports into a summary."""
-    cfg = _effective_config(config_path, overrides)
+    cfg = load_config(config_path, overrides)
     out = _out_dir(cfg)
     merged: dict = {"config_hash": cfg.config_hash(), "runs": {}}
     for path in sorted(out.glob("manifest_*.json")) + sorted(out.glob("report_*.json")):

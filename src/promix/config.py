@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -103,12 +104,15 @@ class RunConfig(HarnessConfig):
     def canonical(self) -> dict:
         """The hashed document: every field but ``out_dir`` and the fscil
         session settings, laid out by section. ``data.synthetic`` is hashed
-        with a ``seed`` of 0 that no field holds, so the hashes that earlier
-        reports and manifests carry still match; the seeds that draw the
-        data are hashed as ``seed`` and ``seeds``."""
+        with a ``seed`` of 0 that no field holds, and the document with a
+        ``jobs`` of 1, the worker count that configs once set and no output
+        depended on, so the hashes that earlier reports and manifests carry
+        still match; the seeds that draw the data are hashed as ``seed`` and
+        ``seeds``."""
         doc = asdict(self)
         for key in ("out_dir", "fscil_base_size", "fscil_way"):
             del doc[key]
+        doc["jobs"] = 1
         synthetic, files = doc.pop("synthetic"), doc.pop("files")
         synthetic["seed"] = 0
         doc["data"] = {"synthetic": synthetic} if files is None else {"files": files}
@@ -149,10 +153,8 @@ def _parse_partition(obj: dict, pointer: str) -> dict:
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw JSON document into a RunConfig."""
-    top_keys = (
-        "out_dir", "seed", "seeds", "jobs", "tau", "data", "partition", "hyper", "loss",
-        "optimizer", "outclass", "weights",
-    )
+    top_keys = ("out_dir", "seed", "seeds", "tau", "data", "partition", "hyper", "loss",
+                "optimizer", "outclass", "weights")
     _require_keys(raw, top_keys, "")
 
     data = raw.get("data", {"synthetic": {}})
@@ -180,9 +182,10 @@ def parse_config(raw: dict) -> RunConfig:
         "kind": _typed(oc_obj, "kind", str, "random_word", "/outclass"),
         "count": _typed(oc_obj, "count", int, None, "/outclass"),
     }, "/outclass")
-    if "pool_size" in oc_obj and outclass.kind in ("random_string", "none"):
-        raise ConfigError(f"kind {outclass.kind} draws no words, so pool_size would go unread",
-                          "/outclass/pool_size")
+    for key in ("pool_size", "pool_file"):
+        if key in oc_obj and not outclass.draws_words:
+            raise ConfigError(f"kind {outclass.kind} draws no words, so {key} would go unread",
+                              f"/outclass/{key}")
 
     weights_obj = raw.get("weights", {})
     _require_keys(weights_obj, ("parameterization",), "/weights")
@@ -198,7 +201,6 @@ def parse_config(raw: dict) -> RunConfig:
         "seeds": tuple(_typed(raw, "seeds", list, [0, 1, 2], "")),
         "pool_size": _typed(oc_obj, "pool_size", int, 64, "/outclass"),
         "tau": _typed(raw, "tau", float, DEFAULT_TAU, ""),
-        "jobs": _typed(raw, "jobs", int, 1, ""),
         "out_dir": _typed(raw, "out_dir", str, "runs/default", ""),
         "seed": _typed(raw, "seed", int, 0, ""),
         "files": files,
@@ -212,7 +214,7 @@ def parse_config(raw: dict) -> RunConfig:
                   sections={"parameterization": "/weights", "pool_size": "/outclass"})
 
 
-def apply_overrides(raw: dict, overrides: list[str]) -> dict:
+def apply_overrides(raw: dict, overrides: Sequence[str]) -> dict:
     """Apply ``--set path=value`` pairs; paths are dot-separated, values
     parse as JSON when possible and fall back to strings."""
     for item in overrides:
@@ -235,7 +237,9 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return raw
 
 
-def load_config(path, overrides: list[str] | None = None) -> RunConfig:
+def load_config(path, overrides: Sequence[str] = ()) -> RunConfig:
+    """The RunConfig of the JSON file at ``path`` with the ``--set`` pairs
+    ``overrides`` applied."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -243,5 +247,5 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if overrides:
-        raw = apply_overrides(raw, list(overrides))
+        raw = apply_overrides(raw, overrides)
     return parse_config(raw)

@@ -4,16 +4,14 @@ Harnesses at desk scale: the base/new generalization comparison (four
 configurations over three seeds), the class-incremental session protocol,
 the specialized-vs-generalized assumption check with paired t-tests, the
 ensemble-bound sweep, and the confusing-sample analysis. All harnesses
-are deterministic per seed; multi-seed fan-out may run in parallel, with
-reduction order fixed by sorting on the seed.
+are deterministic per seed and run in one process, seeds in sorted order.
 
-``jobs`` cuts the seeds, or the assumption check's splits, into contiguous
-groups, one per worker process; results do not depend on it. Within a
-group ``tune_prompts`` tunes in lockstep the splits of the assumption
-check, the CE/CoA twins of the confusing-sample analysis, and the
-incremental sessions of equal row counts (tuned before the weights, which
-they do not depend on); base/new tunes each seed's CE head and its mixture
-head (a one_stage run under that parameterization) one at a time.
+One ``tune_prompts`` call tunes in lockstep every split of the assumption
+check, every seed's CE/CoA twins of the confusing-sample analysis, and
+every seed's incremental sessions of equal row counts (tuned before the
+weights, which they do not depend on); base/new tunes each seed's CE head
+and its mixture head (a one_stage run under that parameterization) one at
+a time.
 
 Every accuracy is counted chunk by chunk by :class:`SplitAccuracy`, on the
 ``candidates`` every split ranks; a head used by several scorers is scored
@@ -26,14 +24,11 @@ base and new accuracies.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +37,6 @@ from promix.embedspace import (
     EmbeddingSet,
     FieldError,
     SyntheticConfig,
-    SyntheticDomain,
     SyntheticParts,
     generate_synthetic,
     partition_classes,
@@ -161,7 +155,6 @@ class HarnessConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
     pool_size: int = 64
     tau: float = DEFAULT_TAU
-    jobs: int = 1
     fscil_base_size: int | None = None
     fscil_way: int = 5
 
@@ -176,7 +169,7 @@ class HarnessConfig:
         if self.parameterization not in ("one_stage", "two_stage"):
             raise FieldError("parameterization",
                              f"must be one_stage or two_stage, got {self.parameterization!r}")
-        for name in ("pool_size", "jobs", "fscil_way"):
+        for name in ("pool_size", "fscil_way"):
             if getattr(self, name) < 1:
                 raise FieldError(name, "must be at least 1")
         if self.fscil_base_size is not None and self.fscil_base_size < 1:
@@ -288,7 +281,7 @@ def outclass_anchors(
     """Surrogate out-class anchors for one seed. Random words come from the
     word vectors ``pool`` when given, else from a pool of ``cfg.pool_size``
     words generated (seed + 7919) for the kinds that read one; the draw uses seed + 104729."""
-    if pool is None and cfg.outclass.kind in ("random_word", "mixed"):
+    if pool is None and cfg.outclass.draws_words:
         pool = generate_vocab_pool(dim, cfg.pool_size, seed=seed + 7919)
     return generate_outclass(
         cfg.outclass, dim, seed=seed + 104729, vocab_pool=pool, in_class_size=in_class_size
@@ -496,23 +489,6 @@ def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
     return base_new_scores(acc.score(test))
 
 
-def _base_to_new_seeds(cfg: HarnessConfig, seeds: Sequence[int]) -> list[dict]:
-    return [_base_to_new_single(cfg, seed) for seed in seeds]
-
-
-def _run_seeds(worker: Callable, cfg: HarnessConfig, items: Sequence) -> list:
-    """``worker(cfg, group)``, one result per item of its group, called on
-    ``items`` cut in order into min(jobs, items, cores) contiguous groups, each
-    in its own worker process when there are several; the results in order."""
-    count = min(cfg.jobs, len(items), os.cpu_count() or 1)
-    if count == 1:
-        return worker(cfg, items)
-    groups = [[items[i] for i in idx] for idx in np.array_split(np.arange(len(items)), count)]
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        futures = [pool.submit(worker, cfg, group) for group in groups]
-        return [result for f in futures for result in f.result()]
-
-
 def base_new_report(per_seed: list[dict], seeds, config_hash: str = "") -> EvalReport:
     """Average per-seed four-configuration scores (ordered as the sorted
     ``seeds``) into the base/new report, with the comparison margins."""
@@ -542,7 +518,7 @@ def base_new_report(per_seed: list[dict], seeds, config_hash: str = "") -> EvalR
 def base_to_new_eval(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     """Four configurations (zero-shot, uniform ensemble, confusion-loss +
     uniform ensemble, full method) averaged over the configured seeds."""
-    per_seed = _run_seeds(_base_to_new_seeds, cfg, sorted(cfg.seeds))
+    per_seed = [_base_to_new_single(cfg, seed) for seed in sorted(cfg.seeds)]
     return base_new_report(per_seed, cfg.seeds, config_hash)
 
 
@@ -552,24 +528,6 @@ def fscil_partition(cfg: HarnessConfig, n_classes: int, seed: int) -> DomainPart
     base_size = n_classes * 60 // 100 if cfg.fscil_base_size is None else cfg.fscil_base_size
     return partition_classes(n_classes, "session_schedule", seed=seed, base_size=base_size,
                              way=cfg.fscil_way)
-
-
-def _fscil_group(pool: np.ndarray | None, cfg: HarnessConfig, seeds: Sequence[int]) -> list[dict]:
-    """The incremental-session protocol for each of ``seeds``. Session heads do
-    not depend on earlier weights, so every seed's are tuned first, in one call
-    that steps sessions of equal row counts in lockstep; then seed by seed."""
-    parts = [synthetic_parts(cfg.synthetic, seed) for seed in seeds]
-    partitions = [fscil_partition(cfg, cfg.synthetic.num_classes, seed) for seed in seeds]
-    # each session's context is drawn from its own seed, its batch order from the run's
-    tuned = iter(tune_prompts([
-        replace(subset_run(p.generalized_prototypes, p.train.class_names, p.train, subset,
-                           cfg.conf_loss, cfg.optimizer, FSCIL_CONTEXT_LEN,
-                           seed * 1000 + session, cfg.tau), seed=seed)
-        for seed, p, partition in zip(seeds, parts, partitions)
-        for session, subset in enumerate(partition.subsets[1:], start=1)
-    ]))
-    return [_fscil_sessions(cfg, seed, p, partition, tuned, pool)
-            for seed, p, partition in zip(seeds, parts, partitions)]
 
 
 def _fscil_sessions(cfg: HarnessConfig, seed: int, parts: SyntheticParts,
@@ -640,8 +598,24 @@ def fscil_run(cfg: HarnessConfig, config_hash: str = "",
     drawn by :func:`outclass_anchors` from ``pool``, later ones are the previous
     sessions' classes), then score the accumulated mixture on every class seen so
     far. Weights use the two_stage parameterization regardless of the configured
-    one; a single-temperature coupling is undefined past one specialized head."""
-    runs = _run_seeds(functools.partial(_fscil_group, pool), cfg, sorted(cfg.seeds))
+    one; a single-temperature coupling is undefined past one specialized head.
+
+    Session heads do not depend on earlier weights, so every seed's are tuned
+    first, in one call that steps sessions of equal row counts in lockstep;
+    then each seed's weights are fitted and scored in turn."""
+    seeds = sorted(cfg.seeds)
+    parts = [synthetic_parts(cfg.synthetic, seed) for seed in seeds]
+    partitions = [fscil_partition(cfg, cfg.synthetic.num_classes, seed) for seed in seeds]
+    # each session's context is drawn from its own seed, its batch order from the run's
+    tuned = iter(tune_prompts([
+        replace(subset_run(p.generalized_prototypes, p.train.class_names, p.train, subset,
+                           cfg.conf_loss, cfg.optimizer, FSCIL_CONTEXT_LEN,
+                           seed * 1000 + session, cfg.tau), seed=seed)
+        for seed, p, partition in zip(seeds, parts, partitions)
+        for session, subset in enumerate(partition.subsets[1:], start=1)
+    ]))
+    runs = [_fscil_sessions(cfg, seed, p, partition, tuned, pool)
+            for seed, p, partition in zip(seeds, parts, partitions)]
     acc = np.mean([r["session_acc"] for r in runs], axis=0)
     session_acc = [float(a) for a in acc]
     return EvalReport(
@@ -649,7 +623,7 @@ def fscil_run(cfg: HarnessConfig, config_hash: str = "",
         config_hash=config_hash,
         session_acc=session_acc,
         extra={
-            "seeds": list(sorted(cfg.seeds)),
+            "seeds": seeds,
             "final_first_session_acc": float(
                 np.mean([r["final_first_session_acc"] for r in runs])
             ),
@@ -661,40 +635,13 @@ def fscil_run(cfg: HarnessConfig, config_hash: str = "",
     )
 
 
-def _assumption_group(
-    domain: SyntheticDomain, cfg: HarnessConfig, split_seeds: Sequence[int]
-) -> list[dict]:
-    """Accuracy gaps of the splits ``split_seeds``, their heads tuned in lockstep."""
-    names = domain.train.class_names
-    anchors = domain.generalized_prototypes
-    t0 = PromptHead.frozen_from(anchors, names)
-    partitions = [partition_classes(len(names), seed=s) for s in split_seeds]
-    tuned = tune_prompts([
-        subset_run(anchors, names, domain.train, partition.subsets[1], cfg.conf_loss,
-                   cfg.optimizer, cfg.hyper.context_len, s, cfg.tau)
-        for partition, s in zip(partitions, split_seeds)
-    ])
-    rows = []
-    for partition, (head, _, _) in zip(partitions, tuned):
-        heads = {"t0": t0, "tuned": head}
-        split = SplitAccuracy(
-            heads, {key: ((key,), None) for key in heads},
-            {"in": partition.subsets[1], "out": partition.subsets[0]},
-            candidates=range(len(names)),
-        ).score(domain.test.chunks())
-        rows.append({
-            "in_gap": split["in"]["tuned"] - split["in"]["t0"],
-            "out_gap": split["out"]["t0"] - split["out"]["tuned"],
-        })
-    return rows
-
-
 def assumption_check(
     cfg: HarnessConfig, splits: int = 10, config_hash: str = ""
 ) -> EvalReport:
     """Specialized-vs-generalized accuracy gaps over seeded 50/50 class
-    splits of one domain (generated from the first configured seed), with
-    one-sided paired t-tests in both directions.
+    splits of one domain (generated from the first configured seed), every
+    split's head tuned in one lockstep call, with one-sided paired t-tests
+    in both directions.
 
     The assumption is declared validated when both tests reach p < 0.05.
     Zero-variance gap lists are reported as degenerate, not significant.
@@ -702,9 +649,25 @@ def assumption_check(
     if splits < 2:
         raise ValueError("need at least 2 splits")
     domain = generate_synthetic(cfg.synthetic, cfg.seeds[0])
-    rows = _run_seeds(functools.partial(_assumption_group, domain), cfg, list(range(splits)))
-    in_gaps = [r["in_gap"] for r in rows]
-    out_gaps = [r["out_gap"] for r in rows]
+    names = domain.train.class_names
+    anchors = domain.generalized_prototypes
+    t0 = PromptHead.frozen_from(anchors, names)
+    partitions = [partition_classes(len(names), seed=s) for s in range(splits)]
+    tuned = tune_prompts([
+        subset_run(anchors, names, domain.train, partition.subsets[1], cfg.conf_loss,
+                   cfg.optimizer, cfg.hyper.context_len, s, cfg.tau)
+        for s, partition in enumerate(partitions)
+    ])
+    in_gaps, out_gaps = [], []
+    for partition, (head, _, _) in zip(partitions, tuned):
+        heads = {"t0": t0, "tuned": head}
+        split = SplitAccuracy(
+            heads, {key: ((key,), None) for key in heads},
+            {"in": partition.subsets[1], "out": partition.subsets[0]},
+            candidates=range(len(names)),
+        ).score(domain.test.chunks())
+        in_gaps.append(split["in"]["tuned"] - split["in"]["t0"])
+        out_gaps.append(split["out"]["t0"] - split["out"]["tuned"])
 
     def run_test(gaps: list[float]) -> dict:
         try:
@@ -763,19 +726,15 @@ def _confusing_curves(tau: float, parts: SyntheticParts, init: PromptHead, means
     return {"counts": {k: int(m.sum()) for k, m in masks.items()}, **curves}
 
 
-def _confusing_group(cfg: HarnessConfig, seeds: Sequence[int]) -> list[dict]:
-    """The curves of each of ``seeds``: every seed's twins step in lockstep in
-    one :func:`tune_prompts` call, and each test split is drawn afterwards."""
-    twins, means, parts = zip(*(_confusing_runs(cfg, seed) for seed in seeds))
-    tune_prompts([run for pair in twins for run in pair])
-    return [_confusing_curves(cfg.tau, p, t[0].init, m) for p, t, m in zip(parts, twins, means)]
-
-
 def confusing_gain(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     """Twin tuning runs (plain CE vs CE plus the confusion term) on
     identical seeds and data, scored on the easy/confusing/all subsets of
-    the baseline head's predictions."""
-    per_seed = _run_seeds(_confusing_group, cfg, sorted(cfg.seeds))
+    the baseline head's predictions. Every seed's twins step in lockstep in
+    one :func:`tune_prompts` call, and each test split is drawn afterwards."""
+    seeds = sorted(cfg.seeds)
+    twins, means, parts = zip(*(_confusing_runs(cfg, seed) for seed in seeds))
+    tune_prompts([run for pair in twins for run in pair])
+    per_seed = [_confusing_curves(cfg.tau, p, t[0].init, m) for p, t, m in zip(parts, twins, means)]
     deltas = {}
     finals = {}
     for key in ("easy", "confusing", "all"):
@@ -793,7 +752,7 @@ def confusing_gain(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
         extra={
             "deltas": deltas,
             "finals": finals,
-            "seeds": list(sorted(cfg.seeds)),
+            "seeds": seeds,
             "curves": per_seed,
         },
     )

@@ -17,6 +17,8 @@ import numpy as np
 from promix.embedspace import FieldError, unit_normalize
 
 STRATEGY_KINDS = ("none", "random_string", "random_word", "mixed")
+# the kinds that draw pool words, each taking n // divisor of its n anchors from the pool
+_WORD_DIVISOR = {"random_word": 1, "mixed": 2}
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,16 @@ class OutclassStrategy:
             raise FieldError("kind", f"must be one of {STRATEGY_KINDS}, got {self.kind!r}")
         if self.count is not None and (self.kind == "none" or self.count < 2):
             raise FieldError("count", "must be unset under kind none, else at least 2 anchors")
+
+    @property
+    def draws_words(self) -> bool:
+        """Whether the kind draws any anchors from a vocabulary pool."""
+        return self.kind in _WORD_DIVISOR
+
+    def pool_words(self, n: int) -> int:
+        """How many of ``n`` anchors are pool words: random_word all of them,
+        mixed n // 2, the other kinds none."""
+        return n // _WORD_DIVISOR[self.kind] if self.draws_words else 0
 
     def resolved_count(self, in_class_size: int) -> int:
         n = in_class_size if self.count is None else self.count
@@ -55,10 +67,11 @@ def generate_outclass(
 ) -> np.ndarray:
     """Out-class anchors as an (n, dim) unit-norm array.
 
-    random_string draws uniform sphere points; random_word samples the
-    vocabulary pool without replacement; mixed takes ceil(n/2) strings and
-    floor(n/2) words. kind none yields an empty array (out-weight
-    optimization is skipped).
+    The :meth:`~OutclassStrategy.pool_words` of the n anchors sample the
+    vocabulary pool without replacement, after the others are drawn as
+    uniform sphere points: random_string draws only points, random_word only
+    words, mixed ceil(n/2) points then floor(n/2) words. kind none yields an
+    empty array (out-weight optimization is skipped).
     """
     if strategy.kind == "none":
         return np.empty((0, dim))
@@ -81,9 +94,7 @@ def generate_outclass(
         idx = rng.choice(pool.shape[0], size=count, replace=False)
         return pool[idx]
 
-    if strategy.kind == "random_string":
+    n_words = strategy.pool_words(n)
+    if n_words == 0:
         return draw_strings(n)
-    if strategy.kind == "random_word":
-        return draw_words(n)
-    n_str = (n + 1) // 2
-    return np.concatenate([draw_strings(n_str), draw_words(n - n_str)])
+    return np.concatenate([draw_strings(n - n_words), draw_words(n_words)])

@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -150,16 +152,22 @@ class TestConfigParsing:
             (
                 {
                     "hyper": {"margin": 0.1}, "loss": {"q": 0.5},
-                    "weights": {"parameterization": "one_stage"}, "tau": 0.05, "jobs": 2,
+                    "weights": {"parameterization": "one_stage"}, "tau": 0.05,
                     "seeds": [3, 1],
                 },
-                "c5936b360554e47d",
+                "abb898e3fb9aad64",
             ),
         ],
     )
     def test_config_hash_is_pinned(self, raw, expected):
         # reports and manifests of earlier runs carry these hashes
         assert parse_config(raw).config_hash() == expected
+
+    @pytest.mark.parametrize("raw", [{}, {"seeds": [3, 1]}, {"outclass": {"kind": "none"}}])
+    def test_canonical_hashes_a_jobs_of_one(self, raw):
+        # configs once set a worker count that no output depended on; hashing
+        # it as its old default keeps the hashes that earlier runs carry
+        assert parse_config(raw).canonical()["jobs"] == 1
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -389,8 +397,8 @@ class TestPipeline:
             ('outclass.kind="web_api"', "/outclass/kind"),
             # kind none draws no out-classes, so it never reads a count
             ('outclass={"kind": "none", "count": 7}', "/outclass/count"),
-            ("jobs=0", "/jobs"),
-            ("jobs=-1", "/jobs"),
+            # the harnesses run in one process: there is no worker count to set
+            ("jobs=2", "/jobs"),
         ],
     )
     def test_bad_value_exits_one_with_pointer(self, run_config, capsys, override, pointer):
@@ -403,36 +411,39 @@ class TestPipeline:
         [
             (['outclass={"kind": "random_string", "pool_size": 8}'], "/outclass/pool_size"),
             (['outclass={"kind": "none", "pool_size": 8}'], "/outclass/pool_size"),
+            (['outclass={"kind": "random_string", "pool_file": "POOL"}'], "/outclass/pool_file"),
+            (['outclass={"kind": "none", "pool_file": "POOL"}'], "/outclass/pool_file"),
             (['outclass.kind="none"', "hyper.margin=0.9"], "/hyper/margin"),
         ],
-        ids=["pool_size_random_string", "pool_size_none", "margin_none"],
+        ids=["pool_size_random_string", "pool_size_none", "pool_file_random_string",
+             "pool_file_none", "margin_none"],
     )
     def test_unread_outclass_setting_exits_one_before_any_work(
-        self, run_config, capsys, overrides, pointer
+        self, run_config, tmp_path, capsys, overrides, pointer
     ):
         path, out = run_config()
-        sets = [arg for item in overrides for arg in ("--set", item)]
+        pool = str(_write_pool(tmp_path, 40))  # a valid pool: only the kind leaves it unread
+        sets = [arg for item in overrides for arg in ("--set", item.replace("POOL", pool))]
         assert main(["tune", "--config", str(path), *sets]) == 1
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
         assert not out.exists()
 
-    def test_env_seed_override_changes_data(self, run_config):
+    def test_seed_override_changes_data(self, run_config):
         path, out = run_config()
         assert main(["gen", "--config", str(path)]) == 0
         base = (out / "data" / "train.emb").read_bytes()
-        os.environ["PROMIX_SEED"] = "9"
-        try:
-            assert main(["gen", "--config", str(path)]) == 0
-        finally:
-            del os.environ["PROMIX_SEED"]
+        assert main(["gen", "--config", str(path), "--set", "seed=9"]) == 0
         assert (out / "data" / "train.emb").read_bytes() != base
 
-    @pytest.mark.parametrize("value", ["-1", "x"])
-    def test_bad_env_seed_exits_one(self, run_config, capsys, monkeypatch, value):
+    @pytest.mark.parametrize("value", ["9", "-1", "x"])
+    def test_env_seed_is_not_read(self, run_config, monkeypatch, value):
+        # --set seed=N is the one way to set the seed
+        path, out = run_config()
+        assert main(["gen", "--config", str(path)]) == 0
+        want = _tree_bytes(out)
         monkeypatch.setenv("PROMIX_SEED", value)
-        path, _ = run_config()
-        assert main(["gen", "--config", str(path)]) == 1
-        assert "PROMIX_SEED" in capsys.readouterr().err
+        assert main(["gen", "--config", str(path)]) == 0
+        assert _tree_bytes(out) == want
 
     @pytest.mark.parametrize("command", ["gen", "fscil", "assume"])
     def test_synthetic_only_command_rejects_files(self, run_config, capsys, command):
@@ -1100,3 +1111,13 @@ def test_readme_minimal_config_parses_to_the_default_hash():
     section = readme.split("\nA minimal config", 1)[1]
     block = section.split("```json\n", 1)[1].split("\n```", 1)[0]
     assert parse_config(json.loads(block)).config_hash() == "153cb42f3c9b70c3"
+
+
+def test_importing_the_cli_loads_no_worker_pool():
+    # the harnesses run in one process, so nothing on the CLI's import path needs one
+    probe = ("import sys, promix.cli; "
+             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    src = Path(evaluation.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -6,8 +6,7 @@ keep the harness configs tiny.
 
 import struct
 import weakref
-from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -214,7 +213,6 @@ class TestHarnessConfig:
         "change, field",
         [
             ({"parameterization": "bogus"}, "parameterization"),
-            ({"jobs": 0}, "jobs"),
             ({"pool_size": 0}, "pool_size"),
             ({"seeds": ()}, "seeds"),
             ({"seeds": (0, 0)}, "seeds"),
@@ -232,6 +230,12 @@ class TestHarnessConfig:
             replace(HarnessConfig(), **change)
         assert info.value.field == field
         assert str(info.value).startswith(f"{field} ")
+
+    def test_has_no_worker_count(self):
+        # the harnesses run in one process
+        assert "jobs" not in {f.name for f in fields(HarnessConfig)}
+        with pytest.raises(TypeError, match="jobs"):
+            HarnessConfig(jobs=1)
 
 
 class TestHarnessSmoke:
@@ -251,53 +255,16 @@ class TestHarnessSmoke:
         b = base_to_new_eval(_tiny_harness())
         assert a.to_json() == b.to_json()
 
-    def test_parallel_jobs_match_serial(self):
-        serial = base_to_new_eval(_tiny_harness(seeds=(0, 1)))
-        parallel = base_to_new_eval(_tiny_harness(seeds=(0, 1), jobs=2))
-        assert serial.per_config == parallel.per_config
-
-    @pytest.mark.parametrize(
-        "jobs, seeds, cores, started, groups",
-        [
-            (8, (0, 1, 2), 2, [2], [[0, 1], [2]]),
-            (8, (1, 0), 4, [2], [[0], [1]]),
-            (2, (2, 0, 1), 4, [2], [[0, 1], [2]]),
-            (3, (0, 1, 2), None, [], [[0, 1, 2]]),
-            (1, (0, 1, 2), 4, [], [[0, 1, 2]]),
-        ],
-    )
-    def test_workers_clamped_to_seeds_and_cores(
-        self, monkeypatch, jobs, seeds, cores, started, groups
-    ):
-        pools, received = [], []
-
-        def worker(_cfg, group):
-            received.append(group)
-            return [10 * s for s in group]
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cores)
-        cfg = _tiny_harness(seeds=seeds, jobs=jobs)
-        assert evaluation._run_seeds(worker, cfg, sorted(seeds)) == [10 * s for s in sorted(seeds)]
-        # one contiguous group of plain ints per worker, in seed order
-        assert received == groups
-        assert all(type(s) is int for group in received for s in group)
-        assert pools == started
+    @pytest.mark.parametrize("parameterization", ["two_stage", "one_stage"])
+    def test_base_to_new_gives_each_seed_what_it_gives_alone(self, parameterization):
+        alone = [
+            base_to_new_eval(_tiny_harness(seeds=(s,), parameterization=parameterization))
+            .extra["per_seed"][0]
+            for s in (0, 1)
+        ]
+        # the seeds run in sorted order, whatever order the config lists them in
+        both = base_to_new_eval(_tiny_harness(seeds=(1, 0), parameterization=parameterization))
+        assert both.extra["per_seed"] == alone
 
     @pytest.mark.parametrize("parameterization", ["two_stage", "one_stage"])
     def test_base_to_new_tunes_only_the_heads_it_scores(self, monkeypatch, parameterization):
@@ -688,8 +655,7 @@ class TestBaseSplit:
 
 
 class TestAssumptionDomain:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_domain_from_the_configured_seed(self, monkeypatch, jobs):
+    def test_one_domain_from_the_configured_seed(self, monkeypatch):
         seeds = []
         original = evaluation.generate_synthetic
 
@@ -698,7 +664,7 @@ class TestAssumptionDomain:
             return original(config, seed)
 
         monkeypatch.setattr(evaluation, "generate_synthetic", recording)
-        cfg = _tiny_harness(seeds=(5,), jobs=jobs)
+        cfg = _tiny_harness(seeds=(5,))
         rep = assumption_check(cfg, splits=2)
         assert seeds == [5]
         domain = generate_synthetic(cfg.synthetic, 5)
@@ -749,14 +715,6 @@ def _recording_descent(monkeypatch) -> list[int]:
 
 
 class TestLockstepHarnesses:
-    def test_assumption_jobs_match_serial(self):
-        serial = assumption_check(_tiny_harness(), splits=4)
-        assert assumption_check(_tiny_harness(jobs=2), splits=4).to_json() == serial.to_json()
-
-    def test_fscil_jobs_match_serial(self):
-        serial = fscil_run(_fscil_tiny(seeds=(0, 1)))
-        assert fscil_run(_fscil_tiny(seeds=(0, 1), jobs=2)).to_json() == serial.to_json()
-
     def test_fscil_sessions_of_equal_rows_step_together(self, monkeypatch):
         stacked = fscil_run(_fscil_tiny())
         sizes = _recording_descent(monkeypatch)
@@ -793,11 +751,6 @@ class TestLockstepHarnesses:
         assert assumption_check(_tiny_harness(), splits=5).to_json() == whole.to_json()
         # tune_prompts caps each lockstep group of the one call
         assert sizes == [2, 2, 1]
-
-    def test_confusing_gain_jobs_match_serial(self):
-        serial = confusing_gain(_tiny_harness(seeds=(0, 1, 2)))
-        parallel = confusing_gain(_tiny_harness(seeds=(0, 1, 2), jobs=2))
-        assert parallel.to_json() == serial.to_json()
 
     def test_fscil_tunes_every_seeds_sessions_in_one_call(self, monkeypatch):
         alone = [fscil_run(_fscil_tiny(seeds=(s,))).extra["per_seed"][0] for s in (0, 1)]

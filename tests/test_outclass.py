@@ -20,6 +20,16 @@ class TestStrategy:
         assert OutclassStrategy("random_word").resolved_count(7) == 7
         assert OutclassStrategy("random_word", count=4).resolved_count(7) == 4
 
+    @pytest.mark.parametrize(
+        "kind, draws, words",
+        [("none", False, 0), ("random_string", False, 0), ("random_word", True, 9),
+         ("mixed", True, 4)],
+    )
+    def test_pool_words_per_kind(self, kind, draws, words):
+        strategy = OutclassStrategy(kind)
+        assert strategy.draws_words is draws
+        assert strategy.pool_words(9) == words
+
 
 class TestGeneration:
     def test_none_gives_empty(self):
@@ -53,6 +63,16 @@ class TestGeneration:
         assert out.shape[0] == 9
         in_pool = sum(tuple(v) in {tuple(p) for p in pool} for v in out)
         assert in_pool == 4  # floor(9/2) words, ceil(9/2) sphere samples
+
+    @pytest.mark.parametrize("kind", ["random_string", "random_word", "mixed"])
+    def test_pool_rows_are_the_strategys_pool_words(self, kind):
+        pool = generate_vocab_pool(8, 16, seed=15)
+        words = {tuple(p) for p in pool}
+        for n in range(2, 10):
+            strategy = OutclassStrategy(kind, count=n)
+            out = generate_outclass(strategy, 8, seed=n, vocab_pool=pool)
+            assert out.shape == (n, 8)
+            assert sum(tuple(v) in words for v in out) == strategy.pool_words(n)
 
     def test_unit_norms(self):
         pool = generate_vocab_pool(16, 8, seed=9)
