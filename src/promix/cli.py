@@ -280,13 +280,11 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
             cfg, base, anchors, partition, seed
         )
         heads = {"ce": head_ce, "conf": mix_head}
-        train_acc = SplitAccuracy(
-            heads, {label: ((label,), None) for label in heads}, {"base": partition.subsets[1]}
-        ).score(base.chunks())["base"]
+        train_acc = SplitAccuracy(heads, {"base": partition.subsets[1]}).score(base.chunks())
         paths = _head_paths(out, seed)
         for label, tau in (("ce", cfg.tau), ("conf", mix_tau)):
             save_head(heads[label], tau, paths[label])
-            metrics[f"seed{seed}_{label}"] = {"train_accuracy": train_acc[label],
+            metrics[f"seed{seed}_{label}"] = {"train_accuracy": train_acc["base"][label],
                                               "loss_trace": traces[label]}
     _write_manifest(cfg, out, "tune", {"seeds": sorted(cfg.seeds), "metrics": metrics})
     click.echo(f"tuned {2 * len(cfg.seeds)} heads under {out / 'heads'}")
@@ -436,7 +434,6 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     cfg = load_config(config_path, overrides)
     out = _out_dir(cfg)
     _, domain = _domain_source(cfg)
-    scorers = {kind: ((kind,), None) for kind in LOSS_KINDS}
     # ce_conf is the CoA-loss at the method's w; loss.w weighs ce_mae
     losses = {kind: replace(cfg.loss, kind=kind) for kind in LOSS_KINDS}
     losses["ce_conf"] = cfg.conf_loss
@@ -451,7 +448,7 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
             for kind in LOSS_KINDS
         ])
         heads = {kind: head for kind, (head, _, _) in zip(LOSS_KINDS, tuned)}
-        feeds.append((test, SplitAccuracy(heads, scorers, {"base": base_classes})))
+        feeds.append((test, SplitAccuracy(heads, {"base": base_classes})))
     splits = _score_test(feeds)
     accs = {kind: [split["base"][kind] for split in splits] for kind in LOSS_KINDS}
     rows = {kind: {"base_accuracy": float(np.mean(accs[kind]))} for kind in LOSS_KINDS}

@@ -113,10 +113,8 @@ def accuracy(
     scored; a sample whose label is not a candidate counts as wrong, and
     ties break toward the lowest class index. Labels stay global.
     """
-    model = model_or_head if isinstance(model_or_head, MixtureModel) else None
-    heads = {str(k): h for k, h in enumerate([model_or_head] if model is None else model.heads)}
     every_class = {"all": range(len(emb_set.class_names))}
-    acc = SplitAccuracy(heads, {"all": (tuple(heads), model)}, every_class, candidates=classes)
+    acc = SplitAccuracy({"all": model_or_head}, every_class, candidates=classes)
     return acc.score(emb_set.chunks())["all"]["all"]
 
 
@@ -295,12 +293,11 @@ class SplitAccuracy:
     ``splits`` maps a split name to the classes whose rows it counts.
     ``candidates`` is the one class list that every split ranks, so a row
     whose label is not a candidate counts as wrong; with None each split
-    ranks its own classes. ``heads`` maps a key to a head, scored on the
-    ranked columns only. ``scorers`` maps a name to (head keys, model):
-    with ``model`` None the first key's head scores alone, otherwise
-    ``model`` mixes the keyed heads' similarities.
+    ranks its own classes. ``scorers`` maps a name to a head, scored on
+    the ranked columns only, or to a mixture, which mixes its heads'
+    similarities in ``model.heads`` order.
 
-    A head keyed by more than one scorer is scored once per chunk and
+    A head object in more than one scorer is scored once per chunk and
     split and shared between them. Any other head is scored only when its
     scorer runs and is dropped once summed into the mixture, so a block of
     rows holds the shared heads' similarities and about three more arrays of
@@ -309,8 +306,7 @@ class SplitAccuracy:
 
     def __init__(
         self,
-        heads: dict[str, PromptHead],
-        scorers: dict[str, tuple[tuple[str, ...], MixtureModel | None]],
+        scorers: dict[str, PromptHead | MixtureModel],
         splits: dict[str, Sequence[int]],
         candidates: Sequence[int] | None = None,
     ):
@@ -319,13 +315,19 @@ class SplitAccuracy:
         self._ranked = {
             name: idx if ranked is None else ranked for name, idx in self._splits.items()
         }
+        # a head scorer is (its head id,) with no model; a mixture keys its heads' ids
+        self._scorers = {
+            name: (tuple(map(id, s.heads)), s) if isinstance(s, MixtureModel) else ((id(s),), None)
+            for name, s in scorers.items()
+        }
+        heads = {id(h): h for s in scorers.values()
+                 for h in (s.heads if isinstance(s, MixtureModel) else (s,))}
         self._heads = {
             name: {key: _frozen_on(h, idx) for key, h in heads.items()}
             for name, idx in self._ranked.items()
         }
-        uses = [key for keys, _ in scorers.values() for key in set(keys)]
+        uses = [key for keys, _ in self._scorers.values() for key in set(keys)]
         self._shared = tuple(key for key in heads if uses.count(key) > 1)
-        self._scorers = scorers
         self._correct = {name: dict.fromkeys(scorers, 0) for name in self._splits}
         self._total = dict.fromkeys(self._splits, 0)
 
@@ -394,16 +396,15 @@ def base_new_accuracy(
     """The accumulator of the four comparison configurations, on the base
     (``partition.subsets[1]``) and new (``partition.subsets[0]``) splits."""
     uniform = MixtureWeights.uniform(1)
-    heads = {"t0": t0, "ce": head_ce, "conf": head_conf}
 
-    def mixed(key: str, weights: MixtureWeights):
-        return ("t0", key), MixtureModel((t0, heads[key]), weights, partition, tau=tau)
+    def mixed(head: PromptHead, weights: MixtureWeights) -> MixtureModel:
+        return MixtureModel((t0, head), weights, partition, tau=tau)
 
-    scorers = {"zero_shot": (("t0",), None), "uniform_ensemble": mixed("ce", uniform),
-               "conf_uniform": mixed("conf", uniform),
-               "fitted_mixture": mixed("conf", fitted_weights)}
+    scorers = {"zero_shot": t0, "uniform_ensemble": mixed(head_ce, uniform),
+               "conf_uniform": mixed(head_conf, uniform),
+               "fitted_mixture": mixed(head_conf, fitted_weights)}
     splits = {"base": partition.subsets[1], "new": partition.subsets[0]}
-    return SplitAccuracy(heads, scorers, splits)
+    return SplitAccuracy(scorers, splits)
 
 
 def base_new_scores(split: dict[str, dict[str, float]]) -> dict:
@@ -576,12 +577,11 @@ def _fscil_sessions(cfg: HarnessConfig, seed: int, parts: SyntheticParts,
         raw_in = list(model.weights.raw_in)
         raw_out = list(model.weights.raw_out)
 
-        keyed = {str(k): h for k, h in enumerate(model.heads)}
-        scorers = {"mixture": (tuple(keyed), model), "t0": (("0",), None)}
         splits = {"seen": seen}
         if session == len(partition.subsets) - 1:
             splits["first"] = partition.subsets[1]
-        split = SplitAccuracy(keyed, scorers, splits, candidates=seen).score(test.chunks())
+        scorers = {"mixture": model, "t0": t0}
+        split = SplitAccuracy(scorers, splits, candidates=seen).score(test.chunks())
         session_acc.append(split["seen"]["mixture"])
 
     return {
@@ -644,7 +644,8 @@ def assumption_check(
     in both directions.
 
     The assumption is declared validated when both tests reach p < 0.05.
-    Zero-variance gap lists are reported as degenerate, not significant.
+    Zero-variance or non-finite gap lists are reported as degenerate, not
+    significant.
     """
     if splits < 2:
         raise ValueError("need at least 2 splits")
@@ -660,9 +661,8 @@ def assumption_check(
     ])
     in_gaps, out_gaps = [], []
     for partition, (head, _, _) in zip(partitions, tuned):
-        heads = {"t0": t0, "tuned": head}
         split = SplitAccuracy(
-            heads, {key: ((key,), None) for key in heads},
+            {"t0": t0, "tuned": head},
             {"in": partition.subsets[1], "out": partition.subsets[0]},
             candidates=range(len(names)),
         ).score(domain.test.chunks())

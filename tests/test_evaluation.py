@@ -425,19 +425,16 @@ class TestSplitAccuracyCandidates:
         partition = partition_classes(10, "explicit", sets=[[0, 1, 8, 9], [2, 3, 4], [5, 6, 7]])
         model = MixtureModel(heads, MixtureWeights.two_stage([0.8, -0.3], [-1.1, 0.4]),
                              partition, tau=0.05)
-        keyed = {str(k): h for k, h in enumerate(heads)}
         # head 0 and head 2 are shared with the mixture; head 1 is not
-        scorers = {"mixture": (("0", "1", "2"), model), "t0": (("0",), None),
-                   "h2": (("2",), None)}
+        scorers = {"mixture": model, "t0": heads[0], "h2": heads[2]}
         # labels 8 and 9 have rows in the splits but are not candidates
         splits = {"low": [0, 1, 2, 8], "high": [3, 4, 5, 6, 7, 9]}
         candidates = [0, 1, 2, 3, 4, 5, 6, 7]
-        acc = SplitAccuracy(keyed, scorers, splits, candidates=candidates)
+        acc = SplitAccuracy(scorers, splits, candidates=candidates)
         got = acc.score(dom.test.chunks())
-        scored = {"mixture": model, "t0": heads[0], "h2": heads[2]}
         for split, classes in splits.items():
             rows = dom.test.with_labels_in(classes)
-            want = {name: _whole_set_accuracy(m, rows, candidates) for name, m in scored.items()}
+            want = {name: _whole_set_accuracy(m, rows, candidates) for name, m in scorers.items()}
             assert got[split] == want
             outside = np.isin(rows.labels, [8, 9]).mean() * 100.0
             assert all(value <= 100.0 - outside for value in got[split].values())
@@ -451,8 +448,7 @@ class TestSplitAccuracyCandidates:
             classes, "explicit", sets=[s.tolist() for s in np.array_split(np.arange(classes), 9)]
         )
         model = MixtureModel(heads, MixtureWeights.two_stage(np.zeros(8), np.zeros(8)), partition)
-        keyed = {str(k): h for k, h in enumerate(heads)}
-        acc = SplitAccuracy(keyed, {"mixture": (tuple(keyed), model)}, {"all": range(classes)})
+        acc = SplitAccuracy({"mixture": model}, {"all": range(classes)})
         vectors = unit_normalize(rng.standard_normal((rows, dim)))
         labels = rng.integers(0, classes, size=rows)
         acc.add(vectors, labels)  # lazy set-up off the trace

@@ -1,7 +1,8 @@
-"""Student-t CDF via the incomplete beta function, and the paired test.
+"""Student-t CDF as the exact integer-df series, and the paired test.
 
 Reference values come from standard t tables and a high-precision
-mpmath oracle (test-only dependency).
+mpmath oracle (test-only dependency) that evaluates the CDF through the
+regularized incomplete beta function.
 """
 
 import math
@@ -10,45 +11,39 @@ import mpmath
 import numpy as np
 import pytest
 
-from promix.stats import (
-    regularized_incomplete_beta,
-    student_t_cdf,
-    t_test_paired_one_sided,
-)
+from promix.stats import student_t_cdf, t_test_paired_one_sided
 
 
-class TestIncompleteBeta:
-    def test_endpoints(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-
-    def test_symmetry_identity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            a, b = rng.uniform(0.5, 20, 2)
-            x = rng.uniform(0, 1)
-            lhs = regularized_incomplete_beta(a, b, x)
-            rhs = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_against_high_precision_oracle(self):
-        mpmath.mp.dps = 40
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            a, b = rng.uniform(0.5, 30, 2)
-            x = rng.uniform(0.001, 0.999)
-            ours = regularized_incomplete_beta(a, b, x)
-            exact = float(mpmath.betainc(a, b, 0, x, regularized=True))
-            assert ours == pytest.approx(exact, abs=1e-10)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(-1.0, 2.0, 0.5)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.0, 2.0, 1.5)
+def _oracle_cdf(t: float, df: int) -> float:
+    """P(T <= t) = 1 - I_x(df/2, 1/2) / 2 for t > 0, with x = df / (df + t^2),
+    at 50 digits."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        tail = mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, df / (df + t * t),
+                              regularized=True) / 2
+        return float(1 - tail if t > 0 else tail)
 
 
 class TestStudentTCDF:
+    def test_against_high_precision_oracle(self):
+        rng = np.random.default_rng(1)
+        for _ in range(400):
+            df = int(rng.choice([1, 2, 3, 4, 5, 8, 9, 19, 30, 99, 500]))
+            t = float(rng.uniform(-12, 12))
+            assert student_t_cdf(t, df) == pytest.approx(_oracle_cdf(t, df), abs=1e-13)
+
+    @pytest.mark.parametrize("df", [0, -1, 2.5, True])
+    def test_df_must_be_a_positive_int(self, df):
+        with pytest.raises(ValueError, match="positive"):
+            student_t_cdf(1.0, df)
+
+    def test_nan_t_rejected_and_infinities_are_the_limits(self):
+        with pytest.raises(ValueError, match="NaN"):
+            student_t_cdf(math.nan, 5)
+        for df in (1, 2, 9):
+            assert student_t_cdf(math.inf, df) == 1.0
+            assert student_t_cdf(-math.inf, df) == 0.0
+
     def test_zero_is_exactly_half(self):
         for df in (1, 2, 9, 30):
             assert student_t_cdf(0.0, df) == 0.5
@@ -92,6 +87,11 @@ class TestPairedTTest:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             t_test_paired_one_sided([1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_differences_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite differences"):
+            t_test_paired_one_sided([1.0, bad, 2.0])
 
     def test_zero_mean_gives_half(self):
         result = t_test_paired_one_sided([-1.0, 1.0, -2.0, 2.0])
