@@ -12,7 +12,7 @@ from promix.embedspace import (
 )
 from promix.head import PromptHead
 from promix.losses import LossConfig
-from promix.mixture import MixtureModel, MixtureWeights, bound_gap, one_stage_params
+from promix.mixture import MixtureModel, MixtureWeights, bound_gap
 from promix.outclass import OutclassStrategy, generate_outclass
 from promix.stats import t_test_paired_one_sided
 from promix.train import HyperParams, OptimizerConfig, optimize_in_weight, optimize_out_weight, tune_prompt
@@ -53,7 +53,6 @@ __all__ = [
     "generate_outclass",
     "generate_synthetic",
     "harmonic_mean",
-    "one_stage_params",
     "optimize_in_weight",
     "optimize_out_weight",
     "partition_classes",

@@ -65,6 +65,14 @@ def _require_synthetic(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"{command} requires a synthetic data source", "/data")
 
 
+def _require_base_new(cfg: RunConfig, command: str) -> None:
+    """A base/new mixture has one head per subset: Y_0's frozen, Y_1's tuned."""
+    kind = (cfg.partition or {}).get("kind")
+    if kind == "session_schedule" or (kind == "explicit" and len(cfg.partition["sets"] or []) != 2):
+        pointer = "/partition/kind" if kind == "session_schedule" else "/partition/sets"
+        raise ConfigError(f"{command} needs a base/new partition of two subsets", pointer)
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,6 +275,7 @@ def gen(config_path: str, overrides: tuple[str, ...]) -> None:
 def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     """Tune the baseline (plain CE) and mixture heads per seed."""
     cfg = load_config(config_path, overrides)
+    _require_base_new(cfg, "tune")
     out = _out_dir(cfg)
     (out / "heads").mkdir(exist_ok=True)
     dim, domain = _domain_source(cfg)
@@ -296,6 +305,7 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
 def weights(config_path: str, overrides: tuple[str, ...]) -> None:
     """Fit the in/out mixture weights from the tuned heads."""
     cfg = load_config(config_path, overrides)
+    _require_base_new(cfg, "weights")
     out = _out_dir(cfg)
     (out / "weights").mkdir(exist_ok=True)
     dim, domain = _domain_source(cfg)
@@ -327,6 +337,7 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
 def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     """Score the four comparison configurations from saved artifacts."""
     cfg = load_config(config_path, overrides)
+    _require_base_new(cfg, "eval")
     out = _out_dir(cfg)
     _, domain = _domain_source(cfg)
     feeds = []

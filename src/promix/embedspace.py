@@ -25,6 +25,8 @@ the file holds exactly ``count`` samples. Samples move CHUNK_ROWS at a time
 through one reused record buffer. ``iter_embedding_chunks`` streams a file
 as (vectors, labels) chunks that the next chunk overwrites, and
 ``read_embedding_file`` fills its float64 result through the same reader.
+Each chunk is checked in full before it is yielded, so for a bad file both
+raise the same ``EmbeddingFileError``, naming the file and the first fault.
 ``write_embedding_blocks`` writes samples given as blocks of any size, so a
 split can be written while it is drawn; ``write_embedding_file`` writes a
 set through it. A write goes to a temporary file renamed into place, so a
@@ -59,27 +61,7 @@ SCRATCH_ROWS = 64
 
 
 class EmbeddingFileError(Exception):
-    """Base class for embedding-file format errors."""
-
-
-class BadMagicError(EmbeddingFileError):
-    """File does not start with the EMB1 magic bytes."""
-
-
-class BadHeaderError(EmbeddingFileError):
-    """Header fields are inconsistent (zero dim, absurd counts, ...)."""
-
-
-class TruncatedFileError(EmbeddingFileError):
-    """File ends before the payload promised by the header."""
-
-
-class NonFiniteError(EmbeddingFileError):
-    """Payload contains NaN or infinite values."""
-
-
-class NormError(EmbeddingFileError):
-    """Stored vector norm deviates from 1 beyond NORM_TOLERANCE."""
+    """An EMB1 format fault; the message names the file and the cause."""
 
 
 class FieldError(ValueError):
@@ -486,7 +468,7 @@ def write_embedding_blocks(
     Each block is cast CHUNK_ROWS rows at a time into one reused record
     buffer and written. The file is written beside ``path`` under a
     temporary name and renamed over ``path`` once complete. On any error,
-    such as a ``NonFiniteError`` or blocks holding other than ``count``
+    such as a non-finite value or blocks holding other than ``count``
     samples, the temporary file is removed and ``path`` is left as it was.
     """
     parts = [MAGIC, struct.pack("<III", dim, count, len(class_names))]
@@ -509,7 +491,7 @@ def write_embedding_blocks(
                     rows["label"] = labels[start : start + len(rows)]
                     rows["vec"] = vectors[start : start + len(rows)]
                     if not np.isfinite(rows["vec"]).all():
-                        raise NonFiniteError("set contains non-finite values")
+                        raise EmbeddingFileError(f"{path}: set contains non-finite values")
                     rows.tofile(fh)
                 written += len(labels)
             if written != count:
@@ -544,31 +526,31 @@ def _read_header(fh, path) -> EmbeddingHeader:
     sample, and check that the file size matches ``count`` records."""
     head = fh.read(16)
     if len(head) < 4 or head[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not an EMB1 file")
+        raise EmbeddingFileError(f"{path}: not an EMB1 file")
     if len(head) < 16:
-        raise TruncatedFileError(f"{path}: header truncated")
+        raise EmbeddingFileError(f"{path}: header truncated")
     dim, count, n_classes = struct.unpack_from("<III", head, 4)
     if dim == 0:
-        raise BadHeaderError(f"{path}: zero dimension")
+        raise EmbeddingFileError(f"{path}: zero dimension")
     try:
         record = _record_dtype(dim)
     except ValueError as exc:
-        raise BadHeaderError(f"{path}: dimension {dim} too large for a sample record") from exc
+        raise EmbeddingFileError(f"{path}: dimension {dim} too large for a sample record") from exc
     names = []
     for _ in range(n_classes):
         raw = fh.read(2)
         if len(raw) < 2:
-            raise TruncatedFileError(f"{path}: class-name block truncated")
+            raise EmbeddingFileError(f"{path}: class-name block truncated")
         (length,) = struct.unpack("<H", raw)
         raw = fh.read(length)
         if len(raw) < length:
-            raise TruncatedFileError(f"{path}: class-name block truncated")
+            raise EmbeddingFileError(f"{path}: class-name block truncated")
         try:
             names.append(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise BadHeaderError(f"{path}: class name is not UTF-8") from exc
+            raise EmbeddingFileError(f"{path}: class name is not UTF-8") from exc
     if fh.tell() + count * record.itemsize != os.fstat(fh.fileno()).st_size:
-        raise TruncatedFileError(
+        raise EmbeddingFileError(
             f"{path}: expected {count} samples of {record.itemsize} bytes after names"
         )
     return EmbeddingHeader(dim, count, tuple(names))
@@ -590,35 +572,30 @@ def _read_samples(fh, path, header: EmbeddingHeader, check_norms: bool, vectors,
     yielding each chunk as (vectors, labels) views once it is checked.
 
     The outputs hold either every sample, filled in place, or one chunk,
-    overwritten by the next. A non-finite value stops the read at once;
-    after the last chunk, a norm deviation wins over a label beyond the
-    class count.
+    overwritten by the next. Each chunk is checked in full before it is
+    yielded: its values for finiteness, then its norms, then its labels
+    against the class count. The first failed check raises.
     """
     dim, count, names = header
     buf = np.empty(min(count, CHUNK_ROWS), dtype=_record_dtype(dim))
     reuse = len(labels) < count
     squares = np.empty((min(count, SCRATCH_ROWS), dim)) if check_norms else None
-    worst = 0.0
-    label_over = False
     for start in range(0, count, CHUNK_ROWS):
         rows = buf[: min(CHUNK_ROWS, count - start)]
         if fh.readinto(rows.view(np.uint8)) != rows.nbytes:
-            raise TruncatedFileError(f"{path}: payload ended early")
+            raise EmbeddingFileError(f"{path}: payload ended early")
         if not np.isfinite(rows["vec"]).all():
-            raise NonFiniteError(f"{path}: non-finite embedding values")
+            raise EmbeddingFileError(f"{path}: non-finite embedding values")
         at = 0 if reuse else start
         out = vectors[at : at + len(rows)]
         out[...] = rows["vec"]
+        if check_norms and (off := np.max(np.abs(_row_norms(out, squares) - 1.0))) > NORM_TOLERANCE:
+            raise EmbeddingFileError(
+                f"{path}: vector norm off by {off:.3e} (> {NORM_TOLERANCE:.0e})")
+        if np.any(rows["label"] >= len(names)):
+            raise EmbeddingFileError(f"{path}: sample label exceeds class count")
         labels[at : at + len(rows)] = rows["label"]
-        if check_norms:
-            norms = _row_norms(out, squares)
-            worst = max(worst, float(np.max(np.abs(norms - 1.0))))
-        label_over = label_over or bool(np.any(rows["label"] >= max(len(names), 1)))
         yield out, labels[at : at + len(rows)]
-    if worst > NORM_TOLERANCE:
-        raise NormError(f"{path}: vector norm off by {worst:.3e} (> {NORM_TOLERANCE:.0e})")
-    if label_over:
-        raise BadHeaderError(f"{path}: sample label exceeds class count")
 
 
 def iter_embedding_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -626,11 +603,10 @@ def iter_embedding_chunks(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     at most CHUNK_ROWS rows.
 
     Each chunk is a view of two buffers that the next chunk overwrites, so
-    a consumer must be done with it before asking for the next. The checks
-    of :func:`read_embedding_file` run in the same order: a
-    ``NonFiniteError`` before the chunk holding the value is yielded, and
-    after the last chunk a ``NormError``, then a ``BadHeaderError`` for a
-    label beyond the class count. The file is opened when iteration starts.
+    a consumer must be done with it before asking for the next. Every check
+    of :func:`read_embedding_file` runs on a chunk before it is yielded, so
+    a bad file raises the same error here, at its first bad chunk, and no
+    unchecked row is yielded. The file is opened when iteration starts.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
@@ -649,8 +625,8 @@ def read_embedding_file(path, check_norms: bool = True) -> EmbeddingSet:
     for context vectors, which are unconstrained.
 
     Samples are read CHUNK_ROWS at a time through one record buffer into
-    the preallocated outputs. A non-finite value anywhere wins over a norm
-    deviation, which wins over a label beyond the class count.
+    the preallocated outputs. A header fault raises before any sample is
+    read, else the first fault of the first bad chunk does.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh, path)

@@ -460,10 +460,10 @@ def fit_base_new_weights(
     frozen head on ``anchors``, on the base split ``base_set`` that tuning
     used. Under two_stage both weights are fitted, starting from the
     uniform ensemble. Under one_stage only tau_out is, starting from
-    one_stage(mix_tau, tau, tau_0=tau)."""
+    one_stage(mix_tau, tau)."""
     t0 = PromptHead.frozen_from(anchors, base_set.class_names)
     if cfg.parameterization == "one_stage":
-        start = MixtureWeights.one_stage(mix_tau, cfg.tau, tau_0=cfg.tau)
+        start = MixtureWeights.one_stage(mix_tau, cfg.tau)
     else:
         start = MixtureWeights.uniform(1)
     model = fit_weights(

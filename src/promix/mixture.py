@@ -11,9 +11,9 @@ two parameterizations:
     Weights are sigmoids of logits measured against a fixed reference
     logit of 0, with the global temperature unchanged.
 ``one_stage``
-    Single specialized head only. The head's similarity is divided by its
-    own temperature tau_1, which couples the weight pi_1 = tau_0 /
-    (tau_1 + tau_0) with an effective temperature tau_1 tau_0 / (tau_1 +
+    Single specialized head only. Its similarity is divided by its own
+    temperature tau_1, and the frozen head's by the model's tau_0: a weight
+    pi_1 = tau_0 / (tau_1 + tau_0) at temperature tau_1 tau_0 / (tau_1 +
     tau_0). Algebraically identical to a matched two_stage configuration.
 
 Both reduce to one (K+1, C) matrix of per-class logit scales, so the
@@ -55,28 +55,19 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-def one_stage_params(tau_1: float, tau_0: float = DEFAULT_TAU) -> tuple[float, float]:
-    """Weight and effective temperature implied by a one-stage tau_1."""
-    if tau_1 <= 0 or tau_0 <= 0:
-        raise ValueError("temperatures must be positive")
-    pi_1 = tau_0 / (tau_1 + tau_0)
-    return pi_1, tau_1 * tau_0 / (tau_1 + tau_0)
-
-
 @dataclass(frozen=True)
 class MixtureWeights:
     """The raw parameters behind each specialized head's in/out weights.
 
     ``raw_in[i-1]`` and ``raw_out[i-1]`` belong to specialized head i: logits
-    for two_stage, temperatures for one_stage. The weights themselves,
+    for two_stage, temperatures for one_stage. The two_stage weights,
     ``in_weights`` and ``out_weights``, are derived from them on each read.
-    ``tau_0``, the frozen head's temperature, is read under one_stage only.
+    A one_stage weight also depends on the model's tau, so it has none here.
     """
 
     parameterization: str
     raw_in: np.ndarray
     raw_out: np.ndarray
-    tau_0: float = DEFAULT_TAU
 
     def __post_init__(self):
         if self.parameterization not in PARAMETERIZATIONS:
@@ -90,14 +81,18 @@ class MixtureWeights:
         raw_out.setflags(write=False)
         object.__setattr__(self, "raw_in", raw_in)
         object.__setattr__(self, "raw_out", raw_out)
+        if self.parameterization == "one_stage":
+            if not np.all((raw_in > 0) & (raw_out > 0)):  # NaN fails the comparison
+                raise ValueError("temperatures must be positive")
+            return
         for arr in (self.in_weights, self.out_weights):
             if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails both comparisons
                 raise ValueError("weights must lie in [0, 1]")
 
     def _weights(self, raw: np.ndarray) -> np.ndarray:
-        if self.parameterization == "two_stage":
-            return sigmoid(raw)
-        return np.array([one_stage_params(raw[0], self.tau_0)[0]])
+        if self.parameterization != "two_stage":
+            raise ValueError("one_stage weights depend on the model's tau")
+        return sigmoid(raw)
 
     @property
     def in_weights(self) -> np.ndarray:
@@ -121,8 +116,8 @@ class MixtureWeights:
         return cls("two_stage", alphas_in, alphas_out)
 
     @classmethod
-    def one_stage(cls, tau_in: float, tau_out: float, tau_0: float = DEFAULT_TAU) -> "MixtureWeights":
-        return cls("one_stage", tau_in, tau_out, tau_0)
+    def one_stage(cls, tau_in: float, tau_out: float) -> "MixtureWeights":
+        return cls("one_stage", tau_in, tau_out)
 
     def raw(self, prompt: int, side: str) -> float:
         """The raw parameter weight fitting descends for head ``prompt``'s
@@ -135,7 +130,7 @@ class MixtureWeights:
         """New weights with the raw parameter read by :meth:`raw` set to theta."""
         raw = {"in": self.raw_in.copy(), "out": self.raw_out.copy()}
         raw[side][prompt - 1] = theta if self.parameterization == "two_stage" else np.exp(theta)
-        return MixtureWeights(self.parameterization, raw["in"], raw["out"], self.tau_0)
+        return MixtureWeights(self.parameterization, raw["in"], raw["out"])
 
     def coefficient(self, theta: float, tau: float = 1.0) -> tuple[float, float]:
         """(a, d log a / d theta), a the factor raw parameter theta puts on its
@@ -146,17 +141,16 @@ class MixtureWeights:
         return float(np.exp(-theta)), -1.0
 
     def to_dict(self) -> dict:
-        raw = ({"raw": {"alphas_in": list(self.raw_in), "alphas_out": list(self.raw_out)}}
-               if self.parameterization == "two_stage"
-               else {"raw": {"tau_in": float(self.raw_in[0]), "tau_out": float(self.raw_out[0])},
-                     "tau_0": self.tau_0})
+        if self.parameterization == "one_stage":
+            return {"parameterization": "one_stage",
+                    "raw": {"tau_in": float(self.raw_in[0]), "tau_out": float(self.raw_out[0])}}
         return {
-            "parameterization": self.parameterization,
+            "parameterization": "two_stage",
             "prompts": [
                 {"pi_in": float(a), "pi_out": float(b)}
                 for a, b in zip(self.in_weights, self.out_weights)
             ],
-            **raw,
+            "raw": {"alphas_in": list(self.raw_in), "alphas_out": list(self.raw_out)},
         }
 
 
@@ -175,13 +169,12 @@ def load_weights(path) -> MixtureWeights:
         count = len(entry(pointer, lambda v: isinstance(v, list), "a list"))
         return [entry(f"{pointer}/{i}", is_finite, "a finite number") for i in range(count)]
 
+    if "tau_0" in entry("", lambda v: True, "a document"):  # the model's tau scales head 0
+        raise CheckpointError(f"{path}: /tau_0: unexpected entry; head 0 takes the model's tau")
     positive = (lambda v: is_finite(v) and v > 0), "a positive finite number"
     if kind == "one_stage":
-        tau_0 = float(entry("/tau_0", *positive))
         taus = (float(entry(f"/raw/{key}", *positive)) for key in ("tau_in", "tau_out"))
-        return MixtureWeights.one_stage(*taus, tau_0=tau_0)
-    if "tau_0" in entry("", lambda v: True, "a document"):  # a two_stage mixture reads no tau_0
-        raise CheckpointError(f"{path}: /tau_0: unexpected entry; only one_stage weights hold it")
+        return MixtureWeights.one_stage(*taus)
     alphas_in, alphas_out = numbers("/raw/alphas_in"), numbers("/raw/alphas_out")
     if len(alphas_in) != len(alphas_out):
         raise CheckpointError(f"{path}: /raw/alphas_out: expected one logit per alphas_in entry")
@@ -249,12 +242,12 @@ class MixtureModel:
 
 def class_scale_matrix(model: MixtureModel) -> np.ndarray:
     """(K+1, C) per-class logit scales: the mixture logit of class c is
-    sum_k scale[k, c] s_k(c). one_stage: 1/tau_0, and 1/tau_in or 1/tau_out
-    by class owner; two_stage: ``class_weight_matrix`` over tau."""
+    sum_k scale[k, c] s_k(c). one_stage: 1/tau for head 0, and 1/tau_in or
+    1/tau_out by class owner; two_stage: ``class_weight_matrix`` over tau."""
     w = model.weights
     if w.parameterization == "one_stage":
         tau_spec = np.where(model.partition.owner_of() == 1, w.raw_in[0], w.raw_out[0])
-        return np.stack([np.full(model.num_classes, 1.0 / w.tau_0), 1.0 / tau_spec])
+        return np.stack([np.full(model.num_classes, 1.0 / model.tau), 1.0 / tau_spec])
     return class_weight_matrix(w, model.partition) / model.tau
 
 

@@ -55,8 +55,8 @@ def t_test_paired_one_sided(diffs: Sequence[float]) -> TTestResult:
     """One-sided paired t-test of H1: mean(diffs) > 0.
 
     t = mean / (sd / sqrt(n)) with the sample standard deviation;
-    p = 1 - CDF_t(t, n-1). Requires n >= 2 finite differences and
-    positive sample variance.
+    p = 1 - CDF_t(t, n-1). Requires n >= 2 finite differences whose sample
+    variance is positive and finite.
     """
     diffs = [float(d) for d in diffs]
     n = len(diffs)
@@ -65,7 +65,12 @@ def t_test_paired_one_sided(diffs: Sequence[float]) -> TTestResult:
     if not all(math.isfinite(d) for d in diffs):
         raise ValueError("paired t-test needs finite differences")
     mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    try:
+        var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    except OverflowError:  # an overflowing float ** raises, an overflowing sum gives inf
+        var = math.inf
+    if var == math.inf:  # so does an infinite mean
+        raise ValueError("the differences overflow: their variance is not finite")
     if var <= 0.0:
         raise ValueError("zero variance: t statistic undefined")
     t = mean / math.sqrt(var / n)

@@ -4,8 +4,8 @@ sub-domain masses of embedding sets, the per-class synthetic draw,
 single-row predictions and a head's expected error, per-sample loss
 values, the full-set context gradient and loss, the out-class entropies,
 mixture probabilities and the sub-domain error decomposition, the
-two-pass ensemble bound, the matched two_stage configuration and the
-mixture-CE weight gradient."""
+two-pass ensemble bound, the one_stage weight and effective temperature,
+the matched two_stage configuration and the mixture-CE weight gradient."""
 
 import tracemalloc
 from typing import NamedTuple
@@ -18,7 +18,7 @@ from promix.embedspace import EmbeddingSet, unit_normalize
 from promix.evaluation import harmonic_mean
 from promix.head import PromptHead, predict_matrix, similarity_matrix
 from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
-from promix.mixture import MixtureModel, MixtureWeights, mixture_scaled_logits, one_stage_params
+from promix.mixture import MixtureModel, MixtureWeights, mixture_scaled_logits
 from promix.train import _AnchorSpace, _context_loss_grad, _entropy_rows, _runs_loss_grad
 
 
@@ -312,6 +312,16 @@ def two_pass_bound_gap(heads, emb_set, pi, tau: float) -> float:
     pi = np.asarray(pi, dtype=np.float64)
     members = sum(p * expected_error(h, emb_set, tau) for p, h in zip(pi, heads))
     return float(members - global_mixture_error(heads, emb_set, pi, tau))
+
+
+def one_stage_params(tau_1: float, tau_0: float) -> tuple[float, float]:
+    """(pi_1, effective tau) of a one-stage head at tau_1 beside a frozen head
+    at tau_0: the weight and temperature its logit scales 1/tau_0, 1/tau_1
+    amount to."""
+    if tau_1 <= 0 or tau_0 <= 0:
+        raise ValueError("temperatures must be positive")
+    pi_1 = tau_0 / (tau_1 + tau_0)
+    return pi_1, tau_1 * tau_0 / (tau_1 + tau_0)
 
 
 def matched_two_stage(tau_1: float, tau_0: float) -> tuple[float, float]:

@@ -736,6 +736,22 @@ class TestPipeline:
         assert err.startswith("error: /partition: eval needs a partition with non-empty tuning")
         assert not (out / "report_eval.json").exists()
 
+    @pytest.mark.parametrize("stage", ["tune", "weights", "eval"])
+    @pytest.mark.parametrize(
+        "partition, pointer",
+        [({"kind": "explicit", "sets": [[0, 1, 2], [3, 4, 5], [6, 7]]}, "/partition/sets"),
+         ({"kind": "session_schedule", "base_size": 4, "way": 2}, "/partition/kind")],
+        ids=["three_sets", "session_schedule"],
+    )
+    def test_base_new_stages_exit_one_on_a_partition_of_other_than_two_subsets(
+        self, run_config, capsys, monkeypatch, stage, partition, pointer
+    ):
+        path, out = run_config(partition=partition)
+        monkeypatch.setattr(evaluation, "tune_prompts", None)  # any tuning would raise
+        assert main([stage, "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: {stage} needs a base/new")
+        assert not out.exists()
+
     def test_fscil_missing_pool_file_exits_one(self, run_config, tmp_path, capsys):
         path, out = run_config(partition={"kind": "session_schedule", "base_size": 4, "way": 2})
         missing = ["--set", f'outclass.pool_file="{tmp_path / "absent.emb"}"']
@@ -811,7 +827,7 @@ class TestBadCheckpoints:
              lambda d: d["raw"].__setitem__("tau_in", float("nan")), "/raw/tau_in"),
             ("two_stage", "weights/seed0.json",
              lambda d: d.__setitem__("parameterization", "direct"), "/parameterization"),
-            # two_stage weights do not read the frozen head's temperature
+            # no weights file holds the frozen head's temperature: it is the model's
             ("two_stage", "weights/seed0.json", lambda d: d.__setitem__("tau_0", 7.5), "/tau_0"),
             ("two_stage", "heads/seed0_ce.json",
              lambda d: d.pop("anchors_sha256"), "/anchors_sha256"),

@@ -15,14 +15,9 @@ from promix import embedspace
 from promix.embedspace import (
     CHUNK_ROWS,
     MAGIC,
-    BadHeaderError,
-    BadMagicError,
     EmbeddingFileError,
     EmbeddingSet,
-    NonFiniteError,
-    NormError,
     SyntheticConfig,
-    TruncatedFileError,
     generate_synthetic,
     iter_embedding_chunks,
     partition_classes,
@@ -298,7 +293,7 @@ class TestEmbeddingFile:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.emb"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(EmbeddingFileError, match="not an EMB1 file"):
             read_embedding_file(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -306,7 +301,7 @@ class TestEmbeddingFile:
         path = tmp_path / "t.emb"
         write_embedding_file(s, path)
         path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(EmbeddingFileError, match="expected 6 samples"):
             read_embedding_file(path)
 
     def test_non_finite_rejected(self, tmp_path):
@@ -317,7 +312,7 @@ class TestEmbeddingFile:
         object.__setattr__(bad, "vectors", vecs)
         object.__setattr__(bad, "labels", s.labels)
         object.__setattr__(bad, "class_names", s.class_names)
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(EmbeddingFileError, match="non-finite"):
             write_embedding_file(bad, tmp_path / "nan.emb")
 
     def test_norm_violation_rejected(self, tmp_path):
@@ -328,7 +323,7 @@ class TestEmbeddingFile:
         object.__setattr__(bad, "class_names", ("a", "b"))
         path = tmp_path / "norm.emb"
         write_embedding_file(bad, path)
-        with pytest.raises(NormError):
+        with pytest.raises(EmbeddingFileError, match="norm off by"):
             read_embedding_file(path)
 
     @pytest.mark.parametrize("dim", [2**31, 2**32 - 1])
@@ -336,7 +331,7 @@ class TestEmbeddingFile:
         # an empty set under a dimension no sample record can hold
         path = tmp_path / "wide.emb"
         path.write_bytes(MAGIC + struct.pack("<IIIH", dim, 0, 1, 1) + b"a")
-        with pytest.raises(BadHeaderError):
+        with pytest.raises(EmbeddingFileError, match="too large for a sample record"):
             read_embedding_file(path)
 
     def test_prototype_file_layout(self, tmp_path):
@@ -373,8 +368,9 @@ def _poke(path, row, *, value=None, label=None):
 
 
 class TestChunkedEmbeddingFile:
-    """Samples are read and written CHUNK_ROWS at a time; results and error
-    classes must not depend on where the chunk boundaries fall."""
+    """Samples are read and written CHUNK_ROWS at a time; results must not
+    depend on where the chunk boundaries fall, and the first bad chunk
+    decides the error."""
 
     # 8191..16387 sit next to multiples of 8192, which is a multiple of any
     # power-of-two CHUNK_ROWS up to 8192; the relative counts follow CHUNK_ROWS
@@ -401,28 +397,33 @@ class TestChunkedEmbeddingFile:
         _poke(path, 0, value=np.nan)
         assert read_embedding_header(path) == (4, 7, s.class_names)
         path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(EmbeddingFileError, match="expected 7 samples"):
             read_embedding_header(path)
 
-    def test_non_finite_in_a_later_chunk_wins_over_an_earlier_norm_error(self, tmp_path):
+    def test_an_earlier_norm_error_wins_over_a_later_non_finite_value(self, tmp_path):
         s = _random_set(np.random.default_rng(6), n=2 * CHUNK_ROWS + 3, d=2, c=3)
         path = tmp_path / "nan.emb"
         write_embedding_file(s, path)
-        _poke(path, 0, value=3.0)
         _poke(path, CHUNK_ROWS + 1, value=np.nan)
-        with pytest.raises(NonFiniteError):
+        _poke(path, 0, value=3.0)
+        with pytest.raises(EmbeddingFileError, match="norm off by"):
+            read_embedding_file(path)
+        # within one chunk the non-finite value is found first
+        _poke(path, 1, value=np.nan)
+        with pytest.raises(EmbeddingFileError, match="non-finite embedding values"):
             read_embedding_file(path)
 
-    def test_norm_error_in_a_later_chunk_wins_over_an_earlier_label_error(self, tmp_path):
+    def test_an_earlier_label_error_wins_over_a_later_norm_error(self, tmp_path):
         s = _random_set(np.random.default_rng(7), n=2 * CHUNK_ROWS + 3, d=2, c=3)
         path = tmp_path / "norm.emb"
         write_embedding_file(s, path)
         _poke(path, 1, label=3)
         _poke(path, 2 * CHUNK_ROWS + 2, value=3.0)
-        with pytest.raises(NormError, match="off by"):
+        with pytest.raises(EmbeddingFileError, match="label exceeds class count"):
             read_embedding_file(path)
-        _poke(path, 2 * CHUNK_ROWS + 2, value=float(s.vectors[2 * CHUNK_ROWS + 2, 0]))
-        with pytest.raises(BadHeaderError, match="label"):
+        # within one chunk the norm is checked first
+        _poke(path, 0, value=3.0)
+        with pytest.raises(EmbeddingFileError, match="norm off by"):
             read_embedding_file(path)
 
     def test_non_finite_in_the_last_chunk_of_a_write_creates_no_file(self, tmp_path):
@@ -430,7 +431,7 @@ class TestChunkedEmbeddingFile:
         vecs = s.vectors.copy()
         vecs[-1, 1] = np.inf
         path = tmp_path / "inf.emb"
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(EmbeddingFileError, match="non-finite"):
             write_embedding_file(_unchecked_set(vecs, s.labels, s.class_names), path)
         assert not path.exists()
 
@@ -453,28 +454,44 @@ class TestEmbeddingStream:
         assert np.array_equal(vectors, whole.vectors)
         assert np.array_equal(labels, whole.labels)
 
-    def test_stream_checks_values_in_the_read_order(self, tmp_path):
+    def test_stream_stops_before_the_first_bad_chunk(self, tmp_path):
         s = _random_set(np.random.default_rng(10), n=2 * CHUNK_ROWS + 3, d=2, c=3)
         path = tmp_path / "bad.emb"
         write_embedding_file(s, path)
-        _poke(path, 0, value=3.0)
-        _poke(path, 1, label=3)
-        seen = []
-        # a norm deviation surfaces after the last chunk, ahead of the label
-        with pytest.raises(NormError, match="off by"):
-            for _, labels in iter_embedding_chunks(path):
-                seen.append(len(labels))
-        assert sum(seen) == len(s)
-        _poke(path, 0, value=float(s.vectors[0, 0]))
-        with pytest.raises(BadHeaderError, match="label"):
-            list(iter_embedding_chunks(path))
+        _poke(path, CHUNK_ROWS + 1, label=3)
         _poke(path, 2 * CHUNK_ROWS + 2, value=np.nan)
-        seen.clear()
-        # a non-finite value stops the stream before its chunk is yielded
-        with pytest.raises(NonFiniteError):
+        # the label fault in chunk 1 is first, then, once undone, the value in chunk 2
+        for cause, good_chunks in (("label exceeds class count", 1),
+                                   ("non-finite embedding values", 2)):
+            seen = []
+            with pytest.raises(EmbeddingFileError, match=cause):
+                for _, labels in iter_embedding_chunks(path):
+                    seen.append(len(labels))
+            assert seen == [CHUNK_ROWS] * good_chunks
+            _assert_same_read_error(path, cause)
+            _poke(path, CHUNK_ROWS + 1, label=int(s.labels[CHUNK_ROWS + 1]))
+
+    @pytest.mark.parametrize(
+        "poke, cause",
+        [({"value": 3.0}, "norm off by"), ({"label": 3}, "label exceeds class count")],
+        ids=["norm", "label"],
+    )
+    def test_a_fault_in_the_first_chunk_yields_nothing(self, tmp_path, poke, cause):
+        s = _random_set(np.random.default_rng(13), n=2 * CHUNK_ROWS + 3, d=2, c=3)
+        path = tmp_path / "first.emb"
+        write_embedding_file(s, path)
+        _poke(path, CHUNK_ROWS - 1, **poke)
+        seen = []
+        with pytest.raises(EmbeddingFileError, match=cause):
             for _, labels in iter_embedding_chunks(path):
                 seen.append(len(labels))
-        assert seen == [CHUNK_ROWS, CHUNK_ROWS]
+        assert seen == []
+        _assert_same_read_error(path, cause)
+
+    def test_a_sample_beside_no_class_names_is_a_label_error(self, tmp_path):
+        path = tmp_path / "nameless.emb"
+        path.write_bytes(MAGIC + struct.pack("<IIIIff", 2, 1, 0, 0, 1.0, 0.0))
+        _assert_same_read_error(path, "label exceeds class count")
 
     def test_blocks_of_any_size_write_the_set_bytes(self, tmp_path):
         s = _random_set(np.random.default_rng(11), n=2 * CHUNK_ROWS + 3, d=4, c=3)
@@ -493,7 +510,7 @@ class TestEmbeddingStream:
         vecs = s.vectors.copy()
         if fault == "non_finite":
             vecs[-1, 1] = np.inf
-            with pytest.raises(NonFiniteError):
+            with pytest.raises(EmbeddingFileError, match="non-finite"):
                 write_embedding_file(_unchecked_set(vecs, s.labels, s.class_names), path)
         else:
             count = len(s) + (1 if fault == "too_few" else -1)
@@ -581,6 +598,15 @@ def _embedding_sets(draw, min_size=0):
     return EmbeddingSet(vectors, labels, tuple(names))
 
 
+def _assert_same_read_error(path, cause=None):
+    """Both readers reject ``path`` with the same message, matching ``cause``."""
+    with pytest.raises(EmbeddingFileError, match=cause) as whole:
+        read_embedding_file(path)
+    with pytest.raises(EmbeddingFileError) as streamed:
+        list(iter_embedding_chunks(path))
+    assert str(streamed.value) == str(whole.value)
+
+
 _file_settings = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -588,8 +614,8 @@ _file_settings = settings(
 
 class TestEmbeddingFileProperties:
     """EMB1 under generated sets: exact round trip, and every damaged file
-    rejected with a format error. A two-row chunk makes most generated
-    files span several chunks."""
+    rejected with the same format error by both readers. A two-row chunk
+    makes most generated files span several chunks."""
 
     @pytest.fixture(autouse=True)
     def _small_chunks(self, monkeypatch):
@@ -614,8 +640,7 @@ class TestEmbeddingFileProperties:
         data = path.read_bytes()
         for cut in range(len(data)):
             path.write_bytes(data[:cut])
-            with pytest.raises((TruncatedFileError, BadMagicError)):
-                read_embedding_file(path)
+            _assert_same_read_error(path, "not an EMB1 file|truncated|expected")
 
     @_file_settings
     @given(emb=_embedding_sets(min_size=1))
@@ -631,8 +656,7 @@ class TestEmbeddingFileProperties:
                 flipped = bytearray(data)
                 struct.pack_into("<I", flipped, 4 * field, word ^ (1 << bit))
                 path.write_bytes(bytes(flipped))
-                with pytest.raises(EmbeddingFileError):
-                    read_embedding_file(path)
+                _assert_same_read_error(path)
 
 
 class TestDomainPartitionType:

@@ -308,6 +308,19 @@ class TestHarnessSmoke:
         with pytest.raises(ValueError, match="2 splits"):
             assumption_check(_tiny_harness(), splits=1)
 
+    def test_assumption_reports_overflowing_gaps_as_degenerate(self, monkeypatch):
+        gaps = iter([(1e300, 1.0), (1e300, 2.0), (1e299, 4.0)])
+
+        def score(self, chunks):
+            gap_in, gap_out = next(gaps)
+            return {"in": {"tuned": gap_in, "t0": 0.0}, "out": {"t0": gap_out, "tuned": 0.0}}
+
+        monkeypatch.setattr(evaluation.SplitAccuracy, "score", score)
+        rep = assumption_check(_tiny_harness(), splits=3)
+        assert rep.t_tests["in_domain"] == {"t": None, "p": None, "n": 3, "degenerate": True}
+        assert not rep.t_tests["out_domain"]["degenerate"]
+        assert rep.t_tests["validated"] is False
+
     def test_confusing_gain_schema(self):
         rep = confusing_gain(_tiny_harness())
         assert set(rep.extra["deltas"]) == {"easy", "confusing", "all"}
@@ -342,7 +355,7 @@ def _counting_similarity(monkeypatch):
 class TestSharedScoring:
     @pytest.mark.parametrize(
         "fitted",
-        [MixtureWeights.two_stage([0.9], [-0.7]), MixtureWeights.one_stage(0.006, 0.02, 0.01)],
+        [MixtureWeights.two_stage([0.9], [-0.7]), MixtureWeights.one_stage(0.006, 0.02)],
     )
     def test_base_new_scores_match_per_configuration_accuracy(self, monkeypatch, fitted):
         dom = generate_synthetic(SyntheticConfig(dim=16, num_classes=10, shots=2,
@@ -598,7 +611,7 @@ def _full_split_base_new(cfg, train, anchors, partition, out_anchors, seed):
     if cfg.parameterization == "one_stage":
         mix_head, mix_tau, trace_conf = tune_prompt_one_stage(init, local, conf_loss, opt, seed,
                                                               tau_0=cfg.tau)
-        start = MixtureWeights.one_stage(mix_tau, cfg.tau, tau_0=cfg.tau)
+        start = MixtureWeights.one_stage(mix_tau, cfg.tau)
     else:
         mix_head, trace_conf = tune_prompt(init, local, conf_loss, opt, seed, tau=cfg.tau)
         mix_tau, start = cfg.tau, MixtureWeights.uniform(1)

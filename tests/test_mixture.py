@@ -15,6 +15,7 @@ from conftest import (
     matched_two_stage,
     mixture_ce_grad_wrt_weight,
     mixture_predict_matrix,
+    one_stage_params,
     outclass_entropies,
     two_pass_bound_gap,
     wide_context_head,
@@ -35,7 +36,6 @@ from promix.mixture import (
     class_weight_matrix,
     load_weights,
     mixture_scaled_logits,
-    one_stage_params,
     save_weights,
     sigmoid,
 )
@@ -159,7 +159,7 @@ def _parent_logits(model, x, classes):
     w = model.weights
     if w.parameterization == "one_stage":
         tau_spec = np.where(model.partition.owner_of() == 1, w.raw_in[0], w.raw_out[0])
-        logits = sims[0] / w.tau_0 + sims[1] / tau_spec[None, :]
+        logits = sims[0] / model.tau + sims[1] / tau_spec[None, :]
     else:
         rows = class_weight_matrix(w, model.partition)
         logits = np.einsum("kc,knc->nc", rows, sims) / model.tau
@@ -189,7 +189,7 @@ class TestOneFormula:
             (MixtureWeights.two_stage([0.8], [-1.1]), [[0, 2, 4], [1, 3, 5]]),
             # in/out weights near 0.9 push every column's specialized sum above 1
             (MixtureWeights.two_stage([2.2, 2.5], [2.0, 1.9]), [[0, 1], [2, 3], [4, 5]]),
-            (MixtureWeights.one_stage(0.004, 0.03, tau_0=0.01), [[0, 2, 4], [1, 3, 5]]),
+            (MixtureWeights.one_stage(0.004, 0.03), [[0, 2, 4], [1, 3, 5]]),
             (MixtureWeights.two_stage([_logit(0.35)], [_logit(0.6)]), [[0, 2, 4], [1, 3, 5]]),
         ],
     )
@@ -214,10 +214,11 @@ class TestOneFormula:
 
     def test_one_stage_rows_are_inverse_temperatures(self):
         model, _ = self._model(
-            MixtureWeights.one_stage(0.004, 0.03, tau_0=0.01), [[0, 2, 4], [1, 3, 5]], seed=9
+            MixtureWeights.one_stage(0.004, 0.03), [[0, 2, 4], [1, 3, 5]], seed=9
         )
         scale = class_scale_matrix(model)
-        np.testing.assert_allclose(scale[0], 1 / 0.01)
+        # head 0 takes the model's temperature, 0.03
+        np.testing.assert_allclose(scale[0], 1 / 0.03)
         np.testing.assert_allclose(scale[1], np.where(np.arange(6) % 2 == 1, 1 / 0.004, 1 / 0.03))
 
     def test_precomputed_sims_on_candidate_columns(self):
@@ -528,20 +529,22 @@ class TestParameterizations:
 
     def test_stores_only_the_raw_parameters(self):
         names = [f.name for f in dataclasses.fields(MixtureWeights)]
-        assert names == ["parameterization", "raw_in", "raw_out", "tau_0"]
+        assert names == ["parameterization", "raw_in", "raw_out"]
         two = MixtureWeights.two_stage([0.3, -1.2], [0.0, 2.0])
         np.testing.assert_array_equal(two.in_weights, sigmoid(np.array([0.3, -1.2])))
-        one = MixtureWeights.one_stage(0.03, 0.07, tau_0=0.01)
-        assert (one.in_weights[0], one.out_weights[0]) == (0.25, one_stage_params(0.07, 0.01)[0])
+        one = MixtureWeights.one_stage(0.03, 0.07)
+        # a one_stage weight needs the frozen head's temperature: the model's
+        with pytest.raises(ValueError, match="model's tau"):
+            one.in_weights
         for w in (two, one):
             assert not w.raw_in.flags.writeable
             moved = w.with_raw(1, "out", w.raw(1, "out") + 0.5)
-            np.testing.assert_array_equal(moved.in_weights, w.in_weights)
+            np.testing.assert_array_equal(moved.raw_in, w.raw_in)
 
     @pytest.mark.parametrize(
         "raw_in, kind, match",
         [([np.nan], "two_stage", "lie in"), ([0.0], "one_stage", "positive"),
-         ([-0.01], "one_stage", "positive"), ([np.nan], "one_stage", "lie in")],
+         ([-0.01], "one_stage", "positive"), ([np.nan], "one_stage", "positive")],
     )
     def test_rejects_a_bad_raw_parameter(self, raw_in, kind, match):
         with pytest.raises(ValueError, match=match):
@@ -562,8 +565,8 @@ class TestWeightCheckpoint:
         save_weights(weights, path)
         back = load_weights(path)
         assert back.parameterization == weights.parameterization
-        np.testing.assert_allclose(back.in_weights, weights.in_weights, rtol=1e-15)
-        np.testing.assert_allclose(back.out_weights, weights.out_weights, rtol=1e-15)
+        np.testing.assert_array_equal(back.raw_in, weights.raw_in)
+        np.testing.assert_array_equal(back.raw_out, weights.raw_out)
 
     @pytest.mark.parametrize(
         "weights, damage, pointer",
@@ -573,10 +576,11 @@ class TestWeightCheckpoint:
              lambda d: d["raw"]["alphas_in"].__setitem__(0, float("nan")), "/raw/alphas_in/0"),
             (MixtureWeights.two_stage([0.3, 0.2], [0.1, 0.0]),
              lambda d: d["raw"]["alphas_out"].pop(), "/raw/alphas_out"),
-            # only one_stage reads the frozen head's temperature
+            # the frozen head's temperature is the model's, under either kind
             (MixtureWeights.two_stage([0.3], [0.1]), lambda d: d.__setitem__("tau_0", 7.5),
              "/tau_0"),
-            (MixtureWeights.one_stage(0.03, 0.07), lambda d: d.pop("tau_0"), "/tau_0"),
+            (MixtureWeights.one_stage(0.03, 0.07), lambda d: d.__setitem__("tau_0", 0.01),
+             "/tau_0"),
             (MixtureWeights.one_stage(0.03, 0.07),
              lambda d: d["raw"].__setitem__("tau_out", float("inf")), "/raw/tau_out"),
             (MixtureWeights.one_stage(0.03, 0.07),
@@ -585,7 +589,7 @@ class TestWeightCheckpoint:
             (MixtureWeights.two_stage([0.4], [0.9]),
              lambda d: d.__setitem__("parameterization", "direct"), "/parameterization"),
         ],
-        ids=["no_raw", "nan_alpha", "short_alphas_out", "two_stage_tau_0", "one_stage_no_tau_0",
+        ids=["no_raw", "nan_alpha", "short_alphas_out", "two_stage_tau_0", "one_stage_tau_0",
              "inf_tau", "kind", "direct"],
     )
     def test_bad_entry_names_file_and_pointer(self, weights, damage, pointer, tmp_path):

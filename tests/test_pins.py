@@ -6,9 +6,10 @@ CHANGES.md, with the reason. The pins were taken under NUMPY_VERSION; a
 mismatch prints the new digest, the running numpy version and a few
 full-precision values, so the size of a drift shows.
 
-The files-mode eval chain hashes the canonical JSON of the report's
-``per_config`` and ``extra.per_seed`` only: the rest of the report carries
-the config hash, which covers the temporary data paths.
+The files-mode eval chain, run under each weight parameterization from
+one gen output, hashes the canonical JSON of the report's ``per_config``
+and ``extra.per_seed`` only: the rest of the report carries the config
+hash, which covers the temporary data paths.
 """
 
 import contextlib
@@ -69,28 +70,46 @@ def _confusing_gain():
     return report.to_json(), report.extra["deltas"]
 
 
+def _cli(stage: str, config: dict, path) -> None:
+    path.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([stage, "--config", str(path)]) == 0, stage
+
+
 @pytest.fixture(scope="module")
-def files_run(tmp_path_factory):
-    """The run directory of gen, then tune, weights and eval from the
-    written files."""
-    root = tmp_path_factory.mktemp("files")
-    data = root / "gen" / "data"
-    configs = {
-        "gen": {"out_dir": str(root / "gen"), "seed": 0, "seeds": [0],
-                "data": {"synthetic": {"dim": 8, "num_classes": 8, "shots": 2,
-                                       "test_per_class": 4, "confusion_pairs": 2}}},
-        "run": {"out_dir": str(root / "run"), "seeds": [0],
-                "data": {"files": {key: str(data / f"{key}.emb")
-                                   for key in ("train", "test", "anchors")}},
-                "optimizer": {"epochs": 2}},
-    }
-    for name, cfg in configs.items():
-        (root / f"{name}.json").write_text(json.dumps(cfg))
-    for stage in ("gen", "tune", "weights", "eval"):
-        config = root / ("gen.json" if stage == "gen" else "run.json")
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main([stage, "--config", str(config)]) == 0, stage
+def files_data(tmp_path_factory):
+    """The data directory that gen writes."""
+    root = tmp_path_factory.mktemp("gen")
+    _cli("gen", {"out_dir": str(root), "seed": 0, "seeds": [0],
+                 "data": {"synthetic": {"dim": 8, "num_classes": 8, "shots": 2,
+                                        "test_per_class": 4, "confusion_pairs": 2}}},
+         root / "gen.json")
+    return root / "data"
+
+
+def _files_chain(data, root, **sections):
+    """The run directory of tune, weights and eval from the files in
+    ``data``, with any further config ``sections``."""
+    config = {"out_dir": str(root / "run"), "seeds": [0],
+              "data": {"files": {key: str(data / f"{key}.emb")
+                                 for key in ("train", "test", "anchors")}},
+              "optimizer": {"epochs": 2}, **sections}
+    for stage in ("tune", "weights", "eval"):
+        _cli(stage, config, root / "run.json")
     return root / "run"
+
+
+@pytest.fixture(scope="module")
+def files_run(files_data, tmp_path_factory):
+    """The chain under the default two_stage weights."""
+    return _files_chain(files_data, tmp_path_factory.mktemp("files"))
+
+
+@pytest.fixture(scope="module")
+def one_stage_files_run(files_data, tmp_path_factory):
+    """The chain under one_stage weights."""
+    return _files_chain(files_data, tmp_path_factory.mktemp("files_one_stage"),
+                        weights={"parameterization": "one_stage"})
 
 
 def _files_eval(run):
@@ -128,6 +147,10 @@ FILES_PINS = {
     "eval": (_files_eval, "0bb5a25de4fdb2a5fb0c99cf7db681c7ef2760c8d1aae32a65de0c7efbb79a09"),
     "fits": (_files_fits, "a9a7ce184a969b8ae5bc8fadfdbc34f38d9fcaab1ec29a5c723378b5e6ca58f9"),
 }
+ONE_STAGE_FILES_PINS = {
+    "eval": (_files_eval, "0bb5a25de4fdb2a5fb0c99cf7db681c7ef2760c8d1aae32a65de0c7efbb79a09"),
+    "fits": (_files_fits, "ea54d2b19815d527ffdd6051418d07e08f4663cbcf3e62fd430913c8e10fb03f"),
+}
 
 
 def _check(name, output, detail, pinned):
@@ -148,3 +171,9 @@ def test_harness_output_matches_its_pin(name):
 def test_files_chain_output_matches_its_pin(name, files_run):
     read, pinned = FILES_PINS[name]
     _check(f"files.{name}", *read(files_run), pinned)
+
+
+@pytest.mark.parametrize("name", ONE_STAGE_FILES_PINS)
+def test_one_stage_files_chain_output_matches_its_pin(name, one_stage_files_run):
+    read, pinned = ONE_STAGE_FILES_PINS[name]
+    _check(f"files.one_stage.{name}", *read(one_stage_files_run), pinned)

@@ -93,6 +93,14 @@ class TestPairedTTest:
         with pytest.raises(ValueError, match="finite differences"):
             t_test_paired_one_sided([1.0, bad, 2.0])
 
+    @pytest.mark.parametrize(
+        "diffs", [[1e200, -1e200, 3.0], [1e300, 1e300, 1e299], [1e308, 1e308],
+                  [1.7e308, -1.7e308, -1.7e308]],
+    )
+    def test_overflowing_differences_rejected(self, diffs):
+        with pytest.raises(ValueError, match="differences overflow"):
+            t_test_paired_one_sided(diffs)
+
     def test_zero_mean_gives_half(self):
         result = t_test_paired_one_sided([-1.0, 1.0, -2.0, 2.0])
         assert result.t_statistic == pytest.approx(0.0, abs=1e-15)
