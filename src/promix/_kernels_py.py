@@ -1,7 +1,8 @@
 """Numpy implementations of the hot kernels, reached through promix.backend.
 
-Shapes: logits/similarities are (B, C) float64, labels are (B,) int64;
-``prompt_step`` also takes R such batches stacked along a leading run axis.
+Shapes: logits/similarities are float64 rows over their last axis, labels
+int64; ``prompt_step`` takes R batches stacked on a leading run axis,
+similarities (R, B, C) and labels (R, B).
 """
 
 import numpy as np
@@ -38,16 +39,15 @@ def softmax_rows(
 
 
 def prompt_step(s: np.ndarray, y: np.ndarray, tau: float, w):
-    """Fused batch loss and gradient of CE + w * (1 - p(y)) over similarities.
+    """Fused batch loss and gradient of CE + w * (1 - p(y)) over R stacked
+    batches of similarities, s (R, B, C) and y (R, B), with w a scalar or one
+    weight per run.
 
-    Returns (mean loss, G) with G = d(mean loss)/ds, shape (B, C). A stack
-    of R batches, s (R, B, C) and y (R, B) with w a scalar or one weight per
-    run, gives the (R,) per-run mean losses, each bitwise its batch's alone.
+    Returns the (R,) per-run mean losses, each bitwise its batch's alone, and
+    G = d(mean loss)/ds, shape (R, B, C).
     """
     s = np.asarray(s, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    stacked = s.ndim == 3
-    s, y = (s, y) if stacked else (s[None], y[None])
     runs, b = y.shape
     w = np.asarray(w, dtype=np.float64)[..., None]
     z = s / tau
@@ -59,5 +59,4 @@ def prompt_step(s: np.ndarray, y: np.ndarray, tau: float, w):
     g = p  # p is not read again, so the gradient takes its place
     g *= coef[..., None]
     g[at_y] = -(1.0 - py) * coef
-    loss = np.add.reduce(losses, axis=1) / b  # the mean, without its wrapper
-    return (loss, g) if stacked else (float(loss[0]), g[0])
+    return np.add.reduce(losses, axis=1) / b, g  # the mean, without its wrapper

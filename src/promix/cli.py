@@ -9,7 +9,8 @@ validation or precondition error, 2 runtime failure.
 Every output lands under the config's out_dir and is byte-reproducible
 for a fixed config and seed: reports are canonical JSON (sorted keys, no
 timestamps). Every setting comes from the config file and its ``--set``
-overrides, the seed too (``--set seed=N``).
+overrides, the seed too (``--set seed=N``). Each run seed's partition
+is drawn once per command.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from promix.evaluation import (
     subset_run,
     tune_base_new_heads,
 )
-from promix.head import PromptHead, load_head, save_head
+from promix.head import CheckpointError, PromptHead, load_head, save_head
 from promix.losses import LOSS_KINDS
 from promix.mixture import load_weights, save_weights
 from promix.train import tune_prompts
@@ -109,23 +110,24 @@ def _config_file_chunks(path: str, pointer: str):
 
 
 def _domain_source(cfg: RunConfig):
-    """(dim, seed -> (train, anchors, test)) for the configured source.
+    """(dim, seed -> (partition, base, anchors, test)) for the configured source.
 
-    ``test`` is the test split as (vectors, labels) chunks of CHUNK_ROWS
-    rows, read or drawn only while it is iterated, once. Data files are read
-    here, once, except the test file: only its header is read here, for its
-    class list and size checks, and one stream of its samples is shared by
-    every seed. A synthetic domain is made per seed, its test split drawn
-    chunk by chunk as it is iterated, and ``train`` holds the rows of the
-    seed's base split only: the tuning classes, which is all that is read of it.
+    Each seed's partition is drawn once, and ``base`` is its base split: the
+    training rows of the tuning classes ``partition.subsets[1]``, global
+    labels kept, which must not be empty. ``test`` is the test split as
+    (vectors, labels) chunks of CHUNK_ROWS rows, read or drawn only while it
+    is iterated, once. Data files are read here, once, except the test file:
+    only its header is read here, for its class list and size checks, and one
+    stream of its samples is shared by every seed. A synthetic domain is made
+    per seed, its test split drawn chunk by chunk as it is iterated, and of
+    its training set only the base split is drawn.
     """
     if cfg.files is None:
-        def generate(seed: int):
-            partition = _partition_for(cfg, cfg.synthetic.num_classes, seed)
-            parts = synthetic_parts(cfg.synthetic, seed, partition.subsets[1])
+        def generate(seed: int, tuned: np.ndarray):
+            parts = synthetic_parts(cfg.synthetic, seed, tuned)
             return parts.train, parts.generalized_prototypes, parts.test_chunks()
 
-        return cfg.synthetic.dim, generate
+        return cfg.synthetic.dim, _per_seed(cfg, cfg.synthetic.num_classes, generate)
     readers = {"train": read_embedding_file, "test": read_embedding_header,
                "anchors": read_embedding_file}
     train, test_header, anchors = (
@@ -142,7 +144,31 @@ def _domain_source(cfg: RunConfig):
         anchors.vectors[np.argsort(anchors.labels)],
         _config_file_chunks(cfg.files["test"], "/data/files/test"),
     )
-    return train.dim, lambda _seed: data
+    return train.dim, _per_seed(cfg, len(train.class_names), lambda _seed, _tuned: data)
+
+
+def _per_seed(cfg: RunConfig, n_classes: int, draw):
+    """seed -> (partition, base, anchors, test): the seed's partition, then
+    the (train, anchors, test) of ``draw(seed, tuning classes)``."""
+    spec = cfg.partition or {"kind": "base_new_even_split"}
+
+    def domain(seed: int):
+        try:
+            partition = partition_classes(
+                n_classes, spec["kind"], base_size=spec.get("base_size"), way=spec.get("way"),
+                sets=spec.get("sets"), seed=seed if spec.get("seed") is None else spec["seed"])
+        except ValueError as exc:
+            raise ConfigError(
+                str(exc), "/partition/sets" if spec["kind"] == "explicit" else "/partition"
+            ) from exc
+        train, anchors, test = draw(seed, partition.subsets[1])
+        base = train.with_labels_in(partition.subsets[1])
+        if not len(base):
+            pointer = "/data/files/train" if cfg.files and len(partition.subsets[1]) else "/partition"
+            raise ConfigError("the training set has no rows of the base split", pointer)
+        return partition, base, anchors, test
+
+    return domain
 
 
 def _score_test(feeds: list[tuple[object, SplitAccuracy]]) -> list[dict]:
@@ -190,34 +216,6 @@ def _check_outclass(cfg: RunConfig, pool: np.ndarray | None, in_class_size: int)
     if need > have:
         pointer = "/outclass/pool_file" if cfg.pool_file else "/outclass/pool_size"
         raise ConfigError(f"pool exhausted: need {need}, have {have}", pointer)
-
-
-def _partition_for(cfg: RunConfig, n_classes: int, seed: int):
-    spec = cfg.partition or {"kind": "base_new_even_split"}
-    try:
-        return partition_classes(
-            n_classes,
-            spec["kind"],
-            seed=spec.get("seed") if spec.get("seed") is not None else seed,
-            base_size=spec.get("base_size"),
-            way=spec.get("way"),
-            sets=spec.get("sets"),
-        )
-    except ValueError as exc:
-        raise ConfigError(
-            str(exc), "/partition/sets" if spec["kind"] == "explicit" else "/partition"
-        ) from exc
-
-
-def _tuning_split(cfg: RunConfig, train, seed: int):
-    """The seed's partition and its base split: the training rows of the
-    tuning classes, which must not be empty, global labels kept."""
-    partition = _partition_for(cfg, len(train.class_names), seed)
-    base = train.with_labels_in(partition.subsets[1])
-    if not len(base):
-        pointer = "/data/files/train" if cfg.files and len(partition.subsets[1]) else "/partition"
-        raise ConfigError("the training set has no rows of the base split", pointer)
-    return partition, base
 
 
 def _head_paths(out: Path, seed: int) -> dict[str, Path]:
@@ -282,8 +280,7 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
     pool = _check_pool_file(cfg, dim)
     metrics = {}
     for seed in sorted(cfg.seeds):
-        train, anchors, _test = domain(seed)
-        partition, base = _tuning_split(cfg, train, seed)
+        partition, base, anchors, _test = domain(seed)
         _check_outclass(cfg, pool, len(partition.subsets[1]))
         head_ce, mix_head, mix_tau, traces = tune_base_new_heads(
             cfg, base, anchors, partition, seed
@@ -316,10 +313,9 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
         for path in paths.values():
             if not path.exists():
                 raise ArtifactError(f"missing head checkpoint {path}; run `tune` first")
-        train, anchors, _test = domain(seed)
-        _, tau = load_head(paths["ce"], anchors, train.class_names)
-        mix_head, mix_tau = load_head(paths["conf"], anchors, train.class_names)
-        partition, base = _tuning_split(cfg, train, seed)
+        partition, base, anchors, _test = domain(seed)
+        _, tau = load_head(paths["ce"], anchors, base.class_names)
+        mix_head, mix_tau = load_head(paths["conf"], anchors, base.class_names)
         _check_outclass(cfg, pool, len(partition.subsets[1]))
         out_anchors = outclass_anchors(cfg, dim, seed, len(partition.subsets[1]), pool)
         fit = fit_base_new_weights(
@@ -347,17 +343,24 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
         for p in (*paths.values(), wpath):
             if not Path(p).exists():
                 raise ArtifactError(f"missing checkpoint {p}; run `tune` and `weights` first")
-        train, anchors, test = domain(seed)
-        head_ce, tau = load_head(paths["ce"], anchors, train.class_names)
-        head_conf, _ = load_head(paths["conf"], anchors, train.class_names)
-        fitted = load_weights(wpath)
-        partition = _partition_for(cfg, len(train.class_names), seed)
-        if len(partition.subsets[0]) == 0 or len(partition.subsets[1]) == 0:
+        partition, base, anchors, test = domain(seed)
+        names = base.class_names
+        del base  # eval scores no training row, so the split is not held while it scores
+        if len(partition.subsets[0]) == 0:
             raise ConfigError(
                 "eval needs a partition with non-empty tuning and held-out subsets",
                 "/partition",
             )
-        t0 = PromptHead.frozen_from(anchors, train.class_names)
+        head_ce, tau = load_head(paths["ce"], anchors, names)
+        head_conf, _ = load_head(paths["conf"], anchors, names)
+        fitted = load_weights(wpath)
+        if fitted.parameterization != cfg.parameterization:
+            raise CheckpointError(f"{wpath}: /parameterization: expected "
+                                  f"{cfg.parameterization}, the config's weights.parameterization")
+        if fitted.num_specialized != 1:
+            raise CheckpointError(f"{wpath}: /raw/alphas_in: expected one logit, for the one "
+                                  f"tuned head")
+        t0 = PromptHead.frozen_from(anchors, names)
         feeds.append((test, base_new_accuracy(t0, head_ce, head_conf, fitted, partition, tau=tau)))
     per_seed = [base_new_scores(split) for split in _score_test(feeds)]
     report = base_new_report(per_seed, cfg.seeds, cfg.config_hash())
@@ -376,6 +379,9 @@ def fscil(config_path: str, overrides: tuple[str, ...]) -> None:
     """Run the class-incremental session benchmark."""
     cfg = load_config(config_path, overrides)
     _require_synthetic(cfg, "fscil")
+    if cfg.parameterization == "one_stage":
+        raise ConfigError("one_stage weights need exactly one specialized head; fscil fits one "
+                          "per session, as two_stage logits", "/weights/parameterization")
     out = _out_dir(cfg)
     spec = cfg.partition or {}
     if spec.get("kind") == "explicit":
@@ -450,11 +456,10 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     losses["ce_conf"] = cfg.conf_loss
     feeds = []
     for seed in sorted(cfg.seeds):
-        train, anchors, test = domain(seed)
-        partition, base = _tuning_split(cfg, train, seed)
+        partition, base, anchors, test = domain(seed)
         base_classes = partition.subsets[1]
         tuned = tune_prompts([
-            subset_run(anchors, train.class_names, base, base_classes,
+            subset_run(anchors, base.class_names, base, base_classes,
                        losses[kind], cfg.optimizer, cfg.hyper.context_len, seed, cfg.tau)
             for kind in LOSS_KINDS
         ])

@@ -235,14 +235,12 @@ def partition_classes(
         if not sets:
             raise ValueError("explicit partition requires sets")
         subsets = [np.asarray(list(s), dtype=np.int64) for s in sets]
-        merged = np.concatenate(subsets) if subsets else np.empty(0, dtype=np.int64)
-        if len(np.unique(merged)) != len(merged):
-            raise ValueError("explicit sets overlap")
-        if not np.array_equal(np.sort(merged), np.arange(class_count, dtype=np.int64)):
-            raise ValueError(f"explicit sets do not cover all {class_count} classes")
     else:
         raise ValueError(f"unknown partition kind: {kind!r}")
-    return DomainPartition(tuple(subsets))
+    partition = DomainPartition(tuple(subsets))  # rejects overlaps and gaps
+    if partition.num_classes != class_count:  # only explicit sets can hold another count
+        raise ValueError(f"explicit sets do not cover all {class_count} classes")
+    return partition
 
 
 @dataclass(frozen=True)

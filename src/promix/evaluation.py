@@ -45,13 +45,7 @@ from promix.embedspace import (
 )
 from promix.head import DEFAULT_TAU, PromptHead, predict_matrix, similarity_matrix
 from promix.losses import LossConfig
-from promix.mixture import (
-    MixtureModel,
-    MixtureWeights,
-    _stack_gap,
-    bound_gap,
-    mixture_scaled_logits,
-)
+from promix.mixture import MixtureModel, MixtureWeights, _stack_gap, mixture_scaled_logits
 from promix.outclass import OutclassStrategy, generate_outclass, generate_vocab_pool
 from promix.stats import TTestResult, t_test_paired_one_sided
 from promix.train import (
@@ -782,12 +776,10 @@ def bound_sweep(trials: int = 1000, seed: int = 0) -> dict:
         pi = pi / pi.sum()
         # the frozen heads' similarities, as bound_gap computes them
         gaps.append(_stack_gap(np.stack([x @ a.T for a in anchors]), labels, pi, tau))
-    names = ("a", "b", "c")
-    base = PromptHead.frozen_from(_random_unit(rng, 3, 8), names)
-    twin_set = EmbeddingSet(
-        _random_unit(rng, 6, 8), rng.integers(0, 3, size=6).astype(np.int64), names
-    )
-    identical_gap = bound_gap([base, base], twin_set, np.array([0.5, 0.5]), 0.1)
+    anchors, x = _random_unit(rng, 3, 8), _random_unit(rng, 6, 8)
+    sims = x @ anchors.T
+    identical_gap = _stack_gap(np.stack([sims, sims]), rng.integers(0, 3, size=6),
+                               np.array([0.5, 0.5]), 0.1)
     gaps_arr = np.asarray(gaps)
     return {
         "trials": trials,

@@ -63,16 +63,17 @@ def batch_loss_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean loss and its gradient over a batch of similarity rows.
 
-    The ce/ce_conf path runs on the fused kernel ``prompt_step``; the
-    comparison losses use vectorized numpy. Returns (loss, G) with G = d(loss)/dS.
-    Raises ValueError for a label outside [0, C).
+    The ce/ce_conf path runs on the fused kernel ``prompt_step`` as a stack
+    of one batch, the comparison losses on vectorized numpy. Returns (loss,
+    G) with G = d(loss)/dS. Raises ValueError for a label outside [0, C).
     """
     s = np.asarray(s, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= s.shape[1]):
         raise ValueError(f"labels must lie in [0, {s.shape[1]})")
     if config.fused_w is not None:
-        return backend.kernels.prompt_step(s, y, tau, config.fused_w)
+        loss, g = backend.kernels.prompt_step(s[None], y[None], tau, config.fused_w)
+        return float(loss[0]), g[0]
     b = s.shape[0]
     p = backend.kernels.softmax_rows(s / tau)
     rows = np.arange(b)

@@ -12,7 +12,9 @@ The one tuning loop steps R independent runs of equal length at once,
 stacked on a leading axis, each bitwise as if alone; ``tune_prompt`` and
 ``tune_prompt_one_stage`` are its one-run callers. A one_stage run also
 steps its log(tau_1) beside its context, against the fixed logits of the
-frozen head on its own anchors, which it reads from its own X·Aᵀ.
+frozen head on its own anchors, which it reads from its own X·Aᵀ. Each
+run's trained columns, rows and labels are gathered, and its labels
+checked, once, before any run steps.
 
 Weight fitting runs full-batch momentum descent on the raw weight
 parameters (two_stage logits or one_stage temperatures): the two_stage
@@ -253,7 +255,6 @@ def _adam_descent(
     params: list[np.ndarray],
     batch_grad: Callable[[np.ndarray, np.ndarray, list], tuple[np.ndarray, list]],
     labels: np.ndarray,
-    num_classes: int,
     opt: OptimizerConfig,
     seeds: Sequence[int],
     ids: Sequence[int],
@@ -264,14 +265,11 @@ def _adam_descent(
     yb, params)`` takes every run's batch rows and labels (R, B) and returns
     the per-run mean losses and one gradient per parameter. Each update is
     elementwise, so a run's result is bitwise that of the run alone. Returns
-    the parameters and each run's per-epoch mean loss. A label outside
-    [0, num_classes) or a non-finite loss raises naming the run, ``ids[r]``,
-    and the batch offset."""
+    the parameters and each run's per-epoch mean loss. A non-finite loss
+    raises naming the run, ``ids[r]``, and the batch offset."""
     runs, n = labels.shape
     rngs = [np.random.default_rng(seed) for seed in seeds]
     run_axis = np.arange(runs)[:, None]
-    outside = (labels < 0) | (labels >= num_classes)
-    any_outside = outside.any()
     moments = [np.zeros_like(p) for p in params]
     second = [np.zeros_like(p) for p in params]
     step = 0
@@ -281,15 +279,11 @@ def _adam_descent(
         epoch_loss = np.zeros(runs)
         for start in range(0, n, opt.batch_size):
             idx = order[:, start : start + opt.batch_size]
-            where = f"at epoch {epoch}, batch offset {start}"
-            if any_outside and outside[run_axis, idx].any():
-                run = ids[np.flatnonzero(outside[run_axis, idx].any(axis=1))[0]]
-                raise ValueError(f"run {run}: training label outside the head's class "
-                                 f"list [0, {num_classes}) {where}")
             loss_vals, grads = batch_grad(idx, labels[run_axis, idx], params)
             if not np.isfinite(loss_vals).all():
                 run = ids[np.flatnonzero(~np.isfinite(loss_vals))[0]]
-                raise DivergenceError(f"run {run}: non-finite loss {where}")
+                raise DivergenceError(f"run {run}: non-finite loss at epoch {epoch}, "
+                                      f"batch offset {start}")
             epoch_loss += loss_vals * idx.shape[1]
 
             step += 1
@@ -315,14 +309,20 @@ def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, float, list[
     equal row counts, trained shapes, optimizers, temperatures and kinds
     step in lockstep, whatever their seeds, on one training set or several,
     at most ``LOCKSTEP_RUNS`` at a time; a loss other than ce/ce_conf runs
-    alone."""
+    alone. Each run's :meth:`TuneRun.local` view is built and its labels
+    checked once, before any step."""
     groups: dict[tuple, list[int]] = {}
+    views = {i: run.local() for i, run in enumerate(runs)}  # each handed on to its group
     for i, run in enumerate(runs):
-        head, rows, _ = run.local()
+        head, rows, labels = views[i]
         if run.init.context_len == 0:
             raise ValueError("cannot tune a frozen head (no context vectors)")
         if len(rows) == 0:
             raise ValueError("empty training set")
+        outside = labels[(labels < 0) | (labels >= head.num_classes)]
+        if len(outside):
+            raise ValueError(f"run {i}: training label {outside[0]} outside the head's "
+                             f"class list [0, {head.num_classes})")
         alone = i if run.loss.fused_w is None else None
         key = (len(rows), head.anchors.shape, head.context.shape, run.opt,
                run.tau, run.one_stage, alone)
@@ -331,25 +331,28 @@ def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, float, list[
     for members in groups.values():
         for start in range(0, len(members), LOCKSTEP_RUNS):
             ids = members[start : start + LOCKSTEP_RUNS]
-            for i, result in zip(ids, _tune_group([runs[i] for i in ids], ids)):
+            for i, result in zip(ids, _tune_group([runs[i] for i in ids],
+                                                  [views.pop(i) for i in ids], ids)):
                 results[i] = result
     return results
 
 
 def _tune_group(
-    runs: list[TuneRun], ids: list[int]
+    runs: list[TuneRun], views: list[tuple], ids: list[int]
 ) -> list[tuple[PromptHead, float, list[float]]]:
-    """One Adam loop over runs of equal steps and one kind; returns each
-    run's (tuned head, temperature, per-epoch loss trace). Runs on the same
-    rows, anchors and classes (twins differing in loss or seed) share one
-    X·Aᵀ; runs on several training sets read their rows gathered into one
-    (R·n, D) matrix. One_stage runs also step log(tau_1), from log(run.tau);
-    a batch's fixed logits are its X·Aᵀ rows over run.tau."""
+    """One Adam loop over runs of equal steps and one kind, given each run's
+    :meth:`TuneRun.local` view; returns each run's (tuned head, temperature,
+    per-epoch loss trace). Runs on the same rows, anchors and classes (twins
+    differing in loss or seed) share one X·Aᵀ; runs on several training sets
+    read their rows gathered into one (R·n, D) matrix. One_stage runs also
+    step log(tau_1), from log(run.tau); a batch's fixed logits are its X·Aᵀ
+    rows over run.tau. ``views`` is emptied once read."""
     first = runs[0]
     one_set = all(r.train_set is first.train_set for r in runs)
     shared = one_set and all(r.init.anchors is first.init.anchors and r.classes is first.classes
                              for r in runs)
-    heads, rows, labels = zip(*(run.local() for run in (runs[:1] if shared else runs)))
+    heads, rows, labels = zip(*(views[:1] if shared else views))
+    views.clear()  # so the arrays below replace the views' rather than join them
     x = first.train_set.vectors
     if not one_set:
         x = np.concatenate([run.train_set.vectors[r] for run, r in zip(runs, rows)])
@@ -380,8 +383,7 @@ def _tune_group(
                 run.epoch_hook(epoch, run.init.with_context(ctx.copy()))
 
     params, traces = _adam_descent(
-        params, batch_grad, labels, space.anchors.shape[1], first.opt,
-        [run.seed for run in runs], ids, head_hook,
+        params, batch_grad, labels, first.opt, [run.seed for run in runs], ids, head_hook,
     )
     taus = np.exp(params[1]) if first.one_stage else [run.tau for run in runs]
     return [(run.init.with_context(c.copy()), float(t), trace)

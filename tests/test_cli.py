@@ -513,6 +513,14 @@ class TestPipeline:
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
         assert not (out / "report_fscil.json").exists()
 
+    def test_fscil_under_one_stage_exits_one_before_any_work(self, run_config, capsys):
+        # one_stage is defined for one specialized head; fscil fits one per session
+        path, out = run_config(partition={"kind": "session_schedule", "base_size": 4, "way": 2},
+                               weights={"parameterization": "one_stage"})
+        assert main(["fscil", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: /weights/parameterization: ")
+        assert not out.exists()
+
     def test_losses_ce_conf_row_is_the_coa_loss(self, run_config):
         # at the method's w = 0 the CoA-loss is CE, whatever loss.w holds
         path, out = run_config()
@@ -591,6 +599,22 @@ class TestPipeline:
             assert sorted(reads["read_embedding_file"]) == sorted(whole), cmd
             assert reads["read_embedding_header"] == ["test.emb"], cmd
             assert reads["iter_embedding_chunks"] == streamed, cmd
+
+    def test_synthetic_commands_draw_one_partition_per_seed(self, run_config, monkeypatch):
+        import promix.cli
+
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(kwargs["seed"])
+            return embedspace.partition_classes(*args, **kwargs)
+
+        monkeypatch.setattr(promix.cli, "partition_classes", counted)
+        path, _ = run_config(seeds=[0, 1])
+        for cmd in ("tune", "weights", "eval", "losses"):
+            draws.clear()
+            assert main([cmd, "--config", str(path)]) == 0, cmd
+            assert draws == [0, 1], cmd
 
     @pytest.mark.parametrize("damage", ["nan", "off_norm"])
     def test_bad_test_vectors_surface_at_eval(self, run_config, tmp_path, capsys, damage):
@@ -829,13 +853,17 @@ class TestBadCheckpoints:
              lambda d: d.__setitem__("parameterization", "direct"), "/parameterization"),
             # no weights file holds the frozen head's temperature: it is the model's
             ("two_stage", "weights/seed0.json", lambda d: d.__setitem__("tau_0", 7.5), "/tau_0"),
+            # a base/new mixture has one tuned head, so one logit per side
+            ("two_stage", "weights/seed0.json",
+             lambda d: [d["raw"][key].append(0.0) for key in ("alphas_in", "alphas_out")],
+             "/raw/alphas_in"),
             ("two_stage", "heads/seed0_ce.json",
              lambda d: d.pop("anchors_sha256"), "/anchors_sha256"),
             ("two_stage", "heads/seed0_ce.json",
              lambda d: d.__setitem__("tau", float("nan")), "/tau"),
         ],
         ids=["no_raw", "nan_alpha", "nan_tau_in", "direct_weights", "two_stage_tau_0",
-             "no_anchors_sha256", "nan_head_tau"],
+             "two_logits", "no_anchors_sha256", "nan_head_tau"],
     )
     def test_eval_exits_one_at_the_bad_entry(
         self, run_config, capsys, parameterization, name, damage, pointer
@@ -847,6 +875,20 @@ class TestBadCheckpoints:
         capsys.readouterr()
         assert main(["eval", "--config", str(path)]) == 1
         assert f"{out / name}: {pointer}: " in capsys.readouterr().err
+        assert not (out / "report_eval.json").exists()
+
+    @pytest.mark.parametrize("fitted, evaluated", [("two_stage", "one_stage"),
+                                                   ("one_stage", "two_stage")])
+    def test_eval_exits_one_on_weights_of_another_parameterization(
+        self, run_config, capsys, fitted, evaluated
+    ):
+        path, out = run_config(weights={"parameterization": fitted})
+        for cmd in ("tune", "weights"):
+            assert main([cmd, "--config", str(path)]) == 0, cmd
+        capsys.readouterr()
+        other = ["--set", f'weights.parameterization="{evaluated}"']
+        assert main(["eval", "--config", str(path), *other]) == 1
+        assert f"{out / 'weights' / 'seed0.json'}: /parameterization: " in capsys.readouterr().err
         assert not (out / "report_eval.json").exists()
 
     @pytest.mark.parametrize("command", ["weights", "eval"])

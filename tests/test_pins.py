@@ -8,8 +8,10 @@ full-precision values, so the size of a drift shows.
 
 The files-mode eval chain, run under each weight parameterization from
 one gen output, hashes the canonical JSON of the report's ``per_config``
-and ``extra.per_seed`` only: the rest of the report carries the config
-hash, which covers the temporary data paths.
+and ``extra.per_seed`` only, and files-mode ``losses`` its ``losses`` rows
+only: the rest of a report carries the config hash, which covers the
+temporary data paths. The synthetic-mode chain and ``losses`` run over two
+seeds and hash whole reports, since the hash leaves ``out_dir`` out.
 """
 
 import contextlib
@@ -112,6 +114,48 @@ def one_stage_files_run(files_data, tmp_path_factory):
                         weights={"parameterization": "one_stage"})
 
 
+SYNTHETIC = {"seeds": [0, 1], "optimizer": {"epochs": 2},
+             "data": {"synthetic": {"dim": 8, "num_classes": 8, "shots": 2,
+                                    "test_per_class": 4, "confusion_pairs": 2}}}
+
+
+@pytest.fixture(scope="module")
+def synthetic_run(tmp_path_factory):
+    """The run directory of tune, weights, eval and losses on the synthetic source."""
+    root = tmp_path_factory.mktemp("synthetic")
+    for stage in ("tune", "weights", "eval", "losses"):
+        _cli(stage, {**SYNTHETIC, "out_dir": str(root / "run")}, root / "run.json")
+    return root / "run"
+
+
+@pytest.fixture(scope="module")
+def files_losses_run(files_data, tmp_path_factory):
+    """The run directory of losses from the files in ``files_data``."""
+    root = tmp_path_factory.mktemp("files_losses")
+    _cli("losses", {"out_dir": str(root / "run"), "seeds": [0], "optimizer": {"epochs": 2},
+                    "data": {"files": {key: str(files_data / f"{key}.emb")
+                                       for key in ("train", "test", "anchors")}}},
+         root / "run.json")
+    return root / "run"
+
+
+def _report(run, name):
+    report = json.loads((run / f"report_{name}.json").read_text())
+    return json.dumps(report, sort_keys=True), report
+
+
+def _losses_rows(run):
+    rows = json.loads((run / "report_losses.json").read_text())["losses"]
+    return json.dumps(rows, sort_keys=True), rows
+
+
+def _synthetic_fits(run):
+    """Each head's loss trace and each seed's fitted weights, from the manifests."""
+    traces = json.loads((run / "manifest_tune.json").read_text())["metrics"]
+    fitted = json.loads((run / "manifest_weights.json").read_text())["weights"]
+    return json.dumps({"metrics": traces, "weights": fitted}, sort_keys=True), fitted
+
+
 def _files_eval(run):
     report = json.loads((run / "report_eval.json").read_text())
     scores = {"per_config": report["per_config"], "per_seed": report["extra"]["per_seed"]}
@@ -151,6 +195,15 @@ ONE_STAGE_FILES_PINS = {
     "eval": (_files_eval, "0bb5a25de4fdb2a5fb0c99cf7db681c7ef2760c8d1aae32a65de0c7efbb79a09"),
     "fits": (_files_fits, "ea54d2b19815d527ffdd6051418d07e08f4663cbcf3e62fd430913c8e10fb03f"),
 }
+SYNTHETIC_PINS = {
+    "eval": (lambda run: _report(run, "eval"),
+             "95634538c44efb26f3d8809a32ab200decf585678d57c72f1303b99f93c6882e"),
+    "fits": (_synthetic_fits, "387e501750eac711b16b52a264be2d47a5ff2300cc9c3bc94e4612c203574c17"),
+    "losses": (lambda run: _report(run, "losses"),
+               "2371e98c7f6718ab6602e99d1e3c389e048218cb13bd63d6d3d3b7d8acba042f"),
+}
+FILES_LOSSES_PIN = (_losses_rows,
+                    "192ad5e38438b46705da2d9bfa2d8bd08803f96239e9e018c338729256cee031")
 
 
 def _check(name, output, detail, pinned):
@@ -177,3 +230,14 @@ def test_files_chain_output_matches_its_pin(name, files_run):
 def test_one_stage_files_chain_output_matches_its_pin(name, one_stage_files_run):
     read, pinned = ONE_STAGE_FILES_PINS[name]
     _check(f"files.one_stage.{name}", *read(one_stage_files_run), pinned)
+
+
+@pytest.mark.parametrize("name", SYNTHETIC_PINS)
+def test_synthetic_chain_output_matches_its_pin(name, synthetic_run):
+    read, pinned = SYNTHETIC_PINS[name]
+    _check(f"synthetic.{name}", *read(synthetic_run), pinned)
+
+
+def test_files_losses_output_matches_its_pin(files_losses_run):
+    read, pinned = FILES_LOSSES_PIN
+    _check("files.losses", *read(files_losses_run), pinned)
