@@ -37,6 +37,15 @@ destination: the stacked arrays of a set, or the chunk buffer of a stream.
 ``synthetic_parts`` leaves a synthetic domain's test split undrawn, to be
 drawn chunk by chunk as it is streamed; ``generate_synthetic`` draws it
 into one set.
+
+``_row_norms`` is the one row-norm routine: it gives, bit for bit, the row
+norms ``np.linalg.norm`` takes along axis 1, while squaring at most
+SCRATCH_ROWS rows at a time into a scratch. ``check_unit`` and the EMB1
+reader's norm check take their norms from it, and ``unit_normalize_rows``
+divides rows by them in place. That normalizer serves the 2-d
+``unit_normalize`` (on its one copy of the input), the synthetic fill (on
+its drawn rows) and ``PromptHead.effective_embeddings`` (on its fresh
+anchor + context sum).
 """
 
 from __future__ import annotations
@@ -73,24 +82,49 @@ class FieldError(ValueError):
         self.field = field
 
 
-def unit_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale vectors to unit Euclidean norm (rows of a 2-d array, or 1-d)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        return v / n
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+def _row_norms(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The row norms of ``rows``, bit for bit those ``np.linalg.norm`` takes
+    along axis 1, with the squares written ``len(scratch)`` rows at a time
+    into ``scratch`` instead of a new array. The default scratch holds at
+    most SCRATCH_ROWS rows and at least one."""
+    if scratch is None:
+        scratch = np.empty((max(1, min(len(rows), SCRATCH_ROWS)), rows.shape[1]))
+    sums = np.empty(len(rows))
+    for i in range(0, len(rows), len(scratch)):
+        block = rows[i : i + len(scratch)]
+        squares = np.multiply(block, block, out=scratch[: len(block)])
+        np.add.reduce(squares, axis=1, out=sums[i : i + len(block)])
+    return np.sqrt(sums, out=sums)
+
+
+def unit_normalize_rows(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Divide each row of the float64 array ``rows`` by its norm in place
+    and return it; the norms are taken by :func:`_row_norms` through
+    ``scratch``. Raises ValueError, leaving ``rows`` as it was, if any row
+    is zero."""
+    norms = _row_norms(rows, scratch)
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero vector")
-    return v / norms
+    rows /= norms[:, None]
+    return rows
+
+
+def unit_normalize(v: np.ndarray) -> np.ndarray:
+    """Scale vectors to unit Euclidean norm (rows of a 2-d array, or 1-d).
+    A 2-d input is copied once and the copy normalized in place."""
+    if np.ndim(v) != 1:
+        return unit_normalize_rows(np.array(v, dtype=np.float64))
+    v = np.asarray(v, dtype=np.float64)
+    n = np.linalg.norm(v)
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    return v / n
 
 
 def check_unit(v: np.ndarray) -> None:
     """Raise ValueError unless every row of ``v`` has norm 1 within
     NORM_TOLERANCE."""
-    norms = np.linalg.norm(np.atleast_2d(np.asarray(v, dtype=np.float64)), axis=1)
+    norms = _row_norms(np.atleast_2d(np.asarray(v, dtype=np.float64)))
     worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
     if worst > NORM_TOLERANCE:
         raise ValueError(
@@ -283,17 +317,6 @@ class SyntheticDomain:
     true_prototypes: np.ndarray
 
 
-def _row_norms(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(rows, axis=1)`` bit for bit, with the squares written
-    ``len(scratch)`` rows at a time into ``scratch`` instead of a new array."""
-    sums = np.empty(len(rows))
-    for i in range(0, len(rows), len(scratch)):
-        block = rows[i : i + len(scratch)]
-        squares = np.multiply(block, block, out=scratch[: len(block)])
-        np.add.reduce(squares, axis=1, out=sums[i : i + len(block)])
-    return np.sqrt(sums, out=sums)
-
-
 class _ClassRows:
     """A split in class order, ``per_class`` rows per prototype, each a
     renormalized Gaussian perturbation of it with spread ``sigma`` (a copy
@@ -327,10 +350,7 @@ class _ClassRows:
                 rows[...] = self.protos[c]
             else:
                 rows += self.protos[c]
-                norms = _row_norms(rows, self.scratch)
-                if np.any(norms == 0.0):
-                    raise ValueError("cannot normalize a zero vector")
-                rows /= norms[:, None]
+                unit_normalize_rows(rows, self.scratch)
             at += n
         self.row += len(labels)
 

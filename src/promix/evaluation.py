@@ -45,7 +45,13 @@ from promix.embedspace import (
 )
 from promix.head import DEFAULT_TAU, PromptHead, predict_matrix, similarity_matrix
 from promix.losses import LossConfig
-from promix.mixture import MixtureModel, MixtureWeights, _stack_gap, mixture_scaled_logits
+from promix.mixture import (
+    PARAMETERIZATIONS,
+    MixtureModel,
+    MixtureWeights,
+    _stack_gap,
+    mixture_scaled_logits,
+)
 from promix.outclass import OutclassStrategy, generate_outclass, generate_vocab_pool
 from promix.stats import TTestResult, t_test_paired_one_sided
 from promix.train import (
@@ -158,9 +164,10 @@ class HarnessConfig:
                 raise FieldError(f"seeds/{i}", "must be a non-negative int")
         if len(set(self.seeds)) != len(self.seeds):
             raise FieldError("seeds", "must be distinct")
-        if self.parameterization not in ("one_stage", "two_stage"):
+        if self.parameterization not in PARAMETERIZATIONS:
+            expected = " or ".join(PARAMETERIZATIONS)
             raise FieldError("parameterization",
-                             f"must be one_stage or two_stage, got {self.parameterization!r}")
+                             f"must be {expected}, got {self.parameterization!r}")
         for name in ("pool_size", "fscil_way"):
             if getattr(self, name) < 1:
                 raise FieldError(name, "must be at least 1")

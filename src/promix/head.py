@@ -25,7 +25,7 @@ from promix.embedspace import (
     EmbeddingSet,
     check_unit,
     read_embedding_file,
-    unit_normalize,
+    unit_normalize_rows,
     write_embedding_file,
 )
 
@@ -103,11 +103,12 @@ class PromptHead:
 
         ``anchors`` overrides the head's own anchor rows, which lets a
         tuned context be applied to surrogate classes (the out-class sets).
+        The sum is the one C×D array built; it is normalized in place.
         """
         base = self.anchors if anchors is None else np.asarray(anchors, dtype=np.float64)
         if self.context_len == 0:
             return base
-        return unit_normalize(base + self.context.mean(axis=0))
+        return unit_normalize_rows(base + self.context.mean(axis=0))
 
 
 def similarity_matrix(head: PromptHead, vectors: np.ndarray) -> np.ndarray:

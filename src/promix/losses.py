@@ -13,7 +13,9 @@ for the comparison harness.
 
 Gradient conventions: ``s`` holds per-class similarity rows, ``tau`` is
 the softmax temperature, and all gradients are with respect to ``s``. Each
-gradient formula lives once, in the batch path ``batch_loss_grad``. The
+gradient formula lives once, in the batch path ``unchecked_loss_grad``.
+``batch_loss_grad`` checks the labels and calls it; the tuning loop, which
+checks each run's labels once, calls it directly. The
 per-sample loss values live in the tests, as the finite-difference oracles
 the batch path is checked against; the floored cross-entropy is
 ``label_nll``.
@@ -71,6 +73,14 @@ def batch_loss_grad(
     y = np.asarray(y, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= s.shape[1]):
         raise ValueError(f"labels must lie in [0, {s.shape[1]})")
+    return unchecked_loss_grad(s, y, tau, config)
+
+
+def unchecked_loss_grad(
+    s: np.ndarray, y: np.ndarray, tau: float, config: LossConfig
+) -> tuple[float, np.ndarray]:
+    """:func:`batch_loss_grad` on a float64 ``s`` and int64 ``y`` whose
+    labels the caller has already checked to lie in [0, C)."""
     if config.fused_w is not None:
         loss, g = backend.kernels.prompt_step(s[None], y[None], tau, config.fused_w)
         return float(loss[0]), g[0]

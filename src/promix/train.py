@@ -50,7 +50,7 @@ from promix import backend
 from promix._kernels_py import label_nll
 from promix.embedspace import EmbeddingSet, FieldError
 from promix.head import DEFAULT_TAU, PromptHead
-from promix.losses import LossConfig, batch_loss_grad
+from promix.losses import LossConfig, unchecked_loss_grad
 from promix.mixture import MixtureModel
 
 
@@ -216,13 +216,14 @@ def _context_grad(
 def _runs_loss_grad(losses: Sequence[LossConfig]) -> Callable:
     """(sims (R, B, C), labels, tau) -> per-run mean losses and their
     gradients: one fused ``prompt_step`` with a per-run w for ce/ce_conf,
-    else the one run's ``batch_loss_grad``."""
+    else the one run's ``unchecked_loss_grad``: ``tune_prompts`` has
+    checked every run's labels once, so no batch scans them again."""
     w = [loss.fused_w for loss in losses]
     if None not in w:
         return lambda sims, yb, tau: backend.kernels.prompt_step(sims, yb, tau, np.array(w))
     (loss,) = losses
     return lambda sims, yb, tau: tuple(
-        np.asarray(a)[None] for a in batch_loss_grad(sims[0], yb[0], tau, loss)
+        np.asarray(a)[None] for a in unchecked_loss_grad(sims[0], yb[0], tau, loss)
     )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from promix import backend
 from promix._kernels_py import label_nll
-from promix.embedspace import EmbeddingSet, unit_normalize
+from promix.embedspace import EmbeddingSet
 from promix.evaluation import harmonic_mean
 from promix.head import PromptHead, predict_matrix, similarity_matrix
 from promix.losses import PROB_FLOOR, LossConfig, batch_loss_grad
@@ -73,8 +73,8 @@ def masses_from(partition, labels):
 
 def _per_class_draw(config, seed, protos, classes=None):
     """The synthetic train and test splits drawn one class block at a time,
-    each its own ``standard_normal((per_class, D))`` call normalized by
-    ``unit_normalize``: the oracle of the in-place fill path. Replays the
+    each its own ``standard_normal((per_class, D))`` call divided by its
+    ``np.linalg.norm`` row norms: the oracle of the in-place fill path. Replays the
     prototype and anchor draws of ``synthetic_parts`` from ``seed`` to reach
     the first train row, takes ``protos`` as given and keeps the train rows
     of ``classes`` (default all). Returns (train vectors, train labels, test
@@ -96,7 +96,8 @@ def _per_class_draw(config, seed, protos, classes=None):
                 block = np.repeat(protos[c][None, :], per_class, axis=0)
             else:
                 noise = config.intra_noise * rng.standard_normal((per_class, d))
-                block = unit_normalize(protos[c][None, :] + noise)
+                block = protos[c][None, :] + noise
+                block = block / np.linalg.norm(block, axis=1, keepdims=True)
             if c in keep:
                 blocks.append((block, np.full(per_class, c, dtype=np.int64)))
         splits += [np.concatenate([v for v, _ in blocks] or [np.empty((0, d))]),

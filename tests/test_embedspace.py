@@ -18,6 +18,7 @@ from promix.embedspace import (
     EmbeddingFileError,
     EmbeddingSet,
     SyntheticConfig,
+    check_unit,
     generate_synthetic,
     iter_embedding_chunks,
     partition_classes,
@@ -26,6 +27,7 @@ from promix.embedspace import (
     read_embedding_header,
     synthetic_parts,
     unit_normalize,
+    unit_normalize_rows,
     write_embedding_blocks,
     write_embedding_file,
 )
@@ -67,6 +69,73 @@ class TestCosineSimilarity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             _cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+
+
+_ROW_COUNTS = [0, 1, 63, 64, 65, 1000]  # around one and many SCRATCH_ROWS blocks
+_DIMS = [1, 3, 8, 48, 512]
+
+
+class TestRowNorms:
+    """``_row_norms`` is the one row-norm routine: it, ``check_unit`` and the
+    2-d ``unit_normalize`` give the bits of ``np.linalg.norm(axis=1)``."""
+
+    @pytest.mark.parametrize("n", _ROW_COUNTS)
+    @pytest.mark.parametrize("d", _DIMS)
+    def test_default_scratch_norms_are_the_linalg_norms(self, n, d):
+        rows = np.random.default_rng(n + d).standard_normal((n, d))
+        norms = embedspace._row_norms(rows)
+        assert norms.shape == (n,)
+        assert norms.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", _ROW_COUNTS)
+    @pytest.mark.parametrize("d", _DIMS)
+    def test_check_unit_takes_the_linalg_norms(self, monkeypatch, n, d):
+        rows = unit_normalize(np.random.default_rng(n + d).standard_normal((n, d)))
+        seen = []
+
+        def spy(*args):
+            seen.append(row_norms(*args))
+            return seen[-1]
+
+        row_norms = embedspace._row_norms
+        monkeypatch.setattr(embedspace, "_row_norms", spy)
+        check_unit(rows)  # a 0-row input passes
+        assert len(seen) == 1
+        assert seen[0].tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", _ROW_COUNTS)
+    @pytest.mark.parametrize("d", _DIMS)
+    def test_unit_normalize_divides_by_the_linalg_norms(self, n, d):
+        rows = np.random.default_rng(n + d).standard_normal((n, d))
+        before = rows.copy()
+        out = unit_normalize(rows)
+        assert out.shape == (n, d)
+        assert out.tobytes() == (rows / np.linalg.norm(rows, axis=1, keepdims=True)).tobytes()
+        assert np.array_equal(rows, before)  # the input is copied, not normalized in place
+
+    def test_rows_are_normalized_in_place(self):
+        rows = np.random.default_rng(1).standard_normal((70, 5))
+        expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        assert unit_normalize_rows(rows) is rows
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_off_unit_rows_fail_check_unit(self):
+        rows = unit_normalize(np.random.default_rng(2).standard_normal((65, 3)))
+        rows[64] *= 1.0 + 1e-5
+        with pytest.raises(ValueError, match=r"^embedding norm deviates from 1 by 1\.000e-05 "):
+            check_unit(rows)
+
+    def test_a_zero_row_is_rejected_and_left_as_it_was(self):
+        rows = np.random.default_rng(3).standard_normal((65, 4))
+        rows[64] = 0.0
+        before = rows.copy()
+        with pytest.raises(ValueError, match="^cannot normalize a zero vector$"):
+            unit_normalize(rows)
+        with pytest.raises(ValueError, match="^cannot normalize a zero vector$"):
+            unit_normalize_rows(rows)
+        assert np.array_equal(rows, before)
+        with pytest.raises(ValueError, match="^cannot normalize a zero vector$"):
+            unit_normalize(np.zeros(3))
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="norm"):
@@ -323,8 +392,9 @@ class TestEmbeddingFile:
         object.__setattr__(bad, "class_names", ("a", "b"))
         path = tmp_path / "norm.emb"
         write_embedding_file(bad, path)
-        with pytest.raises(EmbeddingFileError, match="norm off by"):
+        with pytest.raises(EmbeddingFileError) as info:
             read_embedding_file(path)
+        assert str(info.value) == f"{path}: vector norm off by 1.000e+00 (> 1e-06)"
 
     @pytest.mark.parametrize("dim", [2**31, 2**32 - 1])
     def test_dimension_beyond_a_sample_record_is_a_bad_header(self, tmp_path, dim):

@@ -231,6 +231,14 @@ class TestHarnessConfig:
         assert info.value.field == field
         assert str(info.value).startswith(f"{field} ")
 
+    def test_parameterization_is_checked_against_the_mixture_list(self, monkeypatch):
+        with pytest.raises(FieldError, match="^parameterization must be one_stage or two_stage, "
+                                             "got 'bogus'$"):
+            HarnessConfig(parameterization="bogus")
+        monkeypatch.setattr(evaluation, "PARAMETERIZATIONS", ("one_stage",))
+        with pytest.raises(FieldError, match="must be one_stage, got 'two_stage'"):
+            HarnessConfig()
+
     def test_has_no_worker_count(self):
         # the harnesses run in one process
         assert "jobs" not in {f.name for f in fields(HarnessConfig)}

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import expected_error, predict, samples
+from conftest import _traced_peak, expected_error, predict, samples
 from promix.embedspace import (
+    SCRATCH_ROWS,
     EmbeddingSet,
     SyntheticConfig,
+    check_unit,
     generate_synthetic,
     read_embedding_file,
     unit_normalize,
@@ -58,6 +60,44 @@ class TestPromptHead:
         sub = small_head.restrict([0, 2])
         assert sub.num_classes == 2
         assert np.array_equal(sub.context, small_head.context)
+
+
+class TestUnitRowsMemory:
+    """At C=1000, D=512 a head's rows are checked and renormalized without a
+    C×D temporary: norms go through a scratch of SCRATCH_ROWS rows, and the
+    effective embeddings are the one C×D array they build."""
+
+    C, D = 1000, 512
+    ONE = C * D * 8
+    SCRATCH = SCRATCH_ROWS * D * 8
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        rng = np.random.default_rng(5)
+        anchors = _unit_rows(rng, self.C, self.D)
+        return 0.02 * rng.standard_normal((16, self.D)), anchors, [f"c{i}" for i in range(self.C)]
+
+    def test_check_unit_holds_no_rows_array(self, parts):
+        peak, _ = _traced_peak(check_unit, parts[1])
+        assert peak < self.ONE
+
+    def test_construction_holds_no_rows_array(self, parts):
+        peak, _ = _traced_peak(PromptHead, *parts)
+        assert peak < self.ONE
+
+    def test_effective_embeddings_hold_their_result_and_the_scratch(self, parts):
+        head = PromptHead(*parts)
+        peak, eff = _traced_peak(head.effective_embeddings)
+        assert peak < self.ONE + self.SCRATCH + 2 * self.C * 8  # and a few C-vectors
+        expected = head.anchors + head.context.mean(axis=0)
+        expected /= np.linalg.norm(expected, axis=1, keepdims=True)
+        assert eff.tobytes() == expected.tobytes()
+
+    def test_a_zero_effective_row_is_rejected(self):
+        anchors = np.eye(2)
+        head = PromptHead(np.array([[-1.0, 0.0]]), anchors, ("a", "b"))
+        with pytest.raises(ValueError, match="^cannot normalize a zero vector$"):
+            head.effective_embeddings()
 
 
 class TestSimilarities:

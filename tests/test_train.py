@@ -1,6 +1,7 @@
 """Tuning and weight-optimization loops: determinism, descent, gradients."""
 
 import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,18 @@ class TestTuningLabelRange:
         with pytest.raises(ValueError, match="class list"):
             tune_prompt(init, _with_labels(dom.train, labels), LossConfig("ce"),
                         OptimizerConfig(epochs=1), 0)
+
+    def test_comparison_loss_batches_skip_the_public_label_check(self, setup, monkeypatch):
+        # the run's labels are checked once before it steps; no batch rescans them
+        def public(*args):
+            raise AssertionError("a tuning batch went through the public batch_loss_grad")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("promix") and getattr(module, "batch_loss_grad", None) is batch_loss_grad:
+                monkeypatch.setattr(module, "batch_loss_grad", public)
+        dom, init = setup
+        head, _ = tune_prompt(init, dom.train, LossConfig("fl"), OptimizerConfig(epochs=2), 0)
+        assert np.isfinite(head.context).all()
 
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_one_stage_rejects_label_outside_class_list(self, setup, bad):
