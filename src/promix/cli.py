@@ -11,6 +11,14 @@ for a fixed config and seed: reports are canonical JSON (sorted keys, no
 timestamps). Every setting comes from the config file and its ``--set``
 overrides, the seed too (``--set seed=N``). Each run seed's partition
 is drawn once per command.
+
+Every command has one shape, set by :func:`_command`: load the config,
+run the command's config-level check, create out_dir, run the command,
+then write ``manifest_<command>.json`` from what it returns (``report``
+writes none). A command that fails writes no manifest. The CLI stamps
+the config's hash into every manifest and, through :func:`_write_report`,
+every report; a report built by the library carries an empty
+``config_hash``.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from promix.embedspace import (
     write_embedding_file,
 )
 from promix.evaluation import (
+    EvalReport,
     SplitAccuracy,
     assumption_check,
     base_new_accuracy,
@@ -74,19 +83,22 @@ def _require_base_new(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"{command} needs a base/new partition of two subsets", pointer)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _require_fscil(cfg: RunConfig, command: str) -> None:
+    """fscil draws each run seed's own session schedule on a synthetic domain
+    and fits two_stage logits, one head per session."""
+    _require_synthetic(cfg, command)
+    if cfg.parameterization == "one_stage":
+        raise ConfigError("one_stage weights need exactly one specialized head; fscil fits one "
+                          "per session, as two_stage logits", "/weights/parameterization")
+    spec = cfg.partition or {}
+    if spec.get("kind") == "explicit":
+        raise ConfigError("fscil runs a session schedule, not explicit sets", "/partition/kind")
+    if spec.get("seed") is not None:
+        raise ConfigError("fscil draws each run seed's own schedule", "/partition/seed")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(cfg: RunConfig, out: Path, command: str, payload: dict) -> None:
-    manifest = {"command": command, "config_hash": cfg.config_hash(), **payload}
-    _write_json(out / f"manifest_{command}.json", manifest)
 
 
 def _read_config_file(read, path: str, pointer: str):
@@ -232,23 +244,50 @@ def cli() -> None:
     """Confusion-aware prompt tuning and prompt mixtures over embeddings."""
 
 
-_config_opt = click.option(
-    "--config", "config_path", required=True, type=click.Path(), help="Run config JSON."
-)
-_set_opt = click.option(
-    "--set", "overrides", multiple=True, metavar="PATH=VALUE",
-    help="Override a config entry, e.g. --set optimizer.epochs=10",
-)
+def _command(name: str, check=None, options: tuple[click.Option, ...] = ()):
+    """Register ``body(cfg, out, **options)`` as the command ``name``, with
+    ``--config``, ``--set`` and then ``options``. A run loads the config,
+    applies the config-level ``check(cfg, name)``, creates out_dir, runs the
+    body and writes ``manifest_<name>.json`` from the payload it returns, if
+    any: a body that raises writes no manifest."""
+
+    def register(body):
+        def run(config_path: str, overrides: tuple[str, ...], **opts) -> None:
+            cfg = load_config(config_path, overrides)
+            if check is not None:
+                check(cfg, name)
+            out = Path(cfg.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            payload = body(cfg, out, **opts)
+            if payload is not None:
+                manifest = {"command": name, "config_hash": cfg.config_hash(), **payload}
+                _write_json(out / f"manifest_{name}.json", manifest)
+
+        params = [
+            click.Option(["--config", "config_path"], required=True, type=click.Path(),
+                         help="Run config JSON."),
+            click.Option(["--set", "overrides"], multiple=True, metavar="PATH=VALUE",
+                         help="Override a config entry, e.g. --set optimizer.epochs=10"),
+            *options,
+        ]
+        return cli.command(name, params=params, help=body.__doc__)(run)
+
+    return register
 
 
-@cli.command()
-@_config_opt
-@_set_opt
-def gen(config_path: str, overrides: tuple[str, ...]) -> None:
+def _write_report(cfg: RunConfig, out: Path, command: str, report: EvalReport | dict) -> None:
+    """Write ``report_<command>.json``, an EvalReport or a dict payload,
+    stamped with the config's hash."""
+    path = out / f"report_{command}.json"
+    if isinstance(report, EvalReport):
+        replace(report, config_hash=cfg.config_hash()).write(path)
+    else:
+        _write_json(path, {"config_hash": cfg.config_hash(), **report})
+
+
+@_command("gen", _require_synthetic)
+def gen(cfg: RunConfig, out: Path) -> dict:
     """Write the synthetic domain as embedding files."""
-    cfg = load_config(config_path, overrides)
-    _require_synthetic(cfg, "gen")
-    out = _out_dir(cfg)
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
     dom = synthetic_parts(cfg.synthetic, cfg.seed)
@@ -260,21 +299,14 @@ def gen(config_path: str, overrides: tuple[str, ...]) -> None:
     )
     write_embedding_file(prototype_set(dom.generalized_prototypes, names), data_dir / "anchors.emb")
     write_embedding_file(prototype_set(dom.true_prototypes, names), data_dir / "true_prototypes.emb")
-    _write_manifest(
-        cfg, out, "gen",
-        {"seed": cfg.seed, "files": ["train.emb", "test.emb", "anchors.emb", "true_prototypes.emb"]},
-    )
     click.echo(f"wrote 4 embedding files under {data_dir}")
+    return {"seed": cfg.seed,
+            "files": ["train.emb", "test.emb", "anchors.emb", "true_prototypes.emb"]}
 
 
-@cli.command()
-@_config_opt
-@_set_opt
-def tune(config_path: str, overrides: tuple[str, ...]) -> None:
+@_command("tune", _require_base_new)
+def tune(cfg: RunConfig, out: Path) -> dict:
     """Tune the baseline (plain CE) and mixture heads per seed."""
-    cfg = load_config(config_path, overrides)
-    _require_base_new(cfg, "tune")
-    out = _out_dir(cfg)
     (out / "heads").mkdir(exist_ok=True)
     dim, domain = _domain_source(cfg)
     pool = _check_pool_file(cfg, dim)
@@ -292,18 +324,13 @@ def tune(config_path: str, overrides: tuple[str, ...]) -> None:
             save_head(heads[label], tau, paths[label])
             metrics[f"seed{seed}_{label}"] = {"train_accuracy": train_acc["base"][label],
                                               "loss_trace": traces[label]}
-    _write_manifest(cfg, out, "tune", {"seeds": sorted(cfg.seeds), "metrics": metrics})
     click.echo(f"tuned {2 * len(cfg.seeds)} heads under {out / 'heads'}")
+    return {"seeds": sorted(cfg.seeds), "metrics": metrics}
 
 
-@cli.command()
-@_config_opt
-@_set_opt
-def weights(config_path: str, overrides: tuple[str, ...]) -> None:
+@_command("weights", _require_base_new)
+def weights(cfg: RunConfig, out: Path) -> dict:
     """Fit the in/out mixture weights from the tuned heads."""
-    cfg = load_config(config_path, overrides)
-    _require_base_new(cfg, "weights")
-    out = _out_dir(cfg)
     (out / "weights").mkdir(exist_ok=True)
     dim, domain = _domain_source(cfg)
     pool = _check_pool_file(cfg, dim)
@@ -323,18 +350,13 @@ def weights(config_path: str, overrides: tuple[str, ...]) -> None:
         )
         save_weights(fit, _weight_path(out, seed))
         fitted[f"seed{seed}"] = fit.to_dict()
-    _write_manifest(cfg, out, "weights", {"seeds": sorted(cfg.seeds), "weights": fitted})
     click.echo(f"fitted weights for {len(cfg.seeds)} seeds under {out / 'weights'}")
+    return {"seeds": sorted(cfg.seeds), "weights": fitted}
 
 
-@cli.command(name="eval")
-@_config_opt
-@_set_opt
-def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
+@_command("eval", _require_base_new)
+def eval_cmd(cfg: RunConfig, out: Path) -> dict:
     """Score the four comparison configurations from saved artifacts."""
-    cfg = load_config(config_path, overrides)
-    _require_base_new(cfg, "eval")
-    out = _out_dir(cfg)
     _, domain = _domain_source(cfg)
     feeds = []
     for seed in sorted(cfg.seeds):
@@ -363,31 +385,17 @@ def eval_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
         t0 = PromptHead.frozen_from(anchors, names)
         feeds.append((test, base_new_accuracy(t0, head_ce, head_conf, fitted, partition, tau=tau)))
     per_seed = [base_new_scores(split) for split in _score_test(feeds)]
-    report = base_new_report(per_seed, cfg.seeds, cfg.config_hash())
-    report.write(out / "report_eval.json")
+    report = base_new_report(per_seed, cfg.seeds)
+    _write_report(cfg, out, "eval", report)
     (out / "report_eval.csv").write_text(base_to_new_csv(report))
-    _write_manifest(
-        cfg, out, "eval", {"seeds": sorted(cfg.seeds), "per_config": report.per_config}
-    )
     click.echo(f"wrote {out / 'report_eval.json'}")
+    return {"seeds": sorted(cfg.seeds), "per_config": report.per_config}
 
 
-@cli.command()
-@_config_opt
-@_set_opt
-def fscil(config_path: str, overrides: tuple[str, ...]) -> None:
+@_command("fscil", _require_fscil)
+def fscil(cfg: RunConfig, out: Path) -> dict:
     """Run the class-incremental session benchmark."""
-    cfg = load_config(config_path, overrides)
-    _require_synthetic(cfg, "fscil")
-    if cfg.parameterization == "one_stage":
-        raise ConfigError("one_stage weights need exactly one specialized head; fscil fits one "
-                          "per session, as two_stage logits", "/weights/parameterization")
-    out = _out_dir(cfg)
     spec = cfg.partition or {}
-    if spec.get("kind") == "explicit":
-        raise ConfigError("fscil runs a session schedule, not explicit sets", "/partition/kind")
-    if spec.get("seed") is not None:
-        raise ConfigError("fscil draws each run seed's own schedule", "/partition/seed")
     scheduled = spec.get("kind") == "session_schedule"
     try:
         harness = cfg
@@ -400,56 +408,41 @@ def fscil(config_path: str, overrides: tuple[str, ...]) -> None:
         raise ConfigError(str(exc), pointer) from exc
     pool = _check_pool_file(cfg, cfg.synthetic.dim)
     _check_outclass(cfg, pool, len(partition.subsets[1]))
-    report = fscil_run(harness, config_hash=cfg.config_hash(), pool=pool)
-    report.write(out / "report_fscil.json")
+    report = fscil_run(harness, pool=pool)
+    _write_report(cfg, out, "fscil", report)
     (out / "report_fscil.csv").write_text(fscil_csv(report))
-    _write_manifest(
-        cfg, out, "fscil",
-        {"mean": report.mean_acc, "pd": report.pd, "sessions": report.session_acc},
-    )
     click.echo(f"wrote {out / 'report_fscil.json'}")
+    return {"mean": report.mean_acc, "pd": report.pd, "sessions": report.session_acc}
 
 
-@cli.command()
-@_config_opt
-@_set_opt
-@click.option("--splits", type=click.IntRange(min=2), default=10, show_default=True)
-def assume(config_path: str, overrides: tuple[str, ...], splits: int) -> None:
+@_command("assume", _require_synthetic, (
+    click.Option(["--splits"], type=click.IntRange(min=2), default=10, show_default=True),
+))
+def assume(cfg: RunConfig, out: Path, splits: int) -> dict:
     """Validate the specialization assumption with paired t-tests."""
-    cfg = load_config(config_path, overrides)
-    _require_synthetic(cfg, "assume")
-    out = _out_dir(cfg)
-    report = assumption_check(cfg, splits=splits, config_hash=cfg.config_hash())
-    report.write(out / "report_assume.json")
-    _write_manifest(cfg, out, "assume", {"t_tests": report.t_tests})
+    report = assumption_check(cfg, splits=splits)
+    _write_report(cfg, out, "assume", report)
     click.echo(f"wrote {out / 'report_assume.json'}")
     click.echo(f"validated: {report.t_tests['validated']}")
+    return {"t_tests": report.t_tests}
 
 
-@cli.command()
-@_config_opt
-@_set_opt
-@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
-def bound(config_path: str, overrides: tuple[str, ...], trials: int) -> None:
+@_command("bound", options=(
+    click.Option(["--trials"], type=click.IntRange(min=1), default=1000, show_default=True),
+))
+def bound(cfg: RunConfig, out: Path, trials: int) -> dict:
     """Sweep random ensembles against the mixture error bound."""
-    cfg = load_config(config_path, overrides)
-    out = _out_dir(cfg)
     result = bound_sweep(trials=trials, seed=cfg.seed)
-    payload = {"config_hash": cfg.config_hash(), **result}
-    _write_json(out / "report_bound.json", payload)
-    _write_manifest(cfg, out, "bound", result)
+    _write_report(cfg, out, "bound", result)
     click.echo(f"min gap over {trials} trials: {result['min_gap']:.3e}")
     if not result["all_non_negative"]:
         raise RuntimeError("mixture error bound violated beyond tolerance")
+    return result
 
 
-@cli.command(name="losses")
-@_config_opt
-@_set_opt
-def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
+@_command("losses")
+def losses_cmd(cfg: RunConfig, out: Path) -> dict:
     """Compare tuning-domain accuracy across the loss zoo."""
-    cfg = load_config(config_path, overrides)
-    out = _out_dir(cfg)
     _, domain = _domain_source(cfg)
     # ce_conf is the CoA-loss at the method's w; loss.w weighs ce_mae
     losses = {kind: replace(cfg.loss, kind=kind) for kind in LOSS_KINDS}
@@ -468,23 +461,18 @@ def losses_cmd(config_path: str, overrides: tuple[str, ...]) -> None:
     splits = _score_test(feeds)
     accs = {kind: [split["base"][kind] for split in splits] for kind in LOSS_KINDS}
     rows = {kind: {"base_accuracy": float(np.mean(accs[kind]))} for kind in LOSS_KINDS}
-    payload = {"config_hash": cfg.config_hash(), "losses": rows, "seeds": sorted(cfg.seeds)}
-    _write_json(out / "report_losses.json", payload)
+    _write_report(cfg, out, "losses", {"losses": rows, "seeds": sorted(cfg.seeds)})
     csv = "loss,base_accuracy\n" + "".join(
         f"{kind},{rows[kind]['base_accuracy']:.4f}\n" for kind in LOSS_KINDS
     )
     (out / "report_losses.csv").write_text(csv)
-    _write_manifest(cfg, out, "losses", {"losses": rows})
     click.echo(f"wrote {out / 'report_losses.json'}")
+    return {"losses": rows}
 
 
-@cli.command()
-@_config_opt
-@_set_opt
-def report(config_path: str, overrides: tuple[str, ...]) -> None:
+@_command("report")
+def report(cfg: RunConfig, out: Path) -> None:
     """Merge the run directory's manifests and reports into a summary."""
-    cfg = load_config(config_path, overrides)
-    out = _out_dir(cfg)
     merged: dict = {"config_hash": cfg.config_hash(), "runs": {}}
     for path in sorted(out.glob("manifest_*.json")) + sorted(out.glob("report_*.json")):
         merged["runs"][path.name] = json.loads(path.read_text())

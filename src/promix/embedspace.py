@@ -132,6 +132,15 @@ def check_unit(v: np.ndarray) -> None:
         )
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is read-only, else a read-only view of it, so a
+    caller's writeable array stays writeable."""
+    if a.flags.writeable:
+        a = a.view()
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """Ordered collection of labeled embeddings with a shared class list.
@@ -146,8 +155,8 @@ class EmbeddingSet:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        vectors = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64))
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
+        vectors = read_only(np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64)))
+        labels = read_only(np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64)))
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_names", tuple(self.class_names))
@@ -157,8 +166,6 @@ class EmbeddingSet:
             raise ValueError("labels must be one per sample")
         if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
             raise ValueError("label out of range of class_names")
-        vectors.setflags(write=False)
-        labels.setflags(write=False)
 
     @property
     def dim(self) -> int:

@@ -190,7 +190,9 @@ class EvalReport:
     ``session_acc`` lists per-session accuracies, from which the properties
     ``mean_acc`` and ``pd`` (first minus last) derive; ``t_tests`` holds the
     assumption-check statistics; ``extra`` carries harness-specific details
-    (margins, per-seed values, category counts).
+    (margins, per-seed values, category counts). A harness leaves
+    ``config_hash`` empty; the CLI stamps its config's hash into each report
+    it writes.
     """
 
     kind: str
@@ -491,7 +493,7 @@ def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
     return base_new_scores(acc.score(test))
 
 
-def base_new_report(per_seed: list[dict], seeds, config_hash: str = "") -> EvalReport:
+def base_new_report(per_seed: list[dict], seeds) -> EvalReport:
     """Average per-seed four-configuration scores (ordered as the sorted
     ``seeds``) into the base/new report, with the comparison margins."""
     per_config = {
@@ -511,17 +513,16 @@ def base_new_report(per_seed: list[dict], seeds, config_hash: str = "") -> EvalR
     }
     return EvalReport(
         kind="base_to_new",
-        config_hash=config_hash,
         per_config=per_config,
         extra={"seeds": sorted(seeds), "margins": margins, "per_seed": per_seed},
     )
 
 
-def base_to_new_eval(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
+def base_to_new_eval(cfg: HarnessConfig) -> EvalReport:
     """Four configurations (zero-shot, uniform ensemble, confusion-loss +
     uniform ensemble, full method) averaged over the configured seeds."""
     per_seed = [_base_to_new_single(cfg, seed) for seed in sorted(cfg.seeds)]
-    return base_new_report(per_seed, cfg.seeds, config_hash)
+    return base_new_report(per_seed, cfg.seeds)
 
 
 def fscil_partition(cfg: HarnessConfig, n_classes: int, seed: int) -> DomainPartition:
@@ -592,8 +593,7 @@ def _fscil_sessions(cfg: HarnessConfig, seed: int, parts: SyntheticParts,
     }
 
 
-def fscil_run(cfg: HarnessConfig, config_hash: str = "",
-              pool: np.ndarray | None = None) -> EvalReport:
+def fscil_run(cfg: HarnessConfig, pool: np.ndarray | None = None) -> EvalReport:
     """Class-incremental protocol: per session, tune a short-context head on the
     session's classes, fit its weights (the first session's out-class anchors are
     drawn by :func:`outclass_anchors` from ``pool``, later ones are the previous
@@ -621,7 +621,6 @@ def fscil_run(cfg: HarnessConfig, config_hash: str = "",
     session_acc = [float(a) for a in acc]
     return EvalReport(
         kind="fscil",
-        config_hash=config_hash,
         session_acc=session_acc,
         extra={
             "seeds": seeds,
@@ -636,9 +635,7 @@ def fscil_run(cfg: HarnessConfig, config_hash: str = "",
     )
 
 
-def assumption_check(
-    cfg: HarnessConfig, splits: int = 10, config_hash: str = ""
-) -> EvalReport:
+def assumption_check(cfg: HarnessConfig, splits: int = 10) -> EvalReport:
     """Specialized-vs-generalized accuracy gaps over seeded 50/50 class
     splits of one domain (generated from the first configured seed), every
     split's head tuned in one lockstep call, with one-sided paired t-tests
@@ -687,7 +684,6 @@ def assumption_check(
     )
     return EvalReport(
         kind="assumption",
-        config_hash=config_hash,
         t_tests={"in_domain": t_in, "out_domain": t_out, "validated": validated},
         extra={"in_gaps": in_gaps, "out_gaps": out_gaps, "splits": splits},
     )
@@ -727,7 +723,7 @@ def _confusing_curves(tau: float, parts: SyntheticParts, init: PromptHead, means
     return {"counts": {k: int(m.sum()) for k, m in masks.items()}, **curves}
 
 
-def confusing_gain(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
+def confusing_gain(cfg: HarnessConfig) -> EvalReport:
     """Twin tuning runs (plain CE vs CE plus the confusion term) on
     identical seeds and data, scored on the easy/confusing/all subsets of
     the baseline head's predictions. Every seed's twins step in lockstep in
@@ -748,7 +744,6 @@ def confusing_gain(cfg: HarnessConfig, config_hash: str = "") -> EvalReport:
     }
     return EvalReport(
         kind="confusing_gain",
-        config_hash=config_hash,
         category_counts=counts,
         extra={
             "deltas": deltas,

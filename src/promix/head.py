@@ -25,6 +25,7 @@ from promix.embedspace import (
     EmbeddingSet,
     check_unit,
     read_embedding_file,
+    read_only,
     unit_normalize_rows,
     write_embedding_file,
 )
@@ -43,8 +44,8 @@ class PromptHead:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        context = np.ascontiguousarray(np.asarray(self.context, dtype=np.float64))
-        anchors = np.ascontiguousarray(np.asarray(self.anchors, dtype=np.float64))
+        context = read_only(np.ascontiguousarray(np.asarray(self.context, dtype=np.float64)))
+        anchors = read_only(np.ascontiguousarray(np.asarray(self.anchors, dtype=np.float64)))
         if context.ndim != 2 or anchors.ndim != 2:
             raise ValueError("context and anchors must be 2-d arrays")
         if context.shape[0] > 0 and context.shape[1] != anchors.shape[1]:
@@ -52,8 +53,6 @@ class PromptHead:
         if anchors.shape[0] != len(self.class_names):
             raise ValueError("one anchor per class name required")
         check_unit(anchors)
-        context.setflags(write=False)
-        anchors.setflags(write=False)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "class_names", tuple(self.class_names))

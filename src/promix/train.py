@@ -338,6 +338,12 @@ def tune_prompts(runs: Sequence[TuneRun]) -> list[tuple[PromptHead, float, list[
     return results
 
 
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` read the same memory in the same layout, as
+    the read-only views that two heads hold of one caller's array do."""
+    return a is b or a.__array_interface__ == b.__array_interface__
+
+
 def _tune_group(
     runs: list[TuneRun], views: list[tuple], ids: list[int]
 ) -> list[tuple[PromptHead, float, list[float]]]:
@@ -350,8 +356,8 @@ def _tune_group(
     rows over run.tau. ``views`` is emptied once read."""
     first = runs[0]
     one_set = all(r.train_set is first.train_set for r in runs)
-    shared = one_set and all(r.init.anchors is first.init.anchors and r.classes is first.classes
-                             for r in runs)
+    shared = one_set and all(_same_array(r.init.anchors, first.init.anchors)
+                             and r.classes is first.classes for r in runs)
     heads, rows, labels = zip(*(views[:1] if shared else views))
     views.clear()  # so the arrays below replace the views' rather than join them
     x = first.train_set.vectors

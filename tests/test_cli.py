@@ -5,7 +5,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,22 +29,23 @@ from promix.mixture import load_weights
 from promix.train import DivergenceError
 
 
+TOY_CONFIG = {
+    "seed": 0,
+    "seeds": [0],
+    "data": {
+        "synthetic": {
+            "num_classes": 8, "shots": 4, "test_per_class": 4,
+            "dim": 16, "confusion_pairs": 2,
+        }
+    },
+    "optimizer": {"epochs": 4, "weight_epochs": 4},
+}
+
+
 @pytest.fixture
 def run_config(tmp_path):
     def make(**extra):
-        cfg = {
-            "out_dir": str(tmp_path / "run"),
-            "seed": 0,
-            "seeds": [0],
-            "data": {
-                "synthetic": {
-                    "num_classes": 8, "shots": 4, "test_per_class": 4,
-                    "dim": 16, "confusion_pairs": 2,
-                }
-            },
-            "optimizer": {"epochs": 4, "weight_epochs": 4},
-        }
-        cfg.update(extra)
+        cfg = {"out_dir": str(tmp_path / "run"), **TOY_CONFIG, **extra}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         return path, tmp_path / "run"
@@ -512,6 +513,9 @@ class TestPipeline:
         assert main(["fscil", "--config", str(path), *args]) == 1
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
         assert not (out / "report_fscil.json").exists()
+        # the partition's own entries are checked before out_dir is created
+        if pointer in ("/partition/kind", "/partition/seed"):
+            assert not out.exists()
 
     def test_fscil_under_one_stage_exits_one_before_any_work(self, run_config, capsys):
         # one_stage is defined for one specialized head; fscil fits one per session
@@ -746,10 +750,13 @@ class TestPipeline:
         # a sweep reporting a negative gap: the bound would be violated
         monkeypatch.setattr(promix.cli, "bound_sweep",
                             lambda trials, seed: {"min_gap": -1.0, "all_non_negative": False})
-        path, _ = run_config()
+        path, out = run_config()
         assert main([stage, "--config", str(path)]) == 2
         message = {"tune": "non-finite loss", "bound": "mixture error bound violated"}[stage]
         assert capsys.readouterr().err.startswith(f"runtime failure: {message}")
+        # a failed command writes no manifest; the violated bound's report is the evidence
+        assert not (out / f"manifest_{stage}.json").exists()
+        assert (out / "report_bound.json").exists() == (stage == "bound")
 
     def test_eval_needs_a_held_out_subset(self, run_config, capsys):
         path, out = run_config(partition={"kind": "explicit", "sets": [[], list(range(8))]})
@@ -947,6 +954,68 @@ class TestHeadsBelongToTheDomain:
         assert not (out / "report_eval.json").exists()
 
 
+# each command's own arguments on the toy config, in pipeline order; at 11
+# classes fscil's default schedule (6 base classes, one 5-way session) fits
+COMMAND_ARGS = {
+    "gen": [], "tune": [], "weights": [], "eval": [],
+    "fscil": ["--set", "data.synthetic.num_classes=11"],
+    "assume": ["--splits", "2"], "bound": ["--trials", "20"], "losses": [], "report": [],
+}
+COMMAND_HELP = {
+    "gen": ("Write the synthetic domain as embedding files.", []),
+    "tune": ("Tune the baseline (plain CE) and mixture heads per seed.", []),
+    "weights": ("Fit the in/out mixture weights from the tuned heads.", []),
+    "eval": ("Score the four comparison configurations from saved artifacts.", []),
+    "fscil": ("Run the class-incremental session benchmark.", []),
+    "assume": ("Validate the specialization assumption with paired t-tests.", ["--splits"]),
+    "bound": ("Sweep random ensembles against the mixture error bound.", ["--trials"]),
+    "losses": ("Compare tuning-domain accuracy across the loss zoo.", []),
+    "report": ("Merge the run directory's manifests and reports into a summary.", []),
+}
+REPORTING = {"eval", "fscil", "assume", "bound", "losses"}
+
+
+class TestCommandShape:
+    """Every command stamps its manifest and reports with the hash of the
+    config it ran, and its help shows its docstring and options."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("chain")
+        path = root / "config.json"
+        path.write_text(json.dumps({"out_dir": str(root / "run"), **TOY_CONFIG}))
+        for command, args in COMMAND_ARGS.items():
+            assert main([command, "--config", str(path), *args]) == 0, command
+        return path, root / "run"
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_every_artifact_carries_the_hash_of_its_config(self, chain, command):
+        path, out = chain
+        args = COMMAND_ARGS[command]
+        overrides = [value for flag, value in zip(args, args[1:]) if flag == "--set"]
+        want = load_config(path, overrides).config_hash()
+        manifest = out / f"manifest_{command}.json"
+        if command == "report":
+            assert not manifest.exists()
+            assert json.loads((out / "summary.json").read_text())["config_hash"] == want
+        else:
+            doc = json.loads(manifest.read_text())
+            assert (doc["command"], doc["config_hash"]) == (command, want)
+        report = out / f"report_{command}.json"
+        assert report.exists() == (command in REPORTING)
+        if command in REPORTING:
+            assert json.loads(report.read_text())["config_hash"] == want
+
+    @pytest.mark.parametrize("command", list(COMMAND_HELP))
+    def test_help_shows_the_docstring_and_every_option(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        doc, own = COMMAND_HELP[command]
+        assert doc in text
+        for flag in ["--config", "--set", *own]:
+            assert f"  {flag} " in text
+
+
 class TestStreamedEval:
     """eval scores test.emb as a stream of CHUNK_ROWS-row chunks."""
 
@@ -974,7 +1043,8 @@ class TestStreamedEval:
             t0 = PromptHead.frozen_from(anchor_rows, test.class_names)
             per_seed.append(_whole_set_base_new_scores(
                 t0, head_ce, head_conf, fitted, partition, test, tau))
-        expected = evaluation.base_new_report(per_seed, cfg.seeds, cfg.config_hash())
+        expected = replace(evaluation.base_new_report(per_seed, cfg.seeds),
+                           config_hash=cfg.config_hash())
         assert len(test) > 4 * chunk_rows
         monkeypatch.setattr(embedspace, "CHUNK_ROWS", chunk_rows)
         assert main(["eval", "--config", str(path2)]) == 0

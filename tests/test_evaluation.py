@@ -249,6 +249,7 @@ class TestHarnessConfig:
 class TestHarnessSmoke:
     def test_base_to_new_schema(self):
         rep = base_to_new_eval(_tiny_harness())
+        assert rep.config_hash == ""  # only the CLI stamps a report
         assert set(rep.per_config) == {"zero_shot", "uniform_ensemble", "conf_uniform", "fitted_mixture"}
         for row in rep.per_config.values():
             assert set(row) == {"base", "new", "h"}
@@ -300,6 +301,7 @@ class TestHarnessSmoke:
             fscil_base_size=6, fscil_way=2,
         )
         rep = fscil_run(cfg)
+        assert rep.config_hash == ""
         assert len(rep.session_acc) == 3  # 6 base + 2x2-way
         assert rep.pd == pytest.approx(rep.session_acc[0] - rep.session_acc[-1])
         assert rep.mean_acc == pytest.approx(np.mean(rep.session_acc))
@@ -308,6 +310,7 @@ class TestHarnessSmoke:
 
     def test_assumption_schema(self):
         rep = assumption_check(_tiny_harness(), splits=3)
+        assert rep.config_hash == ""
         assert len(rep.extra["in_gaps"]) == 3
         assert len(rep.extra["out_gaps"]) == 3
         assert set(rep.t_tests) == {"in_domain", "out_domain", "validated"}
@@ -331,6 +334,7 @@ class TestHarnessSmoke:
 
     def test_confusing_gain_schema(self):
         rep = confusing_gain(_tiny_harness())
+        assert rep.config_hash == ""
         assert set(rep.extra["deltas"]) == {"easy", "confusing", "all"}
         assert set(rep.category_counts) == {"easy", "confusing", "hard"}
         # twin runs with identical seeds: the w=0 run must match itself

@@ -50,6 +50,20 @@ class TestPromptHead:
         assert head.context_len == 0
         assert np.array_equal(head.effective_embeddings(), anchors)
 
+    def test_head_and_set_leave_the_callers_arrays_writeable(self):
+        rng = np.random.default_rng(2)
+        anchors, context = _unit_rows(rng, 3, 6), rng.standard_normal((2, 6))
+        vectors, labels = _unit_rows(rng, 4, 6), np.array([0, 1, 2, 0])
+        head = PromptHead(context, anchors, "abc")
+        frozen = PromptHead.frozen_from(anchors, "abc")
+        emb = EmbeddingSet(vectors, labels, tuple("abc"))
+        for caller in (anchors, context, vectors, labels):
+            assert caller.flags.writeable
+        for held in (head.anchors, head.context, frozen.anchors, emb.vectors, emb.labels):
+            assert not held.flags.writeable
+        # a read-only array is held as it is: a new context keeps the anchors object
+        assert head.with_context(context[:1]).anchors is head.anchors
+
     def test_parameter_count_independent_of_classes(self):
         rng = np.random.default_rng(3)
         h5 = PromptHead.with_random_context(_unit_rows(rng, 5, 8), [str(i) for i in range(5)], 4, seed=0)

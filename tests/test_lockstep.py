@@ -211,6 +211,23 @@ class TestLockstepMatchesTheSingleRunLoop:
         for (a, _, trace_a), (b, _, trace_b) in zip(whole, capped):
             assert _bits(a.context) == _bits(b.context) and trace_a == trace_b
 
+    def test_twins_on_one_writeable_anchor_array_share_one_product(self, monkeypatch):
+        # each head holds its own read-only view of the caller's array
+        dom = _domain()
+        anchors = np.array(dom.generalized_prototypes)
+        heads = [PromptHead.with_random_context(anchors, dom.train.class_names, 3, s)
+                 for s in (1, 2)]
+        assert heads[0].anchors is not heads[1].anchors and anchors.flags.writeable
+        stacked = []
+        of = train._AnchorSpace.of.__func__
+        monkeypatch.setattr(train._AnchorSpace, "of", classmethod(
+            lambda cls, a, *args: stacked.append(len(a)) or of(cls, a, *args)))
+        runs = [TuneRun(h, dom.train, LossConfig("ce_conf", w=5.0), OPT, 7, 0.05) for h in heads]
+        results = tune_prompts(runs)
+        assert stacked == [1]
+        for run, result in zip(runs, results):
+            _assert_matches_oracle(run, result)
+
     def test_epoch_hooks_see_each_run_alone(self):
         dom = _domain()
         seen = {0: [], 1: []}
