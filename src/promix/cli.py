@@ -34,6 +34,7 @@ import numpy as np
 from promix.config import ConfigError, RunConfig, load_config
 from promix.embedspace import (
     EmbeddingFileError,
+    FieldError,
     iter_embedding_chunks,
     partition_classes,
     prototype_set,
@@ -60,7 +61,7 @@ from promix.evaluation import (
     subset_run,
     tune_base_new_heads,
 )
-from promix.head import CheckpointError, PromptHead, load_head, save_head
+from promix.head import CheckpointError, PromptHead, checkpoint_reader, load_head, save_head
 from promix.losses import LOSS_KINDS
 from promix.mixture import load_weights, save_weights
 from promix.train import tune_prompts
@@ -160,9 +161,11 @@ def _domain_source(cfg: RunConfig):
 
 
 def _per_seed(cfg: RunConfig, n_classes: int, draw):
-    """seed -> (partition, base, anchors, test): the seed's partition, then
-    the (train, anchors, test) of ``draw(seed, tuning classes)``."""
+    """seed -> (partition, base, anchors, test): the seed's partition, whose
+    held-out and tuning subsets must not be empty, then the (train, anchors,
+    test) of ``draw(seed, tuning classes)``."""
     spec = cfg.partition or {"kind": "base_new_even_split"}
+    pointer = "/partition/sets" if spec["kind"] == "explicit" else "/partition"
 
     def domain(seed: int):
         try:
@@ -170,14 +173,14 @@ def _per_seed(cfg: RunConfig, n_classes: int, draw):
                 n_classes, spec["kind"], base_size=spec.get("base_size"), way=spec.get("way"),
                 sets=spec.get("sets"), seed=seed if spec.get("seed") is None else spec["seed"])
         except ValueError as exc:
-            raise ConfigError(
-                str(exc), "/partition/sets" if spec["kind"] == "explicit" else "/partition"
-            ) from exc
+            raise ConfigError(str(exc), pointer) from exc
+        if not (len(partition.subsets[0]) and len(partition.subsets[1])):
+            raise ConfigError("a base/new run needs a partition with non-empty tuning and "
+                              "held-out subsets", pointer)
         train, anchors, test = draw(seed, partition.subsets[1])
         base = train.with_labels_in(partition.subsets[1])
-        if not len(base):
-            pointer = "/data/files/train" if cfg.files and len(partition.subsets[1]) else "/partition"
-            raise ConfigError("the training set has no rows of the base split", pointer)
+        if not len(base):  # a synthetic domain has rows of every tuned class
+            raise ConfigError("the training set has no rows of the base split", "/data/files/train")
         return partition, base, anchors, test
 
     return domain
@@ -216,18 +219,14 @@ def _check_pool_file(cfg: RunConfig, dim: int) -> np.ndarray | None:
 
 
 def _check_outclass(cfg: RunConfig, pool: np.ndarray | None, in_class_size: int) -> None:
-    """The out-class set, ``outclass.count`` anchors or else one per tuned class,
-    must hold at least 2 unless the kind is none, and the draw's pool words
-    must fit the pool."""
-    n = cfg.outclass.count or in_class_size
-    if cfg.outclass.kind != "none" and n < 2:
-        raise ConfigError(f"out-class sets need at least 2 anchors; set a count, as one "
-                          f"anchor per tuned class gives {n}", "/outclass/count")
-    need = cfg.outclass.pool_words(n)
-    have = cfg.pool_size if pool is None else len(pool)
-    if need > have:
-        pointer = "/outclass/pool_file" if cfg.pool_file else "/outclass/pool_size"
-        raise ConfigError(f"pool exhausted: need {need}, have {have}", pointer)
+    """Apply the out-class rule, :meth:`OutclassStrategy.resolved_count`, to
+    the set drawn from ``pool``, or else from ``pool_size`` generated words;
+    a rejection names the config entry at fault."""
+    try:
+        cfg.outclass.resolved_count(in_class_size, cfg.pool_size if pool is None else len(pool))
+    except FieldError as exc:
+        field = "pool_file" if exc.field == "pool_size" and cfg.pool_file else exc.field
+        raise ConfigError(exc.reason, f"/outclass/{field}") from exc
 
 
 def _head_paths(out: Path, seed: int) -> dict[str, Path]:
@@ -257,7 +256,10 @@ def _command(name: str, check=None, options: tuple[click.Option, ...] = ()):
             if check is not None:
                 check(cfg, name)
             out = Path(cfg.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create the output directory: {exc}", "/out_dir") from exc
             payload = body(cfg, out, **opts)
             if payload is not None:
                 manifest = {"command": name, "config_hash": cfg.config_hash(), **payload}
@@ -336,11 +338,11 @@ def weights(cfg: RunConfig, out: Path) -> dict:
     pool = _check_pool_file(cfg, dim)
     fitted = {}
     for seed in sorted(cfg.seeds):
+        partition, base, anchors, _test = domain(seed)
         paths = _head_paths(out, seed)
         for path in paths.values():
             if not path.exists():
                 raise ArtifactError(f"missing head checkpoint {path}; run `tune` first")
-        partition, base, anchors, _test = domain(seed)
         _, tau = load_head(paths["ce"], anchors, base.class_names)
         mix_head, mix_tau = load_head(paths["conf"], anchors, base.class_names)
         _check_outclass(cfg, pool, len(partition.subsets[1]))
@@ -360,19 +362,14 @@ def eval_cmd(cfg: RunConfig, out: Path) -> dict:
     _, domain = _domain_source(cfg)
     feeds = []
     for seed in sorted(cfg.seeds):
+        partition, base, anchors, test = domain(seed)
         paths = _head_paths(out, seed)
         wpath = _weight_path(out, seed)
         for p in (*paths.values(), wpath):
             if not Path(p).exists():
                 raise ArtifactError(f"missing checkpoint {p}; run `tune` and `weights` first")
-        partition, base, anchors, test = domain(seed)
         names = base.class_names
         del base  # eval scores no training row, so the split is not held while it scores
-        if len(partition.subsets[0]) == 0:
-            raise ConfigError(
-                "eval needs a partition with non-empty tuning and held-out subsets",
-                "/partition",
-            )
         head_ce, tau = load_head(paths["ce"], anchors, names)
         head_conf, _ = load_head(paths["conf"], anchors, names)
         fitted = load_weights(wpath)
@@ -440,7 +437,7 @@ def bound(cfg: RunConfig, out: Path, trials: int) -> dict:
     return result
 
 
-@_command("losses")
+@_command("losses", _require_base_new)
 def losses_cmd(cfg: RunConfig, out: Path) -> dict:
     """Compare tuning-domain accuracy across the loss zoo."""
     _, domain = _domain_source(cfg)
@@ -475,7 +472,7 @@ def report(cfg: RunConfig, out: Path) -> None:
     """Merge the run directory's manifests and reports into a summary."""
     merged: dict = {"config_hash": cfg.config_hash(), "runs": {}}
     for path in sorted(out.glob("manifest_*.json")) + sorted(out.glob("report_*.json")):
-        merged["runs"][path.name] = json.loads(path.read_text())
+        merged["runs"][path.name] = checkpoint_reader(path)("", lambda v: True, "JSON")
     _write_json(out / "summary.json", merged)
     click.echo(f"merged {len(merged['runs'])} artifacts into {out / 'summary.json'}")
 

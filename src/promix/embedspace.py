@@ -74,12 +74,12 @@ class EmbeddingFileError(Exception):
 
 
 class FieldError(ValueError):
-    """A config dataclass field out of its range. ``field`` names it as a
-    path below the dataclass: ``tau``, or ``seeds/1`` for one entry."""
+    """A config dataclass field out of its range. ``field`` names it as a path
+    below the dataclass (``tau``, or ``seeds/1`` for one entry); ``reason`` says why."""
 
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field} {message}")
-        self.field = field
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field, self.reason = field, reason
 
 
 def _row_norms(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:

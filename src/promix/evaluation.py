@@ -480,6 +480,7 @@ def _base_to_new_single(cfg: HarnessConfig, seed: int) -> dict:
     """One seed of the four-configuration comparison: only the base split's
     train rows are drawn, and the test split is streamed."""
     partition = partition_classes(cfg.synthetic.num_classes, "base_new_even_split", seed=seed)
+    cfg.outclass.resolved_count(len(partition.subsets[1]), cfg.pool_size)
     parts = synthetic_parts(cfg.synthetic, seed, partition.subsets[1])
     base, anchors, names = parts.train, parts.generalized_prototypes, parts.train.class_names
     test = parts.test_chunks()
@@ -605,8 +606,11 @@ def fscil_run(cfg: HarnessConfig, pool: np.ndarray | None = None) -> EvalReport:
     first, in one call that steps sessions of equal row counts in lockstep;
     then each seed's weights are fitted and scored in turn."""
     seeds = sorted(cfg.seeds)
-    parts = [synthetic_parts(cfg.synthetic, seed) for seed in seeds]
     partitions = [fscil_partition(cfg, cfg.synthetic.num_classes, seed) for seed in seeds]
+    for partition in partitions:
+        cfg.outclass.resolved_count(len(partition.subsets[1]),
+                                    cfg.pool_size if pool is None else len(pool))
+    parts = [synthetic_parts(cfg.synthetic, seed) for seed in seeds]
     # each session's context is drawn from its own seed, its batch order from the run's
     tuned = iter(tune_prompts([
         replace(subset_run(p.generalized_prototypes, p.train.class_names, p.train, subset,

@@ -5,7 +5,8 @@ must be synthesized. Two sources are available: unstructured noise
 (uniform sphere samples, the random-string analog) and a held-out
 vocabulary pool drawn from the same prototype process as real classes
 (the random-word analog, structured and in-distribution). ``mixed`` takes
-half from each.
+half from each. :meth:`OutclassStrategy.resolved_count` is the one rule an
+out-class set obeys; the harnesses and the CLI apply it before any tuning.
 """
 
 from __future__ import annotations
@@ -45,10 +46,17 @@ class OutclassStrategy:
         mixed n // 2, the other kinds none."""
         return n // _WORD_DIVISOR[self.kind] if self.draws_words else 0
 
-    def resolved_count(self, in_class_size: int) -> int:
+    def resolved_count(self, in_class_size: int, pool_size: int | None = None) -> int:
+        """The set's size, ``count`` or else one anchor per tuned class: at least 2
+        unless the kind is none, with no more pool words than ``pool_size``, if
+        given. FieldError at ``count`` or ``pool_size`` otherwise."""
         n = in_class_size if self.count is None else self.count
         if self.kind != "none" and n < 2:
-            raise ValueError("out-class sets need at least 2 anchors")
+            raise FieldError("count", f"out-class sets need at least 2 anchors; set a count, as "
+                                      f"one anchor per tuned class gives {n}")
+        if pool_size is not None and self.pool_words(n) > pool_size:
+            raise FieldError("pool_size", f"pool exhausted: need {self.pool_words(n)}, "
+                                          f"have {pool_size}")
         return n
 
 
@@ -75,22 +83,18 @@ def generate_outclass(
     """
     if strategy.kind == "none":
         return np.empty((0, dim))
-    if strategy.count is None and in_class_size is None:
-        raise ValueError("anchor count unresolved: pass count or in_class_size")
-    n = strategy.resolved_count(in_class_size if in_class_size is not None else 0)
+    n = strategy.resolved_count(in_class_size or 0, None if vocab_pool is None else len(vocab_pool))
     rng = np.random.default_rng(seed)
 
     def draw_strings(count: int) -> np.ndarray:
         return unit_normalize(rng.standard_normal((count, dim)))
 
     def draw_words(count: int) -> np.ndarray:
-        if vocab_pool is None or len(vocab_pool) == 0:
-            raise ValueError("random_word needs a non-empty vocabulary pool")
+        if vocab_pool is None:
+            raise ValueError("random_word needs a vocabulary pool")
         pool = np.asarray(vocab_pool, dtype=np.float64)
         if pool.shape[1] != dim:
             raise ValueError("vocabulary pool dimension mismatch")
-        if count > pool.shape[0]:
-            raise ValueError(f"pool exhausted: need {count}, have {pool.shape[0]}")
         idx = rng.choice(pool.shape[0], size=count, replace=False)
         return pool[idx]
 

@@ -316,6 +316,16 @@ class TestPipeline:
         assert main(["eval", "--config", str(path)]) == 1
         assert "missing checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out_dir", ["a_file", "a_file/run"], ids=["file", "under_file"])
+    def test_out_dir_that_cannot_be_made_exits_one(self, run_config, tmp_path, capsys, out_dir):
+        path, _ = run_config()
+        (tmp_path / "a_file").write_text("")
+        override = ["--set", f'out_dir="{tmp_path / out_dir}"']
+        assert main(["bound", "--config", str(path), "--trials", "5", *override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: /out_dir: cannot create the output directory: [Errno ")
+        assert (tmp_path / "a_file").read_text() == ""
+
     def test_weights_without_tune_fails_cleanly(self, run_config, capsys):
         path, _ = run_config()
         assert main(["weights", "--config", str(path)]) == 1
@@ -549,6 +559,15 @@ class TestPipeline:
         assert "manifest_gen.json" in summary["runs"]
         assert "report_bound.json" in summary["runs"]
 
+    def test_report_names_the_artifact_it_cannot_read(self, run_config, capsys):
+        path, out = run_config()
+        assert main(["bound", "--config", str(path), "--trials", "5"]) == 0
+        bad = out / "manifest_broken.json"
+        bad.write_text("{not json")
+        assert main(["report", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: /: not a JSON checkpoint")
+        assert not (out / "summary.json").exists()
+
     def test_eval_from_file_data(self, run_config, tmp_path):
         # gen exports the domain, then the pipeline re-ingests it as files
         path, out = run_config()
@@ -758,16 +777,21 @@ class TestPipeline:
         assert not (out / f"manifest_{stage}.json").exists()
         assert (out / "report_bound.json").exists() == (stage == "bound")
 
-    def test_eval_needs_a_held_out_subset(self, run_config, capsys):
-        path, out = run_config(partition={"kind": "explicit", "sets": [[], list(range(8))]})
-        for stage in ("tune", "weights"):
-            assert main([stage, "--config", str(path)]) == 0
-        assert main(["eval", "--config", str(path)]) == 1
+    @pytest.mark.parametrize("stage", ["tune", "losses"])
+    @pytest.mark.parametrize("sets", [[[], list(range(8))], [list(range(8)), []]],
+                             ids=["no_held_out", "no_tuning"])
+    def test_base_new_stages_need_held_out_and_tuning_subsets(
+        self, run_config, capsys, monkeypatch, stage, sets
+    ):
+        path, out = run_config(partition={"kind": "explicit", "sets": sets})
+        monkeypatch.setattr(evaluation, "tune_prompts", None)  # any tuning would raise
+        assert main([stage, "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: /partition: eval needs a partition with non-empty tuning")
-        assert not (out / "report_eval.json").exists()
+        assert err.startswith("error: /partition/sets: a base/new run needs a partition with "
+                              "non-empty tuning and held-out subsets")
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
-    @pytest.mark.parametrize("stage", ["tune", "weights", "eval"])
+    @pytest.mark.parametrize("stage", ["tune", "weights", "eval", "losses"])
     @pytest.mark.parametrize(
         "partition, pointer",
         [({"kind": "explicit", "sets": [[0, 1, 2], [3, 4, 5], [6, 7]]}, "/partition/sets"),

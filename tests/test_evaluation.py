@@ -43,6 +43,7 @@ from promix.evaluation import (
     classify_samples,
     confusing_gain,
     fscil_csv,
+    fscil_default_synthetic,
     fscil_run,
     harmonic_mean,
 )
@@ -206,6 +207,22 @@ class TestOutclassAnchors:
         cfg = _tiny_harness(outclass=OutclassStrategy(kind), pool_size=10**9)
         out = evaluation.outclass_anchors(cfg, 16, 0, 4)
         assert out.shape == ((4, 16) if kind == "random_string" else (0, 16))
+
+    @pytest.mark.parametrize("harness, need", [("base_to_new", 16), ("fscil", 60)])
+    def test_small_pool_raises_before_any_tuning(self, monkeypatch, harness, need):
+        # the harness applies the out-class rule to its partitions before it tunes a head
+        tuned = []
+        tune, tune_many = evaluation.tune_prompt, evaluation.tune_prompts
+        monkeypatch.setattr(evaluation, "tune_prompt",
+                            lambda *args: tuned.append(1) or tune(*args))
+        monkeypatch.setattr(evaluation, "tune_prompts",
+                            lambda runs: tuned.append(len(runs)) or tune_many(runs))
+        cfg, run = HarnessConfig(pool_size=4), base_to_new_eval
+        if harness == "fscil":
+            cfg, run = replace(cfg, synthetic=fscil_default_synthetic()), fscil_run
+        with pytest.raises(FieldError, match=f"^pool_size pool exhausted: need {need}, have 4$"):
+            run(cfg)
+        assert tuned == []
 
 
 class TestHarnessConfig:
